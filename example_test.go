@@ -45,9 +45,9 @@ proc main() {
 	// sum 10
 }
 
-// ExampleAnalysis_Transform folds the discovered constants into the
-// program and shows the semantics are unchanged.
-func ExampleAnalysis_Transform() {
+// ExampleAnalysis_ApplyTransform folds the discovered constants into
+// the program and shows the semantics are unchanged.
+func ExampleAnalysis_ApplyTransform() {
 	prog, _ := fsicp.Load("t.mf", `program t
 proc main() {
   call emit(6, 7)
@@ -56,8 +56,8 @@ proc emit(a int, b int) {
   print a * b
 }`)
 	a := prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true})
-	assigns, folded, _, _ := a.Transform()
-	fmt.Printf("assignments=%d folded=%d\n", assigns, folded)
+	rep := a.ApplyTransform()
+	fmt.Printf("assignments=%d folded=%d\n", rep.EntryAssignments, rep.FoldedInstrs)
 	fmt.Print(prog.Run(nil).Output)
 	// Output:
 	// assignments=2 folded=1

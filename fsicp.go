@@ -263,7 +263,7 @@ func (k JumpFunctionKind) String() string {
 //
 // A Program may be analysed from multiple goroutines concurrently:
 // Analyze, AnalyzeJumpFunctions, and the read-only accessors never
-// mutate the program. Transform, Clone, Inline, and
+// mutate the program. ApplyTransform, Optimize, Clone, Inline, and
 // RemoveDeadProcedures DO mutate the program in place and must not race
 // with any other use of it.
 type Program struct {
@@ -1119,17 +1119,6 @@ func (a *Analysis) ApplyTransform() TransformReport {
 	}
 }
 
-// Transform is ApplyTransform returning bare counts: (entry
-// assignments, folded instructions, folded branches, removed blocks).
-//
-// Deprecated: use ApplyTransform, whose named report cannot be
-// misordered, or Optimize for the full pass pipeline. Transform will be
-// removed one release after the pipeline's introduction.
-func (a *Analysis) Transform() (int, int, int, int) {
-	rep := a.ApplyTransform()
-	return rep.EntryAssignments, rep.FoldedInstrs, rep.FoldedBranches, rep.RemovedBlocks
-}
-
 // OptimizeOptions selects optimization passes for Analysis.Optimize.
 // The zero value (no pass selected) means every pass, so
 // Optimize(OptimizeOptions{}) and Optimize(AllOptimizations()) agree.
@@ -1224,7 +1213,7 @@ func (r OptimizeReport) EliminatedInstrs() int {
 // dead-branch deletion, copy propagation, local CSE, and loop-invariant
 // constant hoisting, each sharded per function through the driver pass
 // manager (their stats join Analysis.StatsTable). The rewrite is
-// destructive — like Transform, it must not be applied to a Program
+// destructive — like ApplyTransform, it must not be applied to a Program
 // still owned by a Session — but semantics-preserving: Run produces
 // byte-identical output before and after, for every pass combination
 // and worker count.
@@ -1289,7 +1278,8 @@ func (a *Analysis) Eliminations() []ProcElimination {
 }
 
 // RemoveDeadProcedures deletes procedures this analysis proved can
-// never execute (run Transform first so dead call sites are pruned).
+// never execute (run ApplyTransform first so dead call sites are
+// pruned).
 // Returns the removed procedures' names.
 func (a *Analysis) RemoveDeadProcedures() []string {
 	a.prog.ctx.InvalidateSSA()

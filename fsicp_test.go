@@ -91,12 +91,12 @@ func TestFacadeMetricsAndRun(t *testing.T) {
 		t.Errorf("substitutions %d folded %d", subs, folded)
 	}
 
-	// Run before and after Transform: identical output.
+	// Run before and after ApplyTransform: identical output.
 	before := p.Run(nil)
 	if before.Err != nil || before.Output != "4\n" {
 		t.Fatalf("run: %q err %v", before.Output, before.Err)
 	}
-	a.Transform()
+	a.ApplyTransform()
 	after := p.Run(nil)
 	if after.Err != nil || after.Output != before.Output {
 		t.Errorf("transformed output %q, want %q", after.Output, before.Output)
@@ -417,7 +417,7 @@ proc main() {
 }
 proc never() { print "boo" }`)
 	a := p.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true})
-	a.Transform()
+	a.ApplyTransform()
 	removed := a.RemoveDeadProcedures()
 	if len(removed) != 1 || removed[0] != "never" {
 		t.Errorf("removed: %v", removed)

@@ -61,8 +61,10 @@ func (s Set) Reset(n int) Set {
 // is a 256 KiB dense set — cheap to allocate and clear; anything larger
 // typically comes from a quadratic index domain (blocks × vars, edges ×
 // edges) on a 10k+-procedure corpus, where the populated fraction is
-// tiny and the dense array would dominate peak heap.
-const SpillThreshold = 1 << 21
+// tiny and the dense array would dominate peak heap. It is a variable
+// so tests can force every set sparse (0); it is read when a set is
+// created or reset, never concurrently with a write.
+var SpillThreshold = 1 << 21
 
 // Auto is a bit set whose representation is chosen from its capacity:
 // dense below SpillThreshold, sparse (word-indexed map) above it. The

@@ -30,7 +30,7 @@ func TestSetBasics(t *testing.T) {
 // same operation sequence as a dense set and requires identical
 // answers — the spill must change memory layout only.
 func TestAutoMatchesDense(t *testing.T) {
-	const n = SpillThreshold * 2
+	n := SpillThreshold * 2
 	sparse := NewAuto(n)
 	if !sparse.Sparse() {
 		t.Fatalf("capacity %d should spill", n)
@@ -46,7 +46,7 @@ func TestAutoMatchesDense(t *testing.T) {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		idx := int(x % n)
+		idx := int(x % uint64(n))
 		changed := sparse.Add(idx)
 		if changed == ref[idx] {
 			t.Fatalf("Add(%d) changed=%v but ref has=%v", idx, changed, ref[idx])

@@ -214,8 +214,11 @@ func cloneProcedure(prog *ir.Program, orig *sem.Proc, n int) *sem.Proc {
 	// Track the same variables the original did (formals, locals,
 	// globals), in a stable order.
 	for _, v := range ofn.AllVars {
-		nfn.RegisterVar(mapVar(v))
+		if !v.IsGlobal() {
+			nfn.RegisterVar(mapVar(v))
+		}
 	}
+	nfn.SetGlobals(ofn.Globals())
 	prog.Funcs = append(prog.Funcs, nfn)
 	prog.FuncOf[np] = nfn
 	return np

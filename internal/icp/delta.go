@@ -1,10 +1,8 @@
 package icp
 
 import (
-	"math"
 	"os"
 
-	"fsicp/internal/ast"
 	"fsicp/internal/lattice"
 	"fsicp/internal/sem"
 )
@@ -25,36 +23,17 @@ func deltaSkipEnabled() bool {
 	return os.Getenv("FSICP_NO_DELTA_SKIP") == ""
 }
 
-// elemBitEq is Elem.Eq sharpened to bit equality: real constants are
-// compared by their float64 bits, so 0.0 and -0.0 (equal under ==, but
-// rendered differently in reports) do not alias. The refresh skip
-// substitutes a stored summary for a re-run, which stays byte-identical
-// in reports only under this stricter equality.
-func elemBitEq(a, b lattice.Elem) bool {
-	if a.Level != b.Level {
-		return false
-	}
-	if a.Level != lattice.Constant {
-		return true
-	}
-	if a.Val.Type != b.Val.Type {
-		return false
-	}
-	if a.Val.Type == ast.TypeReal {
-		return math.Float64bits(a.Val.R) == math.Float64bits(b.Val.R)
-	}
-	return a.Val.Equal(b.Val)
-}
-
-// envBitEq compares two environments under elemBitEq: same bound keys,
-// bit-identical elements.
-func envBitEq(a, b lattice.Env[*sem.Var]) bool {
+// envEq reports whether two environments bind the same keys to Eq
+// elements. Eq is bit-exact for reals (val.Value.Equal), so 0.0 and
+// -0.0 — rendered differently in reports — never compare equal, and a
+// skip that substitutes an old result for a re-run stays byte-identical.
+func envEq(a, b lattice.Env[*sem.Var]) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for k, v := range a {
 		w, ok := b[k]
-		if !ok || !elemBitEq(v, w) {
+		if !ok || !v.Eq(w) {
 			return false
 		}
 	}

@@ -335,16 +335,3 @@ func iterEntryEnv(ctx *Context, opts Options, pos int, sums, prevSums []*incr.Pr
 	})
 	return de.ToEnv(), nExec > 0
 }
-
-func envEq(a, b lattice.Env[*sem.Var]) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || !v.Eq(w) {
-			return false
-		}
-	}
-	return true
-}

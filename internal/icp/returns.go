@@ -105,7 +105,7 @@ func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard
 				ret = lattice.BottomElem() // never returns: nothing to propagate
 			}
 			returns[i] = ret
-			exits[i] = exitEnv(ctx, p, r)
+			exits[i] = exitEnv(p, r, res.Entry[p])
 		})
 	})
 
@@ -185,17 +185,27 @@ func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, e
 }
 
 // exitEnv extracts the constant exit values of p's formals and the
-// globals from its final fixpoint.
-func exitEnv(ctx *Context, p *sem.Proc, r *scc.Result) lattice.Env[*sem.Var] {
+// globals from its final fixpoint r under entry. A global outside p's
+// segment (REF*(p) ∪ MOD*(p)) is untouched by p and its callees, so it
+// leaves p with its entry value whenever p returns at all.
+func exitEnv(p *sem.Proc, r *scc.Result, entry lattice.Env[*sem.Var]) lattice.Env[*sem.Var] {
 	exit := make(lattice.Env[*sem.Var])
 	for _, f := range p.Params {
 		if e := r.ExitValue(f); e.IsConst() {
 			exit[f] = e
 		}
 	}
-	for _, g := range ctx.Prog.Sem.Globals {
+	fn := r.S.Fn
+	for _, g := range fn.Globals() {
 		if e := r.ExitValue(g); e.IsConst() {
 			exit[g] = e
+		}
+	}
+	if r.CanReturn() {
+		for v, e := range entry {
+			if v.IsGlobal() && e.IsConst() && fn.VarOrd(v) < 0 {
+				exit[v] = e
+			}
 		}
 	}
 	return exit
@@ -282,7 +292,7 @@ func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *g
 				entry[i] = env
 				if old := res.Proc[p]; deltaSkip && !old.Degraded &&
 					live == !old.Dead && nBack == old.BackEdges &&
-					envBitEq(env, res.Entry[p]) && trivialHooks(i) {
+					envEq(env, res.Entry[p]) && trivialHooks(i) {
 					sums[i] = old
 					skipped.Add(1)
 					return

@@ -133,26 +133,23 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 
 // denseEntryEnv allocates the slice-backed environment entry
 // construction works in: a procedure's entry binds only its formals
-// (slots 0..len(Params)-1, addressed by formal position) and globals
-// (slots len(Params)+Index). Every other variable is outside the index
-// and reads as ⊥, matching the map-backed Env's absent-key default.
-// The global segment spills to the environment's overflow map past
-// lattice.EnvSpillThreshold slots, so the per-procedure allocation
-// stops scaling with the number of program globals (the entry binds
-// only Ref(p) anyway).
+// (slots 0..len(Params)-1, addressed by formal position) and the
+// globals of its segment (slots len(Params)+segment offset), a superset
+// of the REF*(p) globals callers supply. Every other variable is
+// outside the index and reads as ⊥, matching the map-backed Env's
+// absent-key default.
 func denseEntryEnv(ctx *Context, p *sem.Proc) *lattice.DenseEnv[*sem.Var] {
-	np := len(p.Params)
-	nglob := len(ctx.Prog.Sem.Globals)
-	spill := lattice.EnvSpillThreshold
-	if nglob < spill {
-		spill = nglob
-	}
-	return lattice.NewDenseEnvSpill(np+nglob, np+spill, func(v *sem.Var) int {
+	fn := ctx.Prog.FuncOf[p]
+	np, off := len(p.Params), fn.GlobalOffset()
+	return lattice.NewDenseEnv(np+len(fn.Globals()), func(v *sem.Var) int {
 		if v == nil {
 			return -1
 		}
 		if v.IsGlobal() {
-			return np + v.Index
+			if i := fn.VarOrd(v); i >= 0 {
+				return np + i - off
+			}
+			return -1
 		}
 		if v.Kind == sem.KindFormal && v.Owner == p {
 			return v.Index

@@ -50,11 +50,16 @@ type Func struct {
 	Calls  []*CallInstr
 
 	// AllVars lists every variable the analyses track in this
-	// procedure: formals, locals and temporaries, then every program
-	// global (globals participate whether or not they are visible here,
-	// because constants flow through a procedure to its callees even
-	// when invisible — the paper's VIS vs FS distinction).
+	// procedure: formals, locals and temporaries, then the global
+	// segment (Globals) modref installs — REF*(p) ∪ MOD*(p) plus the
+	// globals p passes by reference, in declaration order. Any other
+	// global passes through p and its callees untouched; constants still
+	// flow through a procedure that cannot see them (the paper's VIS vs
+	// FS distinction) because REF* is transitive.
 	AllVars []*sem.Var
+	// The segment is AllVars[globalOff : globalOff+numGlobals]; inlined
+	// locals registered later follow it, and an empty segment stays last.
+	globalOff, numGlobals int
 	// varOrd maps a variable's dense program-wide ID (sem.Var.ID) to
 	// 1+its position in AllVars; 0 means "not tracked here". A slice
 	// lookup replaces the former map[*sem.Var]int on the SSA-rename and
@@ -554,30 +559,71 @@ func RebuildCallLists(prog *Program) {
 // function only a small map holding its own high-ID locals.
 const VarOrdSpillID = 1 << 14
 
-// RegisterVar adds a variable to the function's tracked set if absent.
+// RegisterVar adds a formal, local or temporary to the function's
+// tracked set if absent; globals are installed with SetGlobals.
 func (f *Func) RegisterVar(v *sem.Var) {
-	if v.ID <= 0 {
-		panic("ir: variable " + v.Name + " has no dense ID (not created through sem)")
+	if v.IsGlobal() {
+		panic("ir: global " + v.Name + " registered outside SetGlobals")
 	}
-	if v.ID >= VarOrdSpillID {
-		if f.varOrdSparse[int32(v.ID)] != 0 {
-			return
-		}
+	if f.VarOrd(v) >= 0 {
+		return
+	}
+	if f.numGlobals == 0 && f.globalOff == len(f.AllVars) {
+		f.globalOff++
+	}
+	f.setOrd(v, len(f.AllVars))
+	f.AllVars = append(f.AllVars, v)
+}
+
+// Globals returns the global segment, aliasing AllVars.
+func (f *Func) Globals() []*sem.Var {
+	return f.AllVars[f.globalOff : f.globalOff+f.numGlobals]
+}
+
+// GlobalOffset returns the AllVars position of the global segment.
+func (f *Func) GlobalOffset() int { return f.globalOff }
+
+// SetGlobals replaces the global segment with gs in place, keeping the
+// variables registered after it in order. The tables are rewritten,
+// not reallocated: global IDs precede every procedure variable's, so
+// the dense varOrd slice already covers them. modref calls it on every
+// run, so the segment follows MOD/REF after cloning or inlining.
+func (f *Func) SetGlobals(gs []*sem.Var) {
+	off, old := f.globalOff, f.numGlobals
+	for _, g := range f.AllVars[off : off+old] {
+		f.setOrd(g, -1)
+	}
+	tail := len(f.AllVars) - off - old
+	n := off + len(gs) + tail
+	if n > len(f.AllVars) {
+		f.AllVars = append(f.AllVars, make([]*sem.Var, n-len(f.AllVars))...)
+	}
+	copy(f.AllVars[off+len(gs):n], f.AllVars[off+old:off+old+tail])
+	clear(f.AllVars[n:])
+	f.AllVars = f.AllVars[:n]
+	copy(f.AllVars[off:], gs)
+	f.numGlobals = len(gs)
+	for i := off; i < n; i++ {
+		f.setOrd(f.AllVars[i], i)
+	}
+}
+
+// setOrd records v at AllVars position pos (-1 untracks it).
+func (f *Func) setOrd(v *sem.Var, pos int) {
+	switch {
+	case v.ID <= 0:
+		panic("ir: variable " + v.Name + " has no dense ID (not created through sem)")
+	case v.ID >= VarOrdSpillID:
 		if f.varOrdSparse == nil {
 			f.varOrdSparse = make(map[int32]int32)
 		}
-		f.varOrdSparse[int32(v.ID)] = int32(len(f.AllVars)) + 1
-		f.AllVars = append(f.AllVars, v)
-		return
+		f.varOrdSparse[int32(v.ID)] = int32(pos) + 1
+	default:
+		if v.ID >= len(f.varOrd) {
+			f.varOrd = append(f.varOrd, make([]int32, v.ID+1-len(f.varOrd))...)
+		}
+		f.varOrd[v.ID] = int32(pos) + 1
 	}
-	if v.ID < len(f.varOrd) && f.varOrd[v.ID] != 0 {
-		return
-	}
-	for v.ID >= len(f.varOrd) {
-		f.varOrd = append(f.varOrd, make([]int32, v.ID+1-len(f.varOrd))...)
-	}
-	f.varOrd[v.ID] = int32(len(f.AllVars)) + 1
-	f.AllVars = append(f.AllVars, v)
 }
 
 // VarOrd returns the variable's position in AllVars, or -1 when the

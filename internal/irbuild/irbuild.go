@@ -81,6 +81,8 @@ func (pb *Builder) BuildProc(i int) {
 // numbering, per-function variable registration, and the Funcs/FuncOf
 // tables, all in procedure order. Returns the error of the lowest
 // failed procedure (the one serial lowering would have stopped at).
+// Functions track only their own formals, locals and temporaries
+// here; modref installs their global segments.
 func (pb *Builder) Finish() (*ir.Program, error) {
 	for _, err := range pb.errs {
 		if err != nil {
@@ -93,7 +95,7 @@ func (pb *Builder) Finish() (*ir.Program, error) {
 		FuncOf: make(map[*sem.Proc]*ir.Func, len(pb.funcs)),
 	}
 	for _, f := range pb.funcs {
-		pb.collectVars(f)
+		collectVars(f)
 		for _, ci := range f.Calls {
 			ci.ID = len(prog.CallSites)
 			prog.CallSites = append(prog.CallSites, ci)
@@ -104,15 +106,12 @@ func (pb *Builder) Finish() (*ir.Program, error) {
 	return prog, nil
 }
 
-func (pb *Builder) collectVars(f *ir.Func) {
+func collectVars(f *ir.Func) {
 	for _, v := range f.Proc.Params {
 		f.RegisterVar(v)
 	}
 	for _, v := range f.Proc.Locals {
 		f.RegisterVar(v)
-	}
-	for _, g := range pb.sem.Globals {
-		f.RegisterVar(g)
 	}
 }
 

@@ -271,21 +271,61 @@ proc b() {}`)
 }
 
 func TestAllVarsIncludeGlobals(t *testing.T) {
-	p := testutil.MustBuild(t, `program p
+	src := `program p
 global g1 int = 1
 global g2 real
-proc main() { }
-proc q(a int) { print a }`)
-	for _, name := range []string{"main", "q"} {
+global g3 int
+global g4 int = 4
+proc main() {
+  use g4
+  call q(1)
+  call s(g4)
+}
+proc q(a int) {
+  use g1
+  print a + g1
+  call r()
+}
+proc r() {
+  use g3
+  g3 = 2
+}
+proc s(ignored int) { }`
+	// Lowering alone tracks each procedure's own variables only.
+	for _, f := range testutil.MustBuild(t, src).Funcs {
+		if n := len(f.Globals()); n != 0 {
+			t.Errorf("%s tracks %d globals before modref, want 0", f.Proc.Name, n)
+		}
+	}
+	// MOD/REF installs REF*(p) ∪ MOD*(p) in declaration order, after
+	// the procedure's own variables, plus the globals p passes by
+	// reference: s never reads its formal, but main's call still uses
+	// g4. g2 is tracked nowhere.
+	p := testutil.MustPrepare(t, src)
+	want := map[string][]string{"main": {"g1", "g3", "g4"}, "q": {"g1", "g3"}, "r": {"g3"}, "s": nil}
+	g2 := p.Sem.Globals[1]
+	for name, globals := range want {
 		f := testutil.FuncByName(t, p, name)
-		found := 0
-		for _, v := range f.AllVars {
-			if v.IsGlobal() {
-				found++
+		var got []string
+		for _, g := range f.Globals() {
+			got = append(got, g.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(globals, ",") {
+			t.Errorf("%s tracks globals %v, want %v", name, got, globals)
+		}
+		for i, v := range f.AllVars {
+			if v.IsGlobal() != (i >= f.GlobalOffset() && i < f.GlobalOffset()+len(f.Globals())) {
+				t.Errorf("%s: AllVars[%d] = %s breaks the global segment", name, i, v.Name)
+			}
+			if f.VarOrd(v) != i {
+				t.Errorf("%s: VarOrd(%s) = %d, want %d", name, v.Name, f.VarOrd(v), i)
 			}
 		}
-		if found != 2 {
-			t.Errorf("%s tracks %d globals, want 2", name, found)
+		if f.GlobalOffset() != len(f.Proc.Params)+len(f.Proc.Locals) {
+			t.Errorf("%s: global segment at %d, want after the %d own variables", name, f.GlobalOffset(), len(f.Proc.Params)+len(f.Proc.Locals))
+		}
+		if f.VarOrd(g2) >= 0 {
+			t.Errorf("%s tracks g2, which nothing references", name)
 		}
 	}
 }

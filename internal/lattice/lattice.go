@@ -150,88 +150,44 @@ type EnvReader[K comparable] interface {
 	Get(k K) Elem
 }
 
-// EnvSpillThreshold is the default dense-core size DenseEnvs built by
-// NewDenseEnvSpill use for their spillable segment: slots below the
-// spill boundary live in flat slices, slots at or past it in a lazily
-// allocated overflow map. The analysis binds only the globals a
-// procedure transitively references, so on programs with hundreds of
-// globals the overflow map stays tiny while the per-procedure slice
-// cost stops growing with the program. Tests may override the value
-// (0 forces every spillable slot into the overflow map); it is read
-// once per environment at construction, never concurrently with a
-// write.
-var EnvSpillThreshold = 64
-
 // DenseEnv is a slice-backed environment for keys that map to small
 // dense slots. It mirrors Env's semantics exactly: unbound keys read
 // as ⊥, MeetInto starts absent entries at ⊤, and iteration (Each)
 // visits only keys that were explicitly bound — so converting a
 // DenseEnv to a map-backed Env reproduces the map the old code built.
-//
-// Slots in [0, spill) are backed by flat slices; slots in [spill, n)
-// spill to an overflow map allocated on first bind. The split mirrors
-// the ir.Func.varOrd / bitset.Auto pattern: the dense core covers the
-// procedure-local ordinals that are actually touched, the sparse tail
-// keeps the environment from costing O(program) per procedure. Every
-// operation is representation-independent, so a fully dense and a
-// fully spilled environment built by the same call sequence hold
-// identical bindings.
 type DenseEnv[K comparable] struct {
 	// Index maps a key to its dense slot, or a negative value for keys
 	// this environment does not cover (those read as ⊥ and cannot be
 	// bound).
 	Index func(K) int
 
-	n     int // total slots (dense + spilled)
 	vals  []Elem
 	bound []bool
-	over  map[int]Elem // slots >= len(vals); nil until first bind
-	keys  []K          // keys of bound slots, in first-bind order
+	keys  []K // keys of bound slots, in first-bind order
 }
 
 // NewDenseEnv returns a dense environment with n slots addressed by
-// index, all slice-backed.
+// index.
 func NewDenseEnv[K comparable](n int, index func(K) int) *DenseEnv[K] {
-	return NewDenseEnvSpill(n, n, index)
+	return &DenseEnv[K]{Index: index, vals: make([]Elem, n), bound: make([]bool, n)}
 }
 
-// NewDenseEnvSpill returns an environment with n addressable slots of
-// which only the first spill are slice-backed; the rest go to the
-// overflow map on demand.
-func NewDenseEnvSpill[K comparable](n, spill int, index func(K) int) *DenseEnv[K] {
-	if spill > n {
-		spill = n
+// slot returns k's slot, or -1 when k is outside the environment.
+func (d *DenseEnv[K]) slot(k K) int {
+	i := d.Index(k)
+	if i >= len(d.vals) {
+		return -1
 	}
-	if spill < 0 {
-		spill = 0
-	}
-	return &DenseEnv[K]{Index: index, n: n, vals: make([]Elem, spill), bound: make([]bool, spill)}
-}
-
-// at returns slot i's element and whether it is bound. i must be in
-// [0, n).
-func (d *DenseEnv[K]) at(i int) (Elem, bool) {
-	if i < len(d.vals) {
-		return d.vals[i], d.bound[i]
-	}
-	e, ok := d.over[i]
-	return e, ok
+	return i
 }
 
 // put binds slot i (recording k on first bind).
-func (d *DenseEnv[K]) put(i int, k K, e Elem, wasBound bool) {
-	if !wasBound {
+func (d *DenseEnv[K]) put(i int, k K, e Elem) {
+	if !d.bound[i] {
+		d.bound[i] = true
 		d.keys = append(d.keys, k)
 	}
-	if i < len(d.vals) {
-		d.bound[i] = true
-		d.vals[i] = e
-		return
-	}
-	if d.over == nil {
-		d.over = make(map[int]Elem)
-	}
-	d.over[i] = e
+	d.vals[i] = e
 }
 
 // Get returns the element for k, defaulting to ⊥ when unbound.
@@ -239,54 +195,39 @@ func (d *DenseEnv[K]) Get(k K) Elem {
 	if d == nil {
 		return BottomElem()
 	}
-	i := d.Index(k)
-	if i < 0 || i >= d.n {
+	i := d.slot(k)
+	if i < 0 || !d.bound[i] {
 		return BottomElem()
 	}
-	e, ok := d.at(i)
-	if !ok {
-		return BottomElem()
-	}
-	return e
+	return d.vals[i]
 }
 
 // MeetInto lowers the entry for k by meeting it with el; unbound keys
 // start at ⊤. It reports whether the entry changed. Keys outside the
 // environment's index range are ignored (and report no change).
 func (d *DenseEnv[K]) MeetInto(k K, el Elem) bool {
-	i := d.Index(k)
-	if i < 0 || i >= d.n {
+	i := d.slot(k)
+	if i < 0 {
 		return false
 	}
-	old, bound := d.at(i)
-	if !bound {
+	old := d.vals[i]
+	if !d.bound[i] {
 		old = TopElem()
 	}
 	nw := Meet(old, el)
-	if bound && nw.Eq(old) {
+	if d.bound[i] && nw.Eq(old) {
 		return false
 	}
-	d.put(i, k, nw, bound)
+	d.put(i, k, nw)
 	return true
 }
 
 // Set binds k to el unconditionally (used for the residual-⊤ demotion
 // pass entry environments perform).
 func (d *DenseEnv[K]) Set(k K, el Elem) {
-	i := d.Index(k)
-	if i < 0 || i >= d.n {
-		return
+	if i := d.slot(k); i >= 0 {
+		d.put(i, k, el)
 	}
-	_, bound := d.at(i)
-	d.put(i, k, el, bound)
-}
-
-// Len returns the number of bound keys.
-func (d *DenseEnv[K]) Len() int {
-	if d == nil {
-		return 0
-	}
-	return len(d.keys)
 }
 
 // Each visits every bound key in first-bind order.
@@ -295,8 +236,7 @@ func (d *DenseEnv[K]) Each(f func(K, Elem)) {
 		return
 	}
 	for _, k := range d.keys {
-		e, _ := d.at(d.Index(k))
-		f(k, e)
+		f(k, d.vals[d.Index(k)])
 	}
 }
 

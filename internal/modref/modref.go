@@ -5,6 +5,8 @@
 // transitively calls. Reference-parameter may-aliases widen both sets.
 //
 // The results drive the rest of the pipeline:
+//   - each ir.Func's global segment (ir.Func.AllVars) is installed
+//     from REF ∪ MOD, so a procedure tracks only the globals it can use;
 //   - ir.CallInstr.MayDef is filled from MOD, making interprocedural
 //     kills visible to the SSA-based intraprocedural propagator;
 //   - the flow-insensitive ICP uses MOD to validate pass-through
@@ -15,6 +17,7 @@ package modref
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -67,9 +70,10 @@ type Info struct {
 	DRef map[*sem.Proc]Set
 }
 
-// Compute runs the MOD/REF fixpoint over the reachable PCG and then
-// fills ir.CallInstr.MayDef for every reachable call site. Serial
-// convenience wrapper over Begin / CollectProc / Finish.
+// Compute runs the MOD/REF fixpoint over the reachable PCG, fills
+// ir.CallInstr.MayDef for every reachable call site, and installs every
+// function's global segment. Serial convenience wrapper over Begin /
+// CollectProc / Finish.
 func Compute(prog *ir.Program, cg *callgraph.Graph, al *alias.Info) *Info {
 	b := Begin(prog, cg, al)
 	for i := 0; i < b.NumProcs(); i++ {
@@ -112,7 +116,8 @@ func (b *Builder) CollectProc(i int) {
 }
 
 // Finish installs the collected immediate sets and runs the serial
-// interprocedural fixpoint plus the MayDef fill.
+// interprocedural fixpoint, the MayDef fill, and the global-segment
+// installation.
 func (b *Builder) Finish() *Info {
 	prog, cg, al := b.prog, b.cg, b.al
 	info := &Info{
@@ -180,7 +185,49 @@ func (b *Builder) Finish() *Info {
 	}
 
 	fillMayDef(prog, cg, al, info)
+	b.installGlobals(info)
 	return info
+}
+
+// installGlobals sets each reachable function's global segment to
+// (REF*(p) ∪ MOD*(p) ∪ by-reference global actuals) ∩ globals, in
+// declaration order: every global p's IR names, since MayDef and
+// clobbers are MOD closed under aliases and a by-reference actual is a
+// call operand even when the callee ignores the formal. A procedure
+// unreachable from main has no MOD/REF solution and tracks every global.
+func (b *Builder) installGlobals(info *Info) {
+	mark := make([]bool, len(b.prog.Sem.Globals))
+	var gs []*sem.Var
+	add := func(vs ...*sem.Var) {
+		for _, v := range vs {
+			if v != nil && v.IsGlobal() && !mark[v.Index] {
+				mark[v.Index] = true
+				gs = append(gs, v)
+			}
+		}
+	}
+	for _, fn := range b.prog.Funcs {
+		p := fn.Proc
+		if !b.cg.IsReachable(p) {
+			fn.SetGlobals(b.prog.Sem.Globals)
+			continue
+		}
+		for v := range info.Ref[p] {
+			add(v)
+		}
+		for v := range info.Mod[p] {
+			add(v)
+		}
+		for _, call := range fn.Calls {
+			add(call.ByRef...)
+		}
+		slices.SortFunc(gs, func(x, y *sem.Var) int { return x.Index - y.Index })
+		for _, g := range gs {
+			mark[g.Index] = false
+		}
+		fn.SetGlobals(gs)
+		gs = gs[:0]
+	}
 }
 
 func copySet(s Set) Set {

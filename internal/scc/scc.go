@@ -454,6 +454,16 @@ func (r *Result) VarValueAtEntry(v *sem.Var) lattice.Elem {
 	return r.Values[r.S.EntryDef(v).ID]
 }
 
+// CanReturn reports whether some return point is executable.
+func (r *Result) CanReturn() bool {
+	for bi, snap := range r.S.RetSnapshots {
+		if snap != nil && r.BlockExec[bi] {
+			return true
+		}
+	}
+	return false
+}
+
 // ExitValue returns the meet of v's value over all executable return
 // points — the value v holds when the procedure returns (⊤ if the
 // procedure never returns, e.g. infinite loop or unreachable).

@@ -228,11 +228,15 @@ proc f(a int) {
   a = 5
   g = 6
 }`
-	p := testutil.MustBuild(t, src)
+	// MOD/REF fills the call's MayDef ({x, g}) and installs g in
+	// main's global segment.
+	p := testutil.MustPrepare(t, src)
 	f := testutil.FuncByName(t, p, "main")
 	x := testutil.VarByName(t, f, "x")
 	g := testutil.VarByName(t, f, "g")
-	f.Calls[0].MayDef = []*sem.Var{x, g}
+	if md := f.Calls[0].MayDef; len(md) != 2 || (md[0] != x && md[1] != x) || (md[0] != g && md[1] != g) {
+		t.Fatalf("call MayDef = %v, want {x, g}", md)
+	}
 	s := ssa.Build(f)
 	env := lattice.Env[*sem.Var]{g: lattice.Const(val.Int(1))}
 	r := scc.Run(s, scc.Options{Entry: env})

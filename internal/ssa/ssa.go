@@ -11,12 +11,13 @@
 // how interprocedural kills become visible to the intraprocedural
 // propagator.
 //
-// Every variable has an implicit entry definition (formal parameter,
-// global at procedure entry, or undefined local); the entry definitions
-// of formals and globals are the injection points for interprocedural
-// constants. For each call site the renamer snapshots the reaching
-// definition of every global, which the flow-sensitive ICP uses to read
-// "the value of global g at this call site".
+// Every tracked variable (ir.Func.AllVars) has an implicit entry
+// definition (formal parameter, global at procedure entry, or undefined
+// local); the entry definitions of formals and globals are the
+// injection points for interprocedural constants. For each call site
+// the renamer snapshots the reaching definition of every tracked global
+// — the function's global segment, installed by modref — which the
+// flow-sensitive ICP reads as "the value of global g at this call site".
 package ssa
 
 import (
@@ -116,9 +117,9 @@ type SSA struct {
 	// b.Term.Uses()[k].
 	TermUses [][]*Definition
 
-	// globalsAtCall[call.InstrID()] holds, per program-global index,
-	// the reaching definition of that global immediately before the
-	// call; read it through GlobalAtCall/GlobalsAt.
+	// globalsAtCall[call.InstrID()] holds, per global-segment offset,
+	// the reaching definition of that tracked global immediately before
+	// the call; read it through GlobalAtCall.
 	globalsAtCall [][]*Definition
 
 	// RetSnapshots[b.Index], for a block ending in a Ret, holds the
@@ -131,13 +132,11 @@ type SSA struct {
 	// Defs is every Definition, indexed by ID.
 	Defs []*Definition
 
-	globalOffset int // index of first global in Fn.AllVars
-	numGlobals   int
-
-	// defArena chunk-allocates Definitions so building one procedure's
-	// overlay costs a handful of allocations rather than one per
-	// definition. Definitions escape into the overlay (Defs, tables),
-	// so the chunks live exactly as long as the SSA itself.
+	// defArena holds every Definition of the overlay in one allocation,
+	// sized by Build before the first is made, so building one
+	// procedure's overlay does not cost an allocation per definition.
+	// Definitions escape into the overlay (Defs, tables), so the arena
+	// lives exactly as long as the SSA itself.
 	defArena []Definition
 	// defBacking is sliced out to the per-instruction use/def tables;
 	// one backing array replaces two small slice allocations per
@@ -168,27 +167,11 @@ func Build(fn *ir.Func) *SSA {
 	s.TermUses = make([][]*Definition, len(fn.Blocks))
 	s.RetSnapshots = make([][]*Definition, len(fn.Blocks))
 
-	nglobals := 0
-	offset := -1
-	for i, v := range fn.AllVars {
-		if v.IsGlobal() {
-			if offset < 0 {
-				offset = i
-			}
-			nglobals++
-		}
-	}
-	if offset < 0 {
-		offset = len(fn.AllVars)
-	}
-	s.globalOffset = offset
-	s.numGlobals = nglobals
-
 	// Size the definition arena and the pointer backing array from one
-	// pre-pass. The arena holds Definitions (entry defs + instruction
-	// defs; φs grow it chunk-wise), the backing array holds the
-	// per-instruction def/use pointer tables. Both may still grow, they
-	// just start close to the final size.
+	// pre-pass. The arena holds Definitions (φs, entry defs, instruction
+	// defs), the backing array holds the per-instruction def/use pointer
+	// tables. The backing array may still grow; it just starts close to
+	// the final size.
 	defSlots := len(fn.AllVars) // entry defs
 	ptrSlots := 0
 	for _, b := range fn.Blocks {
@@ -197,7 +180,7 @@ func Build(fn *ir.Func) *SSA {
 			defSlots += nd
 			ptrSlots += nd + len(in.Uses())
 			if _, ok := in.(*ir.CallInstr); ok {
-				ptrSlots += nglobals
+				ptrSlots += len(fn.Globals())
 			}
 		}
 		if b.Term != nil {
@@ -207,11 +190,17 @@ func Build(fn *ir.Func) *SSA {
 			}
 		}
 	}
-	s.defArena = make([]Definition, 0, defSlots)
 	s.defBacking = make([]*Definition, 0, ptrSlots)
-	s.Defs = make([]*Definition, 0, defSlots)
 
-	s.placePhis()
+	// φ definitions are created once placement has counted them, so
+	// the arena is sized for every definition up front.
+	phis := s.placePhis()
+	s.defArena = make([]Definition, 0, defSlots+len(phis))
+	s.Defs = make([]*Definition, 0, defSlots+len(phis))
+	for _, phi := range phis {
+		phi.Def = s.newDef(phi.Var, DefPhi)
+		phi.Def.Phi, phi.Def.Block = phi, phi.Block
+	}
 	s.rename()
 	s.defBacking = nil
 	return s
@@ -219,18 +208,8 @@ func Build(fn *ir.Func) *SSA {
 
 func (s *SSA) newDef(v *sem.Var, kind DefKind) *Definition {
 	if len(s.defArena) == cap(s.defArena) {
-		// The pre-sized chunk ran out (φ definitions are not counted up
-		// front); start a fresh chunk, leaving full ones reachable via
-		// the pointers already handed out. Chunks are sized from the
-		// function (an eighth of the up-front definition estimate)
-		// rather than a compile-time constant, so giant merged-corpus
-		// functions grow in a few large steps instead of hundreds of
-		// fixed-size ones, without doubling the whole arena.
-		chunk := len(s.Defs) / 8
-		if chunk < 256 {
-			chunk = 256
-		}
-		s.defArena = make([]Definition, 0, chunk)
+		// Growing would move the Definitions already handed out.
+		panic("ssa: definition arena undersized")
 	}
 	s.defArena = append(s.defArena, Definition{ID: len(s.Defs), Var: v, Kind: kind})
 	d := &s.defArena[len(s.defArena)-1]
@@ -244,7 +223,7 @@ func (s *SSA) slice(n int) []*Definition {
 		return nil
 	}
 	if len(s.defBacking)+n > cap(s.defBacking) {
-		chunk := len(s.Defs) / 8 // grow with the function, as in newDef
+		chunk := len(s.Defs) / 8 // grow with the function
 		if chunk < 256 {
 			chunk = 256
 		}
@@ -275,22 +254,12 @@ func (s *SSA) DefsOf(in ir.Instr) []*Definition {
 	return s.instrDefs[id]
 }
 
-// GlobalsAt returns the per-global reaching definitions immediately
-// before call (indexed by global offset), or nil when the function
-// tracks no globals.
-func (s *SSA) GlobalsAt(call *ir.CallInstr) []*Definition {
-	id := call.InstrID()
-	if id < 0 || id >= len(s.globalsAtCall) {
-		return nil
-	}
-	return s.globalsAtCall[id]
-}
-
-// placePhis inserts φ-functions using iterated dominance frontiers.
-// The placed-φ and worklist membership sets are bitsets keyed by
+// placePhis inserts φ-functions using iterated dominance frontiers and
+// returns them in placement order, without definitions yet. The
+// placed-φ and worklist membership sets are bitsets keyed by
 // block*nvars+var and block index — the dense layout replaces two
 // maps rebuilt for every procedure.
-func (s *SSA) placePhis() {
+func (s *SSA) placePhis() []*Phi {
 	fn := s.Fn
 	nvars := len(fn.AllVars)
 	nblocks := len(fn.Blocks)
@@ -298,7 +267,7 @@ func (s *SSA) placePhis() {
 	for _, b := range s.Dom.RPO {
 		for _, in := range b.Instrs {
 			for _, v := range in.Defs() {
-				i := fn.VarOrd(v)
+				i := s.ord(v)
 				defBlocks[i] = append(defBlocks[i], b)
 			}
 		}
@@ -310,6 +279,7 @@ func (s *SSA) placePhis() {
 	hasPhi := bitset.NewAuto(nblocks * nvars)
 	inWork := bitset.New(nblocks)
 	var work []*ir.Block
+	var placed []*Phi
 	for vi := 0; vi < nvars; vi++ {
 		work = append(work[:0], defBlocks[vi]...)
 		// Every variable also has its entry definition in the entry
@@ -326,11 +296,8 @@ func (s *SSA) placePhis() {
 				if !hasPhi.Add(f.Index*nvars + vi) {
 					continue
 				}
-				v := fn.AllVars[vi]
-				phi := &Phi{Var: v, Block: f, Args: make([]*Definition, len(f.Preds))}
-				phi.Def = s.newDef(v, DefPhi)
-				phi.Def.Phi = phi
-				phi.Def.Block = f
+				phi := &Phi{Var: fn.AllVars[vi], Block: f, Args: make([]*Definition, len(f.Preds))}
+				placed = append(placed, phi)
 				s.Phis[f.Index] = append(s.Phis[f.Index], phi)
 				if inWork.Add(f.Index) {
 					work = append(work, f)
@@ -338,12 +305,14 @@ func (s *SSA) placePhis() {
 			}
 		}
 	}
+	return placed
 }
 
 // rename walks the dominator tree assigning reaching definitions.
 func (s *SSA) rename() {
 	fn := s.Fn
 	nvars := len(fn.AllVars)
+	globals := fn.Globals()
 	stacks := make([][]*Definition, nvars)
 
 	s.EntryDefs = make([]*Definition, nvars)
@@ -357,12 +326,12 @@ func (s *SSA) rename() {
 	walk = func(b *ir.Block) {
 		pushed := make([]int, 0, 8)
 		push := func(d *Definition) {
-			vi := fn.VarOrd(d.Var)
+			vi := s.ord(d.Var)
 			stacks[vi] = append(stacks[vi], d)
 			pushed = append(pushed, vi)
 		}
 		top := func(v *sem.Var) *Definition {
-			st := stacks[fn.VarOrd(v)]
+			st := stacks[s.ord(v)]
 			return st[len(st)-1]
 		}
 
@@ -381,10 +350,10 @@ func (s *SSA) rename() {
 			}
 			s.useDefs[id] = uds
 
-			if _, ok := in.(*ir.CallInstr); ok && s.numGlobals > 0 {
-				snap := s.slice(s.numGlobals)
-				for gi := 0; gi < s.numGlobals; gi++ {
-					snap[gi] = top(fn.AllVars[s.globalOffset+gi])
+			if _, ok := in.(*ir.CallInstr); ok && len(globals) > 0 {
+				snap := s.slice(len(globals))
+				for gi, g := range globals {
+					snap[gi] = top(g)
 				}
 				s.globalsAtCall[id] = snap
 			}
@@ -437,6 +406,16 @@ func (s *SSA) rename() {
 	walk(s.Dom.RPO[0])
 }
 
+// ord returns v's AllVars position. An untracked variable means modref
+// never installed the global segment, which the panic names.
+func (s *SSA) ord(v *sem.Var) int {
+	i := s.Fn.VarOrd(v)
+	if i < 0 {
+		panic("ssa: " + s.Fn.Proc.Name + " does not track " + v.Name + " (modref installs the global segment)")
+	}
+	return i
+}
+
 func predIndex(b *ir.Block, pred *ir.Block) int {
 	for i, p := range b.Preds {
 		if p == pred {
@@ -452,23 +431,9 @@ func (s *SSA) EntryDef(v *sem.Var) *Definition {
 }
 
 // GlobalAtCall returns the reaching definition of global g just before
-// call. g must be a global registered in Fn.AllVars.
+// call. g must be in Fn's global segment.
 func (s *SSA) GlobalAtCall(call *ir.CallInstr, g *sem.Var) *Definition {
-	gi := s.Fn.VarOrd(g) - s.globalOffset
-	return s.GlobalsAt(call)[gi]
-}
-
-// NumGlobals returns how many globals the function tracks.
-func (s *SSA) NumGlobals() int { return s.numGlobals }
-
-// GlobalByOffset returns the gi-th tracked global.
-func (s *SSA) GlobalByOffset(gi int) *sem.Var {
-	return s.Fn.AllVars[s.globalOffset+gi]
-}
-
-// GlobalOffsetOf returns the offset of global g in call snapshots.
-func (s *SSA) GlobalOffsetOf(g *sem.Var) int {
-	return s.Fn.VarOrd(g) - s.globalOffset
+	return s.globalsAtCall[call.InstrID()][s.Fn.VarOrd(g)-s.Fn.GlobalOffset()]
 }
 
 // Dump renders the SSA overlay for debugging.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"fsicp/internal/ir"
-	"fsicp/internal/sem"
 	"fsicp/internal/ssa"
 	"fsicp/internal/testutil"
 )
@@ -131,8 +130,9 @@ proc main() {
 }
 
 func TestCallMayDefCreatesDefs(t *testing.T) {
-	p := testutil.MustBuild(t, `program p
+	p := testutil.MustPrepare(t, `program p
 global g int = 1
+global h int = 3
 proc main() {
   use g
   var x int = 2
@@ -148,8 +148,11 @@ proc f(a int) {
 	call := f.Calls[0]
 	x := testutil.VarByName(t, f, "x")
 	g := testutil.VarByName(t, f, "g")
-	// Simulate the modref phase filling MayDef.
-	call.MayDef = []*sem.Var{x, g}
+	// modref fills MayDef: the by-reference actual bound to the
+	// modified formal, and the modified global — nothing else.
+	if len(call.MayDef) != 2 || !((call.MayDef[0] == x && call.MayDef[1] == g) || (call.MayDef[0] == g && call.MayDef[1] == x)) {
+		t.Fatalf("call MayDef = %v, want {x, g}", call.MayDef)
+	}
 	s := ssa.Build(f)
 	ids := s.DefsOf(call)
 	if len(ids) != 2 {
@@ -170,10 +173,17 @@ proc f(a int) {
 			t.Errorf("print use %d: %v, want def from call", i, d)
 		}
 	}
+	// h is outside REF*(main) ∪ MOD*(main): no definition of it exists.
+	h := p.Sem.Globals[1]
+	for _, d := range s.Defs {
+		if d.Var == h {
+			t.Errorf("untracked global h has definition %v", d)
+		}
+	}
 }
 
 func TestGlobalsAtCallSnapshot(t *testing.T) {
-	p := testutil.MustBuild(t, `program p
+	p := testutil.MustPrepare(t, `program p
 global g int = 1
 global h int = 2
 proc main() {
@@ -186,14 +196,23 @@ proc f() {}`)
 	s := ssa.Build(f)
 	call := f.Calls[0]
 	g := testutil.VarByName(t, f, "g")
-	h := testutil.VarByName(t, f, "h")
+	h := p.Sem.Globals[1]
 	gd := s.GlobalAtCall(call, g)
 	if gd.Kind != ssa.DefInstr {
 		t.Errorf("g at call should be the assignment def, got %v", gd.Kind)
 	}
-	hd := s.GlobalAtCall(call, h)
-	if hd.Kind != ssa.DefEntry {
-		t.Errorf("h at call should be entry def, got %v", hd.Kind)
+	// Neither main nor f touches h, so main does not track it: no
+	// entry definition, no slot in the call snapshot.
+	if f.VarOrd(h) >= 0 {
+		t.Fatalf("main tracks h, which nothing references")
+	}
+	if gs := f.Globals(); len(gs) != 1 || gs[0] != g {
+		t.Errorf("main tracks globals %v, want exactly g", gs)
+	}
+	for _, d := range s.EntryDefs {
+		if d.Var == h {
+			t.Errorf("untracked global h has an entry definition")
+		}
 	}
 }
 

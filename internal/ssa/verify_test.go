@@ -49,7 +49,7 @@ proc f(a int, b int) {
 }`,
 	}
 	for i, src := range srcs {
-		p := testutil.MustBuild(t, src)
+		p := testutil.MustPrepare(t, src)
 		for _, fn := range p.Funcs {
 			s := ssa.Build(fn)
 			if bad := s.Verify(); len(bad) > 0 {

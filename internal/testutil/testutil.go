@@ -5,6 +5,7 @@ package testutil
 import (
 	"testing"
 
+	"fsicp/internal/icp"
 	"fsicp/internal/ir"
 	"fsicp/internal/irbuild"
 	"fsicp/internal/parser"
@@ -38,6 +39,17 @@ func MustBuild(t testing.TB, src string) *ir.Program {
 	return prog
 }
 
+// MustPrepare is MustBuild followed by icp.Prepare's interprocedural
+// phases. Their MOD/REF pass fills call MayDef sets and installs each
+// function's global segment, without which a function tracks no
+// globals at all.
+func MustPrepare(t testing.TB, src string) *ir.Program {
+	t.Helper()
+	prog := MustBuild(t, src)
+	icp.Prepare(prog)
+	return prog
+}
+
 // FuncByName returns the IR function for the named procedure.
 func FuncByName(t testing.TB, p *ir.Program, name string) *ir.Func {
 	t.Helper()
@@ -48,7 +60,7 @@ func FuncByName(t testing.TB, p *ir.Program, name string) *ir.Func {
 	return p.FuncOf[proc]
 }
 
-// VarByName finds a variable (formal, local, or global) visible in f.
+// VarByName finds a variable (formal, local, or global) f tracks.
 func VarByName(t testing.TB, f *ir.Func, name string) *sem.Var {
 	t.Helper()
 	for _, v := range f.AllVars {

@@ -37,7 +37,9 @@ func Zero(t ast.Type) Value {
 }
 
 // Equal reports whether two values are identical constants. Reals compare
-// bit-exactly (NaN != NaN), matching what constant propagation may assume.
+// bit-exactly: 0.0 and -0.0 differ (1/x tells them apart), and NaN equals
+// nothing, itself included — the identity constant propagation may
+// assume when it substitutes one value for another.
 func (v Value) Equal(w Value) bool {
 	if v.Type != w.Type {
 		return false
@@ -46,7 +48,7 @@ func (v Value) Equal(w Value) bool {
 	case ast.TypeInt:
 		return v.I == w.I
 	case ast.TypeReal:
-		return v.R == w.R
+		return math.Float64bits(v.R) == math.Float64bits(w.R) && !math.IsNaN(v.R)
 	case ast.TypeBool:
 		return v.B == w.B
 	}

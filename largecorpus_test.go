@@ -345,7 +345,7 @@ var corpus2kProgram = sync.OnceValues(func() (*fsicp.Program, error) {
 // scale: the 2049-procedure corpus is loaded once, and each iteration
 // runs only the flow-sensitive analysis. It sits in the allocation
 // gate with an allocs/op and a peak-live-heap budget (BENCH_icp.json),
-// so regressions in the wavefront, the spill-aware environments, the
+// so regressions in the wavefront, the sparse global domain, the
 // pooled scc results, or delta propagation fail loudly without load
 // noise masking them.
 func BenchmarkAnalyzeLargeCorpus(b *testing.B) {

@@ -59,11 +59,12 @@ go test -race -count=1 \
     ./internal/serve
 go test -race -count=1 ./cmd/fsicpd
 
-echo "== spill/delta-skip determinism (race) =="
-# The analysis-phase fast paths — spill-aware environments and
-# delta-propagation skips — must be invisible in the output: all 7
-# methods on the 2k corpus, workers 1/2/4/8, with the spill threshold
-# forced to 0 and with skipping forced off, race-enabled.
+echo "== spill/delta-skip/global-domain determinism (race) =="
+# The analysis-phase fast paths — bitset.Auto's sparse spill,
+# delta-propagation skips and the sparse global domain — must be
+# invisible in the output: all 7 methods on the 2k corpus, workers
+# 1/2/4/8, with the bit-set spill threshold forced to 0 and with
+# skipping forced off, plus a dense-domain load, race-enabled.
 go test -race -count=1 -run 'TestSpillAndDeltaSkipDeterminism' .
 
 echo "== large-corpus smoke =="
@@ -82,6 +83,13 @@ echo "== bench smoke =="
 # crashes or hangs in the benchmark harnesses themselves without paying
 # for a full measurement.
 go test -run '^$' -bench 'BenchmarkAnalyzeParallel|BenchmarkLoadParallel|BenchmarkColdEndToEnd|BenchmarkColdWarmDisk|BenchmarkOptimize|BenchmarkServeSustained|BenchmarkLargeCorpus|BenchmarkAnalyzeLargeCorpus' -benchtime=1x -benchmem .
+
+echo "== benchmark module =="
+# perfbench/ is its own Go module (go build ./... above never compiles
+# it), yet it calls internal entry points directly — irbuild.Build,
+# modref.Compute, ssa.Build, transform.Optimize — so an internal API
+# change must be caught here.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
 
 echo "== allocation-regression gate =="
 # Re-measures the guarded benchmarks and fails when allocs/op grossly

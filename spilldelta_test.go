@@ -1,9 +1,10 @@
-// Byte-determinism of the analysis-phase scaling machinery: the
-// spill-aware environments (lattice.DenseEnv's dense core + sparse
-// overflow) and the delta-propagation skips in the iterative and
-// returns-refresh fixpoints are performance features, so their output
-// must be indistinguishable from the dense, skip-free paths — for
-// every method, at every worker count.
+// Byte-determinism of the analysis-phase scaling machinery: the sparse
+// global domain (each procedure tracks only the globals it can
+// reference or modify), bitset.Auto's spill to a sparse word map, and
+// the delta-propagation skips in the iterative and returns-refresh
+// fixpoints are performance features, so their output must be
+// indistinguishable from the dense, skip-free paths — for every
+// method, at every worker count.
 package fsicp_test
 
 import (
@@ -12,7 +13,7 @@ import (
 	"testing"
 
 	fsicp "fsicp"
-	"fsicp/internal/lattice"
+	"fsicp/internal/bitset"
 )
 
 // sevenMethods is the Config-method matrix: the three Methods, plus
@@ -45,21 +46,42 @@ func cfgName(cfg fsicp.Config) string {
 }
 
 // TestSpillAndDeltaSkipDeterminism compares, on the 2k-procedure
-// corpus, the dense-path baseline report (default spill threshold,
-// delta skipping on, one worker) against the all-sparse path (spill
-// threshold forced to 0, so every environment takes the overflow
+// corpus, the baseline report (sparse global domain, default spill
+// threshold, delta skipping on, one worker) against the all-sparse
+// path (bitset.SpillThreshold forced to 0, so SSA's φ-placement grid
+// and the SCC engine's edge-executable set take the word-map
 // representation) and the skip-free path (FSICP_NO_DELTA_SKIP forces
 // every fixpoint round and refresh visit to re-evaluate), each at
-// workers 1, 2, 4, and 8. Any divergence means one of the fast paths
-// is changing answers, not just time. Meant to run under -race
-// (scripts/check.sh has a dedicated stage); it skips under -short to
-// stay out of the quick suite.
+// workers 1, 2, 4, and 8, and against the dense global domain (every
+// function tracking every program global). Any divergence means one of
+// the fast paths is changing answers, not just time. Meant to run
+// under -race (scripts/check.sh has a dedicated stage); it skips under
+// -short to stay out of the quick suite.
 func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2k-procedure corpus × 7 methods × 4 worker counts; skipped with -short")
 	}
 	files, _ := corpus2k()
 	prog, err := fsicp.LoadFiles(asSourceFiles(files), fsicp.LoadOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := fsicp.LoadFiles(asSourceFiles(files), fsicp.LoadOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsicp.TrackAllGlobals(dense)
+	// sparse is built with the threshold at 0, so its SSA placed every
+	// φ through the sparse grid; the spill0 legs then analyze it with
+	// the threshold still at 0.
+	spill0 := func() (restore func()) {
+		old := bitset.SpillThreshold
+		bitset.SpillThreshold = 0
+		return func() { bitset.SpillThreshold = old }
+	}
+	restore := spill0()
+	sparse, err := fsicp.LoadFiles(asSourceFiles(files), fsicp.LoadOptions{Workers: 4})
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +97,9 @@ func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 				run.Workers = workers
 
 				t.Run(fmt.Sprintf("spill0/workers=%d", workers), func(t *testing.T) {
-					old := lattice.EnvSpillThreshold
-					lattice.EnvSpillThreshold = 0
-					defer func() { lattice.EnvSpillThreshold = old }()
-					if got := fingerprint(prog.Analyze(run)); got != want {
-						t.Error("all-sparse environments changed the report")
+					defer spill0()()
+					if got := fingerprint(sparse.Analyze(run)); got != want {
+						t.Error("all-sparse bit sets changed the report")
 					}
 				})
 
@@ -90,22 +110,34 @@ func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 					}
 				})
 			}
+
+			t.Run("dense-globals", func(t *testing.T) {
+				run := cfg
+				run.Workers = 4
+				d := dense.Analyze(run)
+				if got := fingerprint(d); got != want {
+					t.Error("the dense global domain changed the report")
+				}
+				// Exit environments are not in the report, but the
+				// refresh skip reads their size: an untracked global
+				// must exit with exactly what a tracked one would.
+				if exitFingerprint(fsicp.ResultOf(d)) != exitFingerprint(fsicp.ResultOf(prog.Analyze(run))) {
+					t.Error("the dense global domain changed the exit environments")
+				}
+			})
 		})
 	}
 
 	// The jump-function baselines have no worker fan-out and no
-	// fixpoint skips, but their entry environments ride the same
-	// lattice representations — the all-sparse path must be invisible
-	// here too.
+	// fixpoint skips, but their INTRA values come from the same SSA
+	// over the same global domain — the sparse domain must be
+	// invisible here too.
 	for _, kind := range []fsicp.JumpFunctionKind{fsicp.Literal, fsicp.IntraConstant, fsicp.PassThrough, fsicp.Polynomial} {
 		kind := kind
 		t.Run("jump/"+kind.String(), func(t *testing.T) {
 			want := jumpFingerprint(prog.AnalyzeJumpFunctions(kind))
-			old := lattice.EnvSpillThreshold
-			lattice.EnvSpillThreshold = 0
-			defer func() { lattice.EnvSpillThreshold = old }()
-			if got := jumpFingerprint(prog.AnalyzeJumpFunctions(kind)); got != want {
-				t.Error("all-sparse environments changed the baseline report")
+			if got := jumpFingerprint(dense.AnalyzeJumpFunctions(kind)); got != want {
+				t.Error("the dense global domain changed the baseline report")
 			}
 		})
 	}
