@@ -33,8 +33,8 @@ import (
 // pile allocations onto every request. BenchmarkLargeCorpus guards the
 // corpus-scale cold path (2049 procedures across 17 files through
 // LoadFiles + flow-sensitive analysis) on both allocs/op and peak live
-// heap — the scale where a lost spill threshold or a quadratic table
-// shows up long before the small workloads notice.
+// heap — the scale where a table sized by the program, or a quadratic
+// one, shows up long before the small workloads notice.
 func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 	t.Helper()
 	spice, err := tables.Compile(bench.SPECfp92()[0])
@@ -165,7 +165,7 @@ func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 // peakHeapOps names the gated benchmarks that additionally record a
 // peak-live-heap number: one sampled operation of the workload. Only
 // the corpus-scale runs are worth the extra sampled pass — peak heap
-// is where large-corpus regressions (a reverted spill table, an
+// is where large-corpus regressions (a table sized by the program, an
 // unbounded arena) show first, often before allocs/op moves. The
 // end-to-end op covers load + analysis; the analysis-only op shares
 // the preloaded Program, so its number isolates the analysis phase's
@@ -272,8 +272,8 @@ func TestBenchAllocGate(t *testing.T) {
 		}
 		// Peak live heap is GC-timing dependent where alloc counts are
 		// not, so its budget is looser (2x): it exists to catch the
-		// order-of-magnitude blowups a lost spill threshold causes, not
-		// percent-level drift.
+		// order-of-magnitude blowups a table sized by the program causes,
+		// not percent-level drift.
 		if entry.After.PeakHeapBytes > 0 {
 			heapBudget := entry.After.PeakHeapBytes * 2
 			if got.PeakHeapBytes > heapBudget {

@@ -154,6 +154,10 @@ type Config struct {
 	// analysis-phase counterpart of LoadOptions.MemStats. Observability
 	// only: results are unaffected. Off by default.
 	MemStats bool
+
+	// noDeltaSkip selects the skip-free reference path of the fixpoint
+	// passes (icp.Options.NoDeltaSkip); only tests set it.
+	noDeltaSkip bool
 }
 
 // ShedToFI returns the configuration's cheap, sound fallback: the same
@@ -744,7 +748,8 @@ func (p *Program) analyze(ctx context.Context, cfg Config, eng *incr.Engine) (a 
 		// Nothing downstream of the public API reads Result.Intra; the
 		// facade re-derives SSA views on demand, so intraprocedural
 		// results recycle through the scc pool instead of accumulating.
-		DropIntra: true,
+		DropIntra:   true,
+		NoDeltaSkip: cfg.noDeltaSkip,
 	}
 	if inj := faultinject.New(cfg.Faults.spec()); inj != nil {
 		opts.Faults = inj.Hook()
@@ -875,7 +880,9 @@ func (a *Analysis) Constants() []Constant {
 				out = append(out, Constant{Proc: p.Name, Var: f.Name, Value: v.String(), Kind: "formal"})
 			}
 		}
-		for _, g := range a.prog.ctx.Prog.Sem.Globals {
+		// DREF(p) lies inside p's global segment, which is in
+		// declaration order.
+		for _, g := range a.prog.ctx.Prog.FuncOf[p].Globals() {
 			if v, ok := a.res.EntryConstant(p, g); ok && a.prog.ctx.MR.DRef[p].Has(g) {
 				out = append(out, Constant{Proc: p.Name, Var: g.Name, Value: v.String(), Kind: "global"})
 			}
@@ -1013,7 +1020,7 @@ func (a *Analysis) AnnotatedListing() string {
 				facts = append(facts, f.Name+" = "+v.String())
 			}
 		}
-		for _, g := range ctx.Prog.Sem.Globals {
+		for _, g := range ctx.Prog.FuncOf[p].Globals() {
 			if v, ok := a.res.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
 				facts = append(facts, g.Name+" = "+v.String())
 			}

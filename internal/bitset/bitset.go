@@ -1,9 +1,9 @@
 // Package bitset provides the minimal dense bit set the hot analysis
 // paths use in place of map[...]bool. Keys are small dense integers
-// (block indices, block*width+var products, edge indices), so a
-// []uint64 gives O(1) membership with one allocation and no hashing —
-// the layout Wegman–Zadeck's sparse conditional constant algorithm is
-// designed around.
+// linear in a function's size (block indices, two successor slots per
+// block), so a []uint64 gives O(1) membership with one allocation and
+// no hashing — the layout Wegman–Zadeck's sparse conditional constant
+// algorithm is designed around.
 package bitset
 
 // Set is a fixed-capacity bit set. The zero value is an empty set of
@@ -54,84 +54,4 @@ func (s Set) Reset(n int) Set {
 	s = s[:w]
 	s.Clear()
 	return s
-}
-
-// SpillThreshold is the capacity (in bits) above which NewAuto switches
-// from the dense []uint64 representation to the sparse one. 1<<21 bits
-// is a 256 KiB dense set — cheap to allocate and clear; anything larger
-// typically comes from a quadratic index domain (blocks × vars, edges ×
-// edges) on a 10k+-procedure corpus, where the populated fraction is
-// tiny and the dense array would dominate peak heap. It is a variable
-// so tests can force every set sparse (0); it is read when a set is
-// created or reset, never concurrently with a write.
-var SpillThreshold = 1 << 21
-
-// Auto is a bit set whose representation is chosen from its capacity:
-// dense below SpillThreshold, sparse (word-indexed map) above it. The
-// sparse form trades O(1) array indexing for a map lookup but allocates
-// proportionally to the bits actually set — the quadratic domains that
-// need it are sparse in practice (phi placement touches |defs| of the
-// blocks×vars grid, edge-executable touches the real CFG edges of the
-// nblocks² grid).
-type Auto struct {
-	dense  Set
-	sparse map[int]uint64 // word index → word; nil in dense mode
-}
-
-// NewAuto returns an empty set able to hold bits [0, n), choosing the
-// representation by capacity.
-func NewAuto(n int) *Auto {
-	if n <= SpillThreshold {
-		return &Auto{dense: New(n)}
-	}
-	return &Auto{sparse: make(map[int]uint64)}
-}
-
-// Sparse reports whether the set spilled to the sparse representation.
-func (a *Auto) Sparse() bool { return a.sparse != nil }
-
-// Reset empties the set and resizes it for bits [0, n), reusing the
-// existing backing when the representation matches (a dense set keeps
-// its word array, a sparse set keeps its map). A nil receiver, or a
-// capacity change that crosses SpillThreshold, allocates fresh. It
-// returns the set to use — the pattern Set.Reset established for
-// pooled scratch.
-func (a *Auto) Reset(n int) *Auto {
-	if a == nil {
-		return NewAuto(n)
-	}
-	if n <= SpillThreshold {
-		if a.sparse != nil {
-			return &Auto{dense: New(n)}
-		}
-		a.dense = a.dense.Reset(n)
-		return a
-	}
-	if a.sparse == nil {
-		return &Auto{sparse: make(map[int]uint64)}
-	}
-	clear(a.sparse)
-	return a
-}
-
-// Has reports whether bit i is set.
-func (a *Auto) Has(i int) bool {
-	if a.sparse == nil {
-		return a.dense.Has(i)
-	}
-	return a.sparse[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
-// Add sets bit i and reports whether the set changed.
-func (a *Auto) Add(i int) bool {
-	if a.sparse == nil {
-		return a.dense.Add(i)
-	}
-	w, m := i>>6, uint64(1)<<(uint(i)&63)
-	old := a.sparse[w]
-	if old&m != 0 {
-		return false
-	}
-	a.sparse[w] = old | m
-	return true
 }

@@ -156,11 +156,10 @@ func cloneProcedure(prog *ir.Program, orig *sem.Proc, n int) *sem.Proc {
 		Result:  orig.Result,
 		Decl:    orig.Decl,
 		UsesSet: make(map[*sem.Var]bool),
-		Prog:    prog.Sem,
 	}
 	vmap := make(map[*sem.Var]*sem.Var)
 	for i, f := range orig.Params {
-		nf := &sem.Var{Name: f.Name, Kind: sem.KindFormal, Type: f.Type, Index: i, Owner: np, Pos: f.Pos, ID: prog.Sem.NewVarID()}
+		nf := &sem.Var{Name: f.Name, Kind: sem.KindFormal, Type: f.Type, Index: i, Owner: np, Pos: f.Pos}
 		np.Params = append(np.Params, nf)
 		vmap[f] = nf
 	}

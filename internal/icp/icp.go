@@ -141,6 +141,13 @@ type Options struct {
 	// are byte-identical either way.
 	DropIntra bool
 
+	// NoDeltaSkip makes the iterative rounds and the returns refresh
+	// re-evaluate every procedure instead of skipping those whose
+	// inputs did not change: the skip-free reference path the
+	// byte-identity tests compare the skipping one against. Results
+	// are identical either way; only the work differs.
+	NoDeltaSkip bool
+
 	// Incr, when non-nil, attaches the incremental engine: the
 	// flow-sensitive methods reuse per-procedure results cached from
 	// previous runs over edited versions of the same program. Results

@@ -253,8 +253,7 @@ func bindEnv(m map[string]lattice.Elem, p *sem.Proc, globals map[string]*sem.Var
 // global values for exactly this set of the site's callee — the
 // paper's sparse per-call-site candidate list — instead of a value per
 // program global; summarize used to be O(sites × program-globals) in
-// both time and heap, the analysis-phase twin of the dense varOrd
-// tables the front end spilled.
+// both time and heap.
 type refTab struct {
 	ctx *Context
 	idx [][]int32

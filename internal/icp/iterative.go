@@ -125,7 +125,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	// because procedures of one level mark shared callees
 	// concurrently; a mark always lands before the marked procedure's
 	// level barrier, so no evaluation misses it.
-	deltaSkip := deltaSkipEnabled()
+	deltaSkip := !opts.NoDeltaSkip
 	dirty := make([]atomic.Bool, n)
 	nextDirty := make([]atomic.Bool, n)
 	markCallees := func(p *sem.Proc) {
@@ -298,7 +298,7 @@ func iterEntryEnv(ctx *Context, opts Options, pos int, sums, prevSums []*incr.Pr
 		}
 		return env, true
 	}
-	de := denseEntryEnv(ctx, p)
+	env := make(lattice.Env[*sem.Var], len(p.Params)+len(ctx.Prog.FuncOf[p].Globals()))
 	nExec := 0
 	for _, e := range cg.In[p] {
 		j := cg.Pos[e.Caller]
@@ -320,18 +320,14 @@ func iterEntryEnv(ctx *Context, opts Options, pos int, sums, prevSums []*incr.Pr
 			if i >= len(e.Site.Args) {
 				break
 			}
-			de.MeetInto(f, opts.filter(sv.Args[i]))
+			env.MeetInto(f, opts.filter(sv.Args[i]))
 		}
 		// The site stores values for exactly Ref(p) (sparse per-site
 		// candidates); iterate the stored pairs directly.
 		for j, gi := range sv.GlobIdx {
-			de.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
+			env.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
 		}
 	}
-	de.Each(func(v *sem.Var, el lattice.Elem) {
-		if el.IsTop() {
-			de.Set(v, lattice.BottomElem())
-		}
-	})
-	return de.ToEnv(), nExec > 0
+	demoteTop(env)
+	return env, nExec > 0
 }

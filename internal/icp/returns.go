@@ -233,7 +233,7 @@ func exitEnv(p *sem.Proc, r *scc.Result, entry lattice.Env[*sem.Var]) lattice.En
 // with no hooks at all, i.e. ⊥ everywhere), every callee must be
 // trivial. Most procedures in practice call nothing, or call only
 // constant-free helpers, so the skip removes the bulk of the third
-// traversal's scc runs; FSICP_NO_DELTA_SKIP=1 forces the full re-run.
+// traversal's scc runs; Options.NoDeltaSkip forces the full re-run.
 func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard, rt *refTab, resummed []bool) {
 	cg := ctx.CG
 	n := len(cg.Reachable)
@@ -254,7 +254,7 @@ func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *g
 		}
 		return true
 	}
-	deltaSkip := deltaSkipEnabled()
+	deltaSkip := !opts.NoDeltaSkip
 	var skipped atomic.Int64
 
 	callResult := func(call *ir.CallInstr) lattice.Elem {

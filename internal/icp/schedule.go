@@ -62,6 +62,8 @@ type callerSummary func(q *sem.Proc) *incr.ProcSummary
 // summary via caller; back edges read the flow-insensitive fallback fi
 // (nil when the PCG is acyclic — then no back edges exist). A call
 // instruction's SiteIdx is its index in the caller's summary Sites.
+// The environment binds only p's formals and REF*(p) globals, which
+// lie in p's global segment, and is presized to formals plus segment.
 // Returns the environment, whether any incoming site is executable, and
 // how many back edges were consulted. Meet is commutative and
 // associative, so the result is independent of edge order.
@@ -76,7 +78,7 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 		}
 		return env, true, 0
 	}
-	de := denseEntryEnv(ctx, p)
+	env = make(lattice.Env[*sem.Var], len(p.Params)+len(ctx.Prog.FuncOf[p].Globals()))
 	nExec := 0
 	for _, e := range cg.In[p] {
 		if !cg.IsBackEdge(e) {
@@ -94,24 +96,25 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 				if i >= len(e.Site.Args) {
 					break
 				}
-				de.MeetInto(f, opts.filter(sv.Args[i]))
+				env.MeetInto(f, opts.filter(sv.Args[i]))
 			}
 			// Sparse global candidates: the site stores values for
 			// exactly Ref(p) — the globals the callee (transitively)
-			// references — so the stored pairs are iterated directly.
+			// references, all in its segment — so the stored pairs
+			// are iterated directly.
 			for j, gi := range sv.GlobIdx {
-				de.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
+				env.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
 			}
 		} else {
 			// Back edge: use the flow-insensitive solution.
 			backEdges++
 			nExec++
 			for i, f := range p.Params {
-				de.MeetInto(f, fi.EdgeArg(e.Site, i))
+				env.MeetInto(f, fi.EdgeArg(e.Site, i))
 			}
 			for g := range mr.Ref[p] {
 				if g.IsGlobal() {
-					de.MeetInto(g, fi.GlobalElem(g))
+					env.MeetInto(g, fi.GlobalElem(g))
 				}
 			}
 		}
@@ -121,39 +124,17 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 		// procedure is dynamically dead under this solution.
 		return make(lattice.Env[*sem.Var]), false, backEdges
 	}
-	// A residual ⊤ would claim "never receives a value"; keep the
-	// environment sound by demoting to ⊥.
-	de.Each(func(v *sem.Var, e lattice.Elem) {
-		if e.IsTop() {
-			de.Set(v, lattice.BottomElem())
-		}
-	})
-	return de.ToEnv(), true, backEdges
+	demoteTop(env)
+	return env, true, backEdges
 }
 
-// denseEntryEnv allocates the slice-backed environment entry
-// construction works in: a procedure's entry binds only its formals
-// (slots 0..len(Params)-1, addressed by formal position) and the
-// globals of its segment (slots len(Params)+segment offset), a superset
-// of the REF*(p) globals callers supply. Every other variable is
-// outside the index and reads as ⊥, matching the map-backed Env's
-// absent-key default.
-func denseEntryEnv(ctx *Context, p *sem.Proc) *lattice.DenseEnv[*sem.Var] {
-	fn := ctx.Prog.FuncOf[p]
-	np, off := len(p.Params), fn.GlobalOffset()
-	return lattice.NewDenseEnv(np+len(fn.Globals()), func(v *sem.Var) int {
-		if v == nil {
-			return -1
+// demoteTop lowers every residual ⊤ of an entry environment to ⊥: a ⊤
+// would claim "never receives a value", so the demotion keeps the
+// environment sound.
+func demoteTop(env lattice.Env[*sem.Var]) {
+	for v, e := range env {
+		if e.IsTop() {
+			env[v] = lattice.BottomElem()
 		}
-		if v.IsGlobal() {
-			if i := fn.VarOrd(v); i >= 0 {
-				return np + i - off
-			}
-			return -1
-		}
-		if v.Kind == sem.KindFormal && v.Owner == p {
-			return v.Index
-		}
-		return -1
-	})
+	}
 }

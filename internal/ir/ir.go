@@ -17,6 +17,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -55,22 +56,14 @@ type Func struct {
 	// globals p passes by reference, in declaration order. Any other
 	// global passes through p and its callees untouched; constants still
 	// flow through a procedure that cannot see them (the paper's VIS vs
-	// FS distinction) because REF* is transitive.
+	// FS distinction) because REF* is transitive. VarOrd locates a
+	// variable here without a program-wide table: the procedure's own
+	// variables record their position (sem.Var.Slot), and a global is
+	// looked up in the sorted segment.
 	AllVars []*sem.Var
 	// The segment is AllVars[globalOff : globalOff+numGlobals]; inlined
 	// locals registered later follow it, and an empty segment stays last.
 	globalOff, numGlobals int
-	// varOrd maps a variable's dense program-wide ID (sem.Var.ID) to
-	// 1+its position in AllVars; 0 means "not tracked here". A slice
-	// lookup replaces the former map[*sem.Var]int on the SSA-rename and
-	// exit-value hot paths. The dense slice covers IDs below
-	// VarOrdSpillID only; the rare higher IDs live in varOrdSparse —
-	// without the split, every function's table would grow to the whole
-	// program's ID space, and on a 10k-procedure corpus that per-function
-	// O(program) footprint multiplies into O(procedures × program) bytes
-	// (gigabytes of zeroed int32, dominated by clearing time).
-	varOrd       []int32
-	varOrdSparse map[int32]int32
 
 	// NumInstrs is the instruction count of the last NumberInstrs pass
 	// (0 before the first numbering).
@@ -551,27 +544,22 @@ func RebuildCallLists(prog *Program) {
 	}
 }
 
-// VarOrdSpillID is the variable ID at which a function's varOrd table
-// switches from the dense slice to the sparse map. IDs are assigned in
-// declaration order, so globals and the first few hundred procedures'
-// variables — the IDs every function looks up — stay dense (the slice
-// tops out at 64 KiB per function), while a 100k-ID corpus costs each
-// function only a small map holding its own high-ID locals.
-const VarOrdSpillID = 1 << 14
-
-// RegisterVar adds a formal, local or temporary to the function's
-// tracked set if absent; globals are installed with SetGlobals.
+// RegisterVar adds one of the procedure's own formals, locals or
+// temporaries to the tracked set if absent, recording its position on
+// the variable. Only the owner's function tracks such a variable
+// (irbuild, inlining and cloning register nothing else); globals are
+// installed with SetGlobals.
 func (f *Func) RegisterVar(v *sem.Var) {
-	if v.IsGlobal() {
-		panic("ir: global " + v.Name + " registered outside SetGlobals")
+	if v.IsGlobal() || v.Owner != f.Proc {
+		panic("ir: " + v.String() + " registered outside its owner's function")
 	}
-	if f.VarOrd(v) >= 0 {
+	if v.Slot > 0 {
 		return
 	}
 	if f.numGlobals == 0 && f.globalOff == len(f.AllVars) {
 		f.globalOff++
 	}
-	f.setOrd(v, len(f.AllVars))
+	v.Slot = int32(len(f.AllVars)) + 1
 	f.AllVars = append(f.AllVars, v)
 }
 
@@ -583,16 +571,12 @@ func (f *Func) Globals() []*sem.Var {
 // GlobalOffset returns the AllVars position of the global segment.
 func (f *Func) GlobalOffset() int { return f.globalOff }
 
-// SetGlobals replaces the global segment with gs in place, keeping the
-// variables registered after it in order. The tables are rewritten,
-// not reallocated: global IDs precede every procedure variable's, so
-// the dense varOrd slice already covers them. modref calls it on every
-// run, so the segment follows MOD/REF after cloning or inlining.
+// SetGlobals replaces the global segment with gs, which must be in
+// declaration order, keeping the variables registered after it in
+// order and rewriting their recorded positions. modref calls it on
+// every run, so the segment follows MOD/REF after cloning or inlining.
 func (f *Func) SetGlobals(gs []*sem.Var) {
 	off, old := f.globalOff, f.numGlobals
-	for _, g := range f.AllVars[off : off+old] {
-		f.setOrd(g, -1)
-	}
 	tail := len(f.AllVars) - off - old
 	n := off + len(gs) + tail
 	if n > len(f.AllVars) {
@@ -603,46 +587,31 @@ func (f *Func) SetGlobals(gs []*sem.Var) {
 	f.AllVars = f.AllVars[:n]
 	copy(f.AllVars[off:], gs)
 	f.numGlobals = len(gs)
-	for i := off; i < n; i++ {
-		f.setOrd(f.AllVars[i], i)
-	}
-}
-
-// setOrd records v at AllVars position pos (-1 untracks it).
-func (f *Func) setOrd(v *sem.Var, pos int) {
-	switch {
-	case v.ID <= 0:
-		panic("ir: variable " + v.Name + " has no dense ID (not created through sem)")
-	case v.ID >= VarOrdSpillID:
-		if f.varOrdSparse == nil {
-			f.varOrdSparse = make(map[int32]int32)
-		}
-		f.varOrdSparse[int32(v.ID)] = int32(pos) + 1
-	default:
-		if v.ID >= len(f.varOrd) {
-			f.varOrd = append(f.varOrd, make([]int32, v.ID+1-len(f.varOrd))...)
-		}
-		f.varOrd[v.ID] = int32(pos) + 1
+	for i := off + len(gs); i < n; i++ {
+		f.AllVars[i].Slot = int32(i) + 1
 	}
 }
 
 // VarOrd returns the variable's position in AllVars, or -1 when the
-// function does not track it. The lookup is a slice index on the
-// variable's dense program-wide ID — this sits on the SSA-rename hot
-// path, where it replaces a pointer-keyed map lookup. Variables whose
-// ID spilled past VarOrdSpillID pay a map lookup instead; a function's
-// own high-ID locals are the only spilled IDs it ever asks about.
+// function does not track it. A formal, local or temporary carries its
+// position, valid in its owner's function only; a global's position is
+// the segment offset plus its rank in the declaration-ordered segment,
+// found by binary search on its declaration index.
 func (f *Func) VarOrd(v *sem.Var) int {
-	if v == nil || v.ID <= 0 {
+	switch {
+	case v == nil:
 		return -1
+	case v.IsGlobal():
+		gs := f.Globals()
+		i, ok := slices.BinarySearchFunc(gs, v.Index, func(g *sem.Var, index int) int { return g.Index - index })
+		if !ok || gs[i] != v {
+			return -1
+		}
+		return f.globalOff + i
+	case v.Owner == f.Proc:
+		return int(v.Slot) - 1
 	}
-	if v.ID >= VarOrdSpillID {
-		return int(f.varOrdSparse[int32(v.ID)]) - 1
-	}
-	if v.ID >= len(f.varOrd) {
-		return -1
-	}
-	return int(f.varOrd[v.ID]) - 1
+	return -1
 }
 
 // CloneInstr deep-copies one instruction, mapping every variable

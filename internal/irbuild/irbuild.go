@@ -40,12 +40,10 @@ func Build(p *sem.Program) (*ir.Program, error) {
 
 // A Builder is an in-flight lowering whose per-procedure work can be
 // fanned across goroutines: BuildProc(i) lowers procedure i touching
-// only that procedure's state (temporaries are created with deferred
-// IDs so the shared program counter is never written), and Finish is
-// the serial epilogue that assigns the dense program-wide variable and
-// call-site numbering in procedure order — reproducing exactly the IDs
-// serial lowering hands out, so results are byte-identical at every
-// worker count.
+// only that procedure's state, and Finish is the serial epilogue that
+// assigns the dense call-site numbering in procedure order — exactly
+// the IDs serial lowering hands out, so results are byte-identical at
+// every worker count.
 type Builder struct {
 	sem   *sem.Program
 	funcs []*ir.Func
@@ -77,8 +75,8 @@ func (pb *Builder) BuildProc(i int) {
 	pb.funcs[i] = f
 }
 
-// Finish assembles the program: deferred variable IDs, dense call-site
-// numbering, per-function variable registration, and the Funcs/FuncOf
+// Finish assembles the program: dense call-site numbering,
+// per-function variable registration, and the Funcs/FuncOf
 // tables, all in procedure order. Returns the error of the lowest
 // failed procedure (the one serial lowering would have stopped at).
 // Functions track only their own formals, locals and temporaries
@@ -89,7 +87,6 @@ func (pb *Builder) Finish() (*ir.Program, error) {
 			return nil, err
 		}
 	}
-	pb.sem.AssignDeferredVarIDs()
 	prog := &ir.Program{
 		Sem:    pb.sem,
 		FuncOf: make(map[*sem.Proc]*ir.Func, len(pb.funcs)),
@@ -137,7 +134,7 @@ func (b *builder) buildFunc(proc *sem.Proc) (*ir.Func, error) {
 		if proc.IsFunc {
 			// Falling off the end of a func returns the zero value of
 			// its result type (the interpreter matches this).
-			t := proc.NewTempDeferred(proc.Result)
+			t := proc.NewTemp(proc.Result)
 			b.emit(&ir.ConstInstr{Dst: t, Val: val.Zero(proc.Result)})
 			b.cur.SetTerm(&ir.Ret{Val: t})
 		} else {
@@ -352,10 +349,8 @@ func stripParens(e ast.Expr) ast.Expr {
 	}
 }
 
-// newTemp creates a compiler temporary with a deferred program ID so
-// concurrent BuildProc calls never race on the shared variable counter;
-// Builder.Finish assigns the dense IDs serially.
-func (b *builder) newTemp(t ast.Type) *sem.Var { return b.fn.Proc.NewTempDeferred(t) }
+// newTemp creates a compiler temporary of the function's procedure.
+func (b *builder) newTemp(t ast.Type) *sem.Var { return b.fn.Proc.NewTemp(t) }
 
 // expr lowers e and returns the variable holding its value.
 func (b *builder) expr(e ast.Expr) *sem.Var {

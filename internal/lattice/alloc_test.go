@@ -43,22 +43,3 @@ func TestEnvMeetIntoBoundAllocFree(t *testing.T) {
 		t.Errorf("Env.MeetInto on bound keys allocated %.1f times per run, want 0", allocs)
 	}
 }
-
-func TestDenseEnvSteadyStateAllocFree(t *testing.T) {
-	de := NewDenseEnv(64, func(k int) int { return k })
-	for k := 0; k < 64; k++ {
-		de.MeetInto(k, Const(val.Int(int64(k))))
-	}
-	bot := BottomElem()
-	allocs := testing.AllocsPerRun(100, func() {
-		for k := 0; k < 64; k++ {
-			_ = de.Get(k)
-			de.MeetInto(k, bot)
-		}
-		_ = de.Get(-1)  // out-of-range key
-		_ = de.Get(999) // beyond the slot count
-	})
-	if allocs != 0 {
-		t.Errorf("DenseEnv steady state allocated %.1f times per run, want 0", allocs)
-	}
-}

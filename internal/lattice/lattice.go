@@ -110,7 +110,9 @@ func (e Elem) String() string {
 }
 
 // Env is a variable environment used to seed procedure entries with
-// interprocedural constants. A nil Env behaves as "everything ⊥".
+// interprocedural constants. The analysis builds entry environments
+// as an Env directly, presized to the procedure's formals and global
+// segment. A nil Env behaves as "everything ⊥".
 type Env[K comparable] map[K]Elem
 
 // Get returns the element for k, defaulting to ⊥ when absent.
@@ -137,116 +139,4 @@ func (e Env[K]) MeetInto(k K, el Elem) bool {
 	}
 	e[k] = nw
 	return true
-}
-
-// EnvReader is the read side shared by the map-backed Env (sparse
-// keys, e.g. whole-program global environments) and the slice-backed
-// DenseEnv (dense keys, e.g. a procedure's formals plus referenced
-// globals). A nil EnvReader means "everything ⊥"; callers hold that
-// convention themselves since a nil interface cannot be called.
-type EnvReader[K comparable] interface {
-	// Get returns the element for k, defaulting to ⊥ when the
-	// environment does not bind k.
-	Get(k K) Elem
-}
-
-// DenseEnv is a slice-backed environment for keys that map to small
-// dense slots. It mirrors Env's semantics exactly: unbound keys read
-// as ⊥, MeetInto starts absent entries at ⊤, and iteration (Each)
-// visits only keys that were explicitly bound — so converting a
-// DenseEnv to a map-backed Env reproduces the map the old code built.
-type DenseEnv[K comparable] struct {
-	// Index maps a key to its dense slot, or a negative value for keys
-	// this environment does not cover (those read as ⊥ and cannot be
-	// bound).
-	Index func(K) int
-
-	vals  []Elem
-	bound []bool
-	keys  []K // keys of bound slots, in first-bind order
-}
-
-// NewDenseEnv returns a dense environment with n slots addressed by
-// index.
-func NewDenseEnv[K comparable](n int, index func(K) int) *DenseEnv[K] {
-	return &DenseEnv[K]{Index: index, vals: make([]Elem, n), bound: make([]bool, n)}
-}
-
-// slot returns k's slot, or -1 when k is outside the environment.
-func (d *DenseEnv[K]) slot(k K) int {
-	i := d.Index(k)
-	if i >= len(d.vals) {
-		return -1
-	}
-	return i
-}
-
-// put binds slot i (recording k on first bind).
-func (d *DenseEnv[K]) put(i int, k K, e Elem) {
-	if !d.bound[i] {
-		d.bound[i] = true
-		d.keys = append(d.keys, k)
-	}
-	d.vals[i] = e
-}
-
-// Get returns the element for k, defaulting to ⊥ when unbound.
-func (d *DenseEnv[K]) Get(k K) Elem {
-	if d == nil {
-		return BottomElem()
-	}
-	i := d.slot(k)
-	if i < 0 || !d.bound[i] {
-		return BottomElem()
-	}
-	return d.vals[i]
-}
-
-// MeetInto lowers the entry for k by meeting it with el; unbound keys
-// start at ⊤. It reports whether the entry changed. Keys outside the
-// environment's index range are ignored (and report no change).
-func (d *DenseEnv[K]) MeetInto(k K, el Elem) bool {
-	i := d.slot(k)
-	if i < 0 {
-		return false
-	}
-	old := d.vals[i]
-	if !d.bound[i] {
-		old = TopElem()
-	}
-	nw := Meet(old, el)
-	if d.bound[i] && nw.Eq(old) {
-		return false
-	}
-	d.put(i, k, nw)
-	return true
-}
-
-// Set binds k to el unconditionally (used for the residual-⊤ demotion
-// pass entry environments perform).
-func (d *DenseEnv[K]) Set(k K, el Elem) {
-	if i := d.slot(k); i >= 0 {
-		d.put(i, k, el)
-	}
-}
-
-// Each visits every bound key in first-bind order.
-func (d *DenseEnv[K]) Each(f func(K, Elem)) {
-	if d == nil {
-		return
-	}
-	for _, k := range d.keys {
-		f(k, d.vals[d.Index(k)])
-	}
-}
-
-// ToEnv converts to the map-backed form (for results that outlive the
-// analysis and for name-keyed portable summaries).
-func (d *DenseEnv[K]) ToEnv() Env[K] {
-	if d == nil {
-		return nil
-	}
-	m := make(Env[K], len(d.keys))
-	d.Each(func(k K, e Elem) { m[k] = e })
-	return m
 }

@@ -105,7 +105,8 @@ func EntryMetrics(r *icp.Result) Entry {
 	for _, p := range ctx.CG.Reachable {
 		m.Formals += len(p.Params)
 		m.ConstFormals += len(r.ConstantFormals(p))
-		for _, g := range ctx.Prog.Sem.Globals {
+		// DREF(p) lies inside p's global segment.
+		for _, g := range ctx.Prog.FuncOf[p].Globals() {
 			if _, ok := r.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
 				m.GlobalEntries++
 			}

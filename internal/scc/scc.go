@@ -33,10 +33,9 @@ type Options struct {
 	// Entry gives the lattice value of formals and globals at procedure
 	// entry. Locals and temporaries always start undefined (⊥ on use
 	// before def). A nil Entry means every formal and global is ⊥ —
-	// plain intraprocedural propagation. Both the map-backed
-	// lattice.Env and the slice-backed lattice.DenseEnv satisfy the
-	// interface.
-	Entry lattice.EnvReader[*sem.Var]
+	// plain intraprocedural propagation, as does any variable Entry
+	// does not bind.
+	Entry lattice.Env[*sem.Var]
 
 	// CallResult, if non-nil, supplies the lattice value of a function
 	// call's result (return-constant extension). Nil, or a nil return
@@ -74,13 +73,10 @@ type Result struct {
 	Values []lattice.Elem // indexed by Definition.ID
 	// BlockExec[b.Index] reports whether block b is executable.
 	BlockExec []bool
-	// edgeExec is a bit set over from*nblocks+to keys recording which
-	// CFG edges became executable; read it through EdgeExecutable. The
-	// domain is quadratic in block count, so the set spills to a sparse
-	// representation on giant functions (real CFGs have O(nblocks)
-	// edges, not nblocks²).
-	edgeExec *bitset.Auto
-	nblocks  int
+	// edgeExec records which CFG edges became executable, one bit per
+	// (source block, successor slot) — a block has at most two
+	// successors; read it through EdgeExecutable.
+	edgeExec bitset.Set
 	// buf is the pooled backing of a transient result (nil otherwise);
 	// Release returns it.
 	buf *resultBuf
@@ -90,7 +86,7 @@ type Result struct {
 type resultBuf struct {
 	values    []lattice.Elem
 	blockExec []bool
-	edgeExec  *bitset.Auto
+	edgeExec  bitset.Set
 }
 
 var resultPool = sync.Pool{New: func() any { return new(resultBuf) }}
@@ -121,7 +117,21 @@ func grow[T any](s []T, n int) []T {
 // EdgeExecutable reports whether the CFG edge from→to (block indices)
 // became executable during the propagation.
 func (r *Result) EdgeExecutable(from, to int) bool {
-	return r.edgeExec.Has(from*r.nblocks + to)
+	return r.edgeExec.Has(edgeBit(r.S.Fn.Blocks[from], to))
+}
+
+// edgeBit returns the edge-executable bit of the CFG edge from→to:
+// 2*from.Index plus the first successor slot leading to to, so an If
+// whose arms target the same block has one bit, shared by both of the
+// target's entries for it in Preds. It returns -1, a bit that is never
+// set, when to is not a successor.
+func edgeBit(from *ir.Block, to int) int {
+	for k, s := range from.Succs {
+		if s.Index == to {
+			return 2*from.Index + k
+		}
+	}
+	return -1
 }
 
 type engine struct {
@@ -156,7 +166,7 @@ func Run(s *ssa.SSA, opts Options) *Result {
 	sc.flowWork = sc.flowWork[:0]
 	sc.ssaWork = sc.ssaWork[:0]
 	sc.visited = sc.visited.Reset(nb)
-	res := &Result{S: s, nblocks: nb}
+	res := &Result{S: s}
 	if opts.Transient {
 		// Pooled backing; a Run aborted by a budget panic simply drops
 		// the buffer (the pool regrows), keeping the unwind path free of
@@ -164,14 +174,14 @@ func Run(s *ssa.SSA, opts Options) *Result {
 		buf := resultPool.Get().(*resultBuf)
 		buf.values = grow(buf.values, len(s.Defs))
 		buf.blockExec = grow(buf.blockExec, nb)
-		buf.edgeExec = buf.edgeExec.Reset(nb * nb)
+		buf.edgeExec = buf.edgeExec.Reset(2 * nb)
 		clear(buf.blockExec)
 		res.Values, res.BlockExec, res.edgeExec = buf.values, buf.blockExec, buf.edgeExec
 		res.buf = buf
 	} else {
 		res.Values = make([]lattice.Elem, len(s.Defs))
 		res.BlockExec = make([]bool, nb)
-		res.edgeExec = bitset.NewAuto(nb * nb)
+		res.edgeExec = bitset.New(2 * nb)
 	}
 	e := &engine{s: s, opts: opts, res: res, sc: sc}
 	for i := range e.res.Values {
@@ -193,11 +203,7 @@ func Run(s *ssa.SSA, opts Options) *Result {
 	for _, d := range s.EntryDefs {
 		switch d.Var.Kind {
 		case sem.KindFormal, sem.KindGlobal:
-			if opts.Entry != nil {
-				e.lower(d, opts.Entry.Get(d.Var))
-			} else {
-				e.lower(d, lattice.BottomElem())
-			}
+			e.lower(d, opts.Entry.Get(d.Var))
 		default:
 			// Undefined local/temp: unknown on use-before-def.
 			e.lower(d, lattice.BottomElem())
@@ -237,7 +243,7 @@ func (e *engine) solve() {
 }
 
 func (e *engine) addEdge(from, to *ir.Block) {
-	if !e.res.edgeExec.Add(from.Index*e.res.nblocks + to.Index) {
+	if !e.res.edgeExec.Add(edgeBit(from, to.Index)) {
 		return
 	}
 	e.sc.flowWork = append(e.sc.flowWork, flowEdge{from.Index, to.Index})
@@ -294,7 +300,7 @@ func (e *engine) evalPhi(phi *Phi) {
 	e.opts.Budget.Step(1)
 	acc := lattice.TopElem()
 	for i, p := range phi.Block.Preds {
-		if !e.res.edgeExec.Has(p.Index*e.res.nblocks + phi.Block.Index) {
+		if !e.res.edgeExec.Has(edgeBit(p, phi.Block.Index)) {
 			continue
 		}
 		if phi.Args[i] == nil {

@@ -46,12 +46,11 @@ type Var struct {
 	Owner *Proc // nil for globals
 	Pos   source.Pos
 
-	// ID is the variable's dense program-wide identifier, assigned at
-	// creation by Program.NewVarID. IDs start at 1; 0 marks a variable
-	// that was never registered (only possible for hand-built literals
-	// that skip the constructors). Slices indexed by ID waste slot 0 in
-	// exchange for making the unregistered state detectable.
-	ID int
+	// Slot is 1 + the variable's position in its owner's
+	// ir.Func.AllVars, or 0 while that function does not track it.
+	// Written by ir.Func.RegisterVar and SetGlobals; globals leave it 0,
+	// since each function finds them in its own global segment.
+	Slot int32
 }
 
 func (v *Var) String() string {
@@ -78,9 +77,6 @@ type Proc struct {
 	Uses    []*Var // visible globals, declaration order
 	UsesSet map[*Var]bool
 	Decl    *ast.ProcDecl
-	// Prog points back at the owning program so the temp/local
-	// constructors can draw dense variable IDs from its counter.
-	Prog *Program
 
 	ntemps int
 }
@@ -89,29 +85,9 @@ type Proc struct {
 func (p *Proc) NumFormals() int { return len(p.Params) }
 
 // NewTemp creates a fresh compiler temporary of the given type and
-// registers it with the procedure.
+// registers it with the procedure. It touches only p, so lowering may
+// create temporaries of distinct procedures concurrently.
 func (p *Proc) NewTemp(t ast.Type) *Var {
-	p.ntemps++
-	v := &Var{
-		Name:  "%t" + strconv.Itoa(p.ntemps),
-		Kind:  KindTemp,
-		Type:  t,
-		Owner: p,
-	}
-	if p.Prog != nil {
-		v.ID = p.Prog.NewVarID()
-	}
-	p.Locals = append(p.Locals, v)
-	return v
-}
-
-// NewTempDeferred is NewTemp for parallel lowering: the temporary is
-// created without a program-wide ID (ID 0) so concurrent builders never
-// touch the shared counter. The caller must run
-// Program.AssignDeferredVarIDs as a serial epilogue before any dense
-// index is built over the variables (ir.Func.RegisterVar panics on a
-// zero ID).
-func (p *Proc) NewTempDeferred(t ast.Type) *Var {
 	p.ntemps++
 	v := &Var{
 		Name:  "%t" + strconv.Itoa(p.ntemps),
@@ -134,9 +110,6 @@ func (p *Proc) NewLocal(name string, t ast.Type) *Var {
 		Type:  t,
 		Owner: p,
 	}
-	if p.Prog != nil {
-		v.ID = p.Prog.NewVarID()
-	}
 	p.Locals = append(p.Locals, v)
 	return v
 }
@@ -151,39 +124,7 @@ type Program struct {
 	Main       *Proc
 	AST        *ast.Program
 	Info       *Info
-
-	nextVarID int // last dense variable ID handed out (IDs start at 1)
 }
-
-// NewVarID hands out the next dense program-wide variable ID. Every
-// variable constructor (checker, NewTemp/NewLocal, cloning) draws from
-// this counter, so IDs stay unique and contiguous as passes grow the
-// program. Not safe for concurrent use; variable creation only happens
-// in single-threaded passes (checking, lowering, inlining, cloning).
-func (p *Program) NewVarID() int {
-	p.nextVarID++
-	return p.nextVarID
-}
-
-// AssignDeferredVarIDs gives every ID-less variable (NewTempDeferred)
-// its dense program-wide ID, walking procedures and their locals in
-// declaration/creation order — exactly the order serial lowering would
-// have drawn IDs in, so parallel and serial builds number identically.
-// Serial epilogue; not safe for concurrent use.
-func (p *Program) AssignDeferredVarIDs() {
-	for _, proc := range p.Procs {
-		for _, v := range proc.Locals {
-			if v.ID == 0 {
-				v.ID = p.NewVarID()
-			}
-		}
-	}
-}
-
-// NumVarIDs returns the size a slice must have to be indexable by every
-// variable ID handed out so far (IDs run 1..NumVarIDs-1; slot 0 is the
-// never-registered sentinel).
-func (p *Program) NumVarIDs() int { return p.nextVarID + 1 }
 
 // Info records resolution results keyed by syntax nodes.
 type Info struct {
@@ -261,7 +202,7 @@ func (c *checker) collectGlobals(prog *ast.Program) {
 			c.errorf(g.KwPos, "global %q redeclared (previous declaration at %v)", g.Name, prev.Pos)
 			continue
 		}
-		v := &Var{Name: g.Name, Kind: KindGlobal, Type: g.Type, Index: len(c.p.Globals), Pos: g.KwPos, ID: c.p.NewVarID()}
+		v := &Var{Name: g.Name, Kind: KindGlobal, Type: g.Type, Index: len(c.p.Globals), Pos: g.KwPos}
 		c.globalByName[g.Name] = v
 		c.p.Globals = append(c.p.Globals, v)
 		if g.Init != nil {
@@ -310,10 +251,9 @@ func (c *checker) collectProcs(prog *ast.Program) {
 			Result:  pd.Result,
 			Decl:    pd,
 			UsesSet: make(map[*Var]bool),
-			Prog:    c.p,
 		}
 		for i, par := range pd.Params {
-			v := &Var{Name: par.Name, Kind: KindFormal, Type: par.Type, Index: i, Owner: p, Pos: par.NamePos, ID: c.p.NewVarID()}
+			v := &Var{Name: par.Name, Kind: KindFormal, Type: par.Type, Index: i, Owner: p, Pos: par.NamePos}
 			p.Params = append(p.Params, v)
 		}
 		if _, dup := c.p.ProcByName[pd.Name]; !dup {
@@ -372,7 +312,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 			}
 			return
 		}
-		v := &Var{Name: s.Name, Kind: KindLocal, Type: s.Type, Owner: c.proc, Pos: s.KwPos, ID: c.p.NewVarID()}
+		v := &Var{Name: s.Name, Kind: KindLocal, Type: s.Type, Owner: c.proc, Pos: s.KwPos}
 		c.scope[s.Name] = v
 		c.proc.Locals = append(c.proc.Locals, v)
 		if s.Init != nil {

@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 
-	"fsicp/internal/bitset"
 	"fsicp/internal/dom"
 	"fsicp/internal/ir"
 	"fsicp/internal/sem"
@@ -170,8 +169,8 @@ func Build(fn *ir.Func) *SSA {
 	// Size the definition arena and the pointer backing array from one
 	// pre-pass. The arena holds Definitions (φs, entry defs, instruction
 	// defs), the backing array holds the per-instruction def/use pointer
-	// tables. The backing array may still grow; it just starts close to
-	// the final size.
+	// tables. The pre-pass counts every block and rename visits only the
+	// reachable ones, so neither ever grows.
 	defSlots := len(fn.AllVars) // entry defs
 	ptrSlots := 0
 	for _, b := range fn.Blocks {
@@ -222,13 +221,6 @@ func (s *SSA) slice(n int) []*Definition {
 	if n == 0 {
 		return nil
 	}
-	if len(s.defBacking)+n > cap(s.defBacking) {
-		chunk := len(s.Defs) / 8 // grow with the function
-		if chunk < 256 {
-			chunk = 256
-		}
-		s.defBacking = make([]*Definition, 0, max(chunk, n))
-	}
 	off := len(s.defBacking)
 	s.defBacking = s.defBacking[:off+n]
 	return s.defBacking[off : off+n : off+n]
@@ -255,14 +247,14 @@ func (s *SSA) DefsOf(in ir.Instr) []*Definition {
 }
 
 // placePhis inserts φ-functions using iterated dominance frontiers and
-// returns them in placement order, without definitions yet. The
-// placed-φ and worklist membership sets are bitsets keyed by
-// block*nvars+var and block index — the dense layout replaces two
-// maps rebuilt for every procedure.
+// returns them in placement order, without definitions yet. As in
+// Cytron et al.'s algorithm, the placed-φ and worklist marks are
+// per-block stamps: hasPhi[b] and inWork[b] hold 1 + the variable that
+// last placed a φ at b or last queued b, so they are never cleared
+// between variables.
 func (s *SSA) placePhis() []*Phi {
 	fn := s.Fn
 	nvars := len(fn.AllVars)
-	nblocks := len(fn.Blocks)
 	defBlocks := make([][]*ir.Block, nvars)
 	for _, b := range s.Dom.RPO {
 		for _, in := range b.Instrs {
@@ -272,34 +264,32 @@ func (s *SSA) placePhis() []*Phi {
 			}
 		}
 	}
-	// block*nvars+var -> placed. The domain is quadratic in function
-	// size; NewAuto spills to the sparse form past the threshold so a
-	// giant merged corpus function cannot allocate a multi-megabyte
-	// dense grid for the handful of φs it actually places.
-	hasPhi := bitset.NewAuto(nblocks * nvars)
-	inWork := bitset.New(nblocks)
+	hasPhi := make([]int32, len(fn.Blocks))
+	inWork := make([]int32, len(fn.Blocks))
 	var work []*ir.Block
 	var placed []*Phi
 	for vi := 0; vi < nvars; vi++ {
+		stamp := int32(vi) + 1
 		work = append(work[:0], defBlocks[vi]...)
 		// Every variable also has its entry definition in the entry
 		// block.
 		work = append(work, s.Dom.RPO[0])
-		inWork.Clear()
 		for _, b := range work {
-			inWork.Add(b.Index)
+			inWork[b.Index] = stamp
 		}
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, f := range s.Dom.Frontier(b) {
-				if !hasPhi.Add(f.Index*nvars + vi) {
+				if hasPhi[f.Index] == stamp {
 					continue
 				}
+				hasPhi[f.Index] = stamp
 				phi := &Phi{Var: fn.AllVars[vi], Block: f, Args: make([]*Definition, len(f.Preds))}
 				placed = append(placed, phi)
 				s.Phis[f.Index] = append(s.Phis[f.Index], phi)
-				if inWork.Add(f.Index) {
+				if inWork[f.Index] != stamp {
+					inWork[f.Index] = stamp
 					work = append(work, f)
 				}
 			}
@@ -312,7 +302,7 @@ func (s *SSA) placePhis() []*Phi {
 func (s *SSA) rename() {
 	fn := s.Fn
 	nvars := len(fn.AllVars)
-	globals := fn.Globals()
+	globals, off := fn.Globals(), fn.GlobalOffset()
 	stacks := make([][]*Definition, nvars)
 
 	s.EntryDefs = make([]*Definition, nvars)
@@ -352,8 +342,8 @@ func (s *SSA) rename() {
 
 			if _, ok := in.(*ir.CallInstr); ok && len(globals) > 0 {
 				snap := s.slice(len(globals))
-				for gi, g := range globals {
-					snap[gi] = top(g)
+				for gi, st := range stacks[off : off+len(globals)] {
+					snap[gi] = st[len(st)-1]
 				}
 				s.globalsAtCall[id] = snap
 			}
@@ -381,8 +371,8 @@ func (s *SSA) rename() {
 			s.TermUses[b.Index] = tds
 			if _, isRet := b.Term.(*ir.Ret); isRet {
 				snap := s.slice(nvars)
-				for vi, v := range fn.AllVars {
-					snap[vi] = top(v)
+				for vi, st := range stacks {
+					snap[vi] = st[len(st)-1]
 				}
 				s.RetSnapshots[b.Index] = snap
 			}

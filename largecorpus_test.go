@@ -1,7 +1,8 @@
 // Large-corpus coverage: the streaming multi-file front end and the
-// spill-aware tables exist so 10k+-procedure corpora load and analyse
-// within ordinary memory; these tests generate such corpora with
-// progen's module generator and run the real pipeline over them.
+// exact-size per-procedure tables exist so 10k+-procedure corpora load
+// and analyse within ordinary memory; these tests generate such
+// corpora with progen's module generator and run the real pipeline
+// over them.
 package fsicp_test
 
 import (
@@ -364,7 +365,7 @@ func BenchmarkAnalyzeLargeCorpus(b *testing.B) {
 // 2049-procedure multi-module corpus per iteration. It sits in the
 // allocation gate with both an allocs/op and a peak-heap budget
 // (BENCH_icp.json), so scaling regressions in the front end or the
-// spill-aware tables fail loudly.
+// per-procedure tables fail loudly.
 func BenchmarkLargeCorpus(b *testing.B) {
 	files, _ := corpus2k()
 	src := asSourceFiles(files)

@@ -59,12 +59,12 @@ go test -race -count=1 \
     ./internal/serve
 go test -race -count=1 ./cmd/fsicpd
 
-echo "== spill/delta-skip/global-domain determinism (race) =="
-# The analysis-phase fast paths — bitset.Auto's sparse spill,
-# delta-propagation skips and the sparse global domain — must be
-# invisible in the output: all 7 methods on the 2k corpus, workers
-# 1/2/4/8, with the bit-set spill threshold forced to 0 and with
-# skipping forced off, plus a dense-domain load, race-enabled.
+echo "== load/delta-skip/global-domain determinism (race) =="
+# The analysis-phase fast paths — the sharded load, delta-propagation
+# skips and the sparse global domain — must be invisible in the
+# output: all 7 methods on the 2k corpus, workers 1/2/4/8, on a copy
+# loaded with one worker and with skipping forced off, plus a
+# dense-domain load, race-enabled.
 go test -race -count=1 -run 'TestSpillAndDeltaSkipDeterminism' .
 
 echo "== large-corpus smoke =="

@@ -18,15 +18,27 @@ import (
 // checkGlobalSegments asserts, for every reachable function of ctx,
 // that the global segment is (REF*(p) ∪ MOD*(p) ∪ globals p passes by
 // reference) ∩ globals in declaration order, that it sits contiguously
-// in AllVars, and that every variable an instruction, terminator,
-// MayDef or clobber names is tracked. With exact false — after a
+// in AllVars, that every variable an instruction, terminator, MayDef
+// or clobber names is tracked, and that another procedure's formals and
+// locals are not. With exact false — after a
 // destructive optimization, which deletes code (by-reference calls
 // included) without recomputing MOD/REF — the segment need only
 // contain REF*(p) ∪ MOD*(p), in declaration order.
 func checkGlobalSegments(t *testing.T, stage string, ctx *icp.Context, exact bool) {
 	t.Helper()
-	for _, p := range ctx.CG.Reachable {
+	for i, p := range ctx.CG.Reachable {
 		fn := ctx.Prog.FuncOf[p]
+		// A variable's recorded position is valid in its owner's
+		// function only.
+		if q := ctx.CG.Reachable[(i+1)%len(ctx.CG.Reachable)]; q != p {
+			for _, vs := range [][]*sem.Var{q.Params, q.Locals} {
+				for _, v := range vs {
+					if fn.VarOrd(v) != -1 {
+						t.Fatalf("%s: %s tracks %s, a variable of %s", stage, p.Name, v.Name, q.Name)
+					}
+				}
+			}
+		}
 		byRef := make(map[*sem.Var]bool)
 		for _, call := range fn.Calls {
 			for _, a := range call.ByRef {

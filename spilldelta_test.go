@@ -1,10 +1,11 @@
 // Byte-determinism of the analysis-phase scaling machinery: the sparse
 // global domain (each procedure tracks only the globals it can
-// reference or modify), bitset.Auto's spill to a sparse word map, and
-// the delta-propagation skips in the iterative and returns-refresh
-// fixpoints are performance features, so their output must be
-// indistinguishable from the dense, skip-free paths — for every
-// method, at every worker count.
+// reference or modify), the sharded load, and the delta-propagation
+// skips in the iterative and returns-refresh fixpoints are performance
+// features, so their output must be indistinguishable from the dense,
+// serial, skip-free paths — for every method, at every worker count.
+// No representation spills any more: every per-procedure table is
+// sized by the procedure itself.
 package fsicp_test
 
 import (
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	fsicp "fsicp"
-	"fsicp/internal/bitset"
 )
 
 // sevenMethods is the Config-method matrix: the three Methods, plus
@@ -46,17 +46,16 @@ func cfgName(cfg fsicp.Config) string {
 }
 
 // TestSpillAndDeltaSkipDeterminism compares, on the 2k-procedure
-// corpus, the baseline report (sparse global domain, default spill
-// threshold, delta skipping on, one worker) against the all-sparse
-// path (bitset.SpillThreshold forced to 0, so SSA's φ-placement grid
-// and the SCC engine's edge-executable set take the word-map
-// representation) and the skip-free path (FSICP_NO_DELTA_SKIP forces
-// every fixpoint round and refresh visit to re-evaluate), each at
-// workers 1, 2, 4, and 8, and against the dense global domain (every
-// function tracking every program global). Any divergence means one of
-// the fast paths is changing answers, not just time. Meant to run
-// under -race (scripts/check.sh has a dedicated stage); it skips under
-// -short to stay out of the quick suite.
+// corpus, the baseline report (sparse global domain, delta skipping on,
+// loaded with four workers, analyzed with one) against a second copy
+// loaded with one worker (the spill0 legs, which keep the name of the
+// bit-set spill they used to force), against the skip-free path
+// (WithoutDeltaSkip makes every fixpoint round and refresh visit
+// re-evaluate), each at workers 1, 2, 4, and 8, and against the dense
+// global domain (every function tracking every program global). Any
+// divergence means one of the fast paths is changing answers, not just
+// time. Meant to run under -race (scripts/check.sh has a dedicated
+// stage); it skips under -short to stay out of the quick suite.
 func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2k-procedure corpus × 7 methods × 4 worker counts; skipped with -short")
@@ -71,17 +70,7 @@ func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsicp.TrackAllGlobals(dense)
-	// sparse is built with the threshold at 0, so its SSA placed every
-	// φ through the sparse grid; the spill0 legs then analyze it with
-	// the threshold still at 0.
-	spill0 := func() (restore func()) {
-		old := bitset.SpillThreshold
-		bitset.SpillThreshold = 0
-		return func() { bitset.SpillThreshold = old }
-	}
-	restore := spill0()
-	sparse, err := fsicp.LoadFiles(asSourceFiles(files), fsicp.LoadOptions{Workers: 4})
-	restore()
+	serial, err := fsicp.LoadFiles(asSourceFiles(files), fsicp.LoadOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +86,13 @@ func TestSpillAndDeltaSkipDeterminism(t *testing.T) {
 				run.Workers = workers
 
 				t.Run(fmt.Sprintf("spill0/workers=%d", workers), func(t *testing.T) {
-					defer spill0()()
-					if got := fingerprint(sparse.Analyze(run)); got != want {
-						t.Error("all-sparse bit sets changed the report")
+					if got := fingerprint(serial.Analyze(run)); got != want {
+						t.Error("the serially loaded copy changed the report")
 					}
 				})
 
 				t.Run(fmt.Sprintf("noskip/workers=%d", workers), func(t *testing.T) {
-					t.Setenv("FSICP_NO_DELTA_SKIP", "1")
-					if got := fingerprint(prog.Analyze(run)); got != want {
+					if got := fingerprint(prog.Analyze(fsicp.WithoutDeltaSkip(run))); got != want {
 						t.Error("disabling delta-propagation skips changed the report")
 					}
 				})
