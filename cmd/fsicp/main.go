@@ -136,11 +136,10 @@ func main() {
 		if !ok {
 			fail("-watch supports the fs|fi|iter methods, not %q", *method)
 		}
-		cfg.MemStats = *showStats
 		watchLoop(flag.Arg(0), cfg, *showStats, 500*time.Millisecond)
 	}
 
-	loadOpts := fsicp.LoadOptions{Workers: *workers, MemStats: *showStats}
+	loadOpts := fsicp.LoadOptions{Workers: *workers}
 	var prog *fsicp.Program
 	name := "<stdin>"
 	if flag.NArg() > 0 {
@@ -188,7 +187,6 @@ func main() {
 	}
 
 	if cfg, ok := icpConfig(*method, *floats, *returns, *workers, *timeout, *fuel, *cacheDir); ok {
-		cfg.MemStats = *showStats
 		a := prog.Analyze(cfg)
 		if *jsonOut {
 			rep := report.Build(prog, a, cfg)

@@ -27,9 +27,10 @@ const (
 // It polls (no inotify dependency) and never returns.
 //
 // The session's loads run the sharded pipeline under cfg.Workers; with
-// stats set, every version prints the per-pass timing table, where
-// load-pass reuse (driver.Memo hits) shows up as "cached=…" notes and
-// the sharded passes carry their "shards=N workers=M" fan-out.
+// stats set, every version prints the per-pass timing table, where a
+// version the session reused whole (a comment or whitespace edit) shows
+// every load pass as "cached=…" and the sharded passes carry their
+// "shards=N workers=M" fan-out.
 //
 // Failure model: a read error or a program that fails to load is
 // always transient — the loop reports it once per new failure,

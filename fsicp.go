@@ -147,14 +147,6 @@ type Config struct {
 	// layer. The zero FaultSpec injects nothing.
 	Faults FaultSpec
 
-	// MemStats turns on per-pass memory sampling for the analysis
-	// passes: each pass records the live heap at pass exit and the GC
-	// cycles it spanned (runtime.ReadMemStats at pass boundaries),
-	// surfaced as heap=/gc= notes in Analysis.StatsTable — the
-	// analysis-phase counterpart of LoadOptions.MemStats. Observability
-	// only: results are unaffected. Off by default.
-	MemStats bool
-
 	// noDeltaSkip selects the skip-free reference path of the fixpoint
 	// passes (icp.Options.NoDeltaSkip); only tests set it.
 	noDeltaSkip bool
@@ -180,11 +172,9 @@ func (c Config) ShedToFI() Config {
 // per-request deadlines — the daemon's whole traffic — share one
 // engine instead of leaking one per distinct timeout value. Fuel and
 // Faults stay in the key at this level for snapshot locality; the
-// store-level cache keys carry them regardless. MemStats is excluded
-// too: sampling is pure observability and never changes a result.
+// store-level cache keys carry them regardless.
 func (c Config) engineKey() Config {
 	c.Timeout = 0
-	c.MemStats = false
 	return c
 }
 
@@ -283,13 +273,6 @@ type LoadOptions struct {
 	// GOMAXPROCS). The loaded program is byte-identical for every
 	// worker count; only wall-clock time changes.
 	Workers int
-
-	// MemStats turns on per-pass memory sampling: each load pass records
-	// the live heap at its exit and the GC cycles it triggered
-	// (runtime.ReadMemStats at pass boundaries), surfaced in the stats
-	// table as "heap=… gc=…". Off by default — the world-stopping
-	// ReadMemStats reads are cheap per pass but not free.
-	MemStats bool
 }
 
 // Load parses, checks, and lowers MiniFort source text, then runs the
@@ -311,30 +294,10 @@ func LoadWith(filename, src string, opts LoadOptions) (*Program, error) {
 
 // LoadContext is LoadWith under a context: when ctx ends, in-flight
 // sharded passes stop claiming work, their goroutines drain, and the
-// load fails with the context's error.
+// load fails with the context's error. A single source is a one-file
+// corpus: it runs the same pipeline as LoadFiles.
 func LoadContext(ctx context.Context, filename, src string, opts LoadOptions) (*Program, error) {
-	f := source.NewFile(filename, src)
-	var (
-		astProg *ast.Program
-		semProg *sem.Program
-	)
-	m := driver.NewManager()
-	m.SetWorkers(opts.Workers)
-	m.SetMemStats(opts.MemStats)
-	m.Add(driver.Pass{Name: "parse", Run: func(st *driver.PassStats) (err error) {
-		astProg, err = parser.ParseFile(f)
-		return err
-	}})
-	m.Add(driver.Pass{Name: "sem", Deps: []string{"parse"}, Run: func(st *driver.PassStats) (err error) {
-		semProg, err = sem.Check(astProg, f)
-		return err
-	}})
-	ictx := addBackendPasses(m, &semProg)
-	trace, err := m.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{ctx: *ictx, trace: trace}, nil
+	return LoadFilesContext(ctx, []SourceFile{{Name: filename, Src: src}}, opts)
 }
 
 // SourceFile is one file of a multi-file corpus handed to LoadFiles:
@@ -378,14 +341,16 @@ type corpusFile struct {
 	read func() (string, error)
 }
 
-// loadCorpus is the multi-file load pipeline shared by LoadFiles and
-// LoadDir. Each parse shard reads its file, attaches the contents to
-// the pre-sized source.File, parses, and releases the contents — so at
-// most LoadOptions.Workers file contents are resident at once and the
-// corpus is never materialized wholesale (the lexer copies the literal
-// spellings it keeps, so nothing pins a released buffer). The peak
-// resident source-byte count is reported as "src-peak=" in the parse
-// pass's stats row.
+// loadCorpus is the load pipeline behind every entry point (Load,
+// LoadFiles, LoadDir and their variants): parse, sem, irbuild,
+// callgraph, alias, modref, clobbers and the eager SSA prebuild, run in
+// that order by the pass manager. Each parse shard reads its file,
+// attaches the contents to the pre-sized source.File, parses, and
+// releases the contents — so at most LoadOptions.Workers file contents
+// are resident at once and the corpus is never materialized wholesale
+// (the lexer copies the literal spellings it keeps, so nothing pins a
+// released buffer). The peak resident source-byte count is reported as
+// "src-peak=" in the parse pass's stats row.
 func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Program, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("fsicp: no source files")
@@ -398,6 +363,13 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 	var (
 		astProg *ast.Program
 		semProg *sem.Program
+		irProg  *ir.Program
+		cg      *callgraph.Graph
+		al      *alias.Info
+		mr      *modref.Info
+		pb      *irbuild.Builder
+		mb      *modref.Builder
+		ictx    *icp.Context
 	)
 	units := make([]*ast.Program, len(files))
 	perrs := make([]error, len(files))
@@ -405,7 +377,6 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 	var srcCur, srcPeak atomic.Int64
 	m := driver.NewManager()
 	m.SetWorkers(opts.Workers)
-	m.SetMemStats(opts.MemStats)
 	// One shard per file. A failed file flips parseFailed so shards that
 	// have not started yet return immediately — the load is already
 	// doomed, and skipping their read+parse bounds the wasted work on
@@ -482,16 +453,91 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 			st.Notes = fmt.Sprintf("%d files src-peak=%d", len(units), srcPeak.Load())
 			return nil
 		}})
-	m.Add(driver.Pass{Name: "sem", Deps: []string{"parse"}, Run: func(st *driver.PassStats) (err error) {
+	m.Add(driver.Pass{Name: "sem", Run: func(st *driver.PassStats) (err error) {
 		semProg, err = sem.Check(astProg, fset)
 		return err
 	}})
-	ictx := addBackendPasses(m, &semProg)
-	trace, err := m.RunContext(ctx)
-	if err != nil {
+	// Lowering fans out per procedure; the serial Finish epilogue hands
+	// out the dense program-wide variable and call-site IDs in
+	// procedure order, reproducing exactly the serial numbering.
+	m.Add(driver.Pass{Name: "irbuild",
+		Run: func(st *driver.PassStats) error {
+			pb = irbuild.NewBuilder(semProg)
+			return nil
+		},
+		Shards: func(workers int) (int, func(int)) {
+			return pb.NumProcs(), pb.BuildProc
+		},
+		Finish: func(st *driver.PassStats) (err error) {
+			irProg, err = pb.Finish()
+			if err == nil {
+				st.Procs = len(irProg.Funcs)
+			}
+			return err
+		}})
+	m.Add(driver.Pass{Name: "callgraph", Run: func(st *driver.PassStats) error {
+		cg = callgraph.Build(irProg)
+		st.Procs = len(cg.Reachable)
+		back, total := cg.BackEdgeRatio()
+		st.Notes = fmt.Sprintf("%d edges, %d back", total, back)
+		return nil
+	}})
+	// The interprocedural alias-pair fixpoint stays serial (it iterates
+	// shared per-procedure pair sets over call edges); only the
+	// per-procedure partner-list construction shards.
+	m.Add(driver.Pass{Name: "alias",
+		Run: func(st *driver.PassStats) error {
+			al = alias.Fixpoint(irProg, cg)
+			st.Procs = len(cg.Reachable)
+			return nil
+		},
+		Shards: func(workers int) (int, func(int)) {
+			return len(cg.Reachable), al.BuildPartners
+		},
+		Finish: func(st *driver.PassStats) error {
+			al.FinishPartners()
+			return nil
+		}})
+	// Immediate MOD/REF collection is a per-procedure IR walk and
+	// shards; the interprocedural fixpoint and MayDef fill stay serial
+	// in Finish.
+	m.Add(driver.Pass{Name: "modref",
+		Run: func(st *driver.PassStats) error {
+			mb = modref.Begin(irProg, cg, al)
+			st.Procs = len(cg.Reachable)
+			return nil
+		},
+		Shards: func(workers int) (int, func(int)) {
+			return mb.NumProcs(), mb.CollectProc
+		},
+		Finish: func(st *driver.PassStats) error {
+			mr = mb.Finish()
+			return nil
+		}})
+	// Clobber insertion mutates the IR, so it must follow MOD/REF,
+	// which reads the pre-clobber program. Each shard rewrites and
+	// renumbers only its own function.
+	m.Add(driver.Pass{Name: "clobbers",
+		Shards: func(workers int) (int, func(int)) {
+			return al.ClobberShards(irProg, cg)
+		}})
+	// Eager SSA prebuild: construct every reachable procedure's SSA
+	// form now, in parallel, so the first analysis (whose wavefront
+	// otherwise serializes on lazily built SSA) starts hot.
+	m.Add(driver.Pass{Name: "ssa",
+		Run: func(st *driver.PassStats) error {
+			ictx = &icp.Context{Prog: irProg, CG: cg, AL: al, MR: mr}
+			st.Procs = len(cg.Reachable)
+			return nil
+		},
+		Shards: func(workers int) (int, func(int)) {
+			return ictx.SSAPrebuildShards()
+		}})
+	trace := driver.NewTrace()
+	if err := m.Run(ctx, trace); err != nil {
 		return nil, err
 	}
-	return &Program{ctx: *ictx, trace: trace}, nil
+	return &Program{ctx: ictx, trace: trace}, nil
 }
 
 // LoadDir loads a corpus from a directory: the files named by a
@@ -547,99 +593,6 @@ func corpusFileNames(dir string) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// addBackendPasses wires the post-sem load passes (irbuild through the
-// eager SSA prebuild) onto m. *semProg must be populated by an earlier
-// pass; the returned pointer yields the prepared interprocedural
-// context once the manager has run.
-func addBackendPasses(m *driver.Manager, semProg **sem.Program) **icp.Context {
-	var (
-		irProg *ir.Program
-		cg     *callgraph.Graph
-		al     *alias.Info
-		mr     *modref.Info
-		pb     *irbuild.Builder
-		mb     *modref.Builder
-		ictx   *icp.Context
-	)
-	// Lowering fans out per procedure; the serial Finish epilogue hands
-	// out the dense program-wide variable and call-site IDs in
-	// procedure order, reproducing exactly the serial numbering.
-	m.Add(driver.Pass{Name: "irbuild", Deps: []string{"sem"},
-		Run: func(st *driver.PassStats) error {
-			pb = irbuild.NewBuilder(*semProg)
-			return nil
-		},
-		Shards: func(workers int) (int, func(int)) {
-			return pb.NumProcs(), pb.BuildProc
-		},
-		Finish: func(st *driver.PassStats) (err error) {
-			irProg, err = pb.Finish()
-			if err == nil {
-				st.Procs = len(irProg.Funcs)
-			}
-			return err
-		}})
-	m.Add(driver.Pass{Name: "callgraph", Deps: []string{"irbuild"}, Run: func(st *driver.PassStats) error {
-		cg = callgraph.Build(irProg)
-		st.Procs = len(cg.Reachable)
-		back, total := cg.BackEdgeRatio()
-		st.Notes = fmt.Sprintf("%d edges, %d back", total, back)
-		return nil
-	}})
-	// The interprocedural alias-pair fixpoint stays serial (it iterates
-	// shared per-procedure pair sets over call edges); only the
-	// per-procedure partner-list construction shards.
-	m.Add(driver.Pass{Name: "alias", Deps: []string{"callgraph"},
-		Run: func(st *driver.PassStats) error {
-			al = alias.Fixpoint(irProg, cg)
-			st.Procs = len(cg.Reachable)
-			return nil
-		},
-		Shards: func(workers int) (int, func(int)) {
-			return len(cg.Reachable), al.BuildPartners
-		},
-		Finish: func(st *driver.PassStats) error {
-			al.FinishPartners()
-			return nil
-		}})
-	// Immediate MOD/REF collection is a per-procedure IR walk and
-	// shards; the interprocedural fixpoint and MayDef fill stay serial
-	// in Finish.
-	m.Add(driver.Pass{Name: "modref", Deps: []string{"alias"},
-		Run: func(st *driver.PassStats) error {
-			mb = modref.Begin(irProg, cg, al)
-			st.Procs = len(cg.Reachable)
-			return nil
-		},
-		Shards: func(workers int) (int, func(int)) {
-			return mb.NumProcs(), mb.CollectProc
-		},
-		Finish: func(st *driver.PassStats) error {
-			mr = mb.Finish()
-			return nil
-		}})
-	// Clobber insertion mutates the IR, so it must follow MOD/REF,
-	// which reads the pre-clobber program. Each shard rewrites and
-	// renumbers only its own function.
-	m.Add(driver.Pass{Name: "clobbers", Deps: []string{"modref"},
-		Shards: func(workers int) (int, func(int)) {
-			return al.ClobberShards(irProg, cg)
-		}})
-	// Eager SSA prebuild: construct every reachable procedure's SSA
-	// form now, in parallel, so the first analysis (whose wavefront
-	// otherwise serializes on lazily built SSA) starts hot.
-	m.Add(driver.Pass{Name: "ssa", Deps: []string{"clobbers"},
-		Run: func(st *driver.PassStats) error {
-			ictx = &icp.Context{Prog: irProg, CG: cg, AL: al, MR: mr}
-			st.Procs = len(cg.Reachable)
-			return nil
-		},
-		Shards: func(workers int) (int, func(int)) {
-			return ictx.SSAPrebuildShards()
-		}})
-	return &ictx
 }
 
 // Procedures returns the names of the procedures reachable from main,
@@ -727,7 +680,6 @@ func (p *Program) analyze(ctx context.Context, cfg Config, eng *incr.Engine) (a 
 	// pipeline's pass records so Stats reports the whole journey from
 	// source text to solution.
 	tr := driver.NewTrace()
-	tr.SetMemStats(cfg.MemStats)
 	if p.trace != nil {
 		for _, st := range p.trace.Passes() {
 			tr.Record(st)

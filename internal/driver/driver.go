@@ -1,7 +1,6 @@
-// Package driver is the pass-manager layer of the pipeline: it models
-// the compilation and analysis phases as named passes with declared
-// dependencies, runs them in dependency order, and collects one
-// PassStats record per pass into a Trace.
+// Package driver is the pass-manager layer of the pipeline: it runs the
+// compilation and analysis phases as named passes in the order they
+// were added, and collects one PassStats record per pass into a Trace.
 //
 // The package also provides the wavefront scheduler the flow-sensitive
 // ICP methods use to analyse independent procedures concurrently: the
@@ -16,8 +15,7 @@ package driver
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"time"
@@ -31,8 +29,8 @@ type PassStats struct {
 	Notes string // free-form detail, e.g. "workers=8 levels=4"
 
 	// Cached reports that this run reused previous results instead of
-	// recomputing (a memoized pass skipped via Reuse, or an analysis
-	// pass that reused at least one per-procedure result).
+	// recomputing (a load pass of a token-identical Session version, or
+	// an analysis pass that reused at least one per-procedure result).
 	Cached bool
 	// Hits and Misses count procedure-level result-cache lookups
 	// performed during the pass (zero when the pass has no cache).
@@ -59,11 +57,15 @@ type PassStats struct {
 	Shards    int
 	ShardWall []time.Duration
 
-	// HeapBytes is the live heap (runtime.MemStats.HeapAlloc) observed
-	// when the pass finished, and GCs the collection cycles that ran
-	// during it. Both are zero unless the manager's memory sampling is
-	// on (Manager.SetMemStats) — reading MemStats stops the world
-	// briefly, so it is opt-in observability, never ambient cost.
+	// HeapBytes is the heap held by allocated objects when the pass
+	// finished (runtime/metrics /memory/classes/heap/objects:bytes, the
+	// value runtime.MemStats.HeapAlloc reports), and GCs the collection
+	// cycles that completed during it. Trace.Time samples both at every
+	// pass boundary: runtime/metrics does not stop the world, so the
+	// sampling is always on. Unlike ReadMemStats it does not flush the
+	// per-P allocation caches, so HeapBytes trails HeapAlloc by the
+	// objects in still-cached spans: a few MiB at most, which shows only
+	// on tiny heaps.
 	HeapBytes uint64
 	GCs       uint32
 
@@ -82,34 +84,8 @@ type PassStats struct {
 // records. A nil *Trace is valid and discards every record, so callers
 // can thread an optional trace without nil checks.
 type Trace struct {
-	mu       sync.Mutex
-	rec      []PassStats
-	memStats bool
-}
-
-// SetMemStats enables heap/GC sampling for passes timed directly
-// through Trace.Time — the analysis passes, which run outside a
-// Manager. Every timed pass then records the live heap at pass exit
-// and the GC cycles it spanned, exactly as Manager.SetMemStats does
-// for the load pipeline. Off by default: each sample is one
-// runtime.ReadMemStats, a brief stop-the-world. No-op on a nil trace.
-func (t *Trace) SetMemStats(on bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.memStats = on
-	t.mu.Unlock()
-}
-
-// sampling reports whether heap sampling is on.
-func (t *Trace) sampling() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.memStats
+	mu  sync.Mutex
+	rec []PassStats
 }
 
 // NewTrace returns an empty trace.
@@ -125,29 +101,36 @@ func (t *Trace) Record(st PassStats) {
 	t.mu.Unlock()
 }
 
-// Time runs f, measuring its wall-clock time, and records the result
-// under name. f may fill in Procs and Notes; Name and Wall are set by
-// Time. f always runs, even on a nil trace.
+// Time runs f, measuring its wall-clock time and memory, and records
+// the result under name. f may fill in Procs and Notes; Name, Wall,
+// HeapBytes and GCs are set by Time. f always runs, even on a nil
+// trace, which skips the measurements.
 func (t *Trace) Time(name string, f func(st *PassStats)) {
 	st := PassStats{Name: name}
-	var gcBase uint32
-	sample := t.sampling()
-	if sample {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		gcBase = ms.NumGC
+	if t == nil {
+		f(&st)
+		return
 	}
+	_, gcBase := readMem()
 	start := time.Now()
 	f(&st)
 	st.Wall = time.Since(start)
-	if sample {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		st.HeapBytes = ms.HeapAlloc
-		st.GCs = ms.NumGC - gcBase
-	}
+	heap, gcs := readMem()
+	st.HeapBytes, st.GCs = heap, uint32(gcs-gcBase)
 	st.Name = name
 	t.Record(st)
+}
+
+// readMem samples the heap held by allocated objects and the completed
+// GC cycle count through runtime/metrics, which does not stop the
+// world.
+func readMem() (heap, gcs uint64) {
+	s := [2]metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // Passes returns a copy of the recorded stats in record order.
@@ -290,25 +273,12 @@ func fmtDuration(d time.Duration) string {
 	}
 }
 
-// Pass is one named pipeline stage. Deps lists the names of passes that
-// must complete before it runs. Run receives the pass's own stats
+// Pass is one named pipeline stage. Run receives the pass's own stats
 // record to fill in Procs and Notes; returning an error aborts the
 // pipeline.
-//
-// Fingerprint and Reuse opt a pass into memoization (see Memo): when
-// the manager has a memo and the pass's fingerprint matches the one
-// recorded by a previous run, Reuse is called instead of Run to
-// reinstall the previous outputs. Both must be set together for
-// memoization to apply; Fingerprint must cover every input the pass
-// reads, and Reuse must leave the pipeline in the same state Run
-// would have.
 type Pass struct {
 	Name string
-	Deps []string
 	Run  func(st *PassStats) error
-
-	Fingerprint func() string
-	Reuse       func(st *PassStats) error
 
 	// Shards opts the pass into intra-pass parallelism: after Run (the
 	// serial prologue, which may be nil for a pure fan-out pass) the
@@ -327,57 +297,14 @@ type Pass struct {
 	Finish func(st *PassStats) error
 }
 
-// Memo records pass fingerprints across runs of a pipeline over
-// successive versions of the same input, enabling Pass.Reuse. The
-// zero value is ready to use. A Memo is not safe for concurrent use;
-// it is meant to be owned by one long-lived session.
-type Memo struct {
-	keys map[string]string
-}
-
-// NewMemo returns an empty memo.
-func NewMemo() *Memo { return &Memo{} }
-
-func (m *Memo) match(name, key string) bool {
-	return m.keys[name] == key && key != ""
-}
-
-func (m *Memo) set(name, key string) {
-	if m.keys == nil {
-		m.keys = make(map[string]string)
-	}
-	m.keys[name] = key
-}
-
-// Manager validates a pass graph and runs it in dependency order.
+// Manager runs an ordered list of passes.
 type Manager struct {
-	passes   []Pass
-	memo     *Memo
-	faults   func(pass, proc string)
-	workers  int
-	memStats bool
+	passes  []Pass
+	workers int
 }
 
 // NewManager returns an empty manager.
 func NewManager() *Manager { return &Manager{} }
-
-// SetMemo attaches a memo for cross-run pass reuse. Passing nil
-// disables memoization (the default).
-func (m *Manager) SetMemo(memo *Memo) { m.memo = memo }
-
-// SetFaults installs a fault-injection hook called at the start of
-// every pass as hook(passName, ""). The hook may panic (the manager's
-// isolation converts it into a pass error) or stall. nil disables
-// injection (the default). The signature matches
-// faultinject.(*Injector).Hook without importing that package.
-func (m *Manager) SetFaults(hook func(pass, proc string)) { m.faults = hook }
-
-// SetMemStats enables per-pass memory observability: every pass record
-// gets the live-heap size at pass exit and the GC cycles the pass
-// spanned (PassStats.HeapBytes/GCs; rendered by Trace.Table). Off by
-// default — each sample is one runtime.ReadMemStats, a brief
-// stop-the-world.
-func (m *Manager) SetMemStats(on bool) { m.memStats = on }
 
 // SetWorkers bounds the fan-out of sharded passes (Pass.Shards): at
 // most n shards of one pass run concurrently. 0 (the default) resolves
@@ -385,102 +312,40 @@ func (m *Manager) SetMemStats(on bool) { m.memStats = on }
 // wall-clock time changes.
 func (m *Manager) SetWorkers(n int) { m.workers = n }
 
-// Add registers a pass. Registration order breaks ties among passes
-// whose dependencies are satisfied simultaneously, keeping the schedule
-// deterministic.
+// Add appends a pass; passes run in the order they were added.
 func (m *Manager) Add(p Pass) { m.passes = append(m.passes, p) }
 
-// Run executes every registered pass in dependency order, recording one
-// PassStats per pass into the returned trace. It fails on duplicate
-// names, unknown dependencies, dependency cycles, and the first pass
-// error; the trace holds the passes that completed before the failure.
-func (m *Manager) Run() (*Trace, error) {
-	tr := NewTrace()
-	return tr, m.RunInto(tr)
-}
-
-// RunInto is Run recording into an existing trace.
-func (m *Manager) RunInto(tr *Trace) error {
-	return m.RunIntoContext(context.Background(), tr)
-}
-
-// RunContext is Run under a context: the pipeline stops with ctx.Err()
-// at the next pass boundary after the context ends. (Long-running
-// passes are expected to observe the context themselves, e.g. via a
-// resilience.Budget.)
-func (m *Manager) RunContext(ctx context.Context) (*Trace, error) {
-	tr := NewTrace()
-	return tr, m.RunIntoContext(ctx, tr)
-}
-
-// RunIntoContext is RunContext recording into an existing trace.
-func (m *Manager) RunIntoContext(ctx context.Context, tr *Trace) error {
-	order, err := m.schedule()
-	if err != nil {
-		return err
-	}
+// Run executes the passes in order, recording one PassStats per pass
+// into tr (a nil trace discards them). It stops at the first pass error,
+// or with ctx.Err() at the next pass boundary after ctx ends; passes are
+// expected to observe the context themselves within a pass (sharded
+// passes stop claiming shards). The trace then holds the passes that
+// ran, the failed one included.
+func (m *Manager) Run(ctx context.Context, tr *Trace) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, p := range order {
+	for _, p := range m.passes {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("before pass %s: %w", p.Name, err)
 		}
 		var runErr error
-		key := ""
-		if m.memo != nil && p.Fingerprint != nil && p.Reuse != nil {
-			key = p.Fingerprint()
-		}
-		gcBase := m.gcCount()
-		if key != "" && m.memo.match(p.Name, key) {
-			tr.Time(p.Name, func(st *PassStats) {
-				st.Cached = true
-				runErr = m.protect(p.Name, st, p.Reuse)
-				m.sampleMem(st, gcBase)
-			})
-		} else {
-			tr.Time(p.Name, func(st *PassStats) {
-				if p.Run != nil {
-					runErr = m.protect(p.Name, st, p.Run)
-				}
-				if runErr == nil && p.Shards != nil {
-					runErr = m.runShards(ctx, p, st)
-				}
-				if runErr == nil && p.Finish != nil {
-					runErr = m.protect(p.Name, st, p.Finish)
-				}
-				m.sampleMem(st, gcBase)
-			})
-			if runErr == nil && key != "" {
-				m.memo.set(p.Name, key)
+		tr.Time(p.Name, func(st *PassStats) {
+			if p.Run != nil {
+				runErr = protect(st, p.Run)
 			}
-		}
+			if runErr == nil && p.Shards != nil {
+				runErr = m.runShards(ctx, p, st)
+			}
+			if runErr == nil && p.Finish != nil {
+				runErr = protect(st, p.Finish)
+			}
+		})
 		if runErr != nil {
 			return fmt.Errorf("pass %s: %w", p.Name, runErr)
 		}
 	}
 	return nil
-}
-
-// gcCount reads the current GC cycle count when memory sampling is on.
-func (m *Manager) gcCount() uint32 {
-	if !m.memStats {
-		return 0
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.NumGC
-}
-
-// sampleMem fills the pass record's heap fields when sampling is on.
-func (m *Manager) sampleMem(st *PassStats, gcBase uint32) {
-	if !m.memStats {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	st.HeapBytes = ms.HeapAlloc
-	st.GCs = ms.NumGC - gcBase
 }
 
 // runShards executes the parallel-for phase of a sharded pass: it
@@ -522,72 +387,14 @@ func (m *Manager) runShards(ctx context.Context, p Pass, st *PassStats) error {
 	return nil
 }
 
-// protect runs one pass body with the fault-injection hook applied and
-// panics converted into ordinary errors, so a crashing pass fails the
-// pipeline with a diagnostic instead of crashing the process.
-func (m *Manager) protect(name string, st *PassStats, body func(st *PassStats) error) (err error) {
+// protect runs one pass body with panics converted into ordinary
+// errors, so a crashing pass fails the pipeline with a diagnostic
+// instead of crashing the process.
+func protect(st *PassStats, body func(st *PassStats) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	if m.faults != nil {
-		m.faults(name, "")
-	}
 	return body(st)
-}
-
-// schedule topologically sorts the passes, stable in registration
-// order.
-func (m *Manager) schedule() ([]Pass, error) {
-	byName := make(map[string]int, len(m.passes))
-	for i, p := range m.passes {
-		if _, dup := byName[p.Name]; dup {
-			return nil, fmt.Errorf("duplicate pass %q", p.Name)
-		}
-		byName[p.Name] = i
-	}
-	indeg := make([]int, len(m.passes))
-	succs := make([][]int, len(m.passes))
-	for i, p := range m.passes {
-		for _, d := range p.Deps {
-			j, ok := byName[d]
-			if !ok {
-				return nil, fmt.Errorf("pass %q depends on unknown pass %q", p.Name, d)
-			}
-			succs[j] = append(succs[j], i)
-			indeg[i]++
-		}
-	}
-	var ready []int
-	for i, d := range indeg {
-		if d == 0 {
-			ready = append(ready, i)
-		}
-	}
-	var order []Pass
-	for len(ready) > 0 {
-		sort.Ints(ready)
-		next := ready
-		ready = nil
-		for _, i := range next {
-			order = append(order, m.passes[i])
-			for _, s := range succs[i] {
-				indeg[s]--
-				if indeg[s] == 0 {
-					ready = append(ready, s)
-				}
-			}
-		}
-	}
-	if len(order) != len(m.passes) {
-		var stuck []string
-		for i, d := range indeg {
-			if d > 0 {
-				stuck = append(stuck, m.passes[i].Name)
-			}
-		}
-		return nil, fmt.Errorf("dependency cycle among passes: %s", strings.Join(stuck, ", "))
-	}
-	return order, nil
 }

@@ -1,7 +1,9 @@
 package driver
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,7 +11,13 @@ import (
 	"time"
 )
 
-func TestManagerRunsInDependencyOrder(t *testing.T) {
+// run executes m under a background context into a fresh trace.
+func run(m *Manager) (*Trace, error) {
+	tr := NewTrace()
+	return tr, m.Run(context.Background(), tr)
+}
+
+func TestManagerRunsInAddOrder(t *testing.T) {
 	m := NewManager()
 	var order []string
 	step := func(name string) func(*PassStats) error {
@@ -18,44 +26,23 @@ func TestManagerRunsInDependencyOrder(t *testing.T) {
 			return nil
 		}
 	}
-	// Registered out of order on purpose.
-	m.Add(Pass{Name: "c", Deps: []string{"b"}, Run: step("c")})
-	m.Add(Pass{Name: "a", Run: step("a")})
-	m.Add(Pass{Name: "b", Deps: []string{"a"}, Run: step("b")})
-	m.Add(Pass{Name: "d", Deps: []string{"a", "c"}, Run: step("d")})
-	tr, err := m.Run()
+	// Not alphabetical on purpose: only Add order counts.
+	for _, name := range []string{"c", "a", "d", "b"} {
+		m.Add(Pass{Name: name, Run: step(name)})
+	}
+	tr, err := run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(order, ","); got != "a,b,c,d" {
-		t.Errorf("order = %s, want a,b,c,d", got)
+	if got := strings.Join(order, ","); got != "c,a,d,b" {
+		t.Errorf("order = %s, want c,a,d,b", got)
 	}
-	if got := len(tr.Passes()); got != 4 {
-		t.Errorf("recorded %d passes, want 4", got)
+	var recorded []string
+	for _, st := range tr.Passes() {
+		recorded = append(recorded, st.Name)
 	}
-}
-
-func TestManagerErrors(t *testing.T) {
-	run := func(*PassStats) error { return nil }
-
-	m := NewManager()
-	m.Add(Pass{Name: "a", Run: run})
-	m.Add(Pass{Name: "a", Run: run})
-	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("duplicate names: err = %v", err)
-	}
-
-	m = NewManager()
-	m.Add(Pass{Name: "a", Deps: []string{"ghost"}, Run: run})
-	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "unknown") {
-		t.Errorf("unknown dep: err = %v", err)
-	}
-
-	m = NewManager()
-	m.Add(Pass{Name: "a", Deps: []string{"b"}, Run: run})
-	m.Add(Pass{Name: "b", Deps: []string{"a"}, Run: run})
-	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("cycle: err = %v", err)
+	if got := strings.Join(recorded, ","); got != "c,a,d,b" {
+		t.Errorf("recorded %s, want c,a,d,b", got)
 	}
 }
 
@@ -64,8 +51,8 @@ func TestManagerAbortsOnPassError(t *testing.T) {
 	ran := false
 	m := NewManager()
 	m.Add(Pass{Name: "a", Run: func(*PassStats) error { return boom }})
-	m.Add(Pass{Name: "b", Deps: []string{"a"}, Run: func(*PassStats) error { ran = true; return nil }})
-	tr, err := m.Run()
+	m.Add(Pass{Name: "b", Run: func(*PassStats) error { ran = true; return nil }})
+	tr, err := run(m)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -208,122 +195,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestManagerMemo(t *testing.T) {
-	memo := NewMemo()
-	fp := "v1"
-	runs, reuses := 0, 0
-	build := func() *Manager {
-		m := NewManager()
-		m.SetMemo(memo)
-		m.Add(Pass{
-			Name:        "work",
-			Run:         func(st *PassStats) error { runs++; return nil },
-			Fingerprint: func() string { return fp },
-			Reuse:       func(st *PassStats) error { reuses++; return nil },
-		})
-		return m
-	}
-
-	// First run: fingerprint unknown, Run executes and the key is stored.
-	tr, err := build().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 || reuses != 0 {
-		t.Fatalf("cold run: runs=%d reuses=%d, want 1/0", runs, reuses)
-	}
-	if tr.Passes()[0].Cached {
-		t.Error("cold run recorded Cached=true")
-	}
-
-	// Same fingerprint: Reuse executes instead of Run.
-	tr, err = build().Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 || reuses != 1 {
-		t.Fatalf("warm run: runs=%d reuses=%d, want 1/1", runs, reuses)
-	}
-	if !tr.Passes()[0].Cached {
-		t.Error("warm run did not record Cached=true")
-	}
-
-	// Changed fingerprint: Run executes again and the new key replaces
-	// the old one.
-	fp = "v2"
-	if _, err := build().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 || reuses != 1 {
-		t.Fatalf("changed run: runs=%d reuses=%d, want 2/1", runs, reuses)
-	}
-	if _, err := build().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 || reuses != 2 {
-		t.Fatalf("re-warm run: runs=%d reuses=%d, want 2/2", runs, reuses)
-	}
-}
-
-func TestManagerMemoFailedRunNotRecorded(t *testing.T) {
-	memo := NewMemo()
-	fail := true
-	runs := 0
-	build := func() *Manager {
-		m := NewManager()
-		m.SetMemo(memo)
-		m.Add(Pass{
-			Name: "work",
-			Run: func(st *PassStats) error {
-				runs++
-				if fail {
-					return errors.New("boom")
-				}
-				return nil
-			},
-			Fingerprint: func() string { return "k" },
-			Reuse:       func(st *PassStats) error { t.Fatal("Reuse after failed run"); return nil },
-		})
-		return m
-	}
-	if _, err := build().Run(); err == nil {
-		t.Fatal("want error from failing pass")
-	}
-	// The failed run must not have recorded its fingerprint: the next
-	// run with the same key still executes Run.
-	fail = false
-	if _, err := build().Run(); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 {
-		t.Fatalf("runs=%d, want 2 (failure not memoized)", runs)
-	}
-}
-
-func TestManagerMemoRequiresBothHooks(t *testing.T) {
-	memo := NewMemo()
-	runs := 0
-	build := func() *Manager {
-		m := NewManager()
-		m.SetMemo(memo)
-		// Fingerprint without Reuse: memoization must not engage.
-		m.Add(Pass{
-			Name:        "half",
-			Run:         func(st *PassStats) error { runs++; return nil },
-			Fingerprint: func() string { return "k" },
-		})
-		return m
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := build().Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if runs != 2 {
-		t.Fatalf("runs=%d, want 2 (no Reuse hook)", runs)
-	}
-}
-
 func TestTableCacheColumns(t *testing.T) {
 	tr := NewTrace()
 	tr.Record(PassStats{Name: "fs", Hits: 3, Misses: 1})
@@ -334,5 +205,29 @@ func TestTableCacheColumns(t *testing.T) {
 	}
 	if !strings.Contains(tab, "cached=1/2") {
 		t.Errorf("table missing cached-run count:\n%s", tab)
+	}
+}
+
+// TestTimeSamplesMemory: every timed pass records the heap at its exit,
+// and a collection inside the pass counts in its GCs, whether the pass
+// is timed directly or run by the manager.
+func TestTimeSamplesMemory(t *testing.T) {
+	tr := NewTrace()
+	tr.Time("direct", func(*PassStats) { runtime.GC() })
+	m := NewManager()
+	m.Add(Pass{Name: "managed", Run: func(*PassStats) error { runtime.GC(); return nil }})
+	if err := m.Run(context.Background(), tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range tr.Passes() {
+		if st.HeapBytes == 0 {
+			t.Errorf("%s: HeapBytes = 0, want the heap at pass exit", st.Name)
+		}
+		if st.GCs < 1 {
+			t.Errorf("%s: GCs = %d, want the runtime.GC inside the pass counted", st.Name, st.GCs)
+		}
+	}
+	if !strings.Contains(tr.Table(), "heap=") {
+		t.Errorf("table shows no heap= note:\n%s", tr.Table())
 	}
 }

@@ -14,8 +14,8 @@ func TestManagerPassPanicBecomesError(t *testing.T) {
 	m := NewManager()
 	ran := false
 	m.Add(Pass{Name: "boom", Run: func(*PassStats) error { panic("kaboom") }})
-	m.Add(Pass{Name: "after", Deps: []string{"boom"}, Run: func(*PassStats) error { ran = true; return nil }})
-	_, err := m.Run()
+	m.Add(Pass{Name: "after", Run: func(*PassStats) error { ran = true; return nil }})
+	_, err := run(m)
 	if err == nil {
 		t.Fatal("panicking pass reported no error")
 	}
@@ -29,30 +29,6 @@ func TestManagerPassPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestManagerFaultHookPanicIsolated: a fault injected via SetFaults is
-// contained exactly like a pass's own panic.
-func TestManagerFaultHookPanicIsolated(t *testing.T) {
-	m := NewManager()
-	m.SetFaults(func(pass, proc string) {
-		if pass == "b" {
-			panic("injected")
-		}
-	})
-	var order []string
-	step := func(name string) func(*PassStats) error {
-		return func(*PassStats) error { order = append(order, name); return nil }
-	}
-	m.Add(Pass{Name: "a", Run: step("a")})
-	m.Add(Pass{Name: "b", Deps: []string{"a"}, Run: step("b")})
-	_, err := m.Run()
-	if err == nil || !strings.Contains(err.Error(), "pass b") {
-		t.Fatalf("err = %v, want a pass b failure", err)
-	}
-	if got := strings.Join(order, ","); got != "a" {
-		t.Errorf("ran %q, want just a", got)
-	}
-}
-
 // TestManagerContextStopsBetweenPasses: a context cancelled mid-run
 // stops the pipeline at the next pass boundary with a positioned error.
 func TestManagerContextStopsBetweenPasses(t *testing.T) {
@@ -60,8 +36,8 @@ func TestManagerContextStopsBetweenPasses(t *testing.T) {
 	m := NewManager()
 	m.Add(Pass{Name: "first", Run: func(*PassStats) error { cancel(); return nil }})
 	ran := false
-	m.Add(Pass{Name: "second", Deps: []string{"first"}, Run: func(*PassStats) error { ran = true; return nil }})
-	_, err := m.RunContext(ctx)
+	m.Add(Pass{Name: "second", Run: func(*PassStats) error { ran = true; return nil }})
+	err := m.Run(ctx, nil)
 	if err == nil || !strings.Contains(err.Error(), "before pass second") {
 		t.Fatalf("err = %v, want cancellation before pass second", err)
 	}

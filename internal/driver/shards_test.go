@@ -38,7 +38,7 @@ func TestShardedPassRunsEveryShardOnce(t *testing.T) {
 			return nil
 		},
 	})
-	tr, err := m.Run()
+	tr, err := run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestShardedPassWorkerClamp(t *testing.T) {
 	m.Add(Pass{Name: "small", Shards: func(workers int) (int, func(int)) {
 		return 2, func(int) {}
 	}})
-	m.Add(Pass{Name: "empty", Deps: []string{"small"}, Shards: func(workers int) (int, func(int)) {
+	m.Add(Pass{Name: "empty", Shards: func(workers int) (int, func(int)) {
 		return 0, nil
 	}})
-	tr, err := m.Run()
+	tr, err := run(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestShardPanicBecomesError(t *testing.T) {
 			}
 		}
 	}})
-	m.Add(Pass{Name: "after", Deps: []string{"boom"}, Run: func(*PassStats) error {
+	m.Add(Pass{Name: "after", Run: func(*PassStats) error {
 		ran = true
 		return nil
 	}})
-	_, err := m.Run()
+	_, err := run(m)
 	if err == nil || !strings.Contains(err.Error(), "shard 3/8") || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want the lowest panicking shard (3/8) reported", err)
 	}
@@ -131,7 +131,7 @@ func TestShardedPassCancellation(t *testing.T) {
 			return nil
 		},
 	})
-	_, err := m.RunContext(ctx)
+	err := m.Run(ctx, nil)
 	if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -140,41 +140,5 @@ func TestShardedPassCancellation(t *testing.T) {
 	}
 	if n := started.Load(); n == 100 {
 		t.Error("cancellation stopped no shards from being claimed")
-	}
-}
-
-// TestMemoReuseSkipsShards asserts a memo hit takes the Reuse path and
-// never invokes Shards or Finish.
-func TestMemoReuseSkipsShards(t *testing.T) {
-	memo := NewMemo()
-	build := func(calls *int32) *Manager {
-		m := NewManager()
-		m.SetMemo(memo)
-		m.Add(Pass{
-			Name:        "p",
-			Fingerprint: func() string { return "same" },
-			Shards: func(workers int) (int, func(int)) {
-				return 4, func(int) { atomic.AddInt32(calls, 1) }
-			},
-			Reuse: func(*PassStats) error { return nil },
-		})
-		return m
-	}
-	var first, second int32
-	if _, err := build(&first).Run(); err != nil {
-		t.Fatal(err)
-	}
-	if first != 4 {
-		t.Fatalf("cold run executed %d shards, want 4", first)
-	}
-	tr, err := build(&second).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second != 0 {
-		t.Errorf("memo hit still executed %d shards", second)
-	}
-	if st := tr.Passes()[0]; !st.Cached {
-		t.Errorf("second run not recorded as cached: %+v", st)
 	}
 }

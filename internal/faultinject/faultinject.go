@@ -90,8 +90,7 @@ func (in *Injector) At(pass, proc string) {
 }
 
 // Hook returns At as a plain function, or nil for a nil injector —
-// the shape the pass manager's SetFaults accepts without importing
-// this package.
+// the shape icp.Options.Faults accepts without importing this package.
 func (in *Injector) Hook() func(pass, proc string) {
 	if in == nil {
 		return nil

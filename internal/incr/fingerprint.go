@@ -19,17 +19,10 @@ import (
 	"fsicp/internal/val"
 )
 
-// HashString returns a stable hex digest of s. Used for pass-level
-// memo keys (source text, formatted AST).
-func HashString(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
-}
-
 // TokenKey fingerprints the token stream of a source text: kinds and
 // spellings, never positions. Comments and whitespace are invisible to
 // the scanner, so two sources with equal token keys parse to
-// structurally identical programs and the semantic passes can be
+// structurally identical programs and a compiled program can be
 // shared between them. Computing it needs only a lexer sweep — far
 // cheaper than parsing and formatting the AST to the same end.
 func TokenKey(src string) string {

@@ -74,14 +74,13 @@ func (s *Server) compute(kind reqKind, name, src, fpr string, cfg fsicp.Config, 
 			s.pool.remove(name, e)
 			return errOutcome(http.StatusBadRequest, err.Error())
 		}
-		e.sess, e.fpr = sess, fpr
-	} else if e.fpr != fpr {
+		e.sess = sess
+	} else if e.sess.SourceKey() != fpr {
 		if _, err := e.sess.Update(src); err != nil {
 			// The session keeps its previous good version; only this
 			// request fails.
 			return errOutcome(http.StatusBadRequest, err.Error())
 		}
-		e.fpr = fpr
 	}
 
 	// The analysis context is detached: the flight outlives its

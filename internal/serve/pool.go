@@ -29,7 +29,6 @@ type progEntry struct {
 
 	mu   sync.Mutex // serializes session use; never held with pool.mu
 	sess *fsicp.Session
-	fpr  string // token fingerprint of the session's current source
 
 	// lastConst and lastQuery are keyed by resultKey (the
 	// report-shaping part of the effective configuration), so a

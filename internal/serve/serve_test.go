@@ -182,6 +182,39 @@ func TestAnalyzeUpdateQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRetriedFailedUpdate: an update whose source passes the semantic
+// check but fails lowering, retried, is refused every time with the
+// load's diagnostic, and the program keeps serving its last good
+// version.
+func TestRetriedFailedUpdate(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	client := ts.Client()
+	good := "program p\nglobal g int = 3\nproc main() {\n  use g\n  call q(g)\n}\nproc q(x int) {\n  print x\n}\n"
+	bad := strings.Replace(good, "  call q(g)\n", "  var i int\n  call q(g)\n  for i = 1, 3, 0 {\n    print i\n  }\n", 1)
+	if status, data, _ := post(t, client, ts.URL+"/analyze", Request{Program: "demo", Source: good}); status != 200 {
+		t.Fatalf("analyze: status %d: %s", status, data)
+	}
+	want := canonJSON(t, queryReport(t, client, ts.URL, "demo", "fs"))
+	for i := 1; i <= 3; i++ {
+		status, data, _ := post(t, client, ts.URL+"/update", Request{Program: "demo", Source: bad})
+		var e ErrorResponse
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("update %d: bad error body: %v\n%s", i, err, data)
+		}
+		if status != 400 || !strings.Contains(e.Error, "pass irbuild") || !strings.Contains(e.Error, "for-loop step") {
+			t.Fatalf("update %d: status %d, error %q; want 400 with the irbuild diagnostic", i, status, e.Error)
+		}
+		status, data, _ = get(t, client, ts.URL+"/query?program=demo&method=fs")
+		var q QueryResponse
+		if status != 200 || json.Unmarshal(data, &q) != nil {
+			t.Fatalf("query after update %d: status %d: %s", i, status, data)
+		}
+		if q.Version != 1 || !bytes.Equal(canonJSON(t, q.Report), want) {
+			t.Fatalf("query after update %d: version %d, want version 1's report", i, q.Version)
+		}
+	}
+}
+
 // TestUnknownProgramAndBadRequests covers the refusal paths: update
 // and query against an unknown program, missing source, bad method,
 // fault injection without AllowFaults, and a source that fails to load.

@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"fmt"
 
 	"fsicp/internal/driver"
@@ -120,19 +121,12 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 	var rep Report
 	m := driver.NewManager()
 	m.SetWorkers(opts.Workers)
-	prev := ""
 	for _, name := range passes {
 		name := name
-		passName := "opt-" + name
 		run := st.shardFn(name)
 		shardReps := make([]PassReport, len(st.fns))
-		var deps []string
-		if prev != "" {
-			deps = []string{prev}
-		}
 		m.Add(driver.Pass{
-			Name: passName,
-			Deps: deps,
+			Name: "opt-" + name,
 			Shards: func(workers int) (int, func(int)) {
 				return len(st.fns), func(i int) { shardReps[i] = run(i) }
 			},
@@ -150,11 +144,9 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 				return nil
 			},
 		})
-		prev = passName
 	}
 	m.Add(driver.Pass{
 		Name: "opt-finish",
-		Deps: []string{prev},
 		Run: func(ps *driver.PassStats) error {
 			// Renumber, refresh call lists, and reset fingerprints so
 			// sessions and later analyses see the rewritten program.
@@ -167,14 +159,9 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 		},
 	})
 
-	if opts.Trace != nil {
-		err = m.RunInto(opts.Trace)
-	} else {
-		_, err = m.Run()
-	}
-	if err != nil {
-		// Leave the program consistent even on failure (deps guarantee
-		// earlier passes completed whole-program).
+	if err := m.Run(context.TODO(), opts.Trace); err != nil {
+		// Leave the program consistent even on failure (passes run in
+		// order, so every earlier pass completed whole-program).
 		ir.RebuildCallLists(ctx.Prog)
 		ctx.InvalidateSSA()
 		return Report{}, err

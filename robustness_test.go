@@ -1,6 +1,9 @@
 package fsicp_test
 
 import (
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -79,5 +82,61 @@ func TestSessionUpdateNeverPanicsOnMalformedInput(t *testing.T) {
 		if got := fingerprint(sess.Analyze(cfg)); got != want {
 			t.Fatalf("%s: session analysis changed after a rejected update", name)
 		}
+	}
+}
+
+// TestSingleFileIsOneFileCorpus: a single source loads exactly as the
+// one-file corpus holding it — the same error text, or the same IR,
+// formatted source and flow-sensitive result.
+func TestSingleFileIsOneFileCorpus(t *testing.T) {
+	sources := adversarialSources()
+	paths, err := filepath.Glob("testdata/programs/*.mf")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[filepath.Base(path)] = string(b)
+	}
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}
+	for _, name := range names {
+		src := sources[name]
+		t.Run(name, func(t *testing.T) {
+			single, err1 := fsicp.LoadWith(name, src, fsicp.LoadOptions{})
+			corpus, err2 := fsicp.LoadFiles([]fsicp.SourceFile{{Name: name, Src: src}}, fsicp.LoadOptions{})
+			if err1 != nil || err2 != nil {
+				if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
+					t.Fatalf("LoadWith err = %v\nLoadFiles err = %v", err1, err2)
+				}
+				return
+			}
+			if single.DumpIR() != corpus.DumpIR() {
+				t.Error("DumpIR differs")
+			}
+			if single.FormatSource() != corpus.FormatSource() {
+				t.Error("FormatSource differs")
+			}
+			if fingerprint(single.Analyze(cfg)) != fingerprint(corpus.Analyze(cfg)) {
+				t.Error("flow-sensitive result differs")
+			}
+		})
+	}
+}
+
+// TestModuleOnlySingleFile pins the diagnostic for a single file that
+// is a module: the corpus loader's positioned "no 'program' unit".
+func TestModuleOnlySingleFile(t *testing.T) {
+	_, err := fsicp.Load("m.mf", "module m\nproc f() {}\n")
+	want := "m.mf:1:8: error: corpus has no 'program' unit (1 module files)"
+	if err == nil || err.Error() != "pass parse: "+want {
+		t.Errorf("err = %v, want %q", err, "pass parse: "+want)
 	}
 }

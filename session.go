@@ -4,18 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"fsicp/internal/alias"
-	"fsicp/internal/ast"
-	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
-	"fsicp/internal/icp"
 	"fsicp/internal/incr"
-	"fsicp/internal/ir"
-	"fsicp/internal/irbuild"
-	"fsicp/internal/modref"
-	"fsicp/internal/parser"
-	"fsicp/internal/sem"
-	"fsicp/internal/source"
 )
 
 // Session is an incremental analysis session over successive versions
@@ -23,12 +13,12 @@ import (
 // from scratch, a Session carries two reuse layers across Update
 // calls:
 //
-//   - Load-pass memoization (internal/driver.Memo): the parse pass is
-//     keyed by the source text, and the semantic and interprocedural
-//     passes (sem through clobbers) are keyed by the source's token
-//     stream — so a comment or whitespace edit reparses but reuses the
-//     entire compiled program, and an unchanged source reuses
-//     everything.
+//   - Whole-version reuse: a version is keyed by its source's token
+//     stream (SourceFingerprint), the complete input of the load
+//     pipeline. An Update whose key equals the current version's — a
+//     comment or whitespace edit, or an identical source — reuses the
+//     compiled program whole, reparsing nothing; any other Update is a
+//     full Load. A failed Update changes nothing.
 //
 //   - Per-procedure analysis caching (internal/incr.Engine): each
 //     analysis configuration owns an engine whose snapshot and value
@@ -38,26 +28,17 @@ import (
 //     differential property tests enforce this).
 //
 // A Session is not safe for concurrent use, and the destructive
-// Program methods (Transform, Clone, Inline, RemoveDeadProcedures)
-// must not be applied to a Program still owned by a Session — they
-// mutate state the next Update would reuse. Take a fresh Load for
-// transformation work.
+// Program methods (ApplyTransform, Optimize, Clone, Inline,
+// RemoveDeadProcedures) must not be applied to a Program still owned
+// by a Session — they mutate state the next Update may reuse. Take a
+// fresh Load for transformation work.
 type Session struct {
 	filename string
 	opts     LoadOptions
-	memo     *driver.Memo
 	engines  map[Config]*incr.Engine
 	version  int
-
-	cur *sessionState
-}
-
-// sessionState is the artifact set of the session's current version.
-type sessionState struct {
-	srcKey  string
-	astKey  string
-	astProg *ast.Program
-	prog    *Program
+	key      string   // token key of the current version's source
+	prog     *Program // the current version
 }
 
 // NewSession loads the initial version of the program. The error is
@@ -69,12 +50,7 @@ func NewSession(filename, src string) (*Session, error) {
 // NewSessionWith is NewSession with load options; every Update runs
 // its sharded load passes under opts.Workers.
 func NewSessionWith(filename, src string, opts LoadOptions) (*Session, error) {
-	s := &Session{
-		filename: filename,
-		opts:     opts,
-		memo:     driver.NewMemo(),
-		engines:  make(map[Config]*incr.Engine),
-	}
+	s := &Session{filename: filename, opts: opts, engines: make(map[Config]*incr.Engine)}
 	if _, err := s.Update(src); err != nil {
 		return nil, err
 	}
@@ -82,182 +58,45 @@ func NewSessionWith(filename, src string, opts LoadOptions) (*Session, error) {
 }
 
 // Program returns the current version's loaded program.
-func (s *Session) Program() *Program { return s.cur.prog }
+func (s *Session) Program() *Program { return s.prog }
 
 // Version counts successful Updates (1 after NewSession).
 func (s *Session) Version() int { return s.version }
 
-// Update replaces the program with a new source version, reusing
-// every load pass whose inputs are unchanged. On error (a parse or
-// semantic diagnostic) the session keeps its previous version.
+// Update replaces the program with a new source version. A source whose
+// token stream equals the current version's reuses its compiled
+// program: the returned Program shares it, and its load records repeat
+// the current ones marked Cached. Any other source is loaded with
+// LoadWith. On error (a parse or semantic diagnostic) the session is
+// untouched, so the error is exactly the one Load reports.
 func (s *Session) Update(src string) (*Program, error) {
-	f := source.NewFile(s.filename, src)
-	prev := s.cur
-	next := &sessionState{srcKey: incr.HashString(src)}
-
-	var (
-		semProg *sem.Program
-		irProg  *ir.Program
-		cg      *callgraph.Graph
-		al      *alias.Info
-		mr      *modref.Info
-		pb      *irbuild.Builder
-		mb      *modref.Builder
-		ictx    *icp.Context
-	)
-	// astKey fingerprints the source's token stream (kinds and
-	// spellings, not positions): equal keys guarantee structurally
-	// identical ASTs, so the semantic passes can be shared. Computed at
-	// most once per Update, straight from the source — no parse needed.
-	astKey := func() string {
-		if next.astKey == "" {
-			next.astKey = incr.TokenKey(src)
+	key := incr.TokenKey(src)
+	var next *Program
+	if s.prog != nil && key == s.key {
+		tr := driver.NewTrace()
+		for _, st := range s.prog.trace.Passes() {
+			st.Cached = true
+			tr.Record(st)
 		}
-		return next.astKey
+		next = &Program{ctx: s.prog.ctx, trace: tr}
+	} else {
+		p, err := LoadWith(s.filename, src, s.opts)
+		if err != nil {
+			return nil, err
+		}
+		next = p
 	}
-
-	m := driver.NewManager()
-	m.SetMemo(s.memo)
-	m.SetWorkers(s.opts.Workers)
-	m.Add(driver.Pass{
-		Name:        "parse",
-		Fingerprint: func() string { return next.srcKey },
-		Run: func(st *driver.PassStats) (err error) {
-			next.astProg, err = parser.ParseFile(f)
-			return err
-		},
-		Reuse: func(st *driver.PassStats) error {
-			next.astProg = prev.astProg
-			st.Notes = "source unchanged"
-			return nil
-		},
-	})
-	// The semantic and interprocedural passes all consume the checked
-	// AST (directly or transitively), so they share one fingerprint:
-	// the token stream. A lexical-only edit therefore reuses all of
-	// them — including the clobber-mutated IR — wholesale.
-	// The sharded passes mirror LoadContext: per-procedure work fans
-	// over the session's worker bound, serial prologue/epilogue keep
-	// numbering and fixpoints deterministic.
-	reusable := []struct {
-		name   string
-		deps   []string
-		run    func(st *driver.PassStats) error
-		shards func(workers int) (int, func(int))
-		finish func(st *driver.PassStats) error
-		use    func()
-	}{
-		{name: "sem", deps: []string{"parse"}, run: func(st *driver.PassStats) (err error) {
-			semProg, err = sem.Check(next.astProg, f)
-			return err
-		}, use: func() { semProg = prev.prog.ctx.Prog.Sem }},
-		{name: "irbuild", deps: []string{"sem"},
-			run: func(st *driver.PassStats) error {
-				pb = irbuild.NewBuilder(semProg)
-				return nil
-			},
-			shards: func(workers int) (int, func(int)) {
-				return pb.NumProcs(), pb.BuildProc
-			},
-			finish: func(st *driver.PassStats) (err error) {
-				irProg, err = pb.Finish()
-				if err == nil {
-					st.Procs = len(irProg.Funcs)
-				}
-				return err
-			},
-			use: func() { irProg = prev.prog.ctx.Prog }},
-		{name: "callgraph", deps: []string{"irbuild"}, run: func(st *driver.PassStats) error {
-			cg = callgraph.Build(irProg)
-			st.Procs = len(cg.Reachable)
-			back, total := cg.BackEdgeRatio()
-			st.Notes = fmt.Sprintf("%d edges, %d back", total, back)
-			return nil
-		}, use: func() { cg = prev.prog.ctx.CG }},
-		{name: "alias", deps: []string{"callgraph"},
-			run: func(st *driver.PassStats) error {
-				al = alias.Fixpoint(irProg, cg)
-				st.Procs = len(cg.Reachable)
-				return nil
-			},
-			shards: func(workers int) (int, func(int)) {
-				return len(cg.Reachable), al.BuildPartners
-			},
-			finish: func(st *driver.PassStats) error {
-				al.FinishPartners()
-				return nil
-			},
-			use: func() { al = prev.prog.ctx.AL }},
-		{name: "modref", deps: []string{"alias"},
-			run: func(st *driver.PassStats) error {
-				mb = modref.Begin(irProg, cg, al)
-				st.Procs = len(cg.Reachable)
-				return nil
-			},
-			shards: func(workers int) (int, func(int)) {
-				return mb.NumProcs(), mb.CollectProc
-			},
-			finish: func(st *driver.PassStats) error {
-				mr = mb.Finish()
-				return nil
-			},
-			use: func() { mr = prev.prog.ctx.MR }},
-		{name: "clobbers", deps: []string{"modref"},
-			shards: func(workers int) (int, func(int)) {
-				return al.ClobberShards(irProg, cg)
-			},
-			use: func() {}}, // the reused IR is already clobber-mutated
-		{name: "ssa", deps: []string{"clobbers"},
-			run: func(st *driver.PassStats) error {
-				ictx = &icp.Context{Prog: irProg, CG: cg, AL: al, MR: mr}
-				st.Procs = len(cg.Reachable)
-				return nil
-			},
-			shards: func(workers int) (int, func(int)) {
-				return ictx.SSAPrebuildShards()
-			},
-			// All load passes share the astKey fingerprint, so a reused
-			// ssa pass implies every input artifact is prev's — the whole
-			// context (including the prebuilt SSA cache) carries over.
-			use: func() { ictx = prev.prog.ctx }},
-	}
-	for _, p := range reusable {
-		p := p
-		m.Add(driver.Pass{
-			Name:        p.name,
-			Deps:        p.deps,
-			Fingerprint: astKey,
-			Run:         p.run,
-			Shards:      p.shards,
-			Finish:      p.finish,
-			Reuse: func(st *driver.PassStats) error {
-				p.use()
-				st.Notes = "AST unchanged"
-				return nil
-			},
-		})
-	}
-
-	trace, err := m.Run()
-	if err != nil {
-		return nil, err
-	}
-	// The token fingerprint is normally computed by the pass memo above;
-	// force it so SourceKey is always available on a committed version.
-	astKey()
-	next.prog = &Program{ctx: ictx, trace: trace}
-	s.cur = next
+	s.key, s.prog = key, next
 	s.version++
-	return next.prog, nil
+	return next, nil
 }
 
 // SourceKey returns the token-stream fingerprint of the session's
 // current version — the same value SourceFingerprint(src) yields for
 // the source it was built from. The daemon's session pool compares it
-// against an incoming request's fingerprint to skip Update entirely
-// when the program is unchanged (cheaper than Update's own
-// memoization, which still has to lex the source).
-func (s *Session) SourceKey() string { return s.cur.astKey }
+// against an incoming request's fingerprint to skip Update, and its
+// version bump, when the program is unchanged.
+func (s *Session) SourceKey() string { return s.key }
 
 // Analyze runs the selected ICP method on the current version with
 // the session's incremental engine for that configuration attached:
@@ -291,7 +130,7 @@ func (s *Session) AnalyzeContext(ctx context.Context, cfg Config) (*Analysis, er
 		eng = newEngine(cfg, nil)
 		s.engines[key] = eng
 	}
-	return s.cur.prog.analyze(ctx, cfg, eng)
+	return s.prog.analyze(ctx, cfg, eng)
 }
 
 // Incremental reports the reuse achieved by a Session.Analyze run:

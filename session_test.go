@@ -14,7 +14,7 @@ import (
 // call sites, both metric sets, and the annotated listing — to a cold
 // Load+Analyze of the same source, for every ICP method. The edits
 // are literal mutations (moving constants through the solution) and
-// occasional lexical-only edits (exercising parse-level reuse).
+// occasional lexical-only edits (exercising whole-version reuse).
 func TestSessionDifferentialEditReplay(t *testing.T) {
 	const edits = 60
 	configs := []fsicp.Config{
@@ -74,10 +74,13 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 	}
 }
 
-// TestSessionLoadPassReuse asserts the load-pipeline memoization: a
-// comment-only edit reparses but reuses the semantic and
-// interprocedural passes, and an identical source reuses the parse
-// too.
+// loadPasses names every pass of the load pipeline, in order.
+var loadPasses = []string{"parse", "sem", "irbuild", "callgraph", "alias", "modref", "clobbers", "ssa"}
+
+// TestSessionLoadPassReuse asserts whole-version reuse: a comment-only
+// edit or an identical source reuses the compiled program, so every
+// load pass, parse included, is recorded as cached and the next Analyze
+// reuses every procedure; a semantic edit reloads everything.
 func TestSessionLoadPassReuse(t *testing.T) {
 	src := "program p\nglobal g int = 3\nproc main() {\n  use g\n  call q(g)\n}\nproc q(x int) {\n  print x\n}\n"
 	sess, err := fsicp.NewSession("t.mf", src)
@@ -94,41 +97,38 @@ func TestSessionLoadPassReuse(t *testing.T) {
 		}
 		return out
 	}
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive}
+	sess.Analyze(cfg)
+	dump := sess.Program().DumpIR()
 
-	// Comment edit: same AST, different source.
-	p, err := sess.Update("# heading\n" + src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cachedPasses(p)
-	if got["parse"] {
-		t.Error("parse was reused although the source changed")
-	}
-	for _, name := range []string{"sem", "irbuild", "callgraph", "alias", "modref", "clobbers"} {
-		if !got[name] {
-			t.Errorf("pass %s was not reused on a comment-only edit", name)
+	// Comment edit: same tokens, different source. Then an identical
+	// source.
+	for _, edit := range []string{"comment edit", "identical source"} {
+		p, err := sess.Update("# heading\n" + src)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Identical source: everything reused.
-	p, err = sess.Update("# heading\n" + src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = cachedPasses(p)
-	for _, name := range []string{"parse", "sem", "irbuild", "callgraph", "alias", "modref", "clobbers"} {
-		if !got[name] {
-			t.Errorf("pass %s was not reused on an identical source", name)
+		got := cachedPasses(p)
+		for _, name := range loadPasses {
+			if !got[name] {
+				t.Errorf("%s: pass %s was not reused", edit, name)
+			}
+		}
+		if p.DumpIR() != dump {
+			t.Errorf("%s: DumpIR changed", edit)
+		}
+		if r, _, _ := sess.Analyze(cfg).Incremental(); r != len(p.Procedures()) {
+			t.Errorf("%s: Analyze reused %d of %d procedures", edit, r, len(p.Procedures()))
 		}
 	}
 
 	// A semantic edit runs everything again.
-	p, err = sess.Update(strings.Replace(src, "= 3", "= 4", 1))
+	p, err := sess.Update(strings.Replace(src, "= 3", "= 4", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = cachedPasses(p)
-	for _, name := range []string{"parse", "sem", "irbuild"} {
+	got := cachedPasses(p)
+	for _, name := range loadPasses {
 		if got[name] {
 			t.Errorf("pass %s was reused although the program changed", name)
 		}
@@ -136,6 +136,94 @@ func TestSessionLoadPassReuse(t *testing.T) {
 	if sess.Version() != 4 {
 		t.Errorf("Version() = %d, want 4", sess.Version())
 	}
+}
+
+// Step-0 sources: stepZeroBad passes the semantic check but fails
+// lowering (a for-loop step must be a non-zero literal).
+const (
+	stepZeroGood = "program p\nglobal g int = 3\nproc main() {\n  use g\n  call q(g)\n}\nproc q(x int) {\n  print x\n}\n"
+	stepZeroBad  = "program p\nglobal g int = 3\nproc main() {\n  use g\n  var i int\n  call q(g)\n  for i = 1, 3, 0 {\n    print i\n  }\n}\nproc q(x int) {\n  print x\n}\n"
+)
+
+// TestSessionRetriedFailedUpdate: a failing Update, retried, fails
+// every time exactly as a cold Load does, and leaves the session's
+// current version untouched; a later good Update still succeeds.
+func TestSessionRetriedFailedUpdate(t *testing.T) {
+	_, coldErr := fsicp.Load("t.mf", stepZeroBad)
+	if coldErr == nil || !strings.Contains(coldErr.Error(), "pass irbuild") {
+		t.Fatalf("cold load error = %v, want an irbuild diagnostic", coldErr)
+	}
+	sess, err := fsicp.NewSession("t.mf", stepZeroGood)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive}
+	key, dump, consts := sess.SourceKey(), sess.Program().DumpIR(), fingerprintConstants(sess.Analyze(cfg))
+	for i := 1; i <= 3; i++ {
+		_, err := sess.Update(stepZeroBad)
+		if err == nil || err.Error() != coldErr.Error() {
+			t.Fatalf("update %d: err = %v, want the cold error %q", i, err, coldErr)
+		}
+		if strings.Contains(err.Error(), "panic") {
+			t.Fatalf("update %d: error mentions a panic: %v", i, err)
+		}
+		if sess.Version() != 1 || sess.SourceKey() != key || sess.Program().DumpIR() != dump {
+			t.Fatalf("update %d: the failed update changed the session (version %d)", i, sess.Version())
+		}
+		if got := fingerprintConstants(sess.Analyze(cfg)); got != consts {
+			t.Fatalf("update %d: constants changed after a failed update:\n%s\nwant:\n%s", i, got, consts)
+		}
+	}
+	edited := strings.Replace(stepZeroGood, "= 3", "= 5", 1)
+	if _, err := sess.Update(edited); err != nil {
+		t.Fatalf("good update after failed ones: %v", err)
+	}
+	cold, err := fsicp.Load("t.mf", edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fingerprint(sess.Analyze(cfg)), fingerprint(cold.Analyze(cfg)); got != want {
+		t.Errorf("session diverged from cold load after failed updates:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// FuzzSessionUpdate steps a session through NewSession(a), Update(b),
+// Update(b), Update(a). Every step must fail exactly when a cold Load
+// of its source fails, with the same message, and every successful
+// step must analyse flow-sensitively to the cold result.
+func FuzzSessionUpdate(f *testing.F) {
+	f.Add(stepZeroGood, stepZeroBad)
+	f.Add(stepZeroGood, "# comment\n"+stepZeroGood)
+	for seed := int64(1); seed <= 3; seed++ {
+		a := progen.Generate(progen.Config{Seed: seed, Procs: 5, Globals: 3, AllowRecursion: seed == 2, AllowFloats: true})
+		f.Add(a, progen.Edit(a, seed))
+		f.Add(a, progen.Generate(progen.Config{Seed: seed + 10, Procs: 4, Globals: 2}))
+	}
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		var sess *fsicp.Session
+		for i, src := range []string{a, b, b, a} {
+			var err error
+			if sess == nil {
+				sess, err = fsicp.NewSession("f.mf", src)
+			} else {
+				_, err = sess.Update(src)
+			}
+			cold, coldErr := fsicp.Load("f.mf", src)
+			if (err == nil) != (coldErr == nil) || (err != nil && err.Error() != coldErr.Error()) {
+				t.Fatalf("step %d: err = %v, cold Load err = %v", i, err, coldErr)
+			}
+			if sess == nil {
+				return // no session to step further
+			}
+			if err != nil {
+				continue
+			}
+			if got, want := fingerprint(sess.Analyze(cfg)), fingerprint(cold.Analyze(cfg)); got != want {
+				t.Fatalf("step %d: session diverged from cold load:\n%s\nwant:\n%s", i, got, want)
+			}
+		}
+	})
 }
 
 // TestSessionSurvivesBadUpdate asserts a failed Update keeps the
