@@ -16,7 +16,7 @@ type EditReplayResult struct {
 	Edits       int           // edits applied (excluding rejected ones)
 	IncrWall    time.Duration // total Session.Update + Session.Analyze time
 	ColdWall    time.Duration // total Load + Analyze time
-	ProcsReused int           // summaries reused wholesale, summed over edits
+	ProcsReused int           // previous summaries that stood, summed over edits
 	ProcsTotal  int           // procedures analysed per edit, summed
 	CacheHits   int           // value-cache hits, summed
 }

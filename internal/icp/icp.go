@@ -300,9 +300,9 @@ type Result struct {
 	SCCRuns    int
 
 	// Incremental-engine work accounting (zero on cold runs):
-	// ProcsReused counts procedures reused wholesale from the previous
-	// snapshot; CacheHits/CacheMisses count value-cache lookups for the
-	// procedures that did recompute their entry environments.
+	// ProcsReused counts procedures whose previous summary stood
+	// (incr.ProcSummary.Stands: same key, same entry environment);
+	// CacheHits/CacheMisses count value-cache lookups for the others.
 	ProcsReused int
 	CacheHits   int
 	CacheMisses int

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"fsicp/internal/driver"
@@ -25,9 +24,9 @@ import (
 // reused from a previous run is indistinguishable from a freshly
 // computed one.
 
-// incrState is one run's view of the engine: the plan (clean set +
-// value cache), the fingerprints computed for this program, and the
-// inputs (kept for the commit).
+// incrState is one run's view of the engine: the plan (previous
+// summaries + value cache), the procedure keys computed for this
+// program, and the inputs (kept for the commit).
 type incrState struct {
 	plan   *incr.Plan
 	fps    []string
@@ -38,67 +37,32 @@ type incrState struct {
 	stats0 incr.StoreStats
 }
 
-// beginIncr fingerprints the program and opens a plan against the
-// engine. Returns nil when no engine is attached. structural selects
-// wholesale reuse of clean procedures (the one-pass method); the
-// iterative method passes false and uses only the value cache.
-func beginIncr(ctx *Context, opts Options, fi *fiSolution, structural bool) *incrState {
+// beginIncr computes every reachable procedure's key and opens a plan
+// against the engine. Returns nil when no engine is attached.
+func beginIncr(ctx *Context, opts Options, rt *refTab) *incrState {
 	if opts.Incr == nil {
 		return nil
 	}
-	cg, mr := ctx.CG, ctx.MR
+	cg := ctx.CG
 	n := len(cg.Reachable)
 	st := &incrState{fps: make([]string, n), eng: opts.Incr, stats0: opts.Incr.Stats()}
-	sccs := make([][]int, len(cg.SCCs))
-	for k, members := range cg.SCCs {
-		pos := make([]int, len(members))
-		for j, q := range members {
-			pos[j] = cg.Pos[q]
-		}
-		sccs[k] = pos
-	}
 	in := incr.RunInputs{
 		ConfigKey:  configKey(opts),
 		ProgramKey: incr.GlobalsFingerprint(ctx.Prog.Sem.Globals, ctx.Prog.Sem.GlobalInit),
 		Procs:      make([]incr.ProcInput, n),
-		SCCs:       sccs,
-		Structural: structural,
 	}
-	// Fingerprints memoise on the Func: within a Session the IR program
-	// is reused wholesale across analyses (and across the per-config
-	// engines), so each program version is hashed at most once.
+	// Keys memoise on the Func: within a Session the IR program is
+	// reused wholesale across analyses (and across the per-config
+	// engines), so each program version is hashed at most once. The
+	// key also covers the callees' REF layouts; MOD/REF is recomputed
+	// only after an IR mutation, which resets the memo.
 	driver.Parallel(n, driver.Workers(opts.Workers), func(i int) {
 		p := cg.Reachable[i]
 		st.fps[i] = ctx.Prog.FuncOf[p].Fingerprint(func(fn *ir.Func) string {
-			return incr.ProcFingerprint(p, fn)
+			return incr.ProcFingerprint(p, fn, rt.of)
 		})
+		in.Procs[i] = incr.ProcInput{Name: p.Name, FP: st.fps[i]}
 	})
-	gbn := globalsByName(ctx)
-	for i, p := range cg.Reachable {
-		var refNames []string
-		for _, v := range mr.Ref[p].Sorted() {
-			if v.IsGlobal() {
-				refNames = append(refNames, v.Name)
-			}
-		}
-		pi := incr.ProcInput{
-			Name:   p.Name,
-			FP:     st.fps[i],
-			RefKey: incr.RefKey(refNames) + "\x01" + backEdgeKey(ctx, fi, p, refNames, gbn),
-		}
-		for _, e := range cg.Out[p] {
-			if !cg.IsBackEdge(e) {
-				pi.Callees = append(pi.Callees, cg.Pos[e.Callee])
-			}
-		}
-		for _, e := range cg.In[p] {
-			if cg.IsBackEdge(e) {
-				pi.BackEdgeIn = true
-				break
-			}
-		}
-		in.Procs[i] = pi
-	}
 	st.inputs = in
 	st.plan = opts.Incr.Begin(in)
 	return st
@@ -133,52 +97,6 @@ func fillStoreStats(ps *driver.PassStats, res *Result, ist *incrState) {
 	}
 }
 
-// backEdgeKey renders everything p's entry environment takes from the
-// flow-insensitive fallback: per incoming back edge the caller, the
-// site's position among the caller's calls, and each formal's FI
-// contribution; plus — when any back edge exists — the FI value of
-// each referenced global. Any change here (including a back edge
-// appearing or disappearing) must dirty p even though p's own
-// fingerprint is unchanged.
-func backEdgeKey(ctx *Context, fi *fiSolution, p *sem.Proc, refNames []string, gbn map[string]*sem.Var) string {
-	cg := ctx.CG
-	var b strings.Builder
-	any := false
-	for _, e := range cg.In[p] {
-		if !cg.IsBackEdge(e) {
-			continue
-		}
-		any = true
-		b.WriteString(e.Caller.Name)
-		b.WriteByte('@')
-		b.WriteString(strconv.Itoa(e.Site.SiteIdx))
-		for i := range p.Params {
-			b.WriteByte(':')
-			if fi != nil {
-				b.WriteString(incr.ElemKey(fi.EdgeArg(e.Site, i)))
-			}
-		}
-		b.WriteByte(0)
-	}
-	if any && fi != nil {
-		for _, name := range refNames {
-			b.WriteString(incr.ElemKey(fi.GlobalElem(gbn[name])))
-			b.WriteByte(0)
-		}
-	}
-	return b.String()
-}
-
-// globalsByName indexes the program globals by source name (names are
-// unique among globals).
-func globalsByName(ctx *Context) map[string]*sem.Var {
-	m := make(map[string]*sem.Var, len(ctx.Prog.Sem.Globals))
-	for _, g := range ctx.Prog.Sem.Globals {
-		m[g.Name] = g
-	}
-	return m
-}
-
 // configKey identifies the analysis configuration; cached results are
 // never shared across configurations. The fuel budget and the active
 // fault-injection spec are part of the configuration: a run bounded
@@ -194,24 +112,18 @@ func configKey(opts Options) string {
 		"k" + opts.FaultKey
 }
 
-// commit installs the run's FS-stage summaries as the engine's
-// snapshot, the baseline the next run diffs against. A degraded
-// summary is committed as nil — the engine treats a nil summary as
-// dirty, so the procedure is fully re-analysed on the next run instead
-// of its FI fallback being reused as a full-precision result.
+// commit installs the run's summaries as the engine's snapshot, where
+// the next run looks up previous summaries. A degraded summary is
+// committed as is: it never stands, so the procedure is fully
+// re-analysed on the next run.
 func (st *incrState) commit(sums []*incr.ProcSummary) {
 	procs := make(map[string]incr.ProcState, len(sums))
 	for i, pi := range st.inputs.Procs {
-		s := sums[i]
-		if s != nil && s.Degraded {
-			s = nil
-		}
-		procs[pi.Name] = incr.ProcState{FP: pi.FP, RefKey: pi.RefKey, Summary: s}
+		procs[pi.Name] = incr.ProcState{FP: pi.FP, Summary: sums[i]}
 	}
 	st.plan.Commit(&incr.Snapshot{
 		ConfigKey:  st.inputs.ConfigKey,
 		ProgramKey: st.inputs.ProgramKey,
-		FIKey:      st.inputs.FIKey,
 		Procs:      procs,
 	})
 }
@@ -226,24 +138,6 @@ func portableEnv(env lattice.Env[*sem.Var]) map[string]lattice.Elem {
 		m[v.Name] = e
 	}
 	return m
-}
-
-// bindEnv rebinds a portable environment against the current program's
-// variables. Only names that resolve (p's formals, program globals)
-// are bound; a clean procedure's summary can only mention those.
-func bindEnv(m map[string]lattice.Elem, p *sem.Proc, globals map[string]*sem.Var) lattice.Env[*sem.Var] {
-	env := make(lattice.Env[*sem.Var], len(m))
-	for _, f := range p.Params {
-		if e, ok := m[f.Name]; ok {
-			env[f] = e
-		}
-	}
-	for name, e := range m {
-		if g, ok := globals[name]; ok {
-			env[g] = e
-		}
-	}
-	return env
 }
 
 // refTab holds, per reachable-PCG position, the declaration indices of
@@ -445,21 +339,4 @@ func (sp *ssaPool) get(i int) *ssa.SSA {
 		sp.built.Add(1)
 	}
 	return sp.slots[i]
-}
-
-// filterLevels drops positions accepted by skip and levels left empty.
-func filterLevels(levels [][]int, keep func(int) bool) [][]int {
-	var out [][]int
-	for _, lv := range levels {
-		var d []int
-		for _, i := range lv {
-			if keep(i) {
-				d = append(d, i)
-			}
-		}
-		if len(d) > 0 {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -39,11 +39,11 @@ import (
 // counts, and the solution are therefore identical to the serial
 // schedule for every worker count.
 //
-// With an incremental engine attached, the method cannot reuse
-// summaries structurally — a procedure's environment moves over the
-// rounds — but every (fingerprint, environment) pair that recurs,
-// whether within one fixpoint or across edited versions of the
-// program, skips the physical scc run through the value cache.
+// With an incremental engine attached, the method never reuses a
+// previous run's summary — a procedure's environment moves over the
+// rounds — but every (key, environment) pair that recurs, whether
+// within one fixpoint or across edited versions of the program, skips
+// the physical scc run through the value cache.
 // Result.SCCRuns still counts logical runs, so it matches a cold run.
 func runFSIterative(ctx *Context, opts Options) *Result {
 	res := newResult(ctx, opts)
@@ -73,7 +73,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	var ist *incrState
 	if opts.Incr != nil {
 		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
-			ist = beginIncr(ctx, opts, nil, false)
+			ist = beginIncr(ctx, opts, rt)
 			st.Procs = n
 		})
 	}
@@ -118,7 +118,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	// replacement becomes visible only in the next round-start
 	// snapshot). A clean procedure would rebuild its entry environment
 	// from the identical summaries it read last time and take the
-	// envEq early-return below, so skipping the rebuild is
+	// Stands early-return below, so skipping the rebuild is
 	// byte-identical — same rounds, same scc runs, same solution — and
 	// saves the per-procedure entry construction that otherwise
 	// dominates late, mostly-converged rounds. The marks are atomic
@@ -171,8 +171,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 					markCallees(p)
 				}, func() {
 					env, live := iterEntryEnv(ctx, opts, i, sums, prevSums)
-					first := sums[i] == nil
-					if !first && sums[i].Dead == !live && envEq(entry[i], env) {
+					if sums[i].Stands(env, live, 0) {
 						return
 					}
 					if !live {
@@ -183,24 +182,14 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 					changed.Store(true)
 					markCallees(p)
 					pe := portableEnv(env)
+					var key string
 					if ist != nil {
-						key := incr.EnvKey(pe, live)
+						key = incr.EnvKey(pe, live)
 						if cached, ok := ist.plan.Lookup("iter", p.Name, ist.fps[i], key); ok {
 							sums[i] = &incr.ProcSummary{Dead: !live, Entry: pe, Sites: cached.Sites}
 							intra[i] = nil // from an older environment; stale
 							return
 						}
-						physRuns.Add(1)
-						r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-						sums[i] = summarize(ctx, rt, p, r, !live, 0, pe)
-						if opts.DropIntra {
-							r.Release()
-							intra[i] = nil
-						} else {
-							intra[i] = r
-						}
-						ist.plan.Store("iter", p.Name, ist.fps[i], key, sums[i])
-						return
 					}
 					physRuns.Add(1)
 					r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
@@ -210,6 +199,9 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 						intra[i] = nil
 					} else {
 						intra[i] = r
+					}
+					if ist != nil {
+						ist.plan.Store("iter", p.Name, ist.fps[i], key, sums[i])
 					}
 				})
 			})
@@ -274,7 +266,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	}
 
 	// Keep the engine's generations turning so the value cache ages
-	// out; the snapshot itself is unused (Structural is false).
+	// out; the method never reads the snapshot's summaries back.
 	if ist != nil {
 		ist.commit(sums)
 	}

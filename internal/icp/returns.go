@@ -220,15 +220,15 @@ func exitEnv(p *sem.Proc, r *scc.Result, entry lattice.Env[*sem.Var]) lattice.En
 // read-only by now, so the hooks are safe from any worker.
 //
 // Delta skip: a procedure is not re-run when the stored summary
-// provably already is what the re-run would produce — the refreshed
-// entry environment is bit-identical to the one the summary was built
-// under, liveness and back-edge counts agree, the summary is not a
-// degradation product, and every call hook would answer exactly what
-// the pass that built the summary answered. For a summary rebuilt by
-// runReturns (resummed), forward callees impose no condition — the
-// reverse traversal already exposed their final return/exit summaries —
-// so only recursive callees must be trivial (⊥ return, empty exit
-// environment, matching the reverse traversal's back-edge fallback).
+// provably already is what the re-run would produce — it stands under
+// the refreshed entry environment (incr.ProcSummary.Stands, the rule
+// incremental runs reuse summaries by), and every call hook would
+// answer exactly what the pass that built the summary answered. For a
+// summary rebuilt by runReturns (resummed), forward callees impose no
+// condition — the reverse traversal already exposed their final
+// return/exit summaries — so only recursive callees must be trivial (⊥
+// return, empty exit environment, matching the reverse traversal's
+// back-edge fallback).
 // For an FS-stage summary (dead or degraded under runReturns, built
 // with no hooks at all, i.e. ⊥ everywhere), every callee must be
 // trivial. Most procedures in practice call nothing, or call only
@@ -290,9 +290,7 @@ func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *g
 			}, func() {
 				env, live, nBack := entryEnv(ctx, opts, p, bySum, res.FI)
 				entry[i] = env
-				if old := res.Proc[p]; deltaSkip && !old.Degraded &&
-					live == !old.Dead && nBack == old.BackEdges &&
-					envEq(env, res.Entry[p]) && trivialHooks(i) {
+				if old := res.Proc[p]; deltaSkip && old.Stands(env, live, nBack) && trivialHooks(i) {
 					sums[i] = old
 					skipped.Add(1)
 					return

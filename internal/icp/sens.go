@@ -2,6 +2,7 @@ package icp
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
@@ -59,26 +60,16 @@ func runFS(ctx *Context, opts Options) *Result {
 	workers := driver.Workers(opts.Workers)
 	rt := newRefTab(ctx, workers)
 
-	// Incremental plan: fingerprint the program, diff against the
-	// previous snapshot, and install clean procedures' summaries
-	// wholesale — their entry environments cannot have changed.
+	// Incremental plan: key every procedure and look up the summary the
+	// previous run committed under the same key.
 	var ist *incrState
 	sums := make([]*incr.ProcSummary, n)
 	envs := make([]lattice.Env[*sem.Var], n)
 	intra := make([]*scc.Result, n)
 	if opts.Incr != nil {
 		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
-			ist = beginIncr(ctx, opts, res.FI, true)
-			gbn := globalsByName(ctx)
-			for i, p := range cg.Reachable {
-				if ist.plan.Clean[i] {
-					sums[i] = ist.plan.Prev[i]
-					envs[i] = bindEnv(sums[i].Entry, p, gbn)
-				}
-			}
-			res.ProcsReused = ist.plan.Reused()
+			ist = beginIncr(ctx, opts, rt)
 			st.Procs = n
-			st.Notes = fmt.Sprintf("clean=%d", res.ProcsReused)
 		})
 	}
 
@@ -101,14 +92,9 @@ func runFS(ctx *Context, opts Options) *Result {
 		})
 	}
 
+	var reused atomic.Int64
 	opts.Trace.Time("FS", func(st *driver.PassStats) {
-		allLevels := forwardLevels(cg)
-		levels := allLevels
-		if ist != nil {
-			// The wavefront visits only dirty procedures; levels whose
-			// members are all clean are skipped wholesale.
-			levels = filterLevels(allLevels, func(i int) bool { return sums[i] == nil })
-		}
+		levels := forwardLevels(cg)
 		bySum := func(q *sem.Proc) *incr.ProcSummary { return sums[cg.Pos[q]] }
 		driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
 			p := cg.Reachable[i]
@@ -124,35 +110,37 @@ func runFS(ctx *Context, opts Options) *Result {
 			}, func() {
 				env, live, nBack := entryEnv(ctx, opts, p, bySum, res.FI)
 				envs[i] = env
+				if ist != nil && ist.plan.Prev[i].Stands(env, live, nBack) {
+					// Same key and same entry environment: the previous
+					// summary is exactly what an SCC run would produce.
+					sums[i] = ist.plan.Prev[i]
+					reused.Add(1)
+					return
+				}
+				pe := portableEnv(env)
+				var key string
 				if ist != nil {
-					// Value-level early cutoff: same fingerprint and same
-					// entry environment imply an identical SCC fixpoint.
-					pe := portableEnv(env)
-					key := incr.EnvKey(pe, live)
+					// Value-level cutoff: the same (key, environment)
+					// pair was analysed before, in any earlier run.
+					key = incr.EnvKey(pe, live)
 					if cached, ok := ist.plan.Lookup("fs", p.Name, ist.fps[i], key); ok {
 						// Liveness and back-edge counts are per-run facts;
 						// only the (deterministic) site values are shared.
 						sums[i] = &incr.ProcSummary{Dead: !live, BackEdges: nBack, Entry: pe, Sites: cached.Sites}
 						return
 					}
-					r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-					sums[i] = summarize(ctx, rt, p, r, !live, nBack, pe)
-					if opts.DropIntra {
-						r.Release()
-					} else {
-						intra[i] = r
-					}
-					ist.plan.Store("fs", p.Name, ist.fps[i], key, sums[i])
-					return
 				}
 
 				// The single flow-sensitive intraprocedural analysis of p.
 				r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-				sums[i] = summarize(ctx, rt, p, r, !live, nBack, portableEnv(env))
+				sums[i] = summarize(ctx, rt, p, r, !live, nBack, pe)
 				if opts.DropIntra {
 					r.Release()
 				} else {
 					intra[i] = r
+				}
+				if ist != nil {
+					ist.plan.Store("fs", p.Name, ist.fps[i], key, sums[i])
 				}
 			})
 		})
@@ -170,15 +158,16 @@ func runFS(ctx *Context, opts Options) *Result {
 		}
 		st.Procs = n
 		st.Degraded = g.passCount("FS")
-		st.Levels = len(allLevels)
-		st.Width = driver.MaxWidth(allLevels)
+		st.Levels = len(levels)
+		st.Width = driver.MaxWidth(levels)
 		st.Notes = fmt.Sprintf("workers=%d", workers)
 		if ist != nil {
+			res.ProcsReused = int(reused.Load())
 			st.Cached = res.ProcsReused > 0
 			st.Hits = ist.plan.Hits()
 			st.Misses = ist.plan.Misses()
-			st.Notes = fmt.Sprintf("%s reused=%d run=%d skipped-levels=%d ssa-built=%d",
-				st.Notes, res.ProcsReused, n-res.ProcsReused, len(allLevels)-len(levels), pool.built.Load())
+			st.Notes = fmt.Sprintf("%s reused=%d run=%d ssa-built=%d",
+				st.Notes, res.ProcsReused, n-res.ProcsReused, pool.built.Load())
 			res.CacheHits = st.Hits
 			res.CacheMisses = st.Misses
 			fillStoreStats(st, res, ist)
@@ -199,8 +188,8 @@ func runFS(ctx *Context, opts Options) *Result {
 		res.mergeSiteValues(p, sums[i])
 	}
 
-	// Commit the FS-stage summaries before the returns stages run:
-	// structural reuse diffs FS-stage inputs only, and the returns
+	// Commit the FS-stage summaries before the returns stages run: the
+	// reuse rule compares FS-stage inputs only, and the returns
 	// traversals recompute from those summaries deterministically.
 	if ist != nil {
 		ist.commit(sums)

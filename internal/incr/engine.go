@@ -66,7 +66,7 @@ func (e *Engine) Degradations() []resilience.Degradation {
 }
 
 // Snapshot is the committed outcome of one run: the keys under which
-// it was produced and the per-procedure states for structural reuse.
+// it was produced and the per-procedure states a later run may reuse.
 type Snapshot struct {
 	// ConfigKey identifies the analysis configuration (method, float
 	// handling, return-constant options). Results are never shared
@@ -76,73 +76,49 @@ type Snapshot struct {
 	// (GlobalsFingerprint); summaries index globals by declaration
 	// slot, so nothing survives a change to it.
 	ProgramKey string
-	// FIKey fingerprints the flow-insensitive back-edge fallback
-	// solution ("" when the call graph is acyclic and none was
-	// computed). When it changes, every back-edge target is dirty even
-	// if its forward callers are clean.
-	FIKey string
 	// Procs maps procedure name to its committed state.
 	Procs map[string]ProcState
 }
 
-// ProcInput describes one reachable procedure to Begin, in call-graph
+// ProcInput names one reachable procedure and its key, in call-graph
 // position order.
 type ProcInput struct {
-	Name   string
-	FP     string
-	RefKey string
-	// Callees lists the positions of forward-edge callees (back edges
-	// are fed by the flow-insensitive solution, not by caller
-	// summaries, so they do not propagate dirtiness directly).
-	Callees []int
-	// BackEdgeIn reports whether any call-graph back edge targets this
-	// procedure.
-	BackEdgeIn bool
+	Name string
+	FP   string
 }
 
-// RunInputs is everything Begin needs to compute the clean set.
+// RunInputs is everything Begin needs to look up previous summaries.
 type RunInputs struct {
 	ConfigKey  string
 	ProgramKey string
-	FIKey      string
 	Procs      []ProcInput
-	// SCCs are the call-graph SCC memberships as position lists;
-	// multi-member components go dirty as a unit. (Self-recursion
-	// needs no special casing: a self edge is a back edge, so it is
-	// covered by the procedure's own fingerprint plus the FIKey rule.)
-	SCCs [][]int
-	// Structural enables wholesale reuse of clean procedures. The
-	// iterative method re-runs procedures until a fixpoint and cannot
-	// reuse single summaries structurally; it sets Structural false
-	// and relies on the value-level cache only.
-	Structural bool
 }
 
-// Plan is the per-run view handed to the analysis: which procedures
-// are clean (and their previous summaries), and the value-cache
-// interface for the dirty ones.
+// Plan is the per-run view handed to the analysis: each procedure's
+// previous summary under the same key, and the value-cache interface.
 type Plan struct {
 	eng    *Engine
 	prefix string
 
-	// Clean[i] reports that Procs[i] may reuse Prev[i] wholesale.
-	Clean []bool
-	Prev  []*ProcSummary
+	// Prev[i] is the summary the previous run committed for Procs[i]
+	// under the same configuration, program and procedure key, or nil.
+	// Whether it may be reused is ProcSummary.Stands' decision.
+	Prev []*ProcSummary
 
 	hits, misses atomic.Int64
 }
 
-// Begin computes the clean set for a run. It never returns nil; with
-// no usable snapshot every procedure is dirty.
+// Begin opens a run: it looks up, for every procedure, the previous
+// summary committed under the same configuration key, program key and
+// procedure key. It never returns nil; with no usable snapshot every
+// Prev is nil.
 func (e *Engine) Begin(in RunInputs) *Plan {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := len(in.Procs)
 	p := &Plan{
 		eng:    e,
 		prefix: in.ConfigKey + "\x00" + in.ProgramKey + "\x00",
-		Clean:  make([]bool, n),
-		Prev:   make([]*ProcSummary, n),
+		Prev:   make([]*ProcSummary, len(in.Procs)),
 	}
 	snap := e.snap
 	if snap != nil && snap.ProgramKey != in.ProgramKey {
@@ -150,68 +126,12 @@ func (e *Engine) Begin(in RunInputs) *Plan {
 		// (Layers whose keys fully qualify the program may no-op this.)
 		e.store.Reset()
 	}
-	if snap == nil || !in.Structural ||
-		snap.ConfigKey != in.ConfigKey || snap.ProgramKey != in.ProgramKey {
+	if snap == nil || snap.ConfigKey != in.ConfigKey || snap.ProgramKey != in.ProgramKey {
 		return p
 	}
-
-	dirty := make([]bool, n)
-	fiChanged := snap.FIKey != in.FIKey
 	for i, pi := range in.Procs {
-		st, ok := snap.Procs[pi.Name]
-		switch {
-		case !ok || st.Summary == nil:
-			dirty[i] = true // new (or never-summarised) procedure
-		case st.FP != pi.FP || st.RefKey != pi.RefKey:
-			dirty[i] = true
-		case fiChanged && pi.BackEdgeIn:
-			dirty[i] = true
-		}
-	}
-	// Close the dirty set: forward along call edges (a dirty caller's
-	// call-site values feed its callees' entry environments), and over
-	// cyclic SCCs as a unit (members exchange facts through the
-	// flow-insensitive fallback and, in the iterative method, through
-	// repeated passes; a half-clean cycle has no sound meaning).
-	for changed := true; changed; {
-		changed = false
-		for i, pi := range in.Procs {
-			if !dirty[i] {
-				continue
-			}
-			for _, c := range pi.Callees {
-				if !dirty[c] {
-					dirty[c] = true
-					changed = true
-				}
-			}
-		}
-		for _, comp := range in.SCCs {
-			if len(comp) < 2 {
-				continue
-			}
-			any := false
-			for _, m := range comp {
-				if dirty[m] {
-					any = true
-					break
-				}
-			}
-			if !any {
-				continue
-			}
-			for _, m := range comp {
-				if !dirty[m] {
-					dirty[m] = true
-					changed = true
-				}
-			}
-		}
-	}
-	for i, pi := range in.Procs {
-		if !dirty[i] {
-			p.Clean[i] = true
-			p.Prev[i] = snap.Procs[pi.Name].Summary
+		if st, ok := snap.Procs[pi.Name]; ok && st.FP == pi.FP {
+			p.Prev[i] = st.Summary
 		}
 	}
 	return p
@@ -247,19 +167,8 @@ func (p *Plan) key(pass, name, fp, inputKey string) string {
 func (p *Plan) Hits() int   { return int(p.hits.Load()) }
 func (p *Plan) Misses() int { return int(p.misses.Load()) }
 
-// Reused counts the procedures reused wholesale.
-func (p *Plan) Reused() int {
-	n := 0
-	for _, c := range p.Clean {
-		if c {
-			n++
-		}
-	}
-	return n
-}
-
-// Commit installs the run's snapshot, making it the baseline the next
-// Begin diffs against, and marks the run boundary on the store (the
+// Commit installs the run's snapshot, where the next Begin looks up
+// previous summaries, and marks the run boundary on the store (the
 // memory layer ages its generations, the disk layer advances its
 // generation stamp).
 func (p *Plan) Commit(snap *Snapshot) {

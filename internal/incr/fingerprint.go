@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"fsicp/internal/ast"
 	"fsicp/internal/ir"
@@ -47,16 +46,20 @@ func TokenKey(src string) string {
 	return w.sum()
 }
 
-// ProcFingerprint fingerprints everything about one procedure that its
-// own SCC pass reads: signature (name, kind, result and parameter
-// types, locals, visible globals) and the full IR — blocks with their
+// ProcFingerprint computes a procedure's key: everything about one
+// procedure that its own SCC pass reads, plus the shape of the summary
+// it produces. That is the signature (name, kind, result and parameter
+// types, locals, visible globals); the full IR — blocks with their
 // predecessor lists, every instruction including clobbers and MayDef
 // sets, terminators, and per call site the by-reference actuals
 // (whether an actual aliases a caller variable changes the clobber
-// semantics). The IR is hashed structurally rather than via its
-// textual dump: fingerprinting runs on every incremental analysis, and
-// the fmt-based dump dominated its cost.
-func ProcFingerprint(p *sem.Proc, fn *ir.Func) string {
+// semantics); and, per call site in fn.Calls order, ref(callee): the
+// declaration indices of the callee's REF globals, which the summary
+// records at that site. A callee edit that grows or shrinks its REF set
+// therefore changes every caller's key. The IR is hashed structurally
+// rather than via its textual dump: fingerprinting runs on every
+// incremental analysis, and the fmt-based dump dominated its cost.
+func ProcFingerprint(p *sem.Proc, fn *ir.Func, ref func(callee *sem.Proc) []int32) string {
 	w := newFPWriter()
 	w.str(p.Name)
 	if p.IsFunc {
@@ -105,6 +108,12 @@ func ProcFingerprint(p *sem.Proc, fn *ir.Func) string {
 			}
 		case nil:
 			w.tag('0') // unterminated (never produced by irbuild)
+		}
+	}
+	for _, call := range fn.Calls {
+		w.tag('c')
+		for _, gi := range ref(call.Callee) {
+			w.num(int(gi))
 		}
 	}
 	return w.sum()
@@ -244,14 +253,6 @@ func GlobalsFingerprint(globals []*sem.Var, init map[*sem.Var]val.Value) string 
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RefKey fingerprints a procedure's transitive REF set (the sorted
-// global names the entry environment binds).
-func RefKey(names []string) string {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, "\x00")
-}
-
 // EnvKey canonically encodes a portable entry environment plus the
 // procedure's liveness, digested to a fixed-size key. Entries are
 // sorted by variable name; values are encoded exactly (float constants
@@ -274,13 +275,13 @@ func EnvKey(env map[string]lattice.Elem, live bool) string {
 	}
 	for _, n := range names {
 		w.str(n)
-		w.str(ElemKey(env[n]))
+		w.str(elemKey(env[n]))
 	}
 	return w.sum()
 }
 
-// ElemKey encodes one lattice element exactly.
-func ElemKey(e lattice.Elem) string {
+// elemKey encodes one lattice element exactly.
+func elemKey(e lattice.Elem) string {
 	switch {
 	case e.IsTop():
 		return "T"

@@ -1,39 +1,36 @@
-// Package incr is the incremental analysis engine: content-addressed
-// caching of per-procedure analysis results plus dirty-set invalidation
-// along the program call graph (PCG).
+// Package incr is the incremental analysis engine: per-procedure reuse
+// of flow-sensitive results across runs over edited versions of one
+// program.
 //
 // The engine exploits the paper's central structural property: the
 // flow-sensitive method runs exactly one SCC pass per procedure, and
-// everything a procedure's pass consumes from the rest of the program
-// is (a) its own IR, (b) its entry environment — a meet over its
-// forward-edge callers' call-site values plus the flow-insensitive
-// fallback for back edges — and (c) the program's globals section. So a
-// procedure's result is a pure function of
+// that pass reads only two things from the rest of the program: the
+// procedure's own code and its entry environment. So a procedure's
+// result is a pure function of
 //
-//	(analysis configuration, globals section, procedure fingerprint,
+//	(analysis configuration, globals section, procedure key,
 //	 entry environment)
 //
-// and can be cached under that key (value-context memoization in the
-// sense of Padhye & Khedker). Two layers of reuse follow:
-//
-//   - Structural: between runs, a dirty set is seeded from procedures
-//     whose fingerprint or transitive REF set changed (plus back-edge
-//     targets when the flow-insensitive solution changed) and closed
-//     forward along the PCG, with cyclic SCCs dirtied as a unit.
-//     Procedures outside the closure reuse their previous summary
-//     wholesale — their entry environments cannot have changed — and
-//     the wavefront scheduler skips levels with no dirty members.
-//   - Value-level: a dirty procedure still recomputes its entry
-//     environment, but if the (fingerprint, environment) pair hits the
-//     cache the expensive SCC run is skipped (early cutoff after an
-//     edit that turns out not to change the facts flowing in).
+// — the value context of Padhye & Khedker. The procedure key
+// (ProcFingerprint) is the IR fingerprint plus, per call site, the
+// callee's REF layout, which fixes the shape of the summary's site
+// values. One rule follows, stated once by ProcSummary.Stands: a
+// summary committed under the same key stands iff it was computed under
+// the same entry environment (and liveness and back-edge count). Every
+// procedure of an incremental run builds its entry environment exactly
+// as a cold run does; one whose previous summary does not stand
+// consults the value cache under (key, environment digest), and only
+// then runs SCC.
 //
 // Summaries are "portable": they name variables by source name and
 // globals by declaration index, never by pointer, so a summary cached
 // from one parse of the program can be rebound against a later parse.
 package incr
 
-import "fsicp/internal/lattice"
+import (
+	"fsicp/internal/lattice"
+	"fsicp/internal/sem"
+)
 
 // SiteValues is the interprocedural view of one call site: whether the
 // site is reachable under the caller's solution, and the lattice value
@@ -48,11 +45,10 @@ import "fsicp/internal/lattice"
 // values, parallel. The recorded set is the transitive REF set of the
 // site's callee — exactly the globals the callee's entry environment
 // binds, so nothing a consumer reads is ever absent. Sparseness is
-// safe across incremental reuse because REF is transitive (REF(caller)
-// ⊇ REF(callee)) and ProcState.RefKey fingerprints the caller's REF
-// set: any callee edit that changes which globals matter changes the
-// caller's RefKey and dirties it, so a structurally reused summary
-// always carries the current REF set.
+// safe across incremental reuse because the caller's procedure key
+// covers each site's layout: a callee edit that changes which globals
+// matter changes the key of every caller, so no summary recorded under
+// an old layout is ever reused.
 type SiteValues struct {
 	Reachable bool
 	Args      []lattice.Elem
@@ -95,24 +91,40 @@ type ProcSummary struct {
 
 	// Degraded marks a summary served from the flow-insensitive
 	// fallback after a panic, fuel exhaustion, or cancellation. A
-	// degraded summary is sound but below full precision; the engine
-	// must never commit or cache it as a full-precision result (the
-	// commit path replaces it with nil, keeping the procedure dirty).
+	// degraded summary is sound but below full precision: it never
+	// stands (Stands) and is never stored in the value cache, so the
+	// next run recomputes the procedure at full precision.
 	Degraded bool
 }
 
-// ProcState is one procedure's entry in a committed snapshot: the
-// fingerprints the dirty-set computation compares and the summary a
-// clean procedure reuses.
+// Stands is the engine's one reuse rule. It reports whether s, a
+// summary computed for the same procedure key, is exactly what an SCC
+// run under entry environment env would produce now: s exists, is not
+// a degradation product, agrees on liveness and on the number of back
+// in-edges that fell back to the flow-insensitive solution, and its
+// Entry binds exactly env's variables, by name, to Eq elements. Eq is
+// bit-exact for reals, so 0.0 and -0.0 never alias.
+//
+// Three traversals ask it: the incremental FS run (s is the previous
+// summary under the same key), each round of the iterative method, and
+// the returns refresh (s is the summary being refreshed).
+func (s *ProcSummary) Stands(env lattice.Env[*sem.Var], live bool, backEdges int) bool {
+	if s == nil || s.Degraded || s.Dead != !live || s.BackEdges != backEdges || len(s.Entry) != len(env) {
+		return false
+	}
+	for v, e := range env {
+		if old, ok := s.Entry[v.Name]; !ok || !old.Eq(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// ProcState is one procedure's entry in a committed snapshot: the key
+// it was analysed under and the summary a later run may reuse.
 type ProcState struct {
-	// FP is the procedure content fingerprint (ProcFingerprint).
+	// FP is the procedure key (ProcFingerprint).
 	FP string
-	// RefKey fingerprints the procedure's transitive REF set. A callee
-	// edit can add or remove globals from a caller's REF set without
-	// changing the caller's own IR; since the entry environment binds
-	// exactly REF(p), such a procedure must be treated as changed even
-	// though its fingerprint is identical.
-	RefKey string
-	// Summary is the committed result for wholesale reuse.
+	// Summary is the committed result.
 	Summary *ProcSummary
 }

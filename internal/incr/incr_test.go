@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fsicp/internal/lattice"
+	"fsicp/internal/sem"
 	"fsicp/internal/val"
 )
 
@@ -13,15 +14,12 @@ func chain() RunInputs {
 	return RunInputs{
 		ConfigKey:  "cfg",
 		ProgramKey: "globals-v1",
-		FIKey:      "",
 		Procs: []ProcInput{
-			{Name: "main", FP: "fp-main", Callees: []int{1}},
-			{Name: "a", FP: "fp-a", Callees: []int{2}},
-			{Name: "b", FP: "fp-b", Callees: []int{3}},
+			{Name: "main", FP: "fp-main"},
+			{Name: "a", FP: "fp-a"},
+			{Name: "b", FP: "fp-b"},
 			{Name: "c", FP: "fp-c"},
 		},
-		SCCs:       [][]int{{0}, {1}, {2}, {3}},
-		Structural: true,
 	}
 }
 
@@ -30,69 +28,44 @@ func commitAll(e *Engine, in RunInputs) {
 	snap := &Snapshot{
 		ConfigKey:  in.ConfigKey,
 		ProgramKey: in.ProgramKey,
-		FIKey:      in.FIKey,
 		Procs:      map[string]ProcState{},
 	}
 	for _, pi := range in.Procs {
-		snap.Procs[pi.Name] = ProcState{FP: pi.FP, RefKey: pi.RefKey, Summary: &ProcSummary{}}
+		snap.Procs[pi.Name] = ProcState{FP: pi.FP, Summary: &ProcSummary{}}
 	}
 	p.Commit(snap)
 }
 
-func wantClean(t *testing.T, p *Plan, want []bool) {
+// wantPrev checks which procedures found a previous summary: exactly
+// those committed under the same config, program and procedure key.
+func wantPrev(t *testing.T, p *Plan, want []bool) {
 	t.Helper()
+	if len(p.Prev) != len(want) {
+		t.Fatalf("len(Prev) = %d, want %d", len(p.Prev), len(want))
+	}
 	for i, w := range want {
-		if p.Clean[i] != w {
-			t.Errorf("Clean[%d] = %v, want %v (full: %v)", i, p.Clean[i], w, p.Clean)
+		if (p.Prev[i] != nil) != w {
+			t.Errorf("Prev[%d] present = %v, want %v", i, p.Prev[i] != nil, w)
 		}
 	}
 }
 
 func TestBeginNoSnapshotAllDirty(t *testing.T) {
 	e := NewEngine()
-	p := e.Begin(chain())
-	wantClean(t, p, []bool{false, false, false, false})
-	if p.Reused() != 0 {
-		t.Fatalf("Reused = %d, want 0", p.Reused())
-	}
-}
-
-func TestDirtyFlowsForwardToCallees(t *testing.T) {
-	e := NewEngine()
-	commitAll(e, chain())
-
-	in := chain()
-	in.Procs[1].FP = "fp-a-v2" // edit a
-	p := e.Begin(in)
-	// a, b, c dirty (forward closure); main untouched: a caller is not
-	// invalidated by a callee edit unless its REF set changed.
-	wantClean(t, p, []bool{true, false, false, false})
-}
-
-func TestRefKeyChangeDirtiesCaller(t *testing.T) {
-	e := NewEngine()
-	commitAll(e, chain())
-
-	in := chain()
-	in.Procs[1].FP = "fp-a-v2"
-	in.Procs[0].RefKey = "g1" // a's edit pulled g1 into main's REF set
-	p := e.Begin(in)
-	wantClean(t, p, []bool{false, false, false, false})
+	wantPrev(t, e.Begin(chain()), []bool{false, false, false, false})
 }
 
 func TestCleanUnchangedRun(t *testing.T) {
 	e := NewEngine()
 	commitAll(e, chain())
-	p := e.Begin(chain())
-	wantClean(t, p, []bool{true, true, true, true})
-	if p.Reused() != 4 {
-		t.Fatalf("Reused = %d, want 4", p.Reused())
-	}
-	for i := range p.Prev {
-		if p.Prev[i] == nil {
-			t.Fatalf("Prev[%d] = nil for clean proc", i)
-		}
-	}
+	wantPrev(t, e.Begin(chain()), []bool{true, true, true, true})
+
+	// Only the edited procedure's key misses. Its callers and callees
+	// keep their previous summaries; whether those stand is decided
+	// per run by Stands, against freshly built entry environments.
+	in := chain()
+	in.Procs[1].FP = "fp-a-v2"
+	wantPrev(t, e.Begin(in), []bool{true, false, true, true})
 }
 
 func TestConfigOrProgramKeyChangeDirtiesAll(t *testing.T) {
@@ -101,39 +74,11 @@ func TestConfigOrProgramKeyChangeDirtiesAll(t *testing.T) {
 
 	in := chain()
 	in.ConfigKey = "cfg2"
-	wantClean(t, e.Begin(in), []bool{false, false, false, false})
+	wantPrev(t, e.Begin(in), []bool{false, false, false, false})
 
 	in = chain()
 	in.ProgramKey = "globals-v2"
-	wantClean(t, e.Begin(in), []bool{false, false, false, false})
-}
-
-func TestFIChangeDirtiesBackEdgeTargets(t *testing.T) {
-	in := chain()
-	in.FIKey = "fi-v1"
-	in.Procs[1].BackEdgeIn = true // c -> a back edge
-	e := NewEngine()
-	commitAll(e, in)
-
-	in2 := chain()
-	in2.FIKey = "fi-v2"
-	in2.Procs[1].BackEdgeIn = true
-	p := e.Begin(in2)
-	// a dirty via the FI rule, b and c via forward closure.
-	wantClean(t, p, []bool{true, false, false, false})
-}
-
-func TestSCCDirtiedAsUnit(t *testing.T) {
-	in := chain()
-	in.SCCs = [][]int{{0}, {1, 2}, {3}} // a and b are mutually recursive
-	e := NewEngine()
-	commitAll(e, in)
-
-	in2 := chain()
-	in2.SCCs = [][]int{{0}, {1, 2}, {3}}
-	in2.Procs[2].FP = "fp-b-v2" // edit b: a joins via SCC rule
-	p := e.Begin(in2)
-	wantClean(t, p, []bool{true, false, false, false})
+	wantPrev(t, e.Begin(in), []bool{false, false, false, false})
 }
 
 func TestNewProcDirtyOthersClean(t *testing.T) {
@@ -142,30 +87,85 @@ func TestNewProcDirtyOthersClean(t *testing.T) {
 
 	in := chain()
 	in.Procs = append(in.Procs, ProcInput{Name: "d", FP: "fp-d"})
-	in.SCCs = append(in.SCCs, []int{4})
-	p := e.Begin(in)
-	wantClean(t, p, []bool{true, true, true, true, false})
+	wantPrev(t, e.Begin(in), []bool{true, true, true, true, false})
 }
 
+// TestNonStructuralRunKeepsValueCache: a run that finds no previous
+// summary (here under another procedure key, as after an edit) still
+// reads and writes the value cache, keyed by (pass, procedure, key,
+// environment digest).
 func TestNonStructuralRunKeepsValueCache(t *testing.T) {
 	e := NewEngine()
 	commitAll(e, chain())
 
 	in := chain()
-	in.Structural = false
+	in.Procs[1].FP = "fp-a-v2"
 	p := e.Begin(in)
-	wantClean(t, p, []bool{false, false, false, false})
-
 	sum := &ProcSummary{Dead: true}
-	p.Store("iter", "a", "fp-a", "env1", sum)
-	if got, ok := p.Lookup("iter", "a", "fp-a", "env1"); !ok || got != sum {
+	p.Store("iter", "a", "fp-a-v2", "env1", sum)
+	if got, ok := p.Lookup("iter", "a", "fp-a-v2", "env1"); !ok || got != sum {
 		t.Fatalf("Lookup after Store = %v, %v", got, ok)
 	}
-	if _, ok := p.Lookup("iter", "a", "fp-a", "env2"); ok {
+	if _, ok := p.Lookup("iter", "a", "fp-a-v2", "env2"); ok {
 		t.Fatal("Lookup with different input key must miss")
 	}
 	if p.Hits() != 1 || p.Misses() != 1 {
 		t.Fatalf("Hits/Misses = %d/%d, want 1/1", p.Hits(), p.Misses())
+	}
+}
+
+// TestStands pins the reuse rule: a summary stands only for a live
+// (or dead) procedure matching its liveness, with the same back-edge
+// count, binding exactly the environment's variables to bit-identical
+// elements, and never when degraded.
+func TestStands(t *testing.T) {
+	x := &sem.Var{Name: "x", Kind: sem.KindFormal}
+	g := &sem.Var{Name: "g", Kind: sem.KindGlobal}
+	env := lattice.Env[*sem.Var]{x: lattice.Const(val.Real(0)), g: lattice.BottomElem()}
+	base := func() *ProcSummary {
+		return &ProcSummary{BackEdges: 1, Entry: map[string]lattice.Elem{
+			"x": lattice.Const(val.Real(0)),
+			"g": lattice.BottomElem(),
+		}}
+	}
+	if !base().Stands(env, true, 1) {
+		t.Fatal("an identical summary must stand")
+	}
+	var none *ProcSummary
+	if none.Stands(env, true, 1) {
+		t.Error("a nil summary must not stand")
+	}
+	s := base()
+	s.Degraded = true
+	if s.Stands(env, true, 1) {
+		t.Error("a degraded summary must not stand")
+	}
+	if base().Stands(env, false, 1) {
+		t.Error("a live summary must not stand for a dead procedure")
+	}
+	s = base()
+	s.Dead = true
+	if s.Stands(env, true, 1) {
+		t.Error("a dead summary must not stand for a live procedure")
+	}
+	if base().Stands(env, true, 0) {
+		t.Error("a different back-edge count must not stand")
+	}
+	s = base()
+	delete(s.Entry, "g")
+	if s.Stands(env, true, 1) {
+		t.Error("a summary missing a name must not stand")
+	}
+	s = base()
+	s.Entry["y"] = lattice.BottomElem()
+	delete(s.Entry, "g")
+	if s.Stands(env, true, 1) {
+		t.Error("a summary binding another name must not stand")
+	}
+	s = base()
+	s.Entry["x"] = lattice.Const(val.Real(math.Copysign(0, -1)))
+	if s.Stands(env, true, 1) {
+		t.Error("-0.0 must not stand for 0.0")
 	}
 }
 

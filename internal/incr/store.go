@@ -56,9 +56,9 @@ func (s StoreStats) Empty() bool { return s == StoreStats{} }
 
 // Store is one layer of the summary storage hierarchy. Keys are the
 // engine's fully qualified value-cache keys (config key, program key,
-// pass, procedure name, structural fingerprint, entry-environment
-// digest), so an entry is valid wherever its key matches — layers never
-// need to understand key structure. Implementations must be safe for
+// pass, procedure name, procedure key, entry-environment digest), so
+// an entry is valid wherever its key matches — layers never need to
+// understand key structure. Implementations must be safe for
 // concurrent use by the analysis wavefront.
 //
 // A Store is a cache, not a database: Get may miss for any reason

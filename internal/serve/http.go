@@ -65,10 +65,13 @@ type Response struct {
 	// computation.
 	Coalesced bool `json:"coalesced,omitempty"`
 	// PoolReused marks an answer from an already-warm session.
-	PoolReused  bool `json:"poolReused,omitempty"`
-	ProcsReused int  `json:"procsReused"`
-	CacheHits   int  `json:"cacheHits"`
-	CacheMisses int  `json:"cacheMisses"`
+	PoolReused bool `json:"poolReused,omitempty"`
+	// ProcsReused counts procedures whose previous summary stood (same
+	// key, same entry environment); CacheHits and CacheMisses count
+	// value-cache lookups for the others (Analysis.Incremental).
+	ProcsReused int `json:"procsReused"`
+	CacheHits   int `json:"cacheHits"`
+	CacheMisses int `json:"cacheMisses"`
 	// Deltas (update only) lists constant changes against the previous
 	// answer under the same result configuration.
 	Deltas []string      `json:"deltas,omitempty"`

@@ -182,6 +182,32 @@ func TestAnalyzeUpdateQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUpdateAfterCallRemoval: when a caller drops its call, the
+// callee's entry environment loses that call's contribution. The
+// update must report the constant this uncovers, and serve the cold
+// run's report.
+func TestUpdateAfterCallRemoval(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	client := ts.Client()
+	v1 := "program edge\nproc main() {\n  call q()\n  call p(2)\n}\nproc q() {\n  call p(1)\n}\nproc p(x int) {\n  print x\n}\n"
+	v2 := strings.Replace(v1, "  call p(1)\n", "  print 0\n", 1)
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}
+
+	if status, data, _ := post(t, client, ts.URL+"/analyze", Request{Program: "edge", Source: v1}); status != 200 {
+		t.Fatalf("analyze: status %d: %s", status, data)
+	}
+	status, data, _ := post(t, client, ts.URL+"/update", Request{Program: "edge", Source: v2})
+	if status != 200 {
+		t.Fatalf("update: status %d: %s", status, data)
+	}
+	if got := decodeResponse(t, data).Deltas; len(got) != 1 || got[0] != "+ p.x = 2" {
+		t.Errorf("update deltas = %q, want [\"+ p.x = 2\"]", got)
+	}
+	if got, want := canonJSON(t, queryReport(t, client, ts.URL, "edge", "fs")), canonJSON(t, coldReport(t, "edge", v2, cfg)); !bytes.Equal(got, want) {
+		t.Errorf("v2 report differs from cold run\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
 // TestRetriedFailedUpdate: an update whose source passes the semantic
 // check but fails lowering, retried, is refused every time with the
 // load's diagnostic, and the program keeps serving its last good

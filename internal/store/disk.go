@@ -3,8 +3,8 @@
 // cache of per-procedure summaries encoded with internal/codec.
 //
 // Entries are keyed by the engine's fully qualified value-cache key —
-// (config key, program key, pass, procedure name, structural
-// fingerprint, entry-environment digest) — hashed to a file path, so a
+// (config key, program key, pass, procedure name, procedure key,
+// entry-environment digest) — hashed to a file path, so a
 // cold process whose program and configuration match an earlier run
 // finds every summary already on disk and skips the fixpoint work.
 //

@@ -59,6 +59,17 @@ go test -race -count=1 \
     ./internal/serve
 go test -race -count=1 ./cmd/fsicpd
 
+echo "== incremental determinism (race) =="
+# A Session keeps a procedure's previous result iff its key and entry
+# environment are unchanged. Every incremental answer must equal a cold
+# run: the interprocedural edit replay, the stale-reuse repros (a
+# callee's REF set grows; a caller drops a call) in the library and
+# through the daemon's /update, and the update fuzzer's seeds.
+go test -race -count=1 \
+    -run 'TestSessionDifferentialEditReplay|TestSessionStaleReuse|FuzzSessionUpdate' \
+    .
+go test -race -count=1 -run 'TestUpdateAfterCallRemoval' ./internal/serve
+
 echo "== load/delta-skip/global-domain determinism (race) =="
 # The analysis-phase fast paths — the sharded load, delta-propagation
 # skips and the sparse global domain — must be invisible in the

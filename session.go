@@ -22,8 +22,9 @@ import (
 //
 //   - Per-procedure analysis caching (internal/incr.Engine): each
 //     analysis configuration owns an engine whose snapshot and value
-//     cache let the flow-sensitive methods re-analyse only the
-//     procedures an edit actually affects. Incremental results are
+//     cache let the flow-sensitive methods keep a procedure's previous
+//     result whenever its key (code plus callees' REF layouts) and its
+//     entry environment are unchanged. Incremental results are
 //     byte-identical to a cold analysis of the same source (the
 //     differential property tests enforce this).
 //
@@ -134,9 +135,9 @@ func (s *Session) AnalyzeContext(ctx context.Context, cfg Config) (*Analysis, er
 }
 
 // Incremental reports the reuse achieved by a Session.Analyze run:
-// procedures whose previous summaries were reused wholesale, and
-// value-cache hits and misses among the re-analysed ones. All zero
-// for a cold (Program.Analyze) run.
+// procedures whose previous summary stood because their key and entry
+// environment were unchanged, and value-cache hits and misses among
+// the others. All zero for a cold (Program.Analyze) run.
 func (a *Analysis) Incremental() (procsReused, cacheHits, cacheMisses int) {
 	return a.res.ProcsReused, a.res.CacheHits, a.res.CacheMisses
 }

@@ -1,6 +1,8 @@
 package fsicp_test
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,12 +11,15 @@ import (
 )
 
 // TestSessionDifferentialEditReplay is the incremental engine's
-// correctness bar: over a sequence of random single-procedure edits,
-// every Session.Analyze result must be byte-identical — constants,
-// call sites, both metric sets, and the annotated listing — to a cold
-// Load+Analyze of the same source, for every ICP method. The edits
-// are literal mutations (moving constants through the solution) and
-// occasional lexical-only edits (exercising whole-version reuse).
+// correctness bar: over a sequence of random edits to an
+// interprocedural program, every Session.Analyze result must be
+// byte-identical — constants, call sites, both metric sets, and the
+// annotated listing — to a cold Load+Analyze of the same source, for
+// every ICP method. Edits alternate between progen.Edit (literal
+// mutations that move constants through the solution, print
+// insertions, and lexical-only edits that exercise whole-version
+// reuse) and structuralEdit, which changes the call graph or a REF
+// set.
 func TestSessionDifferentialEditReplay(t *testing.T) {
 	const edits = 60
 	configs := []fsicp.Config{
@@ -23,10 +28,22 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 		{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, ReturnsRefresh: true},
 		{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true},
 	}
-	base := progen.Generate(progen.Config{
-		Seed: 7, Procs: 10, Globals: 5,
-		AllowRecursion: true, AllowFloats: true,
+	files, _ := progen.GenerateModules(progen.ModuleConfig{
+		Seed: 7, Modules: 3, ProcsPerModule: 16, Globals: 5, BlockData: 4, AllowFloats: true,
 	})
+	base := flatten(files)
+	prog, err := fsicp.Load("edit.mf", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Floors keep the replay interprocedural: many reachable
+	// procedures, and recursion for the flow-insensitive fallback.
+	if n := len(prog.Procedures()); n < 40 {
+		t.Fatalf("base program has %d reachable procedures, want at least 40", n)
+	}
+	if back, _ := prog.BackEdges(); back < 1 {
+		t.Fatalf("base program has %d back edges, want at least 1", back)
+	}
 
 	for _, cfg := range configs {
 		cfg := cfg
@@ -39,10 +56,16 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sess.Analyze(cfg)
 			src := base
 			reusedEver := false
 			for i := 0; i < edits; i++ {
-				next := progen.Edit(src, int64(1000*i)+17)
+				var next string
+				if seed := int64(1000*i) + 17; i%2 == 0 {
+					next = progen.Edit(src, seed)
+				} else {
+					next = structuralEdit(src, seed)
+				}
 				if _, err := sess.Update(next); err != nil {
 					// An edit can in principle produce a diagnostic;
 					// keep the previous version and move on (the
@@ -71,6 +94,149 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 				t.Error("no procedure was ever reused across 60 edits; the incremental path is not engaging")
 			}
 		})
+	}
+}
+
+// flatten joins a multi-module corpus into one source: the program
+// header, then every global, then every procedure.
+func flatten(files []progen.File) string {
+	var head, globals, procs strings.Builder
+	for _, f := range files {
+		for _, line := range strings.SplitAfter(f.Src, "\n") {
+			switch {
+			case strings.HasPrefix(line, "program "):
+				head.WriteString(line)
+			case strings.HasPrefix(line, "module "):
+			case strings.HasPrefix(line, "global "):
+				globals.WriteString(line)
+			default:
+				procs.WriteString(line)
+			}
+		}
+	}
+	return head.String() + "\n" + globals.String() + procs.String()
+}
+
+// structuralEdit changes what flows between procedures rather than a
+// value inside one: chosen by seed, it either deletes one call
+// statement (a call edge disappears, possibly with the procedures
+// only it reached) or adds a global to one procedure's use clause and
+// prints it (the procedure's REF set, and so every caller's, grows).
+func structuralEdit(src string, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	lines := strings.SplitAfter(src, "\n")
+	var calls, procs []int
+	var globals []string
+	for i, l := range lines {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(l), "call "):
+			calls = append(calls, i)
+		case strings.HasPrefix(l, "proc "):
+			procs = append(procs, i)
+		case strings.HasPrefix(l, "global "):
+			globals = append(globals, strings.Fields(l)[1])
+		}
+	}
+	if rng.Intn(2) == 0 && len(calls) > 0 {
+		i := calls[rng.Intn(len(calls))]
+		return strings.Join(lines[:i], "") + strings.Join(lines[i+1:], "")
+	}
+	if len(procs) == 0 || len(globals) == 0 {
+		return src
+	}
+	i := procs[rng.Intn(len(procs))]
+	g := globals[rng.Intn(len(globals))]
+	use := strings.TrimSpace(lines[i+1])
+	printG := "  print " + g + "\n"
+	switch {
+	case !strings.HasPrefix(use, "use "):
+		lines[i] += "  use " + g + "\n" + printG
+	case slices.Contains(strings.Split(strings.TrimPrefix(use, "use "), ", "), g):
+		lines[i+1] += printG
+	default:
+		lines[i+1] = "  " + use + ", " + g + "\n" + printG
+	}
+	return strings.Join(lines, "")
+}
+
+// Two edits on which inferring "unchanged entry environment" from the
+// call graph went wrong: a callee's REF set grows under an unchanged
+// caller, and a caller drops its call. Each v1 -> v2 pair must analyse
+// incrementally exactly as a cold load of v2 does.
+const (
+	refGrowthV1 = `program refbug
+global g int = 5
+proc main() {
+  use g
+  call p()
+}
+proc p() {
+  use g
+  print g
+  call c()
+}
+proc c() {
+  print 1
+}
+`
+	callRemovalV1 = `program edge
+proc main() {
+  call q()
+  call p(2)
+}
+proc q() {
+  call p(1)
+}
+proc p(x int) {
+  print x
+}
+`
+)
+
+var (
+	refGrowthV2   = strings.Replace(refGrowthV1, "proc c() {\n  print 1\n", "proc c() {\n  use g\n  print g\n", 1)
+	callRemovalV2 = strings.Replace(callRemovalV1, "  call p(1)\n", "  print 0\n", 1)
+)
+
+// TestSessionStaleReuse replays both stale-reuse repros under every
+// flow-sensitive configuration: v1, Analyze, Update(v2), Analyze must
+// equal a cold Load(v2).
+func TestSessionStaleReuse(t *testing.T) {
+	repros := []struct{ name, v1, v2 string }{
+		{"ref-growth", refGrowthV1, refGrowthV2},
+		{"call-removal", callRemovalV1, callRemovalV2},
+	}
+	configs := []struct {
+		name string
+		cfg  fsicp.Config
+	}{
+		{"fs", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}},
+		{"iter", fsicp.Config{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true}},
+		{"fs+returns+refresh", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, ReturnsRefresh: true}},
+	}
+	for _, r := range repros {
+		if r.v1 == r.v2 {
+			t.Fatalf("%s: the edit did not apply", r.name)
+		}
+		for _, c := range configs {
+			t.Run(r.name+"/"+c.name, func(t *testing.T) {
+				sess, err := fsicp.NewSession("t.mf", r.v1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.Analyze(c.cfg)
+				if _, err := sess.Update(r.v2); err != nil {
+					t.Fatal(err)
+				}
+				cold, err := fsicp.Load("t.mf", r.v2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := fingerprint(sess.Analyze(c.cfg)), fingerprint(cold.Analyze(c.cfg)); got != want {
+					t.Fatalf("incremental result diverged from cold run\n--- incremental ---\n%s\n--- cold ---\n%s", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -190,7 +356,8 @@ func TestSessionRetriedFailedUpdate(t *testing.T) {
 // FuzzSessionUpdate steps a session through NewSession(a), Update(b),
 // Update(b), Update(a). Every step must fail exactly when a cold Load
 // of its source fails, with the same message, and every successful
-// step must analyse flow-sensitively to the cold result.
+// step must analyse to the cold result, flow-sensitively and
+// flow-sensitive-iteratively.
 func FuzzSessionUpdate(f *testing.F) {
 	f.Add(stepZeroGood, stepZeroBad)
 	f.Add(stepZeroGood, "# comment\n"+stepZeroGood)
@@ -199,7 +366,12 @@ func FuzzSessionUpdate(f *testing.F) {
 		f.Add(a, progen.Edit(a, seed))
 		f.Add(a, progen.Generate(progen.Config{Seed: seed + 10, Procs: 4, Globals: 2}))
 	}
-	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}
+	f.Add(refGrowthV1, refGrowthV2)
+	f.Add(callRemovalV1, callRemovalV2)
+	cfgs := []fsicp.Config{
+		{Method: fsicp.FlowSensitive, PropagateFloats: true},
+		{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true},
+	}
 	f.Fuzz(func(t *testing.T, a, b string) {
 		var sess *fsicp.Session
 		for i, src := range []string{a, b, b, a} {
@@ -219,8 +391,10 @@ func FuzzSessionUpdate(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if got, want := fingerprint(sess.Analyze(cfg)), fingerprint(cold.Analyze(cfg)); got != want {
-				t.Fatalf("step %d: session diverged from cold load:\n%s\nwant:\n%s", i, got, want)
+			for _, cfg := range cfgs {
+				if got, want := fingerprint(sess.Analyze(cfg)), fingerprint(cold.Analyze(cfg)); got != want {
+					t.Fatalf("step %d, %v: session diverged from cold load:\n%s\nwant:\n%s", i, cfg.Method, got, want)
+				}
 			}
 		}
 	})
@@ -248,9 +422,9 @@ func TestSessionSurvivesBadUpdate(t *testing.T) {
 
 // TestSessionSingleProcedureEditReusesOthers pins the headline
 // behaviour on a concrete program: editing one leaf procedure's body
-// re-analyses that procedure (and, through dirty-set closure, its
-// callees — here none) while every other procedure's summary is
-// reused.
+// changes only that procedure's key, so it alone is re-analysed; every
+// other procedure keeps its key and entry environment, and its
+// previous summary stands.
 func TestSessionSingleProcedureEditReusesOthers(t *testing.T) {
 	src := `program p
 global g int = 2
@@ -284,7 +458,7 @@ proc c(x int) {
 	}
 	a := sess.Analyze(cfg)
 	reused, _, _ := a.Incremental()
-	// main, a, b stay clean; only c re-runs.
+	// main, a, b stand; only c re-runs.
 	if reused != 3 {
 		t.Errorf("reused %d procedures, want 3 (all but the edited one)", reused)
 	}
