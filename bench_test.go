@@ -352,7 +352,7 @@ func largestProgen() (name, src string) {
 }
 
 // BenchmarkLoad measures the serial (workers=1) load pipeline — parse
-// through SSA prebuild — on the largest progen program.
+// through clobber insertion — on the largest progen program.
 func BenchmarkLoad(b *testing.B) {
 	name, src := largestProgen()
 	b.ResetTimer()
@@ -365,7 +365,7 @@ func BenchmarkLoad(b *testing.B) {
 
 // BenchmarkLoadParallel compares worker counts for the sharded load
 // passes (per-procedure lowering, alias partners, MOD/REF collection,
-// clobbers, SSA prebuild). Parse and sem stay serial, as do the
+// clobbers). Parse and sem stay serial, as do the
 // numbering epilogue and the interprocedural fixpoints, so the
 // attainable speedup is bounded by that serial fraction (Amdahl); on a
 // multi-core machine workers=4 should still clearly beat workers=1.
@@ -390,9 +390,8 @@ func BenchmarkLoadParallel(b *testing.B) {
 
 // BenchmarkColdEndToEnd measures a full cold run — sharded load plus
 // flow-sensitive analysis — the way cmd/fsicp experiences it, with one
-// worker bound governing both phases. The SSA prebuilt during load is
-// consumed by the analysis's ssa pass, so the prebuild cost here is
-// not paid twice.
+// worker bound governing both phases. The analysis builds each
+// procedure's SSA the first time FS reads it.
 func BenchmarkColdEndToEnd(b *testing.B) {
 	name, src := largestProgen()
 	w := runtime.GOMAXPROCS(0)

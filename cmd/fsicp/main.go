@@ -33,8 +33,8 @@
 //	         procedure summaries instead of re-solving them. The cache
 //	         affects time only — reports are byte-identical with or
 //	         without it, even when cache files are corrupted
-//	-workers N bound both the sharded load passes (per-procedure
-//	         lowering, alias/MOD/REF collection, clobbers, SSA prebuild)
+//	-workers N bound both the sharded load passes (per-file parsing,
+//	         per-procedure lowering, alias/MOD/REF collection, clobbers)
 //	         and the per-level analysis concurrency (0 = GOMAXPROCS)
 //	-timeout D wall-clock deadline for the analysis; procedures still
 //	         unfinished at expiry degrade (soundly) to the

@@ -268,10 +268,11 @@ type Program struct {
 // LoadOptions configures the load pipeline.
 type LoadOptions struct {
 	// Workers bounds the fan-out of the sharded load passes —
-	// per-procedure lowering, alias partner lists, MOD/REF collection,
-	// clobber insertion, and the eager SSA prebuild (0 means
-	// GOMAXPROCS). The loaded program is byte-identical for every
-	// worker count; only wall-clock time changes.
+	// parsing, per-procedure lowering, alias partner lists, MOD/REF
+	// collection and clobber insertion (0 means GOMAXPROCS). The loaded
+	// program is byte-identical for every worker count; only
+	// wall-clock time changes. SSA is not built at load: each analysis
+	// builds a procedure's SSA the first time it reads it.
 	Workers int
 }
 
@@ -343,8 +344,9 @@ type corpusFile struct {
 
 // loadCorpus is the load pipeline behind every entry point (Load,
 // LoadFiles, LoadDir and their variants): parse, sem, irbuild,
-// callgraph, alias, modref, clobbers and the eager SSA prebuild, run in
-// that order by the pass manager. Each parse shard reads its file,
+// callgraph, alias, modref and clobbers, run in that order by the pass
+// manager. It builds no SSA: an analysis builds a procedure's SSA on
+// first use (icp.Context.SSA). Each parse shard reads its file,
 // attaches the contents to the pre-sized source.File, parses, and
 // releases the contents — so at most LoadOptions.Workers file contents
 // are resident at once and the corpus is never materialized wholesale
@@ -369,7 +371,6 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 		mr      *modref.Info
 		pb      *irbuild.Builder
 		mb      *modref.Builder
-		ictx    *icp.Context
 	)
 	units := make([]*ast.Program, len(files))
 	perrs := make([]error, len(files))
@@ -521,23 +522,11 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 		Shards: func(workers int) (int, func(int)) {
 			return al.ClobberShards(irProg, cg)
 		}})
-	// Eager SSA prebuild: construct every reachable procedure's SSA
-	// form now, in parallel, so the first analysis (whose wavefront
-	// otherwise serializes on lazily built SSA) starts hot.
-	m.Add(driver.Pass{Name: "ssa",
-		Run: func(st *driver.PassStats) error {
-			ictx = &icp.Context{Prog: irProg, CG: cg, AL: al, MR: mr}
-			st.Procs = len(cg.Reachable)
-			return nil
-		},
-		Shards: func(workers int) (int, func(int)) {
-			return ictx.SSAPrebuildShards()
-		}})
 	trace := driver.NewTrace()
 	if err := m.Run(ctx, trace); err != nil {
 		return nil, err
 	}
-	return &Program{ctx: ictx, trace: trace}, nil
+	return &Program{ctx: &icp.Context{Prog: irProg, CG: cg, AL: al, MR: mr}, trace: trace}, nil
 }
 
 // LoadDir loads a corpus from a directory: the files named by a
@@ -814,7 +803,7 @@ func (a *Analysis) CacheStats() CacheStats {
 
 // Stats returns one record per pipeline pass that ran for this
 // analysis, in execution order: the load passes (parse through
-// clobbers) followed by the analysis passes (ssa, FI, FS, returns,
+// clobbers) followed by the analysis passes (FI, FS, returns,
 // metrics, ...).
 func (a *Analysis) Stats() []driver.PassStats { return a.trace.Passes() }
 
@@ -1241,7 +1230,6 @@ func (a *Analysis) Eliminations() []ProcElimination {
 // pruned).
 // Returns the removed procedures' names.
 func (a *Analysis) RemoveDeadProcedures() []string {
-	a.prog.ctx.InvalidateSSA()
 	return transform.RemoveDeadProcedures(a.prog.ctx, a.res.Dead)
 }
 

@@ -426,3 +426,68 @@ proc never() { print "boo" }`)
 		t.Errorf("run after removal: %q err %v", r.Output, r.Err)
 	}
 }
+
+// TestReanalyzeRewrittenProgram analyses a program again after each IR
+// rewrite. The rewrite deletes the only call to p, which the analysis
+// proved dead, so p leaves the call graph; every method must then
+// analyse main and r alone, without a panic or a degraded procedure.
+func TestReanalyzeRewrittenProgram(t *testing.T) {
+	const src = `program p
+global g int = 1
+proc main() {
+  use g
+  call r(g)
+  if 1 > 2 {
+    call p(1)
+    g = 9
+  }
+}
+proc p(x int) { print x }
+proc r(y int) { print y }`
+	rewrites := []struct {
+		name string
+		run  func(t *testing.T, a *fsicp.Analysis)
+	}{
+		{"optimize", func(t *testing.T, a *fsicp.Analysis) {
+			if _, err := a.Optimize(fsicp.OptimizeOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"transform", func(t *testing.T, a *fsicp.Analysis) { a.ApplyTransform() }},
+		{"transform+remove-dead", func(t *testing.T, a *fsicp.Analysis) {
+			a.ApplyTransform()
+			if got := a.RemoveDeadProcedures(); strings.Join(got, " ") != "p" {
+				t.Fatalf("removed %v, want [p]", got)
+			}
+		}},
+	}
+	methods := []struct {
+		name string
+		cfg  fsicp.Config
+	}{
+		{"FS", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}},
+		{"FS+returns+refresh", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, ReturnsRefresh: true}},
+		{"FS-iterative", fsicp.Config{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true}},
+		{"FI", fsicp.Config{Method: fsicp.FlowInsensitive, PropagateFloats: true}},
+	}
+	for _, rw := range rewrites {
+		for _, m := range methods {
+			t.Run(rw.name+"/"+m.name, func(t *testing.T) {
+				p := load(t, src)
+				rw.run(t, p.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}))
+				if got := strings.Join(p.Procedures(), " "); got != "main r" {
+					t.Errorf("procedures after rewrite: %s, want main r", got)
+				}
+				a := p.Analyze(m.cfg)
+				if d := a.Degradations(); len(d) != 0 {
+					t.Errorf("re-analysis degraded: %+v", d)
+				}
+				for _, c := range a.Constants() {
+					if c.Proc == "p" {
+						t.Errorf("constant %s.%s = %s reported for unreachable p", c.Proc, c.Var, c.Value)
+					}
+				}
+			})
+		}
+	}
+}

@@ -21,6 +21,28 @@ func analyzeProfile(t *testing.T, p bench.Profile, floats bool) (*icp.Context, *
 	return ctx, fi, fs
 }
 
+// TestRunMatrixWorkers runs the seven methods of RunMatrix at once on
+// one context, so they fill its SSA concurrently, and checks every
+// entry against a serial run on a fresh context.
+func TestRunMatrixWorkers(t *testing.T) {
+	p := bench.SPECfp92()[0]
+	if p.Name != "013.spice2g6" {
+		t.Fatalf("first profile is %s, want 013.spice2g6", p.Name)
+	}
+	run := func(workers int) bench.Matrix {
+		ctx := icp.Prepare(testutil.MustBuild(t, bench.Build(p)))
+		return bench.RunMatrix(ctx, true, workers)
+	}
+	serial, parallel := run(1), run(8)
+	for i, e := range parallel.Entries {
+		s := serial.Entries[i]
+		if e.Name != s.Name || e.ConstFormals != s.ConstFormals || e.ConstEntries != s.ConstEntries {
+			t.Errorf("workers=8 %s: %d formals, %d entries; workers=1 %s: %d, %d",
+				e.Name, e.ConstFormals, e.ConstEntries, s.Name, s.ConstFormals, s.ConstEntries)
+		}
+	}
+}
+
 // TestExactCells asserts the by-construction cells of every benchmark:
 // ARG, IMM, FI, FS (arguments), FP, FI, FS (formals), Procs, global
 // candidates, and global entry counts — the paper's Tables 1 and 2.

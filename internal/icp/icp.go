@@ -27,6 +27,7 @@ package icp
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"fsicp/internal/alias"
@@ -191,14 +192,18 @@ type Context struct {
 	AL   *alias.Info
 	MR   *modref.Info
 
-	// SSACache, when non-nil, holds the eagerly prebuilt SSA form of
-	// every reachable procedure, indexed by CG.Reachable position (see
-	// SSAPrebuildShards). Analyses seed their per-run ssaPool from it,
-	// so repeated Analyze calls skip the per-procedure SSA
-	// construction. The SSA overlay is read-only during propagation, so
-	// one cache may back concurrent analyses. Any pass that mutates the
-	// IR must call InvalidateSSA.
+	// SSACache holds the SSA form of the reachable procedures built so
+	// far, indexed by CG.Reachable position; a nil slot has not been
+	// built. SSA fills it on first use, so repeated and concurrent
+	// analyses build each procedure's SSA once. The SSA overlay is
+	// read-only during propagation, so one cache may back concurrent
+	// analyses. Any pass that mutates the IR must call InvalidateSSA.
 	SSACache []*ssa.SSA
+
+	// ssaMu guards the allocation of SSACache and ssaOnce; ssaOnce[i]
+	// fills slot i exactly once.
+	ssaMu   sync.Mutex
+	ssaOnce []sync.Once
 }
 
 // Prepare runs the pre-ICP interprocedural phases on prog.
@@ -210,20 +215,35 @@ func Prepare(prog *ir.Program) *Context {
 	return &Context{Prog: prog, CG: cg, AL: al, MR: mr}
 }
 
-// SSAPrebuildShards returns the eager SSA construction as a
-// parallel-for over the reachable procedures: shard i builds procedure
-// i's SSA into its private SSACache slot. Run every shard (any
-// concurrency) before the cache is read.
-func (c *Context) SSAPrebuildShards() (int, func(i int)) {
-	c.SSACache = make([]*ssa.SSA, len(c.CG.Reachable))
-	return len(c.SSACache), func(i int) {
-		c.SSACache[i] = ssa.Build(c.Prog.FuncOf[c.CG.Reachable[i]])
+// SSA returns the SSA form of the procedure at CG.Reachable position i,
+// building it into SSACache[i] on first use. Concurrent callers share
+// one build per slot; a slot filled before the first call is returned
+// as is.
+func (c *Context) SSA(i int) *ssa.SSA {
+	c.ssaMu.Lock()
+	if c.ssaOnce == nil {
+		c.ssaOnce = make([]sync.Once, len(c.CG.Reachable))
+		if c.SSACache == nil {
+			c.SSACache = make([]*ssa.SSA, len(c.CG.Reachable))
+		}
 	}
+	once, slots := &c.ssaOnce[i], c.SSACache
+	c.ssaMu.Unlock()
+	once.Do(func() {
+		if slots[i] == nil {
+			slots[i] = ssa.Build(c.Prog.FuncOf[c.CG.Reachable[i]])
+		}
+	})
+	return slots[i]
 }
 
-// InvalidateSSA drops the prebuilt SSA cache. Transformation passes
-// that rewrite the IR in place must call it before the next analysis.
-func (c *Context) InvalidateSSA() { c.SSACache = nil }
+// InvalidateSSA drops every built SSA form. Transformation passes that
+// rewrite the IR in place must call it before the next analysis.
+func (c *Context) InvalidateSSA() {
+	c.ssaMu.Lock()
+	c.SSACache, c.ssaOnce = nil, nil
+	c.ssaMu.Unlock()
+}
 
 // Result is the outcome of one ICP run.
 type Result struct {

@@ -1,10 +1,12 @@
 package icp_test
 
 import (
+	"sync"
 	"testing"
 
 	"fsicp/internal/icp"
 	"fsicp/internal/ir"
+	"fsicp/internal/ssa"
 	"fsicp/internal/testutil"
 )
 
@@ -602,5 +604,55 @@ proc c(fc int) { print fc }`
 				t.Errorf("%s: %v", pn, got)
 			}
 		}
+	}
+}
+
+// TestContextSSA checks Context.SSA's slot discipline: concurrent
+// callers share one build per slot, a slot filled beforehand comes
+// back unchanged, and InvalidateSSA makes the next call rebuild.
+func TestContextSSA(t *testing.T) {
+	ctx := icp.Prepare(testutil.MustBuild(t, Figure1))
+	n := len(ctx.CG.Reachable)
+	const callers = 8
+	got := make([][]*ssa.SSA, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		got[c] = make([]*ssa.SSA, n)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				i := (k + c) % n
+				got[c][i] = ctx.SSA(i)
+			}
+		}(c)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if got[0][i] == nil || got[0][i] != ctx.SSACache[i] {
+			t.Fatalf("slot %d: SSA %p, cache %p", i, got[0][i], ctx.SSACache[i])
+		}
+		for c := 1; c < callers; c++ {
+			if got[c][i] != got[0][i] {
+				t.Errorf("slot %d: caller %d got %p, caller 0 got %p", i, c, got[c][i], got[0][i])
+			}
+		}
+	}
+
+	pre := icp.Prepare(testutil.MustBuild(t, Figure1))
+	s := ssa.Build(pre.Prog.FuncOf[pre.CG.Reachable[1]])
+	pre.SSACache = make([]*ssa.SSA, len(pre.CG.Reachable))
+	pre.SSACache[1] = s
+	if pre.SSA(1) != s {
+		t.Error("a prefilled slot was rebuilt")
+	}
+
+	old := ctx.SSA(1)
+	ctx.InvalidateSSA()
+	if ctx.SSACache != nil {
+		t.Error("InvalidateSSA kept the cache")
+	}
+	if s := ctx.SSA(1); s == nil || s == old {
+		t.Errorf("slot 1 after InvalidateSSA: %p, before: %p", s, old)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync/atomic"
 
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
@@ -12,7 +11,6 @@ import (
 	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
-	"fsicp/internal/ssa"
 	"fsicp/internal/val"
 )
 
@@ -279,64 +277,4 @@ func (res *Result) mergeSiteValues(p *sem.Proc, sum *incr.ProcSummary) {
 		res.GlobalCallVals[call] = gm
 		res.VisibleCallGlobals[call] = vm
 	}
-}
-
-// ssaPool supplies per-procedure SSA form. Slots are written only by
-// the position's owning worker (or the prebuild pass); stage barriers
-// provide the happens-before for cross-stage reads.
-type ssaPool struct {
-	ctx   *Context
-	slots []*ssa.SSA
-	built atomic.Int64
-}
-
-func newSSAPool(ctx *Context) *ssaPool {
-	sp := &ssaPool{ctx: ctx, slots: make([]*ssa.SSA, len(ctx.CG.Reachable))}
-	if len(ctx.SSACache) == len(sp.slots) {
-		// Seed from the load-time prebuild (Context.SSAPrebuildShards):
-		// the overlay is read-only during propagation, so sharing one
-		// cache across analyses — including concurrent ones — is safe.
-		copy(sp.slots, ctx.SSACache)
-	}
-	return sp
-}
-
-// prebuilt counts the slots already filled (by the load-time cache).
-func (sp *ssaPool) prebuilt() int {
-	n := 0
-	for _, s := range sp.slots {
-		if s != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// prebuild constructs the SSA of the given positions concurrently (nil
-// means all positions).
-func (sp *ssaPool) prebuild(positions []int, workers int) {
-	if positions == nil {
-		positions = make([]int, len(sp.slots))
-		for i := range positions {
-			positions[i] = i
-		}
-	}
-	driver.Parallel(len(positions), workers, func(k int) {
-		i := positions[k]
-		if sp.slots[i] != nil {
-			return // seeded from the load-time SSA cache
-		}
-		sp.slots[i] = ssa.Build(sp.ctx.Prog.FuncOf[sp.ctx.CG.Reachable[i]])
-		sp.built.Add(1)
-	})
-}
-
-// get returns position i's SSA, building it on demand. Only the worker
-// that owns position i may call this during a wavefront.
-func (sp *ssaPool) get(i int) *ssa.SSA {
-	if sp.slots[i] == nil {
-		sp.slots[i] = ssa.Build(sp.ctx.Prog.FuncOf[sp.ctx.CG.Reachable[i]])
-		sp.built.Add(1)
-	}
-	return sp.slots[i]
 }

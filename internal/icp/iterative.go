@@ -78,24 +78,6 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 		})
 	}
 
-	pool := newSSAPool(ctx)
-	if ist == nil {
-		// Cold run: every procedure runs at least once in round zero,
-		// so prebuild all SSA concurrently. Under the engine SSA is
-		// built lazily — round-zero value-cache hits never need it.
-		opts.Trace.Time("ssa", func(st *driver.PassStats) {
-			hits := pool.prebuilt()
-			pool.prebuild(nil, workers)
-			st.Procs = n
-			st.Notes = fmt.Sprintf("workers=%d", workers)
-			if hits > 0 {
-				// Seeded from the load-time prebuild (Context.SSACache).
-				st.Cached = true
-				st.Hits, st.Misses = hits, n-hits
-			}
-		})
-	}
-
 	// Current state, one slot per PCG position (owner-written only), and
 	// the round-start snapshot back edges read from.
 	sums := make([]*incr.ProcSummary, n)
@@ -192,7 +174,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 						}
 					}
 					physRuns.Add(1)
-					r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
+					r := scc.Run(ctx.SSA(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
 					sums[i] = summarize(ctx, rt, p, r, !live, 0, pe)
 					if opts.DropIntra {
 						r.Release()
@@ -245,7 +227,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			st.Hits = ist.plan.Hits()
 			st.Misses = ist.plan.Misses()
 			st.Cached = st.Hits > 0
-			st.Notes = fmt.Sprintf("%s scc-runs=%d ssa-built=%d", st.Notes, physRuns.Load(), pool.built.Load())
+			st.Notes = fmt.Sprintf("%s scc-runs=%d", st.Notes, physRuns.Load())
 			res.CacheHits = st.Hits
 			res.CacheMisses = st.Misses
 			fillStoreStats(st, res, ist)

@@ -32,7 +32,7 @@ import (
 // reaches the caller — and every such callee sits in an earlier reverse
 // level, behind the barrier, so the parallel schedule reads exactly
 // what the serial one reads.
-func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard, rt *refTab, st *driver.PassStats) {
+func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, st *driver.PassStats) {
 	res.Returns = make(map[*sem.Proc]lattice.Elem)
 	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
 	cg := ctx.CG
@@ -76,7 +76,7 @@ func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard
 				return exits[j], returns[j], true
 			}
 
-			r := scc.Run(pool.get(i), scc.Options{
+			r := scc.Run(ctx.SSA(i), scc.Options{
 				Transient: opts.DropIntra,
 				Entry:     res.Entry[p],
 				CallResult: func(call *ir.CallInstr) lattice.Elem {
@@ -149,7 +149,7 @@ func runReturns(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard
 	}
 
 	if opts.ReturnsRefresh {
-		refreshForward(ctx, opts, res, pool, g, rt, resummed)
+		refreshForward(ctx, opts, res, g, rt, resummed)
 	}
 }
 
@@ -234,7 +234,7 @@ func exitEnv(p *sem.Proc, r *scc.Result, entry lattice.Env[*sem.Var]) lattice.En
 // trivial. Most procedures in practice call nothing, or call only
 // constant-free helpers, so the skip removes the bulk of the third
 // traversal's scc runs; Options.NoDeltaSkip forces the full re-run.
-func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *guard, rt *refTab, resummed []bool) {
+func refreshForward(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, resummed []bool) {
 	cg := ctx.CG
 	n := len(cg.Reachable)
 	if n == 0 {
@@ -295,7 +295,7 @@ func refreshForward(ctx *Context, opts Options, res *Result, pool *ssaPool, g *g
 					skipped.Add(1)
 					return
 				}
-				r := scc.Run(pool.get(i), scc.Options{Entry: env, CallResult: callResult, CallExit: callExit, Budget: g.budget(), Transient: opts.DropIntra})
+				r := scc.Run(ctx.SSA(i), scc.Options{Entry: env, CallResult: callResult, CallExit: callExit, Budget: g.budget(), Transient: opts.DropIntra})
 				sums[i] = summarize(ctx, rt, p, r, !live, nBack, portableEnv(env))
 				if opts.DropIntra {
 					r.Release()

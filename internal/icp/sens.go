@@ -73,25 +73,6 @@ func runFS(ctx *Context, opts Options) *Result {
 		})
 	}
 
-	pool := newSSAPool(ctx)
-	if ist == nil {
-		// Cold run: every procedure needs its SSA; build them all
-		// concurrently up front. Under the engine SSA is built lazily
-		// instead — a procedure whose scc run is served from the value
-		// cache never needs it.
-		opts.Trace.Time("ssa", func(st *driver.PassStats) {
-			hits := pool.prebuilt()
-			pool.prebuild(nil, workers)
-			st.Procs = n
-			st.Notes = fmt.Sprintf("workers=%d", workers)
-			if hits > 0 {
-				// Seeded from the load-time prebuild (Context.SSACache).
-				st.Cached = true
-				st.Hits, st.Misses = hits, n-hits
-			}
-		})
-	}
-
 	var reused atomic.Int64
 	opts.Trace.Time("FS", func(st *driver.PassStats) {
 		levels := forwardLevels(cg)
@@ -132,7 +113,7 @@ func runFS(ctx *Context, opts Options) *Result {
 				}
 
 				// The single flow-sensitive intraprocedural analysis of p.
-				r := scc.Run(pool.get(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
+				r := scc.Run(ctx.SSA(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
 				sums[i] = summarize(ctx, rt, p, r, !live, nBack, pe)
 				if opts.DropIntra {
 					r.Release()
@@ -166,8 +147,7 @@ func runFS(ctx *Context, opts Options) *Result {
 			st.Cached = res.ProcsReused > 0
 			st.Hits = ist.plan.Hits()
 			st.Misses = ist.plan.Misses()
-			st.Notes = fmt.Sprintf("%s reused=%d run=%d ssa-built=%d",
-				st.Notes, res.ProcsReused, n-res.ProcsReused, pool.built.Load())
+			st.Notes = fmt.Sprintf("%s reused=%d run=%d", st.Notes, res.ProcsReused, n-res.ProcsReused)
 			res.CacheHits = st.Hits
 			res.CacheMisses = st.Misses
 			fillStoreStats(st, res, ist)
@@ -197,7 +177,7 @@ func runFS(ctx *Context, opts Options) *Result {
 
 	if opts.ReturnConstants {
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			runReturns(ctx, opts, res, pool, g, rt, st)
+			runReturns(ctx, opts, res, g, rt, st)
 			st.Procs = n
 			st.Degraded = g.passCount("returns") + g.passCount("returns-refresh")
 		})

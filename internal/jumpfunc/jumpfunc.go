@@ -34,7 +34,6 @@ import (
 	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
-	"fsicp/internal/ssa"
 	"fsicp/internal/token"
 	"fsicp/internal/val"
 )
@@ -174,9 +173,8 @@ func run(ctx *icp.Context, opts Options, res *Result) {
 	// One plain intraprocedural SCC per procedure (formals and globals
 	// unknown) supplies INTRA values for every kind except LITERAL.
 	if kind != Literal {
-		for _, p := range cg.Reachable {
-			s := ssa.Build(ctx.Prog.FuncOf[p])
-			res.Intra[p] = scc.Run(s, scc.Options{})
+		for i, p := range cg.Reachable {
+			res.Intra[p] = scc.Run(ctx.SSA(i), scc.Options{})
 		}
 	}
 

@@ -247,7 +247,9 @@ func (s *Suite) SubstitutionTable(title string) string {
 // propagation to the backward walk, so the comparable FI cost is the
 // interprocedural pass plus one deferred SCC per procedure (the
 // FI+DEFER column); the flow-sensitive method interleaves that SCC into
-// its single traversal (the FS column).
+// its single traversal (the FS column). The first run of a program
+// builds its SSA into the context (icp.Context.SSA) and later runs
+// reuse it, so neither best-of column includes SSA construction.
 func (s *Suite) TimingTable(iters int) string {
 	var b strings.Builder
 	b.WriteString(header("Analysis-phase time (per run, best of "+fmt.Sprint(iters)+")",

@@ -5,7 +5,6 @@ import (
 	"fsicp/internal/ir"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
-	"fsicp/internal/ssa"
 )
 
 // ProcElim is the per-procedure elimination preview: what the fold pass
@@ -23,8 +22,8 @@ type ProcElim struct {
 
 // MeasureEliminations previews the fold pass without mutating anything:
 // one intraprocedural SCC run per reachable procedure, seeded with
-// env(p), reusing the prebuilt SSA cache when present. Procedures with
-// nothing to eliminate are omitted; the order is CG.Reachable order.
+// env(p), on the context's SSA form. Procedures with nothing to
+// eliminate are omitted; the order is CG.Reachable order.
 //
 // Sessions can call this safely — unlike Apply/Optimize it never
 // rewrites the IR — which is how watch mode reports elimination deltas
@@ -32,13 +31,7 @@ type ProcElim struct {
 func MeasureEliminations(ctx *icp.Context, env EnvFn) []ProcElim {
 	var out []ProcElim
 	for i, p := range ctx.CG.Reachable {
-		var s *ssa.SSA
-		if ctx.SSACache != nil {
-			s = ctx.SSACache[i]
-		}
-		if s == nil {
-			s = ssa.Build(ctx.Prog.FuncOf[p])
-		}
+		s := ctx.SSA(i)
 		r := scc.Run(s, scc.Options{Entry: env(p)})
 		e := ProcElim{Proc: p}
 		for _, b := range s.Dom.RPO {

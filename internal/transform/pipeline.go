@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/icp"
 	"fsicp/internal/ir"
@@ -90,10 +91,9 @@ func (st *optState) overlay(i int) *ssa.SSA {
 // rewritten program produces byte-identical interpreter output; the
 // result is independent of Workers.
 //
-// Optimize is destructive: it rewrites ctx.Prog in place, drops the
-// prebuilt SSA cache, and resets every function's content fingerprint
-// (via ir.RebuildCallLists), so incremental sessions and later analyses
-// observe the transformed program.
+// Optimize is destructive: it rewrites ctx.Prog in place, then
+// refreshes ctx (see refreshContext), so incremental sessions and later
+// analyses observe the transformed program.
 func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 	passes, err := selectPasses(opts.Passes)
 	if err != nil {
@@ -110,9 +110,9 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 		st.fns[i] = ctx.Prog.FuncOf[p]
 		st.envs[i] = env(p)
 	}
-	// Seed the overlays from the prebuilt cache when present, then drop
-	// the cache immediately: the passes mutate the overlays in place,
-	// so nothing else may read them from here on.
+	// Seed the overlays from the SSA the analyses already built, then
+	// drop the cache immediately: the passes mutate the overlays in
+	// place, so nothing else may read them from here on.
 	if ctx.SSACache != nil {
 		copy(st.ssas, ctx.SSACache)
 		ctx.InvalidateSSA()
@@ -148,10 +148,7 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 	m.Add(driver.Pass{
 		Name: "opt-finish",
 		Run: func(ps *driver.PassStats) error {
-			// Renumber, refresh call lists, and reset fingerprints so
-			// sessions and later analyses see the rewritten program.
-			ir.RebuildCallLists(ctx.Prog)
-			ctx.InvalidateSSA()
+			refreshContext(ctx)
 			ps.Procs = len(st.fns)
 			ps.Notes = fmt.Sprintf("%d instrs eliminated, %d branches",
 				rep.EliminatedInstrs(), rep.FoldedBranches)
@@ -162,11 +159,24 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 	if err := m.Run(context.TODO(), opts.Trace); err != nil {
 		// Leave the program consistent even on failure (passes run in
 		// order, so every earlier pass completed whole-program).
-		ir.RebuildCallLists(ctx.Prog)
-		ctx.InvalidateSSA()
+		refreshContext(ctx)
 		return Report{}, err
 	}
 	return rep, nil
+}
+
+// refreshContext makes ctx describe its rewritten program: it
+// renumbers instructions, rebuilds call lists and resets fingerprints
+// (ir.RebuildCallLists), rebuilds the call graph, since a deleted call
+// can leave a procedure unreachable, and drops the SSA built for the
+// old code. The alias pairs and MOD/REF sets are kept: the rewrites
+// only delete code or store a value the variable already holds, so the
+// old facts remain sound over-approximations. Recomputing them would
+// also rewrite the call sites' may-def lists.
+func refreshContext(ctx *icp.Context) {
+	ir.RebuildCallLists(ctx.Prog)
+	ctx.CG = callgraph.Build(ctx.Prog)
+	ctx.InvalidateSSA()
 }
 
 // shardFn returns the per-function worker for one pass.

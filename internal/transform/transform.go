@@ -35,7 +35,6 @@ import (
 	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
-	"fsicp/internal/ssa"
 )
 
 // EnvFn supplies the interprocedural entry environment of a procedure.
@@ -56,8 +55,8 @@ type Count struct {
 // flow-sensitive method the numbers match its interleaved analysis.
 func CountSubstitutions(ctx *icp.Context, env EnvFn) Count {
 	c := Count{ByProc: make(map[*sem.Proc]int)}
-	for _, p := range ctx.CG.Reachable {
-		s := ssa.Build(ctx.Prog.FuncOf[p])
+	for i, p := range ctx.CG.Reachable {
+		s := ctx.SSA(i)
 		r := scc.Run(s, scc.Options{Entry: env(p)})
 		n := countProc(r)
 		c.ByProc[p] = n
@@ -167,6 +166,6 @@ func RemoveDeadProcedures(ctx *icp.Context, dead map[*sem.Proc]bool) []string {
 	for i, p := range procs {
 		p.Index = i
 	}
-	ir.RebuildCallLists(prog)
+	refreshContext(ctx)
 	return removed
 }

@@ -109,7 +109,7 @@ func TestLoadShardNotes(t *testing.T) {
 	}
 	a := prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true})
 
-	sharded := map[string]bool{"irbuild": false, "alias": false, "modref": false, "clobbers": false, "ssa": false}
+	sharded := map[string]bool{"irbuild": false, "alias": false, "modref": false, "clobbers": false}
 	for _, st := range a.Stats() {
 		if _, ok := sharded[st.Name]; !ok || st.Shards == 0 {
 			continue

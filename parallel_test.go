@@ -126,7 +126,7 @@ func TestStatsTable(t *testing.T) {
 	for _, seq := range [][2]string{
 		{"parse", "sem"}, {"sem", "irbuild"}, {"irbuild", "callgraph"},
 		{"callgraph", "alias"}, {"alias", "modref"}, {"modref", "clobbers"},
-		{"clobbers", "ssa"}, {"ssa", "FS"}, {"FS", "returns"}, {"returns", "metrics"},
+		{"clobbers", "FS"}, {"FS", "returns"}, {"returns", "metrics"},
 	} {
 		a, aok := order[seq[0]]
 		b, bok := order[seq[1]]

@@ -70,6 +70,18 @@ go test -race -count=1 \
     .
 go test -race -count=1 -run 'TestUpdateAfterCallRemoval' ./internal/serve
 
+echo "== SSA on demand (race) =="
+# icp.Context builds a procedure's SSA the first time a pass reads it,
+# once per slot, and concurrent analyses of one context share the
+# slots: the slot discipline itself, the seven RunMatrix methods on one
+# context, concurrent facade analyses, and a Session edit that must
+# build SSA only for the procedures FS runs SCC on.
+go test -race -count=10 -run 'TestContextSSA' ./internal/icp
+go test -race -count=10 -run 'TestRunMatrixWorkers' ./internal/bench
+go test -race -count=10 \
+    -run 'TestSessionBuildsSSAOnlyWhereRead|TestConcurrentAnalyze' \
+    .
+
 echo "== load/delta-skip/global-domain determinism (race) =="
 # The analysis-phase fast paths — the sharded load, delta-propagation
 # skips and the sparse global domain — must be invisible in the

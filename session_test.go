@@ -241,7 +241,7 @@ func TestSessionStaleReuse(t *testing.T) {
 }
 
 // loadPasses names every pass of the load pipeline, in order.
-var loadPasses = []string{"parse", "sem", "irbuild", "callgraph", "alias", "modref", "clobbers", "ssa"}
+var loadPasses = []string{"parse", "sem", "irbuild", "callgraph", "alias", "modref", "clobbers"}
 
 // TestSessionLoadPassReuse asserts whole-version reuse: a comment-only
 // edit or an identical source reuses the compiled program, so every
@@ -473,6 +473,54 @@ proc c(x int) {
 		t.Fatalf("incremental diverged from cold:\n%s\n--- want ---\n%s", got, want)
 	}
 	_ = p2
+}
+
+// TestSessionBuildsSSAOnlyWhereRead checks that an edit builds SSA
+// only for the procedures some pass reads. Under FS without returns
+// that is exactly the procedures whose SCC runs, which the run counts
+// as value-cache misses: every other procedure's previous summary
+// stands or comes from the cache.
+func TestSessionBuildsSSAOnlyWhereRead(t *testing.T) {
+	files, _ := progen.GenerateModules(progen.ModuleConfig{
+		Seed: 7, Modules: 8, ProcsPerModule: 32, Globals: 5, BlockData: 4, AllowFloats: true,
+	})
+	src := flatten(files)
+	sess, err := fsicp.NewSession("edit.mf", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(sess.Program().Procedures()); n != 257 {
+		t.Fatalf("program has %d reachable procedures, want 257", n)
+	}
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}
+	sess.Analyze(cfg)
+	filled := func(p *fsicp.Program) int {
+		n := 0
+		for _, s := range fsicp.ContextOf(p).SSACache {
+			if s != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for i := int64(1); i <= 5; i++ {
+		prev := fsicp.ContextOf(sess.Program())
+		src = progen.Edit(src, i)
+		p, err := sess.Update(src)
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		// A reload starts with no SSA; a comment-only edit keeps the
+		// previous version's context and the SSA built for it.
+		before := filled(p)
+		if fsicp.ContextOf(p) != prev && before != 0 {
+			t.Errorf("edit %d: the load built %d SSA forms", i, before)
+		}
+		_, _, misses := sess.Analyze(cfg).Incremental()
+		if built := filled(p) - before; built != misses {
+			t.Errorf("edit %d: %d SSA forms built for %d SCC runs", i, built, misses)
+		}
+	}
 }
 
 // TestDiffConstants covers the -watch delta helper.
