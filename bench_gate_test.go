@@ -35,6 +35,9 @@ import (
 // LoadFiles + flow-sensitive analysis) on both allocs/op and peak live
 // heap — the scale where a table sized by the program, or a quadratic
 // one, shows up long before the small workloads notice.
+// BenchmarkSessionEditReturns guards the incremental returns traversal:
+// an edit that made it re-run every procedure again would multiply its
+// allocs/op several times over.
 func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 	t.Helper()
 	spice, err := tables.Compile(bench.SPECfp92()[0])
@@ -148,7 +151,8 @@ func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 				prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, Workers: 4})
 			}
 		},
-		"BenchmarkServeSustained": runServeSustained,
+		"BenchmarkServeSustained":     runServeSustained,
+		"BenchmarkSessionEditReturns": runSessionEditReturns,
 		"BenchmarkTable1": func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, ctx := range suite {

@@ -440,3 +440,32 @@ func BenchmarkColdWarmDisk(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSessionEditReturns prices the analysis a daemon /update
+// pays: the 257-procedure program under FS with return constants, one
+// worker, cycling an 8-version progen.Edit stream through one Session.
+// Update, the reload, is untimed, so an operation is the incremental
+// analysis alone, where the returns traversal's reuse shows.
+func BenchmarkSessionEditReturns(b *testing.B) { runSessionEditReturns(b) }
+
+func runSessionEditReturns(b *testing.B) {
+	versions := []string{program257()}
+	for i := int64(1); i < 8; i++ {
+		versions = append(versions, progen.Edit(versions[i-1], i))
+	}
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, Workers: 1}
+	sess, err := fsicp.NewSessionWith("edit.mf", versions[0], fsicp.LoadOptions{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess.Analyze(cfg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := sess.Update(versions[(i+1)%len(versions)]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		sess.Analyze(cfg)
+	}
+}

@@ -676,6 +676,7 @@ func (p *Program) analyze(ctx context.Context, cfg Config, eng *incr.Engine) (a 
 	}
 	if eng == nil && cfg.CacheDir != "" {
 		eng = newEngine(cfg, tr)
+		eng.SetOneShot() // for the disk cache alone; dropped after this run
 	}
 	opts := icp.Options{
 		PropagateFloats: cfg.PropagateFloats,

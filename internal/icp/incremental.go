@@ -46,7 +46,7 @@ func beginIncr(ctx *Context, opts Options, rt *refTab) *incrState {
 	st := &incrState{fps: make([]string, n), eng: opts.Incr, stats0: opts.Incr.Stats()}
 	in := incr.RunInputs{
 		ConfigKey:  configKey(opts),
-		ProgramKey: incr.GlobalsFingerprint(ctx.Prog.Sem.Globals, ctx.Prog.Sem.GlobalInit),
+		ProgramKey: incr.GlobalsFingerprint(ctx.Prog.Sem.Globals),
 		Procs:      make([]incr.ProcInput, n),
 	}
 	// Keys memoise on the Func: within a Session the IR program is
@@ -110,14 +110,19 @@ func configKey(opts Options) string {
 		"k" + opts.FaultKey
 }
 
-// commit installs the run's summaries as the engine's snapshot, where
-// the next run looks up previous summaries. A degraded summary is
-// committed as is: it never stands, so the procedure is fully
-// re-analysed on the next run.
-func (st *incrState) commit(sums []*incr.ProcSummary) {
+// commit installs the run's FS-stage summaries, and the returns
+// records beside them (recs is nil without a returns traversal), as
+// the engine's snapshot, where the next run looks up previous results.
+// A degraded summary is committed as is: it never stands, so the
+// procedure is fully re-analysed on the next run.
+func (st *incrState) commit(sums []*incr.ProcSummary, recs []*incr.ReturnsRecord) {
 	procs := make(map[string]incr.ProcState, len(sums))
 	for i, pi := range st.inputs.Procs {
-		procs[pi.Name] = incr.ProcState{FP: pi.FP, Summary: sums[i]}
+		ps := incr.ProcState{FP: pi.FP, Summary: sums[i]}
+		if recs != nil {
+			ps.Returns = recs[i]
+		}
+		procs[pi.Name] = ps
 	}
 	st.plan.Commit(&incr.Snapshot{
 		ConfigKey:  st.inputs.ConfigKey,
@@ -127,9 +132,13 @@ func (st *incrState) commit(sums []*incr.ProcSummary) {
 }
 
 // portableEnv converts a bound entry environment to the name-keyed
-// form summaries carry. Names are unique within an environment:
-// formals and globals share a procedure-level namespace (sem rejects
-// shadowing).
+// form summaries carry. Names are unique within an environment but for
+// one case: sem lets a formal share the name of a global the procedure
+// does not use, and the procedure can still reach that global through
+// a callee's REF set. The two then collapse into one name and the
+// result is one entry short of env, so no summary ever stands for it
+// (ProcSummary.Stands compares sizes) and it never keys the value
+// cache (its key would not tell such environments apart).
 func portableEnv(env lattice.Env[*sem.Var]) map[string]lattice.Elem {
 	m := make(map[string]lattice.Elem, len(env))
 	for v, e := range env {

@@ -164,8 +164,8 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 					changed.Store(true)
 					markCallees(p)
 					pe := portableEnv(env)
-					var key string
-					if ist != nil {
+					var key string // stays empty when pe lost a name (see portableEnv)
+					if ist != nil && len(pe) == len(env) {
 						key = incr.EnvKey(pe, live)
 						if cached, ok := ist.plan.Lookup("iter", p.Name, ist.fps[i], key); ok {
 							sums[i] = &incr.ProcSummary{Dead: !live, Entry: pe, Sites: cached.Sites}
@@ -182,7 +182,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 					} else {
 						intra[i] = r
 					}
-					if ist != nil {
+					if key != "" {
 						ist.plan.Store("iter", p.Name, ist.fps[i], key, sums[i])
 					}
 				})
@@ -250,7 +250,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	// Keep the engine's generations turning so the value cache ages
 	// out; the method never reads the snapshot's summaries back.
 	if ist != nil {
-		ist.commit(sums)
+		ist.commit(sums, nil)
 	}
 	res.Degradations = g.list()
 	return res

@@ -32,7 +32,13 @@ import (
 // reaches the caller — and every such callee sits in an earlier reverse
 // level, behind the barrier, so the parallel schedule reads exactly
 // what the serial one reads.
-func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, st *driver.PassStats) {
+//
+// Under the incremental engine (ist non-nil) a procedure whose FS-stage
+// summary stood keeps its previous returns record, without an SCC run,
+// when incr.ReturnsRecord.Stands holds. The returned records, one per
+// procedure that completed the traversal, are what the run commits
+// (all nil unless a later run reads them: incr.Plan.Keep).
+func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, ist *incrState, st *driver.PassStats) []*incr.ReturnsRecord {
 	res.Returns = make(map[*sem.Proc]lattice.Elem)
 	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
 	cg := ctx.CG
@@ -41,6 +47,8 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, s
 	returns := make([]lattice.Elem, n)
 	exits := make([]lattice.Env[*sem.Var], n)
 	intra := make([]*scc.Result, n)
+	recs := make([]*incr.ReturnsRecord, n)
+	var reused, ran atomic.Int64
 
 	// conservative is the know-nothing answer for one procedure: no
 	// returned constant, no constant exit values. It is the sound
@@ -49,6 +57,7 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, s
 		returns[i] = lattice.BottomElem()
 		exits[i] = make(lattice.Env[*sem.Var])
 		intra[i] = nil
+		recs[i] = nil
 	}
 
 	revLevels := reverseLevels(cg)
@@ -65,35 +74,47 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, s
 			conservative(i)
 		}, func() {
 
-			// processed reports whether a callee's summaries are available
-			// from this traversal: exactly the procedures after position i,
-			// which the reverse wavefront has completed in earlier levels.
-			processed := func(callee *sem.Proc) (lattice.Env[*sem.Var], lattice.Elem, bool) {
-				j := cg.Pos[callee]
-				if j <= i {
-					return nil, lattice.Elem{}, false
+			// The call hooks read a callee's summaries only once this
+			// traversal has processed it: exactly the procedures after
+			// position i, which the reverse wavefront has completed in
+			// earlier levels. Any other callee answers ⊥.
+			callResult := func(call *ir.CallInstr) lattice.Elem {
+				if j := cg.Pos[call.Callee]; j > i {
+					return opts.filter(returns[j])
 				}
-				return exits[j], returns[j], true
+				return lattice.BottomElem()
+			}
+			callExit := func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
+				if j := cg.Pos[call.Callee]; j > i {
+					return callExitValue(ctx, opts, call, v, exits[j])
+				}
+				return lattice.BottomElem()
+			}
+			calls := ctx.Prog.FuncOf[p].Calls
+
+			// FS reuses a previous summary only when it stands, and
+			// allocates a new one otherwise, so pointer equality says
+			// that p's FS-stage summary stood.
+			if ist != nil && res.Proc[p] == ist.plan.Prev[i] {
+				rec := ist.plan.PrevReturns[i]
+				if rec.Stands(func(k int) lattice.Elem {
+					return callResult(calls[k])
+				}, func(k, j int) lattice.Elem {
+					return callExit(calls[k], calls[k].MayDef[j])
+				}) {
+					returns[i], exits[i], recs[i] = rec.Return, bindExit(ctx, p, rec.Exit), rec
+					reused.Add(1)
+					return
+				}
 			}
 
+			ran.Add(1)
 			r := scc.Run(ctx.SSA(i), scc.Options{
-				Transient: opts.DropIntra,
-				Entry:     res.Entry[p],
-				CallResult: func(call *ir.CallInstr) lattice.Elem {
-					_, ret, ok := processed(call.Callee)
-					if !ok {
-						return lattice.BottomElem()
-					}
-					return opts.filter(ret)
-				},
-				CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
-					exit, _, ok := processed(call.Callee)
-					if !ok {
-						return lattice.BottomElem()
-					}
-					return callExitValue(ctx, opts, call, v, exit)
-				},
-				Budget: g.budget(),
+				Transient:  opts.DropIntra,
+				Entry:      res.Entry[p],
+				CallResult: callResult,
+				CallExit:   callExit,
+				Budget:     g.budget(),
 			})
 			// The second analysis is at least as precise as the first
 			// (extra call information only); adopt it as the final
@@ -106,6 +127,10 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, s
 			}
 			returns[i] = ret
 			exits[i] = exitEnv(p, r, res.Entry[p])
+			if ist != nil && ist.plan.Keep {
+				// The summary is filled in when the run is re-summarized.
+				recs[i] = &incr.ReturnsRecord{Return: ret, Exit: portableExit(exits[i]), Calls: callAnswers(calls, callResult, callExit)}
+			}
 		})
 	})
 
@@ -129,7 +154,8 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, s
 	for i, p := range cg.Reachable {
 		res.Returns[p] = returns[i]
 		res.ExitEnv[p] = exits[i]
-		if intra[i] != nil {
+		switch {
+		case intra[i] != nil:
 			// The second pass is the final fixpoint; its site
 			// reachability supersedes the first pass's in the summary
 			// (liveness, back edges, and the entry environment are
@@ -140,17 +166,80 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, s
 			ns.Degraded = old.Degraded
 			res.Proc[p] = ns
 			resummed[i] = true
+			if recs[i] != nil {
+				recs[i].Summary = ns
+			}
 			if opts.DropIntra {
 				intra[i].Release()
 			} else {
 				res.Intra[p] = intra[i]
 			}
+		case recs[i] != nil:
+			// A kept record: its summary was rebuilt under the call
+			// hooks when it was computed.
+			res.Proc[p] = recs[i].Summary
+			resummed[i] = true
 		}
+	}
+
+	if ist != nil {
+		// run= counts SCC runs, as on the FS row.
+		st.Cached = reused.Load() > 0
+		st.Notes = fmt.Sprintf("reused=%d run=%d", reused.Load(), ran.Load())
 	}
 
 	if opts.ReturnsRefresh {
 		refreshForward(ctx, opts, res, g, rt, resummed)
 	}
+	return recs
+}
+
+// callAnswers records what the hooks answer at each of calls: the
+// result hook, and the exit hook for every variable the call may
+// define. One backing array holds every site's exit answers.
+func callAnswers(calls []*ir.CallInstr, result func(*ir.CallInstr) lattice.Elem, exit func(*ir.CallInstr, *sem.Var) lattice.Elem) []incr.CallAnswer {
+	n := 0
+	for _, call := range calls {
+		n += len(call.MayDef)
+	}
+	backing := make([]lattice.Elem, n)
+	answers := make([]incr.CallAnswer, len(calls))
+	for k, call := range calls {
+		nd := len(call.MayDef)
+		a := incr.CallAnswer{Result: result(call), Exit: backing[:nd:nd]}
+		backing = backing[nd:]
+		for j, v := range call.MayDef {
+			a.Exit[j] = exit(call, v)
+		}
+		answers[k] = a
+	}
+	return answers
+}
+
+// portableExit converts an exit environment, which binds only p's
+// formals and globals, to the position-keyed form returns records
+// carry.
+func portableExit(exit lattice.Env[*sem.Var]) []incr.ExitBinding {
+	out := make([]incr.ExitBinding, 0, len(exit))
+	for v, e := range exit {
+		out = append(out, incr.ExitBinding{Global: v.IsGlobal(), Index: v.Index, Val: e})
+	}
+	return out
+}
+
+// bindExit rebinds a kept record's portable exit environment to this
+// load's variables: p's formals by position, and globals by
+// declaration index, which the program key fixes.
+func bindExit(ctx *Context, p *sem.Proc, b []incr.ExitBinding) lattice.Env[*sem.Var] {
+	exit := make(lattice.Env[*sem.Var], len(b))
+	for _, x := range b {
+		if x.Global {
+			exit[ctx.Prog.Sem.Globals[x.Index]] = x.Val
+		} else {
+			exit[p.Params[x.Index]] = x.Val
+		}
+	}
+	return exit
 }
 
 // callExitValue maps a may-defined caller variable at a call site to

@@ -1,9 +1,16 @@
 package icp_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"fsicp/internal/driver"
 	"fsicp/internal/icp"
+	"fsicp/internal/incr"
+	"fsicp/internal/lattice"
+	"fsicp/internal/progen"
+	"fsicp/internal/sem"
 	"fsicp/internal/testutil"
 )
 
@@ -335,5 +342,132 @@ proc g(a int) { print a }`
 	g := ctx.Prog.Sem.ProcByName["g"]
 	if v, ok := three.EntryConstant(g, g.Params[0]); !ok || v.I != 42 {
 		t.Errorf("refresh: a = %v,%v, want 42", v, ok)
+	}
+}
+
+// TestIncrementalReturnsMatchCold runs the incremental engine with
+// return constants on over a progen.Edit stream and compares, after
+// every edit, the returns traversal's own outputs with a cold analysis
+// of the same version: each procedure's returned value, its exit
+// environment and its returns-stage summary. The facade shows exit
+// environments only through their effect on callers.
+func TestIncrementalReturnsMatchCold(t *testing.T) {
+	files, _ := progen.GenerateModules(progen.ModuleConfig{
+		Seed: 7, Modules: 3, ProcsPerModule: 16, Globals: 5, BlockData: 4, AllowFloats: true,
+	})
+	src := progen.Flatten(files)
+	opts := icp.Options{Method: icp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, Workers: 2}
+	eng := incr.NewEngine()
+	reusedEver := false
+	for i := 0; i < 40; i++ {
+		if i > 0 {
+			src = progen.Edit(src, int64(i))
+		}
+		inc := opts
+		inc.Incr, inc.Trace = eng, driver.NewTrace()
+		got := icp.Analyze(icp.Prepare(testutil.MustBuild(t, src)), inc)
+		want := icp.Analyze(icp.Prepare(testutil.MustBuild(t, src)), opts)
+		for k, wp := range want.Ctx.CG.Reachable {
+			gp := got.Ctx.CG.Reachable[k]
+			if !got.Returns[gp].Eq(want.Returns[wp]) {
+				t.Fatalf("edit %d: %s returns %v, cold %v", i, wp.Name, got.Returns[gp], want.Returns[wp])
+			}
+			if g, w := byVar(got.ExitEnv[gp]), byVar(want.ExitEnv[wp]); !sameElems(g, w) {
+				t.Fatalf("edit %d: %s exit environment %v, cold %v", i, wp.Name, g, w)
+			}
+			if !sameSummary(got.Proc[gp], want.Proc[wp]) {
+				t.Fatalf("edit %d: %s returns-stage summary %+v, cold %+v", i, wp.Name, *got.Proc[gp], *want.Proc[wp])
+			}
+		}
+		for _, st := range inc.Trace.Passes() {
+			if st.Name == "returns" && st.Cached && !strings.Contains(st.Notes, "reused=0 ") {
+				reusedEver = true
+			}
+		}
+	}
+	if !reusedEver {
+		t.Error("the returns traversal never reused a record across 40 edits")
+	}
+}
+
+// byVar keys an environment by variable, across loads: "proc.name"
+// for a formal, the bare name for a global, so a formal that shares a
+// global's name stays apart from it.
+func byVar(env lattice.Env[*sem.Var]) map[string]lattice.Elem {
+	m := make(map[string]lattice.Elem, len(env))
+	for v, e := range env {
+		m[v.String()] = e
+	}
+	return m
+}
+
+// sameElems compares two string-keyed environments bit-exactly.
+func sameElems(a, b map[string]lattice.Elem) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for n, e := range a {
+		if o, ok := b[n]; !ok || !o.Eq(e) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameSummary(a, b *incr.ProcSummary) bool {
+	if a.Dead != b.Dead || a.BackEdges != b.BackEdges || a.Degraded != b.Degraded ||
+		!sameElems(a.Entry, b.Entry) || len(a.Sites) != len(b.Sites) {
+		return false
+	}
+	for k, sa := range a.Sites {
+		sb := b.Sites[k]
+		if sa.Reachable != sb.Reachable || len(sa.Args) != len(sb.Args) || len(sa.GlobIdx) != len(sb.GlobIdx) {
+			return false
+		}
+		for j := range sa.Args {
+			if !sa.Args[j].Eq(sb.Args[j]) {
+				return false
+			}
+		}
+		for j := range sa.GlobIdx {
+			if sa.GlobIdx[j] != sb.GlobIdx[j] || !sa.GlobVals[j].Eq(sb.GlobVals[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestOneShotEngineKeepsNoReturnsRecords: a one-shot engine serves its
+// run the value cache alone, so the returns traversal builds no record
+// for a later run to read. A second run over it re-runs every live
+// procedure, where a Session's engine keeps every one.
+func TestOneShotEngineKeepsNoReturnsRecords(t *testing.T) {
+	files, _ := progen.GenerateModules(progen.ModuleConfig{Seed: 7, Modules: 2, ProcsPerModule: 8, Globals: 3, AllowFloats: true})
+	ctx := icp.Prepare(testutil.MustBuild(t, progen.Flatten(files)))
+	for _, oneShot := range []bool{false, true} {
+		eng := incr.NewEngine()
+		if oneShot {
+			eng.SetOneShot()
+		}
+		var res *icp.Result
+		var notes string
+		for run := 0; run < 2; run++ {
+			tr := driver.NewTrace()
+			res = icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, Incr: eng, Trace: tr})
+			for _, st := range tr.Passes() {
+				if st.Name == "returns" {
+					notes = st.Notes
+				}
+			}
+		}
+		live := len(ctx.CG.Reachable) - len(res.Dead)
+		want := fmt.Sprintf("reused=%d run=0", live)
+		if oneShot {
+			want = fmt.Sprintf("reused=0 run=%d", live)
+		}
+		if notes != want {
+			t.Errorf("one-shot=%v: the second run's returns row says %q, want %q", oneShot, notes, want)
+		}
 	}
 }

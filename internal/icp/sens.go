@@ -99,8 +99,8 @@ func runFS(ctx *Context, opts Options) *Result {
 					return
 				}
 				pe := portableEnv(env)
-				var key string
-				if ist != nil {
+				var key string // stays empty when pe lost a name (see portableEnv)
+				if ist != nil && len(pe) == len(env) {
 					// Value-level cutoff: the same (key, environment)
 					// pair was analysed before, in any earlier run.
 					key = incr.EnvKey(pe, live)
@@ -120,7 +120,7 @@ func runFS(ctx *Context, opts Options) *Result {
 				} else {
 					intra[i] = r
 				}
-				if ist != nil {
+				if key != "" {
 					ist.plan.Store("fs", p.Name, ist.fps[i], key, sums[i])
 				}
 			})
@@ -147,7 +147,8 @@ func runFS(ctx *Context, opts Options) *Result {
 			st.Cached = res.ProcsReused > 0
 			st.Hits = ist.plan.Hits()
 			st.Misses = ist.plan.Misses()
-			st.Notes = fmt.Sprintf("%s reused=%d run=%d", st.Notes, res.ProcsReused, n-res.ProcsReused)
+			// run= counts SCC runs: the value-cache misses.
+			st.Notes = fmt.Sprintf("%s reused=%d run=%d", st.Notes, res.ProcsReused, st.Misses)
 			res.CacheHits = st.Hits
 			res.CacheMisses = st.Misses
 			fillStoreStats(st, res, ist)
@@ -168,19 +169,19 @@ func runFS(ctx *Context, opts Options) *Result {
 		res.mergeSiteValues(p, sums[i])
 	}
 
-	// Commit the FS-stage summaries before the returns stages run: the
-	// reuse rule compares FS-stage inputs only, and the returns
-	// traversals recompute from those summaries deterministically.
-	if ist != nil {
-		ist.commit(sums)
-	}
-
+	var recs []*incr.ReturnsRecord
 	if opts.ReturnConstants {
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			runReturns(ctx, opts, res, g, rt, st)
+			recs = runReturns(ctx, opts, res, g, rt, ist, st)
 			st.Procs = n
 			st.Degraded = g.passCount("returns") + g.passCount("returns-refresh")
 		})
+	}
+	// The snapshot holds the FS-stage summaries (FS reuse compares
+	// FS-stage inputs), not the ones the returns traversal re-derived,
+	// which travel in the returns records beside them.
+	if ist != nil {
+		ist.commit(sums, recs)
 	}
 	res.Degradations = g.list()
 	return res

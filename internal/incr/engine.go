@@ -14,9 +14,10 @@ import (
 // goroutines, but runs themselves must be issued one at a time
 // (Begin .. Commit pairs must not overlap).
 type Engine struct {
-	mu    sync.Mutex
-	store Store
-	snap  *Snapshot
+	mu      sync.Mutex
+	store   Store
+	snap    *Snapshot
+	oneShot bool
 }
 
 // DefaultCacheLimit is the in-memory value-cache generation size above
@@ -34,6 +35,11 @@ func NewEngine() *Engine {
 func NewEngineWithStore(s Store) *Engine {
 	return &Engine{store: s}
 }
+
+// SetOneShot marks an engine that serves a single run, for its value
+// cache alone: no later run reads the snapshot it commits, so a run
+// builds nothing only a later run would read (Plan.Keep is false).
+func (e *Engine) SetOneShot() { e.oneShot = true }
 
 // SetCacheLimit bounds the in-memory value cache: when the live
 // generation holds at least n entries at Commit, entries untouched
@@ -72,9 +78,10 @@ type Snapshot struct {
 	// handling, return-constant options). Results are never shared
 	// across configurations.
 	ConfigKey string
-	// ProgramKey is the globals-section fingerprint
-	// (GlobalsFingerprint); summaries index globals by declaration
-	// slot, so nothing survives a change to it.
+	// ProgramKey is the layout of the globals section
+	// (GlobalsFingerprint: names, types, order, not initial values);
+	// summaries index globals by declaration slot, so nothing survives
+	// a change to it.
 	ProgramKey string
 	// Procs maps procedure name to its committed state.
 	Procs map[string]ProcState
@@ -95,7 +102,8 @@ type RunInputs struct {
 }
 
 // Plan is the per-run view handed to the analysis: each procedure's
-// previous summary under the same key, and the value-cache interface.
+// previous summary and returns record under the same key, and the
+// value-cache interface.
 type Plan struct {
 	eng    *Engine
 	prefix string
@@ -104,21 +112,30 @@ type Plan struct {
 	// under the same configuration, program and procedure key, or nil.
 	// Whether it may be reused is ProcSummary.Stands' decision.
 	Prev []*ProcSummary
+	// PrevReturns[i] is the returns record committed beside Prev[i],
+	// or nil. Whether it may be reused is ReturnsRecord.Stands'
+	// decision.
+	PrevReturns []*ReturnsRecord
+	// Keep reports whether a later run reads this run's snapshot;
+	// false on a one-shot engine (SetOneShot).
+	Keep bool
 
 	hits, misses atomic.Int64
 }
 
 // Begin opens a run: it looks up, for every procedure, the previous
-// summary committed under the same configuration key, program key and
-// procedure key. It never returns nil; with no usable snapshot every
-// Prev is nil.
+// summary and returns record committed under the same configuration
+// key, program key and procedure key. It never returns nil; with no
+// usable snapshot every Prev and PrevReturns is nil.
 func (e *Engine) Begin(in RunInputs) *Plan {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	p := &Plan{
-		eng:    e,
-		prefix: in.ConfigKey + "\x00" + in.ProgramKey + "\x00",
-		Prev:   make([]*ProcSummary, len(in.Procs)),
+		eng:         e,
+		prefix:      in.ConfigKey + "\x00" + in.ProgramKey + "\x00",
+		Prev:        make([]*ProcSummary, len(in.Procs)),
+		PrevReturns: make([]*ReturnsRecord, len(in.Procs)),
+		Keep:        !e.oneShot,
 	}
 	snap := e.snap
 	if snap != nil && snap.ProgramKey != in.ProgramKey {
@@ -131,7 +148,7 @@ func (e *Engine) Begin(in RunInputs) *Plan {
 	}
 	for i, pi := range in.Procs {
 		if st, ok := snap.Procs[pi.Name]; ok && st.FP == pi.FP {
-			p.Prev[i] = st.Summary
+			p.Prev[i], p.PrevReturns[i] = st.Summary, st.Returns
 		}
 	}
 	return p

@@ -233,21 +233,20 @@ func (w *fpWriter) sum() string {
 	return hex.EncodeToString(w.h.Sum(nil))
 }
 
-// GlobalsFingerprint fingerprints the program-level inputs every
-// procedure shares: the globals section (names, types, declaration
-// order, initial values). Any change here shifts the global index
-// space that portable summaries use, so the engine drops the value
-// cache entirely when it changes.
-func GlobalsFingerprint(globals []*sem.Var, init map[*sem.Var]val.Value) string {
+// GlobalsFingerprint fingerprints the layout of the globals section:
+// names, types and declaration order. Portable summaries index globals
+// by declaration slot, so the engine drops the value cache entirely
+// when the layout changes. Initial values are deliberately left out:
+// they reach an SCC run only through entry environments (main's seed
+// and the flow-insensitive back-edge fallback), which Stands and
+// EnvKey already compare, so an initializer edit keeps every summary
+// whose entry environment it does not change.
+func GlobalsFingerprint(globals []*sem.Var) string {
 	h := sha256.New()
 	for _, g := range globals {
 		h.Write([]byte(g.Name))
 		h.Write([]byte{0})
 		h.Write([]byte(g.Type.String()))
-		h.Write([]byte{0})
-		if v, ok := init[g]; ok {
-			h.Write([]byte(valKey(v)))
-		}
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -8,7 +8,7 @@
 // procedure's own code and its entry environment. So a procedure's
 // result is a pure function of
 //
-//	(analysis configuration, globals section, procedure key,
+//	(analysis configuration, globals layout, procedure key,
 //	 entry environment)
 //
 // — the value context of Padhye & Khedker. The procedure key
@@ -21,6 +21,13 @@
 // as a cold run does; one whose previous summary does not stand
 // consults the value cache under (key, environment digest), and only
 // then runs SCC.
+//
+// The returns traversal (§3.2) reuses by the same rule, extended by
+// what its second SCC run reads besides: the call hooks. A procedure
+// whose summary stood keeps its committed ReturnsRecord iff every call
+// site's hooks answer as they did when the record was computed
+// (ReturnsRecord.Stands). Returns records live in the snapshot only,
+// never in the value cache.
 //
 // Summaries are "portable": they name variables by source name and
 // globals by declaration index, never by pointer, so a summary cached
@@ -120,11 +127,80 @@ func (s *ProcSummary) Stands(env lattice.Env[*sem.Var], live bool, backEdges int
 	return true
 }
 
+// CallAnswer is what one call site's hooks answered during the returns
+// traversal: the result hook's answer, and the exit hook's answer for
+// each variable the call may define, in the call's MayDef order. A
+// callee the reverse traversal had not yet completed (a back edge)
+// answers ⊥ throughout; a completed one answers from its return value
+// and exit environment, filtered, as its MOD set and the call's
+// by-reference bindings select them. The answers, not the callee's
+// summary, are stored because they are exactly what the SCC run read:
+// equal procedure keys do not even imply equal edge kinds (back edges
+// come from a DFS of the whole call graph, so an edit elsewhere can
+// turn an unchanged caller's forward edge into a back edge), and a
+// callee change the hooks do not pass on must not cost the caller its
+// record.
+type CallAnswer struct {
+	Result lattice.Elem
+	Exit   []lattice.Elem
+}
+
+// ExitBinding is one variable of a portable exit environment: a formal
+// by parameter position, or a global by declaration index (Global).
+// Names would not do: a formal may share the name of a global its
+// procedure does not use, and both can leave it with constant values.
+type ExitBinding struct {
+	Global bool
+	Index  int
+	Val    lattice.Elem
+}
+
+// ReturnsRecord is one procedure's result from the returns traversal
+// (§3.2): its raw return value, its exit environment in portable form,
+// the summary re-derived from that traversal's fixpoint, and the
+// answers its call sites received, in ir.Func.Calls order.
+type ReturnsRecord struct {
+	Return  lattice.Elem
+	Exit    []ExitBinding
+	Summary *ProcSummary
+	Calls   []CallAnswer
+}
+
+// Stands is the returns-stage reuse rule, asked only for a procedure
+// whose FS-stage summary stood (same key, entry environment, liveness
+// and back-edge count). Its second SCC run reads nothing else but the
+// call hooks, so r is exactly what the run would produce now iff every
+// call site's hooks answer, bit-exactly, what they answered when r was
+// computed. result(k) and exit(k, j) report call site k's answers now:
+// its result hook's, and its exit hook's for the j-th variable the
+// call may define. The procedure key fixes the call sites and their
+// MayDef lists.
+func (r *ReturnsRecord) Stands(result func(k int) lattice.Elem, exit func(k, j int) lattice.Elem) bool {
+	if r == nil {
+		return false
+	}
+	for k, a := range r.Calls {
+		if !a.Result.Eq(result(k)) {
+			return false
+		}
+		for j, e := range a.Exit {
+			if !e.Eq(exit(k, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // ProcState is one procedure's entry in a committed snapshot: the key
-// it was analysed under and the summary a later run may reuse.
+// it was analysed under and the results a later run may reuse.
 type ProcState struct {
 	// FP is the procedure key (ProcFingerprint).
 	FP string
-	// Summary is the committed result.
+	// Summary is the committed FS-stage result.
 	Summary *ProcSummary
+	// Returns is the committed returns-stage result: nil when the run
+	// had no returns traversal, or the procedure was dead or degraded
+	// in it.
+	Returns *ReturnsRecord
 }

@@ -169,6 +169,55 @@ func TestStands(t *testing.T) {
 	}
 }
 
+// TestReturnsRecordStands pins the returns-stage rule: a record
+// stands only when every call site's hooks answer bit-identically what
+// they answered when it was computed, result and exit answers alike.
+func TestReturnsRecordStands(t *testing.T) {
+	five, zero := lattice.Const(val.Int(5)), lattice.Const(val.Real(0))
+	rec := &ReturnsRecord{Calls: []CallAnswer{
+		{Result: five, Exit: []lattice.Elem{zero, lattice.BottomElem()}},
+		{Result: lattice.BottomElem()},
+	}}
+	// now answers as rec recorded, except at site k, MayDef position j
+	// (j < 0: the result hook), where it answers e.
+	now := func(k, j int, e lattice.Elem) (func(int) lattice.Elem, func(int, int) lattice.Elem) {
+		return func(kk int) lattice.Elem {
+				if kk == k && j < 0 {
+					return e
+				}
+				return rec.Calls[kk].Result
+			}, func(kk, jj int) lattice.Elem {
+				if kk == k && jj == j {
+					return e
+				}
+				return rec.Calls[kk].Exit[jj]
+			}
+	}
+	if !rec.Stands(now(-1, 0, lattice.Elem{})) {
+		t.Fatal("identical answers must stand")
+	}
+	var none *ReturnsRecord
+	if none.Stands(now(-1, 0, lattice.Elem{})) {
+		t.Error("a nil record must not stand")
+	}
+	for _, c := range []struct {
+		name string
+		k, j int
+		e    lattice.Elem
+	}{
+		{"return value", 0, -1, lattice.Const(val.Int(6))},
+		{"return now bottom (edge turned back)", 0, -1, lattice.BottomElem()},
+		{"return now constant (edge turned forward)", 1, -1, five},
+		{"exit value", 0, 1, five},
+		{"-0.0 for 0.0", 0, 0, lattice.Const(val.Real(math.Copysign(0, -1)))},
+		{"exit now bottom", 0, 0, lattice.BottomElem()},
+	} {
+		if rec.Stands(now(c.k, c.j, c.e)) {
+			t.Errorf("%s: a changed answer must not stand", c.name)
+		}
+	}
+}
+
 func TestProgramKeyChangeResetsValueCache(t *testing.T) {
 	e := NewEngine()
 	in := chain()

@@ -126,6 +126,28 @@ func WriteCorpus(dir string, files []File, m Manifest) error {
 	return os.WriteFile(filepath.Join(dir, ManifestName), append(data, '\n'), 0o666)
 }
 
+// Flatten joins a corpus into one single-file program: the program
+// header, then every global in file order, then every procedure in file
+// order — the declaration order merging the files gives, so both load
+// to the same program.
+func Flatten(files []File) string {
+	var head, globals, procs strings.Builder
+	for _, f := range files {
+		for _, line := range strings.SplitAfter(f.Src, "\n") {
+			switch {
+			case strings.HasPrefix(line, "program "):
+				head.WriteString(line)
+			case strings.HasPrefix(line, "module "):
+			case strings.HasPrefix(line, "global "):
+				globals.WriteString(line)
+			default:
+				procs.WriteString(line)
+			}
+		}
+	}
+	return head.String() + "\n" + globals.String() + procs.String()
+}
+
 // ReadManifest reads a corpus directory's manifest. The error wraps
 // os.ErrNotExist when the directory has no manifest.
 func ReadManifest(dir string) (Manifest, error) {

@@ -72,7 +72,6 @@ func (s *Server) lead(kind reqKind, name, src, fpr string, cfg fsicp.Config, she
 	defer cancel()
 	release, err := s.admit(actx)
 	if err != nil {
-		s.stats.rejected.Add(1)
 		return &outcome{
 			status:     429,
 			errMsg:     "over capacity: " + err.Error(),
@@ -87,11 +86,5 @@ func (s *Server) lead(kind reqKind, name, src, fpr string, cfg fsicp.Config, she
 	start := time.Now()
 	out = s.compute(kind, name, src, fpr, cfg, shed, shedDetail)
 	s.observeLatency(time.Since(start))
-	if out.status == 200 {
-		s.stats.served.Add(1)
-		if shed {
-			s.stats.shed.Add(1)
-		}
-	}
 	return out
 }

@@ -303,8 +303,19 @@ func (s *Server) requestConfig(req *Request) (fsicp.Config, error) {
 }
 
 // writeOutcome renders a flight's outcome for one request. Coalesced
-// followers get the shared body with their own Coalesced mark.
+// followers get the shared body with their own Coalesced mark. The
+// response counters count here, once per response: a flight's outcome
+// answers its leader and every follower alike.
 func (s *Server) writeOutcome(w http.ResponseWriter, out *outcome, coalesced bool) {
+	switch out.status {
+	case http.StatusOK:
+		s.stats.served.Add(1)
+		if out.resp.Shed {
+			s.stats.shed.Add(1)
+		}
+	case http.StatusTooManyRequests:
+		s.stats.rejected.Add(1)
+	}
 	if out.status != http.StatusOK {
 		if out.retryAfter > 0 {
 			w.Header().Set("Retry-After", retryAfterSeconds(out.retryAfter))

@@ -397,6 +397,49 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 	if got := s.Stats().Coalesced; got != 1 {
 		t.Errorf("coalesced = %d, want 1", got)
 	}
+	if got := s.Stats().Served; got != 2 {
+		t.Errorf("served = %d, want 2 (leader and follower)", got)
+	}
+}
+
+// TestCountersCountEveryResponse: the response counters count each
+// response, a coalesced follower's included. A leader /analyze queues
+// behind a held slot until its queue deadline passes, and an identical
+// request joins its flight meanwhile: both clients get 429, so
+// Rejected reads 2.
+func TestCountersCountEveryResponse(t *testing.T) {
+	s, ts := newTestServer(t, Config{Concurrency: 1, MaxQueue: 1, ShedQueue: -1, DefaultTimeout: time.Second})
+	client := ts.Client()
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
+	req := Request{Program: "held", Source: genSource(91, 4)}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	leader := make(chan int, 1)
+	go func() {
+		resp, err := client.Post(ts.URL+"/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("leader: %v", err)
+			leader <- 0
+			return
+		}
+		resp.Body.Close()
+		leader <- resp.StatusCode
+	}()
+	waitFor(t, "leader queued", func() bool { return s.Stats().Queued == 1 })
+
+	if status, data, _ := post(t, client, ts.URL+"/analyze", req); status != 429 {
+		t.Fatalf("follower: status %d: %s", status, data)
+	}
+	if status := <-leader; status != 429 {
+		t.Fatalf("leader: status %d", status)
+	}
+	if st := s.Stats(); st.Coalesced != 1 || st.Rejected != 2 {
+		t.Errorf("coalesced = %d, rejected = %d; want 1 and 2", st.Coalesced, st.Rejected)
+	}
 }
 
 // TestShedToFIUnderLatencyPressure drives the latency watermark: with

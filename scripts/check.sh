@@ -55,19 +55,28 @@ echo "== server soak smoke =="
 # panics, starved fuel, and 1ms deadlines. Race-enabled; every request
 # must come back sound or 429, and no goroutine may survive the drain.
 go test -race -count=1 \
-    -run 'TestServeChaosSoak|TestReportsByteIdenticalAcrossPoolSizes|TestPooledSessionReusableAfterDegradedRun' \
+    -run 'TestServeChaosSoak|TestReportsByteIdenticalAcrossPoolSizes|TestPooledSessionReusableAfterDegradedRun|TestCountersCountEveryResponse' \
     ./internal/serve
 go test -race -count=1 ./cmd/fsicpd
 
 echo "== incremental determinism (race) =="
 # A Session keeps a procedure's previous result iff its key and entry
-# environment are unchanged. Every incremental answer must equal a cold
-# run: the interprocedural edit replay, the stale-reuse repros (a
-# callee's REF set grows; a caller drops a call) in the library and
-# through the daemon's /update, and the update fuzzer's seeds.
+# environment are unchanged, and its returns-stage result iff, besides,
+# its call sites' hooks answer as before. Every incremental answer must
+# equal a cold run: the interprocedural edit replay, the stale-reuse
+# repros (a callee's REF set grows; a caller drops a call; a callee's
+# returned constant or by-reference exit value changes; a call edge
+# flips between forward and back; a formal shares a global's name) in
+# the library and through the daemon's /update, the update fuzzer's
+# seeds, a global-initializer edit under the layout-only program key,
+# the returns traversal's own outputs (return values, exit
+# environments, summaries) over an edit stream, and a one-shot engine
+# building no records.
 go test -race -count=1 \
-    -run 'TestSessionDifferentialEditReplay|TestSessionStaleReuse|FuzzSessionUpdate' \
+    -run 'TestSessionDifferentialEditReplay|TestSessionStaleReuse|FuzzSessionUpdate|TestSessionProgramKeyIgnoresGlobalInitializers|TestSessionEntryNameClash' \
     .
+go test -race -count=1 -run 'TestIncrementalReturnsMatchCold|TestOneShotEngineKeepsNoReturnsRecords' ./internal/icp
+go test -race -count=1 -run 'TestStands|TestReturnsRecordStands' ./internal/incr
 go test -race -count=1 -run 'TestUpdateAfterCallRemoval' ./internal/serve
 
 echo "== SSA on demand (race) =="
@@ -75,7 +84,8 @@ echo "== SSA on demand (race) =="
 # once per slot, and concurrent analyses of one context share the
 # slots: the slot discipline itself, the seven RunMatrix methods on one
 # context, concurrent facade analyses, and a Session edit that must
-# build SSA only for the procedures FS runs SCC on.
+# build SSA only for the procedures FS or the returns traversal runs
+# SCC on.
 go test -race -count=10 -run 'TestContextSSA' ./internal/icp
 go test -race -count=10 -run 'TestRunMatrixWorkers' ./internal/bench
 go test -race -count=10 \
@@ -105,7 +115,7 @@ echo "== bench smoke =="
 # One iteration of the wavefront and sharded-load benchmarks: catches
 # crashes or hangs in the benchmark harnesses themselves without paying
 # for a full measurement.
-go test -run '^$' -bench 'BenchmarkAnalyzeParallel|BenchmarkLoadParallel|BenchmarkColdEndToEnd|BenchmarkColdWarmDisk|BenchmarkOptimize|BenchmarkServeSustained|BenchmarkLargeCorpus|BenchmarkAnalyzeLargeCorpus' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'BenchmarkAnalyzeParallel|BenchmarkLoadParallel|BenchmarkColdEndToEnd|BenchmarkColdWarmDisk|BenchmarkOptimize|BenchmarkServeSustained|BenchmarkLargeCorpus|BenchmarkAnalyzeLargeCorpus|BenchmarkSessionEditReturns' -benchtime=1x -benchmem .
 
 echo "== benchmark module =="
 # perfbench/ is its own Go module (go build ./... above never compiles

@@ -24,9 +24,13 @@ import (
 //     analysis configuration owns an engine whose snapshot and value
 //     cache let the flow-sensitive methods keep a procedure's previous
 //     result whenever its key (code plus callees' REF layouts) and its
-//     entry environment are unchanged. Incremental results are
-//     byte-identical to a cold analysis of the same source (the
-//     differential property tests enforce this).
+//     entry environment are unchanged. The return-constant traversal
+//     keeps such a procedure's return value, exit values and summary
+//     too when, in addition, every call site's hooks answer exactly
+//     as before: the callee's return value and the exit values the
+//     call reads, or ⊥ for a callee not yet processed. Incremental
+//     results are byte-identical to a cold analysis of the same
+//     source (the differential property tests enforce this).
 //
 // A Session is not safe for concurrent use, and the destructive
 // Program methods (ApplyTransform, Optimize, Clone, Inline,

@@ -3,6 +3,7 @@ package fsicp_test
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,13 +26,14 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 	configs := []fsicp.Config{
 		{Method: fsicp.FlowInsensitive, PropagateFloats: true},
 		{Method: fsicp.FlowSensitive, PropagateFloats: true},
+		{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true},
 		{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, ReturnsRefresh: true},
 		{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true},
 	}
 	files, _ := progen.GenerateModules(progen.ModuleConfig{
 		Seed: 7, Modules: 3, ProcsPerModule: 16, Globals: 5, BlockData: 4, AllowFloats: true,
 	})
-	base := flatten(files)
+	base := progen.Flatten(files)
 	prog, err := fsicp.Load("edit.mf", base)
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +52,9 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 		name := cfg.Method.String()
 		if cfg.ReturnConstants {
 			name += "+returns"
+		}
+		if cfg.ReturnsRefresh {
+			name += "+refresh"
 		}
 		t.Run(name, func(t *testing.T) {
 			sess, err := fsicp.NewSession("edit.mf", base)
@@ -95,26 +100,6 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 			}
 		})
 	}
-}
-
-// flatten joins a multi-module corpus into one source: the program
-// header, then every global, then every procedure.
-func flatten(files []progen.File) string {
-	var head, globals, procs strings.Builder
-	for _, f := range files {
-		for _, line := range strings.SplitAfter(f.Src, "\n") {
-			switch {
-			case strings.HasPrefix(line, "program "):
-				head.WriteString(line)
-			case strings.HasPrefix(line, "module "):
-			case strings.HasPrefix(line, "global "):
-				globals.WriteString(line)
-			default:
-				procs.WriteString(line)
-			}
-		}
-	}
-	return head.String() + "\n" + globals.String() + procs.String()
 }
 
 // structuralEdit changes what flows between procedures rather than a
@@ -198,13 +183,106 @@ var (
 	callRemovalV2 = strings.Replace(callRemovalV1, "  call p(1)\n", "  print 0\n", 1)
 )
 
-// TestSessionStaleReuse replays both stale-reuse repros under every
+// Three edits that leave h's procedure key and entry environment
+// unchanged, so its FS-stage summary stands, yet change what h's call
+// hooks answer in the returns traversal: the returned constant of its
+// callee f, the by-reference exit value of its callee setp, and
+// whether its callee k is processed before it (editing main turns the
+// DFS entry of the cycle a -> h -> k -> a from a to k, so h -> k
+// becomes a back edge). h's returned constant shows each.
+const (
+	returnChangeV1 = `program retchange
+proc main() {
+  var y int = h()
+  print y
+}
+func h() int {
+  var x int = f()
+  return x + 1
+}
+func f() int {
+  return 5
+}
+`
+	exitChangeV1 = `program exitchange
+proc main() {
+  var y int = h()
+  print y
+}
+func h() int {
+  var a int = 2
+  call setp(a)
+  return a
+}
+proc setp(p int) {
+  p = 7
+}
+`
+	edgeFlipV1 = `program flip
+proc main() {
+  call a()
+}
+proc a() {
+  var t int = h()
+  print t
+}
+func h() int {
+  var r int = k()
+  return r
+}
+func k() int {
+  call a()
+  return 3
+}
+`
+)
+
+var (
+	returnChangeV2 = strings.Replace(returnChangeV1, "return 5", "return 7", 1)
+	exitChangeV2   = strings.Replace(exitChangeV1, "p = 7", "p = 8", 1)
+	edgeFlipV2     = strings.Replace(edgeFlipV1, "  call a()\n}\nproc a", "  var u int = k()\n  print u\n}\nproc a", 1)
+)
+
+// p's formal g shares its name with the global g, which p does not use
+// but reaches through q's MOD set: p leaves both with constants, the
+// formal 3 and the global 7, so h returns 73. Editing h alone keeps
+// p's key, entry environment and call answers, so p keeps its returns
+// record, whose exit environment must still tell the two apart.
+const nameClashV1 = `program clash
+global g int = 1
+proc main() {
+  var y int = h()
+  print y
+}
+func h() int {
+  use g
+  var a int = 2
+  call p(a)
+  return a + g * 10
+}
+proc p(g int) {
+  call q()
+  g = 3
+}
+proc q() {
+  use g
+  g = 7
+}
+`
+
+var nameClashV2 = strings.Replace(nameClashV1, "  call p(a)\n", "  print 0\n  call p(a)\n", 1)
+
+// TestSessionStaleReuse replays the stale-reuse repros under every
 // flow-sensitive configuration: v1, Analyze, Update(v2), Analyze must
 // equal a cold Load(v2).
 func TestSessionStaleReuse(t *testing.T) {
 	repros := []struct{ name, v1, v2 string }{
 		{"ref-growth", refGrowthV1, refGrowthV2},
 		{"call-removal", callRemovalV1, callRemovalV2},
+		{"return-change", returnChangeV1, returnChangeV2},
+		{"exit-change", exitChangeV1, exitChangeV2},
+		{"edge-flip", edgeFlipV1, edgeFlipV2},
+		{"name-clash", nameClashV1, nameClashV2},
 	}
 	configs := []struct {
 		name string
@@ -212,6 +290,7 @@ func TestSessionStaleReuse(t *testing.T) {
 	}{
 		{"fs", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}},
 		{"iter", fsicp.Config{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true}},
+		{"fs+returns", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true}},
 		{"fs+returns+refresh", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, ReturnsRefresh: true}},
 	}
 	for _, r := range repros {
@@ -236,6 +315,62 @@ func TestSessionStaleReuse(t *testing.T) {
 					t.Fatalf("incremental result diverged from cold run\n--- incremental ---\n%s\n--- cold ---\n%s", got, want)
 				}
 			})
+		}
+	}
+}
+
+// p's formal g shares its name with the global g, which p reaches
+// through q's REF set, so p's entry environment binds both: the formal
+// 1 and the global 2 in v1, the formal 2 and the global 1 in v2. By
+// name they collapse to one entry, and which value survives depends on
+// map order, so v2 could find v1's site values in the value cache and
+// hand q the global 2.
+const entryClashV1 = `program clash
+global g int = 1
+proc main() {
+  use g
+  g = 2
+  call p(1)
+}
+proc p(g int) {
+  call q()
+}
+proc q() {
+  use g
+  print g
+}
+`
+
+var entryClashV2 = strings.Replace(strings.Replace(entryClashV1, "  g = 2\n", "  g = 1\n", 1), "call p(1)", "call p(2)", 1)
+
+// TestSessionEntryNameClash replays entryClash under both methods that
+// consult the value cache. The stale hit depends on map order, so each
+// configuration replays it on 32 fresh sessions.
+func TestSessionEntryNameClash(t *testing.T) {
+	if entryClashV2 == entryClashV1 {
+		t.Fatal("the edit did not apply")
+	}
+	cold, err := fsicp.Load("t.mf", entryClashV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []fsicp.Config{
+		{Method: fsicp.FlowSensitive, PropagateFloats: true},
+		{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true},
+	} {
+		want := fingerprint(cold.Analyze(cfg))
+		for i := 0; i < 32; i++ {
+			sess, err := fsicp.NewSession("t.mf", entryClashV1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Analyze(cfg)
+			if _, err := sess.Update(entryClashV2); err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(sess.Analyze(cfg)); got != want {
+				t.Fatalf("method %v, replay %d: incremental result diverged from cold run\n--- incremental ---\n%s\n--- cold ---\n%s", cfg.Method, i, got, want)
+			}
 		}
 	}
 }
@@ -356,8 +491,8 @@ func TestSessionRetriedFailedUpdate(t *testing.T) {
 // FuzzSessionUpdate steps a session through NewSession(a), Update(b),
 // Update(b), Update(a). Every step must fail exactly when a cold Load
 // of its source fails, with the same message, and every successful
-// step must analyse to the cold result, flow-sensitively and
-// flow-sensitive-iteratively.
+// step must analyse to the cold result: flow-sensitively with and
+// without return constants, and flow-sensitive-iteratively.
 func FuzzSessionUpdate(f *testing.F) {
 	f.Add(stepZeroGood, stepZeroBad)
 	f.Add(stepZeroGood, "# comment\n"+stepZeroGood)
@@ -368,8 +503,11 @@ func FuzzSessionUpdate(f *testing.F) {
 	}
 	f.Add(refGrowthV1, refGrowthV2)
 	f.Add(callRemovalV1, callRemovalV2)
+	f.Add(returnChangeV1, returnChangeV2)
+	f.Add(nameClashV1, nameClashV2)
 	cfgs := []fsicp.Config{
 		{Method: fsicp.FlowSensitive, PropagateFloats: true},
+		{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true},
 		{Method: fsicp.FlowSensitiveIterative, PropagateFloats: true},
 	}
 	f.Fuzz(func(t *testing.T, a, b string) {
@@ -475,50 +613,148 @@ proc c(x int) {
 	_ = p2
 }
 
-// TestSessionBuildsSSAOnlyWhereRead checks that an edit builds SSA
-// only for the procedures some pass reads. Under FS without returns
-// that is exactly the procedures whose SCC runs, which the run counts
-// as value-cache misses: every other procedure's previous summary
-// stands or comes from the cache.
-func TestSessionBuildsSSAOnlyWhereRead(t *testing.T) {
+// program257 is the 257-procedure program the SSA, program-key and
+// edit-returns checks share: a flattened eight-module corpus with
+// recursion, block data and floats.
+func program257() string {
 	files, _ := progen.GenerateModules(progen.ModuleConfig{
 		Seed: 7, Modules: 8, ProcsPerModule: 32, Globals: 5, BlockData: 4, AllowFloats: true,
 	})
-	src := flatten(files)
-	sess, err := fsicp.NewSession("edit.mf", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(sess.Program().Procedures()); n != 257 {
-		t.Fatalf("program has %d reachable procedures, want 257", n)
-	}
-	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}
-	sess.Analyze(cfg)
-	filled := func(p *fsicp.Program) int {
-		n := 0
-		for _, s := range fsicp.ContextOf(p).SSACache {
-			if s != nil {
-				n++
+	return progen.Flatten(files)
+}
+
+// passNote reads the integer a pass's stats notes record as key=N, or
+// -1 when the pass or the key is missing.
+func passNote(a *fsicp.Analysis, pass, key string) int {
+	for _, st := range a.Stats() {
+		if st.Name != pass {
+			continue
+		}
+		for _, f := range strings.Fields(st.Notes) {
+			if v, ok := strings.CutPrefix(f, key+"="); ok {
+				if n, err := strconv.Atoi(v); err == nil {
+					return n
+				}
 			}
 		}
-		return n
 	}
-	for i := int64(1); i <= 5; i++ {
-		prev := fsicp.ContextOf(sess.Program())
-		src = progen.Edit(src, i)
-		p, err := sess.Update(src)
+	return -1
+}
+
+// TestSessionBuildsSSAOnlyWhereRead checks that an edit builds SSA
+// only for the procedures some pass runs SCC on. FS runs it exactly
+// for its value-cache misses: every other procedure's previous summary
+// stands or comes from the cache. With return constants on, the
+// returns traversal runs it for every live procedure FS ran or took
+// from the cache, and for those whose call answers changed. Both
+// stats rows count their SCC runs as run=; only dead procedures are
+// FS's alone.
+func TestSessionBuildsSSAOnlyWhereRead(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  fsicp.Config
+	}{
+		{"fs", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true}},
+		{"fs+returns", fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true}},
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			src := program257()
+			sess, err := fsicp.NewSession("edit.mf", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(sess.Program().Procedures()); n != 257 {
+				t.Fatalf("program has %d reachable procedures, want 257", n)
+			}
+			sess.Analyze(c.cfg)
+			for i := int64(1); i <= 5; i++ {
+				prev := fsicp.ContextOf(sess.Program())
+				src = progen.Edit(src, i)
+				p, err := sess.Update(src)
+				if err != nil {
+					t.Fatalf("edit %d: %v", i, err)
+				}
+				// A reload starts with no SSA; a comment-only edit keeps
+				// the previous version's context and the SSA built for it.
+				ictx := fsicp.ContextOf(p)
+				before := make([]bool, len(ictx.CG.Reachable))
+				for k := range before {
+					before[k] = ictx.SSACache != nil && ictx.SSACache[k] != nil
+					if before[k] && ictx != prev {
+						t.Fatalf("edit %d: the load built SSA for %s", i, ictx.CG.Reachable[k].Name)
+					}
+				}
+				a := sess.Analyze(c.cfg)
+				_, _, misses := a.Incremental()
+				// run= counts SCC runs on the FS row as on the returns row.
+				if run := passNote(a, "FS", "run"); run != misses {
+					t.Errorf("edit %d: FS row says run=%d for %d SCC runs", i, run, misses)
+				}
+				dead := fsicp.ResultOf(a).Dead
+				liveBuilt, deadBuilt := 0, 0
+				for k, q := range ictx.CG.Reachable {
+					switch {
+					case before[k] || ictx.SSACache[k] == nil:
+					case dead[q]:
+						deadBuilt++
+					default:
+						liveBuilt++
+					}
+				}
+				if !c.cfg.ReturnConstants {
+					if built := liveBuilt + deadBuilt; built != misses {
+						t.Errorf("edit %d: %d SSA forms built for %d SCC runs", i, built, misses)
+					}
+					continue
+				}
+				if run := passNote(a, "returns", "run"); liveBuilt != run || deadBuilt > misses {
+					t.Errorf("edit %d: SSA built for %d live and %d dead procedures; returns ran SCC on %d, FS on %d",
+						i, liveBuilt, deadBuilt, run, misses)
+				}
+			}
+		})
+	}
+}
+
+// TestSessionProgramKeyIgnoresGlobalInitializers: the program key
+// covers the globals' layout, not their initial values, so editing one
+// initializer keeps the snapshot and the value cache. Only main, whose
+// entry environment the initializer seeds, re-runs; every other
+// procedure's entry environment is unchanged and its summary stands.
+func TestSessionProgramKeyIgnoresGlobalInitializers(t *testing.T) {
+	src := program257()
+	edited := strings.Replace(src, "global g1 int = 8\n", "global g1 int = 98\n", 1)
+	if edited == src {
+		t.Fatal("the initializer edit did not apply")
+	}
+	for _, cfg := range []fsicp.Config{
+		{Method: fsicp.FlowSensitive, PropagateFloats: true},
+		{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true},
+	} {
+		sess, err := fsicp.NewSession("edit.mf", src)
 		if err != nil {
-			t.Fatalf("edit %d: %v", i, err)
+			t.Fatal(err)
 		}
-		// A reload starts with no SSA; a comment-only edit keeps the
-		// previous version's context and the SSA built for it.
-		before := filled(p)
-		if fsicp.ContextOf(p) != prev && before != 0 {
-			t.Errorf("edit %d: the load built %d SSA forms", i, before)
+		sess.Analyze(cfg)
+		if _, err := sess.Update(edited); err != nil {
+			t.Fatal(err)
 		}
-		_, _, misses := sess.Analyze(cfg).Incremental()
-		if built := filled(p) - before; built != misses {
-			t.Errorf("edit %d: %d SSA forms built for %d SCC runs", i, built, misses)
+		a := sess.Analyze(cfg)
+		if reused, _, misses := a.Incremental(); reused != 256 || misses != 1 {
+			t.Errorf("returns=%v: reused=%d misses=%d, want reused=256 misses=1", cfg.ReturnConstants, reused, misses)
+		}
+		if cfg.ReturnConstants {
+			if run := passNote(a, "returns", "run"); run < 0 || run > 2 {
+				t.Errorf("returns traversal ran SCC on %d procedures, want at most 2", run)
+			}
+		}
+		cold, err := fsicp.Load("edit.mf", edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(a), fingerprint(cold.Analyze(cfg)); got != want {
+			t.Fatalf("returns=%v: incremental diverged from cold:\n%s\n--- want ---\n%s", cfg.ReturnConstants, got, want)
 		}
 	}
 }
