@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	fsicp "fsicp"
 	"fsicp/internal/faultinject"
@@ -115,6 +116,28 @@ func TestCacheStatsShape(t *testing.T) {
 	}
 	if (fsicp.CacheStats{MemHits: 1}).Empty() || (fsicp.CacheStats{Corrupt: 1}).Empty() {
 		t.Fatal("Empty ignored a nonzero counter")
+	}
+}
+
+// TestCacheKeyKeepsFaultRatesExact: fault specs whose rates differ
+// only past the second decimal inject different faults, so they must
+// not share persistent store entries; a repeat of the same spec does.
+func TestCacheKeyKeepsFaultRatesExact(t *testing.T) {
+	cfg := fsicp.Config{
+		Method:          fsicp.FlowSensitive,
+		PropagateFloats: true,
+		CacheDir:        t.TempDir(),
+		Faults:          fsicp.FaultSpec{Seed: 7, LatencyRate: 0.101, Latency: time.Microsecond},
+	}
+	if cs := loadLargest(t).Analyze(cfg).CacheStats(); cs.DiskWrites == 0 {
+		t.Fatalf("cold run wrote nothing to the store: %+v", cs)
+	}
+	if cs := loadLargest(t).Analyze(cfg).CacheStats(); cs.DiskHits == 0 {
+		t.Fatalf("repeat of the same spec hit nothing on disk: %+v", cs)
+	}
+	cfg.Faults.LatencyRate = 0.104
+	if cs := loadLargest(t).Analyze(cfg).CacheStats(); cs.DiskHits != 0 {
+		t.Fatalf("latency rates 0.101 and 0.104 shared %d disk entries", cs.DiskHits)
 	}
 }
 

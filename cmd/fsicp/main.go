@@ -8,8 +8,9 @@
 // a progen manifest (corpus.json) when present, otherwise every *.mf
 // file in lexical order, with exactly one "program" unit among them.
 //
-//	-method fs|fi|literal|intra|passthrough|polynomial
-//	        analysis to run (default fs)
+//	-method fs|fi|iter|literal|intra|passthrough|polynomial
+//	        analysis to run (default fs); -json, -optimize and -watch
+//	        need fs, fi or iter
 //	-floats propagate floating-point constants (default true)
 //	-returns enable the return-constant extension (fs only)
 //	-metrics print the paper's call-site and entry metrics
@@ -17,14 +18,13 @@
 //	-dump-ir print the program IR
 //	-cg      print the call graph with back edges marked
 //	-run     execute the program with the reference interpreter
-//	-transform apply the solution to the IR and print the result
 //	-optimize run the full SSA optimization pipeline (constant folding,
 //	         copy propagation, dead-store elimination, CSE, LICM) and
-//	         print the per-pass report
-//	         and the transformed IR; with -json the report is attached
-//	         under "optimize"
+//	         print the per-pass report and the transformed IR; with -json
+//	         the report is attached under "optimize"
 //	-opt-passes p1,p2 restrict -optimize to a pass subset
-//	         (fold, copyprop, dse, cse, licm)
+//	         (fold, copyprop, dse, cse, licm); -opt-passes fold applies
+//	         the paper's transformation step alone
 //	-stats   print the per-pass timing table (load + analysis passes),
 //	         with live-heap and GC-cycle notes on the load passes
 //	         and, when -cache-dir is set, a cache hit/miss summary
@@ -69,21 +69,47 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// icpConfig maps a -method value to an ICP configuration; ok is false
-// for the jump-function baselines and unknown methods.
-func icpConfig(method string, floats, returns bool, workers int, timeout time.Duration, fuel int, cacheDir string) (fsicp.Config, bool) {
-	cfg := fsicp.Config{PropagateFloats: floats, ReturnConstants: returns, Workers: workers, Timeout: timeout, Fuel: fuel, CacheDir: cacheDir}
-	switch method {
-	case "fi":
-		cfg.Method = fsicp.FlowInsensitive
-	case "iter":
-		cfg.Method = fsicp.FlowSensitiveIterative
-	case "fs":
-		cfg.Method = fsicp.FlowSensitive
-	default:
-		return cfg, false
+// The -method values: the paper's ICP methods and the jump-function
+// baselines.
+var (
+	icpMethods = map[string]fsicp.Method{
+		"fs": fsicp.FlowSensitive, "fi": fsicp.FlowInsensitive, "iter": fsicp.FlowSensitiveIterative,
 	}
-	return cfg, true
+	jumpKinds = map[string]fsicp.JumpFunctionKind{
+		"literal": fsicp.Literal, "intra": fsicp.IntraConstant,
+		"passthrough": fsicp.PassThrough, "polynomial": fsicp.Polynomial,
+	}
+)
+
+// checkMethod validates -method before anything is loaded or printed:
+// an unknown method fails, and so does a jump-function baseline under
+// a flag only the ICP methods support (-json, -optimize, -watch).
+func checkMethod(method string, jsonOut, optimize, watch bool) error {
+	if _, ok := icpMethods[method]; ok {
+		return nil
+	}
+	if _, ok := jumpKinds[method]; !ok {
+		return fmt.Errorf("unknown method %q", method)
+	}
+	var name string
+	switch {
+	case jsonOut:
+		name = "-json"
+	case optimize:
+		name = "-optimize"
+	case watch:
+		name = "-watch"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%s supports the fs|fi|iter methods, not %q", name, method)
+}
+
+// icpConfig maps a -method value to an ICP configuration; ok is false
+// for the jump-function baselines.
+func icpConfig(method string, floats, returns bool, workers int, timeout time.Duration, fuel int, cacheDir string) (fsicp.Config, bool) {
+	m, ok := icpMethods[method]
+	return fsicp.Config{Method: m, PropagateFloats: floats, ReturnConstants: returns, Workers: workers, Timeout: timeout, Fuel: fuel, CacheDir: cacheDir}, ok
 }
 
 func main() {
@@ -97,7 +123,6 @@ func main() {
 	dumpIR := flag.Bool("dump-ir", false, "print the program IR")
 	dumpCG := flag.Bool("cg", false, "print the call graph")
 	run := flag.Bool("run", false, "execute the program")
-	doTransform := flag.Bool("transform", false, "apply the solution and print the transformed IR")
 	doOptimize := flag.Bool("optimize", false, "run the SSA optimization pipeline and print the per-pass report and transformed IR")
 	optPasses := flag.String("opt-passes", "", "comma-separated pipeline passes for -optimize: fold,copyprop,dse,cse,licm (empty = all)")
 	doInline := flag.Bool("inline", false, "inline all non-recursive calls before analysing")
@@ -111,6 +136,9 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if err := checkMethod(*method, *jsonOut, *doOptimize, *watch); err != nil {
+		fail("%v", err)
+	}
 
 	stopProf, err := bench.StartCPUProfile(*cpuprofile)
 	if err != nil {
@@ -132,10 +160,7 @@ func main() {
 		if flag.NArg() == 0 {
 			fail("-watch needs a file argument")
 		}
-		cfg, ok := icpConfig(*method, *floats, *returns, *workers, *timeout, *fuel, *cacheDir)
-		if !ok {
-			fail("-watch supports the fs|fi|iter methods, not %q", *method)
-		}
+		cfg, _ := icpConfig(*method, *floats, *returns, *workers, *timeout, *fuel, *cacheDir)
 		watchLoop(flag.Arg(0), cfg, *showStats, 500*time.Millisecond)
 	}
 
@@ -226,12 +251,6 @@ func main() {
 		if *annotate {
 			fmt.Print(a.AnnotatedListing())
 		}
-		if *doTransform && !*doOptimize {
-			rep := a.ApplyTransform()
-			fmt.Printf("transform: %d entry assignments, %d folded instructions, %d folded branches, %d removed blocks\n",
-				rep.EntryAssignments, rep.FoldedInstrs, rep.FoldedBranches, rep.RemovedBlocks)
-			fmt.Print(prog.DumpIR())
-		}
 		if *doOptimize {
 			rep, err := a.Optimize(parseOptPasses(*optPasses))
 			if err != nil {
@@ -254,18 +273,13 @@ func main() {
 					cs.DiskWrites, cs.Evictions, cs.Corrupt)
 			}
 		}
-	} else if kind, ok := map[string]fsicp.JumpFunctionKind{
-		"literal": fsicp.Literal, "intra": fsicp.IntraConstant,
-		"passthrough": fsicp.PassThrough, "polynomial": fsicp.Polynomial,
-	}[*method]; ok {
-		a := prog.AnalyzeJumpFunctions(kind)
+	} else {
+		a := prog.AnalyzeJumpFunctions(jumpKinds[*method])
 		fmt.Printf("%s jump functions\n", *method)
 		printConstants(a.Constants())
 		if *showSubst {
 			fmt.Printf("substitutions: %d\n", a.Substitutions())
 		}
-	} else {
-		fail("unknown method %q", *method)
 	}
 
 	if *run {

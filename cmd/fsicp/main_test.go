@@ -12,11 +12,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestJSONReportGolden pins the -json output shape: the report must be
-// byte-identical across runs (it carries no timings) and across worker
-// counts, and any intentional change to the encoding must update the
-// golden file (go test ./cmd/fsicp -update).
-func TestJSONReportGolden(t *testing.T) {
+// loadConstants loads the golden tests' input program.
+func loadConstants(t *testing.T) *fsicp.Program {
+	t.Helper()
 	src, err := os.ReadFile("../../testdata/programs/constants.mf")
 	if err != nil {
 		t.Fatal(err)
@@ -25,18 +23,14 @@ func TestJSONReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fsicp.Config{
-		Method:          fsicp.FlowSensitive,
-		PropagateFloats: true,
-		ReturnConstants: true,
-		Workers:         1,
-	}
-	got, err := report.Build(prog, prog.Analyze(cfg), cfg).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	return prog
+}
 
-	golden := filepath.Join("testdata", "report.golden.json")
+// checkGolden compares got with testdata/name, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -50,8 +44,27 @@ func TestJSONReportGolden(t *testing.T) {
 		t.Fatalf("%v (run: go test ./cmd/fsicp -update)", err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("JSON report drifted from golden file:\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("JSON report drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 	}
+}
+
+// TestJSONReportGolden pins the -json output shape: the report must be
+// byte-identical across runs (it carries no timings) and across worker
+// counts, and any intentional change to the encoding must update the
+// golden file (go test ./cmd/fsicp -update).
+func TestJSONReportGolden(t *testing.T) {
+	prog := loadConstants(t)
+	cfg := fsicp.Config{
+		Method:          fsicp.FlowSensitive,
+		PropagateFloats: true,
+		ReturnConstants: true,
+		Workers:         1,
+	}
+	got, err := report.Build(prog, prog.Analyze(cfg), cfg).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "report.golden.json", got)
 
 	// The report must not depend on the worker count.
 	cfg.Workers = 8
@@ -61,5 +74,80 @@ func TestJSONReportGolden(t *testing.T) {
 	}
 	if string(again) != string(got) {
 		t.Error("JSON report differs between worker counts")
+	}
+}
+
+// TestJSONReportBlocksGolden pins the optional report blocks the clean
+// golden omits: "degradations" (a starved fuel budget), "cache" (a
+// cold persistent store) and "optimize" (every pass, as -optimize
+// -json attaches it).
+func TestJSONReportBlocksGolden(t *testing.T) {
+	base := fsicp.Config{
+		Method:          fsicp.FlowSensitive,
+		PropagateFloats: true,
+		ReturnConstants: true,
+		Workers:         1,
+	}
+	for _, tc := range []struct {
+		name     string
+		edit     func(*fsicp.Config)
+		optimize bool
+	}{
+		{name: "fuel", edit: func(c *fsicp.Config) { c.Fuel = 1 }},
+		{name: "cache", edit: func(c *fsicp.Config) { c.CacheDir = t.TempDir() }},
+		{name: "optimize", optimize: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := loadConstants(t)
+			cfg := base
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			a := prog.Analyze(cfg)
+			rep := report.Build(prog, a, cfg)
+			if tc.optimize {
+				opt, err := a.Optimize(fsicp.AllOptimizations())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep.Optimize = &opt
+			}
+			got, err := rep.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "report."+tc.name+".golden.json", got)
+		})
+	}
+}
+
+// TestCheckMethod: -method is validated before the load, so an unknown
+// method, or a jump-function baseline under -json, -optimize or
+// -watch, fails instead of printing output the flags did not ask for.
+func TestCheckMethod(t *testing.T) {
+	for _, tc := range []struct {
+		method                   string
+		jsonOut, optimize, watch bool
+		want                     string // "" = accepted
+	}{
+		{method: "fs", jsonOut: true, optimize: true, watch: true},
+		{method: "fi", jsonOut: true},
+		{method: "iter", optimize: true},
+		{method: "literal"},
+		{method: "polynomial"},
+		{method: "bogus", want: `unknown method "bogus"`},
+		{method: "literal", jsonOut: true, want: `-json supports the fs|fi|iter methods, not "literal"`},
+		{method: "intra", optimize: true, want: `-optimize supports the fs|fi|iter methods, not "intra"`},
+		{method: "passthrough", watch: true, want: `-watch supports the fs|fi|iter methods, not "passthrough"`},
+	} {
+		err := checkMethod(tc.method, tc.jsonOut, tc.optimize, tc.watch)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("checkMethod(%q, json=%t, optimize=%t, watch=%t) = %q, want %q",
+				tc.method, tc.jsonOut, tc.optimize, tc.watch, got, tc.want)
+		}
 	}
 }

@@ -60,7 +60,12 @@ func parseFlags(args []string) (*options, error) {
 		return nil, err
 	}
 	if fs.NArg() > 0 {
-		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
+		// Reported as the flag package reports its own errors: the
+		// message, then the usage.
+		err := fmt.Errorf("unexpected arguments: %v", fs.Args())
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return nil, err
 	}
 	return o, nil
 }
@@ -68,7 +73,7 @@ func parseFlags(args []string) (*options, error) {
 func main() {
 	o, err := parseFlags(os.Args[1:])
 	if err != nil {
-		os.Exit(2)
+		os.Exit(2) // parseFlags has printed the error and the usage
 	}
 	srv := serve.New(o.Config)
 	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}

@@ -85,12 +85,12 @@ func main() {
 	needSpec := map[string]bool{"1": true, "2": true, "time": true, "all": true}
 	needFirst := map[string]bool{"3": true, "4": true, "5": true, "all": true}
 	if needSpec[*table] {
-		if spec, err = tables.LoadSuiteTraced(bench.SPECfp92(), true, tr); err != nil {
+		if spec, err = tables.LoadSuite(bench.SPECfp92(), true, tr); err != nil {
 			fail(err)
 		}
 	}
 	if needFirst[*table] {
-		if first, err = tables.LoadSuiteTraced(bench.FirstRelease(), false, tr); err != nil {
+		if first, err = tables.LoadSuite(bench.FirstRelease(), false, tr); err != nil {
 			fail(err)
 		}
 	}
@@ -142,7 +142,7 @@ func main() {
 		}
 		show(s)
 	case "methods":
-		s, err := tables.MethodMatrixTableCacheCtx(gctx, bench.SPECfp92(), true, *cacheDir)
+		s, err := tables.MethodMatrixTable(gctx, bench.SPECfp92(), true, *cacheDir)
 		if err != nil {
 			fail(err)
 		}
@@ -200,7 +200,7 @@ func main() {
 			fail(err)
 		}
 		show(s5)
-		s6, err := tables.MethodMatrixTableCacheCtx(gctx, bench.SPECfp92(), true, *cacheDir)
+		s6, err := tables.MethodMatrixTable(gctx, bench.SPECfp92(), true, *cacheDir)
 		if err != nil {
 			fail(err)
 		}

@@ -45,9 +45,10 @@ proc main() {
 	// sum 10
 }
 
-// ExampleAnalysis_ApplyTransform folds the discovered constants into
-// the program and shows the semantics are unchanged.
-func ExampleAnalysis_ApplyTransform() {
+// ExampleAnalysis_Optimize folds the discovered constants into the
+// program (the fold pass alone, the paper's transformation step) and
+// shows the semantics are unchanged.
+func ExampleAnalysis_Optimize() {
 	prog, _ := fsicp.Load("t.mf", `program t
 proc main() {
   call emit(6, 7)
@@ -56,7 +57,7 @@ proc emit(a int, b int) {
   print a * b
 }`)
 	a := prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true})
-	rep := a.ApplyTransform()
+	rep, _ := a.Optimize(fsicp.OptimizeOptions{Fold: true})
 	fmt.Printf("assignments=%d folded=%d\n", rep.EntryAssignments, rep.FoldedInstrs)
 	fmt.Print(prog.Run(nil).Output)
 	// Output:

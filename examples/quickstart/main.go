@@ -50,7 +50,10 @@ func main() {
 	}
 	fmt.Print("\nprogram output:\n", before.Output)
 
-	rep := a.ApplyTransform()
+	rep, err := a.Optimize(fsicp.OptimizeOptions{Fold: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ntransformation: %d entry assignments, %d folded instructions, %d folded branches, %d blocks removed\n",
 		rep.EntryAssignments, rep.FoldedInstrs, rep.FoldedBranches, rep.RemovedBlocks)
 

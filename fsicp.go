@@ -57,6 +57,7 @@ import (
 	"fsicp/internal/modref"
 	"fsicp/internal/parser"
 	"fsicp/internal/progen"
+	"fsicp/internal/resilience"
 	"fsicp/internal/sem"
 	"fsicp/internal/source"
 	"fsicp/internal/store"
@@ -65,34 +66,18 @@ import (
 )
 
 // Method selects an interprocedural constant propagation algorithm.
-type Method int
+type Method = icp.Method
 
+// The three ICP methods; icp.Method documents each.
 const (
-	// FlowInsensitive is the paper's Figure 3 algorithm: literal and
-	// pass-through propagation over the call graph plus unmodified
-	// block-data globals.
-	FlowInsensitive Method = iota
-	// FlowSensitive is the paper's Figure 4 algorithm: one interleaved
-	// Wegman–Zadeck analysis per procedure in a forward topological
-	// traversal, with the flow-insensitive solution on back edges.
-	FlowSensitive
+	// FlowInsensitive is the paper's Figure 3 algorithm.
+	FlowInsensitive Method = icp.FlowInsensitive
+	// FlowSensitive is the paper's Figure 4 algorithm.
+	FlowSensitive Method = icp.FlowSensitive
 	// FlowSensitiveIterative re-analyses procedures until a global
-	// fixpoint — the comparison point the paper's method matches on
-	// acyclic call graphs without any iteration.
-	FlowSensitiveIterative
+	// fixpoint.
+	FlowSensitiveIterative Method = icp.FlowSensitiveIterative
 )
-
-func (m Method) String() string {
-	switch m {
-	case FlowInsensitive:
-		return "flow-insensitive"
-	case FlowSensitive:
-		return "flow-sensitive"
-	case FlowSensitiveIterative:
-		return "flow-sensitive-iterative"
-	}
-	return fmt.Sprintf("unknown(%d)", int(m))
-}
 
 // Config selects and configures an analysis.
 type Config struct {
@@ -179,87 +164,34 @@ func (c Config) engineKey() Config {
 }
 
 // FaultSpec configures deterministic, seeded fault injection (see
-// internal/faultinject). Whether a fault fires at a given (pass,
-// procedure) site is a pure function of the seed, so a fault scenario
-// replays identically at any worker count. All fields comparable:
-// Config remains usable as a map key.
-type FaultSpec struct {
-	Seed int64
-	// PanicRate is the per-site probability of an injected panic,
-	// FuelRate of a simulated fuel exhaustion, LatencyRate of a stall
-	// of Latency (default 1ms). All in [0, 1].
-	PanicRate   float64
-	FuelRate    float64
-	LatencyRate float64
-	Latency     time.Duration
-}
-
-func (s FaultSpec) spec() faultinject.Spec {
-	return faultinject.Spec{
-		Seed:        s.Seed,
-		PanicRate:   s.PanicRate,
-		FuelRate:    s.FuelRate,
-		LatencyRate: s.LatencyRate,
-		Latency:     s.Latency,
-	}
-}
+// internal/faultinject). The zero FaultSpec injects nothing.
+type FaultSpec = faultinject.Spec
 
 // Degradation reports one procedure (or whole pass, when Proc is
 // empty) that fell back to the flow-insensitive solution instead of
 // completing its flow-sensitive analysis. Degraded results stay sound;
 // they only lose precision.
-type Degradation struct {
-	Proc   string `json:"proc,omitempty"`
-	Pass   string `json:"pass"`
-	Reason string `json:"reason"` // "panic", "fuel-exhausted", "cancelled", "deadline"
-	Detail string `json:"detail,omitempty"`
-}
+type Degradation = resilience.Degradation
 
-func (d Degradation) String() string {
-	who := d.Proc
-	if who == "" {
-		who = "<pass>"
-	}
-	s := fmt.Sprintf("%s: %s during %s", who, d.Reason, d.Pass)
-	if d.Detail != "" {
-		s += " (" + d.Detail + ")"
-	}
-	return s
-}
+// JumpFunctionKind selects a baseline jump-function implementation.
+type JumpFunctionKind = jumpfunc.Kind
 
-// JumpFunctionKind selects a baseline jump-function implementation
-// (Callahan–Cooper–Kennedy–Torczon 1986; Grove–Torczon 1993).
-type JumpFunctionKind int
-
+// The four jump-function baselines; jumpfunc.Kind documents each.
 const (
-	Literal JumpFunctionKind = iota
-	IntraConstant
-	PassThrough
-	Polynomial
+	Literal       JumpFunctionKind = jumpfunc.Literal
+	IntraConstant JumpFunctionKind = jumpfunc.Intra
+	PassThrough   JumpFunctionKind = jumpfunc.PassThrough
+	Polynomial    JumpFunctionKind = jumpfunc.Polynomial
 )
-
-func (k JumpFunctionKind) String() string {
-	switch k {
-	case Literal:
-		return "literal"
-	case IntraConstant:
-		return "intra"
-	case PassThrough:
-		return "pass-through"
-	case Polynomial:
-		return "polynomial"
-	}
-	return fmt.Sprintf("unknown(%d)", int(k))
-}
 
 // Program is a loaded, checked, lowered MiniFort program with its
 // interprocedural context (call graph, aliases, MOD/REF) prepared.
 //
 // A Program may be analysed from multiple goroutines concurrently:
 // Analyze, AnalyzeJumpFunctions, and the read-only accessors never
-// mutate the program. ApplyTransform, Optimize, Clone, Inline, and
-// RemoveDeadProcedures DO mutate the program in place and must not race
-// with any other use of it.
+// mutate the program. Optimize, Clone, Inline, and RemoveDeadProcedures
+// DO mutate the program in place and must not race with any other use
+// of it.
 type Program struct {
 	ctx   *icp.Context
 	trace *driver.Trace // load-pipeline pass records
@@ -679,6 +611,7 @@ func (p *Program) analyze(ctx context.Context, cfg Config, eng *incr.Engine) (a 
 		eng.SetOneShot() // for the disk cache alone; dropped after this run
 	}
 	opts := icp.Options{
+		Method:          cfg.Method,
 		PropagateFloats: cfg.PropagateFloats,
 		ReturnConstants: cfg.ReturnConstants,
 		ReturnsRefresh:  cfg.ReturnsRefresh,
@@ -693,17 +626,9 @@ func (p *Program) analyze(ctx context.Context, cfg Config, eng *incr.Engine) (a 
 		DropIntra:   true,
 		NoDeltaSkip: cfg.noDeltaSkip,
 	}
-	if inj := faultinject.New(cfg.Faults.spec()); inj != nil {
+	if inj := faultinject.New(cfg.Faults); inj != nil {
 		opts.Faults = inj.Hook()
-		opts.FaultKey = cfg.Faults.spec().String()
-	}
-	switch cfg.Method {
-	case FlowInsensitive:
-		opts.Method = icp.FlowInsensitive
-	case FlowSensitiveIterative:
-		opts.Method = icp.FlowSensitiveIterative
-	default:
-		opts.Method = icp.FlowSensitive
+		opts.FaultKey = cfg.Faults.String()
 	}
 	return &Analysis{prog: p, res: icp.Analyze(p.ctx, opts), cfg: cfg, trace: tr}, nil
 }
@@ -767,40 +692,13 @@ func newEngine(cfg Config, tr *driver.Trace) *incr.Engine {
 	return incr.NewEngine()
 }
 
-// CacheStats is one run's summary-store traffic (see Config.CacheDir):
-// lookups served by the in-memory layer, lookups that went to disk,
-// and the disk layer's maintenance counters. All zero for runs without
-// an incremental engine.
-type CacheStats struct {
-	// MemHits/MemMisses count in-memory value-cache lookups.
-	MemHits, MemMisses int64
-	// DiskHits/DiskMisses count lookups that reached the disk layer
-	// (an in-memory hit never does).
-	DiskHits, DiskMisses int64
-	// DiskWrites counts summaries persisted; Evictions entries removed
-	// under the size cap; Corrupt entries dropped because they failed
-	// validation (each one recomputed, never trusted).
-	DiskWrites, Evictions, Corrupt int64
-}
-
-// Empty reports whether the run recorded no cache traffic at all.
-func (c CacheStats) Empty() bool { return c == CacheStats{} }
+// CacheStats is one run's summary-store traffic (see Config.CacheDir).
+type CacheStats = incr.StoreStats
 
 // CacheStats reports this run's summary-store counters. Cache traffic
 // is observability, not part of the analysis result: reports compare
 // byte-identical whatever these numbers say.
-func (a *Analysis) CacheStats() CacheStats {
-	ds := a.res.Store
-	return CacheStats{
-		MemHits:    ds.Hits,
-		MemMisses:  ds.Misses,
-		DiskHits:   ds.DiskHits,
-		DiskMisses: ds.DiskMisses,
-		DiskWrites: ds.Writes,
-		Evictions:  ds.Evictions,
-		Corrupt:    ds.Corrupt,
-	}
-}
+func (a *Analysis) CacheStats() CacheStats { return a.res.Store }
 
 // Stats returns one record per pipeline pass that ran for this
 // analysis, in execution order: the load passes (parse through
@@ -867,11 +765,7 @@ func (a *Analysis) UsedFlowInsensitiveFallback() int { return a.res.BackEdgesUse
 // precise run. Degraded results are sound over-approximations: every
 // constant reported is still a true constant.
 func (a *Analysis) Degradations() []Degradation {
-	out := make([]Degradation, 0, len(a.res.Degradations))
-	for _, d := range a.res.Degradations {
-		out = append(out, Degradation{Proc: d.Proc, Pass: d.Pass, Reason: string(d.Reason), Detail: d.Detail})
-	}
-	return out
+	return append(make([]Degradation, 0, len(a.res.Degradations)), a.res.Degradations...)
 }
 
 // Degraded reports whether any procedure fell back to the
@@ -980,47 +874,29 @@ func (a *Analysis) AnnotatedListing() string {
 }
 
 // CallSiteMetrics is the paper's Table 1 row shape.
-type CallSiteMetrics struct {
-	Args      int `json:"args"`
-	Imm       int `json:"immediate"`
-	ConstArgs int `json:"constArgs"`
-	GlobCand  int `json:"globalCandidates"`
-	GlobPairs int `json:"globalPairs"`
-	GlobVis   int `json:"globalVisible"`
-}
+type CallSiteMetrics = metrics.CallSite
 
 // EntryMetrics is the paper's Table 2 row shape.
-type EntryMetrics struct {
-	Formals       int `json:"formals"`
-	ConstFormals  int `json:"constFormals"`
-	Procs         int `json:"procs"`
-	GlobalEntries int `json:"globalEntries"`
-}
+type EntryMetrics = metrics.Entry
 
 // CallSiteMetrics computes the call-site constant-candidate counts.
 func (a *Analysis) CallSiteMetrics() CallSiteMetrics {
-	var m metrics.CallSite
+	var m CallSiteMetrics
 	a.trace.Time("metrics", func(st *driver.PassStats) {
 		m = metrics.CallSiteMetrics(a.res)
 		st.Notes = "call sites"
 	})
-	return CallSiteMetrics{
-		Args: m.Args, Imm: m.Imm, ConstArgs: m.ConstArgs,
-		GlobCand: m.GlobCand, GlobPairs: m.GlobPairs, GlobVis: m.GlobVis,
-	}
+	return m
 }
 
 // EntryMetrics computes the propagated-constant counts.
 func (a *Analysis) EntryMetrics() EntryMetrics {
-	var m metrics.Entry
+	var m EntryMetrics
 	a.trace.Time("metrics", func(st *driver.PassStats) {
 		m = metrics.EntryMetrics(a.res)
 		st.Notes = "entries"
 	})
-	return EntryMetrics{
-		Formals: m.Formals, ConstFormals: m.ConstFormals,
-		Procs: m.Procs, GlobalEntries: m.GlobalEntries,
-	}
+	return m
 }
 
 // Substitutions counts the intraprocedural constant substitutions this
@@ -1039,38 +915,10 @@ func (a *Analysis) envFn() transform.EnvFn {
 	return func(q *sem.Proc) lattice.Env[*sem.Var] { return a.res.Entry[q] }
 }
 
-// TransformReport is what ApplyTransform did to the program: the
-// paper's transformation step, by the numbers.
-type TransformReport struct {
-	// EntryAssignments is the number of interprocedural constants
-	// materialised as assignments at procedure entries.
-	EntryAssignments int `json:"entryAssignments"`
-	// FoldedInstrs counts instructions rewritten to constant loads.
-	FoldedInstrs int `json:"foldedInstrs"`
-	// FoldedBranches counts conditional branches rewritten to jumps.
-	FoldedBranches int `json:"foldedBranches"`
-	// RemovedBlocks counts unreachable basic blocks deleted.
-	RemovedBlocks int `json:"removedBlocks"`
-}
-
-// ApplyTransform rewrites the program in place to reflect the solution:
-// entry-constant assignments, constant folding, branch folding, and
-// unreachable-code removal — the fold-only subset of Optimize, which is
-// exactly the paper's transformation step. The Program remains
-// executable via Run.
-func (a *Analysis) ApplyTransform() TransformReport {
-	rep := transform.Apply(a.prog.ctx, a.envFn())
-	return TransformReport{
-		EntryAssignments: rep.EntryAssignments,
-		FoldedInstrs:     rep.FoldedInstrs,
-		FoldedBranches:   rep.FoldedBranches,
-		RemovedBlocks:    rep.RemovedBlocks,
-	}
-}
-
 // OptimizeOptions selects optimization passes for Analysis.Optimize.
 // The zero value (no pass selected) means every pass, so
-// Optimize(OptimizeOptions{}) and Optimize(AllOptimizations()) agree.
+// Optimize(OptimizeOptions{}) and Optimize(AllOptimizations()) agree;
+// OptimizeOptions{Fold: true} is the paper's transformation step alone.
 type OptimizeOptions struct {
 	// Fold enables constant folding + dead-branch deletion (the
 	// paper's transformation step).
@@ -1159,13 +1007,15 @@ func (r OptimizeReport) EliminatedInstrs() int {
 
 // Optimize runs the SSA optimization pipeline over the program, driven
 // by this analysis's constant-propagation results: constant folding +
-// dead-branch deletion, copy propagation, local CSE, and loop-invariant
-// constant hoisting, each sharded per function through the driver pass
-// manager (their stats join Analysis.StatsTable). The rewrite is
-// destructive — like ApplyTransform, it must not be applied to a Program
-// still owned by a Session — but semantics-preserving: Run produces
-// byte-identical output before and after, for every pass combination
-// and worker count.
+// dead-branch deletion, copy propagation, dead-store elimination, local
+// CSE, and loop-invariant constant hoisting, each sharded per function
+// through the driver pass manager (their stats join
+// Analysis.StatsTable). It is the one way to rewrite the program; the
+// fold pass alone (OptimizeOptions{Fold: true}) is the paper's
+// transformation step. The rewrite is destructive — it must not be
+// applied to a Program still owned by a Session — but
+// semantics-preserving: Run produces byte-identical output before and
+// after, for every pass combination and worker count.
 func (a *Analysis) Optimize(opts OptimizeOptions) (OptimizeReport, error) {
 	rep, err := transform.Optimize(a.prog.ctx, a.envFn(), transform.Options{
 		Passes:  opts.passes(),
@@ -1227,9 +1077,8 @@ func (a *Analysis) Eliminations() []ProcElimination {
 }
 
 // RemoveDeadProcedures deletes procedures this analysis proved can
-// never execute (run ApplyTransform first so dead call sites are
-// pruned).
-// Returns the removed procedures' names.
+// never execute (run Optimize with the fold pass first so dead call
+// sites are pruned). Returns the removed procedures' names.
 func (a *Analysis) RemoveDeadProcedures() []string {
 	return transform.RemoveDeadProcedures(a.prog.ctx, a.res.Dead)
 }
@@ -1242,18 +1091,7 @@ type JumpAnalysis struct {
 
 // AnalyzeJumpFunctions runs a baseline jump-function method.
 func (p *Program) AnalyzeJumpFunctions(kind JumpFunctionKind) *JumpAnalysis {
-	var k jumpfunc.Kind
-	switch kind {
-	case Literal:
-		k = jumpfunc.Literal
-	case IntraConstant:
-		k = jumpfunc.Intra
-	case PassThrough:
-		k = jumpfunc.PassThrough
-	default:
-		k = jumpfunc.Polynomial
-	}
-	return &JumpAnalysis{prog: p, res: jumpfunc.Analyze(p.ctx, k)}
+	return &JumpAnalysis{prog: p, res: jumpfunc.Analyze(p.ctx, kind)}
 }
 
 // Constants lists the constant formals the baseline found.
@@ -1315,18 +1153,7 @@ func (p *Program) Inline(maxDepth int) (inlined, skippedRecursive int, growth fl
 // functions enabled (Grove–Torczon's extension; the paper compares
 // against their no-return configuration).
 func (p *Program) AnalyzeJumpFunctionsWithReturns(kind JumpFunctionKind) *JumpAnalysis {
-	var k jumpfunc.Kind
-	switch kind {
-	case Literal:
-		k = jumpfunc.Literal
-	case IntraConstant:
-		k = jumpfunc.Intra
-	case PassThrough:
-		k = jumpfunc.PassThrough
-	default:
-		k = jumpfunc.Polynomial
-	}
-	return &JumpAnalysis{prog: p, res: jumpfunc.AnalyzeWithReturns(p.ctx, jumpfunc.Options{Kind: k, Returns: true})}
+	return &JumpAnalysis{prog: p, res: jumpfunc.AnalyzeWithReturns(p.ctx, jumpfunc.Options{Kind: kind, Returns: true})}
 }
 
 // Use returns each reachable procedure's flow-sensitive USE set — the

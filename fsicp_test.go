@@ -91,12 +91,12 @@ func TestFacadeMetricsAndRun(t *testing.T) {
 		t.Errorf("substitutions %d folded %d", subs, folded)
 	}
 
-	// Run before and after ApplyTransform: identical output.
+	// Run before and after the fold pass: identical output.
 	before := p.Run(nil)
 	if before.Err != nil || before.Output != "4\n" {
 		t.Fatalf("run: %q err %v", before.Output, before.Err)
 	}
-	a.ApplyTransform()
+	fold(t, a)
 	after := p.Run(nil)
 	if after.Err != nil || after.Output != before.Output {
 		t.Errorf("transformed output %q, want %q", after.Output, before.Output)
@@ -407,6 +407,14 @@ func TestScalability(t *testing.T) {
 	}
 }
 
+// fold runs the fold pass alone, the paper's transformation step.
+func fold(t *testing.T, a *fsicp.Analysis) {
+	t.Helper()
+	if _, err := a.Optimize(fsicp.OptimizeOptions{Fold: true}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFacadeRemoveDeadProcedures(t *testing.T) {
 	p := load(t, `program p
 proc main() {
@@ -417,7 +425,7 @@ proc main() {
 }
 proc never() { print "boo" }`)
 	a := p.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true})
-	a.ApplyTransform()
+	fold(t, a)
 	removed := a.RemoveDeadProcedures()
 	if len(removed) != 1 || removed[0] != "never" {
 		t.Errorf("removed: %v", removed)
@@ -453,9 +461,9 @@ proc r(y int) { print y }`
 				t.Fatal(err)
 			}
 		}},
-		{"transform", func(t *testing.T, a *fsicp.Analysis) { a.ApplyTransform() }},
+		{"transform", fold},
 		{"transform+remove-dead", func(t *testing.T, a *fsicp.Analysis) {
-			a.ApplyTransform()
+			fold(t, a)
 			if got := a.RemoveDeadProcedures(); strings.Join(got, " ") != "p" {
 				t.Fatalf("removed %v, want [p]", got)
 			}

@@ -217,7 +217,6 @@ func (s *ReadStmt) Pos() source.Pos     { return s.KwPos }
 func (s *PrintStmt) Pos() source.Pos    { return s.KwPos }
 func (s *BreakStmt) Pos() source.Pos    { return s.KwPos }
 func (s *ContinueStmt) Pos() source.Pos { return s.KwPos }
-func (s *Block) Pos2() source.Pos       { return s.LbracePos }
 
 func (*Block) stmtNode()        {}
 func (*VarDecl) stmtNode()      {}

@@ -1,6 +1,7 @@
 package bench_test
 
 import (
+	"context"
 	"testing"
 
 	"fsicp/internal/bench"
@@ -31,7 +32,7 @@ func TestRunMatrixWorkers(t *testing.T) {
 	}
 	run := func(workers int) bench.Matrix {
 		ctx := icp.Prepare(testutil.MustBuild(t, bench.Build(p)))
-		return bench.RunMatrix(ctx, true, workers)
+		return bench.RunMatrix(context.Background(), ctx, true, workers, "")
 	}
 	serial, parallel := run(1), run(8)
 	for i, e := range parallel.Entries {

@@ -62,27 +62,19 @@ func (m Matrix) Speedup() float64 {
 // concurrency (0 means GOMAXPROCS); the flow-sensitive methods run
 // their own wavefronts serially here so the matrix-level parallelism is
 // the only source of concurrency.
-func RunMatrix(ctx *icp.Context, floats bool, workers int) Matrix {
-	return RunMatrixCtx(context.Background(), ctx, floats, workers)
-}
-
-// RunMatrixCtx is RunMatrix under a context: cancellation or deadline
-// expiry degrades the still-running ICP analyses to the
+//
+// When gctx ends, the still-running ICP analyses degrade to the
 // flow-insensitive solution (their entries remain sound, just less
 // precise) and unclaimed methods are skipped, leaving zero-valued
 // entries, rather than the whole matrix failing.
-func RunMatrixCtx(gctx context.Context, ctx *icp.Context, floats bool, workers int) Matrix {
-	return RunMatrixCacheCtx(gctx, ctx, floats, workers, "")
-}
-
-// RunMatrixCacheCtx is RunMatrixCtx with an optional persistent
-// summary cache: when cacheDir is non-empty, each ICP method runs with
-// an incremental engine layered over a shared on-disk store rooted
-// there (internal/store), so a second matrix over the same programs
-// starts warm. The cache affects time only — the entries are identical
-// with or without it — and an unusable directory silently falls back
-// to the uncached path.
-func RunMatrixCacheCtx(gctx context.Context, ctx *icp.Context, floats bool, workers int, cacheDir string) Matrix {
+//
+// When cacheDir is non-empty, each ICP method runs with an incremental
+// engine layered over a shared on-disk store rooted there
+// (internal/store), so a second matrix over the same programs starts
+// warm. The cache affects time only — the entries are identical with
+// or without it — and an unusable directory silently falls back to the
+// uncached path.
+func RunMatrix(gctx context.Context, ctx *icp.Context, floats bool, workers int, cacheDir string) Matrix {
 	var disk *store.Disk
 	if cacheDir != "" {
 		if d, err := store.Open(cacheDir, store.Options{}); err == nil {

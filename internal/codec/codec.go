@@ -1,17 +1,17 @@
 // Package codec is the versioned binary wire format of the persistent
-// summary store: lattice values, name→value environments (entry
-// environments and jump-function results share that shape), and
-// per-procedure summaries, each wrapped in a self-describing frame.
+// summary store: per-procedure summaries (their name→value entry
+// environments, call-site values and flags), each wrapped in a
+// self-describing frame.
 //
 // Frame layout (all integers little-endian):
 //
 //	offset  size  field
 //	     0     4  magic "FSCP"
 //	     4     2  format version (Version)
-//	     6     1  payload kind (KindSummary, KindEnv)
+//	     6     1  payload kind (KindSummary)
 //	     7     1  reserved (0)
-//	     8     8  key hash (FNV-64a of the full store key; 0 for KindEnv)
-//	    16     8  generation stamp (store run counter; 0 for KindEnv)
+//	     8     8  key hash (FNV-64a of the full store key)
+//	    16     8  generation stamp (store run counter)
 //	    24     4  payload length
 //	    28     n  payload
 //	  28+n     4  CRC-32C over bytes [0, 28+n)
@@ -52,11 +52,9 @@ import (
 // set.
 const Version = 2
 
-// Frame kinds.
-const (
-	KindSummary = 1 // incr.ProcSummary
-	KindEnv     = 2 // map[string]lattice.Elem
-)
+// KindSummary is the payload kind of an incr.ProcSummary frame, the
+// only kind the store writes.
+const KindSummary = 1
 
 // Errors. ErrVersion is distinguished from ErrCorrupt so callers can
 // count version skew separately if they care; both mean "unusable
@@ -91,12 +89,12 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// frame wraps payload in the versioned header + checksum.
-func frame(kind byte, meta Meta, payload []byte) []byte {
+// frame wraps a summary payload in the versioned header + checksum.
+func frame(meta Meta, payload []byte) []byte {
 	buf := make([]byte, 0, headerLen+len(payload)+crcLen)
 	buf = append(buf, magic...)
 	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = append(buf, kind, 0)
+	buf = append(buf, KindSummary, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, meta.KeyHash)
 	buf = binary.LittleEndian.AppendUint64(buf, meta.Gen)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
@@ -105,13 +103,13 @@ func frame(kind byte, meta Meta, payload []byte) []byte {
 }
 
 // unframe validates the header and checksum and returns the metadata
-// and payload of a frame of the wanted kind.
-func unframe(data []byte, wantKind byte) (Meta, []byte, error) {
+// and payload of a summary frame.
+func unframe(data []byte) (Meta, []byte, error) {
 	meta, kind, payload, err := peek(data)
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	if kind != wantKind {
+	if kind != KindSummary {
 		return Meta{}, nil, ErrCorrupt
 	}
 	end := headerLen + len(payload)
@@ -184,13 +182,13 @@ func EncodeSummary(meta Meta, s *incr.ProcSummary) []byte {
 		b = appendElems(b, site.Args)
 		b = appendGlobals(b, site.GlobIdx, site.GlobVals)
 	}
-	return frame(KindSummary, meta, b)
+	return frame(meta, b)
 }
 
 // DecodeSummary parses a framed summary, validating structure and
 // checksum. The returned summary shares nothing with data.
 func DecodeSummary(data []byte) (Meta, *incr.ProcSummary, error) {
-	meta, payload, err := unframe(data, KindSummary)
+	meta, payload, err := unframe(data)
 	if err != nil {
 		return Meta{}, nil, err
 	}
@@ -222,29 +220,8 @@ func DecodeSummary(data []byte) (Meta, *incr.ProcSummary, error) {
 	return meta, s, nil
 }
 
-// ---- environments ----
-
-// EncodeEnv renders a name→element environment (an entry environment,
-// or a jump-function result projected onto names) as one framed entry,
-// in sorted name order so equal environments encode identically.
-func EncodeEnv(meta Meta, env map[string]lattice.Elem) []byte {
-	return frame(KindEnv, meta, appendEnvPayload(nil, env))
-}
-
-// DecodeEnv parses a framed environment.
-func DecodeEnv(data []byte) (Meta, map[string]lattice.Elem, error) {
-	meta, payload, err := unframe(data, KindEnv)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	r := reader{buf: payload}
-	env := r.env()
-	if r.err != nil || len(r.buf) != 0 {
-		return Meta{}, nil, ErrCorrupt
-	}
-	return meta, env, nil
-}
-
+// appendEnvPayload renders a name→element environment in sorted name
+// order, so equal environments encode identically.
 func appendEnvPayload(b []byte, env map[string]lattice.Elem) []byte {
 	names := make([]string, 0, len(env))
 	for name := range env {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -89,37 +90,35 @@ func TestSummaryFlags(t *testing.T) {
 	}
 }
 
-func TestEnvRoundTrip(t *testing.T) {
-	env := map[string]lattice.Elem{
-		"x":   lattice.Const(val.Int(1)),
-		"y":   lattice.TopElem(),
-		"sum": lattice.Const(val.Real(2.25)),
-	}
-	_, got, err := DecodeEnv(EncodeEnv(Meta{Gen: 4}, env))
-	if err != nil {
-		t.Fatalf("DecodeEnv: %v", err)
-	}
-	if !reflect.DeepEqual(got, env) {
-		t.Fatalf("env round trip: got %+v, want %+v", got, env)
-	}
-	if _, got, err := DecodeEnv(EncodeEnv(Meta{}, nil)); err != nil || got != nil {
-		t.Fatalf("empty env: got %+v, %v", got, err)
-	}
+// reseal recomputes a frame's trailing checksum after a test edits its
+// bytes, so only the edit itself can make the decoder reject it.
+func reseal(data []byte) []byte {
+	end := len(data) - crcLen
+	return binary.LittleEndian.AppendUint32(data[:end:end], crc32.Checksum(data[:end], crcTable))
 }
 
 func TestNaNDecodesToBottom(t *testing.T) {
 	// No encoder ever produces a Constant NaN (lattice.Const maps it to
 	// ⊥ first), but a frame built elsewhere could carry the bits; the
-	// decoder must uphold the invariant.
-	env := map[string]lattice.Elem{
-		"n": {Level: lattice.Constant, Val: val.Value{Type: ast.TypeReal, R: math.NaN()}},
+	// decoder must uphold the invariant. Write a real constant into a
+	// summary's entry environment, overwrite its bits with a NaN, and
+	// reseal the frame.
+	const seed = 1.5
+	data := EncodeSummary(Meta{}, &incr.ProcSummary{
+		Entry: map[string]lattice.Elem{"n": lattice.Const(val.Real(seed))},
+	})
+	bits := binary.LittleEndian.AppendUint64(nil, math.Float64bits(seed))
+	at := bytes.Index(data, bits)
+	if at < headerLen {
+		t.Fatal("real constant not found in the summary payload")
 	}
-	_, got, err := DecodeEnv(EncodeEnv(Meta{}, env))
+	binary.LittleEndian.PutUint64(data[at:], math.Float64bits(math.NaN()))
+	_, got, err := DecodeSummary(reseal(data))
 	if err != nil {
-		t.Fatalf("DecodeEnv: %v", err)
+		t.Fatalf("DecodeSummary: %v", err)
 	}
-	if !got["n"].IsBottom() {
-		t.Fatalf("NaN decoded to %+v, want ⊥", got["n"])
+	if !got.Entry["n"].IsBottom() {
+		t.Fatalf("NaN decoded to %+v, want ⊥", got.Entry["n"])
 	}
 }
 
@@ -153,17 +152,18 @@ func TestVersionSkewDetected(t *testing.T) {
 	}
 	// A frame legitimately written by a future version (checksum valid,
 	// version higher) must fail specifically with ErrVersion.
-	future := data[: len(data)-crcLen : len(data)-crcLen]
-	future = binary.LittleEndian.AppendUint32(future, crc32.Checksum(future, crcTable))
-	if _, _, err := DecodeSummary(future); !errors.Is(err, ErrVersion) {
+	if _, _, err := DecodeSummary(reseal(data)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("future version: got %v, want ErrVersion", err)
 	}
 }
 
 func TestKindConfusionDetected(t *testing.T) {
-	data := EncodeEnv(Meta{}, map[string]lattice.Elem{"x": lattice.TopElem()})
-	if _, _, err := DecodeSummary(data); err == nil {
-		t.Fatal("env frame accepted as summary")
+	// A summary frame whose kind byte names another payload kind is
+	// rejected even with a valid checksum.
+	data := EncodeSummary(Meta{}, sampleSummary())
+	data[6] = KindSummary + 1
+	if _, _, err := DecodeSummary(reseal(data)); err == nil {
+		t.Fatal("frame of another kind accepted as summary")
 	}
 }
 
@@ -187,7 +187,8 @@ func TestPeekMeta(t *testing.T) {
 // TestNonCanonicalElemsEncodeCanonically asserts the encoder
 // canonicalises before writing: a literally-built Constant NaN and a
 // ⊤/⊥ with a stale payload must encode byte-identically to their
-// canonical forms, so Eq environments always produce equal frames.
+// canonical forms, so summaries with Eq entry environments always
+// produce equal frames.
 func TestNonCanonicalElemsEncodeCanonically(t *testing.T) {
 	stale := val.Value{Type: ast.TypeInt, I: 99}
 	pairs := []struct {
@@ -198,8 +199,8 @@ func TestNonCanonicalElemsEncodeCanonically(t *testing.T) {
 		{lattice.Elem{Level: lattice.Bottom, Val: stale}, lattice.BottomElem()},
 	}
 	for i, p := range pairs {
-		raw := EncodeEnv(Meta{}, map[string]lattice.Elem{"x": p.raw})
-		canon := EncodeEnv(Meta{}, map[string]lattice.Elem{"x": p.canon})
+		raw := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: map[string]lattice.Elem{"x": p.raw}})
+		canon := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: map[string]lattice.Elem{"x": p.canon}})
 		if !reflect.DeepEqual(raw, canon) {
 			t.Errorf("case %d: non-canonical element encoded differently", i)
 		}

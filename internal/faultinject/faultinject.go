@@ -21,7 +21,11 @@ import (
 )
 
 // Spec configures an Injector. Rates are per-site probabilities in
-// [0, 1]; the zero Spec injects nothing.
+// [0, 1]; the zero Spec injects nothing. Whether a fault fires at a
+// given (pass, procedure) site is a pure function of the seed, so a
+// fault scenario replays identically at any worker count. All fields
+// are comparable, so a configuration holding a Spec is usable as a map
+// key.
 type Spec struct {
 	Seed int64
 	// PanicRate is the probability a site panics (exercising the
@@ -42,8 +46,13 @@ func (s Spec) Enabled() bool {
 	return s.PanicRate > 0 || s.FuelRate > 0 || s.LatencyRate > 0
 }
 
+// String renders the spec as its injector acts on it: each rate in
+// the shortest decimal that reads back to the same float, and the
+// effective latency. Specs that inject different faults render
+// differently, so the string (and any %v of a configuration holding
+// the spec) serves as a cache or coalescing key.
 func (s Spec) String() string {
-	return fmt.Sprintf("seed=%d panic=%.2f fuel=%.2f latency=%.2f/%s",
+	return fmt.Sprintf("seed=%d panic=%g fuel=%g latency=%g/%s",
 		s.Seed, s.PanicRate, s.FuelRate, s.LatencyRate, s.latency())
 }
 

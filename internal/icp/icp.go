@@ -49,9 +49,14 @@ import (
 type Method int
 
 const (
-	// FlowInsensitive is the paper's Figure 3 algorithm.
+	// FlowInsensitive is the paper's Figure 3 algorithm: literal and
+	// pass-through propagation over the call graph plus unmodified
+	// block-data globals.
 	FlowInsensitive Method = iota
-	// FlowSensitive is the paper's Figure 4 algorithm.
+	// FlowSensitive is the paper's Figure 4 algorithm: one interleaved
+	// Wegman–Zadeck analysis per procedure in a forward topological
+	// traversal, with the flow-insensitive solution on back edges.
+	// Analyze runs it for any value outside the three methods.
 	FlowSensitive
 	// FlowSensitiveIterative is the fully iterative comparison point
 	// the paper's §3.2 equates with FlowSensitive on acyclic call
@@ -60,6 +65,8 @@ const (
 	FlowSensitiveIterative
 )
 
+// String names the method; an out-of-range value renders as
+// "unknown(N)".
 func (m Method) String() string {
 	switch m {
 	case FlowInsensitive:

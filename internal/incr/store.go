@@ -7,32 +7,39 @@ import (
 	"fsicp/internal/resilience"
 )
 
-// StoreStats is the cumulative counter set of a summary store. A
-// memory layer fills Hits/Misses; a persistent layer fills the Disk*
-// and maintenance counters. Tiered stores sum their layers, which is
-// well-defined because the field sets are disjoint.
+// StoreStats is the cumulative counter set of a summary store: lookups
+// served by the in-memory layer, lookups that went to disk, and the
+// disk layer's maintenance counters. A memory layer fills
+// MemHits/MemMisses; a persistent layer fills the Disk* and
+// maintenance counters. Tiered stores sum their layers, which is
+// well-defined because the field sets are disjoint. All zero for runs
+// without an incremental engine.
 type StoreStats struct {
-	// Hits and Misses count in-memory (L1) lookups.
-	Hits, Misses int64
+	// MemHits and MemMisses count in-memory (L1) value-cache lookups.
+	MemHits   int64 `json:"memHits"`
+	MemMisses int64 `json:"memMisses"`
 	// DiskHits and DiskMisses count persistent (L2) lookups. A lookup
 	// that hits L1 never reaches L2, so DiskMisses bounds the cold work.
-	DiskHits, DiskMisses int64
-	// Writes counts summaries written to the persistent layer.
-	Writes int64
+	DiskHits   int64 `json:"diskHits"`
+	DiskMisses int64 `json:"diskMisses"`
+	// DiskWrites counts summaries written to the persistent layer.
+	DiskWrites int64 `json:"diskWrites"`
 	// Evictions counts entries removed by the size-capped eviction
 	// policy; Corrupt counts entries dropped because their frame failed
-	// validation (bad magic, checksum, version, or key hash).
-	Evictions, Corrupt int64
+	// validation (bad magic, checksum, version, or key hash) — each one
+	// recomputed, never trusted.
+	Evictions int64 `json:"evictions"`
+	Corrupt   int64 `json:"corrupt"`
 }
 
 // Sub returns the per-run delta s minus an earlier snapshot o.
 func (s StoreStats) Sub(o StoreStats) StoreStats {
 	return StoreStats{
-		Hits:       s.Hits - o.Hits,
-		Misses:     s.Misses - o.Misses,
+		MemHits:    s.MemHits - o.MemHits,
+		MemMisses:  s.MemMisses - o.MemMisses,
 		DiskHits:   s.DiskHits - o.DiskHits,
 		DiskMisses: s.DiskMisses - o.DiskMisses,
-		Writes:     s.Writes - o.Writes,
+		DiskWrites: s.DiskWrites - o.DiskWrites,
 		Evictions:  s.Evictions - o.Evictions,
 		Corrupt:    s.Corrupt - o.Corrupt,
 	}
@@ -41,11 +48,11 @@ func (s StoreStats) Sub(o StoreStats) StoreStats {
 // Add returns the field-wise sum of s and o.
 func (s StoreStats) Add(o StoreStats) StoreStats {
 	return StoreStats{
-		Hits:       s.Hits + o.Hits,
-		Misses:     s.Misses + o.Misses,
+		MemHits:    s.MemHits + o.MemHits,
+		MemMisses:  s.MemMisses + o.MemMisses,
 		DiskHits:   s.DiskHits + o.DiskHits,
 		DiskMisses: s.DiskMisses + o.DiskMisses,
-		Writes:     s.Writes + o.Writes,
+		DiskWrites: s.DiskWrites + o.DiskWrites,
 		Evictions:  s.Evictions + o.Evictions,
 		Corrupt:    s.Corrupt + o.Corrupt,
 	}
@@ -167,7 +174,7 @@ func (m *MemStore) Reset() {
 
 // Stats implements Store.
 func (m *MemStore) Stats() StoreStats {
-	return StoreStats{Hits: m.hits.Load(), Misses: m.misses.Load()}
+	return StoreStats{MemHits: m.hits.Load(), MemMisses: m.misses.Load()}
 }
 
 // Tiered composes two layers: L1 answers first, L2 backs it. L2 hits

@@ -28,6 +28,8 @@
 package jumpfunc
 
 import (
+	"fmt"
+
 	"fsicp/internal/ast"
 	"fsicp/internal/icp"
 	"fsicp/internal/ir"
@@ -38,16 +40,25 @@ import (
 	"fsicp/internal/val"
 )
 
-// Kind selects a jump-function implementation.
+// Kind selects a baseline jump-function implementation
+// (Callahan–Cooper–Kennedy–Torczon 1986; Grove–Torczon 1993). A value
+// outside the four kinds runs as Intra.
 type Kind int
 
 const (
+	// Literal passes only literal actuals.
 	Literal Kind = iota
+	// Intra passes actuals constant under the caller's
+	// intraprocedural analysis.
 	Intra
+	// PassThrough adds the identity on an unmodified caller formal.
 	PassThrough
+	// Polynomial adds polynomials over caller formals.
 	Polynomial
 )
 
+// String names the kind; an out-of-range value renders as
+// "unknown(N)".
 func (k Kind) String() string {
 	switch k {
 	case Literal:
@@ -59,7 +70,7 @@ func (k Kind) String() string {
 	case Polynomial:
 		return "polynomial"
 	}
-	return "unknown"
+	return fmt.Sprintf("unknown(%d)", int(k))
 }
 
 // Fn is one jump function: the value of one argument at one call site
@@ -387,25 +398,6 @@ func (r *Result) EntryEnv(p *sem.Proc) lattice.Env[*sem.Var] {
 	for _, f := range p.Params {
 		if e := r.Formals[f]; e.IsConst() {
 			env[f] = e
-		}
-	}
-	return env
-}
-
-// PortableEntryEnv projects the formal solution for p onto variable
-// names — the name-keyed shape codec.EncodeEnv persists — so
-// jump-function results can ride the same versioned store entries as
-// the ICP summaries. Formal names are unique within a procedure, so
-// the projection is lossless; only constant formals are bound, and a
-// nil map means none.
-func (r *Result) PortableEntryEnv(p *sem.Proc) map[string]lattice.Elem {
-	var env map[string]lattice.Elem
-	for _, f := range p.Params {
-		if e := r.Formals[f]; e.IsConst() {
-			if env == nil {
-				env = make(map[string]lattice.Elem, len(p.Params))
-			}
-			env[f.Name] = e
 		}
 	}
 	return env

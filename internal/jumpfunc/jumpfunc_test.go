@@ -1,11 +1,9 @@
 package jumpfunc_test
 
 import (
-	"reflect"
 	"sort"
 	"testing"
 
-	"fsicp/internal/codec"
 	"fsicp/internal/icp"
 	"fsicp/internal/jumpfunc"
 	"fsicp/internal/testutil"
@@ -218,44 +216,5 @@ proc f(a int) { print a }`
 	call := r.Ctx.Prog.FuncOf[main].Calls[0]
 	if vals := r.ArgVals[call]; len(vals) != 1 || !vals[0].IsConst() {
 		t.Errorf("argvals = %v", vals)
-	}
-}
-
-// TestPortableEntryEnvRoundTrip asserts the name-keyed projection is
-// exactly what the persistent store's codec serialises: encoding the
-// portable env and decoding it back reproduces it bit-for-bit, and
-// procedures without constant formals project to nil (which the codec
-// round-trips as nil, not an empty map).
-func TestPortableEntryEnvRoundTrip(t *testing.T) {
-	r := run(t, figure1, jumpfunc.Literal)
-	sub2 := r.Ctx.Prog.Sem.ProcByName["sub2"]
-	env := r.PortableEntryEnv(sub2)
-	if len(env) == 0 {
-		t.Fatal("no constant formals projected for sub2")
-	}
-	want := r.EntryEnv(sub2)
-	if len(env) != len(want) {
-		t.Fatalf("projection dropped bindings: %d names vs %d formals", len(env), len(want))
-	}
-	for _, f := range sub2.Params {
-		if e, ok := want[f]; ok && !env[f.Name].Eq(e) {
-			t.Fatalf("%s: projected %v, want %v", f.Name, env[f.Name], e)
-		}
-	}
-	_, got, err := codec.DecodeEnv(codec.EncodeEnv(codec.Meta{}, env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, env) {
-		t.Fatalf("codec round trip changed the env:\n got %v\nwant %v", got, env)
-	}
-
-	main := r.Ctx.Prog.Sem.Main
-	if env := r.PortableEntryEnv(main); env != nil {
-		t.Fatalf("main has no formals but projected %v", env)
-	}
-	_, got, err = codec.DecodeEnv(codec.EncodeEnv(codec.Meta{}, nil))
-	if err != nil || got != nil {
-		t.Fatalf("nil env round trip = %v, %v", got, err)
 	}
 }

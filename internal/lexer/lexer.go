@@ -90,9 +90,6 @@ func (l *Lexer) Next() Token {
 	}
 }
 
-// NextWithComments scans the next token, including comments.
-func (l *Lexer) NextWithComments() Token { return l.scan() }
-
 func (l *Lexer) scan() Token {
 	l.skipSpace()
 	pos := l.pos()

@@ -25,20 +25,20 @@ import (
 
 // CallSite is a Table 1 / Table 3 row for one method.
 type CallSite struct {
-	Args      int // total actual arguments at reachable call sites
-	Imm       int // immediate (literal) arguments
-	ConstArgs int // arguments proved constant at their call sites
-	GlobCand  int // block-data-initialised global candidates
-	GlobPairs int // Σ per-call-site propagated global constants
-	GlobVis   int // the visible-in-caller subset of GlobPairs
+	Args      int `json:"args"`             // total actual arguments at reachable call sites
+	Imm       int `json:"immediate"`        // immediate (literal) arguments
+	ConstArgs int `json:"constArgs"`        // arguments proved constant at their call sites
+	GlobCand  int `json:"globalCandidates"` // block-data-initialised global candidates
+	GlobPairs int `json:"globalPairs"`      // Σ per-call-site propagated global constants
+	GlobVis   int `json:"globalVisible"`    // the visible-in-caller subset of GlobPairs
 }
 
 // Entry is a Table 2 / Table 4 row for one method.
 type Entry struct {
-	Formals       int // total formals of reachable procedures
-	ConstFormals  int // formals constant at entry
-	Procs         int // procedures reachable from main
-	GlobalEntries int // Σ per-procedure entry-constant globals directly referenced
+	Formals       int `json:"formals"`       // total formals of reachable procedures
+	ConstFormals  int `json:"constFormals"`  // formals constant at entry
+	Procs         int `json:"procs"`         // procedures reachable from main
+	GlobalEntries int `json:"globalEntries"` // Σ per-procedure entry-constant globals directly referenced
 }
 
 // CallSiteMetrics computes the call-site view of an ICP result.

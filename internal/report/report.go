@@ -43,21 +43,11 @@ type Report struct {
 	// Cache reports persistent-store traffic when a cache directory is
 	// configured; absent otherwise. It is observability, not an
 	// analysis fact: the counts differ between cold and warm runs, so
-	// determinism comparisons (and the golden test) must ignore this
-	// block — every other field is byte-identical with or without the
-	// cache.
-	Cache *CacheReport `json:"cache,omitempty"`
-}
-
-// CacheReport is the JSON shape of fsicp.CacheStats.
-type CacheReport struct {
-	MemHits    int64 `json:"memHits"`
-	MemMisses  int64 `json:"memMisses"`
-	DiskHits   int64 `json:"diskHits"`
-	DiskMisses int64 `json:"diskMisses"`
-	DiskWrites int64 `json:"diskWrites"`
-	Evictions  int64 `json:"evictions"`
-	Corrupt    int64 `json:"corrupt"`
+	// determinism comparisons across cold and warm runs must ignore
+	// this block — every other field is byte-identical with or without
+	// the cache. The cold-cache golden (TestJSONReportBlocksGolden/cache)
+	// pins its shape.
+	Cache *fsicp.CacheStats `json:"cache,omitempty"`
 }
 
 // ProgramInfo summarises the loaded program.
@@ -83,11 +73,7 @@ func Build(prog *fsicp.Program, a *fsicp.Analysis, cfg fsicp.Config) Report {
 	}
 	if cfg.CacheDir != "" {
 		cs := a.CacheStats()
-		r.Cache = &CacheReport{
-			MemHits: cs.MemHits, MemMisses: cs.MemMisses,
-			DiskHits: cs.DiskHits, DiskMisses: cs.DiskMisses,
-			DiskWrites: cs.DiskWrites, Evictions: cs.Evictions, Corrupt: cs.Corrupt,
-		}
+		r.Cache = &cs
 	}
 	if cfg.ReturnConstants {
 		for _, name := range prog.Procedures() {

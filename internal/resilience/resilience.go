@@ -55,10 +55,10 @@ const (
 // its flow-sensitive analysis. The result remains sound — the fallback
 // only loses precision — so a degraded run is an answer, not an error.
 type Degradation struct {
-	Proc   string // procedure that degraded ("" for a whole pass)
-	Pass   string // pass during which the degradation happened
-	Reason Reason
-	Detail string // free-form diagnostic (sanitised panic message, ...)
+	Proc   string `json:"proc,omitempty"` // procedure that degraded ("" for a whole pass)
+	Pass   string `json:"pass"`           // pass during which the degradation happened
+	Reason Reason `json:"reason"`
+	Detail string `json:"detail,omitempty"` // free-form diagnostic (sanitised panic message, ...)
 }
 
 func (d Degradation) String() string {

@@ -454,12 +454,6 @@ func (r *Result) ReturnValue() lattice.Elem {
 	return acc
 }
 
-// VarValueAtEntry returns the entry value the fixpoint settled on for a
-// formal or global.
-func (r *Result) VarValueAtEntry(v *sem.Var) lattice.Elem {
-	return r.Values[r.S.EntryDef(v).ID]
-}
-
 // CanReturn reports whether some return point is executable.
 func (r *Result) CanReturn() bool {
 	for bi, snap := range r.S.RetSnapshots {

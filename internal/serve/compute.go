@@ -93,7 +93,7 @@ func (s *Server) compute(kind reqKind, name, src, fpr string, cfg fsicp.Config, 
 	if shed {
 		rep.Degradations = append(rep.Degradations, fsicp.Degradation{
 			Pass:   "serve",
-			Reason: string(resilience.ReasonShed),
+			Reason: resilience.ReasonShed,
 			Detail: shedDetail,
 		})
 	}

@@ -639,6 +639,35 @@ func TestPoolEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestResultKeyKeepsFaultRatesExact: chaos configurations whose fault
+// rates differ only past the second decimal inject different faults,
+// so they must not share a delta baseline, a query cache entry or a
+// coalesced flight — and a chaos spec with a tiny rate must not pass
+// for the clean one.
+func TestResultKeyKeepsFaultRatesExact(t *testing.T) {
+	keys := map[string]func(fsicp.Config) string{
+		"resultKey": resultKey,
+		"coalesceKey": func(c fsicp.Config) string {
+			return coalesceKey(kindAnalyze, "p", "fpr", c)
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		a, b fsicp.FaultSpec
+	}{
+		{"third decimal", fsicp.FaultSpec{Seed: 7, PanicRate: 0.101}, fsicp.FaultSpec{Seed: 7, PanicRate: 0.104}},
+		{"clean vs tiny rate", fsicp.FaultSpec{}, fsicp.FaultSpec{PanicRate: 0.004}},
+	} {
+		for kname, key := range keys {
+			a := fsicp.Config{Method: fsicp.FlowSensitive, Faults: tc.a}
+			b := fsicp.Config{Method: fsicp.FlowSensitive, Faults: tc.b}
+			if ka, kb := key(a), key(b); ka == kb {
+				t.Errorf("%s: %s shares %q between %#v and %#v", tc.name, kname, ka, tc.a, tc.b)
+			}
+		}
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()

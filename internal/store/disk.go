@@ -325,7 +325,7 @@ func (d *Disk) Stats() incr.StoreStats {
 	return incr.StoreStats{
 		DiskHits:   d.hits.Load(),
 		DiskMisses: d.misses.Load(),
-		Writes:     d.writes.Load(),
+		DiskWrites: d.writes.Load(),
 		Evictions:  d.evictions.Load(),
 		Corrupt:    d.corrupt.Load(),
 	}

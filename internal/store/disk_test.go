@@ -68,7 +68,7 @@ func TestDegradedNeverStored(t *testing.T) {
 	d := mustOpen(t, t.TempDir(), Options{})
 	d.Put("k", &incr.ProcSummary{Degraded: true})
 	d.Put("k2", nil)
-	if st := d.Stats(); st.Writes != 0 {
+	if st := d.Stats(); st.DiskWrites != 0 {
 		t.Fatalf("degraded/nil summary written: %+v", st)
 	}
 }
@@ -215,7 +215,7 @@ func TestTieredPromotion(t *testing.T) {
 		t.Fatal("second Get reached the disk layer; promotion failed")
 	}
 	st := tiered.Stats()
-	if st.Hits != 1 || st.DiskHits != 1 {
+	if st.MemHits != 1 || st.DiskHits != 1 {
 		t.Fatalf("tiered stats = %+v", st)
 	}
 }

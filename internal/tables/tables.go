@@ -40,34 +40,48 @@ type Suite struct {
 
 // Compile builds one benchmark program and its interprocedural context.
 func Compile(p bench.Profile) (*icp.Context, error) {
-	src := bench.Build(p)
-	f := source.NewFile(p.Name+".mf", src)
-	astProg, err := parser.ParseFile(f)
+	ctx, err := compileSource(p.Name+".mf", bench.Build(p))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
+	}
+	return ctx, nil
+}
+
+// compileSource runs the front end (parse, sem, irbuild) over one
+// source file and prepares its interprocedural context.
+func compileSource(name, src string) (*icp.Context, error) {
+	f := source.NewFile(name, src)
+	astProg, err := parser.ParseFile(f)
+	if err != nil {
+		return nil, err
 	}
 	semProg, err := sem.Check(astProg, f)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
+		return nil, err
 	}
 	irProg, err := irbuild.Build(semProg)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
+		return nil, err
 	}
 	return icp.Prepare(irProg), nil
 }
 
-// LoadSuite compiles and analyses every profile with both methods.
-// Benchmarks are independent, so the work fans out across goroutines;
-// results keep the profile order.
-func LoadSuite(profiles []bench.Profile, floats bool) (*Suite, error) {
-	return LoadSuiteTraced(profiles, floats, nil)
+// constantFormals counts the formals r proves constant over ctx's
+// reachable procedures.
+func constantFormals(ctx *icp.Context, r *icp.Result) int {
+	n := 0
+	for _, p := range ctx.CG.Reachable {
+		n += len(r.ConstantFormals(p))
+	}
+	return n
 }
 
-// LoadSuiteTraced is LoadSuite with per-pass instrumentation: every
-// analysis records its passes into tr (suite-wide, aggregated by pass
-// name). A nil trace records nothing.
-func LoadSuiteTraced(profiles []bench.Profile, floats bool, tr *driver.Trace) (*Suite, error) {
+// LoadSuite compiles and analyses every profile with both methods.
+// Benchmarks are independent, so the work fans out across goroutines;
+// results keep the profile order. Every analysis records its passes
+// into tr (suite-wide, aggregated by pass name); a nil trace records
+// nothing.
+func LoadSuite(profiles []bench.Profile, floats bool, tr *driver.Trace) (*Suite, error) {
 	s := &Suite{Floats: floats, Benches: make([]*Bench, len(profiles))}
 	errs := make([]error, len(profiles))
 	var wg sync.WaitGroup
@@ -105,24 +119,12 @@ func LoadSuiteTraced(profiles []bench.Profile, floats bool, tr *driver.Trace) (*
 // MethodMatrixTable runs every ICP method and every jump-function
 // baseline concurrently over each benchmark (bench.RunMatrix) and
 // renders the per-method precision and timing, with the speedup of the
-// concurrent run over the serial sum.
-func MethodMatrixTable(profiles []bench.Profile, floats bool) (string, error) {
-	return MethodMatrixTableCtx(context.Background(), profiles, floats)
-}
-
-// MethodMatrixTableCtx is MethodMatrixTable under a context: when the
-// context ends mid-run, the ICP analyses degrade to the
-// flow-insensitive solution instead of the table failing (see
-// bench.RunMatrixCtx).
-func MethodMatrixTableCtx(gctx context.Context, profiles []bench.Profile, floats bool) (string, error) {
-	return MethodMatrixTableCacheCtx(gctx, profiles, floats, "")
-}
-
-// MethodMatrixTableCacheCtx is MethodMatrixTableCtx with an optional
-// persistent summary cache directory (see bench.RunMatrixCacheCtx):
-// the precision columns are identical with or without it, only the
-// timing columns change on a warm cache.
-func MethodMatrixTableCacheCtx(gctx context.Context, profiles []bench.Profile, floats bool, cacheDir string) (string, error) {
+// concurrent run over the serial sum. When gctx ends mid-run, the ICP
+// analyses degrade to the flow-insensitive solution instead of the
+// table failing. A non-empty cacheDir names a persistent summary
+// cache: the precision columns are identical with or without it, only
+// the timing columns change on a warm cache.
+func MethodMatrixTable(gctx context.Context, profiles []bench.Profile, floats bool, cacheDir string) (string, error) {
 	var b strings.Builder
 	b.WriteString(header("Method matrix: all methods and baselines, run concurrently per benchmark",
 		"PROGRAM        ", "METHOD                  ", "CONST", "ENTRY", "    WALL"))
@@ -131,7 +133,7 @@ func MethodMatrixTableCacheCtx(gctx context.Context, profiles []bench.Profile, f
 		if err != nil {
 			return "", err
 		}
-		m := bench.RunMatrixCacheCtx(gctx, ctx, floats, 0, cacheDir)
+		m := bench.RunMatrix(gctx, ctx, floats, 0, cacheDir)
 		for _, e := range m.Entries {
 			fmt.Fprintf(&b, "%-15s | %-24s | %5d | %5d | %8s\n",
 				p.Name, e.Name, e.ConstFormals, e.ConstEntries, round(e.Wall))
@@ -335,20 +337,10 @@ proc sub2(f2 int, f3 int, f4 int, f5 int) {
 // Figure1Table reproduces the paper's Figure 1 precision comparison:
 // which formal parameters each method proves constant.
 func Figure1Table() (string, error) {
-	f := source.NewFile("figure1.mf", Figure1Source)
-	astProg, err := parser.ParseFile(f)
+	ctx, err := compileSource("figure1.mf", Figure1Source)
 	if err != nil {
 		return "", err
 	}
-	semProg, err := sem.Check(astProg, f)
-	if err != nil {
-		return "", err
-	}
-	irProg, err := irbuild.Build(semProg)
-	if err != nil {
-		return "", err
-	}
-	ctx := icp.Prepare(irProg)
 
 	formalNames := func(consts map[string]bool) string {
 		order := []string{"f1", "f2", "f3", "f4", "f5"}
@@ -412,33 +404,15 @@ func BackEdgeSweep(depth int) string {
 	b.WriteString(header("Back-edge ratio sweep (chain depth "+fmt.Sprint(depth)+")",
 		"BACK/TOTAL", "RATIO", "FS CONSTANTS", "FI CONSTANTS"))
 	for k := 0; k <= depth; k++ {
-		src := backEdgeProgram(depth, k)
-		f := source.NewFile("sweep.mf", src)
-		astProg, err := parser.ParseFile(f)
+		ctx, err := compileSource("sweep.mf", backEdgeProgram(depth, k))
 		if err != nil {
 			panic(err)
 		}
-		semProg, err := sem.Check(astProg, f)
-		if err != nil {
-			panic(err)
-		}
-		irProg, err := irbuild.Build(semProg)
-		if err != nil {
-			panic(err)
-		}
-		ctx := icp.Prepare(irProg)
 		back, total := ctx.CG.BackEdgeRatio()
 		fs := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 		fi := icp.Analyze(ctx, icp.Options{Method: icp.FlowInsensitive, PropagateFloats: true})
-		count := func(r *icp.Result) int {
-			n := 0
-			for _, p := range ctx.CG.Reachable {
-				n += len(r.ConstantFormals(p))
-			}
-			return n
-		}
 		fmt.Fprintf(&b, "%5d/%-4d | %5.2f | %12d | %12d\n",
-			back, total, float64(back)/float64(total), count(fs), count(fi))
+			back, total, float64(back)/float64(total), constantFormals(ctx, fs), constantFormals(ctx, fi))
 	}
 	return b.String()
 }
@@ -558,35 +532,19 @@ func IterativeTable(profiles []bench.Profile, floats bool) (string, error) {
 		}
 		fs := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: floats})
 		iter := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitiveIterative, PropagateFloats: floats})
-		count := func(r *icp.Result) int {
-			n := 0
-			for _, q := range ctx.CG.Reachable {
-				n += len(r.ConstantFormals(q))
-			}
-			return n
-		}
 		fmt.Fprintf(&b, "%-15s | %9d | %11d | %5d | %13d | %6d\n",
-			p.Name, count(fs), count(iter), len(ctx.CG.Reachable), iter.SCCRuns, iter.Iterations)
+			p.Name, constantFormals(ctx, fs), constantFormals(ctx, iter), len(ctx.CG.Reachable), iter.SCCRuns, iter.Iterations)
 	}
 	// A recursive family where iteration genuinely pays.
 	for _, k := range []int{2, 4} {
-		src := backEdgeProgram(6, k)
-		f := source.NewFile("rec.mf", src)
-		astProg, _ := parser.ParseFile(f)
-		sp, _ := sem.Check(astProg, f)
-		irProg, _ := irbuild.Build(sp)
-		ctx := icp.Prepare(irProg)
+		ctx, err := compileSource("rec.mf", backEdgeProgram(6, k))
+		if err != nil {
+			return "", err
+		}
 		fs := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: floats})
 		iter := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitiveIterative, PropagateFloats: floats})
-		count := func(r *icp.Result) int {
-			n := 0
-			for _, q := range ctx.CG.Reachable {
-				n += len(r.ConstantFormals(q))
-			}
-			return n
-		}
 		fmt.Fprintf(&b, "%-15s | %9d | %11d | %5d | %13d | %6d\n",
-			fmt.Sprintf("recursive k=%d", k), count(fs), count(iter), len(ctx.CG.Reachable), iter.SCCRuns, iter.Iterations)
+			fmt.Sprintf("recursive k=%d", k), constantFormals(ctx, fs), constantFormals(ctx, iter), len(ctx.CG.Reachable), iter.SCCRuns, iter.Iterations)
 	}
 	return b.String(), nil
 }

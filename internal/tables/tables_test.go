@@ -31,7 +31,7 @@ func TestFigure1Table(t *testing.T) {
 }
 
 func TestTables12Totals(t *testing.T) {
-	suite, err := tables.LoadSuite(bench.SPECfp92(), true)
+	suite, err := tables.LoadSuite(bench.SPECfp92(), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestTables12Totals(t *testing.T) {
 }
 
 func TestTables34Totals(t *testing.T) {
-	suite, err := tables.LoadSuite(bench.FirstRelease(), false)
+	suite, err := tables.LoadSuite(bench.FirstRelease(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestTables34Totals(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	suite, err := tables.LoadSuite(bench.FirstRelease(), false)
+	suite, err := tables.LoadSuite(bench.FirstRelease(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBackEdgeSweepShape(t *testing.T) {
 }
 
 func TestTimingTableRuns(t *testing.T) {
-	suite, err := tables.LoadSuite(bench.FirstRelease(), false)
+	suite, err := tables.LoadSuite(bench.FirstRelease(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

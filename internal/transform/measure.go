@@ -25,7 +25,7 @@ type ProcElim struct {
 // env(p), on the context's SSA form. Procedures with nothing to
 // eliminate are omitted; the order is CG.Reachable order.
 //
-// Sessions can call this safely — unlike Apply/Optimize it never
+// Sessions can call this safely — unlike Optimize it never
 // rewrites the IR — which is how watch mode reports elimination deltas
 // per edit.
 func MeasureEliminations(ctx *icp.Context, env EnvFn) []ProcElim {

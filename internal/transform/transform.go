@@ -19,7 +19,7 @@
 //     constant folding + dead-branch deletion (the paper's transform,
 //     driven by SCC edge executability), copy propagation, local CSE
 //     over the dominator tree, and LICM for loop-invariant constants.
-//     Apply is the fold-only subset, the original paper model. Every
+//     The fold pass alone is the original paper model. Every pass
 //     combination preserves the interpreter-differential property: the
 //     reference interpreter produces byte-identical output on the
 //     transformed program, independent of worker count.
@@ -105,24 +105,12 @@ func countProc(r *scc.Result) int {
 	return n
 }
 
-// Apply rewrites prog in place to reflect the interprocedural solution:
-// the fold-only subset of the Optimize pipeline, which is exactly the
-// paper's transformation step. The context's call lists, fingerprints
-// and SSA cache are refreshed/invalidated.
-func Apply(ctx *icp.Context, env EnvFn) Report {
-	rep, err := Optimize(ctx, env, Options{Passes: []string{PassFold}, Workers: 1})
-	if err != nil {
-		panic(err) // unreachable: the pass selection is statically valid
-	}
-	return rep
-}
-
 // RemoveDeadProcedures deletes procedures that cannot execute under the
 // analysis: statically unreachable from main, or reachable only through
 // call sites the flow-sensitive solution proved dead. Calls inside dead
 // procedures disappear with them. Returns the removed procedures'
-// names. Apply should run first so dead call sites are already gone
-// from live code.
+// names. The fold pass should run first so dead call sites are already
+// gone from live code.
 func RemoveDeadProcedures(ctx *icp.Context, dead map[*sem.Proc]bool) []string {
 	prog := ctx.Prog
 	keep := make(map[*sem.Proc]bool)
@@ -132,7 +120,7 @@ func RemoveDeadProcedures(ctx *icp.Context, dead map[*sem.Proc]bool) []string {
 		}
 	}
 	// A kept procedure may still call a dead one through a call site
-	// the analysis proved unreachable but Apply did not prune (e.g. no
+	// the analysis proved unreachable but fold did not prune (e.g. no
 	// constant condition guarded it). Keep callees of surviving call
 	// sites to stay executable.
 	changed := true

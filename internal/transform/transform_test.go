@@ -44,6 +44,16 @@ func envOf(r *icp.Result) transform.EnvFn {
 	return func(p *sem.Proc) lattice.Env[*sem.Var] { return r.Entry[p] }
 }
 
+// fold runs the fold pass alone, the paper's transformation step.
+func fold(t *testing.T, ctx *icp.Context, r *icp.Result) transform.Report {
+	t.Helper()
+	rep, err := transform.Optimize(ctx, envOf(r), transform.Options{Passes: []string{transform.PassFold}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestSubstitutionOrderingOnFigure1(t *testing.T) {
 	ctx := prep(t, figure1)
 	fi := icp.Analyze(ctx, icp.Options{Method: icp.FlowInsensitive, PropagateFloats: true})
@@ -100,7 +110,7 @@ func TestApplyPreservesSemantics(t *testing.T) {
 		for _, m := range []icp.Method{icp.FlowInsensitive, icp.FlowSensitive} {
 			ctx := prep(t, src)
 			r := icp.Analyze(ctx, icp.Options{Method: m, PropagateFloats: true})
-			transform.Apply(ctx, envOf(r))
+			fold(t, ctx, r)
 			got := interp.Run(ctx.Prog, interp.Options{})
 			if got.Err != nil {
 				t.Fatalf("case %d method %v: transformed run failed: %v\n%s", i, m, got.Err, src)
@@ -116,7 +126,7 @@ func TestApplyPreservesSemantics(t *testing.T) {
 func TestApplyFoldsFigure1Sum(t *testing.T) {
 	ctx := prep(t, figure1)
 	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
-	rep := transform.Apply(ctx, envOf(r))
+	rep := fold(t, ctx, r)
 	if rep.EntryAssignments == 0 || rep.FoldedInstrs == 0 || rep.FoldedBranches == 0 {
 		t.Errorf("report too weak: %+v", rep)
 	}
@@ -147,7 +157,7 @@ proc deeper(c int) { print c }
 proc unreachable() { call deeper(9) }`
 	ctx := prep(t, src)
 	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
-	transform.Apply(ctx, envOf(r)) // prunes the if-false branch and its call
+	fold(t, ctx, r) // prunes the if-false branch and its call
 	removed := transform.RemoveDeadProcedures(ctx, r.Dead)
 	names := strings.Join(removed, ",")
 	for _, want := range []string{"deadguard", "deeper", "unreachable"} {
@@ -181,7 +191,7 @@ proc main() {
 proc maybe(a int) { print a }`
 	ctx := prep(t, src)
 	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
-	transform.Apply(ctx, envOf(r))
+	fold(t, ctx, r)
 	removed := transform.RemoveDeadProcedures(ctx, r.Dead)
 	if len(removed) != 0 {
 		t.Errorf("removed: %v", removed)

@@ -33,10 +33,9 @@ import (
 //     source (the differential property tests enforce this).
 //
 // A Session is not safe for concurrent use, and the destructive
-// Program methods (ApplyTransform, Optimize, Clone, Inline,
-// RemoveDeadProcedures) must not be applied to a Program still owned
-// by a Session — they mutate state the next Update may reuse. Take a
-// fresh Load for transformation work.
+// methods (Optimize, Clone, Inline, RemoveDeadProcedures) must not be
+// applied to a Program still owned by a Session — they mutate state
+// the next Update may reuse. Take a fresh Load for transformation work.
 type Session struct {
 	filename string
 	opts     LoadOptions
