@@ -19,7 +19,7 @@ func WithoutDeltaSkip(cfg Config) Config {
 // TrackAllGlobals gives every function of p the dense global domain —
 // every program global in its segment, as before modref installed
 // REF*∪MOD* segments — so tests can compare the sparse domain against
-// it. The prebuilt SSA is dropped; the next analysis rebuilds it.
+// it. The SSA built so far is dropped; the next analysis rebuilds it.
 func TrackAllGlobals(p *Program) {
 	for _, fn := range p.ctx.Prog.Funcs {
 		fn.SetGlobals(p.ctx.Prog.Sem.Globals)

@@ -686,7 +686,7 @@ func diskStore(dir string, tr *driver.Trace) *store.Disk {
 func newEngine(cfg Config, tr *driver.Trace) *incr.Engine {
 	if cfg.CacheDir != "" {
 		if d := diskStore(cfg.CacheDir, tr); d != nil {
-			return incr.NewEngineWithStore(incr.NewTiered(incr.NewMemStore(0), d))
+			return incr.NewEngineWithStore(incr.NewTiered(incr.NewMemStore(), d))
 		}
 	}
 	return incr.NewEngine()

@@ -88,7 +88,7 @@ func RunMatrix(gctx context.Context, ctx *icp.Context, floats bool, workers int,
 		if disk == nil {
 			return nil
 		}
-		return incr.NewEngineWithStore(incr.NewTiered(incr.NewMemStore(0), disk))
+		return incr.NewEngineWithStore(incr.NewTiered(incr.NewMemStore(), disk))
 	}
 	methods := []struct {
 		name string

@@ -90,7 +90,7 @@ type Options struct {
 	Workers int
 
 	// Trace, when non-nil, receives one driver.PassStats record per
-	// analysis pass (ssa, FI, FS, returns, ...). A nil trace records
+	// analysis pass (FI, FS, returns, ...). A nil trace records
 	// nothing.
 	Trace *driver.Trace
 

@@ -36,11 +36,8 @@ type incrState struct {
 }
 
 // beginIncr computes every reachable procedure's key and opens a plan
-// against the engine. Returns nil when no engine is attached.
+// against the engine opts.Incr.
 func beginIncr(ctx *Context, opts Options, rt *refTab) *incrState {
-	if opts.Incr == nil {
-		return nil
-	}
 	cg := ctx.CG
 	n := len(cg.Reachable)
 	st := &incrState{fps: make([]string, n), eng: opts.Incr, stats0: opts.Incr.Stats()}
@@ -72,10 +69,13 @@ func (st *incrState) storeDelta() incr.StoreStats {
 	return st.eng.Stats().Sub(st.stats0)
 }
 
-// fillStoreStats copies a run's persistent-layer counters into the
-// pass record and the result, and extends the pass notes, when a disk
-// layer saw any traffic. Memory-only engines leave everything zero.
+// fillStoreStats copies a run's value-cache counters into the pass
+// record and the result. The persistent-layer counters, and the notes
+// they extend, are filled only when a disk layer saw any traffic, so
+// memory-only engines leave them zero.
 func fillStoreStats(ps *driver.PassStats, res *Result, ist *incrState) {
+	ps.Hits, ps.Misses = ist.plan.Hits(), ist.plan.Misses()
+	res.CacheHits, res.CacheMisses = ps.Hits, ps.Misses
 	ds := ist.storeDelta()
 	res.Store = ds
 	if ds.DiskHits+ds.DiskMisses+ds.Corrupt == 0 {

@@ -53,28 +53,11 @@ func runFI(ctx *Context, opts Options) *fiSolution {
 	s := &fiSolution{
 		opts:         opts,
 		formals:      make(map[*sem.Var]lattice.Elem),
-		globalConsts: make(map[*sem.Var]val.Value),
+		globalConsts: programGlobalConstants(ctx, opts),
 		fpBind:       make(map[*sem.Var][]*sem.Var),
 		edgeClass:    make(map[*ir.CallInstr][]fiArgClass),
 	}
-	cg, mr := ctx.CG, ctx.MR
-	if len(cg.Reachable) == 0 {
-		return s
-	}
-	main := cg.Reachable[0]
-
-	// Globals: collect block-data initial constants, discarding any
-	// global modified anywhere in the program (i.e. in MOD(main), which
-	// is transitive over everything reachable).
-	for g, v := range ctx.Prog.Sem.GlobalInit {
-		if mr.Mod[main].Has(g) {
-			continue
-		}
-		if !opts.PropagateFloats && v.IsFloat() {
-			continue
-		}
-		s.globalConsts[g] = v
-	}
+	cg := ctx.CG
 
 	// Formals: optimistic ⊤ initialisation.
 	for _, p := range cg.Reachable {
@@ -196,30 +179,11 @@ func (s *fiSolution) GlobalElem(g *sem.Var) lattice.Elem {
 // computing the paper's call-site candidate lists under flow-insensitive
 // rules.
 func (s *fiSolution) toResult(ctx *Context, opts Options) *Result {
-	res := &Result{
-		Ctx:                    ctx,
-		Opts:                   opts,
-		Entry:                  make(map[*sem.Proc]lattice.Env[*sem.Var]),
-		ArgVals:                make(map[*ir.CallInstr][]lattice.Elem),
-		GlobalCallVals:         make(map[*ir.CallInstr]map[*sem.Var]val.Value),
-		VisibleCallGlobals:     make(map[*ir.CallInstr]map[*sem.Var]val.Value),
-		ProgramGlobalConstants: s.globalConsts,
-		Dead:                   make(map[*sem.Proc]bool),
-		FI:                     s,
-	}
+	res := newResult(ctx, opts)
+	res.ProgramGlobalConstants = s.globalConsts
+	res.FI = s
 	for _, p := range ctx.CG.Reachable {
-		env := make(lattice.Env[*sem.Var])
-		for _, f := range p.Params {
-			if e := s.formals[f]; e.IsConst() {
-				env[f] = e
-			}
-		}
-		// Program-wide global constants hold at entry to every
-		// procedure.
-		for g, v := range s.globalConsts {
-			env[g] = lattice.Const(v)
-		}
-		res.Entry[p] = env
+		res.Entry[p] = s.entryEnvFor(p)
 	}
 	// Shared backing array for ArgVals; candidate maps stay nil when
 	// empty (every consumer reads them through len or range).

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
 	"fsicp/internal/lattice"
-	"fsicp/internal/resilience"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
 )
@@ -41,10 +41,12 @@ import (
 //
 // With an incremental engine attached, the method never reuses a
 // previous run's summary — a procedure's environment moves over the
-// rounds — but every (key, environment) pair that recurs, whether
-// within one fixpoint or across edited versions of the program, skips
-// the physical scc run through the value cache.
-// Result.SCCRuns still counts logical runs, so it matches a cold run.
+// rounds — but a (key, environment) pair an earlier run analysed, on
+// this or an edited version of the program, skips the physical scc run
+// through the value cache. Within one run no pair recurs: a
+// procedure's environment only descends, and an unchanged one already
+// stands. Result.SCCRuns still counts logical runs, so it matches a
+// cold run.
 func runFSIterative(ctx *Context, opts Options) *Result {
 	res := newResult(ctx, opts)
 	cg := ctx.CG
@@ -66,17 +68,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			st.Degraded = g.passCount("FI")
 		})
 	}
-
-	workers := driver.Workers(opts.Workers)
-	rt := newRefTab(ctx, workers)
-
-	var ist *incrState
-	if opts.Incr != nil {
-		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
-			ist = beginIncr(ctx, opts, rt)
-			st.Procs = n
-		})
-	}
+	r := newRun(ctx, opts, g)
 
 	// Current state, one slot per PCG position (owner-written only), and
 	// the round-start snapshot back edges read from.
@@ -90,7 +82,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	degraded := make([]bool, n)
 
 	levels := forwardLevels(cg)
-	var sccRuns, physRuns atomic.Int64
+	var sccRuns atomic.Int64
 
 	// Delta propagation: after round zero, a procedure is re-examined
 	// only when some caller's summary was replaced since its last
@@ -121,7 +113,30 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 		}
 	}
 	var skipped atomic.Int64
+	var changed atomic.Bool
 
+	// fiDegrade pins procedure i to the FI solution; a partial fixpoint
+	// is discarded, as in the one-pass method.
+	fiDegrade := func(i int) {
+		p := cg.Reachable[i]
+		degraded[i] = true
+		fb := g.ensureFI(ctx, opts)
+		entry[i] = fb.entryEnvFor(p)
+		sums[i] = degradedSummary(ctx, r.rt, p, fb)
+		intra[i] = nil
+		changed.Store(true)
+		markCallees(p)
+	}
+	// Forward edges read the current round's slots, back edges the
+	// round-start snapshot.
+	bySum := func(e callgraph.Edge) *incr.ProcSummary {
+		if cg.IsBackEdge(e) {
+			return prevSums[cg.Pos[e.Caller]]
+		}
+		return sums[cg.Pos[e.Caller]]
+	}
+
+	workers := driver.Workers(opts.Workers)
 	opts.Trace.Time("FS-iterative", func(st *driver.PassStats) {
 		// Iterate to the global fixpoint. The PCG order keeps the round
 		// count low; a guard bounds runaway loops (the lattice
@@ -133,7 +148,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			}
 			res.Iterations = round + 1
 			copy(prevSums, sums)
-			var changed atomic.Bool
+			changed.Store(false)
 			driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
 				if degraded[i] {
 					return
@@ -143,48 +158,16 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 					return
 				}
 				p := cg.Reachable[i]
-				g.protect("FS-iterative", p.Name, func(resilience.Reason) {
-					degraded[i] = true
-					fb := g.ensureFI(ctx, opts)
-					entry[i] = fb.entryEnvFor(p)
-					sums[i] = degradedSummary(ctx, rt, p, fb)
-					intra[i] = nil
-					changed.Store(true)
-					markCallees(p)
-				}, func() {
-					env, live := iterEntryEnv(ctx, opts, i, sums, prevSums)
-					if sums[i].Stands(env, live, 0) {
+				g.protect("FS-iterative", p.Name, func() { fiDegrade(i) }, func() {
+					env, live, nBack := entryEnv(ctx, opts, p, bySum, nil)
+					if sums[i].Stands(env, live, nBack) {
 						return
-					}
-					if !live {
-						env = make(lattice.Env[*sem.Var])
 					}
 					entry[i] = env
 					sccRuns.Add(1)
 					changed.Store(true)
 					markCallees(p)
-					pe := portableEnv(env)
-					var key string // stays empty when pe lost a name (see portableEnv)
-					if ist != nil && len(pe) == len(env) {
-						key = incr.EnvKey(pe, live)
-						if cached, ok := ist.plan.Lookup("iter", p.Name, ist.fps[i], key); ok {
-							sums[i] = &incr.ProcSummary{Dead: !live, Entry: pe, Sites: cached.Sites}
-							intra[i] = nil // from an older environment; stale
-							return
-						}
-					}
-					physRuns.Add(1)
-					r := scc.Run(ctx.SSA(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-					sums[i] = summarize(ctx, rt, p, r, !live, 0, pe)
-					if opts.DropIntra {
-						r.Release()
-						intra[i] = nil
-					} else {
-						intra[i] = r
-					}
-					if key != "" {
-						ist.plan.Store("iter", p.Name, ist.fps[i], key, sums[i])
-					}
+					sums[i], intra[i] = r.step("iter", i, env, live, nBack, scc.Options{})
 				})
 			})
 			if !changed.Load() {
@@ -204,104 +187,29 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 		// intermediate values are optimistic (they descend towards the
 		// solution from above), so every procedure that has not already
 		// been pinned degrades to the FI solution.
-		if reason, detail := g.ctxReason(); g.ctx.Err() != nil {
-			fb := g.ensureFI(ctx, opts)
-			for i, p := range cg.Reachable {
-				if degraded[i] {
-					continue
-				}
-				degraded[i] = true
-				entry[i] = fb.entryEnvFor(p)
-				sums[i] = degradedSummary(ctx, rt, p, fb)
-				intra[i] = nil
-				g.record(resilience.Degradation{Proc: p.Name, Pass: "FS-iterative", Reason: reason, Detail: detail})
-			}
-		}
+		g.sweep("FS-iterative", cg.Reachable, func(i int) bool { return !degraded[i] }, fiDegrade)
 		st.Procs = n
 		st.Degraded = g.passCount("FS-iterative")
 		st.Notes = fmt.Sprintf("workers=%d rounds=%d", workers, res.Iterations)
 		st.Levels = len(levels)
 		st.Width = driver.MaxWidth(levels)
 		st.Skipped = int(skipped.Load())
-		if ist != nil {
-			st.Hits = ist.plan.Hits()
-			st.Misses = ist.plan.Misses()
+		if r.ist != nil {
+			// scc-runs= counts the evaluations the value cache did not
+			// answer.
+			st.Notes = fmt.Sprintf("%s scc-runs=%d", st.Notes, int(sccRuns.Load())-r.ist.plan.Hits())
+			fillStoreStats(st, res, r.ist)
 			st.Cached = st.Hits > 0
-			st.Notes = fmt.Sprintf("%s scc-runs=%d", st.Notes, physRuns.Load())
-			res.CacheHits = st.Hits
-			res.CacheMisses = st.Misses
-			fillStoreStats(st, res, ist)
 		}
 	})
 	res.SCCRuns = int(sccRuns.Load())
-
-	for i, p := range cg.Reachable {
-		res.Entry[p] = entry[i]
-		res.Proc[p] = sums[i]
-		if intra[i] != nil {
-			res.Intra[p] = intra[i]
-		}
-		if sums[i].Dead {
-			res.Dead[p] = true
-		}
-		res.mergeSiteValues(p, sums[i])
-	}
+	res.install(entry, sums, intra)
 
 	// Keep the engine's generations turning so the value cache ages
 	// out; the method never reads the snapshot's summaries back.
-	if ist != nil {
-		ist.commit(sums, nil)
+	if r.ist != nil {
+		r.ist.commit(sums, nil)
 	}
 	res.Degradations = g.list()
 	return res
-}
-
-// iterEntryEnv builds p's entry environment from every caller's latest
-// summary: current-round slots for forward-edge callers, the
-// round-start snapshot for back-edge callers (including self-calls).
-// Callers without results yet contribute ⊤ (optimism), as do
-// unreachable call sites.
-func iterEntryEnv(ctx *Context, opts Options, pos int, sums, prevSums []*incr.ProcSummary) (lattice.Env[*sem.Var], bool) {
-	cg := ctx.CG
-	globals := ctx.Prog.Sem.Globals
-	p := cg.Reachable[pos]
-	if pos == 0 {
-		env := make(lattice.Env[*sem.Var])
-		for g, v := range ctx.Prog.Sem.GlobalInit {
-			env[g] = opts.filter(lattice.Const(v))
-		}
-		return env, true
-	}
-	env := make(lattice.Env[*sem.Var], len(p.Params)+len(ctx.Prog.FuncOf[p].Globals()))
-	nExec := 0
-	for _, e := range cg.In[p] {
-		j := cg.Pos[e.Caller]
-		var sum *incr.ProcSummary
-		if cg.IsBackEdge(e) {
-			sum = prevSums[j]
-		} else {
-			sum = sums[j]
-		}
-		if sum == nil || sum.Dead {
-			continue
-		}
-		sv := sum.Sites[e.Site.SiteIdx]
-		if !sv.Reachable {
-			continue
-		}
-		nExec++
-		for i, f := range p.Params {
-			if i >= len(e.Site.Args) {
-				break
-			}
-			env.MeetInto(f, opts.filter(sv.Args[i]))
-		}
-		// The site stores values for exactly Ref(p) (sparse per-site
-		// candidates); iterate the stored pairs directly.
-		for j, gi := range sv.GlobIdx {
-			env.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
-		}
-	}
-	demoteTop(env)
-	return env, nExec > 0
 }

@@ -38,13 +38,15 @@ func resultKey(r *icp.Result) string {
 }
 
 var resilienceMethods = []struct {
-	name string
-	m    icp.Method
-	rets bool
+	name    string
+	m       icp.Method
+	rets    bool
+	refresh bool
 }{
-	{"fs", icp.FlowSensitive, false},
-	{"fs-returns", icp.FlowSensitive, true},
-	{"iter", icp.FlowSensitiveIterative, false},
+	{"fs", icp.FlowSensitive, false, false},
+	{"fs-returns", icp.FlowSensitive, true, false},
+	{"fs-returns-refresh", icp.FlowSensitive, true, true},
+	{"iter", icp.FlowSensitiveIterative, false, false},
 }
 
 // TestInjectedFaultsSoundness: across a matrix of programs, fault
@@ -70,6 +72,7 @@ func TestInjectedFaultsSoundness(t *testing.T) {
 				r := icp.Analyze(ctx, icp.Options{
 					Method:          mm.m,
 					ReturnConstants: mm.rets,
+					ReturnsRefresh:  mm.refresh,
 					PropagateFloats: true,
 					Faults:          inj.Hook(),
 					FaultKey:        spec.String(),
@@ -101,6 +104,7 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 				r := icp.Analyze(ctx, icp.Options{
 					Method:          mm.m,
 					ReturnConstants: mm.rets,
+					ReturnsRefresh:  mm.refresh,
 					PropagateFloats: true,
 					Workers:         workers,
 					Faults:          inj.Hook(),
@@ -135,6 +139,7 @@ func TestFuelBudgetSoundness(t *testing.T) {
 				r := icp.Analyze(ctx, icp.Options{
 					Method:          mm.m,
 					ReturnConstants: mm.rets,
+					ReturnsRefresh:  mm.refresh,
 					PropagateFloats: true,
 					Fuel:            fuel,
 				})
@@ -170,6 +175,7 @@ func TestFuelDeterminism(t *testing.T) {
 				r := icp.Analyze(ctx, icp.Options{
 					Method:          mm.m,
 					ReturnConstants: mm.rets,
+					ReturnsRefresh:  mm.refresh,
 					PropagateFloats: true,
 					Workers:         workers,
 					Fuel:            40,
@@ -204,6 +210,7 @@ func TestCancelledContextDegradesEverything(t *testing.T) {
 			r := icp.Analyze(ctx, icp.Options{
 				Method:          mm.m,
 				ReturnConstants: mm.rets,
+				ReturnsRefresh:  mm.refresh,
 				PropagateFloats: true,
 				Ctx:             cctx,
 			})
@@ -234,11 +241,11 @@ func TestDegradationOnlyLosesPrecision(t *testing.T) {
 		src := progen.Generate(progen.Config{Seed: seed, AllowRecursion: seed%2 == 0, AllowFloats: true})
 		ctx := compileSrc(t, src)
 		for _, mm := range resilienceMethods {
-			clean := icp.Analyze(ctx, icp.Options{Method: mm.m, ReturnConstants: mm.rets, PropagateFloats: true})
+			clean := icp.Analyze(ctx, icp.Options{Method: mm.m, ReturnConstants: mm.rets, ReturnsRefresh: mm.refresh, PropagateFloats: true})
 			spec := faultinject.Spec{Seed: seed, PanicRate: 0.4, FuelRate: 0.2}
 			inj := faultinject.New(spec)
 			faulted := icp.Analyze(ctx, icp.Options{
-				Method: mm.m, ReturnConstants: mm.rets, PropagateFloats: true,
+				Method: mm.m, ReturnConstants: mm.rets, ReturnsRefresh: mm.refresh, PropagateFloats: true,
 				Faults: inj.Hook(), FaultKey: spec.String(),
 			})
 			for _, p := range ctx.CG.Reachable {

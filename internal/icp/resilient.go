@@ -60,7 +60,7 @@ func (g *guard) budget() *resilience.Budget {
 // fallback is the empty solution (every value ⊥ — trivially sound).
 func (g *guard) ensureFI(ictx *Context, opts Options) *fiSolution {
 	g.fiOnce.Do(func() {
-		g.protect("FI", "", func(resilience.Reason) {
+		g.protect("FI", "", func() {
 			g.fiSol = emptyFI(opts)
 		}, func() {
 			g.fiSol = runFI(ictx, opts)
@@ -74,12 +74,12 @@ func (g *guard) ensureFI(ictx *Context, opts Options) *fiSolution {
 // resilience sentinel from a Budget — the abort is classified,
 // recorded as a Degradation for (pass, proc), and degrade is called to
 // install the sound fallback answer in body's stead.
-func (g *guard) protect(pass, proc string, degrade func(resilience.Reason), body func()) {
+func (g *guard) protect(pass, proc string, degrade, body func()) {
 	defer func() {
 		if r := recover(); r != nil {
 			reason, detail := resilience.Classify(r)
 			g.record(resilience.Degradation{Proc: proc, Pass: pass, Reason: reason, Detail: detail})
-			degrade(reason)
+			degrade()
 		}
 	}()
 	if g.faults != nil {
@@ -116,22 +116,30 @@ func (g *guard) list() []resilience.Degradation {
 	return out
 }
 
-// ctxReason classifies why the guard's context ended (for wavefront
-// items skipped after cancellation, where no worker body ran at all).
-func (g *guard) ctxReason() (resilience.Reason, string) {
-	err := g.ctx.Err()
-	if err == nil {
-		return resilience.ReasonCancelled, ""
+// sweep runs after a wavefront the run's context may have cut short:
+// degrade answers every position of procs still unfinished with the
+// pass's sound fallback, and each is recorded as a degradation for the
+// reason the context ended. A no-op while the context is live.
+func (g *guard) sweep(pass string, procs []*sem.Proc, unfinished func(i int) bool, degrade func(i int)) {
+	if g.ctx.Err() == nil {
+		return
 	}
-	var reason resilience.Reason
-	var detail string
-	func() {
-		defer func() {
-			reason, detail = resilience.Classify(recover())
-		}()
-		resilience.TripCtx(err)
+	reason, detail := g.ctxReason()
+	for i, p := range procs {
+		if unfinished(i) {
+			degrade(i)
+			g.record(resilience.Degradation{Proc: p.Name, Pass: pass, Reason: reason, Detail: detail})
+		}
+	}
+}
+
+// ctxReason classifies why the guard's context ended.
+func (g *guard) ctxReason() (reason resilience.Reason, detail string) {
+	defer func() {
+		reason, detail = resilience.Classify(recover())
 	}()
-	return reason, detail
+	resilience.TripCtx(g.ctx.Err())
+	return
 }
 
 // emptyFI is the all-⊥ flow-insensitive solution: no constant formals,

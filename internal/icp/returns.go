@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
 	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
-	"fsicp/internal/resilience"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
 )
 
-// runReturns implements the paper's §3.2 return-constant extension: one
+// returns implements the paper's §3.2 return-constant extension: one
 // additional reverse topological traversal of the PCG performing a
 // second flow-sensitive intraprocedural analysis of each procedure, to
 // identify the procedure's returned constants — the function result and
@@ -31,14 +31,16 @@ import (
 // the same set the serial reverse traversal has completed when it
 // reaches the caller — and every such callee sits in an earlier reverse
 // level, behind the barrier, so the parallel schedule reads exactly
-// what the serial one reads.
+// what the serial one reads. Each worker summarizes its fixpoint and,
+// under DropIntra, releases it at once.
 //
-// Under the incremental engine (ist non-nil) a procedure whose FS-stage
-// summary stood keeps its previous returns record, without an SCC run,
-// when incr.ReturnsRecord.Stands holds. The returned records, one per
+// Under the incremental engine a procedure whose FS-stage summary stood
+// keeps its previous returns record, without an SCC run, when
+// incr.ReturnsRecord.Stands holds. The returned records, one per
 // procedure that completed the traversal, are what the run commits
 // (all nil unless a later run reads them: incr.Plan.Keep).
-func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, ist *incrState, st *driver.PassStats) []*incr.ReturnsRecord {
+func (r *run) returns(res *Result, st *driver.PassStats) []*incr.ReturnsRecord {
+	ctx, opts, g, ist := r.ctx, r.opts, r.g, r.ist
 	res.Returns = make(map[*sem.Proc]lattice.Elem)
 	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
 	cg := ctx.CG
@@ -46,18 +48,22 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, i
 
 	returns := make([]lattice.Elem, n)
 	exits := make([]lattice.Env[*sem.Var], n)
+	// sums holds the summaries rebuilt under this traversal's call
+	// hooks, nil where the FS-stage summary stands (dead or degraded
+	// here).
+	sums := make([]*incr.ProcSummary, n)
 	intra := make([]*scc.Result, n)
 	recs := make([]*incr.ReturnsRecord, n)
 	var reused, ran atomic.Int64
 
 	// conservative is the know-nothing answer for one procedure: no
-	// returned constant, no constant exit values. It is the sound
-	// degradation target of this pass (the FS-stage summary stands).
+	// returned constant, no constant exit values. It is a dead
+	// procedure's answer and the sound degradation target of this pass
+	// (the FS-stage summary stands).
 	conservative := func(i int) {
 		returns[i] = lattice.BottomElem()
 		exits[i] = make(lattice.Env[*sem.Var])
-		intra[i] = nil
-		recs[i] = nil
+		sums[i], intra[i], recs[i] = nil, nil, nil
 	}
 
 	revLevels := reverseLevels(cg)
@@ -66,14 +72,10 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, i
 	driver.WavefrontCtx(g.ctx, revLevels, driver.Workers(opts.Workers), func(i int) {
 		p := cg.Reachable[i]
 		if res.Dead[p] {
-			returns[i] = lattice.BottomElem()
-			exits[i] = make(lattice.Env[*sem.Var])
+			conservative(i)
 			return
 		}
-		g.protect("returns", p.Name, func(resilience.Reason) {
-			conservative(i)
-		}, func() {
-
+		g.protect("returns", p.Name, func() { conservative(i) }, func() {
 			// The call hooks read a callee's summaries only once this
 			// traversal has processed it: exactly the procedures after
 			// position i, which the reverse wavefront has completed in
@@ -95,55 +97,56 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, i
 			// FS reuses a previous summary only when it stands, and
 			// allocates a new one otherwise, so pointer equality says
 			// that p's FS-stage summary stood.
-			if ist != nil && res.Proc[p] == ist.plan.Prev[i] {
+			old := res.Proc[p]
+			if ist != nil && old == ist.plan.Prev[i] {
 				rec := ist.plan.PrevReturns[i]
 				if rec.Stands(func(k int) lattice.Elem {
 					return callResult(calls[k])
 				}, func(k, j int) lattice.Elem {
 					return callExit(calls[k], calls[k].MayDef[j])
 				}) {
-					returns[i], exits[i], recs[i] = rec.Return, bindExit(ctx, p, rec.Exit), rec
+					returns[i], exits[i], sums[i], recs[i] = rec.Return, bindExit(ctx, p, rec.Exit), rec.Summary, rec
 					reused.Add(1)
 					return
 				}
 			}
 
 			ran.Add(1)
-			r := scc.Run(ctx.SSA(i), scc.Options{
+			fix := scc.Run(ctx.SSA(i), scc.Options{
 				Transient:  opts.DropIntra,
 				Entry:      res.Entry[p],
 				CallResult: callResult,
 				CallExit:   callExit,
 				Budget:     g.budget(),
 			})
-			// The second analysis is at least as precise as the first
-			// (extra call information only); adopt it as the final
-			// intraprocedural fixpoint.
-			intra[i] = r
-
-			ret := r.ReturnValue()
+			ret := fix.ReturnValue()
 			if ret.IsTop() {
 				ret = lattice.BottomElem() // never returns: nothing to propagate
 			}
 			returns[i] = ret
-			exits[i] = exitEnv(p, r, res.Entry[p])
+			exits[i] = exitEnv(p, fix, res.Entry[p])
+			// The second analysis is at least as precise as the first
+			// (extra call information only), so it is the final
+			// fixpoint, and its site reachability supersedes the first
+			// pass's in the summary. Liveness, back edges and the entry
+			// environment are unchanged by this traversal, and the
+			// shared result maps deliberately keep the FS-stage
+			// argument values.
+			sums[i] = summarize(ctx, r.rt, p, fix, old.Dead, old.BackEdges, old.Entry)
+			sums[i].Degraded = old.Degraded
+			if opts.DropIntra {
+				fix.Release()
+			} else {
+				intra[i] = fix
+			}
 			if ist != nil && ist.plan.Keep {
-				// The summary is filled in when the run is re-summarized.
-				recs[i] = &incr.ReturnsRecord{Return: ret, Exit: portableExit(exits[i]), Calls: callAnswers(calls, callResult, callExit)}
+				recs[i] = &incr.ReturnsRecord{Return: ret, Exit: portableExit(exits[i]), Calls: callAnswers(calls, callResult, callExit), Summary: sums[i]}
 			}
 		})
 	})
-
 	// Slots never claimed (context ended mid-wavefront) take the
 	// conservative answer.
-	if reason, detail := g.ctxReason(); g.ctx.Err() != nil {
-		for i, p := range cg.Reachable {
-			if exits[i] == nil {
-				conservative(i)
-				g.record(resilience.Degradation{Proc: p.Name, Pass: "returns", Reason: reason, Detail: detail})
-			}
-		}
-	}
+	g.sweep("returns", cg.Reachable, func(i int) bool { return exits[i] == nil }, conservative)
 
 	// resummed records which procedures' summaries were rebuilt under
 	// this traversal's call hooks — the refresh skip needs to know
@@ -154,31 +157,12 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, i
 	for i, p := range cg.Reachable {
 		res.Returns[p] = returns[i]
 		res.ExitEnv[p] = exits[i]
-		switch {
-		case intra[i] != nil:
-			// The second pass is the final fixpoint; its site
-			// reachability supersedes the first pass's in the summary
-			// (liveness, back edges, and the entry environment are
-			// unchanged by this traversal, and the shared result maps
-			// deliberately keep the FS-stage argument values).
-			old := res.Proc[p]
-			ns := summarize(ctx, rt, p, intra[i], old.Dead, old.BackEdges, old.Entry)
-			ns.Degraded = old.Degraded
-			res.Proc[p] = ns
+		if sums[i] != nil {
+			res.Proc[p] = sums[i]
 			resummed[i] = true
-			if recs[i] != nil {
-				recs[i].Summary = ns
-			}
-			if opts.DropIntra {
-				intra[i].Release()
-			} else {
-				res.Intra[p] = intra[i]
-			}
-		case recs[i] != nil:
-			// A kept record: its summary was rebuilt under the call
-			// hooks when it was computed.
-			res.Proc[p] = recs[i].Summary
-			resummed[i] = true
+		}
+		if intra[i] != nil {
+			res.Intra[p] = intra[i]
 		}
 	}
 
@@ -189,7 +173,7 @@ func runReturns(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, i
 	}
 
 	if opts.ReturnsRefresh {
-		refreshForward(ctx, opts, res, g, rt, resummed)
+		r.refresh(res, resummed)
 	}
 	return recs
 }
@@ -300,35 +284,35 @@ func exitEnv(p *sem.Proc, r *scc.Result, entry lattice.Env[*sem.Var]) lattice.En
 	return exit
 }
 
-// refreshForward performs one additional forward topological traversal
-// that rebuilds every procedure's entry environment with the return and
+// refresh performs one additional forward topological traversal that
+// rebuilds every procedure's entry environment with the return and
 // exit summaries available at call sites. The summaries were computed
 // under environments at or below the refreshed ones, so they remain
-// sound over-approximations of runtime behaviour. The traversal runs as
-// the same forward wavefront as runFS; the summaries are complete and
-// read-only by now, so the hooks are safe from any worker.
+// sound over-approximations of runtime behaviour. The traversal is the
+// one-pass method's, with call hooks: the same forward wavefront and
+// the same step, outside the value cache. The summaries are complete
+// and read-only by now, so the hooks are safe from any worker.
 //
 // Delta skip: a procedure is not re-run when the stored summary
 // provably already is what the re-run would produce — it stands under
 // the refreshed entry environment (incr.ProcSummary.Stands, the rule
 // incremental runs reuse summaries by), and every call hook would
 // answer exactly what the pass that built the summary answered. For a
-// summary rebuilt by runReturns (resummed), forward callees impose no
-// condition — the reverse traversal already exposed their final
-// return/exit summaries — so only recursive callees must be trivial (⊥
-// return, empty exit environment, matching the reverse traversal's
-// back-edge fallback).
-// For an FS-stage summary (dead or degraded under runReturns, built
-// with no hooks at all, i.e. ⊥ everywhere), every callee must be
-// trivial. Most procedures in practice call nothing, or call only
-// constant-free helpers, so the skip removes the bulk of the third
-// traversal's scc runs; Options.NoDeltaSkip forces the full re-run.
-func refreshForward(ctx *Context, opts Options, res *Result, g *guard, rt *refTab, resummed []bool) {
+// summary rebuilt by the returns traversal (resummed), forward callees
+// impose no condition — the reverse traversal already exposed their
+// final return/exit summaries — so only recursive callees must be
+// trivial (⊥ return, empty exit environment, matching the reverse
+// traversal's back-edge fallback).
+// For an FS-stage summary (dead or degraded under the returns
+// traversal, built with no hooks at all, i.e. ⊥ everywhere), every
+// callee must be trivial. Most procedures in practice call nothing, or
+// call only constant-free helpers, so the skip removes the bulk of the
+// third traversal's scc runs; Options.NoDeltaSkip forces the full
+// re-run.
+func (r *run) refresh(res *Result, resummed []bool) {
+	ctx, opts, g := r.ctx, r.opts, r.g
 	cg := ctx.CG
 	n := len(cg.Reachable)
-	if n == 0 {
-		return
-	}
 
 	// trivialHooks reports whether the refresh hooks for procedure i
 	// would answer ⊥ at every call site the stored summary saw ⊥ at.
@@ -346,11 +330,13 @@ func refreshForward(ctx *Context, opts Options, res *Result, g *guard, rt *refTa
 	deltaSkip := !opts.NoDeltaSkip
 	var skipped atomic.Int64
 
-	callResult := func(call *ir.CallInstr) lattice.Elem {
-		return opts.filter(res.Returns[call.Callee])
-	}
-	callExit := func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
-		return callExitValue(ctx, opts, call, v, res.ExitEnv[call.Callee])
+	hooks := scc.Options{
+		CallResult: func(call *ir.CallInstr) lattice.Elem {
+			return opts.filter(res.Returns[call.Callee])
+		},
+		CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
+			return callExitValue(ctx, opts, call, v, res.ExitEnv[call.Callee])
+		},
 	}
 
 	fresh := make([]*scc.Result, n)
@@ -371,12 +357,10 @@ func refreshForward(ctx *Context, opts Options, res *Result, g *guard, rt *refTa
 	workers := driver.Workers(opts.Workers)
 	opts.Trace.Time("returns-refresh", func(st *driver.PassStats) {
 		levels := forwardLevels(cg)
-		bySum := func(q *sem.Proc) *incr.ProcSummary { return sums[cg.Pos[q]] }
+		bySum := func(e callgraph.Edge) *incr.ProcSummary { return sums[cg.Pos[e.Caller]] }
 		driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
 			p := cg.Reachable[i]
-			g.protect("returns-refresh", p.Name, func(resilience.Reason) {
-				keepOld(i)
-			}, func() {
+			g.protect("returns-refresh", p.Name, func() { keepOld(i) }, func() {
 				env, live, nBack := entryEnv(ctx, opts, p, bySum, res.FI)
 				entry[i] = env
 				if old := res.Proc[p]; deltaSkip && old.Stands(env, live, nBack) && trivialHooks(i) {
@@ -384,23 +368,10 @@ func refreshForward(ctx *Context, opts Options, res *Result, g *guard, rt *refTa
 					skipped.Add(1)
 					return
 				}
-				r := scc.Run(ctx.SSA(i), scc.Options{Entry: env, CallResult: callResult, CallExit: callExit, Budget: g.budget(), Transient: opts.DropIntra})
-				sums[i] = summarize(ctx, rt, p, r, !live, nBack, portableEnv(env))
-				if opts.DropIntra {
-					r.Release()
-				} else {
-					fresh[i] = r
-				}
+				sums[i], fresh[i] = r.step("", i, env, live, nBack, hooks)
 			})
 		})
-		if reason, detail := g.ctxReason(); g.ctx.Err() != nil {
-			for i, p := range cg.Reachable {
-				if sums[i] == nil {
-					keepOld(i)
-					g.record(resilience.Degradation{Proc: p.Name, Pass: "returns-refresh", Reason: reason, Detail: detail})
-				}
-			}
-		}
+		g.sweep("returns-refresh", cg.Reachable, func(i int) bool { return sums[i] == nil }, keepOld)
 		st.Procs = n
 		st.Degraded = g.passCount("returns-refresh")
 		st.Levels = len(levels)
@@ -410,15 +381,5 @@ func refreshForward(ctx *Context, opts Options, res *Result, g *guard, rt *refTa
 	})
 
 	res.Dead = make(map[*sem.Proc]bool)
-	for i, p := range cg.Reachable {
-		res.Entry[p] = entry[i]
-		if fresh[i] != nil {
-			res.Intra[p] = fresh[i]
-		}
-		res.Proc[p] = sums[i]
-		if sums[i].Dead {
-			res.Dead[p] = true
-		}
-		res.mergeSiteValues(p, sums[i])
-	}
+	res.install(entry, sums, fresh)
 }

@@ -5,6 +5,7 @@ import (
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
 	"fsicp/internal/lattice"
+	"fsicp/internal/scc"
 	"fsicp/internal/sem"
 )
 
@@ -50,22 +51,26 @@ func reverseLevels(cg *callgraph.Graph) [][]int {
 	})
 }
 
-// callerSummary looks up the latest summary of a call edge's caller.
+// callerSummary maps an incoming call edge to the summary it reads.
 // The slice-of-slots representation (indexed by PCG position, each
 // slot written only by its owning procedure's worker) is what makes
 // the wavefront race-free without locks. A nil summary means the
 // caller has not been analysed yet (iterative optimism).
-type callerSummary func(q *sem.Proc) *incr.ProcSummary
+type callerSummary func(e callgraph.Edge) *incr.ProcSummary
 
 // entryEnv builds p's entry environment by meeting the contributions of
-// every incoming call edge: forward edges read the caller's completed
-// summary via caller; back edges read the flow-insensitive fallback fi
-// (nil when the PCG is acyclic — then no back edges exist). A call
-// instruction's SiteIdx is its index in the caller's summary Sites.
-// The environment binds only p's formals and REF*(p) globals, which
-// lie in p's global segment, and is presized to formals plus segment.
-// Returns the environment, whether any incoming site is executable, and
-// how many back edges were consulted. Meet is commutative and
+// every incoming call edge. A forward edge reads the summary caller
+// maps it to. A back edge reads the flow-insensitive solution fi when
+// fi is set (the one-pass method and the refresh; fi is nil only on an
+// acyclic PCG, which has no back edges), and caller otherwise (the
+// iterative method, whose callback answers a back edge from the
+// round-start snapshot). Dead callers and unreachable call sites
+// contribute ⊤. A call instruction's SiteIdx is its index in the
+// caller's summary Sites. The environment binds only p's formals and
+// REF*(p) globals, which lie in p's global segment, and is presized to
+// formals plus segment. Returns the environment (empty when no
+// incoming site is executable), whether any incoming site is
+// executable, and how many back edges read fi. Meet is commutative and
 // associative, so the result is independent of edge order.
 func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi *fiSolution) (env lattice.Env[*sem.Var], live bool, backEdges int) {
 	cg, mr := ctx.CG, ctx.MR
@@ -81,32 +86,7 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 	env = make(lattice.Env[*sem.Var], len(p.Params)+len(ctx.Prog.FuncOf[p].Globals()))
 	nExec := 0
 	for _, e := range cg.In[p] {
-		if !cg.IsBackEdge(e) {
-			// Forward edge: the caller has been analysed.
-			sum := caller(e.Caller)
-			if sum == nil || sum.Dead {
-				continue // dead caller: contributes ⊤
-			}
-			sv := sum.Sites[e.Site.SiteIdx]
-			if !sv.Reachable {
-				continue // unreachable call site: contributes ⊤
-			}
-			nExec++
-			for i, f := range p.Params {
-				if i >= len(e.Site.Args) {
-					break
-				}
-				env.MeetInto(f, opts.filter(sv.Args[i]))
-			}
-			// Sparse global candidates: the site stores values for
-			// exactly Ref(p) — the globals the callee (transitively)
-			// references, all in its segment — so the stored pairs
-			// are iterated directly.
-			for j, gi := range sv.GlobIdx {
-				env.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
-			}
-		} else {
-			// Back edge: use the flow-insensitive solution.
+		if fi != nil && cg.IsBackEdge(e) {
 			backEdges++
 			nExec++
 			for i, f := range p.Params {
@@ -117,6 +97,29 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 					env.MeetInto(g, fi.GlobalElem(g))
 				}
 			}
+			continue
+		}
+		sum := caller(e)
+		if sum == nil || sum.Dead {
+			continue
+		}
+		sv := sum.Sites[e.Site.SiteIdx]
+		if !sv.Reachable {
+			continue
+		}
+		nExec++
+		for i, f := range p.Params {
+			if i >= len(e.Site.Args) {
+				break
+			}
+			env.MeetInto(f, opts.filter(sv.Args[i]))
+		}
+		// Sparse global candidates: the site stores values for exactly
+		// Ref(p) — the globals the callee (transitively) references,
+		// all in its segment — so the stored pairs are iterated
+		// directly.
+		for j, gi := range sv.GlobIdx {
+			env.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
 		}
 	}
 	if nExec == 0 {
@@ -136,5 +139,83 @@ func demoteTop(env lattice.Env[*sem.Var]) {
 		if e.IsTop() {
 			env[v] = lattice.BottomElem()
 		}
+	}
+}
+
+// run holds the inputs one flow-sensitive analysis shares across its
+// traversals: the context and options, the resilience guard, the REF
+// table, and the incremental state (nil without an engine).
+type run struct {
+	ctx  *Context
+	opts Options
+	g    *guard
+	rt   *refTab
+	ist  *incrState
+}
+
+// newRun builds a run's shared inputs once its FI pass is done,
+// recording the incr-plan pass when an engine is attached.
+func newRun(ctx *Context, opts Options, g *guard) *run {
+	r := &run{ctx: ctx, opts: opts, g: g, rt: newRefTab(ctx, opts.Workers)}
+	if opts.Incr != nil {
+		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
+			r.ist = beginIncr(ctx, opts, r.rt)
+			st.Procs = len(ctx.CG.Reachable)
+		})
+	}
+	return r
+}
+
+// step is one flow-sensitive analysis of the procedure at position i
+// under env, for the one-pass method (namespace "fs"), the iterative
+// rounds ("iter") and the returns refresh (no namespace). hooks
+// carries the call hooks (CallResult, CallExit) and nothing else.
+//
+// Under a namespace and an incremental engine, the value cache answers
+// a (key, environment) pair analysed in any earlier run, unless the
+// environment lost a name (see portableEnv). Otherwise SCC runs, and
+// its fixpoint is summarized, released under DropIntra, and cached.
+// The fixpoint is returned for Result.Intra: nil when the cache
+// answered or the fixpoint was released.
+func (r *run) step(ns string, i int, env lattice.Env[*sem.Var], live bool, nBack int, hooks scc.Options) (*incr.ProcSummary, *scc.Result) {
+	p := r.ctx.CG.Reachable[i]
+	pe := portableEnv(env)
+	var key string // stays empty when nothing is cached
+	if ns != "" && r.ist != nil && len(pe) == len(env) {
+		key = incr.EnvKey(pe, live)
+		if cached, ok := r.ist.plan.Lookup(ns, p.Name, r.ist.fps[i], key); ok {
+			// Liveness and back-edge counts are per-run facts; only
+			// the (deterministic) site values are shared.
+			return &incr.ProcSummary{Dead: !live, BackEdges: nBack, Entry: pe, Sites: cached.Sites}, nil
+		}
+	}
+	hooks.Entry, hooks.Budget, hooks.Transient = env, r.g.budget(), r.opts.DropIntra
+	fix := scc.Run(r.ctx.SSA(i), hooks)
+	sum := summarize(r.ctx, r.rt, p, fix, !live, nBack, pe)
+	if r.opts.DropIntra {
+		fix.Release()
+		fix = nil
+	}
+	if key != "" {
+		r.ist.plan.Store(ns, p.Name, r.ist.fps[i], key, sum)
+	}
+	return sum, fix
+}
+
+// install writes a forward traversal's per-position slots into the
+// Result maps, serially and in topological order, so the outcome is
+// byte-identical for every worker count. A nil fixpoint leaves Intra
+// as it was.
+func (res *Result) install(entry []lattice.Env[*sem.Var], sums []*incr.ProcSummary, intra []*scc.Result) {
+	for i, p := range res.Ctx.CG.Reachable {
+		res.Entry[p] = entry[i]
+		res.Proc[p] = sums[i]
+		if intra[i] != nil {
+			res.Intra[p] = intra[i]
+		}
+		if sums[i].Dead {
+			res.Dead[p] = true
+		}
+		res.mergeSiteValues(p, sums[i])
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
 	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
-	"fsicp/internal/resilience"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
 	"fsicp/internal/val"
@@ -56,123 +56,69 @@ func runFS(ctx *Context, opts Options) *Result {
 		})
 	}
 	res.ProgramGlobalConstants = programGlobalConstants(ctx, opts)
+	r := newRun(ctx, opts, g)
 
-	workers := driver.Workers(opts.Workers)
-	rt := newRefTab(ctx, workers)
-
-	// Incremental plan: key every procedure and look up the summary the
-	// previous run committed under the same key.
-	var ist *incrState
 	sums := make([]*incr.ProcSummary, n)
 	envs := make([]lattice.Env[*sem.Var], n)
 	intra := make([]*scc.Result, n)
-	if opts.Incr != nil {
-		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
-			ist = beginIncr(ctx, opts, rt)
-			st.Procs = n
-		})
+	// fiDegrade answers procedure i from the FI solution: a partial
+	// fixpoint is discarded — optimistic intermediate values are not
+	// sound answers — and nothing is stored in the value cache.
+	fiDegrade := func(i int) {
+		p := cg.Reachable[i]
+		fb := g.ensureFI(ctx, opts)
+		envs[i] = fb.entryEnvFor(p)
+		sums[i] = degradedSummary(ctx, r.rt, p, fb)
 	}
 
-	var reused atomic.Int64
+	var reused, evals atomic.Int64
+	workers := driver.Workers(opts.Workers)
 	opts.Trace.Time("FS", func(st *driver.PassStats) {
 		levels := forwardLevels(cg)
-		bySum := func(q *sem.Proc) *incr.ProcSummary { return sums[cg.Pos[q]] }
+		bySum := func(e callgraph.Edge) *incr.ProcSummary { return sums[cg.Pos[e.Caller]] }
 		driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
 			p := cg.Reachable[i]
-			g.protect("FS", p.Name, func(resilience.Reason) {
-				// Degrade this procedure (only) to the FI solution. The
-				// partial fixpoint is discarded — optimistic intermediate
-				// values are not sound answers — and nothing is stored in
-				// the value cache.
-				fb := g.ensureFI(ctx, opts)
-				envs[i] = fb.entryEnvFor(p)
-				intra[i] = nil
-				sums[i] = degradedSummary(ctx, rt, p, fb)
-			}, func() {
+			g.protect("FS", p.Name, func() { fiDegrade(i) }, func() {
 				env, live, nBack := entryEnv(ctx, opts, p, bySum, res.FI)
 				envs[i] = env
-				if ist != nil && ist.plan.Prev[i].Stands(env, live, nBack) {
+				if r.ist != nil && r.ist.plan.Prev[i].Stands(env, live, nBack) {
 					// Same key and same entry environment: the previous
 					// summary is exactly what an SCC run would produce.
-					sums[i] = ist.plan.Prev[i]
+					sums[i] = r.ist.plan.Prev[i]
 					reused.Add(1)
 					return
 				}
-				pe := portableEnv(env)
-				var key string // stays empty when pe lost a name (see portableEnv)
-				if ist != nil && len(pe) == len(env) {
-					// Value-level cutoff: the same (key, environment)
-					// pair was analysed before, in any earlier run.
-					key = incr.EnvKey(pe, live)
-					if cached, ok := ist.plan.Lookup("fs", p.Name, ist.fps[i], key); ok {
-						// Liveness and back-edge counts are per-run facts;
-						// only the (deterministic) site values are shared.
-						sums[i] = &incr.ProcSummary{Dead: !live, BackEdges: nBack, Entry: pe, Sites: cached.Sites}
-						return
-					}
-				}
-
 				// The single flow-sensitive intraprocedural analysis of p.
-				r := scc.Run(ctx.SSA(i), scc.Options{Entry: env, Budget: g.budget(), Transient: opts.DropIntra})
-				sums[i] = summarize(ctx, rt, p, r, !live, nBack, pe)
-				if opts.DropIntra {
-					r.Release()
-				} else {
-					intra[i] = r
-				}
-				if key != "" {
-					ist.plan.Store("fs", p.Name, ist.fps[i], key, sums[i])
-				}
+				evals.Add(1)
+				sums[i], intra[i] = r.step("fs", i, env, live, nBack, scc.Options{})
 			})
 		})
 		// Procedures never claimed (the context ended mid-wavefront)
 		// degrade to the FI solution too.
-		if reason, detail := g.ctxReason(); g.ctx.Err() != nil {
-			for i, p := range cg.Reachable {
-				if sums[i] == nil {
-					fb := g.ensureFI(ctx, opts)
-					envs[i] = fb.entryEnvFor(p)
-					sums[i] = degradedSummary(ctx, rt, p, fb)
-					g.record(resilience.Degradation{Proc: p.Name, Pass: "FS", Reason: reason, Detail: detail})
-				}
-			}
-		}
+		g.sweep("FS", cg.Reachable, func(i int) bool { return sums[i] == nil }, fiDegrade)
 		st.Procs = n
 		st.Degraded = g.passCount("FS")
 		st.Levels = len(levels)
 		st.Width = driver.MaxWidth(levels)
 		st.Notes = fmt.Sprintf("workers=%d", workers)
-		if ist != nil {
+		if r.ist != nil {
 			res.ProcsReused = int(reused.Load())
 			st.Cached = res.ProcsReused > 0
-			st.Hits = ist.plan.Hits()
-			st.Misses = ist.plan.Misses()
-			// run= counts SCC runs: the value-cache misses.
-			st.Notes = fmt.Sprintf("%s reused=%d run=%d", st.Notes, res.ProcsReused, st.Misses)
-			res.CacheHits = st.Hits
-			res.CacheMisses = st.Misses
-			fillStoreStats(st, res, ist)
+			// run= counts SCC runs: the evaluations the value cache did
+			// not answer.
+			st.Notes = fmt.Sprintf("%s reused=%d run=%d", st.Notes, res.ProcsReused, int(evals.Load())-r.ist.plan.Hits())
+			fillStoreStats(st, res, r.ist)
 		}
 	})
-
-	// Deterministic merge, in topological order.
-	for i, p := range cg.Reachable {
-		res.Entry[p] = envs[i]
-		res.Proc[p] = sums[i]
-		if intra[i] != nil {
-			res.Intra[p] = intra[i]
-		}
-		if sums[i].Dead {
-			res.Dead[p] = true
-		}
-		res.BackEdgesUsed += sums[i].BackEdges
-		res.mergeSiteValues(p, sums[i])
+	res.install(envs, sums, intra)
+	for _, sum := range sums {
+		res.BackEdgesUsed += sum.BackEdges
 	}
 
 	var recs []*incr.ReturnsRecord
 	if opts.ReturnConstants {
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			recs = runReturns(ctx, opts, res, g, rt, ist, st)
+			recs = r.returns(res, st)
 			st.Procs = n
 			st.Degraded = g.passCount("returns") + g.passCount("returns-refresh")
 		})
@@ -180,8 +126,8 @@ func runFS(ctx *Context, opts Options) *Result {
 	// The snapshot holds the FS-stage summaries (FS reuse compares
 	// FS-stage inputs), not the ones the returns traversal re-derived,
 	// which travel in the returns records beside them.
-	if ist != nil {
-		ist.commit(sums, recs)
+	if r.ist != nil {
+		r.ist.commit(sums, recs)
 	}
 	res.Degradations = g.list()
 	return res

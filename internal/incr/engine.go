@@ -20,18 +20,14 @@ type Engine struct {
 	oneShot bool
 }
 
-// DefaultCacheLimit is the in-memory value-cache generation size above
-// which a Commit ages out untouched entries (see SetCacheLimit).
-const DefaultCacheLimit = 2048
-
 // NewEngine returns an empty engine backed by the in-memory store
 // only.
 func NewEngine() *Engine {
-	return NewEngineWithStore(NewMemStore(0))
+	return NewEngineWithStore(NewMemStore())
 }
 
 // NewEngineWithStore returns an empty engine over an explicit storage
-// hierarchy (typically NewTiered(NewMemStore(0), disk)).
+// hierarchy (typically NewTiered(NewMemStore(), disk)).
 func NewEngineWithStore(s Store) *Engine {
 	return &Engine{store: s}
 }
@@ -40,19 +36,6 @@ func NewEngineWithStore(s Store) *Engine {
 // cache alone: no later run reads the snapshot it commits, so a run
 // builds nothing only a later run would read (Plan.Keep is false).
 func (e *Engine) SetOneShot() { e.oneShot = true }
-
-// SetCacheLimit bounds the in-memory value cache: when the live
-// generation holds at least n entries at Commit, entries untouched
-// since the previous ageing are dropped (two-generation collection).
-// Ageing on every Commit would evict the working set under edit/undo
-// alternation, so collection is deferred until the cache has actually
-// grown. n <= 0 restores the default. Engines over stores without an
-// adjustable memory layer ignore the call.
-func (e *Engine) SetCacheLimit(n int) {
-	if sl, ok := e.store.(interface{ SetLimit(int) }); ok {
-		sl.SetLimit(n)
-	}
-}
 
 // Stats returns the store's cumulative counters. Callers wanting
 // per-run numbers snapshot before the run and Sub after.

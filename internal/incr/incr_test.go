@@ -235,7 +235,7 @@ func TestProgramKeyChangeResetsValueCache(t *testing.T) {
 
 func TestCacheTwoGenerationSurvival(t *testing.T) {
 	e := NewEngine()
-	e.SetCacheLimit(1) // rotate on every commit so ageing is observable
+	e.store.(*MemStore).limit = 1 // rotate on every commit so ageing is observable
 	in := chain()
 	p := e.Begin(in)
 	p.Store("fs", "a", "fp-a", "env1", &ProcSummary{})

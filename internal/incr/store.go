@@ -90,12 +90,17 @@ type Store interface {
 	Stats() StoreStats
 }
 
+// cacheLimit is the in-memory value-cache generation size at which
+// a Commit ages out untouched entries.
+const cacheLimit = 2048
+
 // MemStore is the in-memory L1: a two-generation (LRU-ish) map.
 // Entries touched since the last rotation survive it, the rest are
 // dropped a generation later. Rotation happens only when the live
-// generation has grown past the limit, so memory stays bounded across
+// generation has grown to the limit, so memory stays bounded across
 // long edit sessions without the working set being evicted between
-// consecutive runs.
+// consecutive runs: ageing on every Commit would evict the working set
+// under edit/undo alternation.
 type MemStore struct {
 	mu           sync.Mutex
 	cur, old     map[string]*ProcSummary
@@ -103,27 +108,13 @@ type MemStore struct {
 	hits, misses atomic.Int64
 }
 
-// NewMemStore returns an empty memory store. limit <= 0 selects
-// DefaultCacheLimit.
-func NewMemStore(limit int) *MemStore {
-	if limit <= 0 {
-		limit = DefaultCacheLimit
-	}
+// NewMemStore returns an empty memory store.
+func NewMemStore() *MemStore {
 	return &MemStore{
 		cur:   map[string]*ProcSummary{},
 		old:   map[string]*ProcSummary{},
-		limit: limit,
+		limit: cacheLimit,
 	}
-}
-
-// SetLimit adjusts the rotation threshold; n <= 0 restores the default.
-func (m *MemStore) SetLimit(n int) {
-	if n <= 0 {
-		n = DefaultCacheLimit
-	}
-	m.mu.Lock()
-	m.limit = n
-	m.mu.Unlock()
 }
 
 // Get implements Store, promoting old-generation hits.
@@ -219,14 +210,6 @@ func (t *Tiered) Reset() {
 
 // Stats sums the layers (their field sets are disjoint).
 func (t *Tiered) Stats() StoreStats { return t.L1.Stats().Add(t.L2.Stats()) }
-
-// SetLimit forwards the L1 rotation threshold when the layer supports
-// it.
-func (t *Tiered) SetLimit(n int) {
-	if sl, ok := t.L1.(interface{ SetLimit(int) }); ok {
-		sl.SetLimit(n)
-	}
-}
 
 // Degradations forwards the corruption records of layers that keep them
 // (the disk store records one per entry dropped as corrupt).

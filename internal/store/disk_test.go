@@ -199,7 +199,7 @@ func TestTieredPromotion(t *testing.T) {
 	d := mustOpen(t, dir, Options{})
 	d.Put("k", testSummary(5))
 
-	mem := incr.NewMemStore(0)
+	mem := incr.NewMemStore()
 	tiered := incr.NewTiered(mem, d)
 	want := testSummary(5)
 	got, ok := tiered.Get("k")

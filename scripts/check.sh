@@ -28,7 +28,9 @@ go test -race -short ./...
 echo "== fault-injection smoke (fixed seeds) =="
 # The resilience suites run deterministic seed matrices; re-run them
 # race-enabled and verbose-on-failure so a regression in the failure
-# model fails the gate with the exact seed named.
+# model fails the gate with the exact seed named. The icp matrix covers
+# FS, FS + returns, FS + returns + refresh, and FS-iterative, so the
+# refresh's degrade and cancellation sweep are exercised too.
 go test -race -count=1 \
     -run 'TestInjectedFaultsSoundness|TestFaultDeterminismAcrossWorkers|TestFuelBudgetSoundness|TestCancelledContextDegradesEverything' \
     ./internal/icp
@@ -69,11 +71,12 @@ echo "== incremental determinism (race) =="
 # flips between forward and back; a formal shares a global's name) in
 # the library and through the daemon's /update, the update fuzzer's
 # seeds, a global-initializer edit under the layout-only program key,
-# the returns traversal's own outputs (return values, exit
-# environments, summaries) over an edit stream, and a one-shot engine
-# building no records.
+# the FS row's run= counting every SCC run (a name clash skips the
+# value cache), the returns traversal's own outputs (return values,
+# exit environments, summaries) over an edit stream, and a one-shot
+# engine building no records.
 go test -race -count=1 \
-    -run 'TestSessionDifferentialEditReplay|TestSessionStaleReuse|FuzzSessionUpdate|TestSessionProgramKeyIgnoresGlobalInitializers|TestSessionEntryNameClash' \
+    -run 'TestSessionDifferentialEditReplay|TestSessionStaleReuse|FuzzSessionUpdate|TestSessionProgramKeyIgnoresGlobalInitializers|TestSessionEntryNameClash|TestSessionRunCountsEverySCCRun' \
     .
 go test -race -count=1 -run 'TestIncrementalReturnsMatchCold|TestOneShotEngineKeepsNoReturnsRecords' ./internal/icp
 go test -race -count=1 -run 'TestStands|TestReturnsRecordStands' ./internal/incr

@@ -375,6 +375,27 @@ func TestSessionEntryNameClash(t *testing.T) {
 	}
 }
 
+// TestSessionRunCountsEverySCCRun: the FS row's run= counts every SCC
+// run, including one whose entry environment lost a name (entryClashV1's
+// p) and so ran without a value-cache lookup. A first Analyze builds
+// SSA exactly for the procedures FS runs SCC on.
+func TestSessionRunCountsEverySCCRun(t *testing.T) {
+	sess, err := fsicp.NewSession("t.mf", entryClashV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sess.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true})
+	built := 0
+	for _, s := range fsicp.ContextOf(sess.Program()).SSACache {
+		if s != nil {
+			built++
+		}
+	}
+	if run := passNote(a, "FS", "run"); run != built {
+		t.Errorf("run=%d for %d SCC runs", run, built)
+	}
+}
+
 // loadPasses names every pass of the load pipeline, in order.
 var loadPasses = []string{"parse", "sem", "irbuild", "callgraph", "alias", "modref", "clobbers"}
 
@@ -642,9 +663,10 @@ func passNote(a *fsicp.Analysis, pass, key string) int {
 }
 
 // TestSessionBuildsSSAOnlyWhereRead checks that an edit builds SSA
-// only for the procedures some pass runs SCC on. FS runs it exactly
-// for its value-cache misses: every other procedure's previous summary
-// stands or comes from the cache. With return constants on, the
+// only for the procedures some pass runs SCC on. FS runs it for every
+// procedure whose previous summary does not stand and whose summary
+// the value cache does not answer; on this program, with no formal
+// named like a global, those are its value-cache misses. With return constants on, the
 // returns traversal runs it for every live procedure FS ran or took
 // from the cache, and for those whose call answers changed. Both
 // stats rows count their SCC runs as run=; only dead procedures are
