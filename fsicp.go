@@ -432,8 +432,8 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 			return nil
 		}})
 	// Immediate MOD/REF collection is a per-procedure IR walk and
-	// shards; the interprocedural fixpoint and MayDef fill stay serial
-	// in Finish.
+	// shards; the callee-first solve and MayDef fill stay serial in
+	// Finish, whose notes count the solve's work.
 	m.Add(driver.Pass{Name: "modref",
 		Run: func(st *driver.PassStats) error {
 			mb = modref.Begin(irProg, cg, al)
@@ -445,6 +445,7 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 		},
 		Finish: func(st *driver.PassStats) error {
 			mr = mb.Finish()
+			st.Notes += " " + mr.Work.String()
 			return nil
 		}})
 	// Clobber insertion mutates the IR, so it must follow MOD/REF,
@@ -723,7 +724,7 @@ func (a *Analysis) Constants() []Constant {
 		// DREF(p) lies inside p's global segment, which is in
 		// declaration order.
 		for _, g := range a.prog.ctx.Prog.FuncOf[p].Globals() {
-			if v, ok := a.res.EntryConstant(p, g); ok && a.prog.ctx.MR.DRef[p].Has(g) {
+			if v, ok := a.res.EntryConstant(p, g); ok && a.prog.ctx.MR.DRef(p).Has(g) {
 				out = append(out, Constant{Proc: p.Name, Var: g.Name, Value: v.String(), Kind: "global"})
 			}
 		}
@@ -857,7 +858,7 @@ func (a *Analysis) AnnotatedListing() string {
 			}
 		}
 		for _, g := range ctx.Prog.FuncOf[p].Globals() {
-			if v, ok := a.res.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
+			if v, ok := a.res.EntryConstant(p, g); ok && ctx.MR.DRef(p).Has(g) {
 				facts = append(facts, g.Name+" = "+v.String())
 			}
 		}
@@ -1161,7 +1162,7 @@ func (p *Program) AnalyzeJumpFunctionsWithReturns(kind JumpFunctionKind) *JumpAn
 // upward-exposed-use computation; one reverse traversal, REF on back
 // edges).
 func (p *Program) Use() map[string][]string {
-	var use map[*sem.Proc]modref.Set
+	var use map[*sem.Proc][]*sem.Var
 	p.trace.Time("use", func(st *driver.PassStats) {
 		use = icp.ComputeUse(p.ctx)
 		st.Procs = len(p.ctx.CG.Reachable)
@@ -1169,7 +1170,7 @@ func (p *Program) Use() map[string][]string {
 	out := make(map[string][]string, len(use))
 	for q, set := range use {
 		var names []string
-		for _, v := range set.Sorted() {
+		for _, v := range set {
 			names = append(names, v.Name)
 		}
 		out[q.Name] = names

@@ -136,7 +136,7 @@ func icpRunner(ctx *icp.Context, opts icp.Options) func() (int, int) {
 			formals += nf
 			entries += nf
 			for _, g := range ctx.Prog.Sem.Globals {
-				if _, ok := res.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
+				if _, ok := res.EntryConstant(p, g); ok && ctx.MR.DRef(p).Has(g) {
 					entries++
 				}
 			}

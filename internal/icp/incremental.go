@@ -2,7 +2,6 @@ package icp
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"fsicp/internal/driver"
@@ -37,7 +36,7 @@ type incrState struct {
 
 // beginIncr computes every reachable procedure's key and opens a plan
 // against the engine opts.Incr.
-func beginIncr(ctx *Context, opts Options, rt *refTab) *incrState {
+func beginIncr(ctx *Context, opts Options) *incrState {
 	cg := ctx.CG
 	n := len(cg.Reachable)
 	st := &incrState{fps: make([]string, n), eng: opts.Incr, stats0: opts.Incr.Stats()}
@@ -54,7 +53,7 @@ func beginIncr(ctx *Context, opts Options, rt *refTab) *incrState {
 	driver.Parallel(n, driver.Workers(opts.Workers), func(i int) {
 		p := cg.Reachable[i]
 		st.fps[i] = ctx.Prog.FuncOf[p].Fingerprint(func(fn *ir.Func) string {
-			return incr.ProcFingerprint(p, fn, rt.of)
+			return incr.ProcFingerprint(p, fn, ctx.MR.RefGlobals)
 		})
 		in.Procs[i] = incr.ProcInput{Name: p.Name, FP: st.fps[i]}
 	})
@@ -147,48 +146,14 @@ func portableEnv(env lattice.Env[*sem.Var]) map[string]lattice.Elem {
 	return m
 }
 
-// refTab holds, per reachable-PCG position, the declaration indices of
-// the globals in that procedure's transitive REF set, ascending. Built
-// once per run and read-only afterwards, so concurrent workers (and
-// degradation handlers) share it freely. Summaries store per-site
-// global values for exactly this set of the site's callee — the
-// paper's sparse per-call-site candidate list — instead of a value per
-// program global; summarize used to be O(sites × program-globals) in
-// both time and heap.
-type refTab struct {
-	ctx *Context
-	idx [][]int32
-}
-
-func newRefTab(ctx *Context, workers int) *refTab {
-	rt := &refTab{ctx: ctx, idx: make([][]int32, len(ctx.CG.Reachable))}
-	driver.Parallel(len(rt.idx), driver.Workers(workers), func(i int) {
-		rt.idx[i] = refGlobalIdx(ctx, ctx.CG.Reachable[i])
-	})
-	return rt
-}
-
-// of returns the sorted global declaration indices of Ref(p).
-func (rt *refTab) of(p *sem.Proc) []int32 { return rt.idx[rt.ctx.CG.Pos[p]] }
-
-// refGlobalIdx computes one procedure's slice directly from the MOD/REF
-// solution.
-func refGlobalIdx(ctx *Context, p *sem.Proc) []int32 {
-	var out []int32
-	for v := range ctx.MR.Ref[p] {
-		if v.IsGlobal() {
-			out = append(out, int32(v.Index))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // summarize distills one scc run into the portable summary downstream
 // consumers read. Raw (unfiltered) lattice values are stored; every
 // consumer applies opts.filter itself, exactly as the non-incremental
-// code path did when reading the scc.Result directly.
-func summarize(ctx *Context, rt *refTab, p *sem.Proc, r *scc.Result, dead bool, nBack int, entry map[string]lattice.Elem) *incr.ProcSummary {
+// code path did when reading the scc.Result directly. A site stores
+// global values for exactly its callee's REF globals
+// (modref.Info.RefGlobals) — the paper's sparse per-call-site candidate
+// list — instead of a value per program global.
+func summarize(ctx *Context, p *sem.Proc, r *scc.Result, dead bool, nBack int, entry map[string]lattice.Elem) *incr.ProcSummary {
 	globals := ctx.Prog.Sem.Globals
 	calls := ctx.Prog.FuncOf[p].Calls
 	sum := &incr.ProcSummary{
@@ -200,12 +165,12 @@ func summarize(ctx *Context, rt *refTab, p *sem.Proc, r *scc.Result, dead bool, 
 	// One backing array each for the per-site argument and global value
 	// slices: the summary is immutable once built, so the sites can
 	// share storage (capped subslices) instead of allocating per call.
-	// GlobIdx aliases the run-wide refTab slices directly.
+	// GlobIdx aliases the MOD/REF solution's lists directly.
 	nargs, nglob := 0, 0
 	for _, call := range calls {
 		if r.Reachable(call) {
 			nargs += len(call.Args)
-			nglob += len(rt.of(call.Callee))
+			nglob += len(ctx.MR.RefGlobals(call.Callee))
 		}
 	}
 	argBacking := make([]lattice.Elem, nargs)
@@ -218,7 +183,7 @@ func summarize(ctx *Context, rt *refTab, p *sem.Proc, r *scc.Result, dead bool, 
 			for i := range call.Args {
 				sv.Args[i] = r.ArgValue(call, i)
 			}
-			sv.GlobIdx = rt.of(call.Callee)
+			sv.GlobIdx = ctx.MR.RefGlobals(call.Callee)
 			ng := len(sv.GlobIdx)
 			sv.GlobVals, globBacking = globBacking[:ng:ng], globBacking[ng:]
 			for j, gi := range sv.GlobIdx {

@@ -138,7 +138,7 @@ func (s *fiSolution) classifyArg(ctx *Context, caller *sem.Proc, call *ir.CallIn
 			return fiArgClass{kind: fiArgBottom}
 		}
 		if v.Kind == sem.KindFormal && v.Owner == caller &&
-			s.formals[v].IsConst() && !ctx.MR.Mod[caller].Has(v) {
+			s.formals[v].IsConst() && !ctx.MR.Mod(caller).Has(v) {
 			return fiArgClass{kind: fiArgPassThru, fp0: v}
 		}
 	}
@@ -203,8 +203,9 @@ func (s *fiSolution) toResult(ctx *Context, opts Options) *Result {
 		res.ArgVals[call] = vals
 
 		var gm, vm map[*sem.Var]val.Value
+		ref := ctx.MR.Ref(e.Callee)
 		for g, v := range s.globalConsts {
-			if ctx.MR.Ref[e.Callee].Has(g) {
+			if ref.Has(g) {
 				if gm == nil {
 					gm = make(map[*sem.Var]val.Value)
 				}

@@ -122,7 +122,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 		degraded[i] = true
 		fb := g.ensureFI(ctx, opts)
 		entry[i] = fb.entryEnvFor(p)
-		sums[i] = degradedSummary(ctx, r.rt, p, fb)
+		sums[i] = degradedSummary(ctx, p, fb)
 		intra[i] = nil
 		changed.Store(true)
 		markCallees(p)

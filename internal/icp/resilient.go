@@ -176,7 +176,7 @@ func (s *fiSolution) entryEnvFor(p *sem.Proc) lattice.Env[*sem.Var] {
 // flow-insensitive classification. Dependents consume it through the
 // normal caller-summary path; Degraded marks it so the incremental
 // engine never commits it as a full-precision baseline.
-func degradedSummary(ictx *Context, rt *refTab, p *sem.Proc, fi *fiSolution) *incr.ProcSummary {
+func degradedSummary(ictx *Context, p *sem.Proc, fi *fiSolution) *incr.ProcSummary {
 	globals := ictx.Prog.Sem.Globals
 	calls := ictx.Prog.FuncOf[p].Calls
 	sum := &incr.ProcSummary{
@@ -185,7 +185,7 @@ func degradedSummary(ictx *Context, rt *refTab, p *sem.Proc, fi *fiSolution) *in
 		Sites:    make([]incr.SiteValues, len(calls)),
 	}
 	for k, call := range calls {
-		gidx := rt.of(call.Callee)
+		gidx := ictx.MR.RefGlobals(call.Callee)
 		sv := incr.SiteValues{
 			Reachable: true,
 			Args:      make([]lattice.Elem, len(call.Args)),

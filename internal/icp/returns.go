@@ -38,8 +38,10 @@ import (
 // keeps its previous returns record, without an SCC run, when
 // incr.ReturnsRecord.Stands holds. The returned records, one per
 // procedure that completed the traversal, are what the run commits
-// (all nil unless a later run reads them: incr.Plan.Keep).
-func (r *run) returns(res *Result, st *driver.PassStats) []*incr.ReturnsRecord {
+// (all nil unless a later run reads them: incr.Plan.Keep). resummed
+// marks the procedures whose summaries this traversal rebuilt, for the
+// refresh's delta skip.
+func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRecord, resummed []bool) {
 	ctx, opts, g, ist := r.ctx, r.opts, r.g, r.ist
 	res.Returns = make(map[*sem.Proc]lattice.Elem)
 	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
@@ -53,7 +55,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) []*incr.ReturnsRecord {
 	// here).
 	sums := make([]*incr.ProcSummary, n)
 	intra := make([]*scc.Result, n)
-	recs := make([]*incr.ReturnsRecord, n)
+	recs = make([]*incr.ReturnsRecord, n)
 	var reused, ran atomic.Int64
 
 	// conservative is the know-nothing answer for one procedure: no
@@ -132,7 +134,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) []*incr.ReturnsRecord {
 			// environment are unchanged by this traversal, and the
 			// shared result maps deliberately keep the FS-stage
 			// argument values.
-			sums[i] = summarize(ctx, r.rt, p, fix, old.Dead, old.BackEdges, old.Entry)
+			sums[i] = summarize(ctx, p, fix, old.Dead, old.BackEdges, old.Entry)
 			sums[i].Degraded = old.Degraded
 			if opts.DropIntra {
 				fix.Release()
@@ -153,7 +155,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) []*incr.ReturnsRecord {
 	// whether a stored summary saw the callees' return/exit values
 	// (resummed) or predates them (dead or degraded here: FS-stage,
 	// hook-less).
-	resummed := make([]bool, n)
+	resummed = make([]bool, n)
 	for i, p := range cg.Reachable {
 		res.Returns[p] = returns[i]
 		res.ExitEnv[p] = exits[i]
@@ -171,11 +173,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) []*incr.ReturnsRecord {
 		st.Cached = reused.Load() > 0
 		st.Notes = fmt.Sprintf("reused=%d run=%d", reused.Load(), ran.Load())
 	}
-
-	if opts.ReturnsRefresh {
-		r.refresh(res, resummed)
-	}
-	return recs
+	return recs, resummed
 }
 
 // callAnswers records what the hooks answer at each of calls: the
@@ -240,12 +238,12 @@ func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, e
 			continue
 		}
 		f := callee.Params[i]
-		if ctx.MR.Mod[callee].Has(f) {
+		if ctx.MR.Mod(callee).Has(f) {
 			acc = lattice.Meet(acc, opts.filter(exit.Get(f)))
 			contributed = true
 		}
 	}
-	if v.IsGlobal() && ctx.MR.Mod[callee].Has(v) {
+	if v.IsGlobal() && ctx.MR.Mod(callee).Has(v) {
 		acc = lattice.Meet(acc, opts.filter(exit.Get(v)))
 		contributed = true
 	}

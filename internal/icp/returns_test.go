@@ -222,7 +222,7 @@ proc f(a int) {
 	use := icp.ComputeUse(ctx)
 	f := prog.Sem.ProcByName["f"]
 	names := map[string]bool{}
-	for v := range use[f] {
+	for _, v := range use[f] {
 		names[v.Name] = true
 	}
 	// g is written before read: not upward-exposed. h and a are.
@@ -236,7 +236,7 @@ proc f(a int) {
 	// temp; only h flows up (g is defined-before-use only inside f, but
 	// at main's call, f USEs h → h ∈ USE(main)).
 	mnames := map[string]bool{}
-	for v := range use[prog.Sem.Main] {
+	for _, v := range use[prog.Sem.Main] {
 		mnames[v.Name] = true
 	}
 	if !mnames["h"] {
@@ -263,7 +263,7 @@ proc main() {
 	use := icp.ComputeUse(ctx)
 	// g is defined on only one path before the print: upward-exposed.
 	found := false
-	for v := range use[prog.Sem.Main] {
+	for _, v := range use[prog.Sem.Main] {
 		if v.Name == "g" {
 			found = true
 		}
@@ -287,7 +287,7 @@ proc r(n int) {
 	ctx := icp.Prepare(prog)
 	use := icp.ComputeUse(ctx)
 	found := false
-	for v := range use[prog.Sem.ProcByName["r"]] {
+	for _, v := range use[prog.Sem.ProcByName["r"]] {
 		if v.Name == "g" {
 			found = true
 		}

@@ -92,10 +92,8 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 			for i, f := range p.Params {
 				env.MeetInto(f, fi.EdgeArg(e.Site, i))
 			}
-			for g := range mr.Ref[p] {
-				if g.IsGlobal() {
-					env.MeetInto(g, fi.GlobalElem(g))
-				}
+			for _, gi := range mr.RefGlobals(p) {
+				env.MeetInto(globals[gi], fi.GlobalElem(globals[gi]))
 			}
 			continue
 		}
@@ -143,23 +141,22 @@ func demoteTop(env lattice.Env[*sem.Var]) {
 }
 
 // run holds the inputs one flow-sensitive analysis shares across its
-// traversals: the context and options, the resilience guard, the REF
-// table, and the incremental state (nil without an engine).
+// traversals: the context and options, the resilience guard, and the
+// incremental state (nil without an engine).
 type run struct {
 	ctx  *Context
 	opts Options
 	g    *guard
-	rt   *refTab
 	ist  *incrState
 }
 
 // newRun builds a run's shared inputs once its FI pass is done,
 // recording the incr-plan pass when an engine is attached.
 func newRun(ctx *Context, opts Options, g *guard) *run {
-	r := &run{ctx: ctx, opts: opts, g: g, rt: newRefTab(ctx, opts.Workers)}
+	r := &run{ctx: ctx, opts: opts, g: g}
 	if opts.Incr != nil {
 		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
-			r.ist = beginIncr(ctx, opts, r.rt)
+			r.ist = beginIncr(ctx, opts)
 			st.Procs = len(ctx.CG.Reachable)
 		})
 	}
@@ -191,7 +188,7 @@ func (r *run) step(ns string, i int, env lattice.Env[*sem.Var], live bool, nBack
 	}
 	hooks.Entry, hooks.Budget, hooks.Transient = env, r.g.budget(), r.opts.DropIntra
 	fix := scc.Run(r.ctx.SSA(i), hooks)
-	sum := summarize(r.ctx, r.rt, p, fix, !live, nBack, pe)
+	sum := summarize(r.ctx, p, fix, !live, nBack, pe)
 	if r.opts.DropIntra {
 		fix.Release()
 		fix = nil

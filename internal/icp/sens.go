@@ -68,7 +68,7 @@ func runFS(ctx *Context, opts Options) *Result {
 		p := cg.Reachable[i]
 		fb := g.ensureFI(ctx, opts)
 		envs[i] = fb.entryEnvFor(p)
-		sums[i] = degradedSummary(ctx, r.rt, p, fb)
+		sums[i] = degradedSummary(ctx, p, fb)
 	}
 
 	var reused, evals atomic.Int64
@@ -117,11 +117,17 @@ func runFS(ctx *Context, opts Options) *Result {
 
 	var recs []*incr.ReturnsRecord
 	if opts.ReturnConstants {
+		var resummed []bool
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			recs = r.returns(res, st)
+			recs, resummed = r.returns(res, st)
 			st.Procs = n
-			st.Degraded = g.passCount("returns") + g.passCount("returns-refresh")
+			st.Degraded = g.passCount("returns")
 		})
+		// The refresh is a pass of its own: its row follows the
+		// returns row and holds only its own time and degradations.
+		if opts.ReturnsRefresh {
+			r.refresh(res, resummed)
+		}
 	}
 	// The snapshot holds the FS-stage summaries (FS reuse compares
 	// FS-stage inputs), not the ones the returns traversal re-derived,
@@ -159,7 +165,7 @@ func programGlobalConstants(ctx *Context, opts Options) map[*sem.Var]val.Value {
 	}
 	main := ctx.CG.Reachable[0]
 	for g, v := range ctx.Prog.Sem.GlobalInit {
-		if ctx.MR.Mod[main].Has(g) {
+		if ctx.MR.Mod(main).Has(g) {
 			continue
 		}
 		if !opts.PropagateFloats && v.IsFloat() {

@@ -1,8 +1,8 @@
 package icp
 
 import (
+	"fsicp/internal/bitset"
 	"fsicp/internal/ir"
-	"fsicp/internal/modref"
 	"fsicp/internal/sem"
 )
 
@@ -16,9 +16,11 @@ import (
 // use in p is referenced but not upward-exposed. The intraprocedural
 // part is a forward must-be-defined dataflow over p's CFG; at calls,
 // the callee's USE (or REF on back edges) injects uses, and the call's
-// MayDef does not count as a definition (it is only a may-def).
-func ComputeUse(ctx *Context) map[*sem.Proc]modref.Set {
-	use := make(map[*sem.Proc]modref.Set)
+// MayDef does not count as a definition (it is only a may-def). Each
+// set lists its globals in declaration order, then its formals by
+// position.
+func ComputeUse(ctx *Context) map[*sem.Proc][]*sem.Var {
+	use := make(map[*sem.Proc][]*sem.Var)
 	cg := ctx.CG
 	for i := len(cg.Reachable) - 1; i >= 0; i-- {
 		p := cg.Reachable[i]
@@ -30,15 +32,15 @@ func ComputeUse(ctx *Context) map[*sem.Proc]modref.Set {
 // calleeUses returns the variables of caller frame used via one call:
 // globals in the callee's USE set and by-ref actuals whose formals are
 // in it.
-func calleeUses(ctx *Context, call *ir.CallInstr, use map[*sem.Proc]modref.Set) []*sem.Var {
+func calleeUses(ctx *Context, call *ir.CallInstr, use map[*sem.Proc][]*sem.Var) []*sem.Var {
 	callee := call.Callee
-	set := use[callee]
-	if set == nil {
+	set, ok := use[callee]
+	if !ok {
 		// back edge: the callee is not yet processed; fall back to REF
-		set = ctx.MR.Ref[callee]
+		set = ctx.MR.Ref(callee).Vars()
 	}
 	var out []*sem.Var
-	for v := range set {
+	for _, v := range set {
 		if v.IsGlobal() {
 			out = append(out, v)
 			continue
@@ -53,10 +55,19 @@ func calleeUses(ctx *Context, call *ir.CallInstr, use map[*sem.Proc]modref.Set) 
 }
 
 // procUse runs the intraprocedural upward-exposed-use analysis of p.
-func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]modref.Set) modref.Set {
+func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc][]*sem.Var) []*sem.Var {
 	fn := ctx.Prog.FuncOf[p]
-	track := func(v *sem.Var) bool {
-		return (v.Kind == sem.KindFormal && v.Owner == p) || v.IsGlobal()
+	globals := ctx.Prog.Sem.Globals
+	// pos numbers the tracked variables: globals by declaration index,
+	// then p's formals by position; -1 for any other variable.
+	pos := func(v *sem.Var) int {
+		switch {
+		case v.IsGlobal():
+			return v.Index
+		case v.Kind == sem.KindFormal && v.Owner == p:
+			return len(globals) + v.Index
+		}
+		return -1
 	}
 
 	blocks := fn.ReachableBlocks()
@@ -72,7 +83,7 @@ func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]modref.Set) modref.Set
 		mustOut[b.Index] = nil // nil = "not computed yet" (⊤, all vars)
 	}
 
-	result := make(modref.Set)
+	result := bitset.New(len(globals) + len(p.Params))
 
 	// transfer walks one block: collects upward-exposed uses given the
 	// must-defined set at block entry, and returns the must-defined set
@@ -83,8 +94,10 @@ func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]modref.Set) modref.Set
 			defined[v] = true
 		}
 		seeUse := func(v *sem.Var) {
-			if record && track(v) && !defined[v] {
-				result[v] = true
+			if record && !defined[v] {
+				if i := pos(v); i >= 0 {
+					result.Add(i)
+				}
 			}
 		}
 		for _, instr := range b.Instrs {
@@ -183,7 +196,15 @@ func procUse(ctx *Context, p *sem.Proc, use map[*sem.Proc]modref.Set) modref.Set
 		}
 		transfer(b, in, true)
 	}
-	return result
+	var out []*sem.Var
+	for i := result.Next(0); i >= 0; i = result.Next(i + 1) {
+		if i < len(globals) {
+			out = append(out, globals[i])
+		} else {
+			out = append(out, p.Params[i-len(globals)])
+		}
+	}
+	return out
 }
 
 func sameSet(a, b map[*sem.Var]bool) bool {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 
 	"fsicp/internal/ast"
 	"fsicp/internal/ir"
@@ -126,8 +127,19 @@ type fpWriter struct {
 	buf []byte
 }
 
-func newFPWriter() *fpWriter {
+// fpPool recycles writers, buffer and hash state alike: a load takes
+// one key per procedure, and the value cache one per entry
+// environment.
+var fpPool = sync.Pool{New: func() any {
 	return &fpWriter{h: sha256.New(), buf: make([]byte, 0, 4096)}
+}}
+
+// newFPWriter returns an empty writer from the pool; sum returns it.
+func newFPWriter() *fpWriter {
+	w := fpPool.Get().(*fpWriter)
+	w.h.Reset()
+	w.buf = w.buf[:0]
+	return w
 }
 
 func (w *fpWriter) spill() {
@@ -228,9 +240,14 @@ func (w *fpWriter) instr(in ir.Instr) {
 	w.spill()
 }
 
+// sum returns the hex digest and puts the writer back in the pool; the
+// writer must not be used afterwards.
 func (w *fpWriter) sum() string {
 	w.h.Write(w.buf)
-	return hex.EncodeToString(w.h.Sum(nil))
+	var d [sha256.Size]byte
+	s := hex.EncodeToString(w.h.Sum(d[:0]))
+	fpPool.Put(w)
+	return s
 }
 
 // GlobalsFingerprint fingerprints the layout of the globals section:

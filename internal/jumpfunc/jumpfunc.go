@@ -330,7 +330,7 @@ func unmodifiedFormal(ctx *icp.Context, caller *sem.Proc, e ast.Expr) *sem.Var {
 	if v == nil || v.Kind != sem.KindFormal || v.Owner != caller {
 		return nil
 	}
-	if ctx.MR.Mod[caller].Has(v) {
+	if ctx.MR.Mod(caller).Has(v) {
 		return nil
 	}
 	return v

@@ -107,7 +107,7 @@ func EntryMetrics(r *icp.Result) Entry {
 		m.ConstFormals += len(r.ConstantFormals(p))
 		// DREF(p) lies inside p's global segment.
 		for _, g := range ctx.Prog.FuncOf[p].Globals() {
-			if _, ok := r.EntryConstant(p, g); ok && ctx.MR.DRef[p].Has(g) {
+			if _, ok := r.EntryConstant(p, g); ok && ctx.MR.DRef(p).Has(g) {
 				m.GlobalEntries++
 			}
 		}

@@ -20,8 +20,8 @@ func compute(t *testing.T, src string) (*ir.Program, *callgraph.Graph, *modref.I
 	return prog, cg, mr
 }
 
-func hasNamed(s modref.Set, name string) bool {
-	for v := range s {
+func hasNamed(r modref.Row, name string) bool {
+	for _, v := range r.Vars() {
 		if v.Name == name {
 			return true
 		}
@@ -41,16 +41,16 @@ proc main() {
   print x
 }`)
 	main := prog.Sem.Main
-	if !hasNamed(mr.Mod[main], "g") {
+	if !hasNamed(mr.Mod(main), "g") {
 		t.Error("g must be in MOD(main)")
 	}
-	if hasNamed(mr.Mod[main], "h") {
+	if hasNamed(mr.Mod(main), "h") {
 		t.Error("h must not be in MOD(main)")
 	}
-	if !hasNamed(mr.Ref[main], "h") {
+	if !hasNamed(mr.Ref(main), "h") {
 		t.Error("h must be in REF(main)")
 	}
-	if hasNamed(mr.Ref[main], "g") {
+	if hasNamed(mr.Ref(main), "g") {
 		t.Error("g is only written, not in REF(main)")
 	}
 }
@@ -65,7 +65,7 @@ proc b() {
   g = 2
 }`)
 	for _, name := range []string{"main", "a", "b"} {
-		if !hasNamed(mr.Mod[prog.Sem.ProcByName[name]], "g") {
+		if !hasNamed(mr.Mod(prog.Sem.ProcByName[name]), "g") {
 			t.Errorf("g must be in MOD(%s)", name)
 		}
 	}
@@ -82,11 +82,11 @@ proc setit(f int) {
   f = 42
 }`)
 	setit := prog.Sem.ProcByName["setit"]
-	if !hasNamed(mr.Mod[setit], "f") {
+	if !hasNamed(mr.Mod(setit), "f") {
 		t.Fatal("f must be in MOD(setit)")
 	}
 	// Through the by-ref binding, g is modified by main.
-	if !hasNamed(mr.Mod[prog.Sem.Main], "g") {
+	if !hasNamed(mr.Mod(prog.Sem.Main), "g") {
 		t.Error("g must be in MOD(main) via by-ref actual")
 	}
 }
@@ -101,7 +101,7 @@ proc main() {
 proc setit(f int) {
   f = 42
 }`)
-	if hasNamed(mr.Mod[prog.Sem.Main], "g") {
+	if hasNamed(mr.Mod(prog.Sem.Main), "g") {
 		t.Error("expression actual must not expose g to modification")
 	}
 }
@@ -116,7 +116,7 @@ proc main() {
 proc a(fa int) { call b(fa) }
 proc b(fb int) { fb = 1 }`)
 	a := prog.Sem.ProcByName["a"]
-	if !hasNamed(mr.Mod[a], "fa") {
+	if !hasNamed(mr.Mod(a), "fa") {
 		t.Error("fa must be in MOD(a) via chain")
 	}
 	// main's local x is not in MOD(main)'s domain, but the call site
@@ -144,7 +144,7 @@ proc b() {
   print g
 }`)
 	for _, name := range []string{"main", "a", "b"} {
-		if !hasNamed(mr.Ref[prog.Sem.ProcByName[name]], "g") {
+		if !hasNamed(mr.Ref(prog.Sem.ProcByName[name]), "g") {
 			t.Errorf("g must be in REF(%s)", name)
 		}
 	}
@@ -162,10 +162,10 @@ proc main() {
 proc uses(f int) { print f }
 proc ignores(f int) { }`)
 	main := prog.Sem.Main
-	if !hasNamed(mr.Ref[main], "g") {
+	if !hasNamed(mr.Ref(main), "g") {
 		t.Error("g referenced through uses()")
 	}
-	if hasNamed(mr.Ref[main], "h") {
+	if hasNamed(mr.Ref(main), "h") {
 		t.Error("h not referenced: ignores() never reads its formal")
 	}
 }
@@ -182,10 +182,10 @@ proc r(n int) {
   }
 }`)
 	r := prog.Sem.ProcByName["r"]
-	if !hasNamed(mr.Mod[r], "g") || !hasNamed(mr.Ref[r], "g") {
+	if !hasNamed(mr.Mod(r), "g") || !hasNamed(mr.Ref(r), "g") {
 		t.Error("recursive MOD/REF must include g")
 	}
-	if !hasNamed(mr.Mod[prog.Sem.Main], "g") {
+	if !hasNamed(mr.Mod(prog.Sem.Main), "g") {
 		t.Error("MOD(main) must include g")
 	}
 }
@@ -198,13 +198,13 @@ proc main() {
   g = f()
 }
 func f() int { return 1 }`)
-	if !hasNamed(mr.Mod[prog.Sem.Main], "g") {
+	if !hasNamed(mr.Mod(prog.Sem.Main), "g") {
 		t.Error("g assigned from function result must be in MOD(main)")
 	}
 }
 
 func TestAliasWidensModAndMayDef(t *testing.T) {
-	prog, cg, mr := compute(t, `program p
+	prog, _, mr := compute(t, `program p
 global g int = 1
 proc main() {
   use g
@@ -218,8 +218,8 @@ proc q(f int) {
 	q := prog.Sem.ProcByName["q"]
 	// f aliases g inside q (actual is g), and f is assigned, so the
 	// alias closure puts g in MOD(q).
-	if !hasNamed(mr.Mod[q], "g") {
-		t.Errorf("g must be in MOD(q) via alias closure: %v", mr.Dump(cg))
+	if !hasNamed(mr.Mod(q), "g") {
+		t.Errorf("g must be in MOD(q) via alias closure: %v", mr.Mod(q).Vars())
 	}
 	// MayDef at the call must include g.
 	call := prog.FuncOf[prog.Sem.Main].Calls[0]

@@ -565,11 +565,12 @@ func UseTable(profiles []bench.Profile) (string, error) {
 		use := icp.ComputeUse(ctx)
 		uTot, rTot := 0, 0
 		for _, q := range ctx.CG.Reachable {
+			ref := ctx.MR.Ref(q)
 			uTot += len(use[q])
-			rTot += len(ctx.MR.Ref[q])
+			rTot += ref.Len()
 			// structural sanity: USE ⊆ REF
-			for v := range use[q] {
-				if !ctx.MR.Ref[q].Has(v) {
+			for _, v := range use[q] {
+				if !ref.Has(v) {
 					return "", fmt.Errorf("%s: USE(%s) ∋ %s ∉ REF", p.Name, q.Name, v.Name)
 				}
 			}

@@ -37,7 +37,7 @@ func (st *optState) foldFunc(i int) PassReport {
 		if v.Kind != sem.KindFormal && !v.IsGlobal() {
 			continue
 		}
-		if !st.ctx.MR.DRef[p].Has(v) {
+		if !st.ctx.MR.DRef(p).Has(v) {
 			continue
 		}
 		entry = append(entry, &ir.ConstInstr{Dst: v, Val: e.Val})

@@ -154,6 +154,7 @@ func RemoveDeadProcedures(ctx *icp.Context, dead map[*sem.Proc]bool) []string {
 	for i, p := range procs {
 		p.Index = i
 	}
+	ctx.MR.Renumber(procs)
 	refreshContext(ctx)
 	return removed
 }

@@ -1,6 +1,7 @@
 package transform_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -175,6 +176,43 @@ proc unreachable() { call deeper(9) }`
 	}
 	if len(ctx.Prog.Funcs) != 2 {
 		t.Errorf("funcs remaining: %d", len(ctx.Prog.Funcs))
+	}
+}
+
+// TestRemoveDeadProceduresKeepsModRef checks that a kept procedure
+// whose index moves when an earlier one is removed keeps its MOD/REF
+// rows, which the context retains and later analyses read by index.
+func TestRemoveDeadProceduresKeepsModRef(t *testing.T) {
+	src := `program p
+global g int = 1
+proc main() {
+  use g
+  if false {
+    call dead(1)
+  }
+  call keep(g)
+}
+proc dead(x int) { print x }
+proc keep(y int) {
+  use g
+  y = g + 1
+}`
+	ctx := prep(t, src)
+	keep := ctx.Prog.Sem.ProcByName["keep"]
+	rows := func() string {
+		return fmt.Sprint(ctx.MR.Mod(keep).Vars(), ctx.MR.Ref(keep).Vars(), ctx.MR.RefGlobals(keep))
+	}
+	before := rows()
+	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
+	fold(t, ctx, r)
+	if removed := transform.RemoveDeadProcedures(ctx, r.Dead); len(removed) != 1 || removed[0] != "dead" {
+		t.Fatalf("removed %v, want [dead]", removed)
+	}
+	if keep.Index != 1 {
+		t.Fatalf("keep has index %d after the removal, want 1", keep.Index)
+	}
+	if after := rows(); after != before || ctx.MR.Mod(keep).Len() != 2 {
+		t.Errorf("keep's MOD, REF and REF globals changed across the removal: %s, then %s", before, after)
 	}
 }
 

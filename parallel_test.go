@@ -113,7 +113,7 @@ func TestConcurrentAnalyze(t *testing.T) {
 // contains every pass name.
 func TestStatsTable(t *testing.T) {
 	prog := loadLargest(t)
-	a := prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true})
+	a := prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, ReturnsRefresh: true})
 	a.CallSiteMetrics()
 
 	stats := a.Stats()
@@ -126,7 +126,8 @@ func TestStatsTable(t *testing.T) {
 	for _, seq := range [][2]string{
 		{"parse", "sem"}, {"sem", "irbuild"}, {"irbuild", "callgraph"},
 		{"callgraph", "alias"}, {"alias", "modref"}, {"modref", "clobbers"},
-		{"clobbers", "FS"}, {"FS", "returns"}, {"returns", "metrics"},
+		{"clobbers", "FS"}, {"FS", "returns"}, {"returns", "returns-refresh"},
+		{"returns-refresh", "metrics"},
 	} {
 		a, aok := order[seq[0]]
 		b, bok := order[seq[1]]
@@ -146,6 +147,32 @@ func TestStatsTable(t *testing.T) {
 	}
 	if !strings.Contains(table, "TOTAL") {
 		t.Errorf("stats table missing TOTAL row:\n%s", table)
+	}
+}
+
+// TestStatsRowsCountOwnDegradations asserts that, under a fuel budget
+// that degrades procedures in both passes, the returns row and the
+// returns-refresh row each report exactly the degradations their own
+// pass recorded: neither row's count includes the other's.
+func TestStatsRowsCountOwnDegradations(t *testing.T) {
+	prog := loadLargest(t)
+	a := prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true,
+		ReturnConstants: true, ReturnsRefresh: true, Fuel: 60, Workers: 1})
+	recorded := map[string]int{}
+	for _, d := range a.Degradations() {
+		recorded[d.Pass]++
+	}
+	rows := map[string]int{}
+	for _, st := range a.Stats() {
+		rows[st.Name] += st.Degraded
+	}
+	for _, pass := range []string{"returns", "returns-refresh"} {
+		if recorded[pass] == 0 {
+			t.Fatalf("fuel 60 degraded nothing in %s; the check needs degradations (recorded %v)", pass, recorded)
+		}
+		if rows[pass] != recorded[pass] {
+			t.Errorf("%s row reports degraded=%d, its pass recorded %d", pass, rows[pass], recorded[pass])
+		}
 	}
 }
 

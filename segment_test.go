@@ -49,7 +49,7 @@ func checkGlobalSegments(t *testing.T, stage string, ctx *icp.Context, exact boo
 		}
 		var want, got []string
 		for _, g := range ctx.Prog.Sem.Globals {
-			refmod := ctx.MR.Ref[p].Has(g) || ctx.MR.Mod[p].Has(g)
+			refmod := ctx.MR.Ref(p).Has(g) || ctx.MR.Mod(p).Has(g)
 			if refmod || (exact && byRef[g]) || (!exact && fn.VarOrd(g) >= 0) {
 				want = append(want, g.Name)
 			}
