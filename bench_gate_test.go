@@ -77,24 +77,7 @@ func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 				prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, Workers: 4})
 			}
 		},
-		"BenchmarkColdWarmDisk": func(b *testing.B) {
-			dir := b.TempDir()
-			cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, Workers: 4, CacheDir: dir}
-			prewarm, err := fsicp.LoadWith(loadName, loadSrc, fsicp.LoadOptions{Workers: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			prewarm.Analyze(cfg)
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				prog, err := fsicp.LoadWith(loadName, loadSrc, fsicp.LoadOptions{Workers: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				prog.Analyze(cfg)
-			}
-		},
+		"BenchmarkColdWarmDisk": func(b *testing.B) { runColdWarmDisk(b, 4) },
 		"BenchmarkAnalyzeParallel/workers=1": func(b *testing.B) {
 			opts := icp.Options{Method: icp.FlowSensitive, PropagateFloats: true, Workers: 1}
 			for i := 0; i < b.N; i++ {

@@ -9,9 +9,11 @@ import (
 )
 
 // TestFingerprintsPinned pins the procedure keys of constants.mf and
-// its source fingerprint to values recorded before the keys' writers
-// were pooled and before the REF layouts moved into the MOD/REF
-// solution. Disk-store entries and Session reuse are addressed by
+// its source fingerprint. The source fingerprint was recorded before
+// the keys' writers were pooled and before the REF layouts moved into
+// the MOD/REF solution; the procedure keys were re-recorded when they
+// began to cover each procedure's own global segment, which fixes its
+// frame layout. Disk-store entries and Session reuse are addressed by
 // these keys, so a change that moves one invalidates every stored
 // summary.
 func TestFingerprintsPinned(t *testing.T) {
@@ -27,10 +29,10 @@ func TestFingerprintsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"main":  "215e3b04b74ba90d7f7836565f7f3d69d34e18f744fd7c7713796a4919987138",
-		"chain": "ce798d41f42c22bc4fe120cb5ac8c7abcb03004d1fe399d35177aecbc0c6881c",
-		"emit2": "6c625eae109d440a5cb94c9835ef4c8bd8a1d43ead4360682e4babf431078513",
-		"emit":  "1b7d89339f3fdbb9ba9285ea866c5011b1ee9cf00520605247cb947e875cb89a",
+		"main":  "08e5e6ba293257892141debfaca206b7b6622af711663309c65791430d59b727",
+		"chain": "ef2d4606700861995c4264abffc3f789cea3872d5221453fce4fd3953f60d014",
+		"emit2": "a756f08dac8b1b58a96171eae49d20fea0d1a3a2b082fc8ec0a96e3e811acd9b",
+		"emit":  "d4c5d31a1cd0e81cb527dfbb182980fbdea9f8a69b6e3a7e6be88d2877b87384",
 	}
 	ctx := fsicp.ContextOf(prog)
 	if len(ctx.CG.Reachable) != len(want) {

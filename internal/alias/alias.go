@@ -26,13 +26,16 @@ type Pair struct {
 	A, B *sem.Var
 }
 
+// canon orders a pair by (Kind, Index), which is unique among one
+// procedure's formals and globals, so probing a pair builds no string.
 func canon(a, b *sem.Var) Pair {
-	if varLess(b, a) {
+	if b.Kind < a.Kind || b.Kind == a.Kind && b.Index < a.Index {
 		a, b = b, a
 	}
 	return Pair{a, b}
 }
 
+// varLess orders partner lists, and so clobbers, by name.
 func varLess(a, b *sem.Var) bool {
 	an, bn := a.String(), b.String()
 	if an != bn {
@@ -134,6 +137,10 @@ func Fixpoint(prog *ir.Program, cg *callgraph.Graph) *Info {
 					if add(callee, fi, ai) {
 						changed = true
 					}
+				}
+				// Globals the actual aliases: none without a pair.
+				if len(info.PairsOf[caller]) == 0 {
+					continue
 				}
 				for _, g := range prog.Sem.Globals {
 					if g != ai && aliased(caller, ai, g) {

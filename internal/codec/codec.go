@@ -1,6 +1,6 @@
 // Package codec is the versioned binary wire format of the persistent
-// summary store: per-procedure summaries (their name→value entry
-// environments, call-site values and flags), each wrapped in a
+// summary store: per-procedure summaries (their positional entry
+// frames, call-site values and flags), each wrapped in a
 // self-describing frame.
 //
 // Frame layout (all integers little-endian):
@@ -22,12 +22,13 @@
 // trusted. Decoding never panics on hostile input: every failure is an
 // error the store maps to a cache miss.
 //
-// Payload encodings use unsigned varints (zigzag for signed values),
-// length-prefixed strings, and IEEE-754 bit patterns for reals —
-// decode(encode(x)) is identical to x down to float bit patterns, which
-// the determinism invariants (byte-identical reports warm vs cold)
-// depend on. Map-shaped data is written in sorted key order so equal
-// values always produce equal bytes.
+// Payload encodings use unsigned varints (zigzag for signed values)
+// and IEEE-754 bit patterns for reals — decode(encode(x)) is identical
+// to x down to float bit patterns, which the determinism invariants
+// (byte-identical reports warm vs cold) depend on. Every payload field
+// is positional (an entry frame is a count and its elements in slot
+// order; the store key fixes the layout), so equal summaries always
+// produce equal bytes.
 package codec
 
 import (
@@ -36,7 +37,6 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"fsicp/internal/ast"
 	"fsicp/internal/incr"
@@ -49,8 +49,9 @@ import (
 // (ErrVersion), which the store treats as "recompute and overwrite".
 // Version 2 switched per-site global values from one element per
 // program global to sparse (index, value) pairs over the callee's REF
-// set.
-const Version = 2
+// set; version 3 switched the entry environment from name→value pairs
+// to a positional frame.
+const Version = 3
 
 // KindSummary is the payload kind of an incr.ProcSummary frame, the
 // only kind the store writes.
@@ -171,7 +172,7 @@ func EncodeSummary(meta Meta, s *incr.ProcSummary) []byte {
 	}
 	b = append(b, flags)
 	b = binary.AppendUvarint(b, uint64(s.BackEdges))
-	b = appendEnvPayload(b, s.Entry)
+	b = appendElems(b, s.Entry)
 	b = binary.AppendUvarint(b, uint64(len(s.Sites)))
 	for _, site := range s.Sites {
 		if !site.Reachable {
@@ -199,7 +200,7 @@ func DecodeSummary(data []byte) (Meta, *incr.ProcSummary, error) {
 		Degraded:  flags&flagDegraded != 0,
 		BackEdges: int(r.uvarint()),
 	}
-	s.Entry = r.env()
+	s.Entry = r.elems()
 	if n := int(r.uvarint()); n > 0 {
 		if n > len(payload) { // a site costs ≥ 1 payload byte
 			return Meta{}, nil, ErrCorrupt
@@ -218,22 +219,6 @@ func DecodeSummary(data []byte) (Meta, *incr.ProcSummary, error) {
 		return Meta{}, nil, ErrCorrupt
 	}
 	return meta, s, nil
-}
-
-// appendEnvPayload renders a name→element environment in sorted name
-// order, so equal environments encode identically.
-func appendEnvPayload(b []byte, env map[string]lattice.Elem) []byte {
-	names := make([]string, 0, len(env))
-	for name := range env {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	b = binary.AppendUvarint(b, uint64(len(names)))
-	for _, name := range names {
-		b = appendString(b, name)
-		b = appendElem(b, env[name])
-	}
-	return b
 }
 
 // ---- lattice elements ----
@@ -304,11 +289,6 @@ func appendElems(b []byte, es []lattice.Elem) []byte {
 	return b
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // reader is a bounds-checked payload cursor. After the first error it
 // returns zero values; callers check err once at the end.
 type reader struct {
@@ -361,17 +341,6 @@ func (r *reader) uint64() uint64 {
 	v := binary.LittleEndian.Uint64(r.buf)
 	r.buf = r.buf[8:]
 	return v
-}
-
-func (r *reader) string() string {
-	n := r.uvarint()
-	if uint64(len(r.buf)) < n {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
 }
 
 func (r *reader) elem() lattice.Elem {
@@ -442,20 +411,4 @@ func (r *reader) globals() ([]int32, []lattice.Elem) {
 		vals[i] = r.elem()
 	}
 	return idx, vals
-}
-
-func (r *reader) env() map[string]lattice.Elem {
-	n := int(r.uvarint())
-	if n == 0 {
-		return nil
-	}
-	if n > len(r.buf) { // an entry costs ≥ 2 payload bytes
-		r.fail()
-		return nil
-	}
-	env := make(map[string]lattice.Elem, n)
-	for i := 0; i < n; i++ {
-		env[r.string()] = r.elem()
-	}
-	return env
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fsicp/internal/ast"
@@ -18,12 +19,13 @@ import (
 func sampleSummary() *incr.ProcSummary {
 	return &incr.ProcSummary{
 		BackEdges: 3,
-		Entry: map[string]lattice.Elem{
-			"a": lattice.Const(val.Int(-42)),
-			"b": lattice.Const(val.Real(3.5)),
-			"c": lattice.Const(val.Bool(true)),
-			"d": lattice.TopElem(),
-			"e": lattice.BottomElem(),
+		Entry: []lattice.Elem{
+			lattice.Const(val.Int(-42)),
+			lattice.Const(val.Real(3.5)),
+			lattice.Const(val.Bool(true)),
+			lattice.Const(val.Bool(false)),
+			lattice.TopElem(),
+			lattice.BottomElem(),
 		},
 		Sites: []incr.SiteValues{
 			{}, // unreachable
@@ -58,8 +60,8 @@ func TestSummaryRoundTrip(t *testing.T) {
 		t.Fatalf("-0.0 not preserved: %v", g.Val.R)
 	}
 	// The sparse index slice must round-trip through the delta encoding.
-	if got.Sites[1].Global(7).Level != lattice.Bottom || !got.Sites[1].Global(2).IsConst() {
-		t.Fatalf("sparse global lookup broken: %+v", got.Sites[1])
+	if sv := got.Sites[1]; !slices.Equal(sv.GlobIdx, []int32{2, 7}) || !sv.GlobVals[0].IsConst() || !sv.GlobVals[1].IsBottom() {
+		t.Fatalf("sparse globals broken: %+v", got.Sites[1])
 	}
 }
 
@@ -101,11 +103,11 @@ func TestNaNDecodesToBottom(t *testing.T) {
 	// No encoder ever produces a Constant NaN (lattice.Const maps it to
 	// ⊥ first), but a frame built elsewhere could carry the bits; the
 	// decoder must uphold the invariant. Write a real constant into a
-	// summary's entry environment, overwrite its bits with a NaN, and
-	// reseal the frame.
+	// summary's entry frame, overwrite its bits with a NaN, and reseal
+	// the frame.
 	const seed = 1.5
 	data := EncodeSummary(Meta{}, &incr.ProcSummary{
-		Entry: map[string]lattice.Elem{"n": lattice.Const(val.Real(seed))},
+		Entry: []lattice.Elem{lattice.Const(val.Real(seed))},
 	})
 	bits := binary.LittleEndian.AppendUint64(nil, math.Float64bits(seed))
 	at := bytes.Index(data, bits)
@@ -117,8 +119,8 @@ func TestNaNDecodesToBottom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeSummary: %v", err)
 	}
-	if !got.Entry["n"].IsBottom() {
-		t.Fatalf("NaN decoded to %+v, want ⊥", got.Entry["n"])
+	if !got.Entry[0].IsBottom() {
+		t.Fatalf("NaN decoded to %+v, want ⊥", got.Entry[0])
 	}
 }
 
@@ -187,8 +189,8 @@ func TestPeekMeta(t *testing.T) {
 // TestNonCanonicalElemsEncodeCanonically asserts the encoder
 // canonicalises before writing: a literally-built Constant NaN and a
 // ⊤/⊥ with a stale payload must encode byte-identically to their
-// canonical forms, so summaries with Eq entry environments always
-// produce equal frames.
+// canonical forms, so summaries with Eq entry frames always produce
+// equal bytes.
 func TestNonCanonicalElemsEncodeCanonically(t *testing.T) {
 	stale := val.Value{Type: ast.TypeInt, I: 99}
 	pairs := []struct {
@@ -199,10 +201,67 @@ func TestNonCanonicalElemsEncodeCanonically(t *testing.T) {
 		{lattice.Elem{Level: lattice.Bottom, Val: stale}, lattice.BottomElem()},
 	}
 	for i, p := range pairs {
-		raw := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: map[string]lattice.Elem{"x": p.raw}})
-		canon := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: map[string]lattice.Elem{"x": p.canon}})
+		raw := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: []lattice.Elem{p.raw}})
+		canon := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: []lattice.Elem{p.canon}})
 		if !reflect.DeepEqual(raw, canon) {
 			t.Errorf("case %d: non-canonical element encoded differently", i)
 		}
 	}
+}
+
+// FuzzDecodeSummary: DecodeSummary never panics, and a summary it
+// accepts re-encodes to bytes that decode to an equal summary, which
+// in turn re-encodes to the same bytes. Each input is tried as a whole
+// frame and, sealed in a fresh frame, as a payload, so mutations reach
+// the payload decoder without having to forge a checksum. The seeds
+// are frames and payloads of summaries whose entry frames hold ⊤, ⊥,
+// ±0.0 and a NaN's bits, an empty frame, and unreachable sites.
+func FuzzDecodeSummary(f *testing.F) {
+	negZero := lattice.Const(val.Real(math.Copysign(0, -1)))
+	seeds := []*incr.ProcSummary{
+		sampleSummary(),
+		{},
+		{Entry: []lattice.Elem{}, Sites: []incr.SiteValues{{}, {}}},
+		{Dead: true, Degraded: true, BackEdges: 1, Entry: []lattice.Elem{
+			lattice.TopElem(), lattice.BottomElem(), negZero, lattice.Const(val.Real(0)),
+		}},
+		{Entry: []lattice.Elem{negZero}, Sites: []incr.SiteValues{{}, {
+			Reachable: true,
+			Args:      []lattice.Elem{lattice.TopElem(), negZero},
+			GlobIdx:   []int32{0, 3},
+			GlobVals:  []lattice.Elem{lattice.BottomElem(), lattice.Const(val.Bool(false))},
+		}}},
+	}
+	add := func(data []byte) {
+		f.Add(data)
+		f.Add(bytes.Clone(data[headerLen : len(data)-crcLen]))
+	}
+	for i, s := range seeds {
+		add(EncodeSummary(Meta{KeyHash: uint64(i), Gen: uint64(i)}, s))
+	}
+	const seed = 1.5
+	nan := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: []lattice.Elem{lattice.Const(val.Real(seed))}})
+	at := bytes.Index(nan, binary.LittleEndian.AppendUint64(nil, math.Float64bits(seed)))
+	binary.LittleEndian.PutUint64(nan[at:], math.Float64bits(math.NaN()))
+	add(reseal(nan))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, frameData := range [][]byte{data, frame(Meta{Gen: 1}, data)} {
+			meta, s, err := DecodeSummary(frameData)
+			if err != nil {
+				continue
+			}
+			again := EncodeSummary(meta, s)
+			meta2, s2, err := DecodeSummary(again)
+			if err != nil {
+				t.Fatalf("re-encoded summary does not decode: %v", err)
+			}
+			if meta2 != meta || !reflect.DeepEqual(s2, s) {
+				t.Fatalf("round trip changed the summary:\n got %+v\nwant %+v", s2, s)
+			}
+			if !bytes.Equal(EncodeSummary(meta2, s2), again) {
+				t.Fatal("re-encoding is not stable")
+			}
+		}
+	})
 }

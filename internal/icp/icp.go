@@ -259,7 +259,8 @@ type Result struct {
 
 	// Entry[p] holds the lattice value of each formal of p and each
 	// global at entry to p, as established interprocedurally. Absent
-	// entries are ⊥.
+	// entries are ⊥. The flow-sensitive methods build it once, at
+	// install, from p's entry frame (incr.ProcSummary.Entry).
 	Entry map[*sem.Proc]lattice.Env[*sem.Var]
 
 	// ArgVals[call][i] is the method's value for the i-th actual at a
@@ -301,7 +302,8 @@ type Result struct {
 	Dead map[*sem.Proc]bool
 
 	// Returns[p] is the constant a function returns (return-constant
-	// extension); ExitEnv[p] the exit values of formals and globals.
+	// extension); ExitEnv[p] the constant exit values of formals and
+	// globals, built from p's exit frame once the traversal ends.
 	Returns map[*sem.Proc]lattice.Elem
 	ExitEnv map[*sem.Proc]lattice.Env[*sem.Var]
 

@@ -130,22 +130,6 @@ func (st *incrState) commit(sums []*incr.ProcSummary, recs []*incr.ReturnsRecord
 	})
 }
 
-// portableEnv converts a bound entry environment to the name-keyed
-// form summaries carry. Names are unique within an environment but for
-// one case: sem lets a formal share the name of a global the procedure
-// does not use, and the procedure can still reach that global through
-// a callee's REF set. The two then collapse into one name and the
-// result is one entry short of env, so no summary ever stands for it
-// (ProcSummary.Stands compares sizes) and it never keys the value
-// cache (its key would not tell such environments apart).
-func portableEnv(env lattice.Env[*sem.Var]) map[string]lattice.Elem {
-	m := make(map[string]lattice.Elem, len(env))
-	for v, e := range env {
-		m[v.Name] = e
-	}
-	return m
-}
-
 // summarize distills one scc run into the portable summary downstream
 // consumers read. Raw (unfiltered) lattice values are stored; every
 // consumer applies opts.filter itself, exactly as the non-incremental
@@ -153,7 +137,7 @@ func portableEnv(env lattice.Env[*sem.Var]) map[string]lattice.Elem {
 // global values for exactly its callee's REF globals
 // (modref.Info.RefGlobals) — the paper's sparse per-call-site candidate
 // list — instead of a value per program global.
-func summarize(ctx *Context, p *sem.Proc, r *scc.Result, dead bool, nBack int, entry map[string]lattice.Elem) *incr.ProcSummary {
+func summarize(ctx *Context, p *sem.Proc, r *scc.Result, dead bool, nBack int, entry []lattice.Elem) *incr.ProcSummary {
 	globals := ctx.Prog.Sem.Globals
 	calls := ctx.Prog.FuncOf[p].Calls
 	sum := &incr.ProcSummary{

@@ -7,7 +7,6 @@ import (
 	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
-	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
 )
@@ -68,13 +67,12 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			st.Degraded = g.passCount("FI")
 		})
 	}
-	r := newRun(ctx, opts, g)
+	r := newRun(ctx, opts, g, res.ProgramGlobalConstants)
 
 	// Current state, one slot per PCG position (owner-written only), and
 	// the round-start snapshot back edges read from.
 	sums := make([]*incr.ProcSummary, n)
 	prevSums := make([]*incr.ProcSummary, n)
-	entry := make([]lattice.Env[*sem.Var], n)
 	intra := make([]*scc.Result, n)
 	// degraded pins a procedure to its FI fallback for all remaining
 	// rounds: its contribution is then stable, so the fixpoint still
@@ -120,9 +118,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	fiDegrade := func(i int) {
 		p := cg.Reachable[i]
 		degraded[i] = true
-		fb := g.ensureFI(ctx, opts)
-		entry[i] = fb.entryEnvFor(p)
-		sums[i] = degradedSummary(ctx, p, fb)
+		sums[i] = degradedSummary(ctx, p, g.ensureFI(ctx, opts))
 		intra[i] = nil
 		changed.Store(true)
 		markCallees(p)
@@ -159,11 +155,10 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 				}
 				p := cg.Reachable[i]
 				g.protect("FS-iterative", p.Name, func() { fiDegrade(i) }, func() {
-					env, live, nBack := entryEnv(ctx, opts, p, bySum, nil)
+					env, live, nBack := r.entryEnv(p, bySum, nil)
 					if sums[i].Stands(env, live, nBack) {
 						return
 					}
-					entry[i] = env
 					sccRuns.Add(1)
 					changed.Store(true)
 					markCallees(p)
@@ -203,7 +198,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 		}
 	})
 	res.SCCRuns = int(sccRuns.Load())
-	res.install(entry, sums, intra)
+	r.install(res, sums, intra)
 
 	// Keep the engine's generations turning so the value cache ages
 	// out; the method never reads the snapshot's summaries back.

@@ -8,6 +8,7 @@ import (
 	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
 	"fsicp/internal/resilience"
+	"fsicp/internal/scc"
 	"fsicp/internal/sem"
 	"fsicp/internal/val"
 )
@@ -181,7 +182,7 @@ func degradedSummary(ictx *Context, p *sem.Proc, fi *fiSolution) *incr.ProcSumma
 	calls := ictx.Prog.FuncOf[p].Calls
 	sum := &incr.ProcSummary{
 		Degraded: true,
-		Entry:    portableEnv(fi.entryEnvFor(p)),
+		Entry:    scc.Frame(ictx.Prog.FuncOf[p], fi.entryEnvFor(p)),
 		Sites:    make([]incr.SiteValues, len(calls)),
 	}
 	for k, call := range calls {

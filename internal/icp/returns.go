@@ -2,6 +2,7 @@ package icp
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"fsicp/internal/callgraph"
@@ -40,8 +41,9 @@ import (
 // procedure that completed the traversal, are what the run commits
 // (all nil unless a later run reads them: incr.Plan.Keep). resummed
 // marks the procedures whose summaries this traversal rebuilt, for the
-// refresh's delta skip.
-func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRecord, resummed []bool) {
+// refresh's delta skip, and exits holds every procedure's exit frame
+// (exitFrame), which the refresh's call hooks read.
+func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRecord, resummed []bool, exits [][]lattice.Elem) {
 	ctx, opts, g, ist := r.ctx, r.opts, r.g, r.ist
 	res.Returns = make(map[*sem.Proc]lattice.Elem)
 	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
@@ -49,7 +51,8 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 	n := len(cg.Reachable)
 
 	returns := make([]lattice.Elem, n)
-	exits := make([]lattice.Env[*sem.Var], n)
+	exits = make([][]lattice.Elem, n)
+	canReturn := make([]bool, n)
 	// sums holds the summaries rebuilt under this traversal's call
 	// hooks, nil where the FS-stage summary stands (dead or degraded
 	// here).
@@ -64,7 +67,9 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 	// (the FS-stage summary stands).
 	conservative := func(i int) {
 		returns[i] = lattice.BottomElem()
-		exits[i] = make(lattice.Env[*sem.Var])
+		exits[i] = make([]lattice.Elem, ctx.Prog.FuncOf[cg.Reachable[i]].FrameLen())
+		demoteTop(exits[i])
+		canReturn[i] = false
 		sums[i], intra[i], recs[i] = nil, nil, nil
 	}
 
@@ -107,7 +112,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 				}, func(k, j int) lattice.Elem {
 					return callExit(calls[k], calls[k].MayDef[j])
 				}) {
-					returns[i], exits[i], sums[i], recs[i] = rec.Return, bindExit(ctx, p, rec.Exit), rec.Summary, rec
+					returns[i], exits[i], canReturn[i], sums[i], recs[i] = rec.Return, rec.Exit, rec.CanReturn, rec.Summary, rec
 					reused.Add(1)
 					return
 				}
@@ -116,7 +121,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 			ran.Add(1)
 			fix := scc.Run(ctx.SSA(i), scc.Options{
 				Transient:  opts.DropIntra,
-				Entry:      res.Entry[p],
+				Entry:      old.Entry,
 				CallResult: callResult,
 				CallExit:   callExit,
 				Budget:     g.budget(),
@@ -126,7 +131,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 				ret = lattice.BottomElem() // never returns: nothing to propagate
 			}
 			returns[i] = ret
-			exits[i] = exitEnv(p, fix, res.Entry[p])
+			exits[i], canReturn[i] = exitFrame(fix), fix.CanReturn()
 			// The second analysis is at least as precise as the first
 			// (extra call information only), so it is the final
 			// fixpoint, and its site reachability supersedes the first
@@ -142,7 +147,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 				intra[i] = fix
 			}
 			if ist != nil && ist.plan.Keep {
-				recs[i] = &incr.ReturnsRecord{Return: ret, Exit: portableExit(exits[i]), Calls: callAnswers(calls, callResult, callExit), Summary: sums[i]}
+				recs[i] = &incr.ReturnsRecord{Return: ret, Exit: exits[i], CanReturn: canReturn[i], Calls: callAnswers(calls, callResult, callExit), Summary: sums[i]}
 			}
 		})
 	})
@@ -158,7 +163,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 	resummed = make([]bool, n)
 	for i, p := range cg.Reachable {
 		res.Returns[p] = returns[i]
-		res.ExitEnv[p] = exits[i]
+		res.ExitEnv[p] = exitMap(ctx.Prog.FuncOf[p], exits[i], canReturn[i], res.Entry[p])
 		if sums[i] != nil {
 			res.Proc[p] = sums[i]
 			resummed[i] = true
@@ -173,7 +178,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 		st.Cached = reused.Load() > 0
 		st.Notes = fmt.Sprintf("reused=%d run=%d", reused.Load(), ran.Load())
 	}
-	return recs, resummed
+	return recs, resummed, exits
 }
 
 // callAnswers records what the hooks answer at each of calls: the
@@ -198,53 +203,28 @@ func callAnswers(calls []*ir.CallInstr, result func(*ir.CallInstr) lattice.Elem,
 	return answers
 }
 
-// portableExit converts an exit environment, which binds only p's
-// formals and globals, to the position-keyed form returns records
-// carry.
-func portableExit(exit lattice.Env[*sem.Var]) []incr.ExitBinding {
-	out := make([]incr.ExitBinding, 0, len(exit))
-	for v, e := range exit {
-		out = append(out, incr.ExitBinding{Global: v.IsGlobal(), Index: v.Index, Val: e})
-	}
-	return out
-}
-
-// bindExit rebinds a kept record's portable exit environment to this
-// load's variables: p's formals by position, and globals by
-// declaration index, which the program key fixes.
-func bindExit(ctx *Context, p *sem.Proc, b []incr.ExitBinding) lattice.Env[*sem.Var] {
-	exit := make(lattice.Env[*sem.Var], len(b))
-	for _, x := range b {
-		if x.Global {
-			exit[ctx.Prog.Sem.Globals[x.Index]] = x.Val
-		} else {
-			exit[p.Params[x.Index]] = x.Val
-		}
-	}
-	return exit
-}
-
 // callExitValue maps a may-defined caller variable at a call site to
-// the callee's exit value for it, per the rules in DESIGN.md: a by-ref
-// actual takes the exit value of every modified formal it is bound to;
-// a modified global takes its own exit value; a variable only in MayDef
-// via alias closure stays ⊥.
-func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, exit lattice.Env[*sem.Var]) lattice.Elem {
+// the callee's exit value for it, read from the callee's exit frame,
+// per the rules in DESIGN.md: a by-ref actual takes the exit value of
+// every modified formal it is bound to; a modified global takes its
+// own exit value; a variable only in MayDef via alias closure stays ⊥.
+func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, exit []lattice.Elem) lattice.Elem {
 	callee := call.Callee
+	mod := ctx.MR.Mod(callee)
 	acc := lattice.TopElem()
 	contributed := false
 	for i, a := range call.ByRef {
 		if a != v || i >= len(callee.Params) {
 			continue
 		}
-		f := callee.Params[i]
-		if ctx.MR.Mod(callee).Has(f) {
-			acc = lattice.Meet(acc, opts.filter(exit.Get(f)))
+		if mod.Has(callee.Params[i]) {
+			acc = lattice.Meet(acc, opts.filter(exit[i]))
 			contributed = true
 		}
 	}
-	if v.IsGlobal() && ctx.MR.Mod(callee).Has(v) {
-		acc = lattice.Meet(acc, opts.filter(exit.Get(v)))
+	if v.IsGlobal() && mod.Has(v) {
+		// MOD(callee) lies in the callee's segment.
+		acc = lattice.Meet(acc, opts.filter(exit[ctx.Prog.FuncOf[callee].FrameSlot(v)]))
 		contributed = true
 	}
 	if !contributed || acc.IsTop() {
@@ -255,31 +235,34 @@ func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, e
 	return acc
 }
 
-// exitEnv extracts the constant exit values of p's formals and the
-// globals from its final fixpoint r under entry. A global outside p's
-// segment (REF*(p) ∪ MOD*(p)) is untouched by p and its callees, so it
-// leaves p with its entry value whenever p returns at all.
-func exitEnv(p *sem.Proc, r *scc.Result, entry lattice.Env[*sem.Var]) lattice.Env[*sem.Var] {
-	exit := make(lattice.Env[*sem.Var])
-	for _, f := range p.Params {
-		if e := r.ExitValue(f); e.IsConst() {
-			exit[f] = e
-		}
-	}
+// exitFrame extracts a procedure's exit frame from its final fixpoint
+// r, in the layout of its entry frame: each slot's exit value where it
+// is constant, ⊥ elsewhere.
+func exitFrame(r *scc.Result) []lattice.Elem {
 	fn := r.S.Fn
-	for _, g := range fn.Globals() {
-		if e := r.ExitValue(g); e.IsConst() {
-			exit[g] = e
-		}
-	}
-	if r.CanReturn() {
-		for v, e := range entry {
-			if v.IsGlobal() && e.IsConst() && fn.VarOrd(v) < 0 {
-				exit[v] = e
-			}
+	exit := make([]lattice.Elem, fn.FrameLen())
+	for k := range exit {
+		if exit[k] = r.ExitValue(fn.FrameVar(k)); !exit[k].IsConst() {
+			exit[k] = lattice.BottomElem()
 		}
 	}
 	return exit
+}
+
+// exitMap converts an exit frame of fn to the map form Result.ExitEnv
+// reports: its constants, plus, when the procedure can return, the
+// entry constants outside the segment (only main's and degraded
+// procedures' entries bind any), which it and its callees never touch.
+func exitMap(fn *ir.Func, exit []lattice.Elem, canReturn bool, entry lattice.Env[*sem.Var]) lattice.Env[*sem.Var] {
+	env := frameEnv(fn, exit)
+	if canReturn {
+		for v, e := range entry {
+			if v.IsGlobal() && e.IsConst() && fn.VarOrd(v) < 0 {
+				env[v] = e
+			}
+		}
+	}
+	return env
 }
 
 // refresh performs one additional forward topological traversal that
@@ -307,7 +290,7 @@ func exitEnv(p *sem.Proc, r *scc.Result, entry lattice.Env[*sem.Var]) lattice.En
 // call only constant-free helpers, so the skip removes the bulk of the
 // third traversal's scc runs; Options.NoDeltaSkip forces the full
 // re-run.
-func (r *run) refresh(res *Result, resummed []bool) {
+func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 	ctx, opts, g := r.ctx, r.opts, r.g
 	cg := ctx.CG
 	n := len(cg.Reachable)
@@ -319,7 +302,7 @@ func (r *run) refresh(res *Result, resummed []bool) {
 			if resummed[i] && !cg.IsBackEdge(e) {
 				continue
 			}
-			if !opts.filter(res.Returns[e.Callee]).IsBottom() || len(res.ExitEnv[e.Callee]) != 0 {
+			if !opts.filter(res.Returns[e.Callee]).IsBottom() || slices.ContainsFunc(exits[cg.Pos[e.Callee]], lattice.Elem.IsConst) {
 				return false
 			}
 		}
@@ -333,22 +316,19 @@ func (r *run) refresh(res *Result, resummed []bool) {
 			return opts.filter(res.Returns[call.Callee])
 		},
 		CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
-			return callExitValue(ctx, opts, call, v, res.ExitEnv[call.Callee])
+			return callExitValue(ctx, opts, call, v, exits[cg.Pos[call.Callee]])
 		},
 	}
 
 	fresh := make([]*scc.Result, n)
 	sums := make([]*incr.ProcSummary, n)
-	entry := make([]lattice.Env[*sem.Var], n)
 
 	// keepOld degrades one procedure to its pre-refresh answer: the
 	// previous traversal's result is a complete sound solution, and the
 	// refresh only sharpens it, so abandoning the refresh loses
 	// precision only.
 	keepOld := func(i int) {
-		p := cg.Reachable[i]
-		entry[i] = res.Entry[p]
-		sums[i] = res.Proc[p]
+		sums[i] = res.Proc[cg.Reachable[i]]
 		fresh[i] = nil
 	}
 
@@ -359,8 +339,7 @@ func (r *run) refresh(res *Result, resummed []bool) {
 		driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
 			p := cg.Reachable[i]
 			g.protect("returns-refresh", p.Name, func() { keepOld(i) }, func() {
-				env, live, nBack := entryEnv(ctx, opts, p, bySum, res.FI)
-				entry[i] = env
+				env, live, nBack := r.entryEnv(p, bySum, res.FI)
 				if old := res.Proc[p]; deltaSkip && old.Stands(env, live, nBack) && trivialHooks(i) {
 					sums[i] = old
 					skipped.Add(1)
@@ -379,5 +358,5 @@ func (r *run) refresh(res *Result, resummed []bool) {
 	})
 
 	res.Dead = make(map[*sem.Proc]bool)
-	res.install(entry, sums, fresh)
+	r.install(res, sums, fresh)
 }

@@ -414,9 +414,22 @@ func sameElems(a, b map[string]lattice.Elem) bool {
 	return true
 }
 
+// sameFrame compares two frames bit-exactly.
+func sameFrame(a, b []lattice.Elem) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Eq(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func sameSummary(a, b *incr.ProcSummary) bool {
 	if a.Dead != b.Dead || a.BackEdges != b.BackEdges || a.Degraded != b.Degraded ||
-		!sameElems(a.Entry, b.Entry) || len(a.Sites) != len(b.Sites) {
+		!sameFrame(a.Entry, b.Entry) || len(a.Sites) != len(b.Sites) {
 		return false
 	}
 	for k, sa := range a.Sites {

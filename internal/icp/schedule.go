@@ -4,9 +4,11 @@ import (
 	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
+	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
+	"fsicp/internal/val"
 )
 
 // This file holds the wavefront-scheduling substrate shared by the
@@ -58,42 +60,38 @@ func reverseLevels(cg *callgraph.Graph) [][]int {
 // caller has not been analysed yet (iterative optimism).
 type callerSummary func(e callgraph.Edge) *incr.ProcSummary
 
-// entryEnv builds p's entry environment by meeting the contributions of
-// every incoming call edge. A forward edge reads the summary caller
-// maps it to. A back edge reads the flow-insensitive solution fi when
-// fi is set (the one-pass method and the refresh; fi is nil only on an
-// acyclic PCG, which has no back edges), and caller otherwise (the
-// iterative method, whose callback answers a back edge from the
-// round-start snapshot). Dead callers and unreachable call sites
-// contribute ⊤. A call instruction's SiteIdx is its index in the
-// caller's summary Sites. The environment binds only p's formals and
-// REF*(p) globals, which lie in p's global segment, and is presized to
-// formals plus segment. Returns the environment (empty when no
-// incoming site is executable), whether any incoming site is
-// executable, and how many back edges read fi. Meet is commutative and
-// associative, so the result is independent of edge order.
-func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi *fiSolution) (env lattice.Env[*sem.Var], live bool, backEdges int) {
-	cg, mr := ctx.CG, ctx.MR
+// entryEnv builds p's entry frame (ir.Func.FrameSlot) by meeting, from
+// ⊤, the contributions of every incoming call edge to p's formals and
+// REF(p) globals. A forward edge reads the summary caller maps it to.
+// A back edge reads the flow-insensitive solution fi when fi is set
+// (the one-pass method and the refresh; fi is nil only on an acyclic
+// PCG), and caller otherwise (the iterative method's round-start
+// snapshot). Dead callers and unreachable call sites contribute ⊤. A
+// call instruction's SiteIdx is its index in the caller's summary
+// Sites. main's frame holds the block-data constants instead. Returns
+// the frame, residual ⊤s lowered to ⊥ (all ⊥ when no incoming site is
+// executable), whether any incoming site is executable, and how many
+// back edges read fi. Meet is commutative and associative, so the
+// result is independent of edge order.
+func (r *run) entryEnv(p *sem.Proc, caller callerSummary, fi *fiSolution) (frame []lattice.Elem, live bool, backEdges int) {
+	ctx, opts, cg := r.ctx, r.opts, r.ctx.CG
 	globals := ctx.Prog.Sem.Globals
+	fn := ctx.Prog.FuncOf[p]
 	if p == cg.Reachable[0] {
-		// Block-data initial constants seed the entry of main.
-		env = make(lattice.Env[*sem.Var])
-		for g, v := range ctx.Prog.Sem.GlobalInit {
-			env[g] = opts.filter(lattice.Const(v))
-		}
-		return env, true, 0
+		return scc.Frame(fn, r.mainEntry()), true, 0
 	}
-	env = make(lattice.Env[*sem.Var], len(p.Params)+len(ctx.Prog.FuncOf[p].Globals()))
+	frame = make([]lattice.Elem, fn.FrameLen())
+	meet := func(k int, e lattice.Elem) { frame[k] = lattice.Meet(frame[k], e) }
 	nExec := 0
 	for _, e := range cg.In[p] {
 		if fi != nil && cg.IsBackEdge(e) {
 			backEdges++
 			nExec++
-			for i, f := range p.Params {
-				env.MeetInto(f, fi.EdgeArg(e.Site, i))
+			for i := range p.Params {
+				meet(i, fi.EdgeArg(e.Site, i))
 			}
-			for _, gi := range mr.RefGlobals(p) {
-				env.MeetInto(globals[gi], fi.GlobalElem(globals[gi]))
+			for _, gi := range ctx.MR.RefGlobals(p) {
+				meet(fn.FrameSlot(globals[gi]), fi.GlobalElem(globals[gi]))
 			}
 			continue
 		}
@@ -106,54 +104,72 @@ func entryEnv(ctx *Context, opts Options, p *sem.Proc, caller callerSummary, fi 
 			continue
 		}
 		nExec++
-		for i, f := range p.Params {
+		for i := range p.Params {
 			if i >= len(e.Site.Args) {
 				break
 			}
-			env.MeetInto(f, opts.filter(sv.Args[i]))
+			meet(i, opts.filter(sv.Args[i]))
 		}
 		// Sparse global candidates: the site stores values for exactly
 		// Ref(p) — the globals the callee (transitively) references,
-		// all in its segment — so the stored pairs are iterated
-		// directly.
+		// all in its segment — so the stored pairs are met directly.
 		for j, gi := range sv.GlobIdx {
-			env.MeetInto(globals[gi], opts.filter(sv.GlobVals[j]))
+			meet(fn.FrameSlot(globals[gi]), opts.filter(sv.GlobVals[j]))
 		}
 	}
-	if nExec == 0 {
-		// Statically reachable but no executable call site: the
-		// procedure is dynamically dead under this solution.
-		return make(lattice.Env[*sem.Var]), false, backEdges
+	live = nExec > 0
+	if live {
+		r.seedByRef(fn, frame)
 	}
-	demoteTop(env)
-	return env, true, backEdges
+	// With no executable call site, the procedure is statically
+	// reachable but dynamically dead under this solution: all ⊥.
+	demoteTop(frame)
+	return frame, live, backEdges
 }
 
-// demoteTop lowers every residual ⊤ of an entry environment to ⊥: a ⊤
-// would claim "never receives a value", so the demotion keeps the
-// environment sound.
-func demoteTop(env lattice.Env[*sem.Var]) {
-	for v, e := range env {
+// seedByRef gives each global that fn's procedure passes by reference
+// but does not reference its program-wide constant, if it has one: the
+// SCC run reads the global at the call, but no caller binds it, and
+// one initialised and modified nowhere holds its block-data value
+// everywhere. Keyed on by-reference actuals, not on every non-REF
+// slot, the rule binds nothing a denser global domain adds.
+func (r *run) seedByRef(fn *ir.Func, frame []lattice.Elem) {
+	ref := r.ctx.MR.Ref(fn.Proc)
+	for _, call := range fn.Calls {
+		for _, a := range call.ByRef {
+			if v, ok := r.consts[a]; ok && !ref.Has(a) {
+				frame[fn.FrameSlot(a)] = r.opts.filter(lattice.Const(v))
+			}
+		}
+	}
+}
+
+// demoteTop lowers every residual ⊤ of a frame to ⊥: a ⊤ would claim
+// "never receives a value", so the demotion keeps the frame sound.
+func demoteTop(frame []lattice.Elem) {
+	for i, e := range frame {
 		if e.IsTop() {
-			env[v] = lattice.BottomElem()
+			frame[i] = lattice.BottomElem()
 		}
 	}
 }
 
 // run holds the inputs one flow-sensitive analysis shares across its
-// traversals: the context and options, the resilience guard, and the
-// incremental state (nil without an engine).
+// traversals: the context and options, the resilience guard, the
+// program-wide global constants (Result.ProgramGlobalConstants), and
+// the incremental state (nil without an engine).
 type run struct {
-	ctx  *Context
-	opts Options
-	g    *guard
-	ist  *incrState
+	ctx    *Context
+	opts   Options
+	g      *guard
+	consts map[*sem.Var]val.Value
+	ist    *incrState
 }
 
 // newRun builds a run's shared inputs once its FI pass is done,
 // recording the incr-plan pass when an engine is attached.
-func newRun(ctx *Context, opts Options, g *guard) *run {
-	r := &run{ctx: ctx, opts: opts, g: g}
+func newRun(ctx *Context, opts Options, g *guard, consts map[*sem.Var]val.Value) *run {
+	r := &run{ctx: ctx, opts: opts, g: g, consts: consts}
 	if opts.Incr != nil {
 		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
 			r.ist = beginIncr(ctx, opts)
@@ -164,31 +180,30 @@ func newRun(ctx *Context, opts Options, g *guard) *run {
 }
 
 // step is one flow-sensitive analysis of the procedure at position i
-// under env, for the one-pass method (namespace "fs"), the iterative
-// rounds ("iter") and the returns refresh (no namespace). hooks
-// carries the call hooks (CallResult, CallExit) and nothing else.
+// under entry frame env, for the one-pass method (namespace "fs"), the
+// iterative rounds ("iter") and the returns refresh (no namespace).
+// hooks carries the call hooks (CallResult, CallExit) and nothing
+// else.
 //
 // Under a namespace and an incremental engine, the value cache answers
-// a (key, environment) pair analysed in any earlier run, unless the
-// environment lost a name (see portableEnv). Otherwise SCC runs, and
-// its fixpoint is summarized, released under DropIntra, and cached.
-// The fixpoint is returned for Result.Intra: nil when the cache
-// answered or the fixpoint was released.
-func (r *run) step(ns string, i int, env lattice.Env[*sem.Var], live bool, nBack int, hooks scc.Options) (*incr.ProcSummary, *scc.Result) {
+// a (key, frame) pair analysed in any earlier run. Otherwise SCC runs,
+// and its fixpoint is summarized, released under DropIntra, and
+// cached. The fixpoint is returned for Result.Intra: nil when the
+// cache answered or the fixpoint was released.
+func (r *run) step(ns string, i int, env []lattice.Elem, live bool, nBack int, hooks scc.Options) (*incr.ProcSummary, *scc.Result) {
 	p := r.ctx.CG.Reachable[i]
-	pe := portableEnv(env)
 	var key string // stays empty when nothing is cached
-	if ns != "" && r.ist != nil && len(pe) == len(env) {
-		key = incr.EnvKey(pe, live)
+	if ns != "" && r.ist != nil {
+		key = incr.EnvKey(env, live)
 		if cached, ok := r.ist.plan.Lookup(ns, p.Name, r.ist.fps[i], key); ok {
 			// Liveness and back-edge counts are per-run facts; only
 			// the (deterministic) site values are shared.
-			return &incr.ProcSummary{Dead: !live, BackEdges: nBack, Entry: pe, Sites: cached.Sites}, nil
+			return &incr.ProcSummary{Dead: !live, BackEdges: nBack, Entry: env, Sites: cached.Sites}, nil
 		}
 	}
 	hooks.Entry, hooks.Budget, hooks.Transient = env, r.g.budget(), r.opts.DropIntra
 	fix := scc.Run(r.ctx.SSA(i), hooks)
-	sum := summarize(r.ctx, p, fix, !live, nBack, pe)
+	sum := summarize(r.ctx, p, fix, !live, nBack, env)
 	if r.opts.DropIntra {
 		fix.Release()
 		fix = nil
@@ -200,12 +215,12 @@ func (r *run) step(ns string, i int, env lattice.Env[*sem.Var], live bool, nBack
 }
 
 // install writes a forward traversal's per-position slots into the
-// Result maps, serially and in topological order, so the outcome is
-// byte-identical for every worker count. A nil fixpoint leaves Intra
-// as it was.
-func (res *Result) install(entry []lattice.Env[*sem.Var], sums []*incr.ProcSummary, intra []*scc.Result) {
+// Result maps, Entry included, serially and in topological order, so
+// the outcome is byte-identical for every worker count. A nil fixpoint
+// leaves Intra as it was.
+func (r *run) install(res *Result, sums []*incr.ProcSummary, intra []*scc.Result) {
 	for i, p := range res.Ctx.CG.Reachable {
-		res.Entry[p] = entry[i]
+		res.Entry[p] = r.entryMap(p, sums[i])
 		res.Proc[p] = sums[i]
 		if intra[i] != nil {
 			res.Intra[p] = intra[i]
@@ -215,4 +230,39 @@ func (res *Result) install(entry []lattice.Env[*sem.Var], sums []*incr.ProcSumma
 		}
 		res.mergeSiteValues(p, sums[i])
 	}
+}
+
+// entryMap is p's reported entry environment: the constants of its
+// entry frame, except where the entry binds globals outside the
+// segment too — main's holds every block-data constant, and a degraded
+// procedure's is the flow-insensitive solution's.
+func (r *run) entryMap(p *sem.Proc, sum *incr.ProcSummary) lattice.Env[*sem.Var] {
+	switch {
+	case sum.Degraded:
+		return r.g.ensureFI(r.ctx, r.opts).entryEnvFor(p)
+	case p == r.ctx.CG.Reachable[0]:
+		return r.mainEntry()
+	}
+	return frameEnv(r.ctx.Prog.FuncOf[p], sum.Entry)
+}
+
+// mainEntry is main's entry environment: the block-data constants.
+func (r *run) mainEntry() lattice.Env[*sem.Var] {
+	env := make(lattice.Env[*sem.Var], len(r.ctx.Prog.Sem.GlobalInit))
+	for g, v := range r.ctx.Prog.Sem.GlobalInit {
+		env[g] = r.opts.filter(lattice.Const(v))
+	}
+	return env
+}
+
+// frameEnv converts a frame of fn to the map form Result reports: its
+// constant slots, keyed by variable.
+func frameEnv(fn *ir.Func, frame []lattice.Elem) lattice.Env[*sem.Var] {
+	env := make(lattice.Env[*sem.Var])
+	for k, e := range frame {
+		if e.IsConst() {
+			env[fn.FrameVar(k)] = e
+		}
+	}
+	return env
 }

@@ -56,19 +56,15 @@ func runFS(ctx *Context, opts Options) *Result {
 		})
 	}
 	res.ProgramGlobalConstants = programGlobalConstants(ctx, opts)
-	r := newRun(ctx, opts, g)
+	r := newRun(ctx, opts, g, res.ProgramGlobalConstants)
 
 	sums := make([]*incr.ProcSummary, n)
-	envs := make([]lattice.Env[*sem.Var], n)
 	intra := make([]*scc.Result, n)
 	// fiDegrade answers procedure i from the FI solution: a partial
 	// fixpoint is discarded — optimistic intermediate values are not
 	// sound answers — and nothing is stored in the value cache.
 	fiDegrade := func(i int) {
-		p := cg.Reachable[i]
-		fb := g.ensureFI(ctx, opts)
-		envs[i] = fb.entryEnvFor(p)
-		sums[i] = degradedSummary(ctx, p, fb)
+		sums[i] = degradedSummary(ctx, cg.Reachable[i], g.ensureFI(ctx, opts))
 	}
 
 	var reused, evals atomic.Int64
@@ -79,8 +75,7 @@ func runFS(ctx *Context, opts Options) *Result {
 		driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
 			p := cg.Reachable[i]
 			g.protect("FS", p.Name, func() { fiDegrade(i) }, func() {
-				env, live, nBack := entryEnv(ctx, opts, p, bySum, res.FI)
-				envs[i] = env
+				env, live, nBack := r.entryEnv(p, bySum, res.FI)
 				if r.ist != nil && r.ist.plan.Prev[i].Stands(env, live, nBack) {
 					// Same key and same entry environment: the previous
 					// summary is exactly what an SCC run would produce.
@@ -110,7 +105,7 @@ func runFS(ctx *Context, opts Options) *Result {
 			fillStoreStats(st, res, r.ist)
 		}
 	})
-	res.install(envs, sums, intra)
+	r.install(res, sums, intra)
 	for _, sum := range sums {
 		res.BackEdgesUsed += sum.BackEdges
 	}
@@ -118,15 +113,16 @@ func runFS(ctx *Context, opts Options) *Result {
 	var recs []*incr.ReturnsRecord
 	if opts.ReturnConstants {
 		var resummed []bool
+		var exits [][]lattice.Elem
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			recs, resummed = r.returns(res, st)
+			recs, resummed, exits = r.returns(res, st)
 			st.Procs = n
 			st.Degraded = g.passCount("returns")
 		})
 		// The refresh is a pass of its own: its row follows the
 		// returns row and holds only its own time and degradations.
 		if opts.ReturnsRefresh {
-			r.refresh(res, resummed)
+			r.refresh(res, resummed, exits)
 		}
 	}
 	// The snapshot holds the FS-stage summaries (FS reuse compares

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -54,12 +53,16 @@ func TokenKey(src string) string {
 // predecessor lists, every instruction including clobbers and MayDef
 // sets, terminators, and per call site the by-reference actuals
 // (whether an actual aliases a caller variable changes the clobber
-// semantics); and, per call site in fn.Calls order, ref(callee): the
-// declaration indices of the callee's REF globals, which the summary
-// records at that site. A callee edit that grows or shrinks its REF set
-// therefore changes every caller's key. The IR is hashed structurally
-// rather than via its textual dump: fingerprinting runs on every
-// incremental analysis, and the fmt-based dump dominated its cost.
+// semantics); the declaration indices of p's own global segment, which
+// with the parameters fix the layout of its entry and exit frames (a
+// caller's edit can change the segment without touching p's IR: an
+// alias pair, or a global passed to p by reference); and, per call
+// site in fn.Calls order, ref(callee): the declaration indices of the
+// callee's REF globals, which the summary records at that site. A
+// callee edit that grows or shrinks its REF set therefore changes every
+// caller's key. The IR is hashed structurally rather than via its
+// textual dump: fingerprinting runs on every incremental analysis, and
+// the fmt-based dump dominated its cost.
 func ProcFingerprint(p *sem.Proc, fn *ir.Func, ref func(callee *sem.Proc) []int32) string {
 	w := newFPWriter()
 	w.str(p.Name)
@@ -110,6 +113,10 @@ func ProcFingerprint(p *sem.Proc, fn *ir.Func, ref func(callee *sem.Proc) []int3
 		case nil:
 			w.tag('0') // unterminated (never produced by irbuild)
 		}
+	}
+	w.tag('g')
+	for _, g := range fn.Globals() {
+		w.num(g.Index)
 	}
 	for _, call := range fn.Calls {
 		w.tag('c')
@@ -172,7 +179,24 @@ func (w *fpWriter) vr(v *sem.Var) {
 	w.str(v.Name)
 }
 
-func (w *fpWriter) val(v val.Value) { w.str(valKey(v)) }
+func (w *fpWriter) val(v val.Value) {
+	w.buf = appendValKey(w.buf, v)
+	w.buf = append(w.buf, 0)
+	w.spill()
+}
+
+// elem writes one lattice element exactly.
+func (w *fpWriter) elem(e lattice.Elem) {
+	switch {
+	case e.IsTop():
+		w.tag('T')
+	case e.IsConst():
+		w.tag('C')
+		w.val(e.Val)
+	default:
+		w.tag('B')
+	}
+}
 
 func (w *fpWriter) instr(in ir.Instr) {
 	switch in := in.(type) {
@@ -269,60 +293,43 @@ func GlobalsFingerprint(globals []*sem.Var) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// EnvKey canonically encodes a portable entry environment plus the
-// procedure's liveness, digested to a fixed-size key. Entries are
-// sorted by variable name; values are encoded exactly (float constants
-// by bit pattern, not decimal formatting), so two environments share a
-// key iff an SCC run would see identical inputs. The digest matters
-// for memory, not just hygiene: these keys live in the value cache for
-// many generations, and the full encoding of a wide environment runs
-// to kilobytes of GC-scanned string per entry.
-func EnvKey(env map[string]lattice.Elem, live bool) string {
-	names := make([]string, 0, len(env))
-	for n := range env {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// EnvKey canonically encodes an entry frame plus the procedure's
+// liveness, digested to a fixed-size key. Slots are encoded in order;
+// the procedure key fixes what each slot holds, so within one key two
+// frames share an EnvKey iff an SCC run would see identical inputs.
+// Values are encoded exactly (float constants by bit pattern, not
+// decimal formatting). The digest matters for memory, not just
+// hygiene: these keys live in the value cache for many generations,
+// and the full encoding of a wide frame runs to kilobytes of
+// GC-scanned string per entry.
+func EnvKey(frame []lattice.Elem, live bool) string {
 	w := newFPWriter()
 	if live {
 		w.tag('L')
 	} else {
 		w.tag('D')
 	}
-	for _, n := range names {
-		w.str(n)
-		w.str(elemKey(env[n]))
+	for _, e := range frame {
+		w.elem(e)
 	}
 	return w.sum()
 }
 
-// elemKey encodes one lattice element exactly.
-func elemKey(e lattice.Elem) string {
-	switch {
-	case e.IsTop():
-		return "T"
-	case e.IsConst():
-		return "C" + valKey(e.Val)
-	default:
-		return "B"
-	}
-}
-
-// valKey encodes a constant value injectively. val.Value.String uses
-// %g for reals, which collapses distinct values; the bit pattern does
-// not.
-func valKey(v val.Value) string {
+// appendValKey appends an injective encoding of a constant value.
+// val.Value.String uses %g for reals, which collapses distinct values;
+// the bit pattern does not.
+func appendValKey(b []byte, v val.Value) []byte {
 	switch v.Type {
 	case ast.TypeInt:
-		return "i" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(b, 'i'), v.I, 10)
 	case ast.TypeReal:
-		return "r" + strconv.FormatUint(math.Float64bits(v.R), 16)
+		return strconv.AppendUint(append(b, 'r'), math.Float64bits(v.R), 16)
 	case ast.TypeBool:
 		if v.B {
-			return "b1"
+			return append(b, "b1"...)
 		}
-		return "b0"
+		return append(b, "b0"...)
 	default:
-		return "?" + v.String()
+		return append(append(b, '?'), v.String()...)
 	}
 }

@@ -29,15 +29,16 @@
 // (ReturnsRecord.Stands). Returns records live in the snapshot only,
 // never in the value cache.
 //
-// Summaries are "portable": they name variables by source name and
-// globals by declaration index, never by pointer, so a summary cached
-// from one parse of the program can be rebound against a later parse.
+// Summaries are "portable": they hold environments as frames, one
+// value per formal by position and then per global of the procedure's
+// segment in declaration order (ir.Func.FrameSlot), and name globals
+// elsewhere by declaration index, never by pointer, so a summary cached
+// from one parse of the program can be read against a later parse. The
+// procedure key covers the segment and the program key the globals'
+// declaration order, so equal keys mean equal frame layouts.
 package incr
 
-import (
-	"fsicp/internal/lattice"
-	"fsicp/internal/sem"
-)
+import "fsicp/internal/lattice"
 
 // SiteValues is the interprocedural view of one call site: whether the
 // site is reachable under the caller's solution, and the lattice value
@@ -63,37 +64,15 @@ type SiteValues struct {
 	GlobVals  []lattice.Elem // parallel to GlobIdx
 }
 
-// Global returns the recorded value of the global with declaration
-// index idx, or ⊥ when the site does not record it. Consumers only
-// query globals in the callee's REF set, which are always recorded;
-// the ⊥ default keeps an out-of-contract read sound (never reports a
-// spurious constant).
-func (sv *SiteValues) Global(idx int) lattice.Elem {
-	g := sv.GlobIdx
-	lo, hi := 0, len(g)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(g[mid]) < idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(g) && int(g[lo]) == idx {
-		return sv.GlobVals[lo]
-	}
-	return lattice.BottomElem()
-}
-
 // ProcSummary is everything downstream consumers need from one
 // procedure's flow-sensitive pass: its liveness, how many back in-edges
-// fell back to the flow-insensitive solution, its entry environment
-// (variable name -> value, raw lattice values), and the per-call-site
+// fell back to the flow-insensitive solution, the entry frame its SCC
+// run was seeded with (raw lattice values), and the per-call-site
 // values in ir.Func.Calls order.
 type ProcSummary struct {
 	Dead      bool
 	BackEdges int
-	Entry     map[string]lattice.Elem
+	Entry     []lattice.Elem
 	Sites     []SiteValues
 
 	// Degraded marks a summary served from the flow-insensitive
@@ -106,21 +85,21 @@ type ProcSummary struct {
 
 // Stands is the engine's one reuse rule. It reports whether s, a
 // summary computed for the same procedure key, is exactly what an SCC
-// run under entry environment env would produce now: s exists, is not
-// a degradation product, agrees on liveness and on the number of back
+// run under entry frame env would produce now: s exists, is not a
+// degradation product, agrees on liveness and on the number of back
 // in-edges that fell back to the flow-insensitive solution, and its
-// Entry binds exactly env's variables, by name, to Eq elements. Eq is
-// bit-exact for reals, so 0.0 and -0.0 never alias.
+// Entry holds an Eq element in every slot of env. Eq is bit-exact for
+// reals, so 0.0 and -0.0 never alias.
 //
 // Three traversals ask it: the incremental FS run (s is the previous
 // summary under the same key), each round of the iterative method, and
 // the returns refresh (s is the summary being refreshed).
-func (s *ProcSummary) Stands(env lattice.Env[*sem.Var], live bool, backEdges int) bool {
+func (s *ProcSummary) Stands(env []lattice.Elem, live bool, backEdges int) bool {
 	if s == nil || s.Degraded || s.Dead != !live || s.BackEdges != backEdges || len(s.Entry) != len(env) {
 		return false
 	}
-	for v, e := range env {
-		if old, ok := s.Entry[v.Name]; !ok || !old.Eq(e) {
+	for i, e := range env {
+		if !s.Entry[i].Eq(e) {
 			return false
 		}
 	}
@@ -145,25 +124,18 @@ type CallAnswer struct {
 	Exit   []lattice.Elem
 }
 
-// ExitBinding is one variable of a portable exit environment: a formal
-// by parameter position, or a global by declaration index (Global).
-// Names would not do: a formal may share the name of a global its
-// procedure does not use, and both can leave it with constant values.
-type ExitBinding struct {
-	Global bool
-	Index  int
-	Val    lattice.Elem
-}
-
 // ReturnsRecord is one procedure's result from the returns traversal
-// (§3.2): its raw return value, its exit environment in portable form,
-// the summary re-derived from that traversal's fixpoint, and the
-// answers its call sites received, in ir.Func.Calls order.
+// (§3.2): its raw return value, its exit frame (the constant exit
+// value of each formal and segment global, ⊥ elsewhere, in the entry
+// frame's layout), whether it can return at all, the summary
+// re-derived from that traversal's fixpoint, and the answers its call
+// sites received, in ir.Func.Calls order.
 type ReturnsRecord struct {
-	Return  lattice.Elem
-	Exit    []ExitBinding
-	Summary *ProcSummary
-	Calls   []CallAnswer
+	Return    lattice.Elem
+	Exit      []lattice.Elem
+	CanReturn bool
+	Summary   *ProcSummary
+	Calls     []CallAnswer
 }
 
 // Stands is the returns-stage reuse rule, asked only for a procedure

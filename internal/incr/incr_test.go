@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fsicp/internal/lattice"
-	"fsicp/internal/sem"
 	"fsicp/internal/val"
 )
 
@@ -116,17 +115,15 @@ func TestNonStructuralRunKeepsValueCache(t *testing.T) {
 
 // TestStands pins the reuse rule: a summary stands only for a live
 // (or dead) procedure matching its liveness, with the same back-edge
-// count, binding exactly the environment's variables to bit-identical
-// elements, and never when degraded.
+// count, holding exactly the frame's slots as bit-identical elements,
+// and never when degraded.
 func TestStands(t *testing.T) {
-	x := &sem.Var{Name: "x", Kind: sem.KindFormal}
-	g := &sem.Var{Name: "g", Kind: sem.KindGlobal}
-	env := lattice.Env[*sem.Var]{x: lattice.Const(val.Real(0)), g: lattice.BottomElem()}
+	frame := func() []lattice.Elem {
+		return []lattice.Elem{lattice.Const(val.Real(0)), lattice.BottomElem()}
+	}
+	env := frame()
 	base := func() *ProcSummary {
-		return &ProcSummary{BackEdges: 1, Entry: map[string]lattice.Elem{
-			"x": lattice.Const(val.Real(0)),
-			"g": lattice.BottomElem(),
-		}}
+		return &ProcSummary{BackEdges: 1, Entry: frame()}
 	}
 	if !base().Stands(env, true, 1) {
 		t.Fatal("an identical summary must stand")
@@ -152,18 +149,22 @@ func TestStands(t *testing.T) {
 		t.Error("a different back-edge count must not stand")
 	}
 	s = base()
-	delete(s.Entry, "g")
+	s.Entry = s.Entry[:1]
 	if s.Stands(env, true, 1) {
-		t.Error("a summary missing a name must not stand")
+		t.Error("a summary missing a slot must not stand")
 	}
 	s = base()
-	s.Entry["y"] = lattice.BottomElem()
-	delete(s.Entry, "g")
+	s.Entry = append(s.Entry, lattice.BottomElem())
 	if s.Stands(env, true, 1) {
-		t.Error("a summary binding another name must not stand")
+		t.Error("a summary with an extra slot must not stand")
 	}
 	s = base()
-	s.Entry["x"] = lattice.Const(val.Real(math.Copysign(0, -1)))
+	s.Entry[0], s.Entry[1] = s.Entry[1], s.Entry[0]
+	if s.Stands(env, true, 1) {
+		t.Error("a summary binding the values to other slots must not stand")
+	}
+	s = base()
+	s.Entry[0] = lattice.Const(val.Real(math.Copysign(0, -1)))
 	if s.Stands(env, true, 1) {
 		t.Error("-0.0 must not stand for 0.0")
 	}
@@ -282,9 +283,9 @@ func TestCacheBelowLimitNeverAges(t *testing.T) {
 
 func TestEnvKeyDistinguishesExactFloats(t *testing.T) {
 	// Two adjacent float64 values that %g formatting may collapse.
-	a := map[string]lattice.Elem{"x": lattice.Const(val.Real(1))}
-	b := map[string]lattice.Elem{"x": lattice.Const(val.Real(math.Nextafter(1, 2)))}
-	c := map[string]lattice.Elem{"x": lattice.Const(val.Real(1))}
+	a := []lattice.Elem{lattice.Const(val.Real(1))}
+	b := []lattice.Elem{lattice.Const(val.Real(math.Nextafter(1, 2)))}
+	c := []lattice.Elem{lattice.Const(val.Real(1))}
 	if EnvKey(a, true) == EnvKey(b, true) {
 		t.Fatal("EnvKey must encode reals exactly")
 	}
@@ -296,18 +297,26 @@ func TestEnvKeyDistinguishesExactFloats(t *testing.T) {
 	}
 }
 
-func TestEnvKeyOrderIndependent(t *testing.T) {
-	a := map[string]lattice.Elem{
-		"x": lattice.Const(val.Int(1)),
-		"y": lattice.BottomElem(),
-		"z": lattice.TopElem(),
-	}
-	b := map[string]lattice.Elem{
-		"z": lattice.TopElem(),
-		"y": lattice.BottomElem(),
-		"x": lattice.Const(val.Int(1)),
-	}
-	if EnvKey(a, true) != EnvKey(b, true) {
-		t.Fatal("EnvKey must not depend on map iteration order")
+// TestEnvKeyIsPositional: a frame's key tells slots apart by position
+// and frames apart by length.
+func TestEnvKeyIsPositional(t *testing.T) {
+	one, bot, top := lattice.Const(val.Int(1)), lattice.BottomElem(), lattice.TopElem()
+	keys := map[string]string{}
+	for name, frame := range map[string][]lattice.Elem{
+		"empty":  nil,
+		"1,⊥":    {one, bot},
+		"⊥,1":    {bot, one},
+		"⊥":      {bot},
+		"⊥,⊥":    {bot, bot},
+		"⊤":      {top},
+		"1,⊥,⊤":  {one, bot, top},
+		"1i,1.0": {one, lattice.Const(val.Real(1))},
+		"1.0,1i": {lattice.Const(val.Real(1)), one},
+	} {
+		k := EnvKey(frame, true)
+		if other, ok := keys[k]; ok {
+			t.Errorf("frames %s and %s share a key", name, other)
+		}
+		keys[k] = name
 	}
 }

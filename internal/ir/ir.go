@@ -614,6 +614,36 @@ func (f *Func) VarOrd(v *sem.Var) int {
 	return -1
 }
 
+// FrameLen returns the length of the procedure's environment frame:
+// one slot per formal, by position, then one per global of the
+// segment, in declaration order. Entry and exit environments take this
+// form: they bind exactly the variables an SCC run seeds from the
+// entry.
+func (f *Func) FrameLen() int { return len(f.Proc.Params) + f.numGlobals }
+
+// FrameVar returns the variable of slot k of the procedure's
+// environment frame.
+func (f *Func) FrameVar(k int) *sem.Var {
+	if np := len(f.Proc.Params); k >= np {
+		return f.AllVars[f.globalOff+k-np]
+	}
+	return f.Proc.Params[k]
+}
+
+// FrameSlot returns v's slot in the procedure's environment frame, or
+// -1 when v is neither one of its formals nor in its global segment.
+func (f *Func) FrameSlot(v *sem.Var) int {
+	switch {
+	case v.Kind == sem.KindFormal && v.Owner == f.Proc:
+		return v.Index
+	case v.IsGlobal():
+		if o := f.VarOrd(v); o >= 0 {
+			return len(f.Proc.Params) + o - f.globalOff
+		}
+	}
+	return -1
+}
+
 // CloneInstr deep-copies one instruction, mapping every variable
 // operand through mapVar. Used by transformation passes that graft code
 // between procedures (inlining, cloning).

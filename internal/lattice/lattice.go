@@ -109,10 +109,9 @@ func (e Elem) String() string {
 	}
 }
 
-// Env is a variable environment used to seed procedure entries with
-// interprocedural constants. The analysis builds entry environments
-// as an Env directly, presized to the procedure's formals and global
-// segment. A nil Env behaves as "everything ⊥".
+// Env is a variable environment keyed by variable: the map form the
+// analysis reports its entry and exit environments in. A nil Env
+// behaves as "everything ⊥".
 type Env[K comparable] map[K]Elem
 
 // Get returns the element for k, defaulting to ⊥ when absent.
@@ -124,19 +123,4 @@ func (e Env[K]) Get(k K) Elem {
 		return el
 	}
 	return BottomElem()
-}
-
-// MeetInto lowers the entry for k by meeting it with el; absent keys
-// start at ⊤. It reports whether the entry changed.
-func (e Env[K]) MeetInto(k K, el Elem) bool {
-	old, ok := e[k]
-	if !ok {
-		old = TopElem()
-	}
-	nw := Meet(old, el)
-	if ok && nw.Eq(old) {
-		return false
-	}
-	e[k] = nw
-	return true
 }

@@ -1,7 +1,10 @@
 package progen_test
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fsicp/internal/ast"
@@ -134,39 +137,60 @@ func TestJumpFunctionSoundness(t *testing.T) {
 }
 
 // TestFSAtLeastAsPreciseAsFI checks the dominance property the paper's
-// tables exhibit: the flow-sensitive method never finds fewer constant
-// formals or constant arguments than the flow-insensitive method.
+// tables exhibit, value by value: every constant the flow-insensitive
+// method finds — a formal or a directly referenced global at a
+// procedure's entry, or an argument at a call site — is the same
+// constant under the flow-sensitive method, where an argument may also
+// be ⊤ (its site is unreachable). It runs on generated programs and on
+// every testdata/programs file.
 func TestFSAtLeastAsPreciseAsFI(t *testing.T) {
 	for seed := int64(200); seed < 240; seed++ {
 		src := progen.Generate(progen.Config{Seed: seed, AllowRecursion: seed%2 == 0, AllowFloats: true})
-		ctx, _ := compile(t, src)
-		fi := icp.Analyze(ctx, icp.Options{Method: icp.FlowInsensitive, PropagateFloats: true})
-		fs := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
-		for _, p := range ctx.CG.Reachable {
-			if fs.Dead[p] {
-				continue // FS proved p never executes: strictly stronger
-			}
-			nfi := len(fi.ConstantFormals(p))
-			nfs := len(fs.ConstantFormals(p))
-			if nfs < nfi {
-				t.Errorf("seed %d: %s FS %d < FI %d constant formals\n%s", seed, p.Name, nfs, nfi, src)
+		checkFSDominatesFI(t, fmt.Sprintf("seed %d", seed), src)
+	}
+	paths, err := filepath.Glob("../../testdata/programs/*.mf")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFSDominatesFI(t, filepath.Base(path), string(src))
+	}
+}
+
+func checkFSDominatesFI(t *testing.T, name, src string) {
+	t.Helper()
+	ctx, _ := compile(t, src)
+	fi := icp.Analyze(ctx, icp.Options{Method: icp.FlowInsensitive, PropagateFloats: true})
+	fs := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
+	for _, p := range ctx.CG.Reachable {
+		if fs.Dead[p] {
+			continue // FS proved p never executes: strictly stronger
+		}
+		check := func(v *sem.Var) {
+			want := fi.Entry[p].Get(v)
+			if got := fs.Entry[p].Get(v); want.IsConst() && !got.Eq(want) {
+				t.Errorf("%s: %s at entry to %s is %v under FS, %v under FI", name, v, p.Name, got, want)
 			}
 		}
-		cfi, cfs := 0, 0
-		for _, e := range ctx.CG.Edges {
-			for _, v := range fi.ArgVals[e.Site] {
-				if v.IsConst() {
-					cfi++
-				}
-			}
-			for _, v := range fs.ArgVals[e.Site] {
-				if v.IsConst() || v.IsTop() { // ⊤ = unreachable, stronger
-					cfs++
-				}
+		for _, f := range p.Params {
+			check(f)
+		}
+		for _, g := range ctx.Prog.Sem.Globals {
+			if ctx.MR.DRef(p).Has(g) {
+				check(g)
 			}
 		}
-		if cfs < cfi {
-			t.Errorf("seed %d: FS %d < FI %d constant args\n%s", seed, cfs, cfi, src)
+	}
+	for _, e := range ctx.CG.Edges {
+		for i, want := range fi.ArgVals[e.Site] {
+			got := fs.ArgVals[e.Site][i]
+			if want.IsConst() && !got.IsTop() && !got.Eq(want) { // ⊤ = unreachable, stronger
+				t.Errorf("%s: argument %d of %s -> %s is %v under FS, %v under FI", name, i, e.Caller.Name, e.Callee.Name, got, want)
+			}
 		}
 	}
 }

@@ -10,7 +10,7 @@
 // Figure 1 relies on exactly this).
 //
 // Interprocedural behaviour is injected through Options: the entry
-// environment supplies the lattice values of formals and globals at
+// frame supplies the lattice values of formals and globals at
 // procedure entry, and the CallResult hook supplies function-result
 // values (the return-constant extension). Calls lower their may-defined
 // variables (by-ref actuals and globals from MOD) to ⊥.
@@ -30,12 +30,13 @@ import (
 
 // Options configures a run.
 type Options struct {
-	// Entry gives the lattice value of formals and globals at procedure
-	// entry. Locals and temporaries always start undefined (⊥ on use
-	// before def). A nil Entry means every formal and global is ⊥ —
-	// plain intraprocedural propagation, as does any variable Entry
-	// does not bind.
-	Entry lattice.Env[*sem.Var]
+	// Entry is the procedure's entry environment as a frame
+	// (ir.Func.FrameSlot): the lattice value of each formal, by
+	// position, then of each global of the segment. Locals and
+	// temporaries always start undefined (⊥ on use before def). A nil
+	// Entry means every formal and global is ⊥ — plain
+	// intraprocedural propagation.
+	Entry []lattice.Elem
 
 	// CallResult, if non-nil, supplies the lattice value of a function
 	// call's result (return-constant extension). Nil, or a nil return
@@ -65,6 +66,18 @@ type Options struct {
 	// set per scc run. The fixpoint is byte-identical either way: every
 	// pooled buffer is fully reinitialised before use.
 	Transient bool
+}
+
+// Frame converts a map-keyed entry environment to fn's frame: env's
+// value of each formal, then of each global of the segment, ⊥ where
+// env binds nothing. The variables it drops are the ones Run never
+// reads.
+func Frame(fn *ir.Func, env lattice.Env[*sem.Var]) []lattice.Elem {
+	frame := make([]lattice.Elem, fn.FrameLen())
+	for k := range frame {
+		frame[k] = env.Get(fn.FrameVar(k))
+	}
+	return frame
 }
 
 // Result holds the fixpoint.
@@ -203,7 +216,11 @@ func Run(s *ssa.SSA, opts Options) *Result {
 	for _, d := range s.EntryDefs {
 		switch d.Var.Kind {
 		case sem.KindFormal, sem.KindGlobal:
-			e.lower(d, opts.Entry.Get(d.Var))
+			v := lattice.BottomElem()
+			if k := s.Fn.FrameSlot(d.Var); k < len(opts.Entry) {
+				v = opts.Entry[k]
+			}
+			e.lower(d, v)
 		default:
 			// Undefined local/temp: unknown on use-before-def.
 			e.lower(d, lattice.BottomElem())

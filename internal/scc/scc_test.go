@@ -13,7 +13,7 @@ import (
 )
 
 // runOn builds SSA and runs SCC on the named procedure.
-func runOn(t *testing.T, src, proc string, entry lattice.Env[*sem.Var]) (*ir.Func, *scc.Result) {
+func runOn(t *testing.T, src, proc string, entry []lattice.Elem) (*ir.Func, *scc.Result) {
 	t.Helper()
 	p := testutil.MustBuild(t, src)
 	f := testutil.FuncByName(t, p, proc)
@@ -117,7 +117,7 @@ proc main() { call sub1(0) }`
 	f1v := testutil.VarByName(t, f2, "f1")
 	env := lattice.Env[*sem.Var]{f1v: lattice.Const(val.Int(0))}
 	s := ssa.Build(f2)
-	r2 := scc.Run(s, scc.Options{Entry: env})
+	r2 := scc.Run(s, scc.Options{Entry: scc.Frame(f2, env)})
 	got := lattice.Elem{}
 	for _, b := range f2.Blocks {
 		for _, in := range b.Instrs {
@@ -239,7 +239,7 @@ proc f(a int) {
 	}
 	s := ssa.Build(f)
 	env := lattice.Env[*sem.Var]{g: lattice.Const(val.Int(1))}
-	r := scc.Run(s, scc.Options{Entry: env})
+	r := scc.Run(s, scc.Options{Entry: scc.Frame(f, env)})
 	var pr *ir.PrintInstr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

@@ -17,7 +17,7 @@ import (
 
 func testSummary(n int64) *incr.ProcSummary {
 	return &incr.ProcSummary{
-		Entry: map[string]lattice.Elem{"x": lattice.Const(val.Int(n))},
+		Entry: []lattice.Elem{lattice.Const(val.Int(n))},
 		Sites: []incr.SiteValues{{
 			Reachable: true,
 			Args:      []lattice.Elem{lattice.Const(val.Int(n)), lattice.BottomElem()},

@@ -50,7 +50,7 @@ func (st *optState) foldFunc(i int) PassReport {
 	}
 
 	s := st.overlay(i)
-	r := scc.Run(s, scc.Options{Entry: env})
+	r := scc.Run(s, scc.Options{Entry: scc.Frame(fn, env)})
 
 	for _, b := range s.Dom.RPO {
 		if !r.BlockExec[b.Index] {

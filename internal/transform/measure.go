@@ -32,7 +32,7 @@ func MeasureEliminations(ctx *icp.Context, env EnvFn) []ProcElim {
 	var out []ProcElim
 	for i, p := range ctx.CG.Reachable {
 		s := ctx.SSA(i)
-		r := scc.Run(s, scc.Options{Entry: env(p)})
+		r := scc.Run(s, scc.Options{Entry: scc.Frame(s.Fn, env(p))})
 		e := ProcElim{Proc: p}
 		for _, b := range s.Dom.RPO {
 			if !r.BlockExec[b.Index] {

@@ -57,7 +57,7 @@ func CountSubstitutions(ctx *icp.Context, env EnvFn) Count {
 	c := Count{ByProc: make(map[*sem.Proc]int)}
 	for i, p := range ctx.CG.Reachable {
 		s := ctx.SSA(i)
-		r := scc.Run(s, scc.Options{Entry: env(p)})
+		r := scc.Run(s, scc.Options{Entry: scc.Frame(s.Fn, env(p))})
 		n := countProc(r)
 		c.ByProc[p] = n
 		c.Substitutions += n

@@ -68,13 +68,13 @@ echo "== incremental determinism (race) =="
 # equal a cold run: the interprocedural edit replay, the stale-reuse
 # repros (a callee's REF set grows; a caller drops a call; a callee's
 # returned constant or by-reference exit value changes; a call edge
-# flips between forward and back; a formal shares a global's name) in
-# the library and through the daemon's /update, the update fuzzer's
-# seeds, a global-initializer edit under the layout-only program key,
-# the FS row's run= counting every SCC run (a name clash skips the
-# value cache), the returns traversal's own outputs (return values,
-# exit environments, summaries) over an edit stream, and a one-shot
-# engine building no records.
+# flips between forward and back; a formal shares a global's name; a
+# caller's by-reference global grows a callee's segment) in the
+# library and through the daemon's /update, the update fuzzer's seeds,
+# a global-initializer edit under the layout-only program key, the FS
+# row's run= counting every SCC run, the returns traversal's own
+# outputs (return values, exit environments, summaries) over an edit
+# stream, and a one-shot engine building no records.
 go test -race -count=1 \
     -run 'TestSessionDifferentialEditReplay|TestSessionStaleReuse|FuzzSessionUpdate|TestSessionProgramKeyIgnoresGlobalInitializers|TestSessionEntryNameClash|TestSessionRunCountsEverySCCRun' \
     .

@@ -272,6 +272,24 @@ proc q() {
 
 var nameClashV2 = strings.Replace(nameClashV1, "  call p(a)\n", "  print 0\n  call p(a)\n", 1)
 
+// Passing the global g to p by reference, where v1 passed a local,
+// aliases p's formal with g, which puts g into REF(p) and p's segment.
+// p's IR does not change, so only the segment, which its key covers,
+// tells v2's entry frame layout from v1's.
+const segmentGrowthV1 = `program seg
+global g int = 5
+proc main() {
+  use g
+  var a int = 3
+  call p(a)
+}
+proc p(x int) {
+  print x
+}
+`
+
+var segmentGrowthV2 = strings.Replace(segmentGrowthV1, "call p(a)", "call p(g)", 1)
+
 // TestSessionStaleReuse replays the stale-reuse repros under every
 // flow-sensitive configuration: v1, Analyze, Update(v2), Analyze must
 // equal a cold Load(v2).
@@ -283,6 +301,7 @@ func TestSessionStaleReuse(t *testing.T) {
 		{"exit-change", exitChangeV1, exitChangeV2},
 		{"edge-flip", edgeFlipV1, edgeFlipV2},
 		{"name-clash", nameClashV1, nameClashV2},
+		{"segment-growth", segmentGrowthV1, segmentGrowthV2},
 	}
 	configs := []struct {
 		name string
@@ -321,10 +340,10 @@ func TestSessionStaleReuse(t *testing.T) {
 
 // p's formal g shares its name with the global g, which p reaches
 // through q's REF set, so p's entry environment binds both: the formal
-// 1 and the global 2 in v1, the formal 2 and the global 1 in v2. By
-// name they collapse to one entry, and which value survives depends on
-// map order, so v2 could find v1's site values in the value cache and
-// hand q the global 2.
+// 1 and the global 2 in v1, the formal 2 and the global 1 in v2.
+// Keyed by name, they would collapse to one entry whose value depends
+// on map order, so v2 could find v1's site values in the value cache
+// and hand q the global 2; a frame keeps them in separate slots.
 const entryClashV1 = `program clash
 global g int = 1
 proc main() {
@@ -376,9 +395,8 @@ func TestSessionEntryNameClash(t *testing.T) {
 }
 
 // TestSessionRunCountsEverySCCRun: the FS row's run= counts every SCC
-// run, including one whose entry environment lost a name (entryClashV1's
-// p) and so ran without a value-cache lookup. A first Analyze builds
-// SSA exactly for the procedures FS runs SCC on.
+// run, entryClashV1's p included, whose formal and global share a name.
+// A first Analyze builds SSA exactly for the procedures FS runs SCC on.
 func TestSessionRunCountsEverySCCRun(t *testing.T) {
 	sess, err := fsicp.NewSession("t.mf", entryClashV1)
 	if err != nil {
@@ -665,12 +683,11 @@ func passNote(a *fsicp.Analysis, pass, key string) int {
 // TestSessionBuildsSSAOnlyWhereRead checks that an edit builds SSA
 // only for the procedures some pass runs SCC on. FS runs it for every
 // procedure whose previous summary does not stand and whose summary
-// the value cache does not answer; on this program, with no formal
-// named like a global, those are its value-cache misses. With return constants on, the
-// returns traversal runs it for every live procedure FS ran or took
-// from the cache, and for those whose call answers changed. Both
-// stats rows count their SCC runs as run=; only dead procedures are
-// FS's alone.
+// the value cache does not answer: its value-cache misses. With return
+// constants on, the returns traversal runs it for every live procedure
+// FS ran or took from the cache, and for those whose call answers
+// changed. Both stats rows count their SCC runs as run=; only dead
+// procedures are FS's alone.
 func TestSessionBuildsSSAOnlyWhereRead(t *testing.T) {
 	configs := []struct {
 		name string
