@@ -167,12 +167,6 @@ type Options struct {
 	Incr *incr.Engine
 }
 
-// DefaultOptions returns the configuration used for the paper's main
-// tables: flow-sensitive, floats on, returns off.
-func DefaultOptions() Options {
-	return Options{Method: FlowSensitive, PropagateFloats: true}
-}
-
 // context returns the run's context, never nil.
 func (o Options) context() context.Context {
 	if o.Ctx != nil {

@@ -458,7 +458,7 @@ proc leaf() {
 }
 
 func TestAnalysisTimeRecorded(t *testing.T) {
-	r := analyze(t, Figure1, icp.DefaultOptions())
+	r := analyze(t, Figure1, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 	if r.AnalysisTime <= 0 {
 		t.Error("analysis time not recorded")
 	}

@@ -94,10 +94,6 @@ func (e Elem) Eq(f Elem) bool {
 	return e.Val.Equal(f.Val)
 }
 
-// Leq reports whether e ⊑ f (e is lower than or equal to f in the
-// lattice order with ⊥ at the bottom).
-func Leq(e, f Elem) bool { return Meet(e, f).Eq(e) }
-
 func (e Elem) String() string {
 	switch e.Level {
 	case Top:

@@ -30,6 +30,10 @@ func (Elem) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(e)
 }
 
+// Leq reports whether e ⊑ f (e is lower than or equal to f in the
+// lattice order with ⊥ at the bottom).
+func Leq(e, f Elem) bool { return Meet(e, f).Eq(e) }
+
 func TestMeetCommutative(t *testing.T) {
 	f := func(a, b Elem) bool { return Meet(a, b).Eq(Meet(b, a)) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -2,16 +2,30 @@ package ssa
 
 import "fsicp/internal/ir"
 
-// This file lets transformation passes rewrite instructions in place
-// while keeping the overlay's def-use tables consistent, so a pipeline
-// of passes (fold, copy propagation, CSE, LICM) can compose on one
-// overlay instead of rebuilding SSA from scratch between passes.
+// This file lets transformation passes edit instructions in place
+// while keeping the overlay's def-use tables consistent, so the whole
+// pipeline (fold, copy propagation, dead-store elimination, CSE, LICM)
+// composes on one overlay instead of rebuilding SSA between passes.
 //
-// The contract throughout: the rewritten instruction keeps its dense
-// InstrID (ir.TransferID), so every ID-indexed table stays valid, and
-// the *Definition objects it creates are reused — their IDs, lattice
-// values, and use lists survive, only their Instr pointer moves. A pass
-// that changes the CFG itself (branch folding) must still rebuild.
+// The contract throughout: an edit leaves the overlay equal to what
+// Build would make of the edited function, up to definition IDs, and
+// the *Definition objects it keeps are reused — their IDs, lattice
+// values, and use lists survive. A rewritten instruction keeps its dense
+// InstrID (ir.TransferID); grafts and deletions renumber the function
+// and remap the ID-indexed tables (RenumberInstrs). Only a pass that
+// changes the CFG itself (branch folding) must rebuild.
+//
+// The two edits that add or remove definitions are exact by SSA's path
+// property: every use sees the last definition on every path to it.
+//
+//   - A const at the head of the entry block is the last definition of
+//     its variable on every path from entry, so it reaches exactly what
+//     the entry definition reached (GraftEntryConsts). φ placement does
+//     not change, because the entry block already seeds every
+//     variable's placement.
+//   - A store with no uses, φ arguments included, is never the last
+//     definition on a path to any use or φ, so deleting it moves no φ
+//     and no reaching definition (DeleteStore).
 
 // removeInstrUse deletes one use record of in from d's use list.
 func removeInstrUse(d *Definition, in ir.Instr) {
@@ -92,38 +106,91 @@ func (s *SSA) ReplaceTermOperand(b *ir.Block, k int, nd *Definition) {
 	nd.Uses = append(nd.Uses, Use{Kind: UseTerm, Block: b})
 }
 
+// GraftEntryConsts inserts consts, in order, at the head of the entry
+// block, each assigning a distinct tracked variable. Each takes over its
+// variable's entry definition: that Definition becomes the const's, with
+// its ID and uses — every operand, φ argument and call or return
+// snapshot it reached — kept, and a fresh entry definition with no uses
+// replaces it in EntryDefs. The entry block must have no predecessors
+// (the IR builder never branches back to it), so no φ there could
+// shadow a graft.
+func (s *SSA) GraftEntryConsts(consts []*ir.ConstInstr) {
+	if len(consts) == 0 {
+		return
+	}
+	eb := s.Fn.Entry()
+	if len(eb.Preds) > 0 {
+		panic("ssa: graft into an entry block with predecessors")
+	}
+	instrs := make([]ir.Instr, 0, len(consts)+len(eb.Instrs))
+	for _, c := range consts {
+		instrs = append(instrs, c)
+	}
+	eb.Instrs = append(instrs, eb.Instrs...)
+	s.RenumberInstrs()
+
+	fresh := make([]Definition, len(consts))
+	taken := make([]*Definition, len(consts))
+	for k, c := range consts {
+		vi := s.ord(c.Dst)
+		d := s.EntryDefs[vi]
+		d.Kind, d.Block, d.Instr, d.DefIdx = DefInstr, eb, c, 0
+		taken[k] = d
+		s.instrDefs[c.InstrID()] = taken[k : k+1 : k+1]
+		fresh[k] = Definition{ID: len(s.Defs), Var: c.Dst, Kind: DefEntry}
+		s.Defs = append(s.Defs, &fresh[k])
+		s.EntryDefs[vi] = &fresh[k]
+	}
+}
+
+// DeleteStore deletes in, a single-definition instruction whose
+// definition has no uses: it unlinks in's operand uses and marks the
+// definition DefDeleted. The instruction leaves its block at the next
+// RenumberInstrs, so a pass deleting many stores renumbers once.
+func (s *SSA) DeleteStore(in ir.Instr) {
+	id := in.InstrID()
+	ds := s.instrDefs[id]
+	if len(ds) != 1 || len(ds[0].Uses) != 0 {
+		panic("ssa: DeleteStore of an instruction that is not a dead store")
+	}
+	for _, d := range s.useDefs[id] {
+		removeInstrUse(d, in)
+	}
+	s.useDefs[id] = nil
+	ds[0].Kind = DefDeleted
+}
+
 // RenumberInstrs renumbers the function after instructions moved
-// between blocks (LICM) and rebuilds the ID-indexed tables under the
-// new numbering. Block membership and the CFG must be unchanged apart
-// from the moves, and every moved Definition's Block field must already
+// between blocks (LICM), were grafted (GraftEntryConsts) or were deleted
+// (DeleteStore), and remaps the three ID-indexed tables from the old IDs
+// in one pass. A deleted instruction leaves its block here; an
+// unnumbered one (just grafted) gets empty rows. The CFG must be
+// unchanged, and every moved Definition's Block field must already
 // point at its new home.
 func (s *SSA) RenumberInstrs() {
-	type saved struct {
-		in      ir.Instr
-		uses    []*Definition
-		defs    []*Definition
-		globals []*Definition
-	}
-	var list []saved
+	n := 0
 	for _, b := range s.Fn.Blocks {
+		n += len(b.Instrs)
+	}
+	useDefs := make([][]*Definition, n)
+	instrDefs := make([][]*Definition, n)
+	globalsAtCall := make([][]*Definition, n)
+	n = 0
+	for _, b := range s.Fn.Blocks {
+		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			sv := saved{in: in}
 			if id := in.InstrID(); id >= 0 && id < len(s.useDefs) {
-				sv.uses = s.useDefs[id]
-				sv.defs = s.instrDefs[id]
-				sv.globals = s.globalsAtCall[id]
+				if ds := s.instrDefs[id]; len(ds) == 1 && ds[0].Kind == DefDeleted {
+					continue
+				}
+				useDefs[n], instrDefs[n], globalsAtCall[n] = s.useDefs[id], s.instrDefs[id], s.globalsAtCall[id]
 			}
-			list = append(list, sv)
+			kept = append(kept, in)
+			n++
 		}
+		clear(b.Instrs[len(kept):])
+		b.Instrs = kept
 	}
-	n := s.Fn.NumberInstrs()
-	s.useDefs = make([][]*Definition, n)
-	s.instrDefs = make([][]*Definition, n)
-	s.globalsAtCall = make([][]*Definition, n)
-	for _, sv := range list {
-		id := sv.in.InstrID()
-		s.useDefs[id] = sv.uses
-		s.instrDefs[id] = sv.defs
-		s.globalsAtCall[id] = sv.globals
-	}
+	s.useDefs, s.instrDefs, s.globalsAtCall = useDefs[:n], instrDefs[:n], globalsAtCall[:n]
+	s.Fn.NumberInstrs()
 }

@@ -1,10 +1,15 @@
 package ssa_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"fsicp/internal/ir"
+	"fsicp/internal/progen"
+	"fsicp/internal/sem"
 	"fsicp/internal/ssa"
 	"fsicp/internal/testutil"
 	"fsicp/internal/val"
@@ -209,5 +214,181 @@ proc main() {
 	// Dense tables must still resolve the moved instruction.
 	if d := s.DefsOf(moved); len(d) != 1 || d[0].Instr != moved {
 		t.Error("moved instruction lost its definition mapping")
+	}
+}
+
+// TestInPlaceEditsMatchBuild grafts entry constants and deletes every
+// dead store in place, on every procedure of TestVerifyRandomPrograms's
+// generated programs and of every testdata program, and compares the
+// edited overlay with a fresh Build of the edited function after each
+// step. Definitions are matched by kind, variable, and defining
+// instruction or φ block, since their IDs differ.
+func TestInPlaceEditsMatchBuild(t *testing.T) {
+	var names, srcs []string
+	for seed := int64(700); seed < 740; seed++ {
+		names = append(names, fmt.Sprintf("seed %d", seed))
+		srcs = append(srcs, progen.Generate(progen.Config{Seed: seed, AllowRecursion: seed%2 == 0, AllowFloats: true}))
+	}
+	files, err := filepath.Glob("../../testdata/programs/*.mf")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata programs: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, filepath.Base(file))
+		srcs = append(srcs, string(src))
+	}
+	total := 0
+	for i, src := range srcs {
+		for _, fn := range testutil.MustPrepare(t, src).Funcs {
+			where := names[i] + ", " + fn.Proc.Name
+			s := ssa.Build(fn)
+			// Graft every other tracked variable: formals and globals as
+			// fold does, and locals and temps, whose grafts are dead
+			// stores below.
+			var consts []*ir.ConstInstr
+			for vi, v := range fn.AllVars {
+				if vi%2 == 0 {
+					consts = append(consts, &ir.ConstInstr{Dst: v, Val: val.Int(int64(vi))})
+				}
+			}
+			s.GraftEntryConsts(consts)
+			matchBuild(t, where+", after the graft", s)
+
+			deleted := 0
+			for again := true; again; {
+				again = false
+				for _, b := range s.Dom.RPO {
+					for _, in := range b.Instrs {
+						if isDeadStore(s, in) {
+							s.DeleteStore(in)
+							deleted++
+							again = true
+						}
+					}
+				}
+			}
+			s.RenumberInstrs()
+			matchBuild(t, fmt.Sprintf("%s, after %d deletions", where, deleted), s)
+			total += deleted
+		}
+	}
+	if total == 0 {
+		t.Fatal("no dead store was deleted")
+	}
+}
+
+// isDeadStore reports a pure single-definition instruction whose local
+// or temporary destination is never read.
+func isDeadStore(s *ssa.SSA, in ir.Instr) bool {
+	switch in.(type) {
+	case *ir.ConstInstr, *ir.CopyInstr, *ir.UnaryInstr, *ir.BinaryInstr:
+	default:
+		return false
+	}
+	if k := in.Defs()[0].Kind; k != sem.KindLocal && k != sem.KindTemp {
+		return false
+	}
+	d := s.DefsOf(in)[0]
+	return d.Kind == ssa.DefInstr && len(d.Uses) == 0
+}
+
+// defKey identifies a definition independently of its ID.
+type defKey struct {
+	kind  ssa.DefKind
+	v     *sem.Var
+	in    ir.Instr
+	idx   int
+	block *ir.Block
+}
+
+func keyOf(d *ssa.Definition) defKey {
+	if d == nil {
+		return defKey{kind: -1}
+	}
+	k := defKey{kind: d.Kind, v: d.Var}
+	switch d.Kind {
+	case ssa.DefInstr:
+		k.in, k.idx = d.Instr, d.DefIdx
+	case ssa.DefPhi:
+		k.block = d.Block
+	}
+	return k
+}
+
+// matchBuild fails unless s, an edited overlay, equals a fresh Build of
+// its function: the same live definitions with the same use counts,
+// entry definitions, reaching definitions of every operand, terminator
+// operand and φ argument, call snapshots, and formal and global slots of
+// the return snapshots (a deleted local store may stay in its slot), and
+// a clean Verify.
+func matchBuild(t *testing.T, where string, s *ssa.SSA) {
+	t.Helper()
+	mustVerify(t, s, where)
+	fresh := ssa.Build(s.Fn)
+	fn := s.Fn
+	same := func(what string, got, want *ssa.Definition) {
+		t.Helper()
+		if keyOf(got) != keyOf(want) {
+			t.Fatalf("%s: %s reached by %v, a fresh build by %v", where, what, got, want)
+		}
+	}
+
+	uses := make(map[defKey]int)
+	for _, d := range s.Defs {
+		if d.Kind != ssa.DefDeleted {
+			uses[keyOf(d)] = len(d.Uses)
+		}
+	}
+	for _, d := range fresh.Defs {
+		n, ok := uses[keyOf(d)]
+		if !ok {
+			t.Fatalf("%s: a fresh build defines %v, the edited overlay does not", where, d)
+		}
+		if n != len(d.Uses) {
+			t.Fatalf("%s: %v has %d uses, %d in a fresh build", where, d, n, len(d.Uses))
+		}
+		delete(uses, keyOf(d))
+	}
+	if len(uses) != 0 {
+		t.Fatalf("%s: the edited overlay has %d definitions a fresh build lacks", where, len(uses))
+	}
+	for vi := range fn.AllVars {
+		same("entry of "+fn.AllVars[vi].Name, s.EntryDefs[vi], fresh.EntryDefs[vi])
+	}
+
+	for _, b := range fresh.Dom.RPO {
+		if len(s.Phis[b.Index]) != len(fresh.Phis[b.Index]) {
+			t.Fatalf("%s: %s has %d φs, %d in a fresh build", where, b, len(s.Phis[b.Index]), len(fresh.Phis[b.Index]))
+		}
+		for k, phi := range fresh.Phis[b.Index] {
+			same(fmt.Sprintf("φ %d of %s", k, b), s.Phis[b.Index][k].Def, phi.Def)
+			for a, arg := range phi.Args {
+				same(fmt.Sprintf("argument %d of %v", a, phi.Def), s.Phis[b.Index][k].Args[a], arg)
+			}
+		}
+		for _, in := range b.Instrs {
+			for k, d := range fresh.UsesOf(in) {
+				same(fmt.Sprintf("operand %d of %s", k, in), s.UsesOf(in)[k], d)
+			}
+			if call, ok := in.(*ir.CallInstr); ok {
+				for _, g := range fn.Globals() {
+					same(g.Name+" at "+call.String(), s.GlobalAtCall(call, g), fresh.GlobalAtCall(call, g))
+				}
+			}
+		}
+		for k, d := range fresh.TermUses[b.Index] {
+			same(fmt.Sprintf("terminator operand %d of %s", k, b), s.TermUses[b.Index][k], d)
+		}
+		if snap := fresh.RetSnapshots[b.Index]; snap != nil {
+			for vi, v := range fn.AllVars {
+				if v.Kind == sem.KindFormal || v.IsGlobal() {
+					same(v.Name+" at the return of "+b.String(), s.RetSnapshots[b.Index][vi], snap[vi])
+				}
+			}
+		}
 	}
 }

@@ -41,6 +41,9 @@ const (
 	DefInstr
 	// DefPhi is a φ-function.
 	DefPhi
+	// DefDeleted is the definition of a store DeleteStore removed. It
+	// keeps its ID and Instr but defines nothing and has no uses.
+	DefDeleted
 )
 
 // Definition is one SSA definition of a variable.
@@ -125,15 +128,17 @@ type SSA struct {
 	// reaching definition of every variable (indexed like Fn.AllVars)
 	// at the return point (nil for non-return blocks). The
 	// return-constant extension reads formal and global exit values
-	// from it.
+	// from it. A local or temporary slot may hold a store DeleteStore
+	// removed: nothing reads those slots, and DeleteStore leaves them
+	// stale rather than search for the definition the store shadowed.
 	RetSnapshots [][]*Definition
 
 	// Defs is every Definition, indexed by ID.
 	Defs []*Definition
 
-	// defArena holds every Definition of the overlay in one allocation,
-	// sized by Build before the first is made, so building one
-	// procedure's overlay does not cost an allocation per definition.
+	// defArena holds every Definition Build makes in one allocation,
+	// sized before the first is made, so building one procedure's
+	// overlay does not cost an allocation per definition.
 	// Definitions escape into the overlay (Defs, tables), so the arena
 	// lives exactly as long as the SSA itself.
 	defArena []Definition

@@ -31,8 +31,9 @@ func (st *optState) copyPropFunc(i int) PassReport {
 
 	// step follows one copy link for a use in block b; pos is the use's
 	// instruction ID for same-block ordering (block-order numbering is
-	// current: ssa.Build numbers, and the fold pass preserves IDs), or
-	// -1 for a terminator use (which follows every instruction).
+	// current: ssa.Build numbers, fold's rewrites keep IDs and its graft
+	// renumbers), or -1 for a terminator use (which follows every
+	// instruction).
 	step := func(d *ssa.Definition, b *ir.Block, pos int) *ssa.Definition {
 		if d.Kind != ssa.DefInstr {
 			return nil

@@ -13,39 +13,43 @@ import (
 // redirected past a copy leaves the copy useless — and before CSE, so
 // the dominator walk no longer sees the corpses.
 //
-// Each round deletes every currently dead store at once, then rebuilds
-// the overlay: deleting a store can strand the stores feeding it, so
-// rounds repeat until none is found (chains die one link per round,
-// bounded by the longest def-use chain).
+// Deleting a store can strand the stores feeding it, so one worklist
+// runs over def-use edges: it starts with every dead store, deletes
+// each in place (ssa.DeleteStore), and adds an operand's store when its
+// last use goes. A dead store is never the last definition on a path to
+// a use or φ, so deleting it moves no φ and no reaching definition:
+// the worklist reaches the fixed point of deleting and rebuilding until
+// nothing is dead. The overlay is renumbered once at the end.
 func (st *optState) dseFunc(i int) PassReport {
 	pr := PassReport{Pass: PassDSE}
-	for {
-		s := st.overlay(i)
-		removed := 0
-		for _, b := range s.Fn.Blocks {
-			orig := b.Instrs
-			keep := orig[:0]
-			for _, in := range orig {
-				if deadStore(s, in) {
-					removed++
-					continue
-				}
-				keep = append(keep, in)
+	s := st.overlay(i)
+	var work []ir.Instr
+	for _, b := range s.Dom.RPO {
+		for _, in := range b.Instrs {
+			if deadStore(s, in) {
+				work = append(work, in)
 			}
-			for k := len(keep); k < len(orig); k++ {
-				orig[k] = nil // release the deleted tail
-			}
-			b.Instrs = keep
 		}
-		if removed == 0 {
-			return pr
-		}
-		pr.DeadStores += removed
-		// Instruction IDs must stay dense and the def/use tables index
-		// the old numbering: renumber and force a rebuild.
-		s.Fn.NumberInstrs()
-		st.ssas[i] = nil
 	}
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		if !deadStore(s, in) {
+			continue // queued again by an instruction that read it twice
+		}
+		uds := s.UsesOf(in)
+		s.DeleteStore(in)
+		pr.DeadStores++
+		for _, d := range uds {
+			if d.Kind == ssa.DefInstr && deadStore(s, d.Instr) {
+				work = append(work, d.Instr)
+			}
+		}
+	}
+	if pr.DeadStores > 0 {
+		s.RenumberInstrs()
+	}
+	return pr
 }
 
 // deadStore reports whether in may be deleted: a pure computation
@@ -77,5 +81,5 @@ func deadStore(s *ssa.SSA, in ir.Instr) bool {
 		return false
 	}
 	defs := s.DefsOf(in)
-	return len(defs) == 1 && len(defs[0].Uses) == 0
+	return len(defs) == 1 && defs[0].Kind == ssa.DefInstr && len(defs[0].Uses) == 0
 }

@@ -12,7 +12,9 @@ import (
 //  1. Interprocedural constants are materialised as assignments at the
 //     procedure entry, for referenced variables only (paper §3:
 //     "Assignment statements are created only for those variables that
-//     are referenced in that procedure").
+//     are referenced in that procedure"). They are grafted into the
+//     overlay in place (ssa.GraftEntryConsts), each taking over its
+//     variable's entry definition.
 //  2. A fresh intraprocedural SCC run (the inserted assignments carry
 //     the interprocedural facts) drives the rewrites: instructions with
 //     constant results become constant loads in place, and conditional
@@ -20,15 +22,15 @@ import (
 //     scc.Result.EdgeExecutable) become jumps.
 //  3. When a branch folded — or the function already had statically
 //     unreachable blocks — the CFG is rebuilt and unreachable blocks
-//     are deleted, which invalidates this function's overlay; otherwise
-//     the overlay stays valid for the next pass.
+//     are deleted, which invalidates this function's overlay: the next
+//     pass builds it again. Otherwise the overlay stays valid.
 func (st *optState) foldFunc(i int) PassReport {
 	pr := PassReport{Pass: PassFold}
 	fn := st.fns[i]
 	p := fn.Proc
 	env := st.envs[i]
 
-	var entry []ir.Instr
+	var entry []*ir.ConstInstr
 	for _, v := range fn.AllVars {
 		e := env.Get(v)
 		if !e.IsConst() {
@@ -43,13 +45,8 @@ func (st *optState) foldFunc(i int) PassReport {
 		entry = append(entry, &ir.ConstInstr{Dst: v, Val: e.Val})
 		pr.EntryAssignments++
 	}
-	if len(entry) > 0 {
-		eb := fn.Entry()
-		eb.Instrs = append(entry, eb.Instrs...)
-		st.ssas[i] = nil // grafted instructions: rebuild below
-	}
-
 	s := st.overlay(i)
+	s.GraftEntryConsts(entry)
 	r := scc.Run(s, scc.Options{Entry: scc.Frame(fn, env)})
 
 	for _, b := range s.Dom.RPO {

@@ -65,14 +65,16 @@ func selectPasses(names []string) ([]string, error) {
 }
 
 // optState is the shared mutable state of one Optimize run: the
-// per-function SSA overlays the passes compose on. ssas[i] is nil when
-// function i's overlay must be (re)built — initially, and again after a
-// pass changed its CFG.
+// per-function SSA overlays the passes compose on, edited in place.
+// ssas[i] is nil when function i's overlay must be (re)built — when the
+// analysis built none, and again after fold changed its CFG. built[i]
+// counts the overlays function i's shard built in the current pass.
 type optState struct {
-	ctx  *icp.Context
-	fns  []*ir.Func
-	envs []lattice.Env[*sem.Var]
-	ssas []*ssa.SSA
+	ctx   *icp.Context
+	fns   []*ir.Func
+	envs  []lattice.Env[*sem.Var]
+	ssas  []*ssa.SSA
+	built []int
 }
 
 // overlay returns function i's current SSA overlay, building it on
@@ -81,6 +83,7 @@ type optState struct {
 func (st *optState) overlay(i int) *ssa.SSA {
 	if st.ssas[i] == nil {
 		st.ssas[i] = ssa.Build(st.fns[i])
+		st.built[i]++
 	}
 	return st.ssas[i]
 }
@@ -101,18 +104,20 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 	}
 
 	st := &optState{
-		ctx:  ctx,
-		fns:  make([]*ir.Func, len(ctx.CG.Reachable)),
-		envs: make([]lattice.Env[*sem.Var], len(ctx.CG.Reachable)),
-		ssas: make([]*ssa.SSA, len(ctx.CG.Reachable)),
+		ctx:   ctx,
+		fns:   make([]*ir.Func, len(ctx.CG.Reachable)),
+		envs:  make([]lattice.Env[*sem.Var], len(ctx.CG.Reachable)),
+		ssas:  make([]*ssa.SSA, len(ctx.CG.Reachable)),
+		built: make([]int, len(ctx.CG.Reachable)),
 	}
 	for i, p := range ctx.CG.Reachable {
 		st.fns[i] = ctx.Prog.FuncOf[p]
 		st.envs[i] = env(p)
 	}
 	// Seed the overlays from the SSA the analyses already built, then
-	// drop the cache immediately: the passes mutate the overlays in
-	// place, so nothing else may read them from here on.
+	// drop the cache immediately: the passes edit the overlays in
+	// place, so nothing else may read them from here on, a
+	// Result.Intra fixpoint over one included.
 	if ctx.SSACache != nil {
 		copy(st.ssas, ctx.SSACache)
 		ctx.InvalidateSSA()
@@ -131,16 +136,20 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 				return len(st.fns), func(i int) { shardReps[i] = run(i) }
 			},
 			Finish: func(ps *driver.PassStats) error {
-				// Shard reports are summed in function index order, so
-				// the report (like the rewrites themselves) is
-				// identical for every worker count.
+				// Shard reports and overlay builds are summed in
+				// function index order, so the report and the notes
+				// (like the rewrites themselves) are identical for
+				// every worker count.
 				pr := PassReport{Pass: name}
-				for _, sr := range shardReps {
+				built := 0
+				for i, sr := range shardReps {
 					pr.Counts.add(sr.Counts)
+					built += st.built[i]
+					st.built[i] = 0
 				}
 				rep.addPass(pr)
 				ps.Procs = len(st.fns)
-				ps.Notes = pr.notes()
+				ps.Notes = fmt.Sprintf("%s ssa=%d", pr.notes(), built)
 				return nil
 			},
 		})
@@ -198,8 +207,9 @@ func (st *optState) shardFn(name string) func(i int) PassReport {
 
 // defCounts returns, per AllVars position, the number of real
 // definitions (instructions, call may-defs, clobbers) of that variable.
-// φ definitions are construction artifacts, not runtime writes, and are
-// not counted: the overlay's non-pruned placement puts a header φ on
+// Stores dead-store elimination deleted are gone and not counted. φ
+// definitions are construction artifacts, not runtime writes, and are
+// not counted either: the overlay's non-pruned placement puts a header φ on
 // every loop-defined variable, so counting them would make "exactly one
 // definition" unsatisfiable for anything assigned inside a loop. The
 // copy-propagation, CSE, and LICM validity conditions all key on
@@ -208,7 +218,7 @@ func (st *optState) shardFn(name string) func(i int) PassReport {
 func defCounts(s *ssa.SSA) []int {
 	nd := make([]int, len(s.Fn.AllVars))
 	for _, d := range s.Defs {
-		if d.Kind == ssa.DefEntry || d.Kind == ssa.DefPhi {
+		if d.Kind != ssa.DefInstr {
 			continue
 		}
 		if vi := s.Fn.VarOrd(d.Var); vi >= 0 {

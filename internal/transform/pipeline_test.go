@@ -1,13 +1,20 @@
 package transform_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"fsicp/internal/driver"
 	"fsicp/internal/icp"
 	"fsicp/internal/interp"
 	"fsicp/internal/ir"
+	"fsicp/internal/irbuild"
+	"fsicp/internal/parser"
 	"fsicp/internal/progen"
+	"fsicp/internal/sem"
+	"fsicp/internal/source"
 	"fsicp/internal/ssa"
 	"fsicp/internal/transform"
 )
@@ -34,9 +41,91 @@ func passSubsets() [][]string {
 func differentialSources() []string {
 	srcs := []string{figure1}
 	for seed := int64(500); seed < 510; seed++ {
-		srcs = append(srcs, progen.Generate(progen.Config{Seed: seed, AllowRecursion: seed%2 == 0, AllowFloats: true}))
+		srcs = append(srcs, generated(seed))
 	}
 	return srcs
+}
+
+// generated is the differential corpus's program for a progen seed:
+// even seeds allow recursion.
+func generated(seed int64) string {
+	return progen.Generate(progen.Config{Seed: seed, AllowRecursion: seed%2 == 0, AllowFloats: true})
+}
+
+// FuzzOptimize runs the passes the low five bits of mask select, in
+// AllPasses order (none selected runs them all), under the
+// flow-sensitive solution, over the generated program of seed, or over
+// src when it is not empty (how figure 1 enters the corpus). The
+// optimized program must print what the original prints, and its dump
+// and report must be the same at workers 1 and 4.
+func FuzzOptimize(f *testing.F) {
+	f.Add(figure1, int64(0), uint8(31))
+	for seed := int64(500); seed < 510; seed++ { // differentialSources' seeds
+		f.Add("", seed, uint8(31))
+	}
+	f.Fuzz(func(t *testing.T, src string, seed int64, mask uint8) {
+		if src == "" {
+			src = generated(seed)
+		}
+		orig, ok := tryPrep(src)
+		if !ok {
+			t.Skip("source does not compile")
+		}
+		ref := interp.Run(orig.Prog, interp.Options{})
+		if ref.Err != nil {
+			t.Skip("the original program does not run to completion")
+		}
+		var passes []string
+		for i, p := range transform.AllPasses() {
+			if mask&(1<<i) != 0 {
+				passes = append(passes, p)
+			}
+		}
+		var dump1 string
+		var rep1 transform.Report
+		for _, w := range []int{1, 4} {
+			ctx, _ := tryPrep(src)
+			r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
+			rep, err := transform.Optimize(ctx, envOf(r), transform.Options{Passes: passes, Workers: w})
+			if err != nil {
+				t.Fatalf("passes %v workers=%d: %v", passes, w, err)
+			}
+			if w == 1 {
+				got := interp.Run(ctx.Prog, interp.Options{})
+				if got.Err != nil || got.Output != ref.Output {
+					t.Fatalf("passes %v: optimized program printed %q (err %v), the original %q\nprogram:\n%s",
+						passes, got.Output, got.Err, ref.Output, src)
+				}
+				dump1, rep1 = ctx.Prog.Dump(), rep
+				continue
+			}
+			if ctx.Prog.Dump() != dump1 {
+				t.Fatalf("passes %v: program dump at workers=%d differs from workers=1", passes, w)
+			}
+			if !reflect.DeepEqual(rep, rep1) {
+				t.Fatalf("passes %v: report at workers=%d %+v differs from workers=1 %+v", passes, w, rep, rep1)
+			}
+		}
+	})
+}
+
+// tryPrep compiles and prepares src, reporting false on any front-end
+// error.
+func tryPrep(src string) (*icp.Context, bool) {
+	f := source.NewFile("fuzz.mf", src)
+	astProg, err := parser.ParseFile(f)
+	if err != nil {
+		return nil, false
+	}
+	semProg, err := sem.Check(astProg, f)
+	if err != nil {
+		return nil, false
+	}
+	prog, err := irbuild.Build(semProg)
+	if err != nil {
+		return nil, false
+	}
+	return icp.Prepare(prog), true
 }
 
 // TestOptimizePreservesSemanticsAllSubsets runs every non-empty pass
@@ -358,7 +447,8 @@ proc main() {
 }
 
 func TestDSEChainsDieAcrossRounds(t *testing.T) {
-	// d feeds only e, e feeds nothing: two rounds needed.
+	// d feeds only e, e feeds nothing: deleting e strands d, which the
+	// worklist then deletes too.
 	ctx := prep(t, `program p
 proc main() {
   var a int
@@ -383,6 +473,67 @@ proc main() {
 	dump := ctx.Prog.FuncOf[ctx.Prog.Sem.ProcByName["main"]].Dump()
 	if strings.Contains(dump, "main.d =") || strings.Contains(dump, "main.e =") {
 		t.Errorf("dead chain not fully removed:\n%s", dump)
+	}
+}
+
+// TestOptimizeRebuildsOnlyChangedCFGs checks that the passes edit the
+// overlays the analysis built in place: each pass row's notes end in
+// the number of overlays it built, which is zero unless fold changed a
+// function's CFG, and then one, in the next pass that reads it.
+func TestOptimizeRebuildsOnlyChangedCFGs(t *testing.T) {
+	const body = `program p
+proc main() {
+  call f(3)
+}
+proc f(a int) {
+  var x int
+  var d int
+  var e int
+  read x
+  d = x + a
+  e = d + 2
+  print a
+%s}`
+	for _, tc := range []struct {
+		name, branch string
+		copyprop     string
+	}{
+		{"no branch", "", "ssa=0"},
+		{"one branch", "  if a == 3 {\n    print 1\n  } else {\n    print 2\n  }\n", "ssa=1"},
+	} {
+		ctx := prep(t, fmt.Sprintf(body, tc.branch))
+		r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
+		tr := driver.NewTrace()
+		rep, err := transform.Optimize(ctx, envOf(r), transform.Options{Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The graft of a = 3 and the two-link chain e, d are edits in
+		// place; only the folded branch changes a CFG.
+		if rep.EntryAssignments == 0 || rep.DeadStores < 2 {
+			t.Fatalf("%s: want an entry graft and a dead chain: %+v", tc.name, rep.Counts)
+		}
+		if folded := tc.branch != ""; (rep.FoldedBranches == 1) != folded {
+			t.Fatalf("%s: %d branches folded", tc.name, rep.FoldedBranches)
+		}
+		rows := 0
+		for _, ps := range tr.Passes() {
+			want := "ssa=0"
+			switch ps.Name {
+			case "opt-copyprop":
+				want = tc.copyprop
+			case "opt-fold", "opt-dse", "opt-cse", "opt-licm":
+			default:
+				continue
+			}
+			rows++
+			if !strings.HasSuffix(ps.Notes, " "+want) {
+				t.Errorf("%s: %s notes %q, want them to end in %s", tc.name, ps.Name, ps.Notes, want)
+			}
+		}
+		if rows != len(transform.AllPasses()) {
+			t.Errorf("%s: %d pass rows, want %d", tc.name, rows, len(transform.AllPasses()))
+		}
 	}
 }
 

@@ -95,6 +95,17 @@ go test -race -count=10 \
     -run 'TestSessionBuildsSSAOnlyWhereRead|TestConcurrentAnalyze' \
     .
 
+echo "== optimizer on one SSA per procedure (race) =="
+# The optimizer edits the overlays the analysis built in place and
+# rebuilds one only where fold changed a CFG: the pipeline must stay
+# schedule-independent, each pass row must count the overlays it built,
+# and a graft of entry constants plus every dead-store deletion must
+# leave an overlay equal to a fresh build.
+go test -race -count=1 \
+    -run 'TestOptimizeDeterministicAcrossWorkers|TestOptimizeRebuildsOnlyChangedCFGs' \
+    ./internal/transform
+go test -race -count=1 -run 'TestInPlaceEditsMatchBuild' ./internal/ssa
+
 echo "== load/delta-skip/global-domain determinism (race) =="
 # The analysis-phase fast paths — the sharded load, delta-propagation
 # skips and the sparse global domain — must be invisible in the
