@@ -68,6 +68,12 @@ type PassStats struct {
 	// on tiny heaps.
 	HeapBytes uint64
 	GCs       uint32
+	// LiveBytes is the heap the last completed mark phase found live
+	// when the pass finished (runtime/metrics /gc/heap/live:bytes).
+	// HeapBytes also counts garbage not yet swept, so it varies with
+	// where the collector's cycle happens to stand; LiveBytes shows what
+	// the program retains, as of that collection.
+	LiveBytes uint64
 
 	// Levels and Width describe the wavefront schedule of a parallel
 	// analysis pass: the topological level count and the widest
@@ -103,34 +109,35 @@ func (t *Trace) Record(st PassStats) {
 
 // Time runs f, measuring its wall-clock time and memory, and records
 // the result under name. f may fill in Procs and Notes; Name, Wall,
-// HeapBytes and GCs are set by Time. f always runs, even on a nil
-// trace, which skips the measurements.
+// HeapBytes, LiveBytes and GCs are set by Time. f always runs, even on
+// a nil trace, which skips the measurements.
 func (t *Trace) Time(name string, f func(st *PassStats)) {
 	st := PassStats{Name: name}
 	if t == nil {
 		f(&st)
 		return
 	}
-	_, gcBase := readMem()
+	_, _, gcBase := readMem()
 	start := time.Now()
 	f(&st)
 	st.Wall = time.Since(start)
-	heap, gcs := readMem()
-	st.HeapBytes, st.GCs = heap, uint32(gcs-gcBase)
+	heap, live, gcs := readMem()
+	st.HeapBytes, st.LiveBytes, st.GCs = heap, live, uint32(gcs-gcBase)
 	st.Name = name
 	t.Record(st)
 }
 
-// readMem samples the heap held by allocated objects and the completed
-// GC cycle count through runtime/metrics, which does not stop the
-// world.
-func readMem() (heap, gcs uint64) {
-	s := [2]metrics.Sample{
+// readMem samples the heap held by allocated objects, the heap live at
+// the last completed mark, and the completed GC cycle count through
+// runtime/metrics, which does not stop the world.
+func readMem() (heap, live, gcs uint64) {
+	s := [3]metrics.Sample{
 		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/gc/heap/live:bytes"},
 		{Name: "/gc/cycles/total:gc-cycles"},
 	}
 	metrics.Read(s[:])
-	return s[0].Value.Uint64(), s[1].Value.Uint64()
+	return s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64()
 }
 
 // Passes returns a copy of the recorded stats in record order.
@@ -170,7 +177,7 @@ func (t *Trace) Table() string {
 
 		diskHits   int
 		diskMisses int
-		heap       uint64
+		heap, live uint64
 		gcs        uint32
 		levels     int
 		width      int
@@ -197,9 +204,8 @@ func (t *Trace) Table() string {
 		r.degraded += st.Degraded
 		r.diskHits += st.DiskHits
 		r.diskMisses += st.DiskMisses
-		if st.HeapBytes > r.heap {
-			r.heap = st.HeapBytes
-		}
+		r.heap = max(r.heap, st.HeapBytes)
+		r.live = max(r.live, st.LiveBytes)
 		r.gcs += st.GCs
 		if st.Levels > r.levels {
 			r.levels = st.Levels
@@ -240,7 +246,7 @@ func (t *Trace) Table() string {
 			notes = strings.TrimSpace(notes + fmt.Sprintf(" degraded=%d", r.degraded))
 		}
 		if r.heap > 0 {
-			notes = strings.TrimSpace(notes + fmt.Sprintf(" heap=%s gc=%d", fmtBytes(r.heap), r.gcs))
+			notes = strings.TrimSpace(notes + fmt.Sprintf(" heap=%s live=%s gc=%d", fmtBytes(r.heap), fmtBytes(r.live), r.gcs))
 		}
 		fmt.Fprintf(&b, "%-16s %5d %10s %6s  %s\n", r.name, r.runs, fmtDuration(r.wall), procs, notes)
 		total += r.wall

@@ -231,3 +231,23 @@ func TestTimeSamplesMemory(t *testing.T) {
 		t.Errorf("table shows no heap= note:\n%s", tr.Table())
 	}
 }
+
+// TestTimeSamplesLiveHeap: a pass that retains 8 MiB and collects
+// before returning reads at least that much in LiveBytes, the heap its
+// last mark found live, and the table renders it as live=.
+func TestTimeSamplesLiveHeap(t *testing.T) {
+	tr := NewTrace()
+	var kept []byte
+	tr.Time("retain", func(*PassStats) {
+		kept = make([]byte, 8<<20)
+		runtime.GC()
+	})
+	st := tr.Passes()[0]
+	if st.LiveBytes < 8<<20 {
+		t.Errorf("LiveBytes = %d, want at least the 8 MiB the pass retains", st.LiveBytes)
+	}
+	if !strings.Contains(tr.Table(), "live=") {
+		t.Errorf("table shows no live= note:\n%s", tr.Table())
+	}
+	runtime.KeepAlive(kept)
+}

@@ -138,8 +138,8 @@ func (st *incrState) commit(sums []*incr.ProcSummary, recs []*incr.ReturnsRecord
 // (modref.Info.RefGlobals) — the paper's sparse per-call-site candidate
 // list — instead of a value per program global.
 func summarize(ctx *Context, p *sem.Proc, r *scc.Result, dead bool, nBack int, entry []lattice.Elem) *incr.ProcSummary {
-	globals := ctx.Prog.Sem.Globals
-	calls := ctx.Prog.FuncOf[p].Calls
+	fn := ctx.Prog.FuncOf[p]
+	calls, segment := fn.Calls, fn.Globals()
 	sum := &incr.ProcSummary{
 		Dead:      dead,
 		BackEdges: nBack,
@@ -170,8 +170,14 @@ func summarize(ctx *Context, p *sem.Proc, r *scc.Result, dead bool, nBack int, e
 			sv.GlobIdx = ctx.MR.RefGlobals(call.Callee)
 			ng := len(sv.GlobIdx)
 			sv.GlobVals, globBacking = globBacking[:ng:ng], globBacking[ng:]
+			// REF(callee) lies in p's segment, and both list globals in
+			// declaration order, so one merge walk finds each position.
+			o := 0
 			for j, gi := range sv.GlobIdx {
-				sv.GlobVals[j] = r.GlobalValueAtCall(call, globals[gi])
+				for segment[o].Index != int(gi) {
+					o++
+				}
+				sv.GlobVals[j] = r.GlobalValueAtCall(call, o)
 			}
 		}
 		sum.Sites[k] = sv

@@ -196,9 +196,9 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			fillStoreStats(st, res, r.ist)
 			st.Cached = st.Hits > 0
 		}
+		res.SCCRuns = int(sccRuns.Load())
+		r.install(res, sums, intra)
 	})
-	res.SCCRuns = int(sccRuns.Load())
-	r.install(res, sums, intra)
 
 	// Keep the engine's generations turning so the value cache ages
 	// out; the method never reads the snapshot's summaries back.

@@ -239,10 +239,9 @@ func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, e
 // r, in the layout of its entry frame: each slot's exit value where it
 // is constant, ⊥ elsewhere.
 func exitFrame(r *scc.Result) []lattice.Elem {
-	fn := r.S.Fn
-	exit := make([]lattice.Elem, fn.FrameLen())
+	exit := make([]lattice.Elem, r.S.Fn.FrameLen())
 	for k := range exit {
-		if exit[k] = r.ExitValue(fn.FrameVar(k)); !exit[k].IsConst() {
+		if exit[k] = r.ExitValue(k); !exit[k].IsConst() {
 			exit[k] = lattice.BottomElem()
 		}
 	}
@@ -355,8 +354,7 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 		st.Width = driver.MaxWidth(levels)
 		st.Skipped = int(skipped.Load())
 		st.Notes = fmt.Sprintf("workers=%d", workers)
+		res.Dead = make(map[*sem.Proc]bool)
+		r.install(res, sums, fresh)
 	})
-
-	res.Dead = make(map[*sem.Proc]bool)
-	r.install(res, sums, fresh)
 }

@@ -41,8 +41,8 @@ func answer() int { return 42 }`)
 	main := r.Ctx.Prog.Sem.Main
 	intra := r.Intra[main]
 	found := false
-	for _, d := range intra.S.Defs {
-		if intra.ValueOf(d).IsConst() && intra.ValueOf(d).Val.I == 42 {
+	for d := range intra.S.Defs {
+		if v := intra.ValueOf(int32(d)); v.IsConst() && v.Val.I == 42 {
 			found = true
 		}
 	}

@@ -104,11 +104,11 @@ func runFS(ctx *Context, opts Options) *Result {
 			st.Notes = fmt.Sprintf("%s reused=%d run=%d", st.Notes, res.ProcsReused, int(evals.Load())-r.ist.plan.Hits())
 			fillStoreStats(st, res, r.ist)
 		}
+		r.install(res, sums, intra)
+		for _, sum := range sums {
+			res.BackEdgesUsed += sum.BackEdges
+		}
 	})
-	r.install(res, sums, intra)
-	for _, sum := range sums {
-		res.BackEdgesUsed += sum.BackEdges
-	}
 
 	var recs []*incr.ReturnsRecord
 	if opts.ReturnConstants {

@@ -281,37 +281,70 @@ type ClobberInstr struct {
 	Why string
 }
 
-func (i *ConstInstr) Defs() []*sem.Var  { return []*sem.Var{i.Dst} }
-func (i *CopyInstr) Defs() []*sem.Var   { return []*sem.Var{i.Dst} }
-func (i *UnaryInstr) Defs() []*sem.Var  { return []*sem.Var{i.Dst} }
-func (i *BinaryInstr) Defs() []*sem.Var { return []*sem.Var{i.Dst} }
-func (i *ReadInstr) Defs() []*sem.Var   { return []*sem.Var{i.Dst} }
-func (i *PrintInstr) Defs() []*sem.Var  { return nil }
-func (i *CallInstr) Defs() []*sem.Var {
-	var out []*sem.Var
-	if i.Dst != nil {
-		out = append(out, i.Dst)
-	}
-	return append(out, i.MayDef...)
-}
+func (i *ConstInstr) Defs() []*sem.Var   { return []*sem.Var{i.Dst} }
+func (i *CopyInstr) Defs() []*sem.Var    { return []*sem.Var{i.Dst} }
+func (i *UnaryInstr) Defs() []*sem.Var   { return []*sem.Var{i.Dst} }
+func (i *BinaryInstr) Defs() []*sem.Var  { return []*sem.Var{i.Dst} }
+func (i *ReadInstr) Defs() []*sem.Var    { return []*sem.Var{i.Dst} }
+func (i *PrintInstr) Defs() []*sem.Var   { return nil }
+func (i *CallInstr) Defs() []*sem.Var    { return AppendDefs(nil, i) }
 func (i *ClobberInstr) Defs() []*sem.Var { return i.Vars }
 
-func (i *ConstInstr) Uses() []*sem.Var  { return nil }
-func (i *CopyInstr) Uses() []*sem.Var   { return []*sem.Var{i.Src} }
-func (i *UnaryInstr) Uses() []*sem.Var  { return []*sem.Var{i.X} }
-func (i *BinaryInstr) Uses() []*sem.Var { return []*sem.Var{i.X, i.Y} }
-func (i *ReadInstr) Uses() []*sem.Var   { return nil }
-func (i *PrintInstr) Uses() []*sem.Var {
-	var out []*sem.Var
-	for _, a := range i.Args {
-		if a.Var != nil {
-			out = append(out, a.Var)
-		}
-	}
-	return out
-}
+func (i *ConstInstr) Uses() []*sem.Var   { return nil }
+func (i *CopyInstr) Uses() []*sem.Var    { return []*sem.Var{i.Src} }
+func (i *UnaryInstr) Uses() []*sem.Var   { return []*sem.Var{i.X} }
+func (i *BinaryInstr) Uses() []*sem.Var  { return []*sem.Var{i.X, i.Y} }
+func (i *ReadInstr) Uses() []*sem.Var    { return nil }
+func (i *PrintInstr) Uses() []*sem.Var   { return AppendUses(nil, i) }
 func (i *CallInstr) Uses() []*sem.Var    { return i.Args }
 func (i *ClobberInstr) Uses() []*sem.Var { return nil }
+
+// AppendDefs appends in.Defs() to dst. Unlike Defs, it allocates no
+// slice per instruction, so a pass walking every instruction can reuse
+// one buffer.
+func AppendDefs(dst []*sem.Var, in Instr) []*sem.Var {
+	switch in := in.(type) {
+	case *ConstInstr:
+		return append(dst, in.Dst)
+	case *CopyInstr:
+		return append(dst, in.Dst)
+	case *UnaryInstr:
+		return append(dst, in.Dst)
+	case *BinaryInstr:
+		return append(dst, in.Dst)
+	case *ReadInstr:
+		return append(dst, in.Dst)
+	case *CallInstr:
+		if in.Dst != nil {
+			dst = append(dst, in.Dst)
+		}
+		return append(dst, in.MayDef...)
+	case *ClobberInstr:
+		return append(dst, in.Vars...)
+	}
+	return dst
+}
+
+// AppendUses appends in.Uses() to dst, like AppendDefs.
+func AppendUses(dst []*sem.Var, in Instr) []*sem.Var {
+	switch in := in.(type) {
+	case *CopyInstr:
+		return append(dst, in.Src)
+	case *UnaryInstr:
+		return append(dst, in.X)
+	case *BinaryInstr:
+		return append(dst, in.X, in.Y)
+	case *PrintInstr:
+		for _, a := range in.Args {
+			if a.Var != nil {
+				dst = append(dst, a.Var)
+			}
+		}
+	case *CallInstr:
+		return append(dst, in.Args...)
+	}
+	return dst
+}
 
 func (i *ConstInstr) String() string { return i.Dst.String() + " = const " + i.Val.String() }
 func (i *CopyInstr) String() string  { return i.Dst.String() + " = " + i.Src.String() }
@@ -389,6 +422,18 @@ func (t *If) Uses() []*sem.Var   { return []*sem.Var{t.Cond} }
 func (t *Ret) Uses() []*sem.Var {
 	if t.Val != nil {
 		return []*sem.Var{t.Val}
+	}
+	return nil
+}
+
+// TermOperand returns t's one variable operand, t.Uses()[0], or nil
+// when it has none, without allocating.
+func TermOperand(t Terminator) *sem.Var {
+	switch t := t.(type) {
+	case *If:
+		return t.Cond
+	case *Ret:
+		return t.Val
 	}
 	return nil
 }
@@ -628,6 +673,28 @@ func (f *Func) FrameVar(k int) *sem.Var {
 		return f.AllVars[f.globalOff+k-np]
 	}
 	return f.Proc.Params[k]
+}
+
+// FrameOrd returns the AllVars position of slot k's variable, without
+// a search.
+func (f *Func) FrameOrd(k int) int {
+	if np := len(f.Proc.Params); k >= np {
+		return f.globalOff + k - np
+	}
+	return int(f.Proc.Params[k].Slot) - 1
+}
+
+// OrdSlot returns the frame slot of AllVars[i], or -1 when it is a
+// local or temporary: FrameSlot for a variable whose position is
+// already known, without a search.
+func (f *Func) OrdSlot(i int) int {
+	if i >= f.globalOff && i < f.globalOff+f.numGlobals {
+		return len(f.Proc.Params) + i - f.globalOff
+	}
+	if v := f.AllVars[i]; v.Kind == sem.KindFormal && v.Owner == f.Proc {
+		return v.Index
+	}
+	return -1
 }
 
 // FrameSlot returns v's slot in the procedure's environment frame, or

@@ -83,7 +83,7 @@ func Frame(fn *ir.Func, env lattice.Env[*sem.Var]) []lattice.Elem {
 // Result holds the fixpoint.
 type Result struct {
 	S      *ssa.SSA
-	Values []lattice.Elem // indexed by Definition.ID
+	Values []lattice.Elem // indexed by definition ID
 	// BlockExec[b.Index] reports whether block b is executable.
 	BlockExec []bool
 	// edgeExec records which CFG edges became executable, one bit per
@@ -158,10 +158,12 @@ type engine struct {
 // scratch is the per-run transient state: the two Wegman–Zadeck
 // worklists and the visited marks. None of it escapes into the Result,
 // so it is pooled — wavefront workers and Session re-analyses reuse
-// the buffers instead of reallocating them for every procedure.
+// the buffers instead of reallocating them for every procedure. It
+// holds definition IDs and block indices, never a pointer, so a pooled
+// buffer pins no overlay.
 type scratch struct {
 	flowWork []flowEdge
-	ssaWork  []*ssa.Definition
+	ssaWork  []int32
 	visited  bitset.Set // block instruction lists evaluated once
 }
 
@@ -200,46 +202,32 @@ func Run(s *ssa.SSA, opts Options) *Result {
 	for i := range e.res.Values {
 		e.res.Values[i] = lattice.TopElem()
 	}
-	// Seed entry definitions. A budget abort unwinds through here via
-	// panic, so the scratch is returned in a deferred put; dropping the
-	// stale definition pointers keeps a pooled buffer from pinning a
-	// dead SSA overlay in memory.
-	defer func() {
-		sw := sc.ssaWork[:cap(sc.ssaWork)]
-		for i := range sw {
-			sw[i] = nil
+	// Seed entry definitions: formals and globals from their frame
+	// slots, and undefined locals and temporaries ⊥ (unknown on
+	// use-before-def). A budget abort unwinds through here via panic,
+	// so the scratch is returned in a deferred put.
+	defer scratchPool.Put(sc)
+	for vi, d := range s.EntryDefs {
+		v := lattice.BottomElem()
+		if k := s.Fn.OrdSlot(vi); k >= 0 && k < len(opts.Entry) {
+			v = opts.Entry[k]
 		}
-		sc.ssaWork = sc.ssaWork[:0]
-		sc.flowWork = sc.flowWork[:0]
-		scratchPool.Put(sc)
-	}()
-	for _, d := range s.EntryDefs {
-		switch d.Var.Kind {
-		case sem.KindFormal, sem.KindGlobal:
-			v := lattice.BottomElem()
-			if k := s.Fn.FrameSlot(d.Var); k < len(opts.Entry) {
-				v = opts.Entry[k]
-			}
-			e.lower(d, v)
-		default:
-			// Undefined local/temp: unknown on use-before-def.
-			e.lower(d, lattice.BottomElem())
-		}
+		e.lower(d, v)
 	}
 	e.markBlock(s.Dom.RPO[0])
 	e.solve()
 	return e.res
 }
 
-func (e *engine) value(d *ssa.Definition) lattice.Elem { return e.res.Values[d.ID] }
+func (e *engine) value(d int32) lattice.Elem { return e.res.Values[d] }
 
 // lower monotonically lowers d's value; queues its uses on change.
-func (e *engine) lower(d *ssa.Definition, v lattice.Elem) {
-	nw := lattice.Meet(e.res.Values[d.ID], v)
-	if nw.Eq(e.res.Values[d.ID]) {
+func (e *engine) lower(d int32, v lattice.Elem) {
+	nw := lattice.Meet(e.res.Values[d], v)
+	if nw.Eq(e.res.Values[d]) {
 		return
 	}
-	e.res.Values[d.ID] = nw
+	e.res.Values[d] = nw
 	e.sc.ssaWork = append(e.sc.ssaWork, d)
 }
 
@@ -270,8 +258,8 @@ func (e *engine) processEdge(edge flowEdge) {
 	b := e.s.Fn.Blocks[edge.to]
 	// φs must be re-evaluated whenever a new incoming edge becomes
 	// executable.
-	for _, phi := range e.s.Phis[b.Index] {
-		e.evalPhi(phi)
+	for k := range e.s.Phis[b.Index] {
+		e.evalPhi(&e.s.Phis[b.Index][k])
 	}
 	if !e.res.BlockExec[b.Index] {
 		e.markBlock(b)
@@ -284,8 +272,8 @@ func (e *engine) markBlock(b *ir.Block) {
 	}
 	e.res.BlockExec[b.Index] = true
 	if e.sc.visited.Add(b.Index) {
-		for _, phi := range e.s.Phis[b.Index] {
-			e.evalPhi(phi)
+		for k := range e.s.Phis[b.Index] {
+			e.evalPhi(&e.s.Phis[b.Index][k])
 		}
 		for _, in := range b.Instrs {
 			e.evalInstr(in)
@@ -294,42 +282,39 @@ func (e *engine) markBlock(b *ir.Block) {
 	}
 }
 
-func (e *engine) processUses(d *ssa.Definition) {
-	for _, u := range d.Uses {
-		switch u.Kind {
+func (e *engine) processUses(d int32) {
+	s := e.s
+	for u := s.Defs[d].FirstUse; u != ssa.None; u = s.Uses[u].Next {
+		r := &s.Uses[u]
+		if !e.res.BlockExec[r.Block] {
+			continue
+		}
+		switch r.Kind {
 		case ssa.UseInstr:
-			if e.res.BlockExec[u.Block.Index] {
-				e.evalInstr(u.Instr)
-			}
+			e.evalInstr(s.Instr(r.Site))
 		case ssa.UsePhi:
-			if e.res.BlockExec[u.Phi.Block.Index] {
-				e.evalPhi(u.Phi)
-			}
+			e.evalPhi(&s.Phis[r.Block][r.Site])
 		case ssa.UseTerm:
-			if e.res.BlockExec[u.Block.Index] {
-				e.evalTerm(u.Block)
-			}
+			e.evalTerm(s.Fn.Blocks[r.Block])
 		}
 	}
 }
 
-func (e *engine) evalPhi(phi *Phi) {
+func (e *engine) evalPhi(phi *ssa.Phi) {
 	e.opts.Budget.Step(1)
 	acc := lattice.TopElem()
-	for i, p := range phi.Block.Preds {
-		if !e.res.edgeExec.Has(edgeBit(p, phi.Block.Index)) {
+	args := e.s.PhiArgs(phi)
+	for i, p := range e.s.Fn.Blocks[phi.Block].Preds {
+		if !e.res.edgeExec.Has(edgeBit(p, int(phi.Block))) {
 			continue
 		}
-		if phi.Args[i] == nil {
+		if args[i] == ssa.None {
 			continue // predecessor unreachable during renaming
 		}
-		acc = lattice.Meet(acc, e.value(phi.Args[i]))
+		acc = lattice.Meet(acc, e.value(args[i]))
 	}
 	e.lower(phi.Def, acc)
 }
-
-// Phi aliases ssa.Phi for readability inside this package.
-type Phi = ssa.Phi
 
 func (e *engine) evalInstr(in ir.Instr) {
 	e.opts.Budget.Step(1)
@@ -360,7 +345,7 @@ func (e *engine) evalInstr(in ir.Instr) {
 		}
 		for ; k < len(defs); k++ {
 			if e.opts.CallExit != nil {
-				e.lower(defs[k], e.opts.CallExit(in, defs[k].Var))
+				e.lower(defs[k], e.opts.CallExit(in, e.s.Var(defs[k])))
 			} else {
 				e.lower(defs[k], lattice.BottomElem())
 			}
@@ -408,7 +393,7 @@ func (e *engine) evalTerm(b *ir.Block) {
 	case *ir.Jump:
 		e.addEdge(b, t.Target)
 	case *ir.If:
-		cond := e.value(e.s.TermUses[b.Index][0])
+		cond := e.value(e.s.TermUsesOf(b)[0])
 		switch {
 		case cond.IsTop():
 			// not yet known; wait
@@ -429,8 +414,8 @@ func (e *engine) evalTerm(b *ir.Block) {
 
 // --- Result queries -----------------------------------------------------
 
-// ValueOf returns the fixpoint value of a definition.
-func (r *Result) ValueOf(d *ssa.Definition) lattice.Elem { return r.Values[d.ID] }
+// ValueOf returns the fixpoint value of definition d.
+func (r *Result) ValueOf(d int32) lattice.Elem { return r.Values[d] }
 
 // Reachable reports whether the call instruction's block is executable.
 func (r *Result) Reachable(call *ir.CallInstr) bool {
@@ -444,16 +429,17 @@ func (r *Result) ArgValue(call *ir.CallInstr, i int) lattice.Elem {
 	if !r.Reachable(call) {
 		return lattice.TopElem()
 	}
-	return r.Values[r.S.UsesOf(call)[i].ID]
+	return r.Values[r.S.UsesOf(call)[i]]
 }
 
-// GlobalValueAtCall returns the lattice value of global g immediately
-// before the call, or ⊤ if the call is unreachable.
-func (r *Result) GlobalValueAtCall(call *ir.CallInstr, g *sem.Var) lattice.Elem {
+// GlobalValueAtCall returns the lattice value, immediately before the
+// call, of the global at position k of the caller's global segment, or
+// ⊤ if the call is unreachable.
+func (r *Result) GlobalValueAtCall(call *ir.CallInstr, k int) lattice.Elem {
 	if !r.Reachable(call) {
 		return lattice.TopElem()
 	}
-	return r.Values[r.S.GlobalAtCall(call, g).ID]
+	return r.Values[r.S.GlobalsAtCall(call)[k]]
 }
 
 // ReturnValue returns the meet of all executable return values (⊤ if no
@@ -465,7 +451,7 @@ func (r *Result) ReturnValue() lattice.Elem {
 			continue
 		}
 		if t, ok := b.Term.(*ir.Ret); ok && t.Val != nil {
-			acc = lattice.Meet(acc, r.Values[r.S.TermUses[b.Index][0].ID])
+			acc = lattice.Meet(acc, r.Values[r.S.TermUsesOf(b)[0]])
 		}
 	}
 	return acc
@@ -473,25 +459,24 @@ func (r *Result) ReturnValue() lattice.Elem {
 
 // CanReturn reports whether some return point is executable.
 func (r *Result) CanReturn() bool {
-	for bi, snap := range r.S.RetSnapshots {
-		if snap != nil && r.BlockExec[bi] {
+	for _, b := range r.S.Fn.Blocks {
+		if _, ok := b.Term.(*ir.Ret); ok && r.BlockExec[b.Index] {
 			return true
 		}
 	}
 	return false
 }
 
-// ExitValue returns the meet of v's value over all executable return
-// points — the value v holds when the procedure returns (⊤ if the
-// procedure never returns, e.g. infinite loop or unreachable).
-func (r *Result) ExitValue(v *sem.Var) lattice.Elem {
-	vi := r.S.Fn.VarOrd(v)
+// ExitValue returns the meet, over all executable return points, of
+// the value of frame slot k's variable (ir.Func.FrameVar) — the value it
+// holds when the procedure returns (⊤ if the procedure never returns,
+// e.g. infinite loop or unreachable).
+func (r *Result) ExitValue(k int) lattice.Elem {
 	acc := lattice.TopElem()
-	for bi, snap := range r.S.RetSnapshots {
-		if snap == nil || !r.BlockExec[bi] {
-			continue
+	for _, b := range r.S.Fn.Blocks {
+		if _, ok := b.Term.(*ir.Ret); ok && r.BlockExec[b.Index] {
+			acc = lattice.Meet(acc, r.Values[r.S.RetSnapshot(b)[k]])
 		}
-		acc = lattice.Meet(acc, r.Values[snap[vi].ID])
 	}
 	return acc
 }

@@ -254,7 +254,7 @@ proc f(a int) {
 		}
 	}
 	// Before the call g is still 1.
-	if got := r.GlobalValueAtCall(f.Calls[0], g); !got.IsConst() || got.Val.I != 1 {
+	if got := r.GlobalValueAtCall(f.Calls[0], f.VarOrd(g)-f.GlobalOffset()); !got.IsConst() || got.Val.I != 1 {
 		t.Errorf("g at call = %v, want 1", got)
 	}
 }

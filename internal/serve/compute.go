@@ -76,7 +76,7 @@ func (s *Server) compute(kind reqKind, name, src, fpr string, cfg fsicp.Config, 
 		}
 		e.sess = sess
 	} else if e.sess.SourceKey() != fpr {
-		if _, err := e.sess.Update(src); err != nil {
+		if _, err := e.sess.UpdateKeyed(src, fpr); err != nil {
 			// The session keeps its previous good version; only this
 			// request fails.
 			return errOutcome(http.StatusBadRequest, err.Error())

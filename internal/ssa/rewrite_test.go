@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestRewriteToConst(t *testing.T) {
 	mustVerify(t, s, "before")
 
 	b, idx, bi := findBinary(t, f)
-	operands := s.UsesOf(bi)
+	operands := slices.Clone(s.UsesOf(bi)) // the rewrite empties the row in place
 	oldID := bi.InstrID()
 	d := s.DefsOf(bi)[0]
 
@@ -72,15 +73,15 @@ func TestRewriteToConst(t *testing.T) {
 	if nc.InstrID() != oldID {
 		t.Errorf("InstrID not transferred: got %d want %d", nc.InstrID(), oldID)
 	}
-	if d.Instr != nc || len(s.DefsOf(nc)) != 1 || s.DefsOf(nc)[0] != d {
+	if s.Instr(s.Defs[d].Site) != nc || len(s.DefsOf(nc)) != 1 || s.DefsOf(nc)[0] != d {
 		t.Error("definition not re-pointed at the new instruction")
 	}
 	// The old operand defs must no longer list the rewritten
 	// instruction as a use.
 	for _, od := range operands {
-		for _, u := range od.Uses {
-			if u.Kind == ssa.UseInstr && u.Instr == ir.Instr(nc) {
-				t.Errorf("stale use of %s survived the rewrite", od)
+		for _, u := range usesOf(s, od) {
+			if u.Kind == ssa.UseInstr && s.Instr(u.Site) == ir.Instr(nc) {
+				t.Errorf("stale use of %s survived the rewrite", s.Name(od))
 			}
 		}
 	}
@@ -97,15 +98,8 @@ func TestRewriteToCopy(t *testing.T) {
 	b, idx, bi := findBinary(t, f)
 	a := testutil.VarByName(t, f, "a")
 	// Source definition: the read of a (its only non-entry def).
-	var src *ssa.Definition
-	for _, in := range f.Entry().Instrs {
-		for _, d := range s.DefsOf(in) {
-			if d.Var == a {
-				src = d
-			}
-		}
-	}
-	if src == nil {
+	src := defOfIn(s, f.Entry(), a)
+	if src == ssa.None {
 		t.Fatalf("no def of a:\n%s", s.Dump())
 	}
 
@@ -118,8 +112,8 @@ func TestRewriteToCopy(t *testing.T) {
 		t.Fatalf("copy operand defs = %v, want [def of a]", uds)
 	}
 	found := false
-	for _, u := range src.Uses {
-		if u.Kind == ssa.UseInstr && u.Instr == ir.Instr(nc) {
+	for _, u := range usesOf(s, src) {
+		if u.Kind == ssa.UseInstr && s.Instr(u.Site) == ir.Instr(nc) {
 			found = true
 		}
 	}
@@ -135,14 +129,7 @@ func TestReplaceUseOperand(t *testing.T) {
 
 	b, _, bi := findBinary(t, f)
 	a := testutil.VarByName(t, f, "a")
-	var src *ssa.Definition
-	for _, in := range f.Entry().Instrs {
-		for _, d := range s.DefsOf(in) {
-			if d.Var == a {
-				src = d
-			}
-		}
-	}
+	src := defOfIn(s, f.Entry(), a)
 	old := s.UsesOf(bi)[0] // def of b (the copy b = a)
 
 	// Simulate copy propagation: c = b + 3 becomes c = a + 3.
@@ -150,16 +137,30 @@ func TestReplaceUseOperand(t *testing.T) {
 	mustVerify(t, s, "after ReplaceUseOperand")
 
 	if got := s.UsesOf(bi)[0]; got != src {
-		t.Fatalf("operand 0 def = %v, want def of a", got)
+		t.Fatalf("operand 0 def = %v, want def of a", s.Name(got))
 	}
 	if bi.X != a {
 		t.Errorf("IR operand not rewritten: %v", bi.X)
 	}
-	for _, u := range old.Uses {
-		if u.Kind == ssa.UseInstr && u.Instr == ir.Instr(bi) {
+	for _, u := range usesOf(s, old) {
+		if u.Kind == ssa.UseInstr && s.Instr(u.Site) == ir.Instr(bi) {
 			t.Error("old operand def still lists the instruction as a use")
 		}
 	}
+}
+
+// defOfIn returns the last definition of v made in block b, or
+// ssa.None.
+func defOfIn(s *ssa.SSA, b *ir.Block, v *sem.Var) int32 {
+	src := int32(ssa.None)
+	for _, in := range b.Instrs {
+		for _, d := range s.DefsOf(in) {
+			if s.Var(d) == v {
+				src = d
+			}
+		}
+	}
+	return src
 }
 
 func TestRenumberInstrs(t *testing.T) {
@@ -196,7 +197,6 @@ proc main() {
 	moved := from.Instrs[0]
 	from.Instrs = from.Instrs[1:]
 	f.Entry().Instrs = append(f.Entry().Instrs, moved)
-	s.DefsOf(moved)[0].Block = f.Entry()
 
 	s.RenumberInstrs()
 	mustVerify(t, s, "after RenumberInstrs")
@@ -211,8 +211,9 @@ proc main() {
 			want++
 		}
 	}
-	// Dense tables must still resolve the moved instruction.
-	if d := s.DefsOf(moved); len(d) != 1 || d[0].Instr != moved {
+	// Dense tables must still resolve the moved instruction, and its
+	// definition must live in its new block.
+	if d := s.DefsOf(moved); len(d) != 1 || s.Instr(s.Defs[d[0]].Site) != moved || int(s.Defs[d[0]].Block) != f.Entry().Index {
 		t.Error("moved instruction lost its definition mapping")
 	}
 }
@@ -293,7 +294,7 @@ func isDeadStore(s *ssa.SSA, in ir.Instr) bool {
 		return false
 	}
 	d := s.DefsOf(in)[0]
-	return d.Kind == ssa.DefInstr && len(d.Uses) == 0
+	return s.Defs[d].Kind == ssa.DefInstr && s.Defs[d].FirstUse == ssa.None
 }
 
 // defKey identifies a definition independently of its ID.
@@ -302,19 +303,21 @@ type defKey struct {
 	v     *sem.Var
 	in    ir.Instr
 	idx   int
-	block *ir.Block
+	block int32
 }
 
-func keyOf(d *ssa.Definition) defKey {
-	if d == nil {
-		return defKey{kind: -1}
+func keyOf(s *ssa.SSA, d int32) defKey {
+	if d == ssa.None {
+		return defKey{kind: 255}
 	}
-	k := defKey{kind: d.Kind, v: d.Var}
-	switch d.Kind {
+	def := s.Defs[d]
+	k := defKey{kind: def.Kind, v: s.Var(d)}
+	switch def.Kind {
 	case ssa.DefInstr:
-		k.in, k.idx = d.Instr, d.DefIdx
+		k.in = s.Instr(def.Site)
+		k.idx = slices.Index(s.DefsOf(k.in), d)
 	case ssa.DefPhi:
-		k.block = d.Block
+		k.block = def.Block
 	}
 	return k
 }
@@ -322,36 +325,36 @@ func keyOf(d *ssa.Definition) defKey {
 // matchBuild fails unless s, an edited overlay, equals a fresh Build of
 // its function: the same live definitions with the same use counts,
 // entry definitions, reaching definitions of every operand, terminator
-// operand and φ argument, call snapshots, and formal and global slots of
-// the return snapshots (a deleted local store may stay in its slot), and
-// a clean Verify.
+// operand and φ argument, call snapshots, and every slot of the return
+// snapshots, each row exactly FrameLen long, and a clean Verify.
 func matchBuild(t *testing.T, where string, s *ssa.SSA) {
 	t.Helper()
 	mustVerify(t, s, where)
 	fresh := ssa.Build(s.Fn)
 	fn := s.Fn
-	same := func(what string, got, want *ssa.Definition) {
+	same := func(what string, got, want int32) {
 		t.Helper()
-		if keyOf(got) != keyOf(want) {
-			t.Fatalf("%s: %s reached by %v, a fresh build by %v", where, what, got, want)
+		if keyOf(s, got) != keyOf(fresh, want) {
+			t.Fatalf("%s: %s reached by %v, a fresh build by %v", where, what, s.Name(got), fresh.Name(want))
 		}
 	}
 
 	uses := make(map[defKey]int)
-	for _, d := range s.Defs {
-		if d.Kind != ssa.DefDeleted {
-			uses[keyOf(d)] = len(d.Uses)
+	for d := range s.Defs {
+		if s.Defs[d].Kind != ssa.DefDeleted {
+			uses[keyOf(s, int32(d))] = len(usesOf(s, int32(d)))
 		}
 	}
-	for _, d := range fresh.Defs {
-		n, ok := uses[keyOf(d)]
+	for d := range fresh.Defs {
+		d := int32(d)
+		n, ok := uses[keyOf(fresh, d)]
 		if !ok {
-			t.Fatalf("%s: a fresh build defines %v, the edited overlay does not", where, d)
+			t.Fatalf("%s: a fresh build defines %v, the edited overlay does not", where, fresh.Name(d))
 		}
-		if n != len(d.Uses) {
-			t.Fatalf("%s: %v has %d uses, %d in a fresh build", where, d, n, len(d.Uses))
+		if want := len(usesOf(fresh, d)); n != want {
+			t.Fatalf("%s: %v has %d uses, %d in a fresh build", where, fresh.Name(d), n, want)
 		}
-		delete(uses, keyOf(d))
+		delete(uses, keyOf(fresh, d))
 	}
 	if len(uses) != 0 {
 		t.Fatalf("%s: the edited overlay has %d definitions a fresh build lacks", where, len(uses))
@@ -364,10 +367,11 @@ func matchBuild(t *testing.T, where string, s *ssa.SSA) {
 		if len(s.Phis[b.Index]) != len(fresh.Phis[b.Index]) {
 			t.Fatalf("%s: %s has %d φs, %d in a fresh build", where, b, len(s.Phis[b.Index]), len(fresh.Phis[b.Index]))
 		}
-		for k, phi := range fresh.Phis[b.Index] {
-			same(fmt.Sprintf("φ %d of %s", k, b), s.Phis[b.Index][k].Def, phi.Def)
-			for a, arg := range phi.Args {
-				same(fmt.Sprintf("argument %d of %v", a, phi.Def), s.Phis[b.Index][k].Args[a], arg)
+		for k := range fresh.Phis[b.Index] {
+			phi, got := &fresh.Phis[b.Index][k], &s.Phis[b.Index][k]
+			same(fmt.Sprintf("φ %d of %s", k, b), got.Def, phi.Def)
+			for a, arg := range fresh.PhiArgs(phi) {
+				same(fmt.Sprintf("argument %d of %v", a, fresh.Name(phi.Def)), s.PhiArgs(got)[a], arg)
 			}
 		}
 		for _, in := range b.Instrs {
@@ -375,19 +379,21 @@ func matchBuild(t *testing.T, where string, s *ssa.SSA) {
 				same(fmt.Sprintf("operand %d of %s", k, in), s.UsesOf(in)[k], d)
 			}
 			if call, ok := in.(*ir.CallInstr); ok {
-				for _, g := range fn.Globals() {
-					same(g.Name+" at "+call.String(), s.GlobalAtCall(call, g), fresh.GlobalAtCall(call, g))
+				for gi, g := range fn.Globals() {
+					same(g.Name+" at "+call.String(), s.GlobalsAtCall(call)[gi], fresh.GlobalsAtCall(call)[gi])
 				}
 			}
 		}
-		for k, d := range fresh.TermUses[b.Index] {
-			same(fmt.Sprintf("terminator operand %d of %s", k, b), s.TermUses[b.Index][k], d)
+		for k, d := range fresh.TermUsesOf(b) {
+			same(fmt.Sprintf("terminator operand %d of %s", k, b), s.TermUsesOf(b)[k], d)
 		}
-		if snap := fresh.RetSnapshots[b.Index]; snap != nil {
-			for vi, v := range fn.AllVars {
-				if v.Kind == sem.KindFormal || v.IsGlobal() {
-					same(v.Name+" at the return of "+b.String(), s.RetSnapshots[b.Index][vi], snap[vi])
-				}
+		if _, ok := b.Term.(*ir.Ret); ok {
+			snap := fresh.RetSnapshot(b)
+			if got := len(s.RetSnapshot(b)); got != fn.FrameLen() || len(snap) != fn.FrameLen() {
+				t.Fatalf("%s: the return snapshot of %s has %d slots, a fresh build's %d, the frame %d", where, b, got, len(snap), fn.FrameLen())
+			}
+			for k, d := range snap {
+				same(fn.FrameVar(k).Name+" at the return of "+b.String(), s.RetSnapshot(b)[k], d)
 			}
 		}
 	}

@@ -27,22 +27,22 @@ proc main() {
 	x := testutil.VarByName(t, f, "x")
 
 	var xphi *ssa.Phi
-	for _, phi := range s.Phis[join.Index] {
-		if phi.Var == x {
-			xphi = phi
+	for k, phi := range s.Phis[join.Index] {
+		if f.AllVars[phi.Var] == x {
+			xphi = &s.Phis[join.Index][k]
 		}
 	}
 	if xphi == nil {
 		t.Fatalf("no phi for x at join:\n%s", s.Dump())
 	}
-	if len(xphi.Args) != 2 {
-		t.Fatalf("phi args: %d", len(xphi.Args))
+	if len(s.PhiArgs(xphi)) != 2 {
+		t.Fatalf("phi args: %d", len(s.PhiArgs(xphi)))
 	}
-	for i, a := range xphi.Args {
-		if a == nil {
+	for i, a := range s.PhiArgs(xphi) {
+		if a == ssa.None {
 			t.Errorf("phi arg %d nil", i)
-		} else if a.Kind != ssa.DefInstr {
-			t.Errorf("phi arg %d kind %v", i, a.Kind)
+		} else if s.Defs[a].Kind != ssa.DefInstr {
+			t.Errorf("phi arg %d kind %v", i, s.Defs[a].Kind)
 		}
 	}
 	// The print uses the phi def.
@@ -73,8 +73,8 @@ proc main() { call f(1, 2.0) }`)
 	s := ssa.Build(f)
 	for _, v := range f.AllVars {
 		d := s.EntryDef(v)
-		if d == nil || d.Kind != ssa.DefEntry || d.Var != v {
-			t.Errorf("bad entry def for %s: %+v", v, d)
+		if s.Defs[d].Kind != ssa.DefEntry || s.Var(d) != v {
+			t.Errorf("bad entry def for %s: %+v", v, s.Defs[d])
 		}
 	}
 	// The print of 'a' with no prior assignment uses the entry def.
@@ -106,9 +106,9 @@ proc main() {
 	header := f.Entry().Term.(*ir.Jump).Target
 	x := testutil.VarByName(t, f, "x")
 	var xphi *ssa.Phi
-	for _, phi := range s.Phis[header.Index] {
-		if phi.Var == x {
-			xphi = phi
+	for k, phi := range s.Phis[header.Index] {
+		if f.AllVars[phi.Var] == x {
+			xphi = &s.Phis[header.Index][k]
 		}
 	}
 	if xphi == nil {
@@ -116,8 +116,8 @@ proc main() {
 	}
 	// One arg is the initial const def, the other the decrement.
 	kinds := map[ssa.DefKind]int{}
-	for _, a := range xphi.Args {
-		kinds[a.Kind]++
+	for _, a := range s.PhiArgs(xphi) {
+		kinds[s.Defs[a].Kind]++
 	}
 	if kinds[ssa.DefInstr] != 2 {
 		t.Errorf("phi args kinds: %v\n%s", kinds, s.Dump())
@@ -169,15 +169,15 @@ proc f(a int) {
 	}
 	ud := s.UsesOf(print)
 	for i, d := range ud {
-		if d.Kind != ssa.DefInstr || d.Instr != call {
-			t.Errorf("print use %d: %v, want def from call", i, d)
+		if s.Defs[d].Kind != ssa.DefInstr || s.Instr(s.Defs[d].Site) != call {
+			t.Errorf("print use %d: %v, want def from call", i, s.Name(d))
 		}
 	}
 	// h is outside REF*(main) ∪ MOD*(main): no definition of it exists.
 	h := p.Sem.Globals[1]
-	for _, d := range s.Defs {
-		if d.Var == h {
-			t.Errorf("untracked global h has definition %v", d)
+	for d := range s.Defs {
+		if s.Var(int32(d)) == h {
+			t.Errorf("untracked global h has definition %v", s.Name(int32(d)))
 		}
 	}
 }
@@ -197,9 +197,9 @@ proc f() {}`)
 	call := f.Calls[0]
 	g := testutil.VarByName(t, f, "g")
 	h := p.Sem.Globals[1]
-	gd := s.GlobalAtCall(call, g)
-	if gd.Kind != ssa.DefInstr {
-		t.Errorf("g at call should be the assignment def, got %v", gd.Kind)
+	gd := s.GlobalsAtCall(call)[f.VarOrd(g)-f.GlobalOffset()]
+	if s.Defs[gd].Kind != ssa.DefInstr {
+		t.Errorf("g at call should be the assignment def, got %v", s.Defs[gd].Kind)
 	}
 	// Neither main nor f touches h, so main does not track it: no
 	// entry definition, no slot in the call snapshot.
@@ -210,7 +210,7 @@ proc f() {}`)
 		t.Errorf("main tracks globals %v, want exactly g", gs)
 	}
 	for _, d := range s.EntryDefs {
-		if d.Var == h {
+		if s.Var(d) == h {
 			t.Errorf("untracked global h has an entry definition")
 		}
 	}
@@ -228,16 +228,25 @@ proc main() {
 	s := ssa.Build(f)
 	x := testutil.VarByName(t, f, "x")
 	// x's const def has two uses from the binary instruction.
-	var constDef *ssa.Definition
-	for _, d := range s.Defs {
-		if d.Var == x && d.Kind == ssa.DefInstr {
-			constDef = d
+	constDef := int32(ssa.None)
+	for d := range s.Defs {
+		if s.Var(int32(d)) == x && s.Defs[d].Kind == ssa.DefInstr {
+			constDef = int32(d)
 		}
 	}
-	if constDef == nil {
+	if constDef == ssa.None {
 		t.Fatal("no instr def for x")
 	}
-	if len(constDef.Uses) != 2 {
-		t.Errorf("x def uses: %d, want 2", len(constDef.Uses))
+	if n := len(usesOf(s, constDef)); n != 2 {
+		t.Errorf("x def uses: %d, want 2", n)
 	}
+}
+
+// usesOf returns definition d's use records, in list order.
+func usesOf(s *ssa.SSA, d int32) []ssa.Use {
+	var out []ssa.Use
+	for u := s.Defs[d].FirstUse; u != ssa.None; u = s.Uses[u].Next {
+		out = append(out, s.Uses[u])
+	}
+	return out
 }

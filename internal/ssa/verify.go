@@ -28,8 +28,10 @@ func (s *SSA) Verify() []string {
 	report := func(format string, args ...any) {
 		bad = append(bad, fmt.Sprintf(format, args...))
 	}
+	blocks := s.Fn.Blocks
 
-	// Block positions of instructions for same-block ordering checks.
+	// Blocks and block positions of instructions for same-block
+	// ordering checks.
 	instrBlock := make(map[ir.Instr]*ir.Block)
 	instrPos := make(map[ir.Instr]int)
 	for _, b := range s.Dom.RPO {
@@ -39,19 +41,19 @@ func (s *SSA) Verify() []string {
 		}
 	}
 
-	defPos := func(d *Definition) (blk *ir.Block, pos int) {
-		switch d.Kind {
+	defPos := func(d int32) (blk *ir.Block, pos int) {
+		switch def := s.Defs[d]; def.Kind {
 		case DefEntry:
 			return s.Dom.RPO[0], -2 // before everything
 		case DefPhi:
-			return d.Block, -1 // φs precede instructions
+			return blocks[def.Block], -1 // φs precede instructions
 		default:
-			return d.Block, instrPos[d.Instr]
+			return blocks[def.Block], instrPos[s.instrs[def.Site]]
 		}
 	}
 
 	// dominatesUse: definition d must dominate a use at (b, pos).
-	dominatesUse := func(d *Definition, b *ir.Block, pos int) bool {
+	dominatesUse := func(d int32, b *ir.Block, pos int) bool {
 		db, dp := defPos(d)
 		if db == b {
 			return dp < pos
@@ -70,15 +72,11 @@ func (s *SSA) Verify() []string {
 				continue
 			}
 			for k, d := range uds {
-				if d == nil {
-					report("%s: use %d has no reaching def", in, k)
-					continue
-				}
-				if d.Var != uses[k] {
-					report("%s: use %d of %s resolved to def of %s", in, k, uses[k], d.Var)
+				if s.Var(d) != uses[k] {
+					report("%s: use %d of %s resolved to def of %s", in, k, uses[k], s.Var(d))
 				}
 				if !dominatesUse(d, b, instrPos[in]) {
-					report("%s: def %s does not dominate use", in, d)
+					report("%s: def %s does not dominate use", in, s.Name(d))
 				}
 			}
 		}
@@ -93,10 +91,10 @@ func (s *SSA) Verify() []string {
 				continue
 			}
 			for k, d := range ids {
-				if d.Var != defs[k] {
-					report("%s: def %d of %s registered as %s", in, k, defs[k], d.Var)
+				if s.Var(d) != defs[k] {
+					report("%s: def %d of %s registered as %s", in, k, defs[k], s.Var(d))
 				}
-				if d.Kind != DefInstr || d.Instr != in {
+				if def := s.Defs[d]; def.Kind != DefInstr || s.instrs[def.Site] != in || blocks[def.Block] != b {
 					report("%s: def %d not linked back to instruction", in, k)
 				}
 			}
@@ -104,43 +102,43 @@ func (s *SSA) Verify() []string {
 	}
 
 	for _, b := range s.Dom.RPO {
-		for _, phi := range s.Phis[b.Index] {
-			if len(phi.Args) != len(b.Preds) {
-				report("phi %s in %s: %d args for %d preds", phi.Def, b, len(phi.Args), len(b.Preds))
-				continue
+		for k := range s.Phis[b.Index] {
+			phi := &s.Phis[b.Index][k]
+			if def := s.Defs[phi.Def]; def.Kind != DefPhi || def.Var != phi.Var || int(def.Block) != b.Index || int(def.Site) != k {
+				report("phi %s in %s: definition not linked back", s.Name(phi.Def), b)
 			}
-			for i, a := range phi.Args {
+			for i, a := range s.PhiArgs(phi) {
 				pred := b.Preds[i]
 				if !s.Dom.Reachable(pred) {
 					continue // argument from unreachable predecessor is unconstrained
 				}
-				if a == nil {
-					report("phi %s in %s: nil arg %d from reachable pred %s", phi.Def, b, i, pred)
+				if a == None {
+					report("phi %s in %s: no arg %d from reachable pred %s", s.Name(phi.Def), b, i, pred)
 					continue
 				}
-				if a.Var != phi.Var {
-					report("phi %s: arg %d is a def of %s", phi.Def, i, a.Var)
+				if s.Defs[a].Var != phi.Var {
+					report("phi %s: arg %d is a def of %s", s.Name(phi.Def), i, s.Var(a))
 				}
 				// The arg's def must dominate the end of the predecessor.
 				db, _ := defPos(a)
 				if db != pred && !s.Dom.Dominates(db, pred) {
-					report("phi %s: arg %d def %s does not dominate pred %s", phi.Def, i, a, pred)
+					report("phi %s: arg %d def %s does not dominate pred %s", s.Name(phi.Def), i, s.Name(a), pred)
 				}
 			}
 		}
 		// Terminator uses.
-		tds := s.TermUses[b.Index]
+		tds := s.TermUsesOf(b)
 		if b.Term != nil {
 			uses := b.Term.Uses()
 			if len(uses) != len(tds) {
 				report("%s terminator: %d uses, %d defs", b, len(uses), len(tds))
 			} else {
 				for k, d := range tds {
-					if d.Var != uses[k] {
+					if s.Var(d) != uses[k] {
 						report("%s terminator: use %d mismatched", b, k)
 					}
 					if !dominatesUse(d, b, len(b.Instrs)) {
-						report("%s terminator: def %s does not dominate", b, d)
+						report("%s terminator: def %s does not dominate", b, s.Name(d))
 					}
 				}
 			}
@@ -148,32 +146,29 @@ func (s *SSA) Verify() []string {
 	}
 
 	// Def-use back-edge consistency.
-	for _, d := range s.Defs {
-		for _, u := range d.Uses {
-			switch u.Kind {
+	contains := func(ds []int32, d int32) bool {
+		for _, x := range ds {
+			if x == d {
+				return true
+			}
+		}
+		return false
+	}
+	for d := range s.Defs {
+		d := int32(d)
+		for u := s.Defs[d].FirstUse; u != None; u = s.Uses[u].Next {
+			switch r := s.Uses[u]; r.Kind {
 			case UseInstr:
-				found := false
-				for _, x := range s.UsesOf(u.Instr) {
-					if x == d {
-						found = true
-					}
-				}
-				if !found {
-					report("def %s lists use in %s not recorded there", d, u.Instr)
+				if in := s.instrs[r.Site]; !contains(s.UsesOf(in), d) || blocks[r.Block] != instrBlock[in] {
+					report("def %s lists use in %s not recorded there", s.Name(d), in)
 				}
 			case UsePhi:
-				if u.Phi.Args[u.PhiIx] != d {
-					report("def %s lists phi use %d not recorded", d, u.PhiIx)
+				if s.PhiArgs(&s.Phis[r.Block][r.Site])[r.PhiIx] != d {
+					report("def %s lists phi use %d not recorded", s.Name(d), r.PhiIx)
 				}
 			case UseTerm:
-				found := false
-				for _, x := range s.TermUses[u.Block.Index] {
-					if x == d {
-						found = true
-					}
-				}
-				if !found {
-					report("def %s lists terminator use in %s not recorded", d, u.Block)
+				if !contains(s.TermUsesOf(blocks[r.Block]), d) {
+					report("def %s lists terminator use in %s not recorded", s.Name(d), blocks[r.Block])
 				}
 			}
 		}

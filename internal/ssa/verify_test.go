@@ -134,7 +134,7 @@ func verifyProgram(t *testing.T, name, src string) []*ir.Func {
 		for _, b := range fn.Blocks {
 			var got []*sem.Var
 			for _, phi := range s.Phis[b.Index] {
-				got = append(got, phi.Var)
+				got = append(got, fn.AllVars[phi.Var])
 			}
 			if !slices.Equal(got, want[b]) {
 				t.Fatalf("%s, %s: φs at %s are %v, reference placement gives %v", name, fn.Proc.Name, b, got, want[b])

@@ -33,44 +33,45 @@ func (st *optState) copyPropFunc(i int) PassReport {
 	// instruction ID for same-block ordering (block-order numbering is
 	// current: ssa.Build numbers, fold's rewrites keep IDs and its graft
 	// renumbers), or -1 for a terminator use (which follows every
-	// instruction).
-	step := func(d *ssa.Definition, b *ir.Block, pos int) *ssa.Definition {
-		if d.Kind != ssa.DefInstr {
-			return nil
+	// instruction). It returns ssa.None when there is no link to follow.
+	step := func(d int32, b *ir.Block, pos int) int32 {
+		def := s.Defs[d]
+		if def.Kind != ssa.DefInstr {
+			return ssa.None
 		}
-		cp, ok := d.Instr.(*ir.CopyInstr)
+		cp, ok := s.Instr(def.Site).(*ir.CopyInstr)
 		if !ok {
-			return nil
+			return ssa.None
 		}
 		src := s.UsesOf(cp)[0]
-		switch src.Kind {
+		switch sd := s.Defs[src]; sd.Kind {
 		case ssa.DefEntry:
-			if nd[fn.VarOrd(cp.Src)] != 0 {
-				return nil
+			if nd[sd.Var] != 0 {
+				return ssa.None
 			}
 			return src
 		case ssa.DefInstr:
-			if nd[fn.VarOrd(cp.Src)] != 1 {
-				return nil
+			if nd[sd.Var] != 1 {
+				return ssa.None
 			}
-			if src.Block == b {
-				if pos >= 0 && src.Instr.InstrID() >= pos {
-					return nil
+			if int(sd.Block) == b.Index {
+				if pos >= 0 && int(sd.Site) >= pos {
+					return ssa.None
 				}
 				return src
 			}
-			if !s.Dom.Dominates(src.Block, b) {
-				return nil
+			if !s.Dom.Dominates(fn.Blocks[sd.Block], b) {
+				return ssa.None
 			}
 			return src
 		}
-		return nil
+		return ssa.None
 	}
-	follow := func(d *ssa.Definition, b *ir.Block, pos int) (*ssa.Definition, bool) {
+	follow := func(d int32, b *ir.Block, pos int) (int32, bool) {
 		moved := false
 		for {
 			next := step(d, b, pos)
-			if next == nil {
+			if next == ssa.None {
 				return d, moved
 			}
 			d = next
@@ -91,7 +92,7 @@ func (st *optState) copyPropFunc(i int) PassReport {
 				}
 			}
 		}
-		tds := s.TermUses[b.Index]
+		tds := s.TermUsesOf(b)
 		for k := range tds {
 			if nd2, moved := follow(tds[k], b, -1); moved {
 				s.ReplaceTermOperand(b, k, nd2)

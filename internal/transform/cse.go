@@ -24,10 +24,9 @@ import (
 func (st *optState) cseFunc(i int) PassReport {
 	pr := PassReport{Pass: PassCSE}
 	s := st.overlay(i)
-	fn := s.Fn
 	nd := defCounts(s)
 
-	table := make(map[string]*ssa.Definition)
+	table := make(map[string]int32)
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
 		var added []string
@@ -37,13 +36,13 @@ func (st *optState) cseFunc(i int) PassReport {
 				continue
 			}
 			if prev, ok := table[key]; ok {
-				nc := &ir.CopyInstr{Dst: in.Defs()[0], Src: prev.Var}
+				nc := &ir.CopyInstr{Dst: in.Defs()[0], Src: s.Var(prev)}
 				s.RewriteToCopy(b, idx, nc, prev)
 				pr.CSEReplaced++
 				continue
 			}
 			d := s.DefsOf(in)[0]
-			if nd[fn.VarOrd(d.Var)] == 1 {
+			if nd[s.Defs[d].Var] == 1 {
 				table[key] = d
 				added = append(added, key)
 			}
@@ -74,10 +73,10 @@ func commutative(op token.Kind) bool {
 func exprKey(s *ssa.SSA, in ir.Instr) string {
 	switch in := in.(type) {
 	case *ir.UnaryInstr:
-		return "u" + in.Op.String() + ":" + opKey(s.UsesOf(in)[0])
+		return "u" + in.Op.String() + ":" + opKey(s, s.UsesOf(in)[0])
 	case *ir.BinaryInstr:
 		uds := s.UsesOf(in)
-		x, y := opKey(uds[0]), opKey(uds[1])
+		x, y := opKey(s, uds[0]), opKey(s, uds[1])
 		if commutative(in.Op) && y < x {
 			x, y = y, x
 		}
@@ -92,11 +91,11 @@ func exprKey(s *ssa.SSA, in ir.Instr) string {
 // literal into its own temp, so `b + 1` twice yields two distinct
 // `const 1` temps whose IDs would never match, while their runtime
 // values provably do.
-func opKey(d *ssa.Definition) string {
-	if d.Kind == ssa.DefInstr {
-		if c, ok := d.Instr.(*ir.ConstInstr); ok {
+func opKey(s *ssa.SSA, d int32) string {
+	if def := s.Defs[d]; def.Kind == ssa.DefInstr {
+		if c, ok := s.Instr(def.Site).(*ir.ConstInstr); ok {
 			return "c" + strconv.Itoa(int(c.Val.Type)) + ":" + c.Val.String()
 		}
 	}
-	return "#" + strconv.Itoa(d.ID)
+	return "#" + strconv.Itoa(int(d))
 }

@@ -31,18 +31,19 @@ func (st *optState) dseFunc(i int) PassReport {
 			}
 		}
 	}
+	var operands []int32
 	for len(work) > 0 {
 		in := work[len(work)-1]
 		work = work[:len(work)-1]
 		if !deadStore(s, in) {
 			continue // queued again by an instruction that read it twice
 		}
-		uds := s.UsesOf(in)
+		operands = append(operands[:0], s.UsesOf(in)...)
 		s.DeleteStore(in)
 		pr.DeadStores++
-		for _, d := range uds {
-			if d.Kind == ssa.DefInstr && deadStore(s, d.Instr) {
-				work = append(work, d.Instr)
+		for _, d := range operands {
+			if def := s.Defs[d]; def.Kind == ssa.DefInstr && deadStore(s, s.Instr(def.Site)) {
+				work = append(work, s.Instr(def.Site))
 			}
 		}
 	}
@@ -81,5 +82,5 @@ func deadStore(s *ssa.SSA, in ir.Instr) bool {
 		return false
 	}
 	defs := s.DefsOf(in)
-	return len(defs) == 1 && defs[0].Kind == ssa.DefInstr && len(defs[0].Uses) == 0
+	return len(defs) == 1 && s.Defs[defs[0]].Kind == ssa.DefInstr && s.Defs[defs[0]].FirstUse == ssa.None
 }

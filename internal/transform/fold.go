@@ -58,7 +58,7 @@ func (st *optState) foldFunc(i int) PassReport {
 			case *ir.CopyInstr, *ir.UnaryInstr, *ir.BinaryInstr:
 				d := s.DefsOf(in)[0]
 				if v := r.ValueOf(d); v.IsConst() {
-					s.RewriteToConst(b, idx, &ir.ConstInstr{Dst: in.Defs()[0], Val: v.Val})
+					s.RewriteToConst(b, idx, &ir.ConstInstr{Dst: s.Var(d), Val: v.Val})
 					pr.FoldedInstrs++
 				}
 			}

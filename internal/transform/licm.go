@@ -27,7 +27,8 @@ import (
 //     still sees c.
 //
 // Moves preserve the CFG, so the overlay stays valid; only the
-// instruction numbering is redone (ssa.RenumberInstrs).
+// instruction numbering is redone (ssa.RenumberInstrs, which also moves
+// each hoisted definition to its new block).
 func (st *optState) licmFunc(i int) PassReport {
 	pr := PassReport{Pass: PassLICM}
 	s := st.overlay(i)
@@ -60,7 +61,7 @@ func (st *optState) licmFunc(i int) PassReport {
 					if !isLocalish(c.Dst) {
 						continue
 					}
-					vi := fn.VarOrd(c.Dst)
+					vi := s.Defs[s.DefsOf(c)[0]].Var
 					if nd[vi] != 1 {
 						continue
 					}
@@ -73,7 +74,6 @@ func (st *optState) licmFunc(i int) PassReport {
 			for _, m := range moves {
 				removeInstr(m.block, m.instr)
 				pre.Instrs = append(pre.Instrs, m.instr)
-				s.DefsOf(m.instr)[0].Block = pre
 				pr.HoistedConsts++
 			}
 			for _, lb := range loop {
@@ -121,20 +121,20 @@ func isLocalish(v *sem.Var) bool {
 
 // entryReachesRealUse reports whether d (an entry definition) flows to
 // any instruction or terminator use, following φ chains.
-func entryReachesRealUse(s *ssa.SSA, d *ssa.Definition) bool {
-	seen := make(map[*ssa.Definition]bool)
-	var walk func(d *ssa.Definition) bool
-	walk = func(d *ssa.Definition) bool {
+func entryReachesRealUse(s *ssa.SSA, d int32) bool {
+	seen := make(map[int32]bool)
+	var walk func(d int32) bool
+	walk = func(d int32) bool {
 		if seen[d] {
 			return false
 		}
 		seen[d] = true
-		for _, u := range d.Uses {
-			switch u.Kind {
+		for u := s.Defs[d].FirstUse; u != ssa.None; u = s.Uses[u].Next {
+			switch r := s.Uses[u]; r.Kind {
 			case ssa.UseInstr, ssa.UseTerm:
 				return true
 			case ssa.UsePhi:
-				if walk(u.Phi.Def) {
+				if walk(s.Phis[r.Block][r.Site].Def) {
 					return true
 				}
 			}

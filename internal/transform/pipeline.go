@@ -218,11 +218,8 @@ func (st *optState) shardFn(name string) func(i int) PassReport {
 func defCounts(s *ssa.SSA) []int {
 	nd := make([]int, len(s.Fn.AllVars))
 	for _, d := range s.Defs {
-		if d.Kind != ssa.DefInstr {
-			continue
-		}
-		if vi := s.Fn.VarOrd(d.Var); vi >= 0 {
-			nd[vi]++
+		if d.Kind == ssa.DefInstr {
+			nd[d.Var]++
 		}
 	}
 	return nd

@@ -67,7 +67,7 @@ func CountSubstitutions(ctx *icp.Context, env EnvFn) Count {
 				continue
 			}
 			if _, ok := b.Term.(*ir.If); ok {
-				if cond := r.ValueOf(s.TermUses[b.Index][0]); cond.IsConst() {
+				if cond := r.ValueOf(s.TermUsesOf(b)[0]); cond.IsConst() {
 					c.FoldedBranches++
 				}
 			}
@@ -94,7 +94,7 @@ func countProc(r *scc.Result) int {
 			}
 		}
 		if b.Term != nil {
-			tds := s.TermUses[b.Index]
+			tds := s.TermUsesOf(b)
 			for k, v := range b.Term.Uses() {
 				if sourceVar(v) && r.ValueOf(tds[k]).IsConst() {
 					n++

@@ -74,7 +74,13 @@ func (s *Session) Version() int { return s.version }
 // LoadWith. On error (a parse or semantic diagnostic) the session is
 // untouched, so the error is exactly the one Load reports.
 func (s *Session) Update(src string) (*Program, error) {
-	key := incr.TokenKey(src)
+	return s.UpdateKeyed(src, SourceFingerprint(src))
+}
+
+// UpdateKeyed is Update for a caller that already holds key, which
+// must be SourceFingerprint(src): the source is not lexed a second time
+// to compute it.
+func (s *Session) UpdateKeyed(src, key string) (*Program, error) {
 	var next *Program
 	if s.prog != nil && key == s.key {
 		tr := driver.NewTrace()

@@ -478,6 +478,72 @@ func TestSessionLoadPassReuse(t *testing.T) {
 	}
 }
 
+// TestSessionUpdateKeyedCurrentKey: UpdateKeyed under the current
+// version's key takes Update's cached path, without lexing the source:
+// the new version shares the compiled context, and its load records
+// repeat the current ones marked Cached.
+func TestSessionUpdateKeyedCurrentKey(t *testing.T) {
+	src := "program p\nglobal g int = 3\nproc main() {\n  use g\n  call q(g)\n}\nproc q(x int) {\n  print x\n}\n"
+	sess, err := fsicp.NewSession("t.mf", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sess.Program()
+	p, err := sess.UpdateKeyed("# heading\n"+src, sess.SourceKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fsicp.ContextOf(p) != fsicp.ContextOf(before) {
+		t.Error("UpdateKeyed under the current key rebuilt the program")
+	}
+	cached := map[string]bool{}
+	for _, st := range p.Analyze(fsicp.Config{}).Stats() {
+		cached[st.Name] = st.Cached
+	}
+	for _, name := range loadPasses {
+		if !cached[name] {
+			t.Errorf("pass %s was not marked Cached", name)
+		}
+	}
+	if sess.Version() != 2 {
+		t.Errorf("Version() = %d, want 2", sess.Version())
+	}
+}
+
+// TestSessionUpdateKeyedMatchesUpdate: with a new version's key,
+// UpdateKeyed reports exactly what Update does, version after version.
+func TestSessionUpdateKeyedMatchesUpdate(t *testing.T) {
+	files, _ := progen.GenerateModules(progen.ModuleConfig{Seed: 5, Modules: 2, ProcsPerModule: 12, Globals: 3, SCCSize: 2, AllowFloats: true})
+	src := progen.Flatten(files)
+	plain, err := fsicp.NewSession("e.mf", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed, err := fsicp.NewSession("e.mf", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fsicp.Config{Method: fsicp.FlowSensitive, ReturnConstants: true}
+	for i := 0; i < 6; i++ {
+		next := progen.Edit(src, int64(31*i+7))
+		_, errPlain := plain.Update(next)
+		_, errKeyed := keyed.UpdateKeyed(next, fsicp.SourceFingerprint(next))
+		if (errPlain == nil) != (errKeyed == nil) {
+			t.Fatalf("edit %d: Update error %v, UpdateKeyed error %v", i, errPlain, errKeyed)
+		}
+		if errPlain != nil {
+			continue
+		}
+		src = next
+		if plain.SourceKey() != keyed.SourceKey() || plain.Version() != keyed.Version() {
+			t.Fatalf("edit %d: key or version differ", i)
+		}
+		if a, b := fingerprint(plain.Analyze(cfg)), fingerprint(keyed.Analyze(cfg)); a != b {
+			t.Fatalf("edit %d: UpdateKeyed reports\n%s\nUpdate reports\n%s", i, b, a)
+		}
+	}
+}
+
 // Step-0 sources: stepZeroBad passes the semantic check but fails
 // lowering (a for-loop step must be a non-zero literal).
 const (
