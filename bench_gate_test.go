@@ -15,10 +15,11 @@ import (
 	"fsicp/internal/bench"
 	"fsicp/internal/icp"
 	"fsicp/internal/metrics"
+	"fsicp/internal/ssa"
 	"fsicp/internal/tables"
 )
 
-// gateBenchmarks are the workloads the gate guards: the wavefront
+// gateBenchmarks are the workloads the gate guards: the analysis
 // scheduler on the largest synthetic SPEC program, the full Table 1
 // regeneration (both methods plus metric extraction) as the
 // paper-table representative, and the sharded load pipeline on the
@@ -37,7 +38,10 @@ import (
 // one, shows up long before the small workloads notice.
 // BenchmarkSessionEditReturns guards the incremental returns traversal:
 // an edit that made it re-run every procedure again would multiply its
-// allocs/op several times over.
+// allocs/op several times over. BenchmarkSSABuild guards SSA
+// construction: the analysis benchmarks reuse the overlays their first
+// run built, so only a benchmark that builds every reachable function's
+// SSA in each iteration sees a regression in ssa.Build.
 func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 	t.Helper()
 	spice, err := tables.Compile(bench.SPECfp92()[0])
@@ -132,6 +136,15 @@ func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				prog.Analyze(fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, Workers: 4})
+			}
+		},
+		"BenchmarkSSABuild": func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, ctx := range suite {
+					for _, p := range ctx.CG.Reachable {
+						ssa.Build(ctx.Prog.FuncOf[p])
+					}
+				}
 			}
 		},
 		"BenchmarkServeSustained":     runServeSustained,

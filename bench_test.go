@@ -318,7 +318,7 @@ func BenchmarkIterative(b *testing.B) {
 		icp.Options{Method: icp.FlowSensitiveIterative, PropagateFloats: true})
 }
 
-// BenchmarkAnalyzeParallel compares the wavefront scheduler's worker
+// BenchmarkAnalyzeParallel compares the dependency-driven scheduler's worker
 // counts on the largest synthetic SPEC program (013.spice2g6, 120
 // procedures). On a multi-core machine the higher worker counts should
 // beat workers=1; the solution is byte-identical either way (the

@@ -127,7 +127,7 @@ func main() {
 	optPasses := flag.String("opt-passes", "", "comma-separated pipeline passes for -optimize: fold,copyprop,dse,cse,licm (empty = all)")
 	doInline := flag.Bool("inline", false, "inline all non-recursive calls before analysing")
 	showStats := flag.Bool("stats", false, "print the per-pass timing table")
-	workers := flag.Int("workers", 0, "workers for the sharded load passes and per wavefront level (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "workers for the sharded load passes and the analysis traversals (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the analysis as JSON (fs/fi/iter only)")
 	watch := flag.Bool("watch", false, "re-analyse incrementally whenever the file changes, printing constant deltas")
 	timeout := flag.Duration("timeout", 0, "analysis deadline; procedures unfinished at expiry degrade to the flow-insensitive solution (0 = none)")

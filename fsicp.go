@@ -96,9 +96,9 @@ type Config struct {
 	// sibling's entry become visible.
 	ReturnsRefresh bool
 	// Workers bounds the number of procedures the flow-sensitive
-	// methods analyse concurrently per wavefront level of the call
-	// graph (0 means GOMAXPROCS). Analysis results are byte-identical
-	// for every worker count.
+	// methods analyse concurrently (0 means GOMAXPROCS); a procedure
+	// starts once its forward-edge callers have finished. Analysis
+	// results are byte-identical for every worker count.
 	Workers int
 
 	// CacheDir, when non-empty, backs the incremental engine's value

@@ -2,7 +2,9 @@
 // program and provides the traversal orders the interprocedural analyses
 // need: reachability from main, a forward topological order (reverse
 // post-order of a DFS from main), back-edge classification against that
-// order, and Tarjan strongly connected components for cycle handling.
+// order, the forward-edge DAG in both directions for the parallel
+// traversals, and Tarjan strongly connected components for cycle
+// handling.
 //
 // Following the paper (§3.2), a call edge is a *back edge* exactly when
 // the callee is not processed before the caller in the chosen forward
@@ -16,15 +18,19 @@ import (
 	"fmt"
 	"strings"
 
+	"fsicp/internal/driver"
 	"fsicp/internal/ir"
 	"fsicp/internal/sem"
 )
 
-// Edge is one call-site edge of the PCG.
+// Edge is one call-site edge of the PCG. CallerPos and CalleePos are
+// the endpoints' positions in Graph.Reachable.
 type Edge struct {
 	Caller *sem.Proc
 	Callee *sem.Proc
 	Site   *ir.CallInstr
+
+	CallerPos, CalleePos int32
 }
 
 // Graph is the PCG.
@@ -52,6 +58,13 @@ type Graph struct {
 	SCCs [][]*sem.Proc
 	// SCCIndex[p] is the index of p's component in SCCs.
 	SCCIndex map[*sem.Proc]int
+
+	// Forward is the DAG of the forward edges over Reachable
+	// positions, each running from caller to callee: the order of the
+	// forward traversals, where a procedure waits for its forward-edge
+	// callers. Reverse turns every edge round for the reverse
+	// traversal, where a procedure waits for its forward-edge callees.
+	Forward, Reverse *driver.DAG
 }
 
 // Build constructs the PCG of prog.
@@ -64,6 +77,8 @@ func Build(prog *ir.Program) *Graph {
 		SCCIndex: make(map[*sem.Proc]int),
 	}
 	if prog.Sem.Main == nil {
+		g.Forward = driver.NewDAG(0, false, nil, nil)
+		g.Reverse = driver.NewDAG(0, true, nil, nil)
 		return g
 	}
 
@@ -87,14 +102,20 @@ func Build(prog *ir.Program) *Graph {
 		g.Reachable = append(g.Reachable, post[i])
 	}
 
-	for _, p := range g.Reachable {
+	var from, to []int32 // the forward edges' endpoints
+	for i, p := range g.Reachable {
 		for _, call := range prog.FuncOf[p].Calls {
-			e := Edge{Caller: p, Callee: call.Callee, Site: call}
+			e := Edge{Caller: p, Callee: call.Callee, Site: call, CallerPos: int32(i), CalleePos: int32(g.Pos[call.Callee])}
 			g.Edges = append(g.Edges, e)
 			g.Out[p] = append(g.Out[p], e)
 			g.In[call.Callee] = append(g.In[call.Callee], e)
+			if !g.IsBackEdge(e) {
+				from, to = append(from, e.CallerPos), append(to, e.CalleePos)
+			}
 		}
 	}
+	g.Forward = driver.NewDAG(len(g.Reachable), false, from, to)
+	g.Reverse = driver.NewDAG(len(g.Reachable), true, to, from)
 	g.tarjan()
 	return g
 }
@@ -106,9 +127,9 @@ func (g *Graph) IsReachable(p *sem.Proc) bool {
 }
 
 // IsBackEdge reports whether e is a back edge of the forward topological
-// traversal: its callee is not processed strictly before its caller.
+// traversal: its callee is not processed strictly after its caller.
 func (g *Graph) IsBackEdge(e Edge) bool {
-	return g.Pos[e.Callee] <= g.Pos[e.Caller]
+	return e.CalleePos <= e.CallerPos
 }
 
 // HasCycles reports whether the reachable PCG contains any cycle

@@ -2,14 +2,14 @@
 // compilation and analysis phases as named passes in the order they
 // were added, and collects one PassStats record per pass into a Trace.
 //
-// The package also provides the wavefront scheduler the flow-sensitive
-// ICP methods use to analyse independent procedures concurrently: the
-// forward-edge DAG of the program call graph is condensed into
-// topological levels (Levels) and every procedure of a level runs on a
-// bounded worker pool (Wavefront), with a barrier between levels. The
-// paper's traversal invariant — a procedure is analysed only after all
-// of its forward-edge callers — is exactly the level order, so the
-// schedule is semantics-preserving for any worker count.
+// The package also provides the dependency-driven scheduler the
+// flow-sensitive ICP methods use to analyse independent procedures
+// concurrently: Schedule runs the items of a DAG (the forward-edge DAG
+// of the program call graph) on a bounded worker pool, starting each as
+// soon as its last predecessor has finished. The paper's traversal
+// invariant — a procedure is analysed only after all of its
+// forward-edge callers — is exactly that order, so the schedule is
+// semantics-preserving for any worker count.
 package driver
 
 import (
@@ -75,12 +75,13 @@ type PassStats struct {
 	// the program retains, as of that collection.
 	LiveBytes uint64
 
-	// Levels and Width describe the wavefront schedule of a parallel
-	// analysis pass: the topological level count and the widest
-	// level's procedure count (the pass's peak available parallelism).
+	// Levels and Width describe the DAG a scheduled analysis pass ran
+	// on (DAG.Depth and DAG.Width): its longest-path layer count and
+	// the widest layer's procedure count, the pass's peak available
+	// parallelism. The schedule itself has no layer barriers.
 	// Skipped counts the procedure visits delta propagation
 	// short-circuited because no input changed since the last visit.
-	// All zero for serial or non-wavefront passes.
+	// All zero for passes that run on no DAG.
 	Levels  int
 	Width   int
 	Skipped int

@@ -3,9 +3,10 @@ package driver
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,39 +97,45 @@ func TestTraceTableAggregates(t *testing.T) {
 	}
 }
 
+// dagOf builds an ascending DAG over n items from a dependency list:
+// deps[i] lists the items that must finish before i starts.
+func dagOf(n int, deps map[int][]int) *DAG {
+	var from, to []int32
+	for i := 0; i < n; i++ {
+		for _, d := range deps[i] {
+			from, to = append(from, int32(d)), append(to, int32(i))
+		}
+	}
+	return NewDAG(n, false, from, to)
+}
+
 func TestLevelsLongestPathLayering(t *testing.T) {
-	// 0 -> 1 -> 3, 0 -> 2, 2 -> 3, 4 isolated.
-	deps := map[int][]int{1: {0}, 2: {0}, 3: {1, 2}}
-	levels := Levels(5, func(i int) []int { return deps[i] })
-	want := [][]int{{0, 4}, {1, 2}, {3}}
-	if len(levels) != len(want) {
-		t.Fatalf("levels = %v, want %v", levels, want)
+	// 0 -> 1 -> 3, 0 -> 2, 2 -> 3, 4 isolated: layers {0, 4}, {1, 2}, {3}.
+	d := dagOf(5, map[int][]int{1: {0}, 2: {0}, 3: {1, 2}})
+	if d.Depth != 3 || d.Width != 2 {
+		t.Errorf("Depth, Width = %d, %d, want 3, 2", d.Depth, d.Width)
 	}
-	for i := range want {
-		if len(levels[i]) != len(want[i]) {
-			t.Fatalf("level %d = %v, want %v", i, levels[i], want[i])
-		}
-		for j := range want[i] {
-			if levels[i][j] != want[i][j] {
-				t.Fatalf("level %d = %v, want %v", i, levels[i], want[i])
-			}
-		}
-	}
-	if MaxWidth(levels) != 2 {
-		t.Errorf("MaxWidth = %d, want 2", MaxWidth(levels))
+	// The reversed DAG has the same longest path; its layers are
+	// {3, 4}, {1, 2}, {0}.
+	r := NewDAG(5, true, []int32{1, 2, 3, 3}, []int32{0, 0, 1, 2})
+	if r.Depth != 3 || r.Width != 2 {
+		t.Errorf("reversed: Depth, Width = %d, %d, want 3, 2", r.Depth, r.Width)
 	}
 }
 
 func TestLevelsSelfAndDuplicateDeps(t *testing.T) {
 	// Self-deps are ignored; duplicate edges must not wedge the layering.
-	levels := Levels(2, func(i int) []int {
-		if i == 1 {
-			return []int{0, 0, 1}
-		}
-		return nil
-	})
-	if len(levels) != 2 || levels[0][0] != 0 || levels[1][0] != 1 {
-		t.Errorf("levels = %v, want [[0] [1]]", levels)
+	d := dagOf(2, map[int][]int{1: {0, 0, 1}})
+	if d.Depth != 2 || d.Width != 1 {
+		t.Errorf("Depth, Width = %d, %d, want 2, 1", d.Depth, d.Width)
+	}
+	if d.Preds[1] != 2 {
+		t.Errorf("Preds[1] = %d, want 2 (duplicates kept, self-edge dropped)", d.Preds[1])
+	}
+	var ran []int
+	Schedule(context.Background(), d, 2, func(i int) { ran = append(ran, i) })
+	if len(ran) != 2 || ran[0] != 0 || ran[1] != 1 {
+		t.Errorf("ran %v, want [0 1]", ran)
 	}
 }
 
@@ -138,35 +145,133 @@ func TestLevelsPanicsOnCycle(t *testing.T) {
 			t.Error("expected panic on cycle")
 		}
 	}()
-	Levels(2, func(i int) []int { return []int{1 - i} })
+	dagOf(2, map[int][]int{0: {1}, 1: {0}})
 }
 
-func TestWavefrontRespectsLevelBarriers(t *testing.T) {
-	// 3 levels; every item records the level counter value it observed.
-	levels := [][]int{{0, 1, 2, 3}, {4, 5}, {6}}
-	levelOf := []int32{0, 0, 0, 0, 1, 1, 2}
-	var current atomic.Int32
-	current.Store(-1)
-	var mu sync.Mutex
-	seen := make(map[int]int32)
-	done := make(map[int32]int)
-	Wavefront(levels, 4, func(item int) {
-		mu.Lock()
-		if done[levelOf[item]] == 0 {
-			current.Add(1)
+// randomDAG returns a DAG over n items with about deg edges per item,
+// each running in the item order (descending when desc is set).
+func randomDAG(rng *rand.Rand, n, deg int, desc bool) *DAG {
+	var from, to []int32
+	for k := 0; k < n*deg; k++ {
+		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if a > b {
+			a, b = b, a
 		}
-		done[levelOf[item]]++
-		seen[item] = current.Load()
-		mu.Unlock()
-	})
-	for item, lv := range seen {
-		if lv != levelOf[item] {
-			t.Errorf("item %d observed level %d, want %d (barrier violated)", item, lv, levelOf[item])
+		if desc {
+			a, b = b, a
+		}
+		from, to = append(from, a), append(to, b)
+	}
+	return NewDAG(n, desc, from, to)
+}
+
+// TestScheduleRunsAfterPredecessors: every item runs exactly once, and
+// only after each of its predecessors has finished, checked edge by
+// edge, in both directions and at several worker counts.
+func TestScheduleRunsAfterPredecessors(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, desc := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			d := randomDAG(rng, 300, 3, desc)
+			preds := make([][]int32, d.Len())
+			for i := 0; i < d.Len(); i++ {
+				for _, s := range d.Succs(i) {
+					preds[s] = append(preds[s], int32(i))
+				}
+			}
+			runs := make([]atomic.Int32, d.Len())
+			finished := make([]atomic.Bool, d.Len())
+			var violations atomic.Int32
+			Schedule(context.Background(), d, workers, func(i int) {
+				runs[i].Add(1)
+				for _, p := range preds[i] {
+					if !finished[p].Load() {
+						violations.Add(1)
+					}
+				}
+				finished[i].Store(true)
+			})
+			if v := violations.Load(); v != 0 {
+				t.Errorf("desc=%t workers=%d: %d items started before a predecessor finished", desc, workers, v)
+			}
+			for i := range runs {
+				if n := runs[i].Load(); n != 1 {
+					t.Errorf("desc=%t workers=%d: item %d ran %d times, want 1", desc, workers, i, n)
+				}
+			}
 		}
 	}
-	if len(seen) != 7 {
-		t.Errorf("ran %d items, want 7", len(seen))
+}
+
+// TestScheduleHasNoLevelBarrier: with 2 workers, item 2 depends on
+// item 1, and item 3, an unrelated root, blocks until item 2 has
+// finished. A level barrier would hold item 2 back until item 3's
+// level completes, so the run could not finish.
+func TestScheduleHasNoLevelBarrier(t *testing.T) {
+	d := dagOf(4, map[int][]int{1: {0}, 2: {1}})
+	item2 := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		Schedule(context.Background(), d, 2, func(i int) {
+			switch i {
+			case 2:
+				close(item2)
+			case 3:
+				select {
+				case <-item2:
+				case <-time.After(10 * time.Second):
+					t.Error("item 3 waited 10s for item 2: a barrier held item 2 back")
+				}
+			}
+		})
+	}()
+	select {
+	case <-finished:
+	case <-time.After(20 * time.Second):
+		t.Fatal("Schedule did not return")
 	}
+}
+
+// TestScheduleSerialRunsInItemOrder: with one worker the items run in
+// the item order — ascending, or descending for a descending DAG — on
+// the caller's goroutine.
+func TestScheduleSerialRunsInItemOrder(t *testing.T) {
+	caller := goid()
+	for _, desc := range []bool{false, true} {
+		d := randomDAG(rand.New(rand.NewSource(2)), 50, 2, desc)
+		var order []int
+		Schedule(context.Background(), d, 1, func(i int) {
+			if g := goid(); g != caller {
+				t.Errorf("item %d ran on goroutine %d, want the caller's %d", i, g, caller)
+			}
+			order = append(order, i)
+		})
+		for k, i := range order {
+			want := k
+			if desc {
+				want = d.Len() - 1 - k
+			}
+			if i != want {
+				t.Fatalf("desc=%t: order %v, want item order", desc, order)
+			}
+		}
+		if len(order) != d.Len() {
+			t.Errorf("desc=%t: ran %d items, want %d", desc, len(order), d.Len())
+		}
+	}
+}
+
+// goid is the current goroutine's ID, parsed from its stack header
+// ("goroutine 7 [running]:").
+func goid() int {
+	var buf [64]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, err := strconv.Atoi(s[:strings.IndexByte(s, ' ')])
+	if err != nil {
+		panic(err)
+	}
+	return id
 }
 
 func TestParallelRunsAll(t *testing.T) {

@@ -2,9 +2,11 @@ package driver
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestManagerPassPanicBecomesError: a panicking pass fails the pipeline
@@ -46,13 +48,14 @@ func TestManagerContextStopsBetweenPasses(t *testing.T) {
 	}
 }
 
-// TestWavefrontCtxStopsClaiming: once the context ends, unclaimed items
-// are skipped and the call still returns (no deadlock, no leak).
-func TestWavefrontCtxStopsClaiming(t *testing.T) {
+// TestScheduleCtxStopsClaiming: once the context ends, no item
+// starts — here item 0 cancels and its four successors never run — and
+// the call still returns (no deadlock, no leak).
+func TestScheduleCtxStopsClaiming(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	levels := [][]int{{0}, {1, 2, 3, 4}}
+	d := NewDAG(5, false, []int32{0, 0, 0, 0}, []int32{1, 2, 3, 4})
 	var ran atomic.Int64
-	WavefrontCtx(ctx, levels, 2, func(i int) {
+	Schedule(ctx, d, 2, func(i int) {
 		if i == 0 {
 			cancel()
 			return
@@ -60,7 +63,42 @@ func TestWavefrontCtxStopsClaiming(t *testing.T) {
 		ran.Add(1)
 	})
 	if got := ran.Load(); got != 0 {
-		t.Errorf("%d items of the level after cancellation still ran", got)
+		t.Errorf("%d items started after cancellation", got)
+	}
+}
+
+// TestScheduleCancelReturnsWithWorkersExited: a context ended while
+// the other workers wait for ready items wakes them, no further item
+// starts, and the call returns with every worker goroutine exited.
+func TestScheduleCancelReturnsWithWorkersExited(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	// Item 0 is the only root; items 1..9 wait for it.
+	from, to := make([]int32, 9), make([]int32, 9)
+	for k := range to {
+		to[k] = int32(k + 1)
+	}
+	d := NewDAG(10, false, from, to)
+	var cancelled atomic.Bool
+	var late atomic.Int64
+	Schedule(ctx, d, 4, func(i int) {
+		if cancelled.Load() {
+			late.Add(1)
+		}
+		if i == 0 {
+			time.Sleep(20 * time.Millisecond) // the other workers park on the queue
+			cancel()
+			cancelled.Store(true)
+		}
+	})
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d items started after cancellation", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Schedule returned (%d before)", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -84,9 +84,9 @@ type Options struct {
 	Method Method
 
 	// Workers bounds the number of procedures the flow-sensitive
-	// methods analyse concurrently per wavefront level (0 means
-	// GOMAXPROCS). The solution is byte-identical for every worker
-	// count.
+	// methods analyse concurrently (0 means GOMAXPROCS); driver.Schedule
+	// starts a procedure once its forward-edge predecessors have
+	// finished. The solution is byte-identical for every worker count.
 	Workers int
 
 	// Trace, when non-nil, receives one driver.PassStats record per
@@ -114,7 +114,7 @@ type Options struct {
 	ReturnsRefresh bool
 
 	// Ctx, when non-nil, bounds the analysis: after it ends, the
-	// wavefront stops claiming procedures and every unfinished one
+	// traversals start no further procedure and every unfinished one
 	// degrades to the flow-insensitive solution (recorded in
 	// Result.Degradations). Nil means no bound.
 	Ctx context.Context
@@ -144,7 +144,7 @@ type Options struct {
 	// live for every reachable procedure. The facade sets it — nothing
 	// downstream of the public API reads Intra (the transform pipeline
 	// re-runs scc itself from Result.Entry) — which keeps the analysis
-	// phase's live heap proportional to the wavefront width rather than
+	// phase's live heap proportional to the worker count rather than
 	// the program size. The summaries, reports, and all public results
 	// are byte-identical either way.
 	DropIntra bool

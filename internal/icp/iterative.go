@@ -27,16 +27,15 @@ import (
 // solution (the equivalence test in the icp tests and the property
 // tests check this).
 //
-// Each fixpoint round runs as a parallel wavefront over the
-// forward-edge DAG's topological levels. The serial traversal reads, at
-// procedure p, the current round's results of forward-edge callers
-// (they precede p in topological order) and the previous round's
-// results of back-edge callers (they follow p, or are p itself). The
-// wavefront preserves exactly that: forward edges read the
-// current-round slots of earlier levels (complete behind the barrier),
-// back edges read a snapshot taken at round start. Rounds, re-analysis
-// counts, and the solution are therefore identical to the serial
-// schedule for every worker count.
+// Each fixpoint round runs on driver.Schedule over the forward-edge
+// DAG. The serial traversal reads, at procedure p, the current round's
+// results of forward-edge callers (they precede p in topological
+// order) and the previous round's results of back-edge callers (they
+// follow p, or are p itself). The schedule preserves exactly that:
+// forward edges read the current-round slots of callers that finished
+// before p started, back edges read a snapshot taken at round start.
+// Rounds, re-analysis counts, and the solution are therefore identical
+// to the serial schedule for every worker count.
 //
 // With an incremental engine attached, the method never reuses a
 // previous run's summary — a procedure's environment moves over the
@@ -79,14 +78,13 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	// converges, and the other procedures keep iterating normally.
 	degraded := make([]bool, n)
 
-	levels := forwardLevels(cg)
 	var sccRuns atomic.Int64
 
 	// Delta propagation: after round zero, a procedure is re-examined
 	// only when some caller's summary was replaced since its last
 	// visit. A forward-edge caller that changes marks its callees
-	// dirty for the current round (their levels run after its
-	// barrier); a back-edge caller marks them for the next round (the
+	// dirty for the current round (they start after it finishes); a
+	// back-edge caller marks them for the next round (the
 	// replacement becomes visible only in the next round-start
 	// snapshot). A clean procedure would rebuild its entry environment
 	// from the identical summaries it read last time and take the
@@ -94,19 +92,18 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	// byte-identical — same rounds, same scc runs, same solution — and
 	// saves the per-procedure entry construction that otherwise
 	// dominates late, mostly-converged rounds. The marks are atomic
-	// because procedures of one level mark shared callees
-	// concurrently; a mark always lands before the marked procedure's
-	// level barrier, so no evaluation misses it.
+	// because concurrently running procedures mark shared callees; a
+	// forward mark lands before the marking caller finishes, so before
+	// the marked procedure starts, and no evaluation misses it.
 	deltaSkip := !opts.NoDeltaSkip
 	dirty := make([]atomic.Bool, n)
 	nextDirty := make([]atomic.Bool, n)
 	markCallees := func(p *sem.Proc) {
 		for _, e := range cg.Out[p] {
-			j := cg.Pos[e.Callee]
 			if cg.IsBackEdge(e) {
-				nextDirty[j].Store(true)
+				nextDirty[e.CalleePos].Store(true)
 			} else {
-				dirty[j].Store(true)
+				dirty[e.CalleePos].Store(true)
 			}
 		}
 	}
@@ -127,9 +124,9 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	// round-start snapshot.
 	bySum := func(e callgraph.Edge) *incr.ProcSummary {
 		if cg.IsBackEdge(e) {
-			return prevSums[cg.Pos[e.Caller]]
+			return prevSums[e.CallerPos]
 		}
-		return sums[cg.Pos[e.Caller]]
+		return sums[e.CallerPos]
 	}
 
 	workers := driver.Workers(opts.Workers)
@@ -145,7 +142,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			res.Iterations = round + 1
 			copy(prevSums, sums)
 			changed.Store(false)
-			driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
+			driver.Schedule(g.ctx, cg.Forward, workers, func(i int) {
 				if degraded[i] {
 					return
 				}
@@ -170,7 +167,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			}
 			// Hand the next round its dirty set: the back-edge marks
 			// accumulated this round. Forward marks were consumed by the
-			// levels behind them; anything left is stale.
+			// procedures they marked; anything left is stale.
 			if deltaSkip {
 				for j := range dirty {
 					dirty[j].Store(nextDirty[j].Load())
@@ -186,8 +183,7 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 		st.Procs = n
 		st.Degraded = g.passCount("FS-iterative")
 		st.Notes = fmt.Sprintf("workers=%d rounds=%d", workers, res.Iterations)
-		st.Levels = len(levels)
-		st.Width = driver.MaxWidth(levels)
+		st.Levels, st.Width = cg.Forward.Depth, cg.Forward.Width
 		st.Skipped = int(skipped.Load())
 		if r.ist != nil {
 			// scc-runs= counts the evaluations the value cache did not

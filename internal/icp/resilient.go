@@ -117,7 +117,7 @@ func (g *guard) list() []resilience.Degradation {
 	return out
 }
 
-// sweep runs after a wavefront the run's context may have cut short:
+// sweep runs after a traversal the run's context may have cut short:
 // degrade answers every position of procs still unfinished with the
 // pass's sound fallback, and each is recorded as a degradation for the
 // reason the context ended. A no-op while the context is live.

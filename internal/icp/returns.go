@@ -26,14 +26,14 @@ import (
 // i.e. recursion) the fallback is ⊥ — a flow-insensitive return
 // solution, precomputed trivially.
 //
-// The reverse traversal is scheduled as a wavefront over the
-// forward-edge DAG's reverse topological levels. A callee counts as
-// processed exactly when its position is strictly after the caller's —
-// the same set the serial reverse traversal has completed when it
-// reaches the caller — and every such callee sits in an earlier reverse
-// level, behind the barrier, so the parallel schedule reads exactly
-// what the serial one reads. Each worker summarizes its fixpoint and,
-// under DropIntra, releases it at once.
+// The reverse traversal runs on driver.Schedule over the reversed
+// forward-edge DAG. A callee counts as processed exactly when its
+// position is strictly after the caller's — the same set the serial
+// reverse traversal has completed when it reaches the caller — and
+// every such callee is a forward-edge callee, which finishes before the
+// caller starts, so the parallel schedule reads exactly what the serial
+// one reads. Each worker summarizes its fixpoint and, under DropIntra,
+// releases it at once.
 //
 // Under the incremental engine a procedure whose FS-stage summary stood
 // keeps its previous returns record, without an SCC run, when
@@ -73,10 +73,8 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 		sums[i], intra[i], recs[i] = nil, nil, nil
 	}
 
-	revLevels := reverseLevels(cg)
-	st.Levels = len(revLevels)
-	st.Width = driver.MaxWidth(revLevels)
-	driver.WavefrontCtx(g.ctx, revLevels, driver.Workers(opts.Workers), func(i int) {
+	st.Levels, st.Width = cg.Reverse.Depth, cg.Reverse.Width
+	driver.Schedule(g.ctx, cg.Reverse, driver.Workers(opts.Workers), func(i int) {
 		p := cg.Reachable[i]
 		if res.Dead[p] {
 			conservative(i)
@@ -85,17 +83,18 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 		g.protect("returns", p.Name, func() { conservative(i) }, func() {
 			// The call hooks read a callee's summaries only once this
 			// traversal has processed it: exactly the procedures after
-			// position i, which the reverse wavefront has completed in
-			// earlier levels. Any other callee answers ⊥.
+			// position i, which have finished before i started. Any
+			// other callee answers ⊥. A call's edge is out[call.SiteIdx].
+			out := cg.Out[p]
 			callResult := func(call *ir.CallInstr) lattice.Elem {
-				if j := cg.Pos[call.Callee]; j > i {
-					return opts.filter(returns[j])
+				if e := out[call.SiteIdx]; !cg.IsBackEdge(e) {
+					return opts.filter(returns[e.CalleePos])
 				}
 				return lattice.BottomElem()
 			}
 			callExit := func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
-				if j := cg.Pos[call.Callee]; j > i {
-					return callExitValue(ctx, opts, call, v, exits[j])
+				if e := out[call.SiteIdx]; !cg.IsBackEdge(e) {
+					return callExitValue(ctx, opts, call, v, exits[e.CalleePos])
 				}
 				return lattice.BottomElem()
 			}
@@ -151,7 +150,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 			}
 		})
 	})
-	// Slots never claimed (context ended mid-wavefront) take the
+	// Slots never started (context ended mid-traversal) take the
 	// conservative answer.
 	g.sweep("returns", cg.Reachable, func(i int) bool { return exits[i] == nil }, conservative)
 
@@ -269,7 +268,7 @@ func exitMap(fn *ir.Func, exit []lattice.Elem, canReturn bool, entry lattice.Env
 // exit summaries available at call sites. The summaries were computed
 // under environments at or below the refreshed ones, so they remain
 // sound over-approximations of runtime behaviour. The traversal is the
-// one-pass method's, with call hooks: the same forward wavefront and
+// one-pass method's, with call hooks: the same forward schedule and
 // the same step, outside the value cache. The summaries are complete
 // and read-only by now, so the hooks are safe from any worker.
 //
@@ -301,7 +300,7 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 			if resummed[i] && !cg.IsBackEdge(e) {
 				continue
 			}
-			if !opts.filter(res.Returns[e.Callee]).IsBottom() || slices.ContainsFunc(exits[cg.Pos[e.Callee]], lattice.Elem.IsConst) {
+			if !opts.filter(res.Returns[e.Callee]).IsBottom() || slices.ContainsFunc(exits[e.CalleePos], lattice.Elem.IsConst) {
 				return false
 			}
 		}
@@ -310,13 +309,19 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 	deltaSkip := !opts.NoDeltaSkip
 	var skipped atomic.Int64
 
-	hooks := scc.Options{
-		CallResult: func(call *ir.CallInstr) lattice.Elem {
-			return opts.filter(res.Returns[call.Callee])
-		},
-		CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
-			return callExitValue(ctx, opts, call, v, exits[cg.Pos[call.Callee]])
-		},
+	// The hooks answer p's calls from the complete summaries, reading
+	// a callee's position from the call's edge, out[call.SiteIdx].
+	callResult := func(call *ir.CallInstr) lattice.Elem {
+		return opts.filter(res.Returns[call.Callee])
+	}
+	hooksFor := func(p *sem.Proc) scc.Options {
+		out := cg.Out[p]
+		return scc.Options{
+			CallResult: callResult,
+			CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
+				return callExitValue(ctx, opts, call, v, exits[out[call.SiteIdx].CalleePos])
+			},
+		}
 	}
 
 	fresh := make([]*scc.Result, n)
@@ -333,9 +338,8 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 
 	workers := driver.Workers(opts.Workers)
 	opts.Trace.Time("returns-refresh", func(st *driver.PassStats) {
-		levels := forwardLevels(cg)
-		bySum := func(e callgraph.Edge) *incr.ProcSummary { return sums[cg.Pos[e.Caller]] }
-		driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
+		bySum := func(e callgraph.Edge) *incr.ProcSummary { return sums[e.CallerPos] }
+		driver.Schedule(g.ctx, cg.Forward, workers, func(i int) {
 			p := cg.Reachable[i]
 			g.protect("returns-refresh", p.Name, func() { keepOld(i) }, func() {
 				env, live, nBack := r.entryEnv(p, bySum, res.FI)
@@ -344,14 +348,13 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 					skipped.Add(1)
 					return
 				}
-				sums[i], fresh[i] = r.step("", i, env, live, nBack, hooks)
+				sums[i], fresh[i] = r.step("", i, env, live, nBack, hooksFor(p))
 			})
 		})
 		g.sweep("returns-refresh", cg.Reachable, func(i int) bool { return sums[i] == nil }, keepOld)
 		st.Procs = n
 		st.Degraded = g.passCount("returns-refresh")
-		st.Levels = len(levels)
-		st.Width = driver.MaxWidth(levels)
+		st.Levels, st.Width = cg.Forward.Depth, cg.Forward.Width
 		st.Skipped = int(skipped.Load())
 		st.Notes = fmt.Sprintf("workers=%d", workers)
 		res.Dead = make(map[*sem.Proc]bool)

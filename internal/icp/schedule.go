@@ -11,52 +11,23 @@ import (
 	"fsicp/internal/val"
 )
 
-// This file holds the wavefront-scheduling substrate shared by the
+// This file holds the scheduling substrate shared by the
 // flow-sensitive methods. The PCG's forward edges form a DAG (a forward
-// edge strictly increases the topological position), so the reachable
-// procedures condense into topological levels; procedures of one level
-// have no forward edges between them and can be analysed concurrently
-// once every earlier level has completed. Back edges never constrain
-// the schedule — they read the precomputed flow-insensitive fallback
-// (one-pass method) or the previous round's results (iterative method),
-// which is exactly what the serial traversals read, so the parallel
-// schedule is semantics-preserving and deterministic for any worker
-// count.
-
-// forwardLevels condenses the PCG forward-edge DAG into topological
-// levels for the forward traversals: a procedure's dependencies are its
-// forward-edge callers.
-func forwardLevels(cg *callgraph.Graph) [][]int {
-	return driver.Levels(len(cg.Reachable), func(i int) []int {
-		var deps []int
-		for _, e := range cg.In[cg.Reachable[i]] {
-			if !cg.IsBackEdge(e) {
-				deps = append(deps, cg.Pos[e.Caller])
-			}
-		}
-		return deps
-	})
-}
-
-// reverseLevels condenses the same DAG for the reverse traversals
-// (return constants): a procedure's dependencies are its forward-edge
-// callees.
-func reverseLevels(cg *callgraph.Graph) [][]int {
-	return driver.Levels(len(cg.Reachable), func(i int) []int {
-		var deps []int
-		for _, e := range cg.Out[cg.Reachable[i]] {
-			if !cg.IsBackEdge(e) {
-				deps = append(deps, cg.Pos[e.Callee])
-			}
-		}
-		return deps
-	})
-}
+// edge strictly increases the topological position), recorded once in
+// callgraph.Graph.Forward and, turned round, in Reverse. A forward
+// traversal reads at each procedure only what its forward-edge callers
+// wrote, so driver.Schedule starts a procedure as soon as the last of
+// them has finished; the returns traversal, running in reverse, waits
+// for forward-edge callees instead. Back edges never constrain the schedule — they read
+// the precomputed flow-insensitive fallback (one-pass method) or the
+// previous round's results (iterative method), which is exactly what
+// the serial traversals read, so the parallel schedule is
+// semantics-preserving and deterministic for any worker count.
 
 // callerSummary maps an incoming call edge to the summary it reads.
 // The slice-of-slots representation (indexed by PCG position, each
 // slot written only by its owning procedure's worker) is what makes
-// the wavefront race-free without locks. A nil summary means the
+// the schedule race-free without locks. A nil summary means the
 // caller has not been analysed yet (iterative optimism).
 type callerSummary func(e callgraph.Edge) *incr.ProcSummary
 

@@ -20,14 +20,14 @@ import (
 // propagation. Back edges consult the flow-insensitive solution, which
 // is computed beforehand only when the PCG has cycles.
 //
-// The traversal is scheduled as a parallel wavefront over the
-// forward-edge DAG's topological levels: a procedure's entry
-// environment depends only on its forward-edge callers (earlier levels,
-// complete behind a barrier) and the precomputed flow-insensitive
-// fallback on back edges, so every procedure of a level can be analysed
-// concurrently. Each worker writes only its own position-indexed slots;
-// the slots are merged into the Result maps serially, so the outcome is
-// byte-identical for every worker count.
+// The traversal runs on driver.Schedule over the forward-edge DAG: a
+// procedure's entry environment depends only on its forward-edge
+// callers, which have finished before it starts, and the precomputed
+// flow-insensitive fallback on back edges, so procedures none of whose
+// callers are outstanding can be analysed concurrently. Each worker
+// writes only its own position-indexed slots; the slots are merged into
+// the Result maps serially, so the outcome is byte-identical for every
+// worker count.
 func runFS(ctx *Context, opts Options) *Result {
 	res := newResult(ctx, opts)
 	cg := ctx.CG
@@ -70,9 +70,8 @@ func runFS(ctx *Context, opts Options) *Result {
 	var reused, evals atomic.Int64
 	workers := driver.Workers(opts.Workers)
 	opts.Trace.Time("FS", func(st *driver.PassStats) {
-		levels := forwardLevels(cg)
-		bySum := func(e callgraph.Edge) *incr.ProcSummary { return sums[cg.Pos[e.Caller]] }
-		driver.WavefrontCtx(g.ctx, levels, workers, func(i int) {
+		bySum := func(e callgraph.Edge) *incr.ProcSummary { return sums[e.CallerPos] }
+		driver.Schedule(g.ctx, cg.Forward, workers, func(i int) {
 			p := cg.Reachable[i]
 			g.protect("FS", p.Name, func() { fiDegrade(i) }, func() {
 				env, live, nBack := r.entryEnv(p, bySum, res.FI)
@@ -88,13 +87,12 @@ func runFS(ctx *Context, opts Options) *Result {
 				sums[i], intra[i] = r.step("fs", i, env, live, nBack, scc.Options{})
 			})
 		})
-		// Procedures never claimed (the context ended mid-wavefront)
+		// Procedures never started (the context ended mid-traversal)
 		// degrade to the FI solution too.
 		g.sweep("FS", cg.Reachable, func(i int) bool { return sums[i] == nil }, fiDegrade)
 		st.Procs = n
 		st.Degraded = g.passCount("FS")
-		st.Levels = len(levels)
-		st.Width = driver.MaxWidth(levels)
+		st.Levels, st.Width = cg.Forward.Depth, cg.Forward.Width
 		st.Notes = fmt.Sprintf("workers=%d", workers)
 		if r.ist != nil {
 			res.ProcsReused = int(reused.Load())

@@ -304,8 +304,8 @@ func (p *Parser) parseStmtsUntilRbrace(lb source.Pos) *ast.Block {
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
-	ok, leave := p.enter()
-	defer leave()
+	ok := p.enter()
+	defer p.leave()
 	if !ok {
 		p.advance()
 		return nil
@@ -456,17 +456,21 @@ func (p *Parser) parseCallArgs(fun *ast.Ident) *ast.CallExpr {
 // parseExpr parses a full expression (lowest precedence: ||).
 func (p *Parser) parseExpr() ast.Expr { return p.parseBinary(1) }
 
-// enter guards recursion depth; callers must call the returned func.
-func (p *Parser) enter() (ok bool, leave func()) {
+// enter guards recursion depth, reporting false past maxDepth; every
+// enter must be paired with a leave.
+func (p *Parser) enter() bool {
 	p.depth++
 	if p.depth > maxDepth {
 		if p.depth == maxDepth+1 { // report once
 			p.errorf("expression or statement nesting exceeds %d levels", maxDepth)
 		}
-		return false, func() { p.depth-- }
+		return false
 	}
-	return true, func() { p.depth-- }
+	return true
 }
+
+// leave ends the nesting level the matching enter began.
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) parseBinary(minPrec int) ast.Expr {
 	x := p.parseUnary()
@@ -483,8 +487,8 @@ func (p *Parser) parseBinary(minPrec int) ast.Expr {
 }
 
 func (p *Parser) parseUnary() ast.Expr {
-	ok, leave := p.enter()
-	defer leave()
+	ok := p.enter()
+	defer p.leave()
 	if !ok {
 		p.advance()
 		return &ast.IntLit{LitPos: p.tok.Pos, Value: 0, Text: "0"}
@@ -500,8 +504,8 @@ func (p *Parser) parseUnary() ast.Expr {
 }
 
 func (p *Parser) parsePrimary() ast.Expr {
-	ok, leave := p.enter()
-	defer leave()
+	ok := p.enter()
+	defer p.leave()
 	if !ok {
 		p.advance()
 		return &ast.IntLit{LitPos: p.tok.Pos, Value: 0, Text: "0"}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -23,12 +24,14 @@ const (
 )
 
 // outcome is the result of one flight, shared verbatim by every
-// coalesced request.
+// coalesced request. A 200's resp leaves Report unset: report holds it,
+// encoded once (encodeReport) for this response and the query cache.
 type outcome struct {
 	status     int
 	errMsg     string
 	retryAfter time.Duration
 	resp       *Response
+	report     []byte
 }
 
 func errOutcome(status int, msg string) *outcome {
@@ -106,14 +109,14 @@ func (s *Server) compute(kind reqKind, name, src, fpr string, cfg fsicp.Config, 
 		}
 	}
 	e.lastConst[rkey] = rep.Constants
-	enc, err := rep.Encode()
+	enc, err := encodeReport(rep)
 	if err != nil {
 		return errOutcome(http.StatusInternalServerError, err.Error())
 	}
 	e.lastQuery[rkey] = queryRecord{fpr: fpr, version: e.sess.Version(), report: enc}
 
 	reused, hits, misses := a.Incremental()
-	return &outcome{status: http.StatusOK, resp: &Response{
+	return &outcome{status: http.StatusOK, report: enc, resp: &Response{
 		Program:     name,
 		Fingerprint: fpr,
 		Version:     e.sess.Version(),
@@ -124,6 +127,12 @@ func (s *Server) compute(kind reqKind, name, src, fpr string, cfg fsicp.Config, 
 		CacheHits:   hits,
 		CacheMisses: misses,
 		Deltas:      deltas,
-		Report:      rep,
 	}}
+}
+
+// encodeReport encodes rep as a 200 body's "report" member: indented
+// one level deep, as writeJSON indents it inside a response, and
+// without a trailing newline.
+func encodeReport(rep report.Report) ([]byte, error) {
+	return json.MarshalIndent(rep, "  ", "  ")
 }

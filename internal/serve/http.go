@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -222,12 +224,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			ErrorResponse{Error: fmt.Sprintf("no cached report for %q under this configuration", name)})
 		return
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Program:     name,
-		Fingerprint: rec.fpr,
-		Version:     rec.version,
-		Report:      json.RawMessage(rec.report),
-	})
+	writeReport(w, struct {
+		*QueryResponse
+		Report reportSlot `json:"report"`
+	}{QueryResponse: &QueryResponse{Program: name, Fingerprint: rec.fpr, Version: rec.version}}, rec.report)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -328,7 +328,10 @@ func (s *Server) writeOutcome(w http.ResponseWriter, out *outcome, coalesced boo
 	}
 	resp := *out.resp
 	resp.Coalesced = coalesced
-	writeJSON(w, http.StatusOK, resp)
+	writeReport(w, struct {
+		*Response
+		Report reportSlot `json:"report"`
+	}{Response: &resp}, out.report)
 }
 
 // writeUnavailable is the drain-time refusal: 503 with the same
@@ -350,6 +353,29 @@ func retryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.FormatInt(secs, 10)
+}
+
+// reportSlot stands in for a 200 body's report while writeReport
+// encodes the rest of the body: it encodes as {}. Declared as the last
+// field of a struct embedding the response, it hides the response's own
+// Report and stays the body's last member.
+type reportSlot struct{}
+
+// writeReport writes a 200 with the bytes writeJSON would write for the
+// whole body, without encoding the report again: head is the body with
+// a reportSlot as its report, and report is the report encoded as a
+// member (encodeReport), which takes the slot's place.
+func writeReport(w http.ResponseWriter, head any, report []byte) {
+	b, _ := json.MarshalIndent(head, "", "  ")
+	b, ok := bytes.CutSuffix(b, []byte("{}\n}"))
+	if !ok {
+		panic("serve: response head does not end in its report slot")
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	w.Write(report)
+	io.WriteString(w, "\n}\n")
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

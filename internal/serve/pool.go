@@ -38,8 +38,9 @@ type progEntry struct {
 	lastQuery map[string]queryRecord
 }
 
-// queryRecord is one cached answer for GET /query: the canonical
-// encoded report plus the version it answers for.
+// queryRecord is one cached answer for GET /query: the report, encoded
+// as a response's member (encodeReport), plus the version it answers
+// for.
 type queryRecord struct {
 	fpr     string
 	version int

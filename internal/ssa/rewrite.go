@@ -1,6 +1,10 @@
 package ssa
 
-import "fsicp/internal/ir"
+import (
+	"slices"
+
+	"fsicp/internal/ir"
+)
 
 // This file lets transformation passes edit instructions in place
 // while keeping the overlay's def-use tables consistent, so the whole
@@ -136,6 +140,7 @@ func (s *SSA) GraftEntryConsts(consts []*ir.ConstInstr) {
 	}
 	taken := make([]int32, len(consts))
 	instrs := make([]ir.Instr, 0, len(consts)+len(eb.Instrs))
+	s.Defs = slices.Grow(s.Defs, len(consts))
 	for k, c := range consts {
 		vi := s.ord(c.Dst)
 		taken[k] = s.EntryDefs[vi]

@@ -47,7 +47,7 @@ func (st *optState) foldFunc(i int) PassReport {
 	}
 	s := st.overlay(i)
 	s.GraftEntryConsts(entry)
-	r := scc.Run(s, scc.Options{Entry: scc.Frame(fn, env)})
+	r := scc.Run(s, scc.Options{Entry: scc.Frame(fn, env), Transient: true})
 
 	for _, b := range s.Dom.RPO {
 		if !r.BlockExec[b.Index] {
@@ -76,6 +76,7 @@ func (st *optState) foldFunc(i int) PassReport {
 			}
 		}
 	}
+	r.Release()
 
 	// Rebuilding the CFG reindexes blocks (invalidating the overlay),
 	// so only do it when it can delete something: a folded branch, or

@@ -37,7 +37,7 @@ func loadLargest(t *testing.T) *fsicp.Program {
 	return prog
 }
 
-// TestAnalyzeDeterministicAcrossWorkers asserts the wavefront scheduler
+// TestAnalyzeDeterministicAcrossWorkers asserts the analysis scheduler
 // produces byte-identical results for every worker count: 5 runs each
 // with Workers=1 and Workers=8 must agree on constants, metrics, call
 // sites, and the annotated listing, for every method.

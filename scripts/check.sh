@@ -95,6 +95,20 @@ go test -race -count=10 \
     -run 'TestSessionBuildsSSAOnlyWhereRead|TestConcurrentAnalyze' \
     .
 
+echo "== dependency-driven scheduling (race) =="
+# The flow-sensitive traversals start a procedure as soon as its last
+# forward-edge predecessor finishes, with no barrier between layers:
+# the scheduler must run every item once and only after its
+# predecessors, hold no layer back, stop starting items once the
+# context ends and run serially in item order; and the analyses on it
+# must stay identical at every worker count under faults, fuel and
+# cancellation.
+go test -race -count=10 -run 'TestSchedule|TestLevels' ./internal/driver
+go test -race -count=3 \
+    -run 'TestFaultDeterminismAcrossWorkers|TestFuelDeterminism|TestCancelledContextDegradesEverything' \
+    ./internal/icp
+go test -race -count=3 -run 'TestAnalyzeDeterministicAcrossWorkers|TestConcurrentAnalyze' .
+
 echo "== optimizer on one SSA per procedure (race) =="
 # The optimizer edits the overlays the analysis built in place and
 # rebuilds one only where fold changed a CFG: the pipeline must stay
@@ -135,7 +149,7 @@ go test -count=1 \
     .
 
 echo "== bench smoke =="
-# One iteration of the wavefront and sharded-load benchmarks: catches
+# One iteration of the analysis and sharded-load benchmarks: catches
 # crashes or hangs in the benchmark harnesses themselves without paying
 # for a full measurement.
 go test -run '^$' -bench 'BenchmarkAnalyzeParallel|BenchmarkLoadParallel|BenchmarkColdEndToEnd|BenchmarkColdWarmDisk|BenchmarkOptimize|BenchmarkServeSustained|BenchmarkLargeCorpus|BenchmarkAnalyzeLargeCorpus|BenchmarkSessionEditReturns' -benchtime=1x -benchmem .
