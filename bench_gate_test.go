@@ -38,7 +38,10 @@ import (
 // one, shows up long before the small workloads notice.
 // BenchmarkSessionEditReturns guards the incremental returns traversal:
 // an edit that made it re-run every procedure again would multiply its
-// allocs/op several times over. BenchmarkSSABuild guards SSA
+// allocs/op several times over. BenchmarkSessionUpdate guards the
+// reload of the same edit stream, which the former leaves untimed: an
+// update that parsed, checked or lowered every procedure again would
+// multiply its allocs/op. BenchmarkSSABuild guards SSA
 // construction: the analysis benchmarks reuse the overlays their first
 // run built, so only a benchmark that builds every reachable function's
 // SSA in each iteration sees a regression in ssa.Build.
@@ -149,6 +152,7 @@ func gateBenchmarks(t testing.TB) map[string]func(b *testing.B) {
 		},
 		"BenchmarkServeSustained":     runServeSustained,
 		"BenchmarkSessionEditReturns": runSessionEditReturns,
+		"BenchmarkSessionUpdate":      runSessionUpdate,
 		"BenchmarkTable1": func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, ctx := range suite {

@@ -457,10 +457,7 @@ func runColdWarmDisk(b *testing.B, workers int) {
 func BenchmarkSessionEditReturns(b *testing.B) { runSessionEditReturns(b) }
 
 func runSessionEditReturns(b *testing.B) {
-	versions := []string{program257()}
-	for i := int64(1); i < 8; i++ {
-		versions = append(versions, progen.Edit(versions[i-1], i))
-	}
+	versions := editStream257()
 	cfg := fsicp.Config{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true, Workers: 1}
 	sess, err := fsicp.NewSessionWith("edit.mf", versions[0], fsicp.LoadOptions{Workers: 1})
 	if err != nil {
@@ -475,5 +472,37 @@ func runSessionEditReturns(b *testing.B) {
 		}
 		b.StartTimer()
 		sess.Analyze(cfg)
+	}
+}
+
+// editStream257 is the 8-version progen.Edit stream of program257 the
+// session benchmarks cycle through.
+func editStream257() []string {
+	versions := []string{program257()}
+	for i := int64(1); i < 8; i++ {
+		versions = append(versions, progen.Edit(versions[i-1], i))
+	}
+	return versions
+}
+
+// BenchmarkSessionUpdate prices the reload a daemon /update pays:
+// Session.Update alone, one worker, cycling the 8-version progen.Edit
+// stream of program257. Every version changes procedure bodies only,
+// so each update parses, checks and lowers just the changed
+// procedures and runs the interprocedural passes over the whole
+// program.
+func BenchmarkSessionUpdate(b *testing.B) { runSessionUpdate(b) }
+
+func runSessionUpdate(b *testing.B) {
+	versions := editStream257()
+	sess, err := fsicp.NewSessionWith("edit.mf", versions[0], fsicp.LoadOptions{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Update(versions[(i+1)%len(versions)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -195,6 +195,9 @@ const (
 type Program struct {
 	ctx   *icp.Context
 	trace *driver.Trace // load-pipeline pass records
+	// retired marks a version a later Session.Update replaced; see
+	// Session.
+	retired atomic.Bool
 }
 
 // LoadOptions configures the load pipeline.
@@ -259,7 +262,7 @@ func LoadFilesContext(ctx context.Context, files []SourceFile, opts LoadOptions)
 		sf := sf
 		cfs[i] = corpusFile{name: sf.Name, size: len(sf.Src), read: func() (string, error) { return sf.Src, nil }}
 	}
-	return loadCorpus(ctx, cfs, opts)
+	return loadCorpus(ctx, cfs, opts, nil)
 }
 
 // corpusFile describes one file of a corpus to the streaming loader:
@@ -285,7 +288,10 @@ type corpusFile struct {
 // (the lexer copies the literal spellings it keeps, so nothing pins a
 // released buffer). The peak resident source-byte count is reported as
 // "src-peak=" in the parse pass's stats row.
-func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Program, error) {
+//
+// A Session's load (sess non-nil) may patch its current version
+// instead; see sessionLoad.
+func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions, sess *sessionLoad) (*Program, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("fsicp: no source files")
 	}
@@ -301,6 +307,7 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 		cg      *callgraph.Graph
 		al      *alias.Info
 		mr      *modref.Info
+		sc      *sem.Checker
 		pb      *irbuild.Builder
 		mb      *modref.Builder
 	)
@@ -308,52 +315,72 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 	perrs := make([]error, len(files))
 	var parseFailed atomic.Bool
 	var srcCur, srcPeak atomic.Int64
+	// parseFile is the full parse's shard: one per file. A failed file
+	// flips parseFailed so shards that have not started yet return
+	// immediately — the load is already doomed, and skipping their
+	// read+parse bounds the wasted work on large corpora. Finish then
+	// aggregates the recorded diagnostics in file order; an errored
+	// load constructs no Program, so no partially filled tables survive.
+	parseFile := func(i int) {
+		if parseFailed.Load() {
+			return
+		}
+		src, err := files[i].read()
+		if err != nil {
+			perrs[i] = err
+			parseFailed.Store(true)
+			return
+		}
+		cur := srcCur.Add(int64(len(src)))
+		for {
+			p := srcPeak.Load()
+			if cur <= p || srcPeak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		f := sfiles[i]
+		if err := f.SetContent(src); err != nil {
+			srcCur.Add(-int64(len(src)))
+			perrs[i] = err
+			parseFailed.Store(true)
+			return
+		}
+		u, err := parser.ParseUnit(f, fset)
+		f.ReleaseContent()
+		srcCur.Add(-int64(len(src)))
+		if err != nil {
+			perrs[i] = err
+			parseFailed.Store(true)
+			return
+		}
+		units[i] = u
+	}
+	// patch holds the changed procedures' new declarations when the
+	// load patches a Session's current version.
+	var patch *procPatch
 	m := driver.NewManager()
 	m.SetWorkers(opts.Workers)
-	// One shard per file. A failed file flips parseFailed so shards that
-	// have not started yet return immediately — the load is already
-	// doomed, and skipping their read+parse bounds the wasted work on
-	// large corpora. Finish then aggregates the recorded diagnostics in
-	// file order; an errored load constructs no Program, so no partially
-	// filled tables survive.
 	m.Add(driver.Pass{Name: "parse",
-		Shards: func(workers int) (int, func(int)) {
-			return len(sfiles), func(i int) {
-				if parseFailed.Load() {
-					return
-				}
-				src, err := files[i].read()
-				if err != nil {
-					perrs[i] = err
-					parseFailed.Store(true)
-					return
-				}
-				cur := srcCur.Add(int64(len(src)))
-				for {
-					p := srcPeak.Load()
-					if cur <= p || srcPeak.CompareAndSwap(p, cur) {
-						break
-					}
-				}
-				f := sfiles[i]
-				if err := f.SetContent(src); err != nil {
-					srcCur.Add(-int64(len(src)))
-					perrs[i] = err
-					parseFailed.Store(true)
-					return
-				}
-				u, err := parser.ParseUnit(f, fset)
-				f.ReleaseContent()
-				srcCur.Add(-int64(len(src)))
-				if err != nil {
-					perrs[i] = err
-					parseFailed.Store(true)
-					return
-				}
-				units[i] = u
+		Run: func(st *driver.PassStats) error {
+			if sess != nil {
+				patch = sess.plan(sfiles[0])
 			}
+			return nil
+		},
+		Shards: func(workers int) (int, func(int)) {
+			if patch != nil {
+				return len(patch.changed), func(k int) { patch.parse(k, sfiles[0], fset) }
+			}
+			return len(sfiles), parseFile
 		},
 		Finish: func(st *driver.PassStats) error {
+			if patch != nil {
+				var err error
+				astProg, err = patch.finish(sfiles[0])
+				st.Procs = len(patch.changed)
+				st.Notes = patch.notes()
+				return err
+			}
 			errs := &source.ErrorList{File: fset}
 			for _, err := range perrs {
 				var el *source.ErrorList
@@ -386,16 +413,38 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 			st.Notes = fmt.Sprintf("%d files src-peak=%d", len(units), srcPeak.Load())
 			return nil
 		}})
-	m.Add(driver.Pass{Name: "sem", Run: func(st *driver.PassStats) (err error) {
-		semProg, err = sem.Check(astProg, fset)
-		return err
-	}})
+	// Each procedure checks in its own shard, after the serial
+	// declaration of every global and procedure; Finish checks main and
+	// lists the diagnostics in procedure order.
+	m.Add(driver.Pass{Name: "sem",
+		Run: func(st *driver.PassStats) error {
+			if patch != nil {
+				sc = sem.Patch(patch.base.Sem, astProg, patch.changed, fset)
+				st.Notes = patch.notes()
+			} else {
+				sc = sem.Begin(astProg, fset)
+			}
+			return nil
+		},
+		Shards: func(workers int) (int, func(int)) {
+			return sc.NumProcs(), sc.CheckProc
+		},
+		Finish: func(st *driver.PassStats) (err error) {
+			semProg, err = sc.Finish()
+			st.Procs = sc.NumProcs()
+			return err
+		}})
 	// Lowering fans out per procedure; the serial Finish epilogue hands
 	// out the dense program-wide variable and call-site IDs in
 	// procedure order, reproducing exactly the serial numbering.
 	m.Add(driver.Pass{Name: "irbuild",
 		Run: func(st *driver.PassStats) error {
-			pb = irbuild.NewBuilder(semProg)
+			if patch != nil {
+				pb = irbuild.Patch(semProg, patch.base, patch.changed)
+				st.Notes = patch.notes()
+			} else {
+				pb = irbuild.NewBuilder(semProg)
+			}
 			return nil
 		},
 		Shards: func(workers int) (int, func(int)) {
@@ -403,9 +452,7 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions) (*Pro
 		},
 		Finish: func(st *driver.PassStats) (err error) {
 			irProg, err = pb.Finish()
-			if err == nil {
-				st.Procs = len(irProg.Funcs)
-			}
+			st.Procs = pb.NumProcs()
 			return err
 		}})
 	m.Add(driver.Pass{Name: "callgraph", Run: func(st *driver.PassStats) error {
@@ -490,7 +537,7 @@ func LoadDirContext(ctx context.Context, dir string, opts LoadOptions) (*Program
 			return string(b), err
 		}})
 	}
-	return loadCorpus(ctx, cfs, opts)
+	return loadCorpus(ctx, cfs, opts, nil)
 }
 
 // corpusFileNames resolves a corpus directory to an ordered file list.
@@ -557,7 +604,8 @@ type Analysis struct {
 }
 
 // Analyze runs the selected ICP method. It is safe to call concurrently
-// on the same Program (each call gets its own result and trace).
+// on the same Program (each call gets its own result and trace). It
+// panics on a version a later Session.Update retired.
 func (p *Program) Analyze(cfg Config) *Analysis {
 	a, err := p.AnalyzeContext(context.Background(), cfg)
 	if err != nil {
@@ -573,11 +621,15 @@ func (p *Program) Analyze(cfg Config) *Analysis {
 // expiry do not fail the analysis: unfinished procedures degrade to
 // the flow-insensitive solution and are reported by
 // Analysis.Degradations. The returned error is reserved for internal
-// failures that escape every recovery layer; injected faults,
-// timeouts, and fuel exhaustion never produce one.
+// failures that escape every recovery layer and for a version a later
+// Session.Update retired (see Session); injected faults, timeouts, and
+// fuel exhaustion never produce one.
 func (p *Program) AnalyzeContext(ctx context.Context, cfg Config) (*Analysis, error) {
 	return p.analyze(ctx, cfg, nil)
 }
+
+// errRetired is the error analysing a version a Session replaced.
+var errRetired = errors.New("fsicp: program version retired by a later Session.Update")
 
 // analyze implements Analyze and Session.Analyze; eng is the session's
 // incremental engine (nil for a cold run).
@@ -590,6 +642,9 @@ func (p *Program) analyze(ctx context.Context, cfg Config, eng *incr.Engine) (a 
 			a, err = nil, fmt.Errorf("analysis panic: %v", r)
 		}
 	}()
+	if p.retired.Load() {
+		return nil, errRetired
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -41,16 +41,16 @@ type Graph struct {
 	// topological order (reverse post-order; main first).
 	Reachable []*sem.Proc
 
-	// Pos[p] is p's index in Reachable; absent for unreachable procs.
-	Pos map[*sem.Proc]int
+	// Pos[p.Index] is procedure p's position in Reachable, or -1 when p
+	// is unreachable.
+	Pos []int
 
 	// Edges lists every call edge whose caller is reachable.
 	Edges []Edge
 
-	// Out[p] lists p's outgoing edges; In[p] its incoming edges
-	// (reachable callers only).
-	Out map[*sem.Proc][]Edge
-	In  map[*sem.Proc][]Edge
+	// Out[i] lists the outgoing edges of the procedure at position i of
+	// Reachable, In[i] its incoming edges (reachable callers only).
+	Out, In [][]Edge
 
 	// SCCs are Tarjan strongly connected components of the reachable
 	// subgraph, in reverse topological order (callees' components
@@ -71,10 +71,11 @@ type Graph struct {
 func Build(prog *ir.Program) *Graph {
 	g := &Graph{
 		Prog:     prog,
-		Pos:      make(map[*sem.Proc]int),
-		Out:      make(map[*sem.Proc][]Edge),
-		In:       make(map[*sem.Proc][]Edge),
+		Pos:      make([]int, len(prog.Sem.Procs)),
 		SCCIndex: make(map[*sem.Proc]int),
+	}
+	for i := range g.Pos {
+		g.Pos[i] = -1
 	}
 	if prog.Sem.Main == nil {
 		g.Forward = driver.NewDAG(0, false, nil, nil)
@@ -98,17 +99,19 @@ func Build(prog *ir.Program) *Graph {
 	}
 	dfs(prog.Sem.Main)
 	for i := len(post) - 1; i >= 0; i-- {
-		g.Pos[post[i]] = len(g.Reachable)
+		g.Pos[post[i].Index] = len(g.Reachable)
 		g.Reachable = append(g.Reachable, post[i])
 	}
 
+	g.Out = make([][]Edge, len(g.Reachable))
+	g.In = make([][]Edge, len(g.Reachable))
 	var from, to []int32 // the forward edges' endpoints
 	for i, p := range g.Reachable {
 		for _, call := range prog.FuncOf[p].Calls {
-			e := Edge{Caller: p, Callee: call.Callee, Site: call, CallerPos: int32(i), CalleePos: int32(g.Pos[call.Callee])}
+			e := Edge{Caller: p, Callee: call.Callee, Site: call, CallerPos: int32(i), CalleePos: int32(g.Pos[call.Callee.Index])}
 			g.Edges = append(g.Edges, e)
-			g.Out[p] = append(g.Out[p], e)
-			g.In[call.Callee] = append(g.In[call.Callee], e)
+			g.Out[i] = append(g.Out[i], e)
+			g.In[e.CalleePos] = append(g.In[e.CalleePos], e)
 			if !g.IsBackEdge(e) {
 				from, to = append(from, e.CallerPos), append(to, e.CalleePos)
 			}
@@ -121,9 +124,16 @@ func Build(prog *ir.Program) *Graph {
 }
 
 // IsReachable reports whether p is reachable from main.
-func (g *Graph) IsReachable(p *sem.Proc) bool {
-	_, ok := g.Pos[p]
-	return ok
+func (g *Graph) IsReachable(p *sem.Proc) bool { return g.pos(p) >= 0 }
+
+// pos returns p's position in Reachable, or -1.
+func (g *Graph) pos(p *sem.Proc) int {
+	if p.Index < len(g.Pos) {
+		if i := g.Pos[p.Index]; i >= 0 && g.Reachable[i] == p {
+			return i
+		}
+	}
+	return -1
 }
 
 // IsBackEdge reports whether e is a back edge of the forward topological
@@ -139,14 +149,21 @@ func (g *Graph) HasCycles() bool {
 		if len(scc) > 1 {
 			return true
 		}
-		p := scc[0]
-		for _, e := range g.Out[p] {
-			if e.Callee == p {
-				return true
-			}
+	}
+	for _, e := range g.Edges {
+		if e.CallerPos == e.CalleePos {
+			return true
 		}
 	}
 	return false
+}
+
+// OutOf returns p's outgoing edges, none when p is unreachable.
+func (g *Graph) OutOf(p *sem.Proc) []Edge {
+	if i := g.pos(p); i >= 0 {
+		return g.Out[i]
+	}
+	return nil
 }
 
 // BackEdgeRatio returns (#back edges, #edges) — the paper's measure of
@@ -165,28 +182,26 @@ func (g *Graph) BackEdgeRatio() (back, total int) {
 // reverse topological order (a component is emitted only after every
 // component it calls into).
 func (g *Graph) tarjan() {
-	index := make(map[*sem.Proc]int)
-	low := make(map[*sem.Proc]int)
-	onStack := make(map[*sem.Proc]bool)
-	var stack []*sem.Proc
+	n := len(g.Reachable)
+	index := make([]int, n) // 1 + visit order; 0 while unvisited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	var stack []int32
 	next := 0
 
-	var strong func(p *sem.Proc)
-	strong = func(p *sem.Proc) {
-		index[p] = next
-		low[p] = next
+	var strong func(p int32)
+	strong = func(p int32) {
 		next++
+		index[p], low[p] = next, next
 		stack = append(stack, p)
 		onStack[p] = true
 		for _, e := range g.Out[p] {
-			q := e.Callee
-			if _, seen := index[q]; !seen {
+			q := e.CalleePos
+			if index[q] == 0 {
 				strong(q)
-				if low[q] < low[p] {
-					low[p] = low[q]
-				}
-			} else if onStack[q] && index[q] < low[p] {
-				low[p] = index[q]
+				low[p] = min(low[p], low[q])
+			} else if onStack[q] {
+				low[p] = min(low[p], index[q])
 			}
 		}
 		if low[p] == index[p] {
@@ -195,7 +210,7 @@ func (g *Graph) tarjan() {
 				q := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[q] = false
-				comp = append(comp, q)
+				comp = append(comp, g.Reachable[q])
 				if q == p {
 					break
 				}
@@ -206,9 +221,9 @@ func (g *Graph) tarjan() {
 			g.SCCs = append(g.SCCs, comp)
 		}
 	}
-	for _, p := range g.Reachable {
-		if _, seen := index[p]; !seen {
-			strong(p)
+	for p := range g.Reachable {
+		if index[p] == 0 {
+			strong(int32(p))
 		}
 	}
 }
@@ -216,9 +231,9 @@ func (g *Graph) tarjan() {
 // Dump renders the PCG for debugging.
 func (g *Graph) Dump() string {
 	var b strings.Builder
-	for _, p := range g.Reachable {
+	for i, p := range g.Reachable {
 		fmt.Fprintf(&b, "%s:", p.Name)
-		for _, e := range g.Out[p] {
+		for _, e := range g.Out[i] {
 			mark := ""
 			if g.IsBackEdge(e) {
 				mark = "*"

@@ -30,7 +30,7 @@ proc dead() { call c() }`)
 	}
 	// Topological: every non-back edge goes forward.
 	for _, e := range g.Edges {
-		if g.Pos[e.Caller] >= g.Pos[e.Callee] {
+		if g.Pos[e.Caller.Index] >= g.Pos[e.Callee.Index] {
 			t.Errorf("edge %s->%s not forward in order", e.Caller.Name, e.Callee.Name)
 		}
 	}
@@ -126,7 +126,7 @@ proc main() {
   call f(3)
 }
 proc f(a int) {}`)
-	f := g.Prog.Sem.ProcByName["f"]
+	f := g.Pos[g.Prog.Sem.ProcByName["f"].Index]
 	if len(g.In[f]) != 3 {
 		t.Errorf("incoming edges: %d, want 3", len(g.In[f]))
 	}

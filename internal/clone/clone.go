@@ -58,11 +58,11 @@ func Run(ctx *icp.Context, res *icp.Result, opts Options) Report {
 		sites   []*ir.CallInstr
 		vals    []lattice.Elem
 	}
-	for _, callee := range ctx.CG.Reachable {
+	for pos, callee := range ctx.CG.Reachable {
 		if callee == prog.Sem.Main {
 			continue
 		}
-		in := ctx.CG.In[callee]
+		in := ctx.CG.In[pos]
 		if len(in) < 2 {
 			continue // a single site already meets to itself
 		}
@@ -156,6 +156,9 @@ func cloneProcedure(prog *ir.Program, orig *sem.Proc, n int) *sem.Proc {
 		Result:  orig.Result,
 		Decl:    orig.Decl,
 		UsesSet: make(map[*sem.Var]bool),
+		// The clone's calls keep the original's argument syntax.
+		Refs:    orig.Refs,
+		Callees: orig.Callees,
 	}
 	vmap := make(map[*sem.Var]*sem.Var)
 	for i, f := range orig.Params {

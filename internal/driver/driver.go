@@ -57,23 +57,31 @@ type PassStats struct {
 	Shards    int
 	ShardWall []time.Duration
 
-	// HeapBytes is the heap held by allocated objects when the pass
-	// finished (runtime/metrics /memory/classes/heap/objects:bytes, the
-	// value runtime.MemStats.HeapAlloc reports), and GCs the collection
-	// cycles that completed during it. Trace.Time samples both at every
-	// pass boundary: runtime/metrics does not stop the world, so the
-	// sampling is always on. Unlike ReadMemStats it does not flush the
-	// per-P allocation caches, so HeapBytes trails HeapAlloc by the
-	// objects in still-cached spans: a few MiB at most, which shows only
-	// on tiny heaps.
+	// The memory columns, all read through runtime/metrics at the pass
+	// boundaries by Trace.Time. runtime/metrics does not stop the
+	// world, so the sampling is always on.
+	//
+	// HeapBytes (heap=) is the heap held by allocated objects when the
+	// pass finished (/memory/classes/heap/objects:bytes, the value
+	// runtime.MemStats.HeapAlloc reports), and GCs the collection
+	// cycles that completed during the pass. Unlike ReadMemStats the
+	// sample does not flush the per-P allocation caches, so HeapBytes
+	// trails HeapAlloc by the objects in still-cached spans: a few MiB
+	// at most, which shows only on tiny heaps. It also counts garbage
+	// not yet swept, so it varies with where the collector's cycle
+	// happens to stand.
 	HeapBytes uint64
 	GCs       uint32
-	// LiveBytes is the heap the last completed mark phase found live
-	// when the pass finished (runtime/metrics /gc/heap/live:bytes).
-	// HeapBytes also counts garbage not yet swept, so it varies with
-	// where the collector's cycle happens to stand; LiveBytes shows what
-	// the program retains, as of that collection.
+	// LiveBytes (live=) is the heap the last completed mark phase found
+	// live when the pass finished (/gc/heap/live:bytes): what the
+	// process retains as of that collection, which may predate most of
+	// the pass, so it is no per-pass figure.
 	LiveBytes uint64
+	// AllocBytes (alloc=) is the heap the pass allocated: the growth of
+	// /gc/heap/allocs:bytes across it, the per-pass figure. It counts
+	// the whole process, so in a process serving concurrent requests it
+	// includes their allocations too.
+	AllocBytes uint64
 
 	// Levels and Width describe the DAG a scheduled analysis pass ran
 	// on (DAG.Depth and DAG.Width): its longest-path layer count and
@@ -118,27 +126,34 @@ func (t *Trace) Time(name string, f func(st *PassStats)) {
 		f(&st)
 		return
 	}
-	_, _, gcBase := readMem()
+	before := readMem()
 	start := time.Now()
 	f(&st)
 	st.Wall = time.Since(start)
-	heap, live, gcs := readMem()
-	st.HeapBytes, st.LiveBytes, st.GCs = heap, live, uint32(gcs-gcBase)
+	after := readMem()
+	st.HeapBytes, st.LiveBytes = after.heap, after.live
+	st.GCs = uint32(after.gcs - before.gcs)
+	st.AllocBytes = after.allocs - before.allocs
 	st.Name = name
 	t.Record(st)
 }
 
+// memSample is one reading of the memory columns' sources.
+type memSample struct{ heap, live, allocs, gcs uint64 }
+
 // readMem samples the heap held by allocated objects, the heap live at
-// the last completed mark, and the completed GC cycle count through
-// runtime/metrics, which does not stop the world.
-func readMem() (heap, live, gcs uint64) {
-	s := [3]metrics.Sample{
+// the last completed mark, the bytes allocated so far and the completed
+// GC cycle count through runtime/metrics, which does not stop the
+// world.
+func readMem() memSample {
+	s := [4]metrics.Sample{
 		{Name: "/memory/classes/heap/objects:bytes"},
 		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/allocs:bytes"},
 		{Name: "/gc/cycles/total:gc-cycles"},
 	}
 	metrics.Read(s[:])
-	return s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64()
+	return memSample{s[0].Value.Uint64(), s[1].Value.Uint64(), s[2].Value.Uint64(), s[3].Value.Uint64()}
 }
 
 // Passes returns a copy of the recorded stats in record order.
@@ -179,6 +194,7 @@ func (t *Trace) Table() string {
 		diskHits   int
 		diskMisses int
 		heap, live uint64
+		alloc      uint64
 		gcs        uint32
 		levels     int
 		width      int
@@ -207,6 +223,7 @@ func (t *Trace) Table() string {
 		r.diskMisses += st.DiskMisses
 		r.heap = max(r.heap, st.HeapBytes)
 		r.live = max(r.live, st.LiveBytes)
+		r.alloc += st.AllocBytes
 		r.gcs += st.GCs
 		if st.Levels > r.levels {
 			r.levels = st.Levels
@@ -247,7 +264,7 @@ func (t *Trace) Table() string {
 			notes = strings.TrimSpace(notes + fmt.Sprintf(" degraded=%d", r.degraded))
 		}
 		if r.heap > 0 {
-			notes = strings.TrimSpace(notes + fmt.Sprintf(" heap=%s live=%s gc=%d", fmtBytes(r.heap), fmtBytes(r.live), r.gcs))
+			notes = strings.TrimSpace(notes + fmt.Sprintf(" heap=%s live=%s alloc=%s gc=%d", fmtBytes(r.heap), fmtBytes(r.live), fmtBytes(r.alloc), r.gcs))
 		}
 		fmt.Fprintf(&b, "%-16s %5d %10s %6s  %s\n", r.name, r.runs, fmtDuration(r.wall), procs, notes)
 		total += r.wall

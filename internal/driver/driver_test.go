@@ -356,3 +356,32 @@ func TestTimeSamplesLiveHeap(t *testing.T) {
 	}
 	runtime.KeepAlive(kept)
 }
+
+// TestTimeSamplesAllocatedBytes: a pass that allocates 8 MiB reads at
+// least that much in AllocBytes, the heap allocated during the pass,
+// whether timed directly or run by the manager, and the table renders
+// it as alloc=.
+func TestTimeSamplesAllocatedBytes(t *testing.T) {
+	var sink [][]byte
+	alloc := func() {
+		for i := 0; i < 8; i++ {
+			sink = append(sink, make([]byte, 1<<20))
+		}
+	}
+	tr := NewTrace()
+	tr.Time("direct", func(*PassStats) { alloc() })
+	m := NewManager()
+	m.Add(Pass{Name: "managed", Run: func(*PassStats) error { alloc(); return nil }})
+	if err := m.Run(context.Background(), tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range tr.Passes() {
+		if st.AllocBytes < 8<<20 {
+			t.Errorf("%s: AllocBytes = %d, want at least the 8 MiB the pass allocates", st.Name, st.AllocBytes)
+		}
+	}
+	if !strings.Contains(tr.Table(), "alloc=") {
+		t.Errorf("table shows no alloc= note:\n%s", tr.Table())
+	}
+	runtime.KeepAlive(sink)
+}

@@ -418,12 +418,13 @@ func stripParens(e ast.Expr) ast.Expr {
 	}
 }
 
-// argIdentVar returns the variable a bare-identifier argument names
-// (nil for any other argument shape). Parentheses make an argument an
-// expression (by-value), so they are *not* stripped here.
-func argIdentVar(info *sem.Info, e ast.Expr) *sem.Var {
+// argIdentVar returns the variable a bare-identifier argument of one of
+// caller's calls names (nil for any other argument shape). Parentheses
+// make an argument an expression (by-value), so they are *not*
+// stripped here.
+func argIdentVar(caller *sem.Proc, e ast.Expr) *sem.Var {
 	if id, ok := e.(*ast.Ident); ok {
-		return info.Refs[id]
+		return caller.Refs[id]
 	}
 	return nil
 }

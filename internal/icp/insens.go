@@ -80,8 +80,8 @@ func runFI(ctx *Context, opts Options) *fiSolution {
 	}
 
 	// One forward topological traversal of the PCG.
-	for _, p := range cg.Reachable {
-		for _, e := range cg.Out[p] {
+	for i, p := range cg.Reachable {
+		for _, e := range cg.Out[i] {
 			call := e.Site
 			classes := make([]fiArgClass, len(call.Args))
 			for i := range call.Args {
@@ -130,7 +130,7 @@ func (s *fiSolution) classifyArg(ctx *Context, caller *sem.Proc, call *ir.CallIn
 		}
 		return fiArgClass{kind: fiArgLiteral, lit: v}
 	}
-	if v := argIdentVar(ctx.Prog.Sem.Info, syntax); v != nil {
+	if v := argIdentVar(caller, syntax); v != nil {
 		if v.IsGlobal() {
 			if _, ok := s.globalConsts[v]; ok {
 				return fiArgClass{kind: fiArgGlobal, g: v}

@@ -8,7 +8,6 @@ import (
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
 	"fsicp/internal/scc"
-	"fsicp/internal/sem"
 )
 
 // runFSIterative implements the comparison point the paper's §3.2
@@ -98,8 +97,8 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	deltaSkip := !opts.NoDeltaSkip
 	dirty := make([]atomic.Bool, n)
 	nextDirty := make([]atomic.Bool, n)
-	markCallees := func(p *sem.Proc) {
-		for _, e := range cg.Out[p] {
+	markCallees := func(i int) {
+		for _, e := range cg.Out[i] {
 			if cg.IsBackEdge(e) {
 				nextDirty[e.CalleePos].Store(true)
 			} else {
@@ -113,12 +112,11 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 	// fiDegrade pins procedure i to the FI solution; a partial fixpoint
 	// is discarded, as in the one-pass method.
 	fiDegrade := func(i int) {
-		p := cg.Reachable[i]
 		degraded[i] = true
-		sums[i] = degradedSummary(ctx, p, g.ensureFI(ctx, opts))
+		sums[i] = degradedSummary(ctx, cg.Reachable[i], g.ensureFI(ctx, opts))
 		intra[i] = nil
 		changed.Store(true)
-		markCallees(p)
+		markCallees(i)
 	}
 	// Forward edges read the current round's slots, back edges the
 	// round-start snapshot.
@@ -152,13 +150,13 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 				}
 				p := cg.Reachable[i]
 				g.protect("FS-iterative", p.Name, func() { fiDegrade(i) }, func() {
-					env, live, nBack := r.entryEnv(p, bySum, nil)
+					env, live, nBack := r.entryEnv(i, bySum, nil)
 					if sums[i].Stands(env, live, nBack) {
 						return
 					}
 					sccRuns.Add(1)
 					changed.Store(true)
-					markCallees(p)
+					markCallees(i)
 					sums[i], intra[i] = r.step("iter", i, env, live, nBack, scc.Options{})
 				})
 			})

@@ -41,16 +41,17 @@ import (
 // procedure that completed the traversal, are what the run commits
 // (all nil unless a later run reads them: incr.Plan.Keep). resummed
 // marks the procedures whose summaries this traversal rebuilt, for the
-// refresh's delta skip, and exits holds every procedure's exit frame
-// (exitFrame), which the refresh's call hooks read.
-func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRecord, resummed []bool, exits [][]lattice.Elem) {
+// refresh's delta skip; returns and exits hold every procedure's
+// returned value and exit frame (exitFrame) by position, which the
+// refresh's call hooks read.
+func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRecord, resummed []bool, returns []lattice.Elem, exits [][]lattice.Elem) {
 	ctx, opts, g, ist := r.ctx, r.opts, r.g, r.ist
 	res.Returns = make(map[*sem.Proc]lattice.Elem)
 	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
 	cg := ctx.CG
 	n := len(cg.Reachable)
 
-	returns := make([]lattice.Elem, n)
+	returns = make([]lattice.Elem, n)
 	exits = make([][]lattice.Elem, n)
 	canReturn := make([]bool, n)
 	// sums holds the summaries rebuilt under this traversal's call
@@ -67,7 +68,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 	// (the FS-stage summary stands).
 	conservative := func(i int) {
 		returns[i] = lattice.BottomElem()
-		exits[i] = make([]lattice.Elem, ctx.Prog.FuncOf[cg.Reachable[i]].FrameLen())
+		exits[i] = make([]lattice.Elem, ctx.Prog.Funcs[cg.Reachable[i].Index].FrameLen())
 		demoteTop(exits[i])
 		canReturn[i] = false
 		sums[i], intra[i], recs[i] = nil, nil, nil
@@ -76,7 +77,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 	st.Levels, st.Width = cg.Reverse.Depth, cg.Reverse.Width
 	driver.Schedule(g.ctx, cg.Reverse, driver.Workers(opts.Workers), func(i int) {
 		p := cg.Reachable[i]
-		if res.Dead[p] {
+		if r.sums[i].Dead {
 			conservative(i)
 			return
 		}
@@ -85,7 +86,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 			// traversal has processed it: exactly the procedures after
 			// position i, which have finished before i started. Any
 			// other callee answers ⊥. A call's edge is out[call.SiteIdx].
-			out := cg.Out[p]
+			out := cg.Out[i]
 			callResult := func(call *ir.CallInstr) lattice.Elem {
 				if e := out[call.SiteIdx]; !cg.IsBackEdge(e) {
 					return opts.filter(returns[e.CalleePos])
@@ -98,12 +99,12 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 				}
 				return lattice.BottomElem()
 			}
-			calls := ctx.Prog.FuncOf[p].Calls
+			calls := ctx.Prog.Funcs[p.Index].Calls
 
 			// FS reuses a previous summary only when it stands, and
 			// allocates a new one otherwise, so pointer equality says
 			// that p's FS-stage summary stood.
-			old := res.Proc[p]
+			old := r.sums[i]
 			if ist != nil && old == ist.plan.Prev[i] {
 				rec := ist.plan.PrevReturns[i]
 				if rec.Stands(func(k int) lattice.Elem {
@@ -160,24 +161,27 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 	// (resummed) or predates them (dead or degraded here: FS-stage,
 	// hook-less).
 	resummed = make([]bool, n)
+	installed := slices.Clone(r.sums) // FS's slice is the snapshot's
 	for i, p := range cg.Reachable {
 		res.Returns[p] = returns[i]
-		res.ExitEnv[p] = exitMap(ctx.Prog.FuncOf[p], exits[i], canReturn[i], res.Entry[p])
+		res.ExitEnv[p] = exitMap(ctx.Prog.Funcs[p.Index], exits[i], canReturn[i], res.Entry[p])
 		if sums[i] != nil {
 			res.Proc[p] = sums[i]
+			installed[i] = sums[i]
 			resummed[i] = true
 		}
 		if intra[i] != nil {
 			res.Intra[p] = intra[i]
 		}
 	}
+	r.sums = installed
 
 	if ist != nil {
 		// run= counts SCC runs, as on the FS row.
 		st.Cached = reused.Load() > 0
 		st.Notes = fmt.Sprintf("reused=%d run=%d", reused.Load(), ran.Load())
 	}
-	return recs, resummed, exits
+	return recs, resummed, returns, exits
 }
 
 // callAnswers records what the hooks answer at each of calls: the
@@ -223,7 +227,7 @@ func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, e
 	}
 	if v.IsGlobal() && mod.Has(v) {
 		// MOD(callee) lies in the callee's segment.
-		acc = lattice.Meet(acc, opts.filter(exit[ctx.Prog.FuncOf[callee].FrameSlot(v)]))
+		acc = lattice.Meet(acc, opts.filter(exit[ctx.Prog.Funcs[callee.Index].FrameSlot(v)]))
 		contributed = true
 	}
 	if !contributed || acc.IsTop() {
@@ -288,7 +292,7 @@ func exitMap(fn *ir.Func, exit []lattice.Elem, canReturn bool, entry lattice.Env
 // call only constant-free helpers, so the skip removes the bulk of the
 // third traversal's scc runs; Options.NoDeltaSkip forces the full
 // re-run.
-func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
+func (r *run) refresh(res *Result, resummed []bool, returns []lattice.Elem, exits [][]lattice.Elem) {
 	ctx, opts, g := r.ctx, r.opts, r.g
 	cg := ctx.CG
 	n := len(cg.Reachable)
@@ -296,11 +300,11 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 	// trivialHooks reports whether the refresh hooks for procedure i
 	// would answer ⊥ at every call site the stored summary saw ⊥ at.
 	trivialHooks := func(i int) bool {
-		for _, e := range cg.Out[cg.Reachable[i]] {
+		for _, e := range cg.Out[i] {
 			if resummed[i] && !cg.IsBackEdge(e) {
 				continue
 			}
-			if !opts.filter(res.Returns[e.Callee]).IsBottom() || slices.ContainsFunc(exits[e.CalleePos], lattice.Elem.IsConst) {
+			if !opts.filter(returns[e.CalleePos]).IsBottom() || slices.ContainsFunc(exits[e.CalleePos], lattice.Elem.IsConst) {
 				return false
 			}
 		}
@@ -309,19 +313,15 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 	deltaSkip := !opts.NoDeltaSkip
 	var skipped atomic.Int64
 
-	// The hooks answer p's calls from the complete summaries, reading
-	// a callee's position from the call's edge, out[call.SiteIdx].
-	callResult := func(call *ir.CallInstr) lattice.Elem {
-		return opts.filter(res.Returns[call.Callee])
-	}
-	hooksFor := func(p *sem.Proc) scc.Options {
-		out := cg.Out[p]
-		return scc.Options{
-			CallResult: callResult,
-			CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
-				return callExitValue(ctx, opts, call, v, exits[out[call.SiteIdx].CalleePos])
-			},
-		}
+	// The hooks answer every call from the complete summaries, at the
+	// callee's position.
+	hooks := scc.Options{
+		CallResult: func(call *ir.CallInstr) lattice.Elem {
+			return opts.filter(returns[cg.Pos[call.Callee.Index]])
+		},
+		CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
+			return callExitValue(ctx, opts, call, v, exits[cg.Pos[call.Callee.Index]])
+		},
 	}
 
 	fresh := make([]*scc.Result, n)
@@ -332,7 +332,7 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 	// refresh only sharpens it, so abandoning the refresh loses
 	// precision only.
 	keepOld := func(i int) {
-		sums[i] = res.Proc[cg.Reachable[i]]
+		sums[i] = r.sums[i]
 		fresh[i] = nil
 	}
 
@@ -342,13 +342,13 @@ func (r *run) refresh(res *Result, resummed []bool, exits [][]lattice.Elem) {
 		driver.Schedule(g.ctx, cg.Forward, workers, func(i int) {
 			p := cg.Reachable[i]
 			g.protect("returns-refresh", p.Name, func() { keepOld(i) }, func() {
-				env, live, nBack := r.entryEnv(p, bySum, res.FI)
-				if old := res.Proc[p]; deltaSkip && old.Stands(env, live, nBack) && trivialHooks(i) {
+				env, live, nBack := r.entryEnv(i, bySum, res.FI)
+				if old := r.sums[i]; deltaSkip && old.Stands(env, live, nBack) && trivialHooks(i) {
 					sums[i] = old
 					skipped.Add(1)
 					return
 				}
-				sums[i], fresh[i] = r.step("", i, env, live, nBack, hooksFor(p))
+				sums[i], fresh[i] = r.step("", i, env, live, nBack, hooks)
 			})
 		})
 		g.sweep("returns-refresh", cg.Reachable, func(i int) bool { return sums[i] == nil }, keepOld)

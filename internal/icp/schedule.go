@@ -31,30 +31,32 @@ import (
 // caller has not been analysed yet (iterative optimism).
 type callerSummary func(e callgraph.Edge) *incr.ProcSummary
 
-// entryEnv builds p's entry frame (ir.Func.FrameSlot) by meeting, from
-// ⊤, the contributions of every incoming call edge to p's formals and
-// REF(p) globals. A forward edge reads the summary caller maps it to.
-// A back edge reads the flow-insensitive solution fi when fi is set
-// (the one-pass method and the refresh; fi is nil only on an acyclic
-// PCG), and caller otherwise (the iterative method's round-start
-// snapshot). Dead callers and unreachable call sites contribute ⊤. A
-// call instruction's SiteIdx is its index in the caller's summary
-// Sites. main's frame holds the block-data constants instead. Returns
-// the frame, residual ⊤s lowered to ⊥ (all ⊥ when no incoming site is
-// executable), whether any incoming site is executable, and how many
-// back edges read fi. Meet is commutative and associative, so the
-// result is independent of edge order.
-func (r *run) entryEnv(p *sem.Proc, caller callerSummary, fi *fiSolution) (frame []lattice.Elem, live bool, backEdges int) {
+// entryEnv builds the entry frame (ir.Func.FrameSlot) of p, the
+// procedure at position i, by meeting, from ⊤, the contributions of
+// every incoming call edge to p's formals and REF(p) globals. A
+// forward edge reads the summary caller maps it to. A back edge reads
+// the flow-insensitive solution fi when fi is set (the one-pass method
+// and the refresh; fi is nil only on an acyclic PCG), and caller
+// otherwise (the iterative method's round-start snapshot). Dead callers
+// and unreachable call sites contribute ⊤. A call instruction's SiteIdx
+// is its index in the caller's summary Sites. main's frame holds the
+// block-data constants instead. Returns the frame, residual ⊤s lowered
+// to ⊥ (all ⊥ when no incoming site is executable), whether any
+// incoming site is executable, and how many back edges read fi. Meet is
+// commutative and associative, so the result is independent of edge
+// order.
+func (r *run) entryEnv(i int, caller callerSummary, fi *fiSolution) (frame []lattice.Elem, live bool, backEdges int) {
 	ctx, opts, cg := r.ctx, r.opts, r.ctx.CG
 	globals := ctx.Prog.Sem.Globals
-	fn := ctx.Prog.FuncOf[p]
-	if p == cg.Reachable[0] {
+	p := cg.Reachable[i]
+	fn := ctx.Prog.Funcs[p.Index]
+	if i == 0 {
 		return scc.Frame(fn, r.mainEntry()), true, 0
 	}
 	frame = make([]lattice.Elem, fn.FrameLen())
 	meet := func(k int, e lattice.Elem) { frame[k] = lattice.Meet(frame[k], e) }
 	nExec := 0
-	for _, e := range cg.In[p] {
+	for _, e := range cg.In[i] {
 		if fi != nil && cg.IsBackEdge(e) {
 			backEdges++
 			nExec++
@@ -135,6 +137,9 @@ type run struct {
 	g      *guard
 	consts map[*sem.Var]val.Value
 	ist    *incrState
+	// sums holds the installed summaries by position: what Result.Proc
+	// and Result.Dead report, for the later traversals to read.
+	sums []*incr.ProcSummary
 }
 
 // newRun builds a run's shared inputs once its FI pass is done,
@@ -187,9 +192,11 @@ func (r *run) step(ns string, i int, env []lattice.Elem, live bool, nBack int, h
 
 // install writes a forward traversal's per-position slots into the
 // Result maps, Entry included, serially and in topological order, so
-// the outcome is byte-identical for every worker count. A nil fixpoint
-// leaves Intra as it was.
+// the outcome is byte-identical for every worker count, and keeps them
+// as the run's positional summaries. A nil fixpoint leaves Intra as it
+// was.
 func (r *run) install(res *Result, sums []*incr.ProcSummary, intra []*scc.Result) {
+	r.sums = sums
 	for i, p := range res.Ctx.CG.Reachable {
 		res.Entry[p] = r.entryMap(p, sums[i])
 		res.Proc[p] = sums[i]
@@ -214,7 +221,7 @@ func (r *run) entryMap(p *sem.Proc, sum *incr.ProcSummary) lattice.Env[*sem.Var]
 	case p == r.ctx.CG.Reachable[0]:
 		return r.mainEntry()
 	}
-	return frameEnv(r.ctx.Prog.FuncOf[p], sum.Entry)
+	return frameEnv(r.ctx.Prog.Funcs[p.Index], sum.Entry)
 }
 
 // mainEntry is main's entry environment: the block-data constants.

@@ -74,7 +74,7 @@ func runFS(ctx *Context, opts Options) *Result {
 		driver.Schedule(g.ctx, cg.Forward, workers, func(i int) {
 			p := cg.Reachable[i]
 			g.protect("FS", p.Name, func() { fiDegrade(i) }, func() {
-				env, live, nBack := r.entryEnv(p, bySum, res.FI)
+				env, live, nBack := r.entryEnv(i, bySum, res.FI)
 				if r.ist != nil && r.ist.plan.Prev[i].Stands(env, live, nBack) {
 					// Same key and same entry environment: the previous
 					// summary is exactly what an SCC run would produce.
@@ -111,16 +111,17 @@ func runFS(ctx *Context, opts Options) *Result {
 	var recs []*incr.ReturnsRecord
 	if opts.ReturnConstants {
 		var resummed []bool
+		var returns []lattice.Elem
 		var exits [][]lattice.Elem
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			recs, resummed, exits = r.returns(res, st)
+			recs, resummed, returns, exits = r.returns(res, st)
 			st.Procs = n
 			st.Degraded = g.passCount("returns")
 		})
 		// The refresh is a pass of its own: its row follows the
 		// returns row and holds only its own time and degradations.
 		if opts.ReturnsRefresh {
-			r.refresh(res, resummed, exits)
+			r.refresh(res, resummed, returns, exits)
 		}
 	}
 	// The snapshot holds the FS-stage summaries (FS reuse compares

@@ -2,6 +2,7 @@ package incr
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"math"
@@ -26,7 +27,7 @@ import (
 // cheaper than parsing and formatting the AST to the same end.
 func TokenKey(src string) string {
 	var errs source.ErrorList
-	l := lexer.New(source.NewFile("", src), &errs)
+	l := lexer.NewSweep(&source.File{Content: src}, &errs)
 	w := newFPWriter()
 	for {
 		t := l.Next()
@@ -44,6 +45,106 @@ func TokenKey(src string) string {
 		w.str(d.Message)
 	}
 	return w.sum()
+}
+
+// Split divides a source's token stream into its skeleton and its
+// procedure bodies. A body is the tokens from a procedure's opening
+// brace to the matching closing brace; the skeleton is every other
+// token: the unit header, each global declaration with its
+// initializer, and each procedure header. Two sources with equal
+// skeletons declare the same globals and procedures in the same order,
+// so a program loaded from one can take the procedures whose bodies
+// did not change from it.
+type Split struct {
+	// Skeleton digests the skeleton's tokens, each body standing in it
+	// as one marker.
+	Skeleton string
+	// Procs locates each procedure, in declaration order.
+	Procs []ProcSpan
+}
+
+// ProcSpan locates one procedure of a split source.
+type ProcSpan struct {
+	// Start is the byte offset of the procedure's proc or func keyword.
+	Start int
+	// Next is the byte offset of the first token after its closing
+	// brace, or the source length when none follows.
+	Next int
+	// Body digests the body's tokens: kinds and spellings, never
+	// positions.
+	Body [sha256.Size]byte
+}
+
+// SplitSource splits src in one lexer sweep. It reports false, and no
+// split, when the scan reports a diagnostic or the braces outside
+// procedure bodies do not pair up as procedure headers and bodies.
+func SplitSource(src string) (Split, bool) {
+	var errs source.ErrorList
+	f := &source.File{Content: src} // offsets only: no line index
+	l := lexer.NewSweep(f, &errs)
+	skel := newFPWriter()
+	var (
+		sp     Split
+		body   *fpWriter
+		depth  int
+		header bool // inside a procedure header
+		ended  bool // the last body closed; its Next is the next token
+	)
+	fail := func() (Split, bool) {
+		if body != nil {
+			body.sum()
+		}
+		skel.sum()
+		return Split{}, false
+	}
+	for {
+		t := l.Next()
+		if ended {
+			sp.Procs[len(sp.Procs)-1].Next = f.Offset(t.Pos)
+			ended = false
+		}
+		if t.Kind == token.EOF {
+			break
+		}
+		if depth > 0 {
+			body.token(t)
+			switch t.Kind {
+			case token.LBRACE:
+				depth++
+			case token.RBRACE:
+				if depth--; depth == 0 {
+					sp.Procs[len(sp.Procs)-1].Body = body.digest()
+					body, ended = nil, true
+				}
+			}
+			continue
+		}
+		switch t.Kind {
+		case token.PROC, token.FUNC:
+			if header {
+				return fail()
+			}
+			header = true
+			sp.Procs = append(sp.Procs, ProcSpan{Start: f.Offset(t.Pos)})
+		case token.LBRACE:
+			if !header {
+				return fail()
+			}
+			header, depth = false, 1
+			skel.buf = binary.AppendUvarint(skel.buf, bodyMarker)
+			body = newFPWriter()
+			body.token(t)
+			continue
+		case token.RBRACE:
+			return fail()
+		}
+		skel.token(t)
+	}
+	if depth > 0 || header || len(errs.Diags) > 0 {
+		return fail()
+	}
+	sp.Skeleton = skel.sum()
+	return sp, true
 }
 
 // ProcFingerprint computes a procedure's key: everything about one
@@ -166,6 +267,20 @@ func (w *fpWriter) str(s string) {
 
 func (w *fpWriter) tag(c byte) { w.buf = append(w.buf, c) }
 
+// token writes one token as its kind and its length-prefixed spelling,
+// both as uvarints, so any spelling, an empty string literal included,
+// stays unambiguous.
+func (w *fpWriter) token(t lexer.Token) {
+	w.buf = binary.AppendUvarint(w.buf, uint64(t.Kind))
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(t.Lit)))
+	w.buf = append(w.buf, t.Lit...)
+	w.spill()
+}
+
+// bodyMarker stands for a procedure body in a split's skeleton, where
+// token writes a kind; no token kind is as large.
+const bodyMarker = 1 << 20
+
 func (w *fpWriter) num(n int) {
 	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
 	w.buf = append(w.buf, 0)
@@ -267,11 +382,17 @@ func (w *fpWriter) instr(in ir.Instr) {
 // sum returns the hex digest and puts the writer back in the pool; the
 // writer must not be used afterwards.
 func (w *fpWriter) sum() string {
+	d := w.digest()
+	return hex.EncodeToString(d[:])
+}
+
+// digest is sum's raw digest.
+func (w *fpWriter) digest() [sha256.Size]byte {
 	w.h.Write(w.buf)
 	var d [sha256.Size]byte
-	s := hex.EncodeToString(w.h.Sum(d[:0]))
+	w.h.Sum(d[:0])
 	fpPool.Put(w)
-	return s
+	return d
 }
 
 // GlobalsFingerprint fingerprints the layout of the globals section:

@@ -22,6 +22,7 @@ package inline
 
 import (
 	"fmt"
+	"maps"
 
 	"fsicp/internal/ir"
 	"fsicp/internal/sem"
@@ -139,6 +140,12 @@ func Call(prog *ir.Program, caller *ir.Func, call *ir.CallInstr) error {
 	cont.Term = blk.Term
 	blk.Instrs = append(blk.Instrs[:pos:pos], preCopies...)
 	blk.Term = &ir.Jump{Target: bmap[callee.Entry()]}
+
+	// The grafted calls keep the callee's argument syntax, which the
+	// jump functions and the flow-insensitive method resolve through
+	// the caller's tables.
+	maps.Copy(caller.Proc.Refs, call.Callee.Refs)
+	maps.Copy(caller.Proc.Callees, call.Callee.Callees)
 
 	ir.RebuildCFG(caller)
 	return nil

@@ -19,6 +19,7 @@ package irbuild
 
 import (
 	"fmt"
+	"slices"
 
 	"fsicp/internal/ast"
 	"fsicp/internal/ir"
@@ -32,47 +33,70 @@ import (
 // not a non-zero integer literal.
 func Build(p *sem.Program) (*ir.Program, error) {
 	pb := NewBuilder(p)
-	for i := 0; i < pb.NumProcs(); i++ {
-		pb.BuildProc(i)
+	for k := 0; k < pb.NumProcs(); k++ {
+		pb.BuildProc(k)
 	}
 	return pb.Finish()
 }
 
 // A Builder is an in-flight lowering whose per-procedure work can be
-// fanned across goroutines: BuildProc(i) lowers procedure i touching
+// fanned across goroutines: BuildProc(k) lowers one procedure touching
 // only that procedure's state, and Finish is the serial epilogue that
 // assigns the dense call-site numbering in procedure order — exactly
 // the IDs serial lowering hands out, so results are byte-identical at
 // every worker count.
 type Builder struct {
 	sem   *sem.Program
-	funcs []*ir.Func
-	errs  []error
+	funcs []*ir.Func // by procedure index; a patch's reused ones preset
+	todo  []int      // procedure indices BuildProc lowers
+	errs  []error    // per todo entry
+	patch bool
 }
 
 // NewBuilder prepares lowering of every procedure of p.
 func NewBuilder(p *sem.Program) *Builder {
+	todo := make([]int, len(p.Procs))
+	for i := range todo {
+		todo[i] = i
+	}
 	return &Builder{
 		sem:   p,
 		funcs: make([]*ir.Func, len(p.Procs)),
-		errs:  make([]error, len(p.Procs)),
+		todo:  todo,
+		errs:  make([]error, len(todo)),
 	}
 }
 
-// NumProcs returns the number of procedures to lower.
-func (pb *Builder) NumProcs() int { return len(pb.sem.Procs) }
+// Patch prepares the lowering of p, a sem.Patch of cur's program, in
+// which only the procedures at the changed indices are new: BuildProc
+// lowers those, and every other procedure keeps its function from cur.
+// Nothing of cur changes before Finish.
+func Patch(p *sem.Program, cur *ir.Program, changed []int) *Builder {
+	funcs := slices.Clone(cur.Funcs)
+	for _, i := range changed {
+		funcs[i] = nil
+	}
+	return &Builder{sem: p, funcs: funcs, todo: changed, errs: make([]error, len(changed)), patch: true}
+}
 
-// BuildProc lowers procedure i, including its per-function instruction
-// numbering. Safe to call concurrently for distinct i.
-func (pb *Builder) BuildProc(i int) {
-	b := &builder{sem: pb.sem}
-	f, err := b.buildFunc(pb.sem.Procs[i])
+// NumProcs returns the number of procedures to lower.
+func (pb *Builder) NumProcs() int { return len(pb.todo) }
+
+// BuildProc lowers the k-th procedure to lower, including its
+// per-function instruction numbering, and releases the procedure's
+// expression types, which nothing reads after lowering. Safe to call
+// concurrently for distinct k.
+func (pb *Builder) BuildProc(k int) {
+	b := &builder{}
+	p := pb.sem.Procs[pb.todo[k]]
+	f, err := b.buildFunc(p)
 	if err != nil {
-		pb.errs[i] = err
+		pb.errs[k] = err
 		return
 	}
 	f.NumberInstrs()
-	pb.funcs[i] = f
+	p.Types = nil
+	pb.funcs[pb.todo[k]] = f
 }
 
 // Finish assembles the program: dense call-site numbering,
@@ -81,18 +105,34 @@ func (pb *Builder) BuildProc(i int) {
 // failed procedure (the one serial lowering would have stopped at).
 // Functions track only their own formals, locals and temporaries
 // here; modref installs their global segments.
+//
+// For a patch, Finish is where the new version takes over the
+// functions it reuses, and only when every procedure lowered: their
+// calls move to the new procedures, the procedures' callee references
+// too (sem.Program.Rebind), and each returns to the form lowering gave
+// it, without the clobbers, MayDef sets and fingerprint the previous
+// version's annotation passes added, so those passes start from the
+// same program a full lowering yields.
 func (pb *Builder) Finish() (*ir.Program, error) {
 	for _, err := range pb.errs {
 		if err != nil {
 			return nil, err
 		}
 	}
+	fresh := make([]bool, len(pb.funcs))
+	for _, i := range pb.todo {
+		fresh[i] = true
+	}
 	prog := &ir.Program{
 		Sem:    pb.sem,
 		FuncOf: make(map[*sem.Proc]*ir.Func, len(pb.funcs)),
 	}
-	for _, f := range pb.funcs {
-		collectVars(f)
+	for i, f := range pb.funcs {
+		if fresh[i] {
+			collectVars(f)
+		} else {
+			resetLowered(f, pb.sem.Procs)
+		}
 		for _, ci := range f.Calls {
 			ci.ID = len(prog.CallSites)
 			prog.CallSites = append(prog.CallSites, ci)
@@ -100,7 +140,38 @@ func (pb *Builder) Finish() (*ir.Program, error) {
 		prog.Funcs = append(prog.Funcs, f)
 		prog.FuncOf[f.Proc] = f
 	}
+	if pb.patch {
+		pb.sem.Rebind()
+	}
 	return prog, nil
+}
+
+// resetLowered returns a reused function to its lowered form: its
+// calls name the current procedures and carry no MayDef set, its
+// clobbers are gone, and its fingerprint is forgotten.
+func resetLowered(f *ir.Func, procs []*sem.Proc) {
+	for _, ci := range f.Calls {
+		ci.Callee = procs[ci.Callee.Index]
+		ci.MayDef = nil
+	}
+	stripped := false
+	for _, b := range f.Blocks {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if _, ok := in.(*ir.ClobberInstr); !ok {
+				kept = append(kept, in)
+			}
+		}
+		if len(kept) < len(b.Instrs) {
+			clear(b.Instrs[len(kept):])
+			b.Instrs = kept
+			stripped = true
+		}
+	}
+	if stripped {
+		f.NumberInstrs()
+	}
+	f.ResetFingerprint()
 }
 
 func collectVars(f *ir.Func) {
@@ -118,7 +189,6 @@ type loopCtx struct {
 }
 
 type builder struct {
-	sem   *sem.Program
 	fn    *ir.Func
 	cur   *ir.Block
 	loops []loopCtx
@@ -182,7 +252,7 @@ func (b *builder) block(blk *ast.Block) {
 }
 
 func (b *builder) varOf(id *ast.Ident) *sem.Var {
-	v := b.sem.Info.Refs[id]
+	v := b.fn.Proc.Refs[id]
 	if v == nil {
 		panic("irbuild: unresolved identifier " + id.Name)
 	}
@@ -357,7 +427,7 @@ func (b *builder) expr(e ast.Expr) *sem.Var {
 	if id, ok := stripParens(e).(*ast.Ident); ok {
 		return b.varOf(id)
 	}
-	t := b.sem.Info.Types[e]
+	t := b.fn.Proc.Types[e]
 	if t == ast.TypeInvalid {
 		t = ast.TypeInt // error recovery; sem already reported
 	}
@@ -398,7 +468,7 @@ func (b *builder) exprInto(dst *sem.Var, e ast.Expr) {
 // call lowers a call; dst receives the function result (nil for
 // subroutine call statements).
 func (b *builder) call(e *ast.CallExpr, dst *sem.Var) {
-	callee := b.sem.Info.Callees[e]
+	callee := b.fn.Proc.Callees[e]
 	if callee == nil {
 		panic("irbuild: unresolved callee " + e.Fun.Name)
 	}

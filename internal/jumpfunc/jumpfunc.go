@@ -214,10 +214,10 @@ func run(ctx *icp.Context, opts Options, res *Result) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, p := range cg.Reachable {
+		for pos, p := range cg.Reachable {
 			for fi, f := range p.Params {
 				acc := lattice.TopElem()
-				for _, e := range cg.In[p] {
+				for _, e := range cg.In[pos] {
 					fns := res.Fns[e.Site]
 					if fi >= len(fns) {
 						acc = lattice.BottomElem()
@@ -225,7 +225,7 @@ func run(ctx *icp.Context, opts Options, res *Result) {
 					}
 					acc = lattice.Meet(acc, fns[fi].Eval(env))
 				}
-				if len(cg.In[p]) == 0 {
+				if len(cg.In[pos]) == 0 {
 					acc = lattice.BottomElem() // main or dead root
 				}
 				if !acc.Eq(res.Formals[f]) {
@@ -326,7 +326,7 @@ func unmodifiedFormal(ctx *icp.Context, caller *sem.Proc, e ast.Expr) *sem.Var {
 	if !ok {
 		return nil
 	}
-	v := ctx.Prog.Sem.Info.Refs[id]
+	v := caller.Refs[id]
 	if v == nil || v.Kind != sem.KindFormal || v.Owner != caller {
 		return nil
 	}

@@ -144,7 +144,7 @@ func buildValueFn(ctx *icp.Context, res *Result, kind Kind, owner *sem.Proc, e a
 	}
 	if retFns != nil {
 		if call, ok := stripParens(e).(*ast.CallExpr); ok {
-			if callee := ctx.Prog.Sem.Info.Callees[call]; callee != nil && callee.IsFunc {
+			if callee := owner.Callees[call]; callee != nil && callee.IsFunc {
 				if rets, ok := retFns[callee]; ok {
 					args := make([]*Fn, len(call.Args))
 					for i, a := range call.Args {

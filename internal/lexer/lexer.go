@@ -23,12 +23,26 @@ type Lexer struct {
 	src    string
 	offset int
 	errs   *source.ErrorList
-	lits   map[string]string // interned literal spellings
+	lits   map[string]string // interned literal spellings; nil in a sweep
 }
 
 // New returns a Lexer over f, appending diagnostics to errs.
 func New(f *source.File, errs *source.ErrorList) *Lexer {
-	return &Lexer{file: f, src: f.Content, errs: errs, lits: make(map[string]string)}
+	return NewAt(f, errs, 0)
+}
+
+// NewAt returns a Lexer over f that starts scanning at byte offset off,
+// which must be the offset of a token (or of whitespace or a comment
+// before one).
+func NewAt(f *source.File, errs *source.ErrorList, off int) *Lexer {
+	return &Lexer{file: f, src: f.Content, offset: off, errs: errs, lits: make(map[string]string)}
+}
+
+// NewSweep returns a Lexer over f for a sweep that reads each token
+// once and keeps none, such as a fingerprint: its spellings alias the
+// source text instead of being interned copies.
+func NewSweep(f *source.File, errs *source.ErrorList) *Lexer {
+	return &Lexer{file: f, src: f.Content, errs: errs}
 }
 
 // intern returns a copy of lit that does not alias the source text,
@@ -38,6 +52,9 @@ func New(f *source.File, errs *source.ErrorList) *Lexer {
 // loader. Interning pays one small allocation per distinct spelling
 // and lets the file contents be reclaimed the moment parsing is done.
 func (l *Lexer) intern(lit string) string {
+	if l.lits == nil {
+		return lit
+	}
 	if s, ok := l.lits[lit]; ok {
 		return s
 	}

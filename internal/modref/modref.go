@@ -269,7 +269,7 @@ func (b *Builder) solve() {
 }
 
 func selfCall(cg *callgraph.Graph, p *sem.Proc) bool {
-	for _, e := range cg.Out[p] {
+	for _, e := range cg.OutOf(p) {
 		if e.Callee == p {
 			return true
 		}
@@ -284,7 +284,7 @@ func (b *Builder) gather(p *sem.Proc, pairs [][2]int) bool {
 	r := info.rows(p)
 	gw := info.fbase / 64
 	grew := false
-	for _, e := range b.cg.Out[p] {
+	for _, e := range b.cg.OutOf(p) {
 		call, q := e.Site, info.rows(e.Callee)
 		if r.mod[:gw].Or(q.mod[:gw]) {
 			grew = true

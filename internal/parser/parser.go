@@ -88,6 +88,28 @@ func ParseUnit(f *source.File, resolver source.PosResolver) (*ast.Program, error
 	return prog, errs.Err()
 }
 
+// ParseProc parses the one procedure declaration that starts at byte
+// offset off of f, with the code ParseUnit runs for each declaration,
+// and returns it with the offset of the first token after it (the
+// source length at the end of the file). Positions and diagnostics are
+// those a parse of the whole file reports, resolved through resolver
+// as in ParseUnit.
+func ParseProc(f *source.File, resolver source.PosResolver, off int) (*ast.ProcDecl, int, error) {
+	if resolver == nil {
+		resolver = f
+	}
+	errs := &source.ErrorList{File: resolver}
+	p := &Parser{file: f, lex: lexer.NewAt(f, errs, off), errs: errs}
+	p.tok = p.lex.Next()
+	p.next = p.lex.Next()
+	if p.tok.Kind != token.PROC && p.tok.Kind != token.FUNC {
+		p.errorf("expected 'proc' or 'func', found %s", p.describe(p.tok))
+		return nil, off, errs.Err()
+	}
+	d := p.parseProc()
+	return d, f.Offset(p.tok.Pos), errs.Err()
+}
+
 func (p *Parser) advance() {
 	p.tok = p.next
 	p.next = p.lex.Next()

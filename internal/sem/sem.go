@@ -5,6 +5,8 @@
 package sem
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 
 	"fsicp/internal/ast"
@@ -78,6 +80,19 @@ type Proc struct {
 	UsesSet map[*Var]bool
 	Decl    *ast.ProcDecl
 
+	// The procedure's resolution results, keyed by syntax nodes of its
+	// body. Each procedure owns its own, so procedures check
+	// concurrently and a Session patch replaces one procedure's results
+	// with the procedure.
+	//
+	// Refs maps every variable-reference Ident to its Var.
+	Refs map[*ast.Ident]*Var
+	// Callees maps every CallExpr to the invoked procedure.
+	Callees map[*ast.CallExpr]*Proc
+	// Types maps every expression to its checked type. Lowering
+	// (irbuild) is its one reader and releases it.
+	Types map[ast.Expr]ast.Type
+
 	ntemps int
 }
 
@@ -123,87 +138,174 @@ type Program struct {
 	ProcByName map[string]*Proc
 	Main       *Proc
 	AST        *ast.Program
-	Info       *Info
-}
 
-// Info records resolution results keyed by syntax nodes.
-type Info struct {
-	// Refs maps every variable-reference Ident to its Var.
-	Refs map[*ast.Ident]*Var
-	// Callees maps every CallExpr to the invoked procedure.
-	Callees map[*ast.CallExpr]*Proc
-	// Types maps every expression to its checked type.
-	Types map[ast.Expr]ast.Type
+	globalByName map[string]*Var
 }
 
 // Check resolves and type-checks prog. On failure the error is a
 // *source.ErrorList describing every problem found. The resolver (a
 // *source.File for single-file programs, a *source.FileSet for merged
 // multi-file corpora) is only used to render diagnostic positions.
+// Serial convenience wrapper over Begin / CheckProc / Finish.
 func Check(prog *ast.Program, file source.PosResolver) (*Program, error) {
-	errs := &source.ErrorList{File: file}
-	c := &checker{
-		errs: errs,
+	c := Begin(prog, file)
+	for k := 0; k < c.NumProcs(); k++ {
+		c.CheckProc(k)
+	}
+	return c.Finish()
+}
+
+// A Checker splits Check so the per-procedure checks, which write only
+// their own procedure's state, can be fanned across goroutines: Begin
+// is the serial prologue that declares every global and procedure,
+// CheckProc(k) checks one procedure into its own resolution tables with
+// its own scope and diagnostics, and Finish is the serial epilogue that
+// checks main and reports every diagnostic in procedure order, exactly
+// as a serial check lists them.
+type Checker struct {
+	errs  *source.ErrorList // the prologue's and epilogue's diagnostics
+	p     *Program
+	todo  []int                 // procedure indices CheckProc checks
+	diags [][]source.Diagnostic // per todo entry
+}
+
+// Begin declares prog's globals and procedures and prepares the check
+// of every procedure.
+func Begin(prog *ast.Program, file source.PosResolver) *Checker {
+	c := &Checker{
+		errs: &source.ErrorList{File: file},
 		p: &Program{
-			Name:       prog.Name,
-			GlobalInit: make(map[*Var]val.Value),
-			ProcByName: make(map[string]*Proc),
-			AST:        prog,
-			Info: &Info{
-				Refs:    make(map[*ast.Ident]*Var),
-				Callees: make(map[*ast.CallExpr]*Proc),
-				Types:   make(map[ast.Expr]ast.Type),
-			},
+			Name:         prog.Name,
+			GlobalInit:   make(map[*Var]val.Value),
+			ProcByName:   make(map[string]*Proc),
+			AST:          prog,
+			globalByName: make(map[string]*Var),
 		},
-		globalByName: make(map[string]*Var),
 	}
 	c.collectGlobals(prog)
 	c.collectProcs(prog)
-	for i, pd := range prog.Procs {
-		if i < len(c.p.Procs) {
-			c.checkProc(c.p.Procs[i], pd)
-		}
+	c.todo = make([]int, len(c.p.Procs))
+	for i := range c.todo {
+		c.todo[i] = i
 	}
+	c.diags = make([][]source.Diagnostic, len(c.todo))
+	return c
+}
+
+// Patch prepares the check of a new version of cur whose globals and
+// procedure headers equal cur's token for token: prog is the new
+// version's syntax, in which only the procedures at the changed
+// indices have new declarations. The new Program shares cur's globals
+// and unchanged procedures; each changed procedure is declared afresh
+// from its new declaration, so CheckProc fills a procedure cur does not
+// own and cur stays untouched, whatever the check finds. Calls resolve
+// against the new procedure table, but an unchanged procedure's own
+// resolution tables still name the procedures it called in cur until
+// Rebind.
+func Patch(cur *Program, prog *ast.Program, changed []int, file source.PosResolver) *Checker {
+	p := &Program{
+		Name:         cur.Name,
+		Globals:      cur.Globals,
+		GlobalInit:   cur.GlobalInit,
+		Procs:        slices.Clone(cur.Procs),
+		ProcByName:   maps.Clone(cur.ProcByName),
+		AST:          prog,
+		globalByName: cur.globalByName,
+	}
+	for _, i := range changed {
+		q := declareProc(prog.Procs[i], i)
+		p.Procs[i] = q
+		p.ProcByName[q.Name] = q
+	}
+	return &Checker{
+		errs:  &source.ErrorList{File: file},
+		p:     p,
+		todo:  changed,
+		diags: make([][]source.Diagnostic, len(changed)),
+	}
+}
+
+// NumProcs returns the number of procedures to check.
+func (c *Checker) NumProcs() int { return len(c.todo) }
+
+// CheckProc checks the k-th procedure to check. Safe to call
+// concurrently for distinct k: it reads only the prologue's tables and
+// writes only that procedure and its diagnostic slot.
+func (c *Checker) CheckProc(k int) {
+	i := c.todo[k]
+	errs := source.ErrorList{File: c.errs.File}
+	pc := &procChecker{errs: &errs, p: c.p}
+	pc.checkProc(c.p.Procs[i])
+	c.diags[k] = errs.Diags
+}
+
+// Finish checks main and returns the checked program, or every
+// diagnostic found: the prologue's, then each procedure's in procedure
+// order, then main's.
+func (c *Checker) Finish() (*Program, error) {
+	var procDiags []source.Diagnostic
+	for _, d := range c.diags {
+		procDiags = append(procDiags, d...)
+	}
+	c.errs.Diags = append(c.errs.Diags, procDiags...)
 	if main, ok := c.p.ProcByName["main"]; !ok {
-		errs.Errorf(prog.NamePos, "program has no procedure named 'main'")
+		c.errs.Errorf(c.p.AST.NamePos, "program has no procedure named 'main'")
 	} else {
 		c.p.Main = main
 		if len(main.Params) != 0 {
-			errs.Errorf(main.Decl.KwPos, "'main' must not declare parameters")
+			c.errs.Errorf(main.Decl.KwPos, "'main' must not declare parameters")
 		}
 		if main.IsFunc {
-			errs.Errorf(main.Decl.KwPos, "'main' must be a proc, not a func")
+			c.errs.Errorf(main.Decl.KwPos, "'main' must be a proc, not a func")
 		}
 	}
-	if err := errs.Err(); err != nil {
+	if err := c.errs.Err(); err != nil {
 		return nil, err
 	}
 	return c.p, nil
 }
 
-type checker struct {
-	errs         *source.ErrorList
-	p            *Program
-	globalByName map[string]*Var
+// Rebind points every procedure's callee references at p's procedure
+// of the same index, after a Patch replaced some procedures: an
+// unchanged procedure carried over from the previous version still
+// names the replaced procedures there. Call it only once the new
+// version is committed, since it changes procedures the previous
+// version shares.
+func (p *Program) Rebind() {
+	for _, q := range p.Procs {
+		for call, callee := range q.Callees {
+			if cur := p.Procs[callee.Index]; cur != callee {
+				q.Callees[call] = cur
+			}
+		}
+	}
+}
 
-	// per-procedure state
+func (c *Checker) errorf(pos source.Pos, format string, args ...any) {
+	c.errs.Errorf(pos, format, args...)
+}
+
+// procChecker is the state of one procedure's check.
+type procChecker struct {
+	errs      *source.ErrorList
+	p         *Program
 	proc      *Proc
 	scope     map[string]*Var
 	loopDepth int
 }
 
-func (c *checker) errorf(pos source.Pos, format string, args ...any) {
+func (c *procChecker) errorf(pos source.Pos, format string, args ...any) {
 	c.errs.Errorf(pos, format, args...)
 }
 
-func (c *checker) collectGlobals(prog *ast.Program) {
+func (c *Checker) collectGlobals(prog *ast.Program) {
 	for _, g := range prog.Globals {
-		if prev, ok := c.globalByName[g.Name]; ok {
+		if prev, ok := c.p.globalByName[g.Name]; ok {
 			c.errorf(g.KwPos, "global %q redeclared (previous declaration at %v)", g.Name, prev.Pos)
 			continue
 		}
 		v := &Var{Name: g.Name, Kind: KindGlobal, Type: g.Type, Index: len(c.p.Globals), Pos: g.KwPos}
-		c.globalByName[g.Name] = v
+		c.p.globalByName[g.Name] = v
 		c.p.Globals = append(c.p.Globals, v)
 		if g.Init != nil {
 			if cv, ok := c.evalInitLit(g.Init); ok {
@@ -217,7 +319,7 @@ func (c *checker) collectGlobals(prog *ast.Program) {
 	}
 }
 
-func (c *checker) evalInitLit(e ast.Expr) (val.Value, bool) {
+func (c *Checker) evalInitLit(e ast.Expr) (val.Value, bool) {
 	switch e := e.(type) {
 	case *ast.IntLit:
 		return val.Int(e.Value), true
@@ -238,24 +340,13 @@ func (c *checker) evalInitLit(e ast.Expr) (val.Value, bool) {
 	return val.Value{}, false
 }
 
-func (c *checker) collectProcs(prog *ast.Program) {
+func (c *Checker) collectProcs(prog *ast.Program) {
 	for _, pd := range prog.Procs {
 		if prev, ok := c.p.ProcByName[pd.Name]; ok {
 			c.errorf(pd.KwPos, "procedure %q redeclared (previous declaration at %v)", pd.Name, prev.Decl.KwPos)
 			// keep parallel indexing with prog.Procs
 		}
-		p := &Proc{
-			Name:    pd.Name,
-			Index:   len(c.p.Procs),
-			IsFunc:  pd.IsFunc,
-			Result:  pd.Result,
-			Decl:    pd,
-			UsesSet: make(map[*Var]bool),
-		}
-		for i, par := range pd.Params {
-			v := &Var{Name: par.Name, Kind: KindFormal, Type: par.Type, Index: i, Owner: p, Pos: par.NamePos}
-			p.Params = append(p.Params, v)
-		}
+		p := declareProc(pd, len(c.p.Procs))
 		if _, dup := c.p.ProcByName[pd.Name]; !dup {
 			c.p.ProcByName[pd.Name] = p
 		}
@@ -263,10 +354,30 @@ func (c *checker) collectProcs(prog *ast.Program) {
 	}
 }
 
-func (c *checker) checkProc(p *Proc, pd *ast.ProcDecl) {
+// declareProc declares the procedure pd at index i from its header.
+func declareProc(pd *ast.ProcDecl, i int) *Proc {
+	p := &Proc{
+		Name:    pd.Name,
+		Index:   i,
+		IsFunc:  pd.IsFunc,
+		Result:  pd.Result,
+		Decl:    pd,
+		UsesSet: make(map[*Var]bool),
+	}
+	for i, par := range pd.Params {
+		v := &Var{Name: par.Name, Kind: KindFormal, Type: par.Type, Index: i, Owner: p, Pos: par.NamePos}
+		p.Params = append(p.Params, v)
+	}
+	return p
+}
+
+func (c *procChecker) checkProc(p *Proc) {
+	pd := p.Decl
 	c.proc = p
 	c.scope = make(map[string]*Var)
-	c.loopDepth = 0
+	p.Refs = make(map[*ast.Ident]*Var)
+	p.Callees = make(map[*ast.CallExpr]*Proc)
+	p.Types = make(map[ast.Expr]ast.Type)
 	for _, v := range p.Params {
 		if prev, ok := c.scope[v.Name]; ok {
 			c.errorf(v.Pos, "parameter %q redeclared (previous at %v)", v.Name, prev.Pos)
@@ -275,7 +386,7 @@ func (c *checker) checkProc(p *Proc, pd *ast.ProcDecl) {
 		c.scope[v.Name] = v
 	}
 	for _, u := range pd.Uses {
-		g, ok := c.globalByName[u.Name]
+		g, ok := c.p.globalByName[u.Name]
 		if !ok {
 			c.errorf(u.NamePos, "use of undeclared global %q", u.Name)
 			continue
@@ -291,18 +402,18 @@ func (c *checker) checkProc(p *Proc, pd *ast.ProcDecl) {
 		c.scope[u.Name] = g
 		p.Uses = append(p.Uses, g)
 		p.UsesSet[g] = true
-		c.p.Info.Refs[u] = g
+		p.Refs[u] = g
 	}
 	c.checkBlock(pd.Body)
 }
 
-func (c *checker) checkBlock(b *ast.Block) {
+func (c *procChecker) checkBlock(b *ast.Block) {
 	for _, s := range b.Stmts {
 		c.checkStmt(s)
 	}
 }
 
-func (c *checker) checkStmt(s ast.Stmt) {
+func (c *procChecker) checkStmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.VarDecl:
 		if prev, ok := c.scope[s.Name]; ok {
@@ -386,7 +497,7 @@ func (c *checker) checkStmt(s ast.Stmt) {
 	}
 }
 
-func (c *checker) checkCond(e ast.Expr) {
+func (c *procChecker) checkCond(e ast.Expr) {
 	if t := c.checkExpr(e); t != ast.TypeInvalid && t != ast.TypeBool {
 		c.errorf(e.Pos(), "condition must be bool, not %s", t)
 	}
@@ -394,12 +505,12 @@ func (c *checker) checkCond(e ast.Expr) {
 
 // resolve looks up a variable reference; reports and returns nil if
 // undeclared.
-func (c *checker) resolve(id *ast.Ident) *Var {
+func (c *procChecker) resolve(id *ast.Ident) *Var {
 	if v, ok := c.scope[id.Name]; ok {
-		c.p.Info.Refs[id] = v
+		c.proc.Refs[id] = v
 		return v
 	}
-	if _, isGlobal := c.globalByName[id.Name]; isGlobal {
+	if _, isGlobal := c.p.globalByName[id.Name]; isGlobal {
 		c.errorf(id.NamePos, "global %q is not visible here: add it to the procedure's use clause", id.Name)
 	} else {
 		c.errorf(id.NamePos, "undeclared variable %q", id.Name)
@@ -407,7 +518,7 @@ func (c *checker) resolve(id *ast.Ident) *Var {
 	return nil
 }
 
-func (c *checker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
+func (c *procChecker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
 	callee, ok := c.p.ProcByName[call.Fun.Name]
 	if !ok {
 		c.errorf(call.Fun.NamePos, "call of undeclared procedure %q", call.Fun.Name)
@@ -416,7 +527,7 @@ func (c *checker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
 		}
 		return ast.TypeInvalid
 	}
-	c.p.Info.Callees[call] = callee
+	c.proc.Callees[call] = callee
 	if !stmt && !callee.IsFunc {
 		c.errorf(call.Fun.NamePos, "proc %q has no result and cannot appear in an expression", callee.Name)
 	}
@@ -435,14 +546,14 @@ func (c *checker) checkCall(call *ast.CallExpr, stmt bool) ast.Type {
 	return ast.TypeInvalid
 }
 
-// checkExpr types an expression, recording the result in Info.Types.
-func (c *checker) checkExpr(e ast.Expr) ast.Type {
+// checkExpr types an expression, recording the result in Proc.Types.
+func (c *procChecker) checkExpr(e ast.Expr) ast.Type {
 	t := c.typeOf(e)
-	c.p.Info.Types[e] = t
+	c.proc.Types[e] = t
 	return t
 }
 
-func (c *checker) typeOf(e ast.Expr) ast.Type {
+func (c *procChecker) typeOf(e ast.Expr) ast.Type {
 	switch e := e.(type) {
 	case *ast.Ident:
 		if v := c.resolve(e); v != nil {

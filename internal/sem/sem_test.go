@@ -132,20 +132,23 @@ proc f(a int) {
   print a
 }`)
 	// Every Ident in an expression position resolves.
-	nrefs := 0
-	for _, v := range p.Info.Refs {
-		_ = v
-		nrefs++
+	nrefs, ncalls := 0, 0
+	for _, q := range p.Procs {
+		for id, v := range q.Refs {
+			if v.Owner != nil && v.Owner != q {
+				t.Errorf("%s: %s resolves to %s of another procedure", q.Name, id.Name, v)
+			}
+			nrefs++
+		}
+		for _, callee := range q.Callees {
+			if callee.Name != "f" {
+				t.Errorf("callee: %s", callee.Name)
+			}
+			ncalls++
+		}
 	}
 	if nrefs < 3 { // use g, init g, arg x (+ print a)
 		t.Errorf("too few resolved refs: %d", nrefs)
-	}
-	ncalls := 0
-	for _, callee := range p.Info.Callees {
-		if callee.Name != "f" {
-			t.Errorf("callee: %s", callee.Name)
-		}
-		ncalls++
 	}
 	if ncalls != 1 {
 		t.Errorf("calls: %d", ncalls)

@@ -82,6 +82,15 @@ go test -race -count=1 -run 'TestIncrementalReturnsMatchCold|TestOneShotEngineKe
 go test -race -count=1 -run 'TestStands|TestReturnsRecordStands' ./internal/incr
 go test -race -count=1 -run 'TestUpdateAfterCallRemoval' ./internal/serve
 
+echo "== front-end reuse (race) =="
+# A Session update whose source keeps every token outside procedure
+# bodies parses, checks and lowers only the changed procedures and
+# reuses the rest in place, and sem checks procedures in shards: every
+# session test (the patch path's version pairs, retirement of earlier
+# versions, the heap after 300 updates, the edit replay), the update
+# fuzzer's seeds, and the sharded load at every worker count.
+go test -race -count=3 -run 'TestSession|FuzzSessionUpdate|TestLoadDeterministicAcrossWorkers' .
+
 echo "== SSA on demand (race) =="
 # icp.Context builds a procedure's SSA the first time a pass reads it,
 # once per slot, and concurrent analyses of one context share the

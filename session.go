@@ -3,22 +3,38 @@ package fsicp
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"fsicp/internal/ast"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
+	"fsicp/internal/ir"
+	"fsicp/internal/parser"
+	"fsicp/internal/source"
 )
 
 // Session is an incremental analysis session over successive versions
 // of one program. Where Load and Program.Analyze recompute everything
-// from scratch, a Session carries two reuse layers across Update
+// from scratch, a Session carries three reuse layers across Update
 // calls:
 //
 //   - Whole-version reuse: a version is keyed by its source's token
 //     stream (SourceFingerprint), the complete input of the load
 //     pipeline. An Update whose key equals the current version's — a
 //     comment or whitespace edit, or an identical source — reuses the
-//     compiled program whole, reparsing nothing; any other Update is a
-//     full Load. A failed Update changes nothing.
+//     compiled program whole, reparsing nothing.
+//
+//   - Per-procedure front-end reuse: an Update whose source has the
+//     current version's skeleton — every token outside procedure
+//     bodies: the program header, each global declaration with its
+//     initializer, and each procedure header, in order — parses,
+//     checks and lowers only the procedures whose body tokens changed,
+//     takes every other procedure's syntax, checked procedure and IR
+//     from the current version, and runs the interprocedural passes
+//     (call graph, aliases, MOD/REF, clobbers) over the whole program
+//     again. Any other Update is a full Load. Either way the program
+//     is byte-identical to a cold Load of the same source, and a failed
+//     Update changes nothing and reports exactly the cold error.
 //
 //   - Per-procedure analysis caching (internal/incr.Engine): each
 //     analysis configuration owns an engine whose snapshot and value
@@ -32,10 +48,16 @@ import (
 //     results are byte-identical to a cold analysis of the same
 //     source (the differential property tests enforce this).
 //
-// A Session is not safe for concurrent use, and the destructive
-// methods (Optimize, Clone, Inline, RemoveDeadProcedures) must not be
-// applied to a Program still owned by a Session — they mutate state
-// the next Update may reuse. Take a fresh Load for transformation work.
+// Reused IR passes from one version to the next and is annotated
+// again in place, so a successful Update retires every earlier
+// version's Program: AnalyzeContext on it returns an error, and Analyze
+// panics with it. Take the listings or reports of a version before the
+// next Update; neither its Program nor its analyses read its IR as it
+// was afterwards. A Session is not safe for concurrent use,
+// and the destructive methods (Optimize, Clone, Inline,
+// RemoveDeadProcedures) must not be applied to a Program still owned by
+// a Session — they mutate state the next Update may reuse. Take a fresh
+// Load for transformation work.
 type Session struct {
 	filename string
 	opts     LoadOptions
@@ -43,6 +65,10 @@ type Session struct {
 	version  int
 	key      string   // token key of the current version's source
 	prog     *Program // the current version
+	// split is the current version's source split, when splitOK; an
+	// Update whose source has the same skeleton patches prog.
+	split   incr.Split
+	splitOK bool
 }
 
 // NewSession loads the initial version of the program. The error is
@@ -67,12 +93,15 @@ func (s *Session) Program() *Program { return s.prog }
 // Version counts successful Updates (1 after NewSession).
 func (s *Session) Version() int { return s.version }
 
-// Update replaces the program with a new source version. A source whose
-// token stream equals the current version's reuses its compiled
-// program: the returned Program shares it, and its load records repeat
-// the current ones marked Cached. Any other source is loaded with
-// LoadWith. On error (a parse or semantic diagnostic) the session is
-// untouched, so the error is exactly the one Load reports.
+// Update replaces the program with a new source version and retires
+// the one it replaces. A source whose token stream equals the current
+// version's reuses its compiled program: the returned Program shares
+// it, and its load records repeat the current ones marked Cached. A
+// source with the current version's skeleton patches it: the parse,
+// sem and irbuild rows note built=N reused=M, the procedures front-end
+// work was done for and those taken over. Any other source is loaded
+// as LoadWith loads it. On error (a parse or semantic diagnostic) the
+// session is untouched, so the error is exactly the one Load reports.
 func (s *Session) Update(src string) (*Program, error) {
 	return s.UpdateKeyed(src, SourceFingerprint(src))
 }
@@ -90,15 +119,126 @@ func (s *Session) UpdateKeyed(src, key string) (*Program, error) {
 		}
 		next = &Program{ctx: s.prog.ctx, trace: tr}
 	} else {
-		p, err := LoadWith(s.filename, src, s.opts)
+		sl := &sessionLoad{src: src}
+		if s.splitOK {
+			sl.base, sl.baseSplit = s.prog, s.split
+		}
+		p, err := sl.load(s.filename, s.opts)
+		if err != nil && sl.patched {
+			// A diagnostic abandons the patch before the current
+			// version changed; the full load reports it exactly as a
+			// cold Load does.
+			sl.base = nil
+			p, err = sl.load(s.filename, s.opts)
+		}
 		if err != nil {
 			return nil, err
 		}
 		next = p
+		s.split, s.splitOK = sl.split, sl.splitOK
+	}
+	if s.prog != nil {
+		s.prog.retired.Store(true)
 	}
 	s.key, s.prog = key, next
 	s.version++
 	return next, nil
+}
+
+// sessionLoad is a Session's part in the load of a new version: the
+// load splits the source (incr.SplitSource) in its parse pass, and when
+// the split's skeleton equals the current version's it patches that
+// version instead of loading afresh.
+type sessionLoad struct {
+	src       string
+	base      *Program // the version to patch; nil for a full load
+	baseSplit incr.Split
+
+	split     incr.Split // the source's split, when splitOK
+	splitOK   bool
+	splitDone bool
+	patched   bool // the load patched base
+}
+
+// load runs the load pipeline on the session's one source file.
+func (sl *sessionLoad) load(filename string, opts LoadOptions) (*Program, error) {
+	cf := corpusFile{name: filename, size: len(sl.src), read: func() (string, error) { return sl.src, nil }}
+	return loadCorpus(context.Background(), []corpusFile{cf}, opts, sl)
+}
+
+// plan splits the source, once per Update, and returns the patch of
+// base when the skeletons match: the procedures whose bodies changed
+// are parsed from f, the source's file, which holds the source until
+// the patch's parse finishes.
+func (sl *sessionLoad) plan(f *source.File) *procPatch {
+	if !sl.splitDone {
+		sl.split, sl.splitOK = incr.SplitSource(sl.src)
+		sl.splitDone = true
+	}
+	if !sl.splitOK || sl.base == nil || sl.split.Skeleton != sl.baseSplit.Skeleton {
+		return nil
+	}
+	if err := f.SetContent(sl.src); err != nil {
+		return nil
+	}
+	pp := &procPatch{base: sl.base.ctx.Prog, spans: sl.split.Procs}
+	for i, sp := range sl.split.Procs {
+		if sp.Body != sl.baseSplit.Procs[i].Body {
+			pp.changed = append(pp.changed, i)
+		}
+	}
+	pp.decls = make([]*ast.ProcDecl, len(pp.changed))
+	pp.errs = make([]error, len(pp.changed))
+	sl.patched = true
+	return pp
+}
+
+// procPatch is a load that patches a Session's current version: only
+// the procedures at changed get new declarations, checks and
+// functions (sem.Patch, irbuild.Patch), and every other procedure keeps
+// the current version's. The interprocedural passes then run over the
+// whole program as in any load.
+type procPatch struct {
+	base    *ir.Program
+	spans   []incr.ProcSpan
+	changed []int
+	decls   []*ast.ProcDecl // per changed procedure
+	errs    []error
+}
+
+// parse parses the k-th changed procedure from f with the parser's
+// per-declaration code. A declaration that does not end where its body
+// does is an error like a diagnostic.
+func (pp *procPatch) parse(k int, f *source.File, fset *source.FileSet) {
+	sp := pp.spans[pp.changed[k]]
+	d, next, err := parser.ParseProc(f, fset, sp.Start)
+	if err == nil && next != sp.Next {
+		err = fmt.Errorf("procedure at offset %d does not end where its body does", sp.Start)
+	}
+	pp.decls[k], pp.errs[k] = d, err
+}
+
+// finish releases f's contents and returns the new version's syntax:
+// the current version's, with the changed procedures' declarations in
+// place of theirs.
+func (pp *procPatch) finish(f *source.File) (*ast.Program, error) {
+	f.ReleaseContent()
+	for _, err := range pp.errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	cur := pp.base.Sem.AST
+	prog := &ast.Program{NamePos: cur.NamePos, Name: cur.Name, Globals: cur.Globals, Procs: slices.Clone(cur.Procs)}
+	for k, i := range pp.changed {
+		prog.Procs[i] = pp.decls[k]
+	}
+	return prog, nil
+}
+
+// notes is the front-end rows' note on a patch.
+func (pp *procPatch) notes() string {
+	return fmt.Sprintf("built=%d reused=%d", len(pp.changed), len(pp.base.Funcs)-len(pp.changed))
 }
 
 // SourceKey returns the token-stream fingerprint of the session's

@@ -86,6 +86,9 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 				if err != nil {
 					t.Fatalf("edit %d: cold load failed after incremental load succeeded: %v", i, err)
 				}
+				if got, want := sess.Program().DumpIR(), cold.DumpIR(); got != want {
+					t.Fatalf("edit %d: session IR diverged from cold load\n--- session ---\n%s\n--- cold ---\n%s", i, got, want)
+				}
 				want := fingerprint(cold.Analyze(cfg))
 				if got != want {
 					t.Fatalf("edit %d: incremental result diverged from cold run\n--- incremental ---\n%s\n--- cold ---\n%s",
@@ -610,6 +613,9 @@ func FuzzSessionUpdate(f *testing.F) {
 	f.Add(callRemovalV1, callRemovalV2)
 	f.Add(returnChangeV1, returnChangeV2)
 	f.Add(nameClashV1, nameClashV2)
+	for _, row := range patchRows {
+		f.Add(patchBase, strings.Replace(patchBase, row.old, row.new, 1))
+	}
 	cfgs := []fsicp.Config{
 		{Method: fsicp.FlowSensitive, PropagateFloats: true},
 		{Method: fsicp.FlowSensitive, PropagateFloats: true, ReturnConstants: true},
@@ -633,6 +639,9 @@ func FuzzSessionUpdate(f *testing.F) {
 			}
 			if err != nil {
 				continue
+			}
+			if got, want := sess.Program().DumpIR(), cold.DumpIR(); got != want {
+				t.Fatalf("step %d: session IR diverged from cold load:\n%s\nwant:\n%s", i, got, want)
 			}
 			for _, cfg := range cfgs {
 				if got, want := fingerprint(sess.Analyze(cfg)), fingerprint(cold.Analyze(cfg)); got != want {
