@@ -801,7 +801,7 @@ func (a *Analysis) ReturnConstant(proc string) (string, bool) {
 		return "", false
 	}
 	if rv := a.res.Returns[p]; rv.IsConst() {
-		return rv.Val.String(), true
+		return rv.Val().String(), true
 	}
 	return "", false
 }
@@ -850,7 +850,7 @@ func (a *Analysis) CallSites() []CallSiteInfo {
 		vals := a.res.ArgVals[e.Site]
 		for _, v := range vals {
 			if v.IsConst() {
-				info.Args = append(info.Args, v.Val.String())
+				info.Args = append(info.Args, v.Val().String())
 			} else {
 				info.Args = append(info.Args, "")
 			}
@@ -922,7 +922,7 @@ func (a *Analysis) AnnotatedListing() string {
 		}
 		if a.res.Returns != nil {
 			if rv := a.res.Returns[p]; rv.IsConst() {
-				fmt.Fprintf(&b, "  # returns %s\n", rv.Val.String())
+				fmt.Fprintf(&b, "  # returns %s\n", rv.Val().String())
 			}
 		}
 	}
@@ -1156,7 +1156,7 @@ func (a *JumpAnalysis) Constants() []Constant {
 	for _, p := range a.prog.ctx.CG.Reachable {
 		for _, f := range a.res.ConstantFormals(p) {
 			e := a.res.Formals[f]
-			out = append(out, Constant{Proc: p.Name, Var: f.Name, Value: e.Val.String(), Kind: "formal"})
+			out = append(out, Constant{Proc: p.Name, Var: f.Name, Value: e.Val().String(), Kind: "formal"})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -133,7 +133,7 @@ func patternKey(vals []lattice.Elem) string {
 	key := ""
 	for _, v := range vals {
 		if v.IsConst() {
-			key += v.Val.String() + "|"
+			key += v.Val().String() + "|"
 		} else {
 			key += "?|"
 		}

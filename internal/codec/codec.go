@@ -237,26 +237,25 @@ const (
 )
 
 func appendElem(b []byte, e lattice.Elem) []byte {
-	// Canonicalise first: Eq elements must produce identical bytes, and
-	// a literally-built Constant NaN must encode as the ⊥ it decodes to.
-	e = e.Canonical()
-	switch e.Level {
+	// Elements are canonical by construction, so Eq elements encode to
+	// identical bytes.
+	switch e.Level() {
 	case lattice.Top:
 		return append(b, tagTop)
 	case lattice.Bottom:
 		return append(b, tagBottom)
 	}
 	b = append(b, tagConstant)
-	switch e.Val.Type {
+	switch v := e.Val(); v.Type {
 	case ast.TypeInt:
 		b = append(b, tagInt)
-		return binary.AppendVarint(b, e.Val.I)
+		return binary.AppendVarint(b, v.I)
 	case ast.TypeReal:
 		b = append(b, tagReal)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Val.R))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.R))
 	case ast.TypeBool:
 		b = append(b, tagBool)
-		if e.Val.B {
+		if v.B {
 			return append(b, 1)
 		}
 		return append(b, 0)

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -10,7 +11,6 @@ import (
 	"slices"
 	"testing"
 
-	"fsicp/internal/ast"
 	"fsicp/internal/incr"
 	"fsicp/internal/lattice"
 	"fsicp/internal/val"
@@ -56,12 +56,48 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 	// -0.0 must survive bit-exactly.
 	g := got.Sites[1].GlobVals[0]
-	if math.Float64bits(g.Val.R) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Fatalf("-0.0 not preserved: %v", g.Val.R)
+	if math.Float64bits(g.Val().R) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("-0.0 not preserved: %v", g.Val().R)
 	}
 	// The sparse index slice must round-trip through the delta encoding.
 	if sv := got.Sites[1]; !slices.Equal(sv.GlobIdx, []int32{2, 7}) || !sv.GlobVals[0].IsConst() || !sv.GlobVals[1].IsBottom() {
 		t.Fatalf("sparse globals broken: %+v", got.Sites[1])
+	}
+}
+
+// TestSummaryBytesPinned pins the encoded bytes of one summary, frame
+// and checksum included. The bytes were recorded from the version 3
+// encoder before lattice elements were packed into 16 bytes; a
+// -cache-dir written by any version 3 build must keep decoding, so a
+// change here without a Version bump orphans every stored entry. The
+// elements are one of each kind a layout change could disturb: ⊤, ⊥,
+// a negative int, -0.0, +Inf and false.
+func TestSummaryBytesPinned(t *testing.T) {
+	elems := []lattice.Elem{
+		lattice.TopElem(),
+		lattice.BottomElem(),
+		lattice.Const(val.Int(-7)),
+		lattice.Const(val.Real(math.Copysign(0, -1))),
+		lattice.Const(val.Real(math.Inf(1))),
+		lattice.Const(val.Bool(false)),
+	}
+	s := &incr.ProcSummary{
+		BackEdges: 1,
+		Entry:     elems,
+		Sites: []incr.SiteValues{
+			{},
+			{Reachable: true, Args: elems[:3], GlobIdx: []int32{1, 4, 9}, GlobVals: elems[3:]},
+		},
+	}
+	const want = "4653435003000100540b60561976af77020000000000000043000000000106000201010d0102" +
+		"00000000000000800102000000000000f07f01030002000103000201010d03010102000000" +
+		"0000000080030102000000000000f07f05010300cd030726"
+	data := EncodeSummary(Meta{KeyHash: HashKey("pin"), Gen: 2}, s)
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("encoded summary changed:\n got %s\nwant %s", got, want)
+	}
+	if _, back, err := DecodeSummary(data); err != nil || !reflect.DeepEqual(back, s) {
+		t.Fatalf("pinned summary does not round-trip: %v", err)
 	}
 }
 
@@ -186,25 +222,34 @@ func TestPeekMeta(t *testing.T) {
 	}
 }
 
-// TestNonCanonicalElemsEncodeCanonically asserts the encoder
-// canonicalises before writing: a literally-built Constant NaN and a
-// ⊤/⊥ with a stale payload must encode byte-identically to their
-// canonical forms, so summaries with Eq entry frames always produce
-// equal bytes.
+// TestNonCanonicalElemsEncodeCanonically asserts two elements encode
+// to equal bytes exactly when they are Eq, however they were built: a
+// Const of any NaN payload is the ⊥ it decodes to, and a real computed
+// along another path encodes alike only when its bits agree.
 func TestNonCanonicalElemsEncodeCanonically(t *testing.T) {
-	stale := val.Value{Type: ast.TypeInt, I: 99}
-	pairs := []struct {
-		raw, canon lattice.Elem
-	}{
-		{lattice.Elem{Level: lattice.Constant, Val: val.Value{Type: ast.TypeReal, R: math.NaN()}}, lattice.BottomElem()},
-		{lattice.Elem{Level: lattice.Top, Val: stale}, lattice.TopElem()},
-		{lattice.Elem{Level: lattice.Bottom, Val: stale}, lattice.BottomElem()},
+	nan := func(bits uint64) lattice.Elem { return lattice.Const(val.Real(math.Float64frombits(bits))) }
+	tenth := 0.1
+	elems := []lattice.Elem{
+		lattice.TopElem(),
+		lattice.BottomElem(),
+		nan(0x7ff8000000000001),
+		nan(0xfff4000000000000),
+		lattice.Const(val.Int(0)),
+		lattice.Const(val.Real(0)),
+		lattice.Const(val.Real(math.Copysign(0, -1))),
+		lattice.Const(val.Real(tenth * 3)),
+		lattice.Const(val.Real(0.3)),
+		lattice.Const(val.Real(math.Nextafter(0.3, 1))),
+		lattice.Const(val.Bool(false)),
 	}
-	for i, p := range pairs {
-		raw := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: []lattice.Elem{p.raw}})
-		canon := EncodeSummary(Meta{}, &incr.ProcSummary{Entry: []lattice.Elem{p.canon}})
-		if !reflect.DeepEqual(raw, canon) {
-			t.Errorf("case %d: non-canonical element encoded differently", i)
+	enc := func(e lattice.Elem) []byte {
+		return EncodeSummary(Meta{}, &incr.ProcSummary{Entry: []lattice.Elem{e}})
+	}
+	for i, a := range elems {
+		for j, b := range elems {
+			if got := bytes.Equal(enc(a), enc(b)); got != a.Eq(b) {
+				t.Errorf("elements %d (%v) and %d (%v): equal bytes %v, Eq %v", i, a, j, b, got, a.Eq(b))
+			}
 		}
 	}
 }

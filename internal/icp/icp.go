@@ -177,7 +177,7 @@ func (o Options) context() context.Context {
 
 // filter demotes a float constant to ⊥ when float propagation is off.
 func (o Options) filter(e lattice.Elem) lattice.Elem {
-	if !o.PropagateFloats && e.IsConst() && e.Val.IsFloat() {
+	if !o.PropagateFloats && e.IsConst() && e.Val().IsFloat() {
 		return lattice.BottomElem()
 	}
 	return e
@@ -385,7 +385,7 @@ func Analyze(ctx *Context, opts Options) *Result {
 func (r *Result) EntryConstant(p *sem.Proc, v *sem.Var) (val.Value, bool) {
 	e := r.Entry[p].Get(v)
 	if e.IsConst() {
-		return e.Val, true
+		return e.Val(), true
 	}
 	return val.Value{}, false
 }

@@ -388,7 +388,7 @@ func TestArgValsRecorded(t *testing.T) {
 	vals := r.ArgVals[calls[0]]
 	wantI := []int64{0, 4, 0, 0}
 	for i, w := range wantI {
-		if !vals[i].IsConst() || vals[i].Val.I != w {
+		if !vals[i].IsConst() || vals[i].Val().I != w {
 			t.Errorf("arg %d = %v, want %d", i, vals[i], w)
 		}
 	}

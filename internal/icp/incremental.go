@@ -226,14 +226,14 @@ func (res *Result) mergeSiteValues(p *sem.Proc, sum *incr.ProcSummary) {
 				if gm == nil {
 					gm = make(map[*sem.Var]val.Value)
 				}
-				gm[g] = gv.Val
+				gm[g] = gv.Val()
 				// VIS: the subset also visible in the calling
 				// procedure (paper §4).
 				if p.UsesSet[g] {
 					if vm == nil {
 						vm = make(map[*sem.Var]val.Value)
 					}
-					vm[g] = gv.Val
+					vm[g] = gv.Val()
 				}
 			}
 		}

@@ -34,7 +34,7 @@ proc main() {
 }
 func answer() int { return 42 }`)
 	ans := r.Ctx.Prog.Sem.ProcByName["answer"]
-	if got := r.Returns[ans]; !got.IsConst() || got.Val.I != 42 {
+	if got := r.Returns[ans]; !got.IsConst() || got.Val().I != 42 {
 		t.Errorf("returns(answer) = %v, want 42", got)
 	}
 	// The caller's second analysis folds x = 42 into the print.
@@ -42,7 +42,7 @@ func answer() int { return 42 }`)
 	intra := r.Intra[main]
 	found := false
 	for d := range intra.S.Defs {
-		if v := intra.ValueOf(int32(d)); v.IsConst() && v.Val.I == 42 {
+		if v := intra.ValueOf(int32(d)); v.IsConst() && v.Val().I == 42 {
 			found = true
 		}
 	}
@@ -61,7 +61,7 @@ proc main() {
 func inc(n int) int { return n + 1 }`)
 	inc := r.Ctx.Prog.Sem.ProcByName["inc"]
 	// n is 4 at every call, so inc returns 5.
-	if got := r.Returns[inc]; !got.IsConst() || got.Val.I != 5 {
+	if got := r.Returns[inc]; !got.IsConst() || got.Val().I != 5 {
 		t.Errorf("returns(inc) = %v, want 5", got)
 	}
 }
@@ -98,7 +98,7 @@ proc setit(o int) { o = 9 }
 proc consume(c int) { print c }`)
 	setit := r.Ctx.Prog.Sem.ProcByName["setit"]
 	o := setit.Params[0]
-	if got := r.ExitEnv[setit].Get(o); !got.IsConst() || got.Val.I != 9 {
+	if got := r.ExitEnv[setit].Get(o); !got.IsConst() || got.Val().I != 9 {
 		t.Fatalf("exit(setit).o = %v, want 9", got)
 	}
 	// main's second analysis folds x to 9 at the consume call site.
@@ -108,7 +108,7 @@ proc consume(c int) { print c }`)
 	for _, call := range r.Ctx.Prog.FuncOf[main].Calls {
 		if call.Callee.Name == "consume" {
 			v := intra.ArgValue(call, 0)
-			if v.IsConst() && v.Val.I == 9 {
+			if v.IsConst() && v.Val().I == 9 {
 				got = true
 			} else {
 				t.Errorf("arg at consume call = %v, want 9", v)
@@ -155,7 +155,7 @@ proc consume() {
 }`)
 	ini := r.Ctx.Prog.Sem.ProcByName["init"]
 	g := r.Ctx.Prog.Sem.Globals[0]
-	if got := r.ExitEnv[ini].Get(g); !got.IsConst() || got.Val.I != 77 {
+	if got := r.ExitEnv[ini].Get(g); !got.IsConst() || got.Val().I != 77 {
 		t.Errorf("exit(init).g = %v, want 77", got)
 	}
 	// main's second analysis sees g=77 after the call; but consume's
@@ -200,7 +200,7 @@ func sel(flag int) int {
   return 2
 }`)
 	sel := r.Ctx.Prog.Sem.ProcByName["sel"]
-	if got := r.Returns[sel]; !got.IsConst() || got.Val.I != 2 {
+	if got := r.Returns[sel]; !got.IsConst() || got.Val().I != 2 {
 		t.Errorf("returns(sel) = %v, want 2", got)
 	}
 }

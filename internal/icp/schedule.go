@@ -47,12 +47,15 @@ type callerSummary func(e callgraph.Edge) *incr.ProcSummary
 // order.
 func (r *run) entryEnv(i int, caller callerSummary, fi *fiSolution) (frame []lattice.Elem, live bool, backEdges int) {
 	ctx, opts, cg := r.ctx, r.opts, r.ctx.CG
-	globals := ctx.Prog.Sem.Globals
 	p := cg.Reachable[i]
 	fn := ctx.Prog.Funcs[p.Index]
 	if i == 0 {
 		return scc.Frame(fn, r.mainEntry()), true, 0
 	}
+	// REF(p) and each site's stored globals lie in p's segment, and all
+	// list globals in declaration order, so one merge walk per edge
+	// finds each global's frame slot without a search.
+	np, segment := len(p.Params), fn.Globals()
 	frame = make([]lattice.Elem, fn.FrameLen())
 	meet := func(k int, e lattice.Elem) { frame[k] = lattice.Meet(frame[k], e) }
 	nExec := 0
@@ -63,8 +66,12 @@ func (r *run) entryEnv(i int, caller callerSummary, fi *fiSolution) (frame []lat
 			for i := range p.Params {
 				meet(i, fi.EdgeArg(e.Site, i))
 			}
+			o := 0
 			for _, gi := range ctx.MR.RefGlobals(p) {
-				meet(fn.FrameSlot(globals[gi]), fi.GlobalElem(globals[gi]))
+				for segment[o].Index != int(gi) {
+					o++
+				}
+				meet(np+o, fi.GlobalElem(segment[o]))
 			}
 			continue
 		}
@@ -84,10 +91,14 @@ func (r *run) entryEnv(i int, caller callerSummary, fi *fiSolution) (frame []lat
 			meet(i, opts.filter(sv.Args[i]))
 		}
 		// Sparse global candidates: the site stores values for exactly
-		// Ref(p) — the globals the callee (transitively) references,
-		// all in its segment — so the stored pairs are met directly.
+		// Ref(p) — the globals the callee (transitively) references —
+		// so the stored pairs are met directly.
+		o := 0
 		for j, gi := range sv.GlobIdx {
-			meet(fn.FrameSlot(globals[gi]), opts.filter(sv.GlobVals[j]))
+			for segment[o].Index != int(gi) {
+				o++
+			}
+			meet(np+o, opts.filter(sv.GlobVals[j]))
 		}
 	}
 	live = nExec > 0

@@ -10,7 +10,7 @@ import (
 // Engine owns the cross-run state: the value store (one or more
 // layers, see Store) and the snapshot of the previous committed run.
 // One Engine serves one evolving program (a Session); it is safe for
-// the concurrent wavefront of a single run to hit it from many
+// the traversal workers of a single run to hit it from many
 // goroutines, but runs themselves must be issued one at a time
 // (Begin .. Commit pairs must not overlap).
 type Engine struct {

@@ -307,7 +307,7 @@ func (w *fpWriter) elem(e lattice.Elem) {
 		w.tag('T')
 	case e.IsConst():
 		w.tag('C')
-		w.val(e.Val)
+		w.val(e.Val())
 	default:
 		w.tag('B')
 	}

@@ -320,3 +320,30 @@ func TestEnvKeyIsPositional(t *testing.T) {
 		keys[k] = name
 	}
 }
+
+// TestEnvKeyPinned pins the EnvKey digests of one frame holding ⊤, ⊥,
+// a negative int, -0.0, +Inf and false, live and dead. The digests
+// were recorded before lattice elements were packed into 16 bytes; the
+// value cache and the store key entries by them, so a change here
+// silently turns every cached summary into a miss.
+func TestEnvKeyPinned(t *testing.T) {
+	frame := []lattice.Elem{
+		lattice.TopElem(),
+		lattice.BottomElem(),
+		lattice.Const(val.Int(-7)),
+		lattice.Const(val.Real(math.Copysign(0, -1))),
+		lattice.Const(val.Real(math.Inf(1))),
+		lattice.Const(val.Bool(false)),
+	}
+	for _, c := range []struct {
+		live bool
+		want string
+	}{
+		{true, "38b18567eb53ebfdead5224dd62b037a546ff8babb4b4f5a57119a4cf6cf039c"},
+		{false, "4948d02bb511790940bb6be1283a16af634805d2ca6a527d78efdf330cd0cbe4"},
+	} {
+		if got := EnvKey(frame, c.live); got != c.want {
+			t.Errorf("EnvKey(live=%v) = %s, want %s", c.live, got, c.want)
+		}
+	}
+}

@@ -66,7 +66,7 @@ func (s StoreStats) Empty() bool { return s == StoreStats{} }
 // pass, procedure name, procedure key, entry-environment digest), so
 // an entry is valid wherever its key matches — layers never need to
 // understand key structure. Implementations must be safe for
-// concurrent use by the analysis wavefront.
+// concurrent use by the workers of the analysis traversals.
 //
 // A Store is a cache, not a database: Get may miss for any reason
 // (never stored, evicted, corrupt) and the caller always recomputes.

@@ -123,7 +123,7 @@ func (p *PolyExpr) Eval(env func(*sem.Var) lattice.Elem) lattice.Elem {
 		if !x.IsConst() {
 			return x
 		}
-		v, ok := val.Unary(token.SUB, x.Val)
+		v, ok := val.Unary(token.SUB, x.Val())
 		if !ok {
 			return lattice.BottomElem()
 		}
@@ -136,7 +136,7 @@ func (p *PolyExpr) Eval(env func(*sem.Var) lattice.Elem) lattice.Elem {
 		if x.IsTop() || y.IsTop() {
 			return lattice.TopElem()
 		}
-		v, ok := val.Binary(p.Op, x.Val, y.Val)
+		v, ok := val.Binary(p.Op, x.Val(), y.Val())
 		if !ok {
 			return lattice.BottomElem()
 		}

@@ -98,10 +98,10 @@ proc a(x int, y int) {
 proc b(u int, v int) { print u, v }`
 	r := run(t, src, jumpfunc.Polynomial)
 	b := r.Ctx.Prog.Sem.ProcByName["b"]
-	if e := r.Formals[b.Params[0]]; !e.IsConst() || e.Val.I != 9 {
+	if e := r.Formals[b.Params[0]]; !e.IsConst() || e.Val().I != 9 {
 		t.Errorf("u = %v, want 9", e)
 	}
-	if e := r.Formals[b.Params[1]]; !e.IsConst() || e.Val.I != 9 {
+	if e := r.Formals[b.Params[1]]; !e.IsConst() || e.Val().I != 9 {
 		t.Errorf("v = %v, want 9", e)
 	}
 	// PASS-THROUGH cannot evaluate the expressions.
@@ -153,7 +153,7 @@ proc r(k int, n int) {
 }`
 	r := run(t, src, jumpfunc.Polynomial)
 	rp := r.Ctx.Prog.Sem.ProcByName["r"]
-	if e := r.Formals[rp.Params[0]]; !e.IsConst() || e.Val.I != 7 {
+	if e := r.Formals[rp.Params[0]]; !e.IsConst() || e.Val().I != 7 {
 		t.Errorf("k = %v, want 7 (identity through the cycle)", e)
 	}
 	if e := r.Formals[rp.Params[1]]; e.IsConst() {
@@ -174,7 +174,7 @@ proc g(b int) { print b }`
 	r := run(t, src, jumpfunc.Polynomial)
 	f := r.Ctx.Prog.Sem.ProcByName["f"]
 	g := r.Ctx.Prog.Sem.ProcByName["g"]
-	if e := r.Formals[f.Params[0]]; !e.IsConst() || e.Val.I != 5 {
+	if e := r.Formals[f.Params[0]]; !e.IsConst() || e.Val().I != 5 {
 		t.Errorf("f.a = %v, want 5", e)
 	}
 	if e := r.Formals[g.Params[0]]; e.IsConst() {
@@ -198,7 +198,7 @@ proc main() {
 proc f(a int) { print a }`
 	r := run(t, src, jumpfunc.Intra)
 	f := r.Ctx.Prog.Sem.ProcByName["f"]
-	if e := r.Formals[f.Params[0]]; !e.IsConst() || e.Val.I != 42 {
+	if e := r.Formals[f.Params[0]]; !e.IsConst() || e.Val().I != 42 {
 		t.Errorf("a = %v, want 42", e)
 	}
 }
@@ -209,7 +209,7 @@ proc main() { call f(-3) }
 proc f(a int) { print a }`
 	r := run(t, src, jumpfunc.Literal)
 	f := r.Ctx.Prog.Sem.ProcByName["f"]
-	if e := r.Formals[f.Params[0]]; !e.IsConst() || e.Val.I != -3 {
+	if e := r.Formals[f.Params[0]]; !e.IsConst() || e.Val().I != -3 {
 		t.Errorf("a = %v, want -3 (negated literal is immediate)", e)
 	}
 	main := r.Ctx.Prog.Sem.Main

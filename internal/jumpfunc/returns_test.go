@@ -31,7 +31,7 @@ proc g(a int) { print a }`
 	// With returns: the summary yields 42.
 	on := runOpts(t, src, jumpfunc.Options{Kind: jumpfunc.Polynomial, Returns: true})
 	g2 := on.Ctx.Prog.Sem.ProcByName["g"]
-	if e := on.Formals[g2.Params[0]]; !e.IsConst() || e.Val.I != 42 {
+	if e := on.Formals[g2.Params[0]]; !e.IsConst() || e.Val().I != 42 {
 		t.Errorf("with returns: a = %v, want 42", e)
 	}
 }
@@ -61,7 +61,7 @@ func double(n int) int { return n * 2 }
 proc consume(c int) { print c }`
 	on2 := runOpts(t, src2, jumpfunc.Options{Kind: jumpfunc.Polynomial, Returns: true})
 	consume2 := on2.Ctx.Prog.Sem.ProcByName["consume"]
-	if e := on2.Formals[consume2.Params[0]]; !e.IsConst() || e.Val.I != 6 {
+	if e := on2.Formals[consume2.Params[0]]; !e.IsConst() || e.Val().I != 6 {
 		t.Errorf("double(3) arg = %v, want 6", e)
 	}
 }
@@ -78,7 +78,7 @@ func inc(n int) int { return n + 1 }
 proc consume(c int) { print c }`
 	on := runOpts(t, src, jumpfunc.Options{Kind: jumpfunc.Polynomial, Returns: true})
 	consume := on.Ctx.Prog.Sem.ProcByName["consume"]
-	if e := on.Formals[consume.Params[0]]; !e.IsConst() || e.Val.I != 6 {
+	if e := on.Formals[consume.Params[0]]; !e.IsConst() || e.Val().I != 6 {
 		t.Errorf("inc(m) with m=5 = %v, want 6", e)
 	}
 }
@@ -138,7 +138,7 @@ proc g(a int) { print a }`
 	}
 	poly := runOpts(t, src, jumpfunc.Options{Kind: jumpfunc.Polynomial, Returns: true})
 	gp := poly.Ctx.Prog.Sem.ProcByName["g"]
-	if e := poly.Formals[gp.Params[0]]; !e.IsConst() || e.Val.I != 7 {
+	if e := poly.Formals[gp.Params[0]]; !e.IsConst() || e.Val().I != 7 {
 		t.Errorf("identity summary: %v, want 7", e)
 	}
 }

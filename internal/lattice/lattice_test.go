@@ -148,37 +148,160 @@ func TestString(t *testing.T) {
 // values as constants (ast.TypeInvalid never reaches the lattice).
 func TestZeroValuesAreConstants(t *testing.T) {
 	z := Const(val.Zero(ast.TypeInt))
-	if !z.IsConst() || z.Val.I != 0 {
+	if !z.IsConst() || z.Val().I != 0 {
 		t.Errorf("zero int: %v", z)
 	}
 }
 
-// TestCanonical pins the canonical-form contract serializers rely on:
-// Eq elements must canonicalise to identical structs, non-constants
-// drop any stale payload, and a literally-built Constant NaN collapses
-// to ⊥ exactly as Const would have built it.
+// TestCanonical pins the invariant the constructors keep: every
+// element is canonical, so Eq is ==. A Const of any NaN — quiet or
+// signalling, either sign, any payload — is the ⊥ BottomElem builds,
+// the zero Elem is ⊤, and Eq agrees with a comparison of levels and
+// val.Value.Equal.
 func TestCanonical(t *testing.T) {
-	stale := val.Value{Type: ast.TypeInt, I: 99}
-	cases := []struct {
-		in, want Elem
-	}{
-		{TopElem(), TopElem()},
-		{BottomElem(), BottomElem()},
-		{Elem{Level: Top, Val: stale}, TopElem()},
-		{Elem{Level: Bottom, Val: stale}, BottomElem()},
-		{Const(val.Int(7)), Const(val.Int(7))},
-		{Elem{Level: Constant, Val: val.Value{Type: ast.TypeReal, R: math.NaN()}}, BottomElem()},
+	if (Elem{}) != TopElem() {
+		t.Error("the zero Elem must be ⊤")
 	}
-	for _, c := range cases {
-		if got := c.in.Canonical(); got != c.want {
-			t.Errorf("Canonical(%+v) = %+v, want %+v", c.in, got, c.want)
+	for _, bits := range []uint64{
+		0x7ff8000000000000, 0xfff8000000000000, // quiet, ±
+		0x7ff0000000000001, 0xfff4000000000000, // signalling, ±
+		0x7fffffffffffffff, 0x7ff8000000000bad, // payloads
+	} {
+		if got := Const(val.Real(math.Float64frombits(bits))); got != BottomElem() {
+			t.Errorf("Const(NaN %#x) = %+v, want ⊥", bits, got)
 		}
 	}
-	f := func(a Elem) bool {
-		c := a.Canonical()
-		return c.Eq(a) && c == c.Canonical()
+	f := func(a, b Elem) bool {
+		want := a.Level() == b.Level() && (!a.IsConst() || a.Val().Equal(b.Val()))
+		return a.Eq(b) == want && (!a.IsConst() || Const(a.Val()) == a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refElem is the reference model FuzzElem checks Elem against: a level
+// beside a full val.Value, compared with val.Value.Equal.
+type refElem struct {
+	level Level
+	v     val.Value
+}
+
+func refMeet(a, b refElem) refElem {
+	switch {
+	case a.level == Top:
+		return b
+	case b.level == Top:
+		return a
+	case a.level == Bottom || b.level == Bottom:
+		return refElem{level: Bottom}
+	case a.v.Equal(b.v):
+		return a
+	default:
+		return refElem{level: Bottom}
+	}
+}
+
+func refEq(a, b refElem) bool {
+	return a.level == b.level && (a.level != Constant || a.v.Equal(b.v))
+}
+
+// fuzzElem builds an element and its reference from a (level, type,
+// payload) triple: the payload is an int's two's complement, a real's
+// IEEE-754 bits, or a bool's low bit.
+func fuzzElem(level, typ uint8, payload uint64) (Elem, refElem) {
+	switch level % 3 {
+	case 0:
+		return TopElem(), refElem{level: Top}
+	case 2:
+		return BottomElem(), refElem{level: Bottom}
+	}
+	var v val.Value
+	switch typ % 3 {
+	case 0:
+		v = val.Int(int64(payload))
+	case 1:
+		v = val.Real(math.Float64frombits(payload))
+	default:
+		v = val.Bool(payload&1 != 0)
+	}
+	if v.IsNaN() {
+		return Const(v), refElem{level: Bottom}
+	}
+	return Const(v), refElem{level: Constant, v: v}
+}
+
+// FuzzElem checks the packed element against the reference model —
+// levels, the Val round trip, Meet and Eq — and the lattice laws:
+// Meet is commutative, associative and idempotent, ⊤ is its identity
+// and ⊥ absorbs. The seeds are the values whose bit patterns the
+// model distinguishes from their numeric value: ±0.0, NaNs with the
+// sign bit set and with signalling payloads, ±Inf, a subnormal, the
+// extreme ints, and both bools.
+func FuzzElem(f *testing.F) {
+	type tp struct {
+		typ     uint8
+		payload uint64
+	}
+	seeds := []tp{
+		{1, math.Float64bits(0)},
+		{1, math.Float64bits(math.Copysign(0, -1))},
+		{1, 0xfff8000000000000}, // quiet NaN, sign bit set
+		{1, 0x7ff0000000000001}, // signalling NaN
+		{1, 0xfff4000000000bad}, // signalling NaN, sign bit set
+		{1, math.Float64bits(math.Inf(1))},
+		{1, math.Float64bits(math.Inf(-1))},
+		{1, math.Float64bits(math.SmallestNonzeroFloat64)}, // subnormal
+		{0, 1 << 63}, // MinInt64
+		{0, math.MaxInt64},
+		{0, 0},
+		{2, 1},
+		{2, 0},
+	}
+	for i, a := range seeds {
+		b := seeds[(i+1)%len(seeds)]
+		c := seeds[(i+5)%len(seeds)]
+		f.Add(uint8(1), a.typ, a.payload, uint8(1), b.typ, b.payload, uint8(i), c.typ, c.payload)
+		f.Add(uint8(1), a.typ, a.payload, uint8(1), a.typ, a.payload, uint8(1), c.typ, c.payload)
+	}
+	f.Fuzz(func(t *testing.T, la, ta uint8, pa uint64, lb, tb uint8, pb uint64, lc, tc uint8, pc uint64) {
+		a, ra := fuzzElem(la, ta, pa)
+		b, rb := fuzzElem(lb, tb, pb)
+		c, _ := fuzzElem(lc, tc, pc)
+		for _, x := range []struct {
+			e Elem
+			r refElem
+		}{{a, ra}, {b, rb}} {
+			if x.e.Level() != x.r.level {
+				t.Fatalf("%v: level %d, want %d", x.e, x.e.Level(), x.r.level)
+			}
+			if x.e.IsConst() {
+				if got := x.e.Val(); !got.Equal(x.r.v) || Const(got) != x.e {
+					t.Fatalf("%v: Val round trip gives %+v, want %+v", x.e, got, x.r.v)
+				}
+			} else if x.e.Val() != (val.Value{}) {
+				t.Fatalf("%v: Val of a non-constant is %+v", x.e, x.e.Val())
+			}
+		}
+		m := Meet(a, b)
+		rm := refMeet(ra, rb)
+		if got := (refElem{level: m.Level(), v: m.Val()}); !refEq(got, rm) {
+			t.Fatalf("Meet(%v, %v) = %v, reference %+v", a, b, m, rm)
+		}
+		if a.Eq(b) != refEq(ra, rb) {
+			t.Fatalf("Eq(%v, %v) = %v, reference %v", a, b, a.Eq(b), refEq(ra, rb))
+		}
+		switch {
+		case !m.Eq(Meet(b, a)):
+			t.Fatalf("Meet(%v, %v) not commutative", a, b)
+		case !Meet(m, c).Eq(Meet(a, Meet(b, c))):
+			t.Fatalf("Meet(%v, %v, %v) not associative", a, b, c)
+		case !Meet(a, a).Eq(a):
+			t.Fatalf("Meet(%v, %v) not idempotent", a, a)
+		case !Meet(TopElem(), a).Eq(a) || !Meet(a, TopElem()).Eq(a):
+			t.Fatalf("⊤ is not the identity for %v", a)
+		case !Meet(BottomElem(), a).IsBottom() || !Meet(a, BottomElem()).IsBottom():
+			t.Fatalf("⊥ does not absorb %v", a)
+		}
+	})
 }

@@ -61,10 +61,11 @@ type Options struct {
 	// Transient draws the Result's backing storage (Values, BlockExec,
 	// the edge-executable set) from a pool instead of allocating fresh.
 	// The caller promises to call Result.Release once it has extracted
-	// what it needs; wavefront workers that summarize-and-discard use
-	// this so per-procedure result tables stop costing one allocation
-	// set per scc run. The fixpoint is byte-identical either way: every
-	// pooled buffer is fully reinitialised before use.
+	// what it needs; the traversals' workers (driver.Schedule), which
+	// summarize and discard, use this so per-procedure result tables
+	// stop costing one allocation set per scc run. The fixpoint is
+	// byte-identical either way: every pooled buffer is fully
+	// reinitialised before use.
 	Transient bool
 }
 
@@ -157,10 +158,10 @@ type engine struct {
 
 // scratch is the per-run transient state: the two Wegman–Zadeck
 // worklists and the visited marks. None of it escapes into the Result,
-// so it is pooled — wavefront workers and Session re-analyses reuse
-// the buffers instead of reallocating them for every procedure. It
-// holds definition IDs and block indices, never a pointer, so a pooled
-// buffer pins no overlay.
+// so it is pooled — the traversals' workers and Session re-analyses
+// reuse the buffers instead of reallocating them for every procedure.
+// It holds definition IDs and block indices, never a pointer, so a
+// pooled buffer pins no overlay.
 type scratch struct {
 	flowWork []flowEdge
 	ssaWork  []int32
@@ -199,9 +200,7 @@ func Run(s *ssa.SSA, opts Options) *Result {
 		res.edgeExec = bitset.New(2 * nb)
 	}
 	e := &engine{s: s, opts: opts, res: res, sc: sc}
-	for i := range e.res.Values {
-		e.res.Values[i] = lattice.TopElem()
-	}
+	clear(e.res.Values) // the zero Elem is ⊤
 	// Seed entry definitions: formals and globals from their frame
 	// slots, and undefined locals and temporaries ⊥ (unknown on
 	// use-before-def). A budget abort unwinds through here via panic,
@@ -364,7 +363,7 @@ func (e *engine) foldUnary(in *ir.UnaryInstr, x lattice.Elem) lattice.Elem {
 	case x.IsBottom():
 		return lattice.BottomElem()
 	}
-	v, ok := val.Unary(in.Op, x.Val)
+	v, ok := val.Unary(in.Op, x.Val())
 	if !ok {
 		return lattice.BottomElem()
 	}
@@ -378,7 +377,7 @@ func (e *engine) foldBinary(in *ir.BinaryInstr, x, y lattice.Elem) lattice.Elem 
 	if x.IsTop() || y.IsTop() {
 		return lattice.TopElem()
 	}
-	v, ok := val.Binary(in.Op, x.Val, y.Val)
+	v, ok := val.Binary(in.Op, x.Val(), y.Val())
 	if !ok {
 		// Folding failed (e.g. integer division by a constant zero): a
 		// runtime error at execution time, so the result is unknown.
@@ -398,7 +397,7 @@ func (e *engine) evalTerm(b *ir.Block) {
 		case cond.IsTop():
 			// not yet known; wait
 		case cond.IsConst():
-			if cond.Val.B {
+			if cond.Val().B {
 				e.addEdge(b, t.Then)
 			} else {
 				e.addEdge(b, t.Else)

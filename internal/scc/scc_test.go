@@ -45,7 +45,7 @@ proc main() {
   print y
 }`, "main", nil)
 	got := printValue(t, f, r)
-	if !got.IsConst() || got.Val.I != 10 {
+	if !got.IsConst() || got.Val().I != 10 {
 		t.Errorf("y = %v, want 10", got)
 	}
 }
@@ -83,7 +83,7 @@ proc main() {
   print x
 }`, "main", nil)
 	got := printValue(t, f, r)
-	if !got.IsConst() || got.Val.I != 7 {
+	if !got.IsConst() || got.Val().I != 7 {
 		t.Errorf("x = %v, want 7", got)
 	}
 }
@@ -126,7 +126,7 @@ proc main() { call sub1(0) }`
 			}
 		}
 	}
-	if !got.IsConst() || got.Val.I != 0 {
+	if !got.IsConst() || got.Val().I != 0 {
 		t.Errorf("y with f1=0 = %v, want 0", got)
 	}
 	// The then-arm must be unreachable.
@@ -150,7 +150,7 @@ proc main() {
   print x
 }`, "main", nil)
 	got := printValue(t, f, r)
-	if !got.IsConst() || got.Val.I != 5 {
+	if !got.IsConst() || got.Val().I != 5 {
 		t.Errorf("x = %v, want 5", got)
 	}
 }
@@ -183,7 +183,7 @@ proc main() {
   print x
 }`, "main", nil)
 	got := printValue(t, f, r)
-	if !got.IsConst() || got.Val.I != 1 {
+	if !got.IsConst() || got.Val().I != 1 {
 		t.Errorf("x = %v, want 1", got)
 	}
 }
@@ -254,7 +254,7 @@ proc f(a int) {
 		}
 	}
 	// Before the call g is still 1.
-	if got := r.GlobalValueAtCall(f.Calls[0], f.VarOrd(g)-f.GlobalOffset()); !got.IsConst() || got.Val.I != 1 {
+	if got := r.GlobalValueAtCall(f.Calls[0], f.VarOrd(g)-f.GlobalOffset()); !got.IsConst() || got.Val().I != 1 {
 		t.Errorf("g at call = %v, want 1", got)
 	}
 }
@@ -277,7 +277,7 @@ func f(a int) int { return 3 }`
 		},
 	})
 	got := printValue(t, f, r)
-	if !got.IsConst() || got.Val.I != 3 {
+	if !got.IsConst() || got.Val().I != 3 {
 		t.Errorf("x = %v, want 3", got)
 	}
 }
@@ -315,7 +315,7 @@ func g(a int) int {
 	f2 := testutil.FuncByName(t, p2, "g")
 	s2 := ssa.Build(f2)
 	r2 := scc.Run(s2, scc.Options{})
-	if got := r2.ReturnValue(); !got.IsConst() || got.Val.I != 4 {
+	if got := r2.ReturnValue(); !got.IsConst() || got.Val().I != 4 {
 		t.Errorf("return value = %v, want 4", got)
 	}
 }
@@ -376,7 +376,7 @@ proc main() {
   print b
 }`, "main", nil)
 	got := printValue(t, f, r)
-	if !got.IsConst() || !got.Val.B {
+	if !got.IsConst() || !got.Val().B {
 		t.Errorf("b = %v, want true", got)
 	}
 }
@@ -390,7 +390,7 @@ proc main() {
   print y
 }`, "main", nil)
 	got := printValue(t, f, r)
-	if !got.IsConst() || got.Val.R != 2.5 {
+	if !got.IsConst() || got.Val().R != 2.5 {
 		t.Errorf("y = %v, want 2.5", got)
 	}
 }

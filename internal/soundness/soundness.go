@@ -74,7 +74,7 @@ func CheckICP(r *icp.Result, tr *interp.Trace) []string {
 			if v.IsConst() && executed {
 				if o.Multiple {
 					bad = append(bad, fmt.Sprintf("%s->%s: arg %d claimed %s but varies", e.Caller.Name, e.Callee.Name, i, v))
-				} else if !o.First.Equal(v.Val) {
+				} else if !o.First.Equal(v.Val()) {
 					bad = append(bad, fmt.Sprintf("%s->%s: arg %d claimed %s but observed %s", e.Caller.Name, e.Callee.Name, i, v, o.First))
 				}
 			}
@@ -107,7 +107,7 @@ func CheckICP(r *icp.Result, tr *interp.Trace) []string {
 			}
 			if o.Multiple {
 				bad = append(bad, fmt.Sprintf("%s: return claimed %s but varies", p.Name, rv))
-			} else if !o.First.Equal(rv.Val) {
+			} else if !o.First.Equal(rv.Val()) {
 				bad = append(bad, fmt.Sprintf("%s: return claimed %s but observed %s", p.Name, rv, o.First))
 			}
 		}
@@ -128,7 +128,7 @@ func CheckICP(r *icp.Result, tr *interp.Trace) []string {
 				}
 				if o.Multiple {
 					bad = append(bad, fmt.Sprintf("%s: exit %s claimed %s but varies", p.Name, v, e))
-				} else if !o.First.Equal(e.Val) {
+				} else if !o.First.Equal(e.Val()) {
 					bad = append(bad, fmt.Sprintf("%s: exit %s claimed %s but observed %s", p.Name, v, e, o.First))
 				}
 			}
@@ -156,7 +156,7 @@ func CheckJump(r *jumpfunc.Result, tr *interp.Trace) []string {
 			}
 			if o.Multiple {
 				bad = append(bad, fmt.Sprintf("%s(%v): %s claimed %s but varies", p.Name, r.Kind, f.Name, e))
-			} else if !o.First.Equal(e.Val) {
+			} else if !o.First.Equal(e.Val()) {
 				bad = append(bad, fmt.Sprintf("%s(%v): %s claimed %s but observed %s", p.Name, r.Kind, f.Name, e, o.First))
 			}
 		}

@@ -42,7 +42,7 @@ func (st *optState) foldFunc(i int) PassReport {
 		if !st.ctx.MR.DRef(p).Has(v) {
 			continue
 		}
-		entry = append(entry, &ir.ConstInstr{Dst: v, Val: e.Val})
+		entry = append(entry, &ir.ConstInstr{Dst: v, Val: e.Val()})
 		pr.EntryAssignments++
 	}
 	s := st.overlay(i)
@@ -58,7 +58,7 @@ func (st *optState) foldFunc(i int) PassReport {
 			case *ir.CopyInstr, *ir.UnaryInstr, *ir.BinaryInstr:
 				d := s.DefsOf(in)[0]
 				if v := r.ValueOf(d); v.IsConst() {
-					s.RewriteToConst(b, idx, &ir.ConstInstr{Dst: s.Var(d), Val: v.Val})
+					s.RewriteToConst(b, idx, &ir.ConstInstr{Dst: s.Var(d), Val: v.Val()})
 					pr.FoldedInstrs++
 				}
 			}
