@@ -800,8 +800,8 @@ func (a *Analysis) ReturnConstant(proc string) (string, bool) {
 	if p == nil || a.res.Returns == nil {
 		return "", false
 	}
-	if rv := a.res.Returns[p]; rv.IsConst() {
-		return rv.Val().String(), true
+	if i := a.res.CG.PosOf(p); i >= 0 && a.res.Returns[i].IsConst() {
+		return a.res.Returns[i].Val().String(), true
 	}
 	return "", false
 }
@@ -845,10 +845,12 @@ type CallSiteInfo struct {
 // CallSites lists every call site with its constant arguments.
 func (a *Analysis) CallSites() []CallSiteInfo {
 	var out []CallSiteInfo
-	for _, e := range a.prog.ctx.CG.Edges {
+	for _, e := range a.res.CG.Edges {
 		info := CallSiteInfo{Caller: e.Caller.Name, Callee: e.Callee.Name, Reachable: true}
-		vals := a.res.ArgVals[e.Site]
-		for _, v := range vals {
+		top := false
+		for i := range e.Site.Args {
+			v := a.res.ArgVal(e, i)
+			top = top || v.IsTop()
 			if v.IsConst() {
 				info.Args = append(info.Args, v.Val().String())
 			} else {
@@ -861,19 +863,15 @@ func (a *Analysis) CallSites() []CallSiteInfo {
 		// miss zero-arg calls). The portable summary carries it, so a
 		// procedure reused from the incremental cache answers the same
 		// as a freshly analysed one.
-		if a.res.Dead[e.Caller] {
+		switch {
+		case a.res.Dead(int(e.CallerPos)):
 			info.Reachable = false
-		} else if sum := a.res.Proc[e.Caller]; sum != nil {
-			info.Reachable = sum.Sites[e.Site.SiteIdx].Reachable
-		} else {
+		case a.res.Proc != nil:
+			info.Reachable = a.res.Proc[e.CallerPos].Sites[e.Site.SiteIdx].Reachable
+		default:
 			// Flow-insensitive method: no intraprocedural fixpoint; fall
 			// back to the ⊤-argument signal.
-			for _, v := range vals {
-				if v.IsTop() {
-					info.Reachable = false
-					break
-				}
-			}
+			info.Reachable = !top
 		}
 		out = append(out, info)
 	}
@@ -888,7 +886,7 @@ func (a *Analysis) CallSites() []CallSiteInfo {
 func (a *Analysis) AnnotatedListing() string {
 	var b strings.Builder
 	ctx := a.prog.ctx
-	for _, p := range ctx.CG.Reachable {
+	for i, p := range a.res.CG.Reachable {
 		kw := "proc"
 		if p.IsFunc {
 			kw = "func"
@@ -902,7 +900,7 @@ func (a *Analysis) AnnotatedListing() string {
 			fmt.Fprintf(&b, " %s", p.Result)
 		}
 		b.WriteString("\n")
-		if a.res.Dead[p] {
+		if a.res.Dead(i) {
 			b.WriteString("  # unreachable under this solution\n")
 			continue
 		}
@@ -920,10 +918,8 @@ func (a *Analysis) AnnotatedListing() string {
 		if len(facts) > 0 {
 			fmt.Fprintf(&b, "  # entry constants: %s\n", strings.Join(facts, ", "))
 		}
-		if a.res.Returns != nil {
-			if rv := a.res.Returns[p]; rv.IsConst() {
-				fmt.Fprintf(&b, "  # returns %s\n", rv.Val().String())
-			}
+		if a.res.Returns != nil && a.res.Returns[i].IsConst() {
+			fmt.Fprintf(&b, "  # returns %s\n", a.res.Returns[i].Val().String())
 		}
 	}
 	return b.String()
@@ -1136,7 +1132,7 @@ func (a *Analysis) Eliminations() []ProcElimination {
 // never execute (run Optimize with the fold pass first so dead call
 // sites are pruned). Returns the removed procedures' names.
 func (a *Analysis) RemoveDeadProcedures() []string {
-	return transform.RemoveDeadProcedures(a.prog.ctx, a.res.Dead)
+	return transform.RemoveDeadProcedures(a.prog.ctx, a.res)
 }
 
 // JumpAnalysis is a baseline jump-function solution.

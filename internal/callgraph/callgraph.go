@@ -124,10 +124,10 @@ func Build(prog *ir.Program) *Graph {
 }
 
 // IsReachable reports whether p is reachable from main.
-func (g *Graph) IsReachable(p *sem.Proc) bool { return g.pos(p) >= 0 }
+func (g *Graph) IsReachable(p *sem.Proc) bool { return g.PosOf(p) >= 0 }
 
-// pos returns p's position in Reachable, or -1.
-func (g *Graph) pos(p *sem.Proc) int {
+// PosOf returns p's position in Reachable, or -1.
+func (g *Graph) PosOf(p *sem.Proc) int {
 	if p.Index < len(g.Pos) {
 		if i := g.Pos[p.Index]; i >= 0 && g.Reachable[i] == p {
 			return i
@@ -160,7 +160,7 @@ func (g *Graph) HasCycles() bool {
 
 // OutOf returns p's outgoing edges, none when p is unreachable.
 func (g *Graph) OutOf(p *sem.Proc) []Edge {
-	if i := g.pos(p); i >= 0 {
+	if i := g.PosOf(p); i >= 0 {
 		return g.Out[i]
 	}
 	return nil

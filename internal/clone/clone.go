@@ -69,7 +69,10 @@ func Run(ctx *icp.Context, res *icp.Result, opts Options) Report {
 		groups := map[string]*group{}
 		var order []string
 		for _, e := range in {
-			vals := res.ArgVals[e.Site]
+			vals := make([]lattice.Elem, len(e.Site.Args))
+			for i := range vals {
+				vals[i] = res.ArgVal(e, i)
+			}
 			key := patternKey(vals)
 			g, ok := groups[key]
 			if !ok {

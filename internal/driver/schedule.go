@@ -195,24 +195,14 @@ func Parallel(n, workers int, fn func(item int)) {
 // ParallelCtx is Parallel under a context, with Schedule's
 // cancellation behaviour: once ctx ends no item starts.
 func ParallelCtx(ctx context.Context, n, workers int, fn func(item int)) {
-	items := make([]int, n)
-	for i := range items {
-		items[i] = i
-	}
-	runLevel(ctx, items, Workers(workers), fn)
-}
-
-func runLevel(ctx context.Context, items []int, workers int, fn func(item int)) {
-	if workers > len(items) {
-		workers = len(items)
-	}
+	workers = min(Workers(workers), n)
 	done := ctx.Done()
 	if workers <= 1 {
-		for _, it := range items {
+		for i := 0; i < n; i++ {
 			if done != nil && ctx.Err() != nil {
 				return
 			}
-			fn(it)
+			fn(i)
 		}
 		return
 	}
@@ -227,10 +217,10 @@ func runLevel(ctx context.Context, items []int, workers int, fn func(item int)) 
 					return
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(items) {
+				if i >= n {
 					return
 				}
-				fn(items[i])
+				fn(i)
 			}
 		}()
 	}

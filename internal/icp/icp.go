@@ -246,43 +246,44 @@ func (c *Context) InvalidateSSA() {
 	c.ssaMu.Unlock()
 }
 
-// Result is the outcome of one ICP run.
+// Result is the outcome of one ICP run. Its per-procedure results are
+// indexed by position in CG.Reachable; the call-site results are read
+// through ArgVal and CallGlobals, keyed by callgraph.Edge.
 type Result struct {
 	Ctx  *Context
 	Opts Options
 
+	// CG is the call graph whose positions index this result: Ctx.CG
+	// as the analysis ran. A pass that rewrites the IR rebuilds Ctx.CG
+	// and leaves this one.
+	CG *callgraph.Graph
+
 	// Entry[p] holds the lattice value of each formal of p and each
-	// global at entry to p, as established interprocedurally. Absent
-	// entries are ⊥. The flow-sensitive methods build it once, at
-	// install, from p's entry frame (incr.ProcSummary.Entry).
+	// global at entry to p, as established interprocedurally, for every
+	// reachable p. Absent entries are ⊥. The flow-sensitive methods
+	// build a map in the worker that produced p's entry frame
+	// (incr.ProcSummary.Entry); a refresh that keeps a summary keeps its
+	// map.
 	Entry map[*sem.Proc]lattice.Env[*sem.Var]
-
-	// ArgVals[call][i] is the method's value for the i-th actual at a
-	// call site (the call-site constant-candidate metric). For the
-	// flow-insensitive method this is the Figure 3 classification; for
-	// the flow-sensitive method it is the SCC value at the site.
-	ArgVals map[*ir.CallInstr][]lattice.Elem
-
-	// GlobalCallVals[call] maps each global that is constant at the
-	// call site *and* referenced by the callee (directly or
-	// transitively) to its value — the paper's sparse per-call-site
-	// global candidate list.
-	GlobalCallVals map[*ir.CallInstr]map[*sem.Var]val.Value
-
-	// VisibleCallGlobals[call] maps each global that is constant at the
-	// call site and visible in the *calling* procedure (its use
-	// clause) to its value — the paper's VIS measurement.
-	VisibleCallGlobals map[*ir.CallInstr]map[*sem.Var]val.Value
 
 	// ProgramGlobalConstants are the block-data-initialised globals
 	// never modified in the program (flow-insensitive global solution).
 	ProgramGlobalConstants map[*sem.Var]val.Value
 
-	// Proc[p] is p's portable result summary (flow-sensitive methods
-	// only): liveness, entry environment, and per-call-site values.
-	// Under the incremental engine a summary may come from a previous
-	// run's cache; it is byte-identical to a freshly computed one.
-	Proc map[*sem.Proc]*incr.ProcSummary
+	// Proc[i] is the portable result summary of the procedure at
+	// position i (flow-sensitive methods only): liveness, entry frame,
+	// and per-call-site values. Until a returns traversal runs, the
+	// call-site accessors read this slice; after it, a procedure it
+	// re-analysed holds its returns-stage summary, whose site
+	// reachability CallSites reports. Under the incremental engine a
+	// summary may come from a previous run's cache; it is
+	// byte-identical to a freshly computed one.
+	Proc []*incr.ProcSummary
+
+	// sites holds the summaries of the last forward install (FS, the
+	// iterative fixpoint, or the refresh when it ran): what ArgVal,
+	// CallGlobals and Dead read.
+	sites []*incr.ProcSummary
 
 	// Intra[p] is the final intraprocedural SCC fixpoint of p
 	// (flow-sensitive methods only). Under the incremental engine this
@@ -290,19 +291,21 @@ type Result struct {
 	// fresh fixpoint. Consumers needing per-run data should read Proc.
 	Intra map[*sem.Proc]*scc.Result
 
-	// Dead[p] reports that p, although statically reachable in the
-	// PCG, has no executable incoming call site under the
-	// flow-sensitive solution.
-	Dead map[*sem.Proc]bool
+	// Returns[i] is the constant the function at position i returns,
+	// Exit[i] its exit frame (ir.Func.FrameSlot layout: each slot's
+	// exit value where constant, ⊥ elsewhere), and CanReturn[i] whether
+	// it can return at all (return-constant extension only; nil
+	// otherwise). ExitValue reads the exit value of any variable.
+	Returns   []lattice.Elem
+	Exit      [][]lattice.Elem
+	CanReturn []bool
+	// exitEntry[i] is the entry map the returns traversal ran under,
+	// for ExitValue's globals outside the frame.
+	exitEntry []lattice.Env[*sem.Var]
 
-	// Returns[p] is the constant a function returns (return-constant
-	// extension); ExitEnv[p] the constant exit values of formals and
-	// globals, built from p's exit frame once the traversal ends.
-	Returns map[*sem.Proc]lattice.Elem
-	ExitEnv map[*sem.Proc]lattice.Env[*sem.Var]
-
-	// FI is the flow-insensitive solution computed as the back-edge
-	// fallback (flow-sensitive method on cyclic PCGs only).
+	// FI is the flow-insensitive solution: the method's own, which
+	// ArgVal and CallGlobals read, or the flow-sensitive method's
+	// back-edge fallback on a cyclic PCG.
 	FI *fiSolution
 
 	// BackEdgesUsed counts call edges that consulted the
@@ -388,6 +391,66 @@ func (r *Result) EntryConstant(p *sem.Proc, v *sem.Var) (val.Value, bool) {
 		return e.Val(), true
 	}
 	return val.Value{}, false
+}
+
+// ArgVal is the method's value for the i-th actual at e's call site
+// (the call-site constant-candidate metric): the Figure 3
+// classification under the flow-insensitive method, and otherwise the
+// SCC value at the site, ⊤ when the site is unreachable.
+func (r *Result) ArgVal(e callgraph.Edge, i int) lattice.Elem {
+	if r.sites == nil {
+		return r.FI.EdgeArg(e.Site, i)
+	}
+	sv := r.sites[e.CallerPos].Sites[e.Site.SiteIdx]
+	if !sv.Reachable {
+		return lattice.TopElem()
+	}
+	return r.Opts.filter(sv.Args[i])
+}
+
+// CallGlobals calls f with each global that is constant at e's call
+// site and referenced by the callee (directly or transitively), and its
+// value, in declaration order — the paper's sparse per-call-site global
+// candidate list. Those in the caller's use clause are the paper's VIS
+// subset. An unreachable site or a dead caller has none.
+func (r *Result) CallGlobals(e callgraph.Edge, f func(g *sem.Var, v val.Value)) {
+	globals := r.Ctx.Prog.Sem.Globals
+	if r.sites == nil {
+		for _, gi := range r.Ctx.MR.RefGlobals(e.Callee) {
+			if v, ok := r.FI.globalConsts[globals[gi]]; ok {
+				f(globals[gi], v)
+			}
+		}
+		return
+	}
+	sum := r.sites[e.CallerPos]
+	if sv := sum.Sites[e.Site.SiteIdx]; sv.Reachable && !sum.Dead {
+		for j, gi := range sv.GlobIdx {
+			if gv := r.Opts.filter(sv.GlobVals[j]); gv.IsConst() {
+				f(globals[gi], gv.Val())
+			}
+		}
+	}
+}
+
+// Dead reports that the procedure at position i, although statically
+// reachable in the PCG, has no executable incoming call site under the
+// flow-sensitive solution.
+func (r *Result) Dead(i int) bool { return r.sites != nil && r.sites[i].Dead }
+
+// ExitValue is the exit value of v in the procedure at position i
+// (return-constant extension): its exit-frame slot for a formal or a
+// global of the segment, and, when the procedure can return, the entry
+// constant of any other global (only main's and degraded procedures'
+// entries bind any), which it and its callees never touch.
+func (r *Result) ExitValue(i int, v *sem.Var) lattice.Elem {
+	if k := r.Ctx.Prog.Funcs[r.CG.Reachable[i].Index].FrameSlot(v); k >= 0 {
+		return r.Exit[i][k]
+	}
+	if e := r.exitEntry[i].Get(v); r.CanReturn[i] && v.IsGlobal() && e.IsConst() {
+		return e
+	}
+	return lattice.BottomElem()
 }
 
 // ConstantFormals returns p's formals that hold interprocedural

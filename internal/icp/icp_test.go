@@ -266,7 +266,7 @@ proc main() {
 proc g(a int) { print a }`
 	r := analyze(t, src, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 	g := r.Ctx.Prog.Sem.ProcByName["g"]
-	if !r.Dead[g] {
+	if !deadProc(r, g) {
 		t.Error("g must be flagged dynamically dead")
 	}
 	if got := constFormalNames(r, "g"); len(got) != 0 {
@@ -385,7 +385,7 @@ func TestArgValsRecorded(t *testing.T) {
 	if len(calls) != 1 {
 		t.Fatalf("calls in sub1: %d", len(calls))
 	}
-	vals := r.ArgVals[calls[0]]
+	vals := argVals(r, calls[0])
 	wantI := []int64{0, 4, 0, 0}
 	for i, w := range wantI {
 		if !vals[i].IsConst() || vals[i].Val().I != w {
@@ -408,7 +408,7 @@ proc f() {
 }`
 	r := analyze(t, src, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 	call := r.Ctx.Prog.FuncOf[r.Ctx.Prog.Sem.Main].Calls[0]
-	gm := r.GlobalCallVals[call]
+	gm := callGlobals(r, call, false)
 	if len(gm) != 1 {
 		t.Fatalf("global candidates: %v, want only 'used'", gm)
 	}
@@ -419,8 +419,8 @@ proc f() {
 	}
 	// VIS is the visible subset of the propagated candidates: only
 	// 'used' qualifies ('unused' is not propagated at this call).
-	if len(r.VisibleCallGlobals[call]) != 1 {
-		t.Errorf("visible globals: %v, want 1", r.VisibleCallGlobals[call])
+	if vis := callGlobals(r, call, true); len(vis) != 1 {
+		t.Errorf("visible globals: %v, want 1", vis)
 	}
 }
 
@@ -449,11 +449,11 @@ proc leaf() {
 	// not visible in middle.
 	middle := r.Ctx.Prog.Sem.ProcByName["middle"]
 	call := r.Ctx.Prog.FuncOf[middle].Calls[0]
-	if len(r.GlobalCallVals[call]) != 1 {
-		t.Errorf("candidates at middle->leaf: %v", r.GlobalCallVals[call])
+	if gm := callGlobals(r, call, false); len(gm) != 1 {
+		t.Errorf("candidates at middle->leaf: %v", gm)
 	}
-	if len(r.VisibleCallGlobals[call]) != 0 {
-		t.Errorf("hidden must not be visible in middle: %v", r.VisibleCallGlobals[call])
+	if vis := callGlobals(r, call, true); len(vis) != 0 {
+		t.Errorf("hidden must not be visible in middle: %v", vis)
 	}
 }
 

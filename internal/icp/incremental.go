@@ -10,15 +10,14 @@ import (
 	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
-	"fsicp/internal/val"
 )
 
 // This file adapts the incremental engine (internal/incr) to the ICP
-// pipeline. The flow-sensitive methods now carry their per-procedure
+// pipeline. The flow-sensitive methods carry their per-procedure
 // results as portable summaries (incr.ProcSummary) rather than live
-// scc.Result objects; downstream consumers (entry environments,
-// call-site merges, the public facade) read summaries, so a result
-// reused from a previous run is indistinguishable from a freshly
+// scc.Result objects; downstream consumers (entry environments, the
+// Result's call-site accessors, the public facade) read summaries, so a
+// result reused from a previous run is indistinguishable from a freshly
 // computed one.
 
 // incrState is one run's view of the engine: the plan (previous
@@ -183,62 +182,4 @@ func summarize(ctx *Context, p *sem.Proc, r *scc.Result, dead bool, nBack int, e
 		sum.Sites[k] = sv
 	}
 	return sum
-}
-
-// mergeSiteValues installs one procedure's call-site values into the
-// shared Result maps (ArgVals and the sparse global candidate maps).
-// Must run single-threaded. Semantics match the former direct
-// collection from scc.Result: unreachable sites contribute ⊤ argument
-// values and empty global maps, as does any site of a dead procedure.
-func (res *Result) mergeSiteValues(p *sem.Proc, sum *incr.ProcSummary) {
-	ctx, opts := res.Ctx, res.Opts
-	calls := ctx.Prog.FuncOf[p].Calls
-	// Shared backing array for the per-site ArgVals slices; every
-	// consumer reads GlobalCallVals/VisibleCallGlobals through len or
-	// range, so empty candidate maps stay nil instead of allocating.
-	nargs := 0
-	for _, call := range calls {
-		nargs += len(call.Args)
-	}
-	backing := make([]lattice.Elem, nargs)
-	for k, call := range calls {
-		sv := sum.Sites[k]
-		na := len(call.Args)
-		vals := backing[:na:na]
-		backing = backing[na:]
-		for i := range call.Args {
-			if sv.Reachable {
-				vals[i] = opts.filter(sv.Args[i])
-			} else {
-				vals[i] = lattice.TopElem()
-			}
-		}
-		var gm, vm map[*sem.Var]val.Value
-		if sv.Reachable && !sum.Dead {
-			// The stored set is Ref(call.Callee) already, so no
-			// membership filter is needed here.
-			for j, gi := range sv.GlobIdx {
-				gv := opts.filter(sv.GlobVals[j])
-				if !gv.IsConst() {
-					continue
-				}
-				g := ctx.Prog.Sem.Globals[gi]
-				if gm == nil {
-					gm = make(map[*sem.Var]val.Value)
-				}
-				gm[g] = gv.Val()
-				// VIS: the subset also visible in the calling
-				// procedure (paper §4).
-				if p.UsesSet[g] {
-					if vm == nil {
-						vm = make(map[*sem.Var]val.Value)
-					}
-					vm[g] = gv.Val()
-				}
-			}
-		}
-		res.ArgVals[call] = vals
-		res.GlobalCallVals[call] = gm
-		res.VisibleCallGlobals[call] = vm
-	}
 }

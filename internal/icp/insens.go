@@ -1,6 +1,7 @@
 package icp
 
 import (
+	"fsicp/internal/driver"
 	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
 	"fsicp/internal/sem"
@@ -175,51 +176,17 @@ func (s *fiSolution) GlobalElem(g *sem.Var) lattice.Elem {
 	return lattice.BottomElem()
 }
 
-// toResult converts the solution into the common Result shape,
-// computing the paper's call-site candidate lists under flow-insensitive
-// rules.
+// toResult converts the solution into the common Result shape: the
+// entry maps, built in parallel. ArgVal and CallGlobals read the
+// call-site candidates from the solution itself.
 func (s *fiSolution) toResult(ctx *Context, opts Options) *Result {
 	res := newResult(ctx, opts)
 	res.ProgramGlobalConstants = s.globalConsts
 	res.FI = s
-	for _, p := range ctx.CG.Reachable {
-		res.Entry[p] = s.entryEnvFor(p)
-	}
-	// Shared backing array for ArgVals; candidate maps stay nil when
-	// empty (every consumer reads them through len or range).
-	nargs := 0
-	for _, e := range ctx.CG.Edges {
-		nargs += len(e.Site.Args)
-	}
-	backing := make([]lattice.Elem, nargs)
-	for _, e := range ctx.CG.Edges {
-		call := e.Site
-		na := len(call.Args)
-		vals := backing[:na:na]
-		backing = backing[na:]
-		for i := range call.Args {
-			vals[i] = s.EdgeArg(call, i)
-		}
-		res.ArgVals[call] = vals
-
-		var gm, vm map[*sem.Var]val.Value
-		ref := ctx.MR.Ref(e.Callee)
-		for g, v := range s.globalConsts {
-			if ref.Has(g) {
-				if gm == nil {
-					gm = make(map[*sem.Var]val.Value)
-				}
-				gm[g] = v
-				if e.Caller.UsesSet[g] {
-					if vm == nil {
-						vm = make(map[*sem.Var]val.Value)
-					}
-					vm[g] = v
-				}
-			}
-		}
-		res.GlobalCallVals[call] = gm
-		res.VisibleCallGlobals[call] = vm
+	envs := make([]lattice.Env[*sem.Var], len(ctx.CG.Reachable))
+	driver.Parallel(len(envs), driver.Workers(opts.Workers), func(i int) { envs[i] = s.entryEnvFor(ctx.CG.Reachable[i]) })
+	for i, p := range ctx.CG.Reachable {
+		res.Entry[p] = envs[i]
 	}
 	return res
 }

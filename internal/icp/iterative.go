@@ -7,7 +7,9 @@ import (
 	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
+	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
+	"fsicp/internal/sem"
 )
 
 // runFSIterative implements the comparison point the paper's §3.2
@@ -191,7 +193,11 @@ func runFSIterative(ctx *Context, opts Options) *Result {
 			st.Cached = st.Hits > 0
 		}
 		res.SCCRuns = int(sccRuns.Load())
-		r.install(res, sums, intra)
+		// A procedure's summary is final only at the fixpoint, so its
+		// entry map is built then, not by each round's worker.
+		envs := make([]lattice.Env[*sem.Var], n)
+		driver.Parallel(n, workers, func(i int) { envs[i] = r.entryMap(cg.Reachable[i], sums[i]) })
+		r.install(res, sums, envs, intra)
 	})
 
 	// Keep the engine's generations turning so the value cache ages

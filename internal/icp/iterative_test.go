@@ -87,10 +87,10 @@ func TestIterativeAtLeastAsPreciseOnRecursive(t *testing.T) {
 		ctx := compileSrc(t, src)
 		onepass := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 		iter := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitiveIterative, PropagateFloats: true})
-		for _, p := range ctx.CG.Reachable {
+		for i, p := range ctx.CG.Reachable {
 			n1 := len(onepass.ConstantFormals(p))
 			n2 := len(iter.ConstantFormals(p))
-			if onepass.Dead[p] || iter.Dead[p] {
+			if onepass.Dead(i) || iter.Dead(i) {
 				continue
 			}
 			if n2 < n1 {

@@ -18,8 +18,8 @@ import (
 func resultKey(r *icp.Result) string {
 	var b strings.Builder
 	ctx := r.Ctx
-	for _, p := range ctx.CG.Reachable {
-		fmt.Fprintf(&b, "proc %s dead=%v", p.Name, r.Dead[p])
+	for i, p := range ctx.CG.Reachable {
+		fmt.Fprintf(&b, "proc %s dead=%v", p.Name, r.Dead(i))
 		for _, f := range p.Params {
 			if v, ok := r.EntryConstant(p, f); ok {
 				fmt.Fprintf(&b, " %s=%s", f.Name, v)
@@ -27,7 +27,7 @@ func resultKey(r *icp.Result) string {
 		}
 		b.WriteByte('\n')
 		for _, call := range ctx.Prog.FuncOf[p].Calls {
-			fmt.Fprintf(&b, "  site->%s %v\n", call.Callee.Name, r.ArgVals[call])
+			fmt.Fprintf(&b, "  site->%s %v\n", call.Callee.Name, argVals(r, call))
 		}
 	}
 	for _, d := range r.Degradations {
@@ -248,8 +248,8 @@ func TestDegradationOnlyLosesPrecision(t *testing.T) {
 				Method: mm.m, ReturnConstants: mm.rets, ReturnsRefresh: mm.refresh, PropagateFloats: true,
 				Faults: inj.Hook(), FaultKey: spec.String(),
 			})
-			for _, p := range ctx.CG.Reachable {
-				if clean.Dead[p] {
+			for i, p := range ctx.CG.Reachable {
+				if clean.Dead(i) {
 					// A degraded procedure loses dead-code facts too; its
 					// constants are then vacuous and not comparable.
 					continue

@@ -160,7 +160,7 @@ func emptyFI(opts Options) *fiSolution {
 // plus the program-wide constant globals — exactly the environment
 // toResult reports for the flow-insensitive method.
 func (s *fiSolution) entryEnvFor(p *sem.Proc) lattice.Env[*sem.Var] {
-	env := make(lattice.Env[*sem.Var])
+	env := make(lattice.Env[*sem.Var], len(p.Params)+len(s.globalConsts))
 	for _, f := range p.Params {
 		if e := s.formals[f]; e.IsConst() {
 			env[f] = e

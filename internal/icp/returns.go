@@ -41,18 +41,16 @@ import (
 // procedure that completed the traversal, are what the run commits
 // (all nil unless a later run reads them: incr.Plan.Keep). resummed
 // marks the procedures whose summaries this traversal rebuilt, for the
-// refresh's delta skip; returns and exits hold every procedure's
-// returned value and exit frame (exitFrame) by position, which the
-// refresh's call hooks read.
-func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRecord, resummed []bool, returns []lattice.Elem, exits [][]lattice.Elem) {
+// refresh's delta skip. Every procedure's returned value, exit frame
+// (exitFrame) and CanReturn go to the Result by position, where the
+// refresh's call hooks read them.
+func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRecord, resummed []bool) {
 	ctx, opts, g, ist := r.ctx, r.opts, r.g, r.ist
-	res.Returns = make(map[*sem.Proc]lattice.Elem)
-	res.ExitEnv = make(map[*sem.Proc]lattice.Env[*sem.Var])
 	cg := ctx.CG
 	n := len(cg.Reachable)
 
-	returns = make([]lattice.Elem, n)
-	exits = make([][]lattice.Elem, n)
+	returns := make([]lattice.Elem, n)
+	exits := make([][]lattice.Elem, n)
 	canReturn := make([]bool, n)
 	// sums holds the summaries rebuilt under this traversal's call
 	// hooks, nil where the FS-stage summary stands (dead or degraded
@@ -93,9 +91,9 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 				}
 				return lattice.BottomElem()
 			}
-			callExit := func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
+			callExit := func(call *ir.CallInstr, j int) lattice.Elem {
 				if e := out[call.SiteIdx]; !cg.IsBackEdge(e) {
-					return callExitValue(ctx, opts, call, v, exits[e.CalleePos])
+					return callExitValue(ctx, opts, call, j, exits[e.CalleePos])
 				}
 				return lattice.BottomElem()
 			}
@@ -110,7 +108,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 				if rec.Stands(func(k int) lattice.Elem {
 					return callResult(calls[k])
 				}, func(k, j int) lattice.Elem {
-					return callExit(calls[k], calls[k].MayDef[j])
+					return callExit(calls[k], j)
 				}) {
 					returns[i], exits[i], canReturn[i], sums[i], recs[i] = rec.Return, rec.Exit, rec.CanReturn, rec.Summary, rec
 					reused.Add(1)
@@ -137,7 +135,7 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 			// fixpoint, and its site reachability supersedes the first
 			// pass's in the summary. Liveness, back edges and the entry
 			// environment are unchanged by this traversal, and the
-			// shared result maps deliberately keep the FS-stage
+			// call-site accessors deliberately keep reading the FS-stage
 			// argument values.
 			sums[i] = summarize(ctx, p, fix, old.Dead, old.BackEdges, old.Entry)
 			sums[i].Degraded = old.Degraded
@@ -163,31 +161,28 @@ func (r *run) returns(res *Result, st *driver.PassStats) (recs []*incr.ReturnsRe
 	resummed = make([]bool, n)
 	installed := slices.Clone(r.sums) // FS's slice is the snapshot's
 	for i, p := range cg.Reachable {
-		res.Returns[p] = returns[i]
-		res.ExitEnv[p] = exitMap(ctx.Prog.Funcs[p.Index], exits[i], canReturn[i], res.Entry[p])
 		if sums[i] != nil {
-			res.Proc[p] = sums[i]
-			installed[i] = sums[i]
-			resummed[i] = true
+			installed[i], resummed[i] = sums[i], true
 		}
 		if intra[i] != nil {
 			res.Intra[p] = intra[i]
 		}
 	}
-	r.sums = installed
+	r.sums, res.Proc = installed, installed
+	res.Returns, res.Exit, res.CanReturn, res.exitEntry = returns, exits, canReturn, r.envs
 
 	if ist != nil {
 		// run= counts SCC runs, as on the FS row.
 		st.Cached = reused.Load() > 0
 		st.Notes = fmt.Sprintf("reused=%d run=%d", reused.Load(), ran.Load())
 	}
-	return recs, resummed, returns, exits
+	return recs, resummed
 }
 
 // callAnswers records what the hooks answer at each of calls: the
 // result hook, and the exit hook for every variable the call may
 // define. One backing array holds every site's exit answers.
-func callAnswers(calls []*ir.CallInstr, result func(*ir.CallInstr) lattice.Elem, exit func(*ir.CallInstr, *sem.Var) lattice.Elem) []incr.CallAnswer {
+func callAnswers(calls []*ir.CallInstr, result func(*ir.CallInstr) lattice.Elem, exit func(*ir.CallInstr, int) lattice.Elem) []incr.CallAnswer {
 	n := 0
 	for _, call := range calls {
 		n += len(call.MayDef)
@@ -198,21 +193,22 @@ func callAnswers(calls []*ir.CallInstr, result func(*ir.CallInstr) lattice.Elem,
 		nd := len(call.MayDef)
 		a := incr.CallAnswer{Result: result(call), Exit: backing[:nd:nd]}
 		backing = backing[nd:]
-		for j, v := range call.MayDef {
-			a.Exit[j] = exit(call, v)
+		for j := range call.MayDef {
+			a.Exit[j] = exit(call, j)
 		}
 		answers[k] = a
 	}
 	return answers
 }
 
-// callExitValue maps a may-defined caller variable at a call site to
+// callExitValue maps the j-th may-defined caller variable of a call to
 // the callee's exit value for it, read from the callee's exit frame,
 // per the rules in DESIGN.md: a by-ref actual takes the exit value of
 // every modified formal it is bound to; a modified global takes its
-// own exit value; a variable only in MayDef via alias closure stays ⊥.
-func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, exit []lattice.Elem) lattice.Elem {
-	callee := call.Callee
+// own exit value, at the slot modref recorded (ir.CallInstr.ExitSlot);
+// a variable only in MayDef via alias closure stays ⊥.
+func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, j int, exit []lattice.Elem) lattice.Elem {
+	callee, v := call.Callee, call.MayDef[j]
 	mod := ctx.MR.Mod(callee)
 	acc := lattice.TopElem()
 	contributed := false
@@ -225,9 +221,8 @@ func callExitValue(ctx *Context, opts Options, call *ir.CallInstr, v *sem.Var, e
 			contributed = true
 		}
 	}
-	if v.IsGlobal() && mod.Has(v) {
-		// MOD(callee) lies in the callee's segment.
-		acc = lattice.Meet(acc, opts.filter(exit[ctx.Prog.Funcs[callee.Index].FrameSlot(v)]))
+	if k := call.ExitSlot[j]; k >= 0 {
+		acc = lattice.Meet(acc, opts.filter(exit[k]))
 		contributed = true
 	}
 	if !contributed || acc.IsTop() {
@@ -249,22 +244,6 @@ func exitFrame(r *scc.Result) []lattice.Elem {
 		}
 	}
 	return exit
-}
-
-// exitMap converts an exit frame of fn to the map form Result.ExitEnv
-// reports: its constants, plus, when the procedure can return, the
-// entry constants outside the segment (only main's and degraded
-// procedures' entries bind any), which it and its callees never touch.
-func exitMap(fn *ir.Func, exit []lattice.Elem, canReturn bool, entry lattice.Env[*sem.Var]) lattice.Env[*sem.Var] {
-	env := frameEnv(fn, exit)
-	if canReturn {
-		for v, e := range entry {
-			if v.IsGlobal() && e.IsConst() && fn.VarOrd(v) < 0 {
-				env[v] = e
-			}
-		}
-	}
-	return env
 }
 
 // refresh performs one additional forward topological traversal that
@@ -292,10 +271,11 @@ func exitMap(fn *ir.Func, exit []lattice.Elem, canReturn bool, entry lattice.Env
 // call only constant-free helpers, so the skip removes the bulk of the
 // third traversal's scc runs; Options.NoDeltaSkip forces the full
 // re-run.
-func (r *run) refresh(res *Result, resummed []bool, returns []lattice.Elem, exits [][]lattice.Elem) {
+func (r *run) refresh(res *Result, resummed []bool) {
 	ctx, opts, g := r.ctx, r.opts, r.g
 	cg := ctx.CG
 	n := len(cg.Reachable)
+	returns, exits := res.Returns, res.Exit
 
 	// trivialHooks reports whether the refresh hooks for procedure i
 	// would answer ⊥ at every call site the stored summary saw ⊥ at.
@@ -319,20 +299,21 @@ func (r *run) refresh(res *Result, resummed []bool, returns []lattice.Elem, exit
 		CallResult: func(call *ir.CallInstr) lattice.Elem {
 			return opts.filter(returns[cg.Pos[call.Callee.Index]])
 		},
-		CallExit: func(call *ir.CallInstr, v *sem.Var) lattice.Elem {
-			return callExitValue(ctx, opts, call, v, exits[cg.Pos[call.Callee.Index]])
+		CallExit: func(call *ir.CallInstr, j int) lattice.Elem {
+			return callExitValue(ctx, opts, call, j, exits[cg.Pos[call.Callee.Index]])
 		},
 	}
 
 	fresh := make([]*scc.Result, n)
 	sums := make([]*incr.ProcSummary, n)
+	envs := make([]lattice.Env[*sem.Var], n)
 
-	// keepOld degrades one procedure to its pre-refresh answer: the
-	// previous traversal's result is a complete sound solution, and the
-	// refresh only sharpens it, so abandoning the refresh loses
-	// precision only.
+	// keepOld degrades one procedure to its pre-refresh answer, entry
+	// map included: the previous traversal's result is a complete sound
+	// solution, and the refresh only sharpens it, so abandoning the
+	// refresh loses precision only.
 	keepOld := func(i int) {
-		sums[i] = r.sums[i]
+		sums[i], envs[i] = r.sums[i], r.envs[i]
 		fresh[i] = nil
 	}
 
@@ -344,11 +325,12 @@ func (r *run) refresh(res *Result, resummed []bool, returns []lattice.Elem, exit
 			g.protect("returns-refresh", p.Name, func() { keepOld(i) }, func() {
 				env, live, nBack := r.entryEnv(i, bySum, res.FI)
 				if old := r.sums[i]; deltaSkip && old.Stands(env, live, nBack) && trivialHooks(i) {
-					sums[i] = old
+					sums[i], envs[i] = old, r.envs[i]
 					skipped.Add(1)
 					return
 				}
 				sums[i], fresh[i] = r.step("", i, env, live, nBack, hooks)
+				envs[i] = r.entryMap(p, sums[i])
 			})
 		})
 		g.sweep("returns-refresh", cg.Reachable, func(i int) bool { return sums[i] == nil }, keepOld)
@@ -357,7 +339,6 @@ func (r *run) refresh(res *Result, resummed []bool, returns []lattice.Elem, exit
 		st.Levels, st.Width = cg.Forward.Depth, cg.Forward.Width
 		st.Skipped = int(skipped.Load())
 		st.Notes = fmt.Sprintf("workers=%d", workers)
-		res.Dead = make(map[*sem.Proc]bool)
-		r.install(res, sums, fresh)
+		r.install(res, sums, envs, fresh)
 	})
 }

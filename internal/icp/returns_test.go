@@ -2,6 +2,7 @@ package icp_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"fsicp/internal/incr"
 	"fsicp/internal/lattice"
 	"fsicp/internal/progen"
-	"fsicp/internal/sem"
 	"fsicp/internal/testutil"
 )
 
@@ -34,7 +34,7 @@ proc main() {
 }
 func answer() int { return 42 }`)
 	ans := r.Ctx.Prog.Sem.ProcByName["answer"]
-	if got := r.Returns[ans]; !got.IsConst() || got.Val().I != 42 {
+	if got := returnOf(r, ans); !got.IsConst() || got.Val().I != 42 {
 		t.Errorf("returns(answer) = %v, want 42", got)
 	}
 	// The caller's second analysis folds x = 42 into the print.
@@ -61,7 +61,7 @@ proc main() {
 func inc(n int) int { return n + 1 }`)
 	inc := r.Ctx.Prog.Sem.ProcByName["inc"]
 	// n is 4 at every call, so inc returns 5.
-	if got := r.Returns[inc]; !got.IsConst() || got.Val().I != 5 {
+	if got := returnOf(r, inc); !got.IsConst() || got.Val().I != 5 {
 		t.Errorf("returns(inc) = %v, want 5", got)
 	}
 }
@@ -76,7 +76,7 @@ proc main() {
 }
 func pick(n int) int { return n }`)
 	pick := r.Ctx.Prog.Sem.ProcByName["pick"]
-	if got := r.Returns[pick]; !got.IsBottom() {
+	if got := returnOf(r, pick); !got.IsBottom() {
 		t.Errorf("returns(pick) = %v, want ⊥", got)
 	}
 }
@@ -98,7 +98,7 @@ proc setit(o int) { o = 9 }
 proc consume(c int) { print c }`)
 	setit := r.Ctx.Prog.Sem.ProcByName["setit"]
 	o := setit.Params[0]
-	if got := r.ExitEnv[setit].Get(o); !got.IsConst() || got.Val().I != 9 {
+	if got := r.ExitValue(r.CG.PosOf(setit), o); !got.IsConst() || got.Val().I != 9 {
 		t.Fatalf("exit(setit).o = %v, want 9", got)
 	}
 	// main's second analysis folds x to 9 at the consume call site.
@@ -155,7 +155,7 @@ proc consume() {
 }`)
 	ini := r.Ctx.Prog.Sem.ProcByName["init"]
 	g := r.Ctx.Prog.Sem.Globals[0]
-	if got := r.ExitEnv[ini].Get(g); !got.IsConst() || got.Val().I != 77 {
+	if got := r.ExitValue(r.CG.PosOf(ini), g); !got.IsConst() || got.Val().I != 77 {
 		t.Errorf("exit(init).g = %v, want 77", got)
 	}
 	// main's second analysis sees g=77 after the call; but consume's
@@ -179,7 +179,7 @@ func fact(n int) int {
 	fact := r.Ctx.Prog.Sem.ProcByName["fact"]
 	// The self-call is a back edge in the reverse traversal: fallback
 	// ⊥, so the return value is not constant. Soundness, not precision.
-	if got := r.Returns[fact]; got.IsConst() {
+	if got := returnOf(r, fact); got.IsConst() {
 		t.Errorf("returns(fact) = %v, must not be a constant", got)
 	}
 }
@@ -200,7 +200,7 @@ func sel(flag int) int {
   return 2
 }`)
 	sel := r.Ctx.Prog.Sem.ProcByName["sel"]
-	if got := r.Returns[sel]; !got.IsConst() || got.Val().I != 2 {
+	if got := returnOf(r, sel); !got.IsConst() || got.Val().I != 2 {
 		t.Errorf("returns(sel) = %v, want 2", got)
 	}
 }
@@ -368,15 +368,14 @@ func TestIncrementalReturnsMatchCold(t *testing.T) {
 		got := icp.Analyze(icp.Prepare(testutil.MustBuild(t, src)), inc)
 		want := icp.Analyze(icp.Prepare(testutil.MustBuild(t, src)), opts)
 		for k, wp := range want.Ctx.CG.Reachable {
-			gp := got.Ctx.CG.Reachable[k]
-			if !got.Returns[gp].Eq(want.Returns[wp]) {
-				t.Fatalf("edit %d: %s returns %v, cold %v", i, wp.Name, got.Returns[gp], want.Returns[wp])
+			if !got.Returns[k].Eq(want.Returns[k]) {
+				t.Fatalf("edit %d: %s returns %v, cold %v", i, wp.Name, got.Returns[k], want.Returns[k])
 			}
-			if g, w := byVar(got.ExitEnv[gp]), byVar(want.ExitEnv[wp]); !sameElems(g, w) {
+			if g, w := exitByVar(got, k), exitByVar(want, k); !sameElems(g, w) {
 				t.Fatalf("edit %d: %s exit environment %v, cold %v", i, wp.Name, g, w)
 			}
-			if !sameSummary(got.Proc[gp], want.Proc[wp]) {
-				t.Fatalf("edit %d: %s returns-stage summary %+v, cold %+v", i, wp.Name, *got.Proc[gp], *want.Proc[wp])
+			if !sameSummary(got.Proc[k], want.Proc[k]) {
+				t.Fatalf("edit %d: %s returns-stage summary %+v, cold %+v", i, wp.Name, *got.Proc[k], *want.Proc[k])
 			}
 		}
 		for _, st := range inc.Trace.Passes() {
@@ -390,13 +389,16 @@ func TestIncrementalReturnsMatchCold(t *testing.T) {
 	}
 }
 
-// byVar keys an environment by variable, across loads: "proc.name"
-// for a formal, the bare name for a global, so a formal that shares a
-// global's name stays apart from it.
-func byVar(env lattice.Env[*sem.Var]) map[string]lattice.Elem {
-	m := make(map[string]lattice.Elem, len(env))
-	for v, e := range env {
-		m[v.String()] = e
+// exitByVar keys the constant exit values of the procedure at position
+// i — of its formals and of every global — by variable, across loads:
+// "proc.name" for a formal, the bare name for a global, so a formal
+// that shares a global's name stays apart from it.
+func exitByVar(r *icp.Result, i int) map[string]lattice.Elem {
+	m := make(map[string]lattice.Elem)
+	for _, v := range append(slices.Clone(r.CG.Reachable[i].Params), r.Ctx.Prog.Sem.Globals...) {
+		if e := r.ExitValue(i, v); e.IsConst() {
+			m[v.String()] = e
+		}
 	}
 	return m
 }
@@ -474,7 +476,12 @@ func TestOneShotEngineKeepsNoReturnsRecords(t *testing.T) {
 				}
 			}
 		}
-		live := len(ctx.CG.Reachable) - len(res.Dead)
+		live := 0
+		for i := range ctx.CG.Reachable {
+			if !res.Dead(i) {
+				live++
+			}
+		}
 		want := fmt.Sprintf("reused=%d run=0", live)
 		if oneShot {
 			want = fmt.Sprintf("reused=0 run=%d", live)

@@ -148,9 +148,10 @@ type run struct {
 	g      *guard
 	consts map[*sem.Var]val.Value
 	ist    *incrState
-	// sums holds the installed summaries by position: what Result.Proc
-	// and Result.Dead report, for the later traversals to read.
+	// sums and envs hold the installed summaries and their entry maps
+	// by position, for the later traversals to read.
 	sums []*incr.ProcSummary
+	envs []lattice.Env[*sem.Var]
 }
 
 // newRun builds a run's shared inputs once its FI pass is done,
@@ -201,23 +202,18 @@ func (r *run) step(ns string, i int, env []lattice.Elem, live bool, nBack int, h
 	return sum, fix
 }
 
-// install writes a forward traversal's per-position slots into the
-// Result maps, Entry included, serially and in topological order, so
-// the outcome is byte-identical for every worker count, and keeps them
-// as the run's positional summaries. A nil fixpoint leaves Intra as it
-// was.
-func (r *run) install(res *Result, sums []*incr.ProcSummary, intra []*scc.Result) {
-	r.sums = sums
-	for i, p := range res.Ctx.CG.Reachable {
-		res.Entry[p] = r.entryMap(p, sums[i])
-		res.Proc[p] = sums[i]
+// install makes a forward traversal's per-position summaries, and the
+// entry maps its workers built from them, the run's and the Result's:
+// Proc and the call-site accessors read the summaries, Entry holds the
+// maps. A nil fixpoint leaves Intra as it was.
+func (r *run) install(res *Result, sums []*incr.ProcSummary, envs []lattice.Env[*sem.Var], intra []*scc.Result) {
+	r.sums, r.envs = sums, envs
+	res.Proc, res.sites = sums, sums
+	for i, p := range res.CG.Reachable {
+		res.Entry[p] = envs[i]
 		if intra[i] != nil {
 			res.Intra[p] = intra[i]
 		}
-		if sums[i].Dead {
-			res.Dead[p] = true
-		}
-		res.mergeSiteValues(p, sums[i])
 	}
 }
 
@@ -244,10 +240,16 @@ func (r *run) mainEntry() lattice.Env[*sem.Var] {
 	return env
 }
 
-// frameEnv converts a frame of fn to the map form Result reports: its
-// constant slots, keyed by variable.
+// frameEnv converts a frame of fn to the map form Result.Entry
+// reports: its constant slots, keyed by variable.
 func frameEnv(fn *ir.Func, frame []lattice.Elem) lattice.Env[*sem.Var] {
-	env := make(lattice.Env[*sem.Var])
+	n := 0
+	for _, e := range frame {
+		if e.IsConst() {
+			n++
+		}
+	}
+	env := make(lattice.Env[*sem.Var], n)
 	for k, e := range frame {
 		if e.IsConst() {
 			env[fn.FrameVar(k)] = e

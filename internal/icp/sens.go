@@ -7,7 +7,6 @@ import (
 	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
-	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
@@ -25,9 +24,9 @@ import (
 // callers, which have finished before it starts, and the precomputed
 // flow-insensitive fallback on back edges, so procedures none of whose
 // callers are outstanding can be analysed concurrently. Each worker
-// writes only its own position-indexed slots; the slots are merged into
-// the Result maps serially, so the outcome is byte-identical for every
-// worker count.
+// writes only its own position-indexed slots — the summary and the
+// entry map built from it — and the Result keeps the slots, so the
+// outcome is byte-identical for every worker count.
 func runFS(ctx *Context, opts Options) *Result {
 	res := newResult(ctx, opts)
 	cg := ctx.CG
@@ -59,12 +58,14 @@ func runFS(ctx *Context, opts Options) *Result {
 	r := newRun(ctx, opts, g, res.ProgramGlobalConstants)
 
 	sums := make([]*incr.ProcSummary, n)
+	envs := make([]lattice.Env[*sem.Var], n)
 	intra := make([]*scc.Result, n)
 	// fiDegrade answers procedure i from the FI solution: a partial
 	// fixpoint is discarded — optimistic intermediate values are not
 	// sound answers — and nothing is stored in the value cache.
 	fiDegrade := func(i int) {
 		sums[i] = degradedSummary(ctx, cg.Reachable[i], g.ensureFI(ctx, opts))
+		envs[i] = r.entryMap(cg.Reachable[i], sums[i])
 	}
 
 	var reused, evals atomic.Int64
@@ -80,11 +81,12 @@ func runFS(ctx *Context, opts Options) *Result {
 					// summary is exactly what an SCC run would produce.
 					sums[i] = r.ist.plan.Prev[i]
 					reused.Add(1)
-					return
+				} else {
+					// The single flow-sensitive intraprocedural analysis of p.
+					evals.Add(1)
+					sums[i], intra[i] = r.step("fs", i, env, live, nBack, scc.Options{})
 				}
-				// The single flow-sensitive intraprocedural analysis of p.
-				evals.Add(1)
-				sums[i], intra[i] = r.step("fs", i, env, live, nBack, scc.Options{})
+				envs[i] = r.entryMap(p, sums[i])
 			})
 		})
 		// Procedures never started (the context ended mid-traversal)
@@ -102,7 +104,7 @@ func runFS(ctx *Context, opts Options) *Result {
 			st.Notes = fmt.Sprintf("%s reused=%d run=%d", st.Notes, res.ProcsReused, int(evals.Load())-r.ist.plan.Hits())
 			fillStoreStats(st, res, r.ist)
 		}
-		r.install(res, sums, intra)
+		r.install(res, sums, envs, intra)
 		for _, sum := range sums {
 			res.BackEdgesUsed += sum.BackEdges
 		}
@@ -111,17 +113,15 @@ func runFS(ctx *Context, opts Options) *Result {
 	var recs []*incr.ReturnsRecord
 	if opts.ReturnConstants {
 		var resummed []bool
-		var returns []lattice.Elem
-		var exits [][]lattice.Elem
 		opts.Trace.Time("returns", func(st *driver.PassStats) {
-			recs, resummed, returns, exits = r.returns(res, st)
+			recs, resummed = r.returns(res, st)
 			st.Procs = n
 			st.Degraded = g.passCount("returns")
 		})
 		// The refresh is a pass of its own: its row follows the
 		// returns row and holds only its own time and degradations.
 		if opts.ReturnsRefresh {
-			r.refresh(res, resummed, returns, exits)
+			r.refresh(res, resummed)
 		}
 	}
 	// The snapshot holds the FS-stage summaries (FS reuse compares
@@ -134,18 +134,15 @@ func runFS(ctx *Context, opts Options) *Result {
 	return res
 }
 
-// newResult allocates the shared Result map set.
+// newResult allocates a Result over ctx's call graph, its Entry map
+// sized for every reachable procedure.
 func newResult(ctx *Context, opts Options) *Result {
 	return &Result{
-		Ctx:                ctx,
-		Opts:               opts,
-		Entry:              make(map[*sem.Proc]lattice.Env[*sem.Var]),
-		ArgVals:            make(map[*ir.CallInstr][]lattice.Elem),
-		GlobalCallVals:     make(map[*ir.CallInstr]map[*sem.Var]val.Value),
-		VisibleCallGlobals: make(map[*ir.CallInstr]map[*sem.Var]val.Value),
-		Proc:               make(map[*sem.Proc]*incr.ProcSummary),
-		Intra:              make(map[*sem.Proc]*scc.Result),
-		Dead:               make(map[*sem.Proc]bool),
+		Ctx:   ctx,
+		Opts:  opts,
+		CG:    ctx.CG,
+		Entry: make(map[*sem.Proc]lattice.Env[*sem.Var], len(ctx.CG.Reachable)),
+		Intra: make(map[*sem.Proc]*scc.Result),
 	}
 }
 

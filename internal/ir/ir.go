@@ -270,6 +270,10 @@ type CallInstr struct {
 	// caller's frame this call may modify (by-ref actuals of modified
 	// formals, modified globals, and their aliases).
 	MayDef []*sem.Var
+	// ExitSlot[j], filled with MayDef, is the callee's frame slot
+	// (Func.FrameSlot) of MayDef[j] when that is a global the callee
+	// modifies, and -1 otherwise.
+	ExitSlot []int32
 }
 
 // ClobberInstr marks variables as possibly redefined with unknown

@@ -21,6 +21,7 @@ import (
 	"fsicp/internal/icp"
 	"fsicp/internal/jumpfunc"
 	"fsicp/internal/sem"
+	"fsicp/internal/val"
 )
 
 // CallSite is a Table 1 / Table 3 row for one method.
@@ -44,22 +45,25 @@ type Entry struct {
 // CallSiteMetrics computes the call-site view of an ICP result.
 func CallSiteMetrics(r *icp.Result) CallSite {
 	var m CallSite
-	ctx := r.Ctx
-	for _, e := range ctx.CG.Edges {
+	for _, e := range r.CG.Edges {
 		call := e.Site
 		m.Args += len(call.Args)
 		for i := range call.Args {
 			if _, ok := immediate(call.ArgSyntax[i], r.Opts); ok {
 				m.Imm++
 			}
-		}
-		for _, v := range r.ArgVals[call] {
-			if v.IsConst() {
+			if r.ArgVal(e, i).IsConst() {
 				m.ConstArgs++
 			}
 		}
-		m.GlobPairs += len(r.GlobalCallVals[call])
-		m.GlobVis += len(r.VisibleCallGlobals[call])
+		r.CallGlobals(e, func(g *sem.Var, _ val.Value) {
+			m.GlobPairs++
+			// VIS: the subset also visible in the calling procedure
+			// (paper §4).
+			if e.Caller.UsesSet[g] {
+				m.GlobVis++
+			}
+		})
 	}
 	m.GlobCand = globCand(r)
 	return m

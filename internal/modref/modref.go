@@ -207,11 +207,13 @@ func (b *Builder) CollectProc(i int) {
 
 // Finish runs the serial interprocedural solve over the collected
 // immediate rows, then the MayDef fill, the global-segment
-// installation and the REF-global lists.
+// installation, the exit slots, which read both, and the REF-global
+// lists.
 func (b *Builder) Finish() *Info {
 	b.solve()
 	b.fillMayDef()
 	b.installGlobals()
+	b.fillExitSlots()
 	b.refLists()
 	return b.info
 }
@@ -492,6 +494,35 @@ func (b *Builder) fillMayDef() {
 			}
 			arena = append(arena, out...)
 			call.MayDef = arena[len(arena)-n : len(arena) : len(arena)]
+		}
+	}
+}
+
+// fillExitSlots fills every reachable call's ir.CallInstr.ExitSlot
+// from one row, indexed by global, per callee: its segment's slots.
+// Only globals the callee modifies are read, and all lie in its
+// segment, so no other callee's entry is read.
+func (b *Builder) fillExitSlots() {
+	n := 0
+	for _, e := range b.cg.Edges {
+		n += len(e.Site.MayDef)
+	}
+	backing := make([]int32, n)
+	slot := make([]int32, len(b.info.globals))
+	for pos, callee := range b.cg.Reachable {
+		np, mod := len(callee.Params), b.info.rows(callee).mod
+		for k, g := range b.prog.FuncOf[callee].Globals() {
+			slot[g.Index] = int32(np + k)
+		}
+		for _, e := range b.cg.In[pos] {
+			nd := len(e.Site.MayDef)
+			e.Site.ExitSlot, backing = backing[:nd:nd], backing[nd:]
+			for j, v := range e.Site.MayDef {
+				e.Site.ExitSlot[j] = -1
+				if v.IsGlobal() && mod.Has(v.Index) {
+					e.Site.ExitSlot[j] = slot[v.Index]
+				}
+			}
 		}
 	}
 }

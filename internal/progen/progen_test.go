@@ -166,8 +166,8 @@ func checkFSDominatesFI(t *testing.T, name, src string) {
 	ctx, _ := compile(t, src)
 	fi := icp.Analyze(ctx, icp.Options{Method: icp.FlowInsensitive, PropagateFloats: true})
 	fs := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
-	for _, p := range ctx.CG.Reachable {
-		if fs.Dead[p] {
+	for i, p := range ctx.CG.Reachable {
+		if fs.Dead(i) {
 			continue // FS proved p never executes: strictly stronger
 		}
 		check := func(v *sem.Var) {
@@ -186,8 +186,8 @@ func checkFSDominatesFI(t *testing.T, name, src string) {
 		}
 	}
 	for _, e := range ctx.CG.Edges {
-		for i, want := range fi.ArgVals[e.Site] {
-			got := fs.ArgVals[e.Site][i]
+		for i := range e.Site.Args {
+			want, got := fi.ArgVal(e, i), fs.ArgVal(e, i)
 			if want.IsConst() && !got.IsTop() && !got.Eq(want) { // ⊤ = unreachable, stronger
 				t.Errorf("%s: argument %d of %s -> %s is %v under FS, %v under FI", name, i, e.Caller.Name, e.Callee.Name, got, want)
 			}

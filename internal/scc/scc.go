@@ -43,11 +43,11 @@ type Options struct {
 	// of ⊥, keeps results unknown.
 	CallResult func(call *ir.CallInstr) lattice.Elem
 
-	// CallExit, if non-nil, supplies the post-call lattice value of a
-	// variable the call may define (a by-ref actual or modified
-	// global), derived from the callee's exit environment. Nil keeps
-	// may-defined variables ⊥ after calls.
-	CallExit func(call *ir.CallInstr, v *sem.Var) lattice.Elem
+	// CallExit, if non-nil, supplies the post-call lattice value of
+	// call.MayDef[j], a variable the call may define (a by-ref actual
+	// or modified global), derived from the callee's exit environment.
+	// Nil keeps may-defined variables ⊥ after calls.
+	CallExit func(call *ir.CallInstr, j int) lattice.Elem
 
 	// Budget, if non-nil, meters the propagation: one step per
 	// evaluated φ, instruction, or terminator. Exhausting the budget
@@ -342,11 +342,12 @@ func (e *engine) evalInstr(in ir.Instr) {
 			e.lower(defs[0], rv)
 			k = 1
 		}
-		for ; k < len(defs); k++ {
+		// defs[k:] parallel in.MayDef.
+		for j, d := range defs[k:] {
 			if e.opts.CallExit != nil {
-				e.lower(defs[k], e.opts.CallExit(in, e.s.Var(defs[k])))
+				e.lower(d, e.opts.CallExit(in, j))
 			} else {
-				e.lower(defs[k], lattice.BottomElem())
+				e.lower(d, lattice.BottomElem())
 			}
 		}
 	case *ir.ClobberInstr:

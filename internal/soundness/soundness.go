@@ -11,6 +11,7 @@ import (
 	"fsicp/internal/icp"
 	"fsicp/internal/interp"
 	"fsicp/internal/jumpfunc"
+	"fsicp/internal/sem"
 	"fsicp/internal/val"
 )
 
@@ -20,9 +21,9 @@ func CheckICP(r *icp.Result, tr *interp.Trace) []string {
 	var bad []string
 	ctx := r.Ctx
 
-	for _, p := range ctx.CG.Reachable {
+	for i, p := range r.CG.Reachable {
 		invoked := tr.Invocations[p] > 0
-		if r.Dead[p] && invoked {
+		if r.Dead(i) && invoked {
 			bad = append(bad, fmt.Sprintf("%s: claimed dynamically dead but invoked %d times", p.Name, tr.Invocations[p]))
 			continue
 		}
@@ -54,14 +55,14 @@ func CheckICP(r *icp.Result, tr *interp.Trace) []string {
 		}
 	}
 
-	for _, e := range ctx.CG.Edges {
+	for _, e := range r.CG.Edges {
 		call := e.Site
 		argObs := tr.Args[call]
-		vals := r.ArgVals[call]
-		for i, v := range vals {
+		for i := range call.Args {
 			if i >= len(argObs) && len(argObs) > 0 {
 				break
 			}
+			v := r.ArgVal(e, i)
 			var o *interp.Observation
 			if argObs != nil {
 				o = argObs[i]
@@ -81,23 +82,23 @@ func CheckICP(r *icp.Result, tr *interp.Trace) []string {
 		}
 		// Global candidates at call sites.
 		if gobs := tr.GlobalsAtCall[call]; gobs != nil {
-			for g, c := range r.GlobalCallVals[call] {
+			r.CallGlobals(e, func(g *sem.Var, c val.Value) {
 				o := gobs[g]
 				if o == nil || o.Count == 0 {
-					continue
+					return
 				}
 				if o.Multiple {
 					bad = append(bad, fmt.Sprintf("%s->%s: global %s claimed %s but varies", e.Caller.Name, e.Callee.Name, g.Name, c))
 				} else if !o.First.Equal(c) {
 					bad = append(bad, fmt.Sprintf("%s->%s: global %s claimed %s but observed %s", e.Caller.Name, e.Callee.Name, g.Name, c, o.First))
 				}
-			}
+			})
 		}
 	}
 
 	if r.Returns != nil {
-		for _, p := range ctx.CG.Reachable {
-			rv := r.Returns[p]
+		for i, p := range r.CG.Reachable {
+			rv := r.Returns[i]
 			if !rv.IsConst() {
 				continue
 			}
@@ -112,18 +113,11 @@ func CheckICP(r *icp.Result, tr *interp.Trace) []string {
 			}
 		}
 	}
-	if r.ExitEnv != nil {
-		for _, p := range ctx.CG.Reachable {
-			exitObs := tr.ExitVars[p]
-			if exitObs == nil {
-				continue
-			}
-			for v, e := range r.ExitEnv[p] {
-				if !e.IsConst() {
-					continue
-				}
-				o := exitObs[v]
-				if o == nil || o.Count == 0 {
+	if r.Exit != nil {
+		for i, p := range r.CG.Reachable {
+			for v, o := range tr.ExitVars[p] {
+				e := r.ExitValue(i, v)
+				if !e.IsConst() || o == nil || o.Count == 0 {
 					continue
 				}
 				if o.Multiple {

@@ -1,10 +1,12 @@
 package soundness_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"fsicp/internal/icp"
+	"fsicp/internal/incr"
 	"fsicp/internal/interp"
 	"fsicp/internal/jumpfunc"
 	"fsicp/internal/lattice"
@@ -56,10 +58,24 @@ func TestDetectsWrongEntryConstant(t *testing.T) {
 	}
 }
 
+// corruptSummary installs, at position i of r.Proc, a copy of the
+// summary there with edit applied. Without a returns traversal the
+// call-site accessors read Proc, and the copy leaves the analysed
+// summary, which a value cache may share, as it was.
+func corruptSummary(r *icp.Result, i int, edit func(s *incr.ProcSummary)) {
+	c := *r.Proc[i]
+	c.Sites = slices.Clone(c.Sites)
+	for k := range c.Sites {
+		c.Sites[k].Args = slices.Clone(c.Sites[k].Args)
+		c.Sites[k].GlobVals = slices.Clone(c.Sites[k].GlobVals)
+	}
+	edit(&c)
+	r.Proc[i] = &c
+}
+
 func TestDetectsWrongArgValue(t *testing.T) {
-	ctx, r, run := setup(t)
-	call := ctx.Prog.FuncOf[ctx.Prog.Sem.Main].Calls[0]
-	r.ArgVals[call][0] = lattice.Const(val.Int(42))
+	_, r, run := setup(t)
+	corruptSummary(r, 0, func(s *incr.ProcSummary) { s.Sites[0].Args[0] = lattice.Const(val.Int(42)) })
 	bad := soundness.CheckICP(r, run.Trace)
 	if len(bad) == 0 || !strings.Contains(bad[0], "arg 0") {
 		t.Fatalf("violation not detected: %v", bad)
@@ -67,9 +83,8 @@ func TestDetectsWrongArgValue(t *testing.T) {
 }
 
 func TestDetectsFalseUnreachable(t *testing.T) {
-	ctx, r, run := setup(t)
-	call := ctx.Prog.FuncOf[ctx.Prog.Sem.Main].Calls[0]
-	r.ArgVals[call][0] = lattice.TopElem()
+	_, r, run := setup(t)
+	corruptSummary(r, 0, func(s *incr.ProcSummary) { s.Sites[0].Reachable = false })
 	bad := soundness.CheckICP(r, run.Trace)
 	if len(bad) == 0 || !strings.Contains(bad[0], "unreachable but executed") {
 		t.Fatalf("violation not detected: %v", bad)
@@ -78,7 +93,7 @@ func TestDetectsFalseUnreachable(t *testing.T) {
 
 func TestDetectsFalseDeadProc(t *testing.T) {
 	ctx, r, run := setup(t)
-	r.Dead[ctx.Prog.Sem.ProcByName["f"]] = true
+	corruptSummary(r, r.CG.PosOf(ctx.Prog.Sem.ProcByName["f"]), func(s *incr.ProcSummary) { s.Dead = true })
 	bad := soundness.CheckICP(r, run.Trace)
 	if len(bad) == 0 || !strings.Contains(bad[0], "dynamically dead") {
 		t.Fatalf("violation not detected: %v", bad)
@@ -86,11 +101,12 @@ func TestDetectsFalseDeadProc(t *testing.T) {
 }
 
 func TestDetectsWrongGlobalAtCall(t *testing.T) {
-	ctx, r, run := setup(t)
-	call := ctx.Prog.FuncOf[ctx.Prog.Sem.Main].Calls[0]
-	for g := range r.GlobalCallVals[call] {
-		r.GlobalCallVals[call][g] = val.Int(123)
-	}
+	_, r, run := setup(t)
+	corruptSummary(r, 0, func(s *incr.ProcSummary) {
+		for j := range s.Sites[0].GlobVals {
+			s.Sites[0].GlobVals[j] = lattice.Const(val.Int(123))
+		}
+	})
 	bad := soundness.CheckICP(r, run.Trace)
 	if len(bad) == 0 || !strings.Contains(bad[0], "global g claimed 123") {
 		t.Fatalf("violation not detected: %v", bad)
@@ -114,7 +130,7 @@ func f() int { return 5 }`)
 	if bad := soundness.CheckICP(r, run.Trace); len(bad) != 0 {
 		t.Fatalf("clean result flagged: %v", bad)
 	}
-	r.Returns[ctx.Prog.Sem.ProcByName["f"]] = lattice.Const(val.Int(6))
+	r.Returns[r.CG.PosOf(ctx.Prog.Sem.ProcByName["f"])] = lattice.Const(val.Int(6))
 	bad := soundness.CheckICP(r, run.Trace)
 	if len(bad) == 0 || !strings.Contains(bad[0], "return claimed 6") {
 		t.Fatalf("violation not detected: %v", bad)

@@ -110,12 +110,13 @@ func countProc(r *scc.Result) int {
 // call sites the flow-sensitive solution proved dead. Calls inside dead
 // procedures disappear with them. Returns the removed procedures'
 // names. The fold pass should run first so dead call sites are already
-// gone from live code.
-func RemoveDeadProcedures(ctx *icp.Context, dead map[*sem.Proc]bool) []string {
+// gone from live code; res, the analysis of ctx, answers deadness on
+// the call graph it ran on, which the fold rebuilt.
+func RemoveDeadProcedures(ctx *icp.Context, res *icp.Result) []string {
 	prog := ctx.Prog
 	keep := make(map[*sem.Proc]bool)
 	for _, p := range ctx.CG.Reachable {
-		if !dead[p] {
+		if i := res.CG.PosOf(p); i < 0 || !res.Dead(i) {
 			keep[p] = true
 		}
 	}

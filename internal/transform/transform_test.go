@@ -159,7 +159,7 @@ proc unreachable() { call deeper(9) }`
 	ctx := prep(t, src)
 	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 	fold(t, ctx, r) // prunes the if-false branch and its call
-	removed := transform.RemoveDeadProcedures(ctx, r.Dead)
+	removed := transform.RemoveDeadProcedures(ctx, r)
 	names := strings.Join(removed, ",")
 	for _, want := range []string{"deadguard", "deeper", "unreachable"} {
 		if !strings.Contains(names, want) {
@@ -205,7 +205,7 @@ proc keep(y int) {
 	before := rows()
 	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 	fold(t, ctx, r)
-	if removed := transform.RemoveDeadProcedures(ctx, r.Dead); len(removed) != 1 || removed[0] != "dead" {
+	if removed := transform.RemoveDeadProcedures(ctx, r); len(removed) != 1 || removed[0] != "dead" {
 		t.Fatalf("removed %v, want [dead]", removed)
 	}
 	if keep.Index != 1 {
@@ -230,7 +230,7 @@ proc maybe(a int) { print a }`
 	ctx := prep(t, src)
 	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 	fold(t, ctx, r)
-	removed := transform.RemoveDeadProcedures(ctx, r.Dead)
+	removed := transform.RemoveDeadProcedures(ctx, r)
 	if len(removed) != 0 {
 		t.Errorf("removed: %v", removed)
 	}

@@ -118,6 +118,17 @@ go test -race -count=3 \
     ./internal/icp
 go test -race -count=3 -run 'TestAnalyzeDeterministicAcrossWorkers|TestConcurrentAnalyze' .
 
+echo "== positional results (race) =="
+# icp.Result keeps its per-procedure and call-site results by call
+# graph position, and the workers that produce the entry frames build
+# the Entry maps: every accessor must answer what the former map form
+# did (FI, FS, FS + returns, FS + returns + refresh and FS-iterative,
+# floats on and off, at 1 and 4 workers, on the sample programs and the
+# 2k corpus), and the facade's reports must not depend on the worker
+# count.
+go test -race -count=3 -run 'TestPositionalResultsMatchMaps' ./internal/icp
+go test -race -count=3 -run 'TestAnalyzeDeterministicAcrossWorkers' .
+
 echo "== optimizer on one SSA per procedure (race) =="
 # The optimizer edits the overlays the analysis built in place and
 # rebuilds one only where fold changed a CFG: the pipeline must stay

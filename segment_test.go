@@ -6,6 +6,7 @@ package fsicp_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -205,9 +206,8 @@ proc spin() {
 			}
 			for name, exit := range want {
 				q := ctx.Prog.Sem.ProcByName[name]
-				e, ok := res.ExitEnv[q][k]
 				got := "none"
-				if ok {
+				if e := res.ExitValue(res.CG.PosOf(q), k); e.IsConst() {
 					got = e.String()
 				}
 				if ctx.Prog.FuncOf[q].VarOrd(k) >= 0 || !res.Entry[q].Get(k).IsConst() || got != exit {
@@ -223,9 +223,14 @@ proc spin() {
 // name, so analyses of two loads of one program compare.
 func exitFingerprint(res *icp.Result) string {
 	var lines []string
-	for p, env := range res.ExitEnv {
-		for v, e := range env {
-			lines = append(lines, p.Name+"."+v.Name+"="+e.String())
+	for i, p := range res.CG.Reachable {
+		if res.Exit == nil {
+			break
+		}
+		for _, v := range append(slices.Clone(p.Params), res.Ctx.Prog.Sem.Globals...) {
+			if e := res.ExitValue(i, v); e.IsConst() {
+				lines = append(lines, p.Name+"."+v.Name+"="+e.String())
+			}
 		}
 	}
 	sort.Strings(lines)

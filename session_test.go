@@ -805,12 +805,12 @@ func TestSessionBuildsSSAOnlyWhereRead(t *testing.T) {
 				if run := passNote(a, "FS", "run"); run != misses {
 					t.Errorf("edit %d: FS row says run=%d for %d SCC runs", i, run, misses)
 				}
-				dead := fsicp.ResultOf(a).Dead
+				res := fsicp.ResultOf(a)
 				liveBuilt, deadBuilt := 0, 0
-				for k, q := range ictx.CG.Reachable {
+				for k := range ictx.CG.Reachable {
 					switch {
 					case before[k] || ictx.SSACache[k] == nil:
-					case dead[q]:
+					case res.Dead(k):
 						deadBuilt++
 					default:
 						liveBuilt++
