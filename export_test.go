@@ -19,20 +19,12 @@ func WithoutDeltaSkip(cfg Config) Config {
 // TrackAllGlobals gives every function of p the dense global domain —
 // every program global in its segment, as before modref installed
 // REF*∪MOD* segments — so tests can compare the sparse domain against
-// it. Each call's ExitSlot row moves with its callee's segment. The
-// SSA built so far is dropped; the next analysis rebuilds it.
+// it. The calls' exit slots move with the segments. The SSA built so
+// far is dropped; the next analysis rebuilds it.
 func TrackAllGlobals(p *Program) {
 	for _, fn := range p.ctx.Prog.Funcs {
 		fn.SetGlobals(p.ctx.Prog.Sem.Globals)
 	}
-	for _, fn := range p.ctx.Prog.Funcs {
-		for _, call := range fn.Calls {
-			for j, k := range call.ExitSlot {
-				if k >= 0 {
-					call.ExitSlot[j] = int32(p.ctx.Prog.FuncOf[call.Callee].FrameSlot(call.MayDef[j]))
-				}
-			}
-		}
-	}
+	p.ctx.MR.FillExitSlots(p.ctx.Prog, p.ctx.CG)
 	p.ctx.InvalidateSSA()
 }

@@ -842,10 +842,13 @@ type CallSiteInfo struct {
 	Reachable bool `json:"reachable"`
 }
 
-// CallSites lists every call site with its constant arguments.
+// CallSites lists every call site of the program with its constant
+// arguments. After a transformation rewrote the program, it lists the
+// sites that remain, with the values this analysis found for them; a
+// site the analysis never saw reads as reachable with no constants.
 func (a *Analysis) CallSites() []CallSiteInfo {
 	var out []CallSiteInfo
-	for _, e := range a.res.CG.Edges {
+	for _, e := range a.prog.ctx.CG.Edges {
 		info := CallSiteInfo{Caller: e.Caller.Name, Callee: e.Callee.Name, Reachable: true}
 		top := false
 		for i := range e.Site.Args {
@@ -863,11 +866,13 @@ func (a *Analysis) CallSites() []CallSiteInfo {
 		// miss zero-arg calls). The portable summary carries it, so a
 		// procedure reused from the incremental cache answers the same
 		// as a freshly analysed one.
+		ae, seen := a.res.Edge(e)
 		switch {
-		case a.res.Dead(int(e.CallerPos)):
+		case !seen: // added after the analysis: nothing is known
+		case a.res.Dead(int(ae.CallerPos)):
 			info.Reachable = false
 		case a.res.Proc != nil:
-			info.Reachable = a.res.Proc[e.CallerPos].Sites[e.Site.SiteIdx].Reachable
+			info.Reachable = a.res.Proc[ae.CallerPos].Sites[ae.SiteIdx].Reachable
 		default:
 			// Flow-insensitive method: no intraprocedural fixpoint; fall
 			// back to the ⊤-argument signal.
@@ -886,7 +891,8 @@ func (a *Analysis) CallSites() []CallSiteInfo {
 func (a *Analysis) AnnotatedListing() string {
 	var b strings.Builder
 	ctx := a.prog.ctx
-	for i, p := range a.res.CG.Reachable {
+	for _, p := range ctx.CG.Reachable {
+		i := a.res.CG.PosOf(p) // -1 for a procedure a later pass added
 		kw := "proc"
 		if p.IsFunc {
 			kw = "func"
@@ -900,7 +906,7 @@ func (a *Analysis) AnnotatedListing() string {
 			fmt.Fprintf(&b, " %s", p.Result)
 		}
 		b.WriteString("\n")
-		if a.res.Dead(i) {
+		if i >= 0 && a.res.Dead(i) {
 			b.WriteString("  # unreachable under this solution\n")
 			continue
 		}
@@ -918,7 +924,7 @@ func (a *Analysis) AnnotatedListing() string {
 		if len(facts) > 0 {
 			fmt.Fprintf(&b, "  # entry constants: %s\n", strings.Join(facts, ", "))
 		}
-		if a.res.Returns != nil && a.res.Returns[i].IsConst() {
+		if i >= 0 && a.res.Returns != nil && a.res.Returns[i].IsConst() {
 			fmt.Fprintf(&b, "  # returns %s\n", a.res.Returns[i].Val().String())
 		}
 	}

@@ -350,6 +350,90 @@ proc deadleaf() {
 	}
 }
 
+// TestFacadeReadsAfterOptimize reads an analysis after passes that
+// rewrite its program: fold deletes a dead call and renumbers the
+// caller's remaining sites, and RemoveDeadProcedures renumbers the
+// procedures after the one it deletes. Every read must still answer
+// for the remaining sites exactly as the analysis of the same program
+// without the dead branch does, and Clone must group the sites by
+// their own values.
+func TestFacadeReadsAfterOptimize(t *testing.T) {
+	const body = `
+  call b()
+  v = r()
+  call c(v)
+  call k(64, 1)
+  call k(64, 2)
+}
+proc a(x int) {
+  print x
+}
+proc b() {
+  print 0
+}
+func r() int {
+  return 3
+}
+proc c(y int) {
+  print y
+}
+proc k(size int, mode int) {
+  var area int
+  area = size * size
+  print mode, area
+}`
+	const head = "program p\nproc main() {\n  var v int\n"
+	const deadBranch = "  if 1 > 2 {\n    call a(1)\n  }\n"
+	for _, cfg := range []fsicp.Config{
+		{Method: fsicp.FlowInsensitive},
+		{Method: fsicp.FlowSensitive},
+		{Method: fsicp.FlowSensitive, ReturnConstants: true},
+		{Method: fsicp.FlowSensitive, ReturnConstants: true, ReturnsRefresh: true},
+		{Method: fsicp.FlowSensitiveIterative, ReturnConstants: true},
+	} {
+		t.Run(fmt.Sprintf("%v/returns=%v/refresh=%v", cfg.Method, cfg.ReturnConstants, cfg.ReturnsRefresh), func(t *testing.T) {
+			ref := load(t, head+body)
+			refA := ref.Analyze(cfg)
+			p := load(t, head+deadBranch+body)
+			a := p.Analyze(cfg)
+			check := func(stage string) {
+				t.Helper()
+				if got, want := a.CallSites(), refA.CallSites(); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: CallSites = %v, want %v", stage, got, want)
+				}
+				if got, want := a.CallSiteMetrics(), refA.CallSiteMetrics(); got != want {
+					t.Errorf("%s: CallSiteMetrics = %+v, want %+v", stage, got, want)
+				}
+				if got, want := a.AnnotatedListing(), refA.AnnotatedListing(); got != want {
+					t.Errorf("%s: AnnotatedListing =\n%s\nwant\n%s", stage, got, want)
+				}
+				got, gotOK := a.ReturnConstant("r")
+				want, wantOK := refA.ReturnConstant("r")
+				if got != want || gotOK != wantOK {
+					t.Errorf("%s: ReturnConstant(r) = %q, %v, want %q, %v", stage, got, gotOK, want, wantOK)
+				}
+			}
+			if _, err := a.Optimize(fsicp.OptimizeOptions{Fold: true}); err != nil {
+				t.Fatal(err)
+			}
+			check("after fold")
+			if got := a.RemoveDeadProcedures(); fmt.Sprint(got) != "[a]" {
+				t.Fatalf("RemoveDeadProcedures = %v, want [a]", got)
+			}
+			check("after dead-procedure removal")
+			cloned, retargeted := a.Clone(4)
+			refCloned, refRetargeted := refA.Clone(4)
+			if cloned != refCloned || retargeted != refRetargeted || cloned != 2 {
+				t.Errorf("Clone = %d/%d, want %d/%d (2 clones)", cloned, retargeted, refCloned, refRetargeted)
+			}
+			got, want := names(p.Analyze(cfg).Constants()), names(ref.Analyze(cfg).Constants())
+			if got != want {
+				t.Errorf("constants after Clone = %q, want %q", got, want)
+			}
+		})
+	}
+}
+
 func TestFacadeUse(t *testing.T) {
 	p := load(t, `program p
 global g int = 1

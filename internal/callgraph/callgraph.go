@@ -16,6 +16,7 @@ package callgraph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fsicp/internal/driver"
@@ -24,13 +25,17 @@ import (
 )
 
 // Edge is one call-site edge of the PCG. CallerPos and CalleePos are
-// the endpoints' positions in Graph.Reachable.
+// the endpoints' positions in Graph.Reachable, and SiteIdx is Site's
+// position in the caller's call list when the graph was built, so
+// Out[CallerPos][SiteIdx] is the edge itself. A pass that rewrites the
+// IR renumbers ir.CallInstr.SiteIdx and rebuilds the graph; an edge of
+// the old graph keeps its numbers.
 type Edge struct {
 	Caller *sem.Proc
 	Callee *sem.Proc
 	Site   *ir.CallInstr
 
-	CallerPos, CalleePos int32
+	CallerPos, CalleePos, SiteIdx int32
 }
 
 // Graph is the PCG.
@@ -56,8 +61,6 @@ type Graph struct {
 	// subgraph, in reverse topological order (callees' components
 	// before callers').
 	SCCs [][]*sem.Proc
-	// SCCIndex[p] is the index of p's component in SCCs.
-	SCCIndex map[*sem.Proc]int
 
 	// Forward is the DAG of the forward edges over Reachable
 	// positions, each running from caller to callee: the order of the
@@ -69,11 +72,7 @@ type Graph struct {
 
 // Build constructs the PCG of prog.
 func Build(prog *ir.Program) *Graph {
-	g := &Graph{
-		Prog:     prog,
-		Pos:      make([]int, len(prog.Sem.Procs)),
-		SCCIndex: make(map[*sem.Proc]int),
-	}
+	g := &Graph{Prog: prog, Pos: make([]int, len(prog.Sem.Procs))}
 	for i := range g.Pos {
 		g.Pos[i] = -1
 	}
@@ -107,8 +106,8 @@ func Build(prog *ir.Program) *Graph {
 	g.In = make([][]Edge, len(g.Reachable))
 	var from, to []int32 // the forward edges' endpoints
 	for i, p := range g.Reachable {
-		for _, call := range prog.FuncOf[p].Calls {
-			e := Edge{Caller: p, Callee: call.Callee, Site: call, CallerPos: int32(i), CalleePos: int32(g.Pos[call.Callee.Index])}
+		for k, call := range prog.FuncOf[p].Calls {
+			e := Edge{Caller: p, Callee: call.Callee, Site: call, CallerPos: int32(i), CalleePos: int32(g.Pos[call.Callee.Index]), SiteIdx: int32(k)}
 			g.Edges = append(g.Edges, e)
 			g.Out[i] = append(g.Out[i], e)
 			g.In[e.CalleePos] = append(g.In[e.CalleePos], e)
@@ -123,17 +122,16 @@ func Build(prog *ir.Program) *Graph {
 	return g
 }
 
-// IsReachable reports whether p is reachable from main.
-func (g *Graph) IsReachable(p *sem.Proc) bool { return g.PosOf(p) >= 0 }
-
-// PosOf returns p's position in Reachable, or -1.
+// PosOf returns p's position in Reachable, or -1. Pos is indexed by
+// sem.Proc.Index as the graph was built; a pass that deletes
+// procedures renumbers them, so a miss there falls back to a scan.
 func (g *Graph) PosOf(p *sem.Proc) int {
 	if p.Index < len(g.Pos) {
 		if i := g.Pos[p.Index]; i >= 0 && g.Reachable[i] == p {
 			return i
 		}
 	}
-	return -1
+	return slices.Index(g.Reachable, p)
 }
 
 // IsBackEdge reports whether e is a back edge of the forward topological
@@ -142,28 +140,12 @@ func (g *Graph) IsBackEdge(e Edge) bool {
 	return e.CalleePos <= e.CallerPos
 }
 
-// HasCycles reports whether the reachable PCG contains any cycle
-// (equivalently, any back edge).
+// HasCycles reports whether the reachable PCG contains any cycle:
+// exactly when it has a back edge, since in a reverse post-order only
+// the DFS's back edges run backwards.
 func (g *Graph) HasCycles() bool {
-	for _, scc := range g.SCCs {
-		if len(scc) > 1 {
-			return true
-		}
-	}
-	for _, e := range g.Edges {
-		if e.CallerPos == e.CalleePos {
-			return true
-		}
-	}
-	return false
-}
-
-// OutOf returns p's outgoing edges, none when p is unreachable.
-func (g *Graph) OutOf(p *sem.Proc) []Edge {
-	if i := g.PosOf(p); i >= 0 {
-		return g.Out[i]
-	}
-	return nil
+	back, _ := g.BackEdgeRatio()
+	return back > 0
 }
 
 // BackEdgeRatio returns (#back edges, #edges) — the paper's measure of
@@ -214,9 +196,6 @@ func (g *Graph) tarjan() {
 				if q == p {
 					break
 				}
-			}
-			for _, q := range comp {
-				g.SCCIndex[q] = len(g.SCCs)
 			}
 			g.SCCs = append(g.SCCs, comp)
 		}

@@ -1,9 +1,11 @@
 package callgraph_test
 
 import (
+	"slices"
 	"testing"
 
 	"fsicp/internal/callgraph"
+	"fsicp/internal/sem"
 	"fsicp/internal/testutil"
 )
 
@@ -41,7 +43,7 @@ proc dead() { call c() }`)
 		t.Errorf("ratio: %d/%d", back, total)
 	}
 	dead := g.Prog.Sem.ProcByName["dead"]
-	if g.IsReachable(dead) {
+	if g.PosOf(dead) >= 0 {
 		t.Error("dead should be unreachable")
 	}
 }
@@ -83,10 +85,10 @@ proc odd(n int) {
 	even := g.Prog.Sem.ProcByName["even"]
 	odd := g.Prog.Sem.ProcByName["odd"]
 	main := g.Prog.Sem.ProcByName["main"]
-	if g.SCCIndex[even] != g.SCCIndex[odd] {
+	if sccOf(g, even) != sccOf(g, odd) {
 		t.Error("even and odd must share an SCC")
 	}
-	if g.SCCIndex[main] == g.SCCIndex[even] {
+	if sccOf(g, main) == sccOf(g, even) {
 		t.Error("main must not share the cycle's SCC")
 	}
 	// Exactly one of the two cycle edges is a back edge.
@@ -113,9 +115,19 @@ proc c() {}`)
 	a := g.Prog.Sem.ProcByName["a"]
 	c := g.Prog.Sem.ProcByName["c"]
 	main := g.Prog.Sem.ProcByName["main"]
-	if !(g.SCCIndex[c] < g.SCCIndex[a] && g.SCCIndex[a] < g.SCCIndex[main]) {
-		t.Errorf("SCC order wrong: c=%d a=%d main=%d", g.SCCIndex[c], g.SCCIndex[a], g.SCCIndex[main])
+	if !(sccOf(g, c) < sccOf(g, a) && sccOf(g, a) < sccOf(g, main)) {
+		t.Errorf("SCC order wrong: c=%d a=%d main=%d", sccOf(g, c), sccOf(g, a), sccOf(g, main))
 	}
+}
+
+// sccOf returns the index of p's component in g.SCCs, or -1.
+func sccOf(g *callgraph.Graph, p *sem.Proc) int {
+	for i, comp := range g.SCCs {
+		if slices.Contains(comp, p) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestMultipleCallSitesSameCallee(t *testing.T) {

@@ -255,7 +255,8 @@ type Result struct {
 
 	// CG is the call graph whose positions index this result: Ctx.CG
 	// as the analysis ran. A pass that rewrites the IR rebuilds Ctx.CG
-	// and leaves this one.
+	// and leaves this one; the call-site accessors take an edge of
+	// either graph (see Edge).
 	CG *callgraph.Graph
 
 	// Entry[p] holds the lattice value of each formal of p and each
@@ -393,15 +394,40 @@ func (r *Result) EntryConstant(p *sem.Proc, v *sem.Var) (val.Value, bool) {
 	return val.Value{}, false
 }
 
+// Edge returns the edge of CG for e's call site, found by its
+// instruction: e may come from a call graph a pass rebuilt after the
+// analysis, with other positions and site numbers. False when the
+// analysis never saw the site.
+func (r *Result) Edge(e callgraph.Edge) (callgraph.Edge, bool) {
+	if i := r.CG.PosOf(e.Caller); i >= 0 {
+		out := r.CG.Out[i]
+		if k := int(e.SiteIdx); k < len(out) && out[k].Site == e.Site {
+			return out[k], true
+		}
+		for _, a := range out {
+			if a.Site == e.Site {
+				return a, true
+			}
+		}
+	}
+	return callgraph.Edge{}, false
+}
+
 // ArgVal is the method's value for the i-th actual at e's call site
 // (the call-site constant-candidate metric): the Figure 3
 // classification under the flow-insensitive method, and otherwise the
-// SCC value at the site, ⊤ when the site is unreachable.
+// SCC value at the site, ⊤ when the site is unreachable. e may come
+// from any call graph of the program (see Edge); a site the analysis
+// never saw reads ⊥.
 func (r *Result) ArgVal(e callgraph.Edge, i int) lattice.Elem {
-	if r.sites == nil {
+	e, ok := r.Edge(e)
+	switch {
+	case !ok:
+		return lattice.BottomElem()
+	case r.sites == nil:
 		return r.FI.EdgeArg(e.Site, i)
 	}
-	sv := r.sites[e.CallerPos].Sites[e.Site.SiteIdx]
+	sv := r.sites[e.CallerPos].Sites[e.SiteIdx]
 	if !sv.Reachable {
 		return lattice.TopElem()
 	}
@@ -412,8 +438,13 @@ func (r *Result) ArgVal(e callgraph.Edge, i int) lattice.Elem {
 // site and referenced by the callee (directly or transitively), and its
 // value, in declaration order — the paper's sparse per-call-site global
 // candidate list. Those in the caller's use clause are the paper's VIS
-// subset. An unreachable site or a dead caller has none.
+// subset. An unreachable site, a dead caller and a site the analysis
+// never saw have none.
 func (r *Result) CallGlobals(e callgraph.Edge, f func(g *sem.Var, v val.Value)) {
+	e, ok := r.Edge(e)
+	if !ok {
+		return
+	}
 	globals := r.Ctx.Prog.Sem.Globals
 	if r.sites == nil {
 		for _, gi := range r.Ctx.MR.RefGlobals(e.Callee) {
@@ -424,7 +455,7 @@ func (r *Result) CallGlobals(e callgraph.Edge, f func(g *sem.Var, v val.Value)) 
 		return
 	}
 	sum := r.sites[e.CallerPos]
-	if sv := sum.Sites[e.Site.SiteIdx]; sv.Reachable && !sum.Dead {
+	if sv := sum.Sites[e.SiteIdx]; sv.Reachable && !sum.Dead {
 		for j, gi := range sv.GlobIdx {
 			if gv := r.Opts.filter(sv.GlobVals[j]); gv.IsConst() {
 				f(globals[gi], gv.Val())

@@ -38,8 +38,8 @@ type callerSummary func(e callgraph.Edge) *incr.ProcSummary
 // the flow-insensitive solution fi when fi is set (the one-pass method
 // and the refresh; fi is nil only on an acyclic PCG), and caller
 // otherwise (the iterative method's round-start snapshot). Dead callers
-// and unreachable call sites contribute ⊤. A call instruction's SiteIdx
-// is its index in the caller's summary Sites. main's frame holds the
+// and unreachable call sites contribute ⊤. An edge's SiteIdx is its
+// index in the caller's summary Sites. main's frame holds the
 // block-data constants instead. Returns the frame, residual ⊤s lowered
 // to ⊥ (all ⊥ when no incoming site is executable), whether any
 // incoming site is executable, and how many back edges read fi. Meet is
@@ -79,7 +79,7 @@ func (r *run) entryEnv(i int, caller callerSummary, fi *fiSolution) (frame []lat
 		if sum == nil || sum.Dead {
 			continue
 		}
-		sv := sum.Sites[e.Site.SiteIdx]
+		sv := sum.Sites[e.SiteIdx]
 		if !sv.Reachable {
 			continue
 		}

@@ -270,9 +270,9 @@ type CallInstr struct {
 	// caller's frame this call may modify (by-ref actuals of modified
 	// formals, modified globals, and their aliases).
 	MayDef []*sem.Var
-	// ExitSlot[j], filled with MayDef, is the callee's frame slot
-	// (Func.FrameSlot) of MayDef[j] when that is a global the callee
-	// modifies, and -1 otherwise.
+	// ExitSlot[j] is the callee's frame slot (Func.FrameSlot) of
+	// MayDef[j] when that is a global the callee modifies, and -1
+	// otherwise; modref.Info.FillExitSlots fills it.
 	ExitSlot []int32
 }
 

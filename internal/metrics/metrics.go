@@ -45,7 +45,7 @@ type Entry struct {
 // CallSiteMetrics computes the call-site view of an ICP result.
 func CallSiteMetrics(r *icp.Result) CallSite {
 	var m CallSite
-	for _, e := range r.CG.Edges {
+	for _, e := range r.Ctx.CG.Edges {
 		call := e.Site
 		m.Args += len(call.Args)
 		for i := range call.Args {

@@ -213,7 +213,7 @@ func (b *Builder) Finish() *Info {
 	b.solve()
 	b.fillMayDef()
 	b.installGlobals()
-	b.fillExitSlots()
+	b.info.FillExitSlots(b.prog, b.cg)
 	b.refLists()
 	return b.info
 }
@@ -271,7 +271,7 @@ func (b *Builder) solve() {
 }
 
 func selfCall(cg *callgraph.Graph, p *sem.Proc) bool {
-	for _, e := range cg.OutOf(p) {
+	for _, e := range cg.Out[cg.PosOf(p)] {
 		if e.Callee == p {
 			return true
 		}
@@ -286,7 +286,7 @@ func (b *Builder) gather(p *sem.Proc, pairs [][2]int) bool {
 	r := info.rows(p)
 	gw := info.fbase / 64
 	grew := false
-	for _, e := range b.cg.OutOf(p) {
+	for _, e := range b.cg.Out[b.cg.PosOf(p)] {
 		call, q := e.Site, info.rows(e.Callee)
 		if r.mod[:gw].Or(q.mod[:gw]) {
 			grew = true
@@ -498,23 +498,25 @@ func (b *Builder) fillMayDef() {
 	}
 }
 
-// fillExitSlots fills every reachable call's ir.CallInstr.ExitSlot
+// FillExitSlots fills every reachable call's ir.CallInstr.ExitSlot
 // from one row, indexed by global, per callee: its segment's slots.
 // Only globals the callee modifies are read, and all lie in its
-// segment, so no other callee's entry is read.
-func (b *Builder) fillExitSlots() {
+// segment, so no other callee's entry is read. Finish runs it once the
+// segments are installed; a pass that moves a segment afterwards
+// (ir.Func.SetGlobals) runs it again.
+func (i *Info) FillExitSlots(prog *ir.Program, cg *callgraph.Graph) {
 	n := 0
-	for _, e := range b.cg.Edges {
+	for _, e := range cg.Edges {
 		n += len(e.Site.MayDef)
 	}
 	backing := make([]int32, n)
-	slot := make([]int32, len(b.info.globals))
-	for pos, callee := range b.cg.Reachable {
-		np, mod := len(callee.Params), b.info.rows(callee).mod
-		for k, g := range b.prog.FuncOf[callee].Globals() {
+	slot := make([]int32, len(i.globals))
+	for pos, callee := range cg.Reachable {
+		np, mod := len(callee.Params), i.rows(callee).mod
+		for k, g := range prog.FuncOf[callee].Globals() {
 			slot[g.Index] = int32(np + k)
 		}
-		for _, e := range b.cg.In[pos] {
+		for _, e := range cg.In[pos] {
 			nd := len(e.Site.MayDef)
 			e.Site.ExitSlot, backing = backing[:nd:nd], backing[nd:]
 			for j, v := range e.Site.MayDef {

@@ -116,7 +116,7 @@ func refSegments(prog *ir.Program, cg *callgraph.Graph, info *refInfo) map[*ir.F
 	out := make(map[*ir.Func][]*sem.Var)
 	for _, fn := range prog.Funcs {
 		p := fn.Proc
-		if !cg.IsReachable(p) {
+		if cg.PosOf(p) < 0 {
 			out[fn] = prog.Sem.Globals
 			continue
 		}

@@ -143,36 +143,19 @@ func (k Kind) IsOperator() bool { return operatorBeg < k && k < operatorEnd }
 // IsKeyword reports whether the kind is a keyword.
 func (k Kind) IsKeyword() bool { return keywordBeg < k && k < keywordEnd }
 
-// keywords holds each keyword and its spelling at the keywordSlot of
-// the spelling; init checks that no two keywords share a slot.
-var keywords [64]struct {
-	kind     Kind
-	spelling string
-}
-
-// keywordSlot hashes a non-empty spelling by its first byte, length
-// and last byte.
-func keywordSlot(s string) int {
-	return (int(s[0]) + 8*len(s) + 15*int(s[len(s)-1])) & 63
-}
+var keywords map[string]Kind
 
 func init() {
+	keywords = make(map[string]Kind)
 	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		slot := &keywords[keywordSlot(names[k])]
-		if slot.kind != ILLEGAL {
-			panic("token: keywords " + names[k] + " and " + slot.spelling + " share a slot")
-		}
-		slot.kind, slot.spelling = k, names[k]
+		keywords[names[k]] = k
 	}
 }
 
 // Lookup maps an identifier spelling to its keyword kind, or IDENT.
 func Lookup(ident string) Kind {
-	if ident == "" {
-		return IDENT
-	}
-	if kw := keywords[keywordSlot(ident)]; kw.spelling == ident {
-		return kw.kind
+	if k, ok := keywords[ident]; ok {
+		return k
 	}
 	return IDENT
 }

@@ -124,10 +124,9 @@ echo "== positional results (race) =="
 # the Entry maps: every accessor must answer what the former map form
 # did (FI, FS, FS + returns, FS + returns + refresh and FS-iterative,
 # floats on and off, at 1 and 4 workers, on the sample programs and the
-# 2k corpus), and the facade's reports must not depend on the worker
-# count.
+# 2k corpus). The stage above checks the facade's reports across worker
+# counts under the race detector.
 go test -race -count=3 -run 'TestPositionalResultsMatchMaps' ./internal/icp
-go test -race -count=3 -run 'TestAnalyzeDeterministicAcrossWorkers' .
 
 echo "== optimizer on one SSA per procedure (race) =="
 # The optimizer edits the overlays the analysis built in place and
