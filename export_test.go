@@ -1,6 +1,9 @@
 package fsicp
 
-import "fsicp/internal/icp"
+import (
+	"fsicp/internal/icp"
+	"fsicp/internal/incr"
+)
 
 // ContextOf exposes a program's interprocedural context to the external
 // tests that check IR invariants the facade does not surface.
@@ -27,4 +30,20 @@ func TrackAllGlobals(p *Program) {
 	}
 	p.ctx.MR.FillExitSlots(p.ctx.Prog, p.ctx.CG)
 	p.ctx.InvalidateSSA()
+}
+
+// StaleKeys checks the memoized key of every reachable function of p
+// against a freshly computed incr.ProcFingerprint, once an analysis
+// with an engine has keyed them: it names each function whose memo is
+// missing or differs.
+func StaleKeys(p *Program) []string {
+	var stale []string
+	ctx := p.ctx
+	for _, q := range ctx.CG.Reachable {
+		fn := ctx.Prog.FuncOf[q]
+		if key, _, ok := fn.KeyMemo(); !ok || key != incr.ProcFingerprint(q, fn, ctx.MR.RefGlobals) {
+			stale = append(stale, q.Name)
+		}
+	}
+	return stale
 }

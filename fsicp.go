@@ -376,7 +376,7 @@ func loadCorpus(ctx context.Context, files []corpusFile, opts LoadOptions, sess 
 		Finish: func(st *driver.PassStats) error {
 			if patch != nil {
 				var err error
-				astProg, err = patch.finish(sfiles[0])
+				astProg, err = patch.finish(sfiles[0], fset)
 				st.Procs = len(patch.changed)
 				st.Notes = patch.notes()
 				return err
@@ -696,7 +696,7 @@ func (p *Program) analyze(ctx context.Context, cfg Config, eng *incr.Engine) (a 
 // analyses under equal configurations — the property the daemon's
 // request coalescing and session pool rely on. The computation is one
 // lexer sweep, far cheaper than a load.
-func SourceFingerprint(src string) string { return incr.TokenKey(src) }
+func SourceFingerprint(src string) string { return incr.SweepSource(src).Key }
 
 // FlushCaches marks a run boundary on every persistent cache handle
 // the process has opened (see Config.CacheDir): the generation stamp

@@ -3,10 +3,10 @@ package icp
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
-	"fsicp/internal/ir"
 	"fsicp/internal/lattice"
 	"fsicp/internal/scc"
 	"fsicp/internal/sem"
@@ -34,8 +34,9 @@ type incrState struct {
 }
 
 // beginIncr computes every reachable procedure's key and opens a plan
-// against the engine opts.Incr.
-func beginIncr(ctx *Context, opts Options) *incrState {
+// against the engine opts.Incr. It returns how many keys were hashed
+// rather than kept.
+func beginIncr(ctx *Context, opts Options) (*incrState, int) {
 	cg := ctx.CG
 	n := len(cg.Reachable)
 	st := &incrState{fps: make([]string, n), eng: opts.Incr, stats0: opts.Incr.Stats()}
@@ -44,21 +45,28 @@ func beginIncr(ctx *Context, opts Options) *incrState {
 		ProgramKey: incr.GlobalsFingerprint(ctx.Prog.Sem.Globals),
 		Procs:      make([]incr.ProcInput, n),
 	}
-	// Keys memoise on the Func: within a Session the IR program is
-	// reused wholesale across analyses (and across the per-config
-	// engines), so each program version is hashed at most once. The
-	// key also covers the callees' REF layouts; MOD/REF is recomputed
-	// only after an IR mutation, which resets the memo.
-	driver.Parallel(n, driver.Workers(opts.Workers), func(i int) {
-		p := cg.Reachable[i]
-		st.fps[i] = ctx.Prog.FuncOf[p].Fingerprint(func(fn *ir.Func) string {
-			return incr.ProcFingerprint(p, fn, ctx.MR.RefGlobals)
-		})
-		in.Procs[i] = incr.ProcInput{Name: p.Name, FP: st.fps[i]}
+	// Keys memoise on the Func (incr.ProcKey): within a Session the IR
+	// is reused across analyses, across the per-config engines, and
+	// across the versions a patch takes a function into, so a key is
+	// hashed again only when the function or one of its inputs
+	// outside the lowered IR changed. Workers take runs of positions,
+	// so no two write the same cache lines of fps and in.Procs.
+	var keyed atomic.Int64
+	const run = 64
+	driver.Parallel((n+run-1)/run, driver.Workers(opts.Workers), func(c int) {
+		for i := c * run; i < min(n, (c+1)*run); i++ {
+			p := cg.Reachable[i]
+			fp, kept := incr.ProcKey(p, ctx.Prog.FuncOf[p], ctx.MR.RefGlobals)
+			if !kept {
+				keyed.Add(1)
+			}
+			st.fps[i] = fp
+			in.Procs[i] = incr.ProcInput{Name: p.Name, FP: fp}
+		}
 	})
 	st.inputs = in
 	st.plan = opts.Incr.Begin(in)
-	return st
+	return st, int(keyed.Load())
 }
 
 // storeDelta reports the engine's store activity since beginIncr: this

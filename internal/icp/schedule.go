@@ -1,6 +1,8 @@
 package icp
 
 import (
+	"fmt"
+
 	"fsicp/internal/callgraph"
 	"fsicp/internal/driver"
 	"fsicp/internal/incr"
@@ -160,8 +162,10 @@ func newRun(ctx *Context, opts Options, g *guard, consts map[*sem.Var]val.Value)
 	r := &run{ctx: ctx, opts: opts, g: g, consts: consts}
 	if opts.Incr != nil {
 		opts.Trace.Time("incr-plan", func(st *driver.PassStats) {
-			r.ist = beginIncr(ctx, opts)
+			var keyed int
+			r.ist, keyed = beginIncr(ctx, opts)
 			st.Procs = len(ctx.CG.Reachable)
+			st.Notes = fmt.Sprintf("keyed=%d kept=%d", keyed, st.Procs-keyed)
 		})
 	}
 	return r

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -19,46 +20,41 @@ import (
 	"fsicp/internal/val"
 )
 
-// TokenKey fingerprints the token stream of a source text: kinds and
-// spellings, never positions. Comments and whitespace are invisible to
-// the scanner, so two sources with equal token keys parse to
-// structurally identical programs and a compiled program can be
-// shared between them. Computing it needs only a lexer sweep — far
-// cheaper than parsing and formatting the AST to the same end.
-func TokenKey(src string) string {
-	var errs source.ErrorList
-	l := lexer.NewSweep(&source.File{Content: src}, &errs)
-	w := newFPWriter()
-	for {
-		t := l.Next()
-		if t.Kind == token.EOF {
-			break
-		}
-		w.num(int(t.Kind))
-		if t.Lit != "" {
-			w.str(t.Lit)
-		}
-	}
-	// Scan diagnostics (illegal characters, unterminated strings) are
-	// part of the key: parse outcomes may depend on them.
-	for _, d := range errs.Diags {
-		w.str(d.Message)
-	}
-	return w.sum()
+// Sweep is what one lexer sweep of a source text yields: its token
+// key and its split.
+type Sweep struct {
+	// Key fingerprints the token stream: kinds and spellings, never
+	// positions, then the scan's diagnostics, which parse outcomes may
+	// depend on. Comments and whitespace are invisible to the scanner,
+	// so two sources with equal keys parse to structurally identical
+	// programs and a compiled program can be shared between them.
+	Key string
+	// Split is the source's split when SplitOK.
+	Split   Split
+	SplitOK bool
 }
 
-// Split divides a source's token stream into its skeleton and its
-// procedure bodies. A body is the tokens from a procedure's opening
-// brace to the matching closing brace; the skeleton is every other
-// token: the unit header, each global declaration with its
+// Split divides a source's token stream into its skeleton, its global
+// initializers and its procedure bodies. A body is the tokens from a
+// procedure's opening brace to the matching closing brace; an
+// initializer is the tokens from a global declaration's "=" to the
+// next global, proc or func keyword; the skeleton is every other
+// token: the unit header, each global declaration without its
 // initializer, and each procedure header. Two sources with equal
 // skeletons declare the same globals and procedures in the same order,
-// so a program loaded from one can take the procedures whose bodies
-// did not change from it.
+// so a program loaded from one can take from it the procedures whose
+// bodies did not change, and, when the initializers are unchanged too,
+// the global declarations.
 type Split struct {
 	// Skeleton digests the skeleton's tokens, each body standing in it
 	// as one marker.
 	Skeleton string
+	// Inits digests the initializers' tokens, each global keyword
+	// standing before its declaration's.
+	Inits [sha256.Size]byte
+	// Globals is the byte offset of the first global keyword, or -1
+	// when there is none.
+	Globals int
 	// Procs locates each procedure, in declaration order.
 	Procs []ProcSpan
 }
@@ -75,28 +71,24 @@ type ProcSpan struct {
 	Body [sha256.Size]byte
 }
 
-// SplitSource splits src in one lexer sweep. It reports false, and no
-// split, when the scan reports a diagnostic or the braces outside
-// procedure bodies do not pair up as procedure headers and bodies.
-func SplitSource(src string) (Split, bool) {
+// SweepSource keys and splits src in one lexer sweep. The split fails
+// when the scan reports a diagnostic or the braces outside procedure
+// bodies do not pair up as procedure headers and bodies.
+func SweepSource(src string) Sweep {
 	var errs source.ErrorList
 	f := &source.File{Content: src} // offsets only: no line index
 	l := lexer.NewSweep(f, &errs)
-	skel := newFPWriter()
+	key, skel, inits := newFPWriter(), newFPWriter(), newFPWriter()
+	sp := Split{Globals: -1}
 	var (
-		sp     Split
-		body   *fpWriter
-		depth  int
-		header bool // inside a procedure header
-		ended  bool // the last body closed; its Next is the next token
+		body    *fpWriter
+		depth   int
+		header  bool // inside a procedure header
+		global  bool // inside a global declaration
+		init    bool // inside a global's initializer
+		ended   bool // the last body closed; its Next is the next token
+		splitOK = true
 	)
-	fail := func() (Split, bool) {
-		if body != nil {
-			body.sum()
-		}
-		skel.sum()
-		return Split{}, false
-	}
 	for {
 		t := l.Next()
 		if ended {
@@ -105,6 +97,14 @@ func SplitSource(src string) (Split, bool) {
 		}
 		if t.Kind == token.EOF {
 			break
+		}
+		key.num(int(t.Kind))
+		if t.Lit != "" {
+			key.str(t.Lit)
+		}
+		key.spill()
+		if !splitOK {
+			continue
 		}
 		if depth > 0 {
 			body.token(t)
@@ -120,15 +120,25 @@ func SplitSource(src string) (Split, bool) {
 			continue
 		}
 		switch t.Kind {
+		case token.GLOBAL:
+			if sp.Globals < 0 {
+				sp.Globals = f.Offset(t.Pos)
+			}
+			global, init = true, false
+			inits.token(t)
 		case token.PROC, token.FUNC:
 			if header {
-				return fail()
+				splitOK = false
+				continue
 			}
-			header = true
+			header, global, init = true, false, false
 			sp.Procs = append(sp.Procs, ProcSpan{Start: f.Offset(t.Pos)})
+		case token.ASSIGN:
+			init = init || global
 		case token.LBRACE:
 			if !header {
-				return fail()
+				splitOK = false
+				continue
 			}
 			header, depth = false, 1
 			skel.buf = binary.AppendUvarint(skel.buf, bodyMarker)
@@ -136,15 +146,31 @@ func SplitSource(src string) (Split, bool) {
 			body.token(t)
 			continue
 		case token.RBRACE:
-			return fail()
+			splitOK = false
+			continue
 		}
-		skel.token(t)
+		if init {
+			inits.token(t)
+		} else {
+			skel.token(t)
+		}
 	}
-	if depth > 0 || header || len(errs.Diags) > 0 {
-		return fail()
+	for _, d := range errs.Diags {
+		key.str(d.Message)
+	}
+	sw := Sweep{Key: key.sum()}
+	if body != nil {
+		body.sum()
+	}
+	if !splitOK || depth > 0 || header || len(errs.Diags) > 0 {
+		skel.sum()
+		inits.sum()
+		return sw
 	}
 	sp.Skeleton = skel.sum()
-	return sp, true
+	sp.Inits = inits.digest()
+	sw.Split, sw.SplitOK = sp, true
+	return sw
 }
 
 // ProcFingerprint computes a procedure's key: everything about one
@@ -228,11 +254,111 @@ func ProcFingerprint(p *sem.Proc, fn *ir.Func, ref func(callee *sem.Proc) []int3
 	return w.sum()
 }
 
+// ProcKey returns p's key, ProcFingerprint, through fn's memo: kept
+// reports that the memo was computed from the same lowered IR and, in
+// fn's current annotation, the same inputs element for element: each
+// call's MayDef list and its callee's REF list, the clobber
+// instructions, and the global segment. Everything else the key hashes
+// is the lowered IR, which only a mutation pass changes, and that drops
+// the memo. So the memo stands exactly when ProcFingerprint would hash
+// the same bytes again; the inputs are compared, never inferred.
+func ProcKey(p *sem.Proc, fn *ir.Func, ref func(callee *sem.Proc) []int32) (key string, kept bool) {
+	if key, in, ok := fn.KeyMemo(); ok {
+		w := keyInputs{in: in, check: true}
+		w.walk(fn, ref)
+		if w.same() {
+			return key, true
+		}
+	}
+	scratch := keyInputsPool.Get().(*ir.KeyInputs)
+	w := keyInputs{in: scratch}
+	w.walk(fn, ref)
+	key = ProcFingerprint(p, fn, ref)
+	fn.SetKey(key, ir.KeyInputs{Vars: slices.Clone(scratch.Vars), Nums: slices.Clone(scratch.Nums)})
+	clear(scratch.Vars)
+	scratch.Vars, scratch.Nums = scratch.Vars[:0], scratch.Nums[:0]
+	keyInputsPool.Put(scratch)
+	return key, false
+}
+
+// keyInputsPool recycles ProcKey's scratch encodings.
+var keyInputsPool = sync.Pool{New: func() any { return new(ir.KeyInputs) }}
+
+// keyInputs walks the inputs of a function's key outside its lowered
+// IR in one order: the instruction count, the segment, then per call
+// its MayDef list and its callee's REF list, then each clobber with
+// its position. It appends them to in, or, with check set, compares
+// them with in's from the front, without writing.
+type keyInputs struct {
+	in     *ir.KeyInputs
+	check  bool
+	vi, ni int  // the compared prefix of in.Vars and in.Nums
+	differ bool // a compared element differed
+}
+
+func (w *keyInputs) walk(fn *ir.Func, ref func(callee *sem.Proc) []int32) {
+	w.nums(int32(fn.NumInstrs))
+	seg := fn.Globals()
+	w.nums(int32(len(seg)))
+	w.vars(seg)
+	for _, call := range fn.Calls {
+		r := ref(call.Callee)
+		w.nums(int32(len(call.MayDef)), int32(len(r)))
+		w.nums(r...)
+		w.vars(call.MayDef)
+	}
+	// Under an unchanged lowered IR the instruction count differs from
+	// the memo's by the clobbers added or removed, so a memo that
+	// records no clobber holds iff the count is equal: no block needs
+	// a walk.
+	if w.check && !w.differ && w.ni == len(w.in.Nums) {
+		return
+	}
+	for _, b := range fn.Blocks {
+		for k, instr := range b.Instrs {
+			if c, ok := instr.(*ir.ClobberInstr); ok {
+				w.nums(int32(b.Index), int32(k), int32(len(c.Vars)))
+				w.vars(c.Vars)
+			}
+		}
+	}
+}
+
+func (w *keyInputs) vars(vs []*sem.Var) {
+	switch {
+	case !w.check:
+		w.in.Vars = append(w.in.Vars, vs...)
+	case w.differ:
+	case len(w.in.Vars)-w.vi < len(vs) || !slices.Equal(w.in.Vars[w.vi:w.vi+len(vs)], vs):
+		w.differ = true
+	default:
+		w.vi += len(vs)
+	}
+}
+
+func (w *keyInputs) nums(ns ...int32) {
+	switch {
+	case !w.check:
+		w.in.Nums = append(w.in.Nums, ns...)
+	case w.differ:
+	case len(w.in.Nums)-w.ni < len(ns) || !slices.Equal(w.in.Nums[w.ni:w.ni+len(ns)], ns):
+		w.differ = true
+	default:
+		w.ni += len(ns)
+	}
+}
+
+// same reports whether a check walk found in's inputs exactly.
+func (w *keyInputs) same() bool {
+	return !w.differ && w.vi == len(w.in.Vars) && w.ni == len(w.in.Nums)
+}
+
 // fpWriter streams fingerprint material into a hash through one
 // reusable buffer, avoiding a per-field []byte conversion.
 type fpWriter struct {
 	h   hash.Hash
 	buf []byte
+	d   [sha256.Size]byte // digest's output, kept here so it does not escape
 }
 
 // fpPool recycles writers, buffer and hash state alike: a load takes
@@ -281,9 +407,18 @@ func (w *fpWriter) token(t lexer.Token) {
 // token writes a kind; no token kind is as large.
 const bodyMarker = 1 << 20
 
+// num writes n in decimal, NUL-terminated; below 100, as token kinds
+// and most block indices are, without strconv.
 func (w *fpWriter) num(n int) {
-	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
-	w.buf = append(w.buf, 0)
+	switch {
+	case uint(n) < 10:
+		w.buf = append(w.buf, byte('0'+n), 0)
+	case uint(n) < 100:
+		w.buf = append(w.buf, byte('0'+n/10), byte('0'+n%10), 0)
+	default:
+		w.buf = strconv.AppendInt(w.buf, int64(n), 10)
+		w.buf = append(w.buf, 0)
+	}
 }
 
 // vr writes one variable operand. The kind byte separates a compiler
@@ -389,8 +524,8 @@ func (w *fpWriter) sum() string {
 // digest is sum's raw digest.
 func (w *fpWriter) digest() [sha256.Size]byte {
 	w.h.Write(w.buf)
-	var d [sha256.Size]byte
-	w.h.Sum(d[:0])
+	w.h.Sum(w.d[:0])
+	d := w.d
 	fpPool.Put(w)
 	return d
 }

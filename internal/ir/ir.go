@@ -69,25 +69,44 @@ type Func struct {
 	// (0 before the first numbering).
 	NumInstrs int
 
-	// fp caches a content fingerprint of this function (see
-	// Fingerprint). IR is immutable between the end of the load
-	// pipeline — including the clobber-annotation pass — and the first
-	// transformation pass, so a stored value stays valid until a
-	// mutation pass resets it (ResetFingerprint, called for every
-	// function by RebuildCallLists).
-	fp atomic.Pointer[string]
+	// key memoizes the function's key with the inputs it was computed
+	// from (see Key). The lowered IR changes only in a mutation pass,
+	// which drops the memo (ResetKey, called for every function by
+	// RebuildCallLists); a Session's patch keeps the memos of the
+	// functions it reuses.
+	key atomic.Pointer[keyMemo]
 }
 
-// Fingerprint returns the function's cached content fingerprint,
-// computing it with fn on first use. Safe for concurrent callers: the
-// computation is deterministic, so racing stores write equal values.
-func (f *Func) Fingerprint(fn func(*Func) string) string {
-	if p := f.fp.Load(); p != nil {
-		return *p
+// KeyInputs are the inputs of a function's key that lie outside its
+// lowered IR — what the interprocedural passes annotate it with — in
+// the encoding the key's computation chooses: variables and numbers.
+type KeyInputs struct {
+	Vars []*sem.Var
+	Nums []int32
+}
+
+// keyMemo is a memoized key and the inputs it was computed from.
+type keyMemo struct {
+	key string
+	in  KeyInputs
+}
+
+// KeyMemo returns the function's memoized key and the inputs it was
+// computed from, which the caller must not modify; ok is false when
+// there is no memo. The key's owner decides whether the memo still
+// holds, by comparing the inputs with the function's current ones.
+func (f *Func) KeyMemo() (key string, in *KeyInputs, ok bool) {
+	if m := f.key.Load(); m != nil {
+		return m.key, &m.in, true
 	}
-	s := fn(f)
-	f.fp.Store(&s)
-	return s
+	return "", nil, false
+}
+
+// SetKey memoizes key, computed from the function's lowered IR and in,
+// which the memo takes over. Safe for concurrent callers: the
+// computation is deterministic, so racing stores write equal memos.
+func (f *Func) SetKey(key string, in KeyInputs) {
+	f.key.Store(&keyMemo{key: key, in: in})
 }
 
 // Entry returns the entry block.
@@ -570,13 +589,13 @@ func RebuildCFG(fn *Func) int {
 
 // RebuildCallLists refreshes per-function call lists, instruction
 // numbering, and the program's global call-site index after blocks
-// were added or removed. It also drops every function's cached content
-// fingerprint: all mutation passes funnel through here, so this is
-// where incremental sessions learn that rewritten procedures changed.
+// were added or removed. It also drops every function's memoized key:
+// all mutation passes funnel through here, so this is where
+// incremental sessions learn that rewritten procedures changed.
 func RebuildCallLists(prog *Program) {
 	prog.CallSites = prog.CallSites[:0]
 	for _, fn := range prog.Funcs {
-		fn.ResetFingerprint()
+		fn.ResetKey()
 		fn.NumberInstrs()
 		fn.Calls = fn.Calls[:0]
 		for _, b := range fn.Blocks {

@@ -79,9 +79,9 @@ func SetTermUse(t Terminator, k int, v *sem.Var) {
 	panic("ir: SetTermUse: no such operand")
 }
 
-// ResetFingerprint drops the cached content fingerprint so the next
-// Fingerprint call recomputes it from the current IR. Mutation passes
-// must call it (RebuildCallLists does, for every function) — otherwise
-// an incremental session would keep matching the pre-rewrite
-// fingerprint and reuse stale per-procedure analysis results.
-func (f *Func) ResetFingerprint() { f.fp.Store(nil) }
+// ResetKey drops the memoized key so the next Key call computes it
+// from the current IR. Mutation passes must call it (RebuildCallLists
+// does, for every function) — otherwise an incremental session would
+// keep matching the pre-rewrite key and reuse stale per-procedure
+// analysis results.
+func (f *Func) ResetKey() { f.key.Store(nil) }

@@ -110,9 +110,10 @@ func (pb *Builder) BuildProc(k int) {
 // functions it reuses, and only when every procedure lowered: their
 // calls move to the new procedures, the procedures' callee references
 // too (sem.Program.Rebind), and each returns to the form lowering gave
-// it, without the clobbers, MayDef sets and fingerprint the previous
-// version's annotation passes added, so those passes start from the
-// same program a full lowering yields.
+// it, without the clobbers and MayDef sets the previous version's
+// annotation passes added, so those passes start from the same program
+// a full lowering yields. A reused function keeps its memoized key,
+// which ir.Func.Key keeps only if those passes annotate it as before.
 func (pb *Builder) Finish() (*ir.Program, error) {
 	for _, err := range pb.errs {
 		if err != nil {
@@ -147,8 +148,8 @@ func (pb *Builder) Finish() (*ir.Program, error) {
 }
 
 // resetLowered returns a reused function to its lowered form: its
-// calls name the current procedures and carry no MayDef set, its
-// clobbers are gone, and its fingerprint is forgotten.
+// calls name the current procedures and carry no MayDef set, and its
+// clobbers are gone.
 func resetLowered(f *ir.Func, procs []*sem.Proc) {
 	for _, ci := range f.Calls {
 		ci.Callee = procs[ci.Callee.Index]
@@ -171,7 +172,6 @@ func resetLowered(f *ir.Func, procs []*sem.Proc) {
 	if stripped {
 		f.NumberInstrs()
 	}
-	f.ResetFingerprint()
 }
 
 func collectVars(f *ir.Func) {

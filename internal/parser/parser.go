@@ -110,6 +110,23 @@ func ParseProc(f *source.File, resolver source.PosResolver, off int) (*ast.ProcD
 	return d, f.Offset(p.tok.Pos), errs.Err()
 }
 
+// ParseGlobals parses the global declarations that start at byte
+// offset off of f, with the code ParseUnit runs for a unit's, and
+// returns them with the offset of the first token after them (the
+// source length at the end of the file). Positions and diagnostics are
+// resolved as in ParseProc.
+func ParseGlobals(f *source.File, resolver source.PosResolver, off int) ([]*ast.GlobalDecl, int, error) {
+	if resolver == nil {
+		resolver = f
+	}
+	errs := &source.ErrorList{File: resolver}
+	p := &Parser{file: f, lex: lexer.NewAt(f, errs, off), errs: errs}
+	p.tok = p.lex.Next()
+	p.next = p.lex.Next()
+	gs := p.parseGlobals()
+	return gs, f.Offset(p.tok.Pos), errs.Err()
+}
+
 func (p *Parser) advance() {
 	p.tok = p.next
 	p.next = p.lex.Next()
@@ -184,11 +201,7 @@ func (p *Parser) parseUnitBody(prog *ast.Program) *ast.Program {
 	prog.NamePos = name.Pos
 	prog.Name = name.Lit
 
-	for p.tok.Kind == token.GLOBAL {
-		if g := p.parseGlobal(); g != nil {
-			prog.Globals = append(prog.Globals, g)
-		}
-	}
+	prog.Globals = p.parseGlobals()
 	for p.tok.Kind != token.EOF {
 		switch p.tok.Kind {
 		case token.PROC, token.FUNC:
@@ -205,6 +218,17 @@ func (p *Parser) parseUnitBody(prog *ast.Program) *ast.Program {
 		}
 	}
 	return prog
+}
+
+// parseGlobals parses the global declarations that open a unit.
+func (p *Parser) parseGlobals() []*ast.GlobalDecl {
+	var gs []*ast.GlobalDecl
+	for p.tok.Kind == token.GLOBAL {
+		if g := p.parseGlobal(); g != nil {
+			gs = append(gs, g)
+		}
+	}
+	return gs
 }
 
 func (p *Parser) parseGlobal() *ast.GlobalDecl {

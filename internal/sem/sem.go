@@ -192,21 +192,23 @@ func Begin(prog *ast.Program, file source.PosResolver) *Checker {
 	return c
 }
 
-// Patch prepares the check of a new version of cur whose globals and
-// procedure headers equal cur's token for token: prog is the new
-// version's syntax, in which only the procedures at the changed
-// indices have new declarations. The new Program shares cur's globals
-// and unchanged procedures; each changed procedure is declared afresh
-// from its new declaration, so CheckProc fills a procedure cur does not
-// own and cur stays untouched, whatever the check finds. Calls resolve
-// against the new procedure table, but an unchanged procedure's own
-// resolution tables still name the procedures it called in cur until
-// Rebind.
+// Patch prepares the check of a new version of cur whose global
+// declarations, apart from their initializers, and procedure headers
+// equal cur's token for token: prog is the new version's syntax, in
+// which only the procedures at the changed indices have new
+// declarations. The new Program shares cur's globals and unchanged
+// procedures; each changed procedure is declared afresh from its new
+// declaration, so CheckProc fills a procedure cur does not own and cur
+// stays untouched, whatever the check finds. The initializers of
+// prog's global declarations are checked into a fresh GlobalInit, as
+// Begin checks them. Calls resolve against the new procedure table,
+// but an unchanged procedure's own resolution tables still name the
+// procedures it called in cur until Rebind.
 func Patch(cur *Program, prog *ast.Program, changed []int, file source.PosResolver) *Checker {
 	p := &Program{
 		Name:         cur.Name,
 		Globals:      cur.Globals,
-		GlobalInit:   cur.GlobalInit,
+		GlobalInit:   make(map[*Var]val.Value, len(cur.GlobalInit)),
 		Procs:        slices.Clone(cur.Procs),
 		ProcByName:   maps.Clone(cur.ProcByName),
 		AST:          prog,
@@ -217,12 +219,16 @@ func Patch(cur *Program, prog *ast.Program, changed []int, file source.PosResolv
 		p.Procs[i] = q
 		p.ProcByName[q.Name] = q
 	}
-	return &Checker{
+	c := &Checker{
 		errs:  &source.ErrorList{File: file},
 		p:     p,
 		todo:  changed,
 		diags: make([][]source.Diagnostic, len(changed)),
 	}
+	for i, g := range prog.Globals {
+		c.initGlobal(p.Globals[i], g)
+	}
+	return c
 }
 
 // NumProcs returns the number of procedures to check.
@@ -307,14 +313,21 @@ func (c *Checker) collectGlobals(prog *ast.Program) {
 		v := &Var{Name: g.Name, Kind: KindGlobal, Type: g.Type, Index: len(c.p.Globals), Pos: g.KwPos}
 		c.p.globalByName[g.Name] = v
 		c.p.Globals = append(c.p.Globals, v)
-		if g.Init != nil {
-			if cv, ok := c.evalInitLit(g.Init); ok {
-				if cv.Type != g.Type {
-					c.errorf(g.Init.Pos(), "initialiser type %s does not match global %q of type %s", cv.Type, g.Name, g.Type)
-				} else {
-					c.p.GlobalInit[v] = cv
-				}
-			}
+		c.initGlobal(v, g)
+	}
+}
+
+// initGlobal checks g's initializer, if it has one, and records its
+// value as v's initial value.
+func (c *Checker) initGlobal(v *Var, g *ast.GlobalDecl) {
+	if g.Init == nil {
+		return
+	}
+	if cv, ok := c.evalInitLit(g.Init); ok {
+		if cv.Type != g.Type {
+			c.errorf(g.Init.Pos(), "initialiser type %s does not match global %q of type %s", cv.Type, g.Name, g.Type)
+		} else {
+			c.p.GlobalInit[v] = cv
 		}
 	}
 }

@@ -28,8 +28,8 @@ func coalesceKey(kind reqKind, name, fpr string, cfg fsicp.Config) string {
 // leader under their own context and return (nil, true) if the client
 // gives up first — the flight itself always completes. The second
 // result reports whether this request was a follower.
-func (s *Server) doCoalesced(ctx context.Context, kind reqKind, name, src, fpr string, cfg fsicp.Config, shed bool, shedDetail string) (*outcome, bool) {
-	key := coalesceKey(kind, name, fpr, cfg)
+func (s *Server) doCoalesced(ctx context.Context, kind reqKind, name, src string, sw fsicp.SourceSweep, cfg fsicp.Config, shed bool, shedDetail string) (*outcome, bool) {
+	key := coalesceKey(kind, name, sw.Fingerprint(), cfg)
 	s.flightMu.Lock()
 	if f, ok := s.flights[key]; ok {
 		s.flightMu.Unlock()
@@ -50,7 +50,7 @@ func (s *Server) doCoalesced(ctx context.Context, kind reqKind, name, src, fpr s
 		s.flightMu.Unlock()
 		close(f.done)
 	}()
-	f.out = s.lead(kind, name, src, fpr, cfg, shed, shedDetail)
+	f.out = s.lead(kind, name, src, sw, cfg, shed, shedDetail)
 	return f.out, false
 }
 
@@ -58,7 +58,7 @@ func (s *Server) doCoalesced(ctx context.Context, kind reqKind, name, src, fpr s
 // with the panic backstop that turns anything escaping the analysis's
 // own recovery layers into a 500 for this flight alone. It never
 // returns nil, so followers always find a usable outcome.
-func (s *Server) lead(kind reqKind, name, src, fpr string, cfg fsicp.Config, shed bool, shedDetail string) (out *outcome) {
+func (s *Server) lead(kind reqKind, name, src string, sw fsicp.SourceSweep, cfg fsicp.Config, shed bool, shedDetail string) (out *outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.stats.panics.Add(1)
@@ -84,7 +84,7 @@ func (s *Server) lead(kind reqKind, name, src, fpr string, cfg fsicp.Config, she
 	defer s.stats.active.Add(-1)
 
 	start := time.Now()
-	out = s.compute(kind, name, src, fpr, cfg, shed, shedDetail)
+	out = s.compute(kind, name, src, sw, cfg, shed, shedDetail)
 	s.observeLatency(time.Since(start))
 	return out
 }

@@ -56,7 +56,8 @@ func resultKey(cfg fsicp.Config) string {
 // report. cfg is the effective configuration — if shed is set it has
 // already been rewritten by ShedToFI, and the response's Report gains
 // the structured load-shed Degradation record.
-func (s *Server) compute(kind reqKind, name, src, fpr string, cfg fsicp.Config, shed bool, shedDetail string) *outcome {
+func (s *Server) compute(kind reqKind, name, src string, sw fsicp.SourceSweep, cfg fsicp.Config, shed bool, shedDetail string) *outcome {
+	fpr := sw.Fingerprint()
 	e, existed := s.pool.get(name, kind == kindAnalyze)
 	if e == nil {
 		return errOutcome(http.StatusNotFound, fmt.Sprintf("unknown program %q: analyze it first", name))
@@ -79,7 +80,7 @@ func (s *Server) compute(kind reqKind, name, src, fpr string, cfg fsicp.Config, 
 		}
 		e.sess = sess
 	} else if e.sess.SourceKey() != fpr {
-		if _, err := e.sess.UpdateKeyed(src, fpr); err != nil {
+		if _, err := e.sess.UpdateKeyed(src, sw); err != nil {
 			// The session keeps its previous good version; only this
 			// request fails.
 			return errOutcome(http.StatusBadRequest, err.Error())

@@ -165,10 +165,12 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind reqK
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
-	fpr := fsicp.SourceFingerprint(req.Source)
+	// One sweep of the source gives the fingerprint the flight and the
+	// pool key on and the split a pooled session's update patches by.
+	sw := fsicp.SweepSource(req.Source)
 	name := req.Program
 	if name == "" {
-		name = "prog-" + fpr[:12]
+		name = "prog-" + sw.Fingerprint()[:12]
 	}
 
 	// The shed decision is made at arrival, before the request would
@@ -181,7 +183,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind reqK
 		eff = cfg.ShedToFI()
 	}
 
-	out, coalesced := s.doCoalesced(r.Context(), kind, name, req.Source, fpr, eff, shed, detail)
+	out, coalesced := s.doCoalesced(r.Context(), kind, name, req.Source, sw, eff, shed, detail)
 	if out == nil {
 		// The client gave up while waiting on another request's
 		// computation; nothing useful can be written.

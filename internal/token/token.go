@@ -143,19 +143,38 @@ func (k Kind) IsOperator() bool { return operatorBeg < k && k < operatorEnd }
 // IsKeyword reports whether the kind is a keyword.
 func (k Kind) IsKeyword() bool { return keywordBeg < k && k < keywordEnd }
 
-var keywords map[string]Kind
+// keywords is a 64-slot table of the keywords, placed by kwSlot. No
+// two keywords share a slot (init checks it), so a spelling is a
+// keyword iff it equals the one keyword in its slot: Lookup costs a
+// slot computation and one string compare instead of a map probe.
+var keywords [64]struct {
+	spelling string
+	kind     Kind
+}
+
+// kwSlot places a spelling of at least one byte by its first and last
+// bytes and its length.
+func kwSlot(s string) int {
+	return int(uint(s[0])*5+uint(s[len(s)-1])*25+uint(len(s))) & 63
+}
 
 func init() {
-	keywords = make(map[string]Kind)
 	for k := keywordBeg + 1; k < keywordEnd; k++ {
-		keywords[names[k]] = k
+		e := &keywords[kwSlot(names[k])]
+		if e.spelling != "" {
+			panic("token: keywords " + e.spelling + " and " + names[k] + " share a slot")
+		}
+		e.spelling, e.kind = names[k], k
 	}
 }
 
 // Lookup maps an identifier spelling to its keyword kind, or IDENT.
 func Lookup(ident string) Kind {
-	if k, ok := keywords[ident]; ok {
-		return k
+	if ident == "" {
+		return IDENT
+	}
+	if e := &keywords[kwSlot(ident)]; e.spelling == ident {
+		return e.kind
 	}
 	return IDENT
 }

@@ -1,6 +1,9 @@
 package token
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestLookup(t *testing.T) {
 	cases := map[string]Kind{
@@ -10,6 +13,45 @@ func TestLookup(t *testing.T) {
 	for s, want := range cases {
 		if got := Lookup(s); got != want {
 			t.Errorf("Lookup(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
+
+// TestLookupKeywordTable: every keyword maps to its kind, and no near
+// miss of one does: its proper prefixes, a one-letter extension, the
+// wrong case, and every spelling of the same length with the same
+// first and last bytes (which land in the keyword's slot), such as
+// "pxoc" for "proc".
+func TestLookupKeywordTable(t *testing.T) {
+	keyword := map[string]bool{}
+	for k := keywordBeg + 1; k < keywordEnd; k++ {
+		keyword[k.String()] = true
+		if got := Lookup(k.String()); got != k {
+			t.Errorf("Lookup(%q) = %v, want %v", k.String(), got, k)
+		}
+	}
+	miss := func(s string) {
+		t.Helper()
+		if got := Lookup(s); !keyword[s] && got != IDENT {
+			t.Errorf("Lookup(%q) = %v, want IDENT", s, got)
+		}
+	}
+	miss("")
+	for kw := range keyword {
+		for n := 1; n < len(kw); n++ {
+			miss(kw[:n])
+		}
+		miss(kw + "x")
+		miss(kw + "_")
+		miss(strings.ToUpper(kw))
+		miss(strings.ToUpper(kw[:1]) + kw[1:])
+		miss(kw[:len(kw)-1] + strings.ToUpper(kw[len(kw)-1:]))
+		for i := 1; i < len(kw)-1; i++ {
+			for c := byte('0'); c <= 'z'; c++ {
+				b := []byte(kw)
+				b[i] = c
+				miss(string(b))
+			}
 		}
 	}
 }

@@ -366,26 +366,25 @@ func TestOptimizeUnknownPassErrors(t *testing.T) {
 	}
 }
 
-// TestOptimizeInvalidatesFingerprints checks that rewriting resets the
-// per-function fingerprint cache, so incremental reuse cannot match a
+// TestOptimizeInvalidatesFingerprints checks that rewriting drops the
+// per-function key memo, so incremental reuse cannot match a
 // pre-rewrite function body against its post-rewrite self.
 func TestOptimizeInvalidatesFingerprints(t *testing.T) {
 	ctx := prep(t, figure1)
 	r := icp.Analyze(ctx, icp.Options{Method: icp.FlowSensitive, PropagateFloats: true})
 	sub2 := ctx.Prog.Sem.ProcByName["sub2"]
 	fn := ctx.Prog.FuncOf[sub2]
-	dumpFP := func(f *ir.Func) string { return f.Dump() }
-	before := fn.Fingerprint(dumpFP)
+	before := fn.Dump()
+	fn.SetKey(before, ir.KeyInputs{})
 
 	if _, err := transform.Optimize(ctx, envOf(r), transform.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	after := fn.Fingerprint(dumpFP)
-	if before == after {
-		t.Error("fingerprint unchanged across a rewriting optimization")
+	if fn.Dump() == before {
+		t.Fatal("the optimization did not rewrite sub2")
 	}
-	if after != fn.Dump() {
-		t.Error("fingerprint is stale: does not match the rewritten body")
+	if key, _, ok := fn.KeyMemo(); ok {
+		t.Errorf("the key memoized before a rewriting optimization survived it: %q", key)
 	}
 }
 

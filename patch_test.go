@@ -14,11 +14,14 @@ import (
 
 // patchBase is the version every TestSessionPatchPath row edits: a
 // call chain main → m → a, a by-reference global actual (b), a call
-// whose two actuals differ (c), a procedure nothing calls (d), and a
-// function whose result is e's argument (f).
+// whose two actuals differ (c), a procedure nothing calls (d), a
+// function whose result is e's argument (f), and a procedure that
+// reads a bool global and a real global without an initializer (w).
 const patchBase = `program patch
 global g int = 1
 global h int = 2
+global t bool = false
+global u real
 proc main() {
   use g
   var x int = 3
@@ -27,6 +30,7 @@ proc main() {
   call b(g)
   call c(x, y)
   call e(f(3))
+  call w()
   print x + y
 }
 proc m(p int) {
@@ -51,6 +55,12 @@ proc e(v int) {
 }
 func f(k int) int {
   return k * 2
+}
+proc w() {
+  use t, u
+  if t {
+    print u
+  }
 }
 `
 
@@ -121,6 +131,9 @@ func checkMatchesCold(t *testing.T, sess *fsicp.Session, src, step string) {
 			t.Fatalf("%s, %v returns=%v: report differs from a cold load\n%s\nwant\n%s", step, cfg.Method, cfg.ReturnConstants, got, want)
 		}
 	}
+	if stale := fsicp.StaleKeys(sess.Program()); len(stale) > 0 {
+		t.Fatalf("%s: memoized keys differ from fresh ones: %v", step, stale)
+	}
 	for _, kind := range []fsicp.JumpFunctionKind{fsicp.Literal, fsicp.IntraConstant, fsicp.PassThrough, fsicp.Polynomial} {
 		for _, rets := range []bool{false, true} {
 			jf := func(p *fsicp.Program) string {
@@ -137,16 +150,37 @@ func checkMatchesCold(t *testing.T, sess *fsicp.Session, src, step string) {
 	}
 }
 
-// patchRows are the version pairs of TestSessionPatchPath, each an
-// edit of patchBase; FuzzSessionUpdate seeds its corpus with them.
-var patchRows = []struct {
+// patchRow is one version pair of TestSessionPatchPath: an edit of
+// patchBase.
+type patchRow struct {
 	name     string
 	old, new string
 	path     string // path of the update from patchBase, and back
 	built    int
-	irHas    string // in the edited version's IR, not in the base's
-	errPass  string // the failing pass of an invalid edit
-}{
+	irHas    string    // in the edited version's IR, not in the base's
+	errPass  string    // the failing pass of an invalid edit
+	also     [2]string // a second replacement in the same edit, when set
+}
+
+// edited returns patchBase with the row's replacements made once each,
+// or "" when patchBase lacks one of them.
+func (row patchRow) edited() string {
+	src := patchBase
+	for _, r := range [][2]string{{row.old, row.new}, row.also} {
+		if r[0] == "" {
+			continue
+		}
+		if !strings.Contains(src, r[0]) {
+			return ""
+		}
+		src = strings.Replace(src, r[0], r[1], 1)
+	}
+	return src
+}
+
+// patchRows are the version pairs of TestSessionPatchPath;
+// FuzzSessionUpdate seeds its corpus with them.
+var patchRows = []patchRow{
 	{name: "body literal", old: "print p + 1", new: "print p + 7", path: "patch", built: 1},
 	{name: "print insertion", old: "print p + 1\n", new: "print p + 1\n  print 42\n", path: "patch", built: 1},
 	{name: "main", old: "var x int = 3", new: "var x int = 6", path: "patch", built: 1},
@@ -157,6 +191,10 @@ var patchRows = []struct {
 	// segments and in the MayDef of their calls.
 	{name: "grows MOD/REF", old: "proc a(p int) {\n  print p + 1", new: "proc a(p int) {\n  use h\n  h = p\n  print p + 1", path: "patch", built: 1,
 		irHas: "call a(m.p) [maydef h]"},
+	// e's REF gains g, which main's segment already holds and e does
+	// not modify: only the REF list at main's call of e changes, and
+	// with it main's key.
+	{name: "grows REF", old: "proc e(v int) {\n  print v", new: "proc e(v int) {\n  use g\n  print v + g", path: "patch", built: 1},
 	// c's formals alias: the reused c gains a clobber of s after
 	// r = 5, and loses it on the way back.
 	{name: "alias pair", old: "call c(x, y)", new: "call c(x, x)", path: "patch", built: 1,
@@ -166,7 +204,16 @@ var patchRows = []struct {
 	{name: "function body", old: "return k * 2", new: "return k * 3", path: "patch", built: 1},
 	// A caller and its callee both change.
 	{name: "two bodies", old: "call a(p)\n}\nproc a(p int) {\n  print p + 1", new: "call a(p + 1)\n}\nproc a(p int) {\n  print p + 2", path: "patch", built: 2},
-	{name: "global initializer", old: "global g int = 1", new: "global g int = 5", path: "full"},
+	// An initializer edit parses and checks the global declarations
+	// again and reuses every procedure's front end.
+	{name: "global initializer", old: "global g int = 1", new: "global g int = 5", path: "patch"},
+	{name: "negated initializer", old: "global g int = 1", new: "global g int = -4", path: "patch"},
+	{name: "bool initializer", old: "global t bool = false", new: "global t bool = true", path: "patch"},
+	{name: "initializer and body", old: "global g int = 1\nglobal h int = 2", new: "global g int = 7\nglobal h int = 2",
+		path: "patch", built: 1, also: [2]string{"print p + 1", "print p + 9"}},
+	// A global gaining an initializer changes the initializers alone.
+	{name: "gains an initializer", old: "global u real\n", new: "global u real = 2.5\n", path: "patch"},
+	{name: "initializer type", old: "global g int = 1", new: "global g int = 1.5", errPass: "sem"},
 	{name: "signature", old: "func f(k int) int {\n  return k * 2", new: "func f(n int) int {\n  return n * 2", path: "full"},
 	{name: "parse error", old: "print p + 1", new: "print p +", errPass: "parse"},
 	{name: "sem error", old: "print p + 1", new: "print p + nope", errPass: "sem"},
@@ -179,15 +226,17 @@ var patchRows = []struct {
 // changed procedure is parsed, checked and lowered, while the
 // interprocedural passes run again, so a reused function gains or
 // loses MayDef entries, segment globals and clobbers with the edit.
-// A global initializer or a procedure header is outside the bodies and
-// takes the full load. A body edit with a diagnostic returns exactly
-// the cold error and leaves the session as it was.
+// An initializer edit patches too, with built=0: the global
+// declarations are parsed and checked again and every procedure's
+// front end is reused. A procedure header is part of the skeleton and
+// takes the full load. An edit with a diagnostic returns exactly the
+// cold error and leaves the session as it was.
 func TestSessionPatchPath(t *testing.T) {
 	for _, row := range patchRows {
 		t.Run(row.name, func(t *testing.T) {
-			edited := strings.Replace(patchBase, row.old, row.new, 1)
-			if edited == patchBase {
-				t.Fatalf("patchBase has no %q", row.old)
+			edited := row.edited()
+			if edited == "" || edited == patchBase {
+				t.Fatalf("patchBase has no %q or %q", row.old, row.also[0])
 			}
 			sess, err := fsicp.NewSession("patch.mf", patchBase)
 			if err != nil {
@@ -243,9 +292,10 @@ func TestSessionRetiresEarlierVersions(t *testing.T) {
 	cfg := fsicp.Config{Method: fsicp.FlowSensitive}
 	var earlier []*fsicp.Program
 	for _, src := range []string{
-		patchEdit(t, "print p + 1", "print p + 2"),                 // patch
-		"# comment\n" + patchEdit(t, "print p + 1", "print p + 2"), // whole-version reuse
-		patchEdit(t, "global g int = 1", "global g int = 2"),       // full load
+		patchEdit(t, "print p + 1", "print p + 2"),                                         // patch
+		"# comment\n" + patchEdit(t, "print p + 1", "print p + 2"),                         // whole-version reuse
+		patchEdit(t, "global g int = 1", "global g int = 2"),                               // initializer patch
+		patchEdit(t, "func f(k int) int {\n  return k", "func f(n int) int {\n  return n"), // full load
 	} {
 		earlier = append(earlier, sess.Program())
 		if _, err := sess.Update(src); err != nil {

@@ -84,12 +84,20 @@ go test -race -count=1 -run 'TestUpdateAfterCallRemoval' ./internal/serve
 
 echo "== front-end reuse (race) =="
 # A Session update whose source keeps every token outside procedure
-# bodies parses, checks and lowers only the changed procedures and
-# reuses the rest in place, and sem checks procedures in shards: every
-# session test (the patch path's version pairs, retirement of earlier
-# versions, the heap after 300 updates, the edit replay), the update
-# fuzzer's seeds, and the sharded load at every worker count.
+# bodies and global initializers parses, checks and lowers only the
+# changed procedures (and the global declarations, when an initializer
+# changed) and reuses the rest in place, reused functions keep their
+# keys while their interprocedural inputs compare equal, and sem checks
+# procedures in shards: every session test (the patch path's version
+# pairs, retirement of earlier versions, the heap after 300 updates,
+# the edit replay, each with every kept key checked against a fresh
+# one), the update fuzzer's seeds, and the sharded load at every worker
+# count. One lexer sweep keys and splits a source: it must yield what
+# the two separate reference sweeps did, on the split cases, the sample
+# programs, the parser's fuzz corpus and malformed sources (the sweep
+# fuzzer's seeds).
 go test -race -count=3 -run 'TestSession|FuzzSessionUpdate|TestLoadDeterministicAcrossWorkers' .
+go test -race -count=1 -run 'TestSplitSource|TestSourceSweepMatchesReferences|FuzzSourceSweep' ./internal/incr
 
 echo "== SSA on demand (race) =="
 # icp.Context builds a procedure's SSA the first time a pass reads it,

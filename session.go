@@ -26,21 +26,26 @@ import (
 //
 //   - Per-procedure front-end reuse: an Update whose source has the
 //     current version's skeleton — every token outside procedure
-//     bodies: the program header, each global declaration with its
-//     initializer, and each procedure header, in order — parses,
+//     bodies and global initializers: the program header, each global
+//     declaration, and each procedure header, in order — parses,
 //     checks and lowers only the procedures whose body tokens changed,
-//     takes every other procedure's syntax, checked procedure and IR
-//     from the current version, and runs the interprocedural passes
-//     (call graph, aliases, MOD/REF, clobbers) over the whole program
-//     again. Any other Update is a full Load. Either way the program
-//     is byte-identical to a cold Load of the same source, and a failed
-//     Update changes nothing and reports exactly the cold error.
+//     parses and checks the global declarations again when an
+//     initializer changed, takes every other procedure's syntax,
+//     checked procedure and IR from the current version, and runs the
+//     interprocedural passes (call graph, aliases, MOD/REF, clobbers)
+//     over the whole program again. Any other Update is a full Load.
+//     Either way the program is byte-identical to a cold Load of the
+//     same source, and a failed Update changes nothing and reports
+//     exactly the cold error. One lexer sweep of the source
+//     (SweepSource) yields both the key and the split the patch reads.
 //
 //   - Per-procedure analysis caching (internal/incr.Engine): each
 //     analysis configuration owns an engine whose snapshot and value
 //     cache let the flow-sensitive methods keep a procedure's previous
 //     result whenever its key (code plus callees' REF layouts) and its
-//     entry environment are unchanged. The return-constant traversal
+//     entry environment are unchanged. A reused function keeps its key
+//     without hashing it again while the interprocedural passes
+//     annotate it as before (incr.ProcKey). The return-constant traversal
 //     keeps such a procedure's return value, exit values and summary
 //     too when, in addition, every call site's hooks answer exactly
 //     as before: the callee's return value and the exit values the
@@ -63,12 +68,11 @@ type Session struct {
 	opts     LoadOptions
 	engines  map[Config]*incr.Engine
 	version  int
-	key      string   // token key of the current version's source
-	prog     *Program // the current version
-	// split is the current version's source split, when splitOK; an
-	// Update whose source has the same skeleton patches prog.
-	split   incr.Split
-	splitOK bool
+	// sweep is the current version's source sweep: its token key, and
+	// its split, which an Update with the same skeleton patches prog
+	// by.
+	sweep incr.Sweep
+	prog  *Program // the current version
 }
 
 // NewSession loads the initial version of the program. The error is
@@ -99,19 +103,20 @@ func (s *Session) Version() int { return s.version }
 // it, and its load records repeat the current ones marked Cached. A
 // source with the current version's skeleton patches it: the parse,
 // sem and irbuild rows note built=N reused=M, the procedures front-end
-// work was done for and those taken over. Any other source is loaded
+// work was done for and those taken over (built=0 when only global
+// initializers changed). Any other source is loaded
 // as LoadWith loads it. On error (a parse or semantic diagnostic) the
 // session is untouched, so the error is exactly the one Load reports.
 func (s *Session) Update(src string) (*Program, error) {
-	return s.UpdateKeyed(src, SourceFingerprint(src))
+	return s.UpdateKeyed(src, SweepSource(src))
 }
 
-// UpdateKeyed is Update for a caller that already holds key, which
-// must be SourceFingerprint(src): the source is not lexed a second time
-// to compute it.
-func (s *Session) UpdateKeyed(src, key string) (*Program, error) {
+// UpdateKeyed is Update for a caller that already swept the source:
+// sw must be SweepSource(src), and the source is not lexed again
+// before its parse.
+func (s *Session) UpdateKeyed(src string, sw SourceSweep) (*Program, error) {
 	var next *Program
-	if s.prog != nil && key == s.key {
+	if s.prog != nil && sw.sw.Key == s.sweep.Key {
 		tr := driver.NewTrace()
 		for _, st := range s.prog.trace.Passes() {
 			st.Cached = true
@@ -119,9 +124,9 @@ func (s *Session) UpdateKeyed(src, key string) (*Program, error) {
 		}
 		next = &Program{ctx: s.prog.ctx, trace: tr}
 	} else {
-		sl := &sessionLoad{src: src}
-		if s.splitOK {
-			sl.base, sl.baseSplit = s.prog, s.split
+		sl := &sessionLoad{src: src, sweep: sw.sw}
+		if s.prog != nil && s.sweep.SplitOK {
+			sl.base, sl.baseSplit = s.prog, s.sweep.Split
 		}
 		p, err := sl.load(s.filename, s.opts)
 		if err != nil && sl.patched {
@@ -135,28 +140,37 @@ func (s *Session) UpdateKeyed(src, key string) (*Program, error) {
 			return nil, err
 		}
 		next = p
-		s.split, s.splitOK = sl.split, sl.splitOK
 	}
 	if s.prog != nil {
 		s.prog.retired.Store(true)
 	}
-	s.key, s.prog = key, next
+	s.sweep, s.prog = sw.sw, next
 	s.version++
 	return next, nil
 }
 
-// sessionLoad is a Session's part in the load of a new version: the
-// load splits the source (incr.SplitSource) in its parse pass, and when
-// the split's skeleton equals the current version's it patches that
-// version instead of loading afresh.
+// SourceSweep is one lexer sweep of a source text: its fingerprint,
+// and the split of its token stream into the skeleton, the global
+// initializers and the procedure bodies that a Session's update reads
+// to decide what it reuses. A caller that needs the fingerprint before
+// the update, as the daemon does, sweeps once and hands the sweep to
+// Session.UpdateKeyed.
+type SourceSweep struct{ sw incr.Sweep }
+
+// SweepSource sweeps src once.
+func SweepSource(src string) SourceSweep { return SourceSweep{incr.SweepSource(src)} }
+
+// Fingerprint is SourceFingerprint of the swept source.
+func (sw SourceSweep) Fingerprint() string { return sw.sw.Key }
+
+// sessionLoad is a Session's part in the load of a new version: when
+// the source's split has the current version's skeleton, the load's
+// parse pass patches that version instead of loading afresh.
 type sessionLoad struct {
 	src       string
+	sweep     incr.Sweep
 	base      *Program // the version to patch; nil for a full load
 	baseSplit incr.Split
-
-	split     incr.Split // the source's split, when splitOK
-	splitOK   bool
-	splitDone bool
 	patched   bool // the load patched base
 }
 
@@ -166,23 +180,27 @@ func (sl *sessionLoad) load(filename string, opts LoadOptions) (*Program, error)
 	return loadCorpus(context.Background(), []corpusFile{cf}, opts, sl)
 }
 
-// plan splits the source, once per Update, and returns the patch of
-// base when the skeletons match: the procedures whose bodies changed
-// are parsed from f, the source's file, which holds the source until
-// the patch's parse finishes.
+// plan returns the patch of base when the source's skeleton matches
+// its: the procedures whose bodies changed are parsed from f, the
+// source's file, which holds the source until the patch's parse
+// finishes, and so are the global declarations when an initializer
+// changed.
 func (sl *sessionLoad) plan(f *source.File) *procPatch {
-	if !sl.splitDone {
-		sl.split, sl.splitOK = incr.SplitSource(sl.src)
-		sl.splitDone = true
-	}
-	if !sl.splitOK || sl.base == nil || sl.split.Skeleton != sl.baseSplit.Skeleton {
+	split := sl.sweep.Split
+	if !sl.sweep.SplitOK || sl.base == nil || split.Skeleton != sl.baseSplit.Skeleton {
 		return nil
 	}
 	if err := f.SetContent(sl.src); err != nil {
 		return nil
 	}
-	pp := &procPatch{base: sl.base.ctx.Prog, spans: sl.split.Procs}
-	for i, sp := range sl.split.Procs {
+	pp := &procPatch{base: sl.base.ctx.Prog, spans: split.Procs, inits: split.Inits != sl.baseSplit.Inits}
+	if pp.inits {
+		pp.globals, pp.globalsNext = split.Globals, len(sl.src)
+		if len(split.Procs) > 0 {
+			pp.globalsNext = split.Procs[0].Start
+		}
+	}
+	for i, sp := range split.Procs {
 		if sp.Body != sl.baseSplit.Procs[i].Body {
 			pp.changed = append(pp.changed, i)
 		}
@@ -196,7 +214,9 @@ func (sl *sessionLoad) plan(f *source.File) *procPatch {
 // procPatch is a load that patches a Session's current version: only
 // the procedures at changed get new declarations, checks and
 // functions (sem.Patch, irbuild.Patch), and every other procedure keeps
-// the current version's. The interprocedural passes then run over the
+// the current version's. The global declarations are parsed again when
+// an initializer changed (inits), and their initializers are checked
+// again on every patch. The interprocedural passes then run over the
 // whole program as in any load.
 type procPatch struct {
 	base    *ir.Program
@@ -204,6 +224,12 @@ type procPatch struct {
 	changed []int
 	decls   []*ast.ProcDecl // per changed procedure
 	errs    []error
+
+	// inits marks a patch whose initializers changed: the global
+	// declarations from byte offset globals to globalsNext are parsed
+	// again.
+	inits                bool
+	globals, globalsNext int
 }
 
 // parse parses the k-th changed procedure from f with the parser's
@@ -218,18 +244,31 @@ func (pp *procPatch) parse(k int, f *source.File, fset *source.FileSet) {
 	pp.decls[k], pp.errs[k] = d, err
 }
 
-// finish releases f's contents and returns the new version's syntax:
+// finish parses the global declarations again when an initializer
+// changed, releases f's contents and returns the new version's syntax:
 // the current version's, with the changed procedures' declarations in
-// place of theirs.
-func (pp *procPatch) finish(f *source.File) (*ast.Program, error) {
+// place of theirs, and the new global declarations in place of its
+// when they were parsed. Global declarations that do not end where
+// the first procedure starts are an error like a diagnostic.
+func (pp *procPatch) finish(f *source.File, fset *source.FileSet) (*ast.Program, error) {
+	cur := pp.base.Sem.AST
+	globals := cur.Globals
+	if pp.inits {
+		var next int
+		var err error
+		globals, next, err = parser.ParseGlobals(f, fset, pp.globals)
+		if err == nil && next != pp.globalsNext {
+			err = fmt.Errorf("global declarations at offset %d do not end where the procedures start", pp.globals)
+		}
+		pp.errs = append(pp.errs, err)
+	}
 	f.ReleaseContent()
 	for _, err := range pp.errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	cur := pp.base.Sem.AST
-	prog := &ast.Program{NamePos: cur.NamePos, Name: cur.Name, Globals: cur.Globals, Procs: slices.Clone(cur.Procs)}
+	prog := &ast.Program{NamePos: cur.NamePos, Name: cur.Name, Globals: globals, Procs: slices.Clone(cur.Procs)}
 	for k, i := range pp.changed {
 		prog.Procs[i] = pp.decls[k]
 	}
@@ -246,7 +285,7 @@ func (pp *procPatch) notes() string {
 // the source it was built from. The daemon's session pool compares it
 // against an incoming request's fingerprint to skip Update, and its
 // version bump, when the program is unchanged.
-func (s *Session) SourceKey() string { return s.key }
+func (s *Session) SourceKey() string { return s.sweep.Key }
 
 // Analyze runs the selected ICP method on the current version with
 // the session's incremental engine for that configuration attached:

@@ -94,6 +94,9 @@ func TestSessionDifferentialEditReplay(t *testing.T) {
 					t.Fatalf("edit %d: incremental result diverged from cold run\n--- incremental ---\n%s\n--- cold ---\n%s",
 						i, got, want)
 				}
+				if stale := fsicp.StaleKeys(sess.Program()); cfg.Method != fsicp.FlowInsensitive && len(stale) > 0 {
+					t.Fatalf("edit %d: memoized keys differ from fresh ones: %v", i, stale)
+				}
 				if r, h, _ := inc.Incremental(); r > 0 || h > 0 {
 					reusedEver = true
 				}
@@ -481,10 +484,10 @@ func TestSessionLoadPassReuse(t *testing.T) {
 	}
 }
 
-// TestSessionUpdateKeyedCurrentKey: UpdateKeyed under the current
-// version's key takes Update's cached path, without lexing the source:
-// the new version shares the compiled context, and its load records
-// repeat the current ones marked Cached.
+// TestSessionUpdateKeyedCurrentKey: UpdateKeyed with the sweep of a
+// source whose key is the current version's takes Update's cached
+// path: the new version shares the compiled context, and its load
+// records repeat the current ones marked Cached.
 func TestSessionUpdateKeyedCurrentKey(t *testing.T) {
 	src := "program p\nglobal g int = 3\nproc main() {\n  use g\n  call q(g)\n}\nproc q(x int) {\n  print x\n}\n"
 	sess, err := fsicp.NewSession("t.mf", src)
@@ -492,7 +495,12 @@ func TestSessionUpdateKeyedCurrentKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sess.Program()
-	p, err := sess.UpdateKeyed("# heading\n"+src, sess.SourceKey())
+	next := "# heading\n" + src
+	sw := fsicp.SweepSource(next)
+	if sw.Fingerprint() != sess.SourceKey() {
+		t.Fatal("a comment changed the source's key")
+	}
+	p, err := sess.UpdateKeyed(next, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +521,7 @@ func TestSessionUpdateKeyedCurrentKey(t *testing.T) {
 	}
 }
 
-// TestSessionUpdateKeyedMatchesUpdate: with a new version's key,
+// TestSessionUpdateKeyedMatchesUpdate: with a new version's sweep,
 // UpdateKeyed reports exactly what Update does, version after version.
 func TestSessionUpdateKeyedMatchesUpdate(t *testing.T) {
 	files, _ := progen.GenerateModules(progen.ModuleConfig{Seed: 5, Modules: 2, ProcsPerModule: 12, Globals: 3, SCCSize: 2, AllowFloats: true})
@@ -530,7 +538,7 @@ func TestSessionUpdateKeyedMatchesUpdate(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		next := progen.Edit(src, int64(31*i+7))
 		_, errPlain := plain.Update(next)
-		_, errKeyed := keyed.UpdateKeyed(next, fsicp.SourceFingerprint(next))
+		_, errKeyed := keyed.UpdateKeyed(next, fsicp.SweepSource(next))
 		if (errPlain == nil) != (errKeyed == nil) {
 			t.Fatalf("edit %d: Update error %v, UpdateKeyed error %v", i, errPlain, errKeyed)
 		}
@@ -614,7 +622,7 @@ func FuzzSessionUpdate(f *testing.F) {
 	f.Add(returnChangeV1, returnChangeV2)
 	f.Add(nameClashV1, nameClashV2)
 	for _, row := range patchRows {
-		f.Add(patchBase, strings.Replace(patchBase, row.old, row.new, 1))
+		f.Add(patchBase, row.edited())
 	}
 	cfgs := []fsicp.Config{
 		{Method: fsicp.FlowSensitive, PropagateFloats: true},
@@ -648,6 +656,9 @@ func FuzzSessionUpdate(f *testing.F) {
 					t.Fatalf("step %d, %v: session diverged from cold load:\n%s\nwant:\n%s", i, cfg.Method, got, want)
 				}
 			}
+			if stale := fsicp.StaleKeys(sess.Program()); len(stale) > 0 {
+				t.Fatalf("step %d: memoized keys differ from fresh ones: %v", i, stale)
+			}
 		}
 	})
 }
@@ -674,9 +685,10 @@ func TestSessionSurvivesBadUpdate(t *testing.T) {
 
 // TestSessionSingleProcedureEditReusesOthers pins the headline
 // behaviour on a concrete program: editing one leaf procedure's body
-// changes only that procedure's key, so it alone is re-analysed; every
-// other procedure keeps its key and entry environment, and its
-// previous summary stands.
+// changes only that procedure's key, so it alone is keyed and
+// re-analysed; every other procedure keeps its key and entry
+// environment, and its previous summary stands. A whole-version reuse
+// and an initializer-only edit key no procedure at all.
 func TestSessionSingleProcedureEditReusesOthers(t *testing.T) {
 	src := `program p
 global g int = 2
@@ -714,17 +726,38 @@ proc c(x int) {
 	if reused != 3 {
 		t.Errorf("reused %d procedures, want 3 (all but the edited one)", reused)
 	}
-	want := fingerprint(func() *fsicp.Analysis {
-		cold, err := fsicp.Load("t.mf", strings.Replace(src, "x * 2", "x * 3", 1))
+	if keyed := passNote(a, "incr-plan", "keyed"); keyed != 1 {
+		t.Errorf("body edit: incr-plan keyed=%d, want 1", keyed)
+	}
+	edited := strings.Replace(src, "x * 2", "x * 3", 1)
+	checkCold := func(step, src string, a *fsicp.Analysis) {
+		t.Helper()
+		cold, err := fsicp.Load("t.mf", src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cold.Analyze(cfg)
-	}())
-	if got := fingerprint(a); got != want {
-		t.Fatalf("incremental diverged from cold:\n%s\n--- want ---\n%s", got, want)
+		if got, want := fingerprint(a), fingerprint(cold.Analyze(cfg)); got != want {
+			t.Fatalf("%s: incremental diverged from cold:\n%s\n--- want ---\n%s", step, got, want)
+		}
+		if stale := fsicp.StaleKeys(sess.Program()); len(stale) > 0 {
+			t.Fatalf("%s: memoized keys differ from fresh ones: %v", step, stale)
+		}
 	}
+	checkCold("body edit", edited, a)
 	_ = p2
+	for _, step := range []struct{ name, src string }{
+		{"whole-version reuse", "# note\n" + edited},
+		{"initializer edit", strings.Replace(edited, "global g int = 2", "global g int = 5", 1)},
+	} {
+		if _, err := sess.Update(step.src); err != nil {
+			t.Fatal(err)
+		}
+		a := sess.Analyze(cfg)
+		if keyed := passNote(a, "incr-plan", "keyed"); keyed != 0 {
+			t.Errorf("%s: incr-plan keyed=%d, want 0", step.name, keyed)
+		}
+		checkCold(step.name, step.src, a)
+	}
 }
 
 // program257 is the 257-procedure program the SSA, program-key and
