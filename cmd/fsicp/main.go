@@ -25,9 +25,11 @@
 //	-opt-passes p1,p2 restrict -optimize to a pass subset
 //	         (fold, copyprop, dse, cse, licm); -opt-passes fold applies
 //	         the paper's transformation step alone
-//	-stats   print the per-pass timing table (load + analysis passes),
-//	         with live-heap and GC-cycle notes on the load passes
-//	         and, when -cache-dir is set, a cache hit/miss summary
+//	-stats   print the per-pass timing table (load, analysis and, with
+//	         -optimize, optimizer passes), with live-heap and GC-cycle
+//	         notes on the load passes and, when -cache-dir is set, a
+//	         cache hit/miss summary; with -json it goes to stderr, so
+//	         stdout holds the report alone
 //	-cache-dir d keep a persistent summary cache in directory d: warm
 //	         runs of the same program and configuration reuse on-disk
 //	         procedure summaries instead of re-solving them. The cache
@@ -227,6 +229,9 @@ func main() {
 				fail("%v", err)
 			}
 			os.Stdout.Write(b)
+			if *showStats {
+				printStats(os.Stderr, a)
+			}
 			return
 		}
 		fmt.Printf("%s analysis in %v", cfg.Method, a.Duration())
@@ -266,12 +271,7 @@ func main() {
 			fmt.Print(prog.DumpIR())
 		}
 		if *showStats {
-			fmt.Print(a.StatsTable())
-			if cs := a.CacheStats(); !cs.Empty() {
-				fmt.Printf("cache: mem %d/%d hits, disk %d/%d hits, %d writes, %d evicted, %d corrupt\n",
-					cs.MemHits, cs.MemHits+cs.MemMisses, cs.DiskHits, cs.DiskHits+cs.DiskMisses,
-					cs.DiskWrites, cs.Evictions, cs.Corrupt)
-			}
+			printStats(os.Stdout, a)
 		}
 	} else {
 		a := prog.AnalyzeJumpFunctions(jumpKinds[*method])
@@ -288,6 +288,17 @@ func main() {
 		if r.Err != nil {
 			fail("runtime error: %v", r.Err)
 		}
+	}
+}
+
+// printStats writes the per-pass table and, when a cache was used, its
+// hit/miss summary.
+func printStats(w io.Writer, a *fsicp.Analysis) {
+	fmt.Fprint(w, a.StatsTable())
+	if cs := a.CacheStats(); !cs.Empty() {
+		fmt.Fprintf(w, "cache: mem %d/%d hits, disk %d/%d hits, %d writes, %d evicted, %d corrupt\n",
+			cs.MemHits, cs.MemHits+cs.MemMisses, cs.DiskHits, cs.DiskHits+cs.DiskMisses,
+			cs.DiskWrites, cs.Evictions, cs.Corrupt)
 	}
 }
 

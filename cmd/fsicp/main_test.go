@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	fsicp "fsicp"
@@ -148,6 +149,56 @@ func TestCheckMethod(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("checkMethod(%q, json=%t, optimize=%t, watch=%t) = %q, want %q",
 				tc.method, tc.jsonOut, tc.optimize, tc.watch, got, tc.want)
+		}
+	}
+}
+
+// runMain runs the command in process with args and returns what it
+// wrote to stdout and stderr.
+func runMain(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	args0, flags, out0, err0 := os.Args, flag.CommandLine, os.Stdout, os.Stderr
+	defer func() { os.Args, flag.CommandLine, os.Stdout, os.Stderr = args0, flags, out0, err0 }()
+	var files [2]*os.File
+	for i := range files {
+		f, err := os.Create(filepath.Join(t.TempDir(), "out"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		files[i] = f
+	}
+	os.Args = append([]string{"fsicp"}, args...)
+	flag.CommandLine = flag.NewFlagSet("fsicp", flag.PanicOnError)
+	os.Stdout, os.Stderr = files[0], files[1]
+	main()
+	var got [2]string
+	for i, f := range files {
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = string(b)
+	}
+	return got[0], got[1]
+}
+
+// TestJSONStats: with -json, -stats writes the pass table, optimizer
+// rows included, to stderr, and stdout stays byte-identical to a run
+// without it.
+func TestJSONStats(t *testing.T) {
+	args := []string{"-json", "-returns", "-optimize", "-workers", "1", "../../testdata/programs/constants.mf"}
+	want, quiet := runMain(t, args...)
+	got, stats := runMain(t, append([]string{"-stats"}, args...)...)
+	if got != want || !strings.HasPrefix(got, "{") {
+		t.Errorf("-stats changed stdout:\n%s\nwant\n%s", got, want)
+	}
+	if quiet != "" {
+		t.Errorf("stderr without -stats: %q", quiet)
+	}
+	for _, row := range []string{"parse", "opt-fold", "opt-licm", "opt-finish", "TOTAL"} {
+		if !strings.Contains(stats, row) {
+			t.Errorf("stderr with -stats lacks the %s row:\n%s", row, stats)
 		}
 	}
 }

@@ -8,12 +8,11 @@ import "fsicp/internal/sem"
 // operates on one instruction or terminator; CFG-level mutation stays
 // with RebuildCFG/RebuildCallLists.
 
-// TransferID moves from's dense instruction ID onto to, so a pass that
-// replaces an instruction with a simpler equivalent keeps the
-// function's numbering (and every ID-indexed side table) intact.
-func TransferID(from, to Instr) {
-	to.setInstrID(from.InstrID())
-}
+// SetInstrID gives in the ID id. The SSA overlay's edits set it: a
+// replacement takes its predecessor's ID, and an instruction grafted
+// past the end of the function's numbering the next free one, which
+// leaves the function un-Numbered until the next NumberInstrs.
+func SetInstrID(in Instr, id int) { in.setInstrID(id) }
 
 // SetUse replaces in's k-th variable operand (the k-th entry of
 // in.Uses()) with v. Replacing a CallInstr argument is mechanical here

@@ -203,10 +203,14 @@ func Run(s *ssa.SSA, opts Options) *Result {
 	clear(e.res.Values) // the zero Elem is ⊤
 	// Seed entry definitions: formals and globals from their frame
 	// slots, and undefined locals and temporaries ⊥ (unknown on
-	// use-before-def). A budget abort unwinds through here via panic,
-	// so the scratch is returned in a deferred put.
+	// use-before-def). A slot a grafted const took over holds None. A
+	// budget abort unwinds through here via panic, so the scratch is
+	// returned in a deferred put.
 	defer scratchPool.Put(sc)
 	for vi, d := range s.EntryDefs {
+		if d == ssa.None {
+			continue
+		}
 		v := lattice.BottomElem()
 		if k := s.Fn.OrdSlot(vi); k >= 0 && k < len(opts.Entry) {
 			v = opts.Entry[k]

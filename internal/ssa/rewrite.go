@@ -12,20 +12,24 @@ import (
 // composes on one overlay instead of rebuilding SSA between passes.
 //
 // The contract throughout: an edit leaves the overlay equal to what
-// Build would make of the edited function, up to definition IDs, and
-// the definitions it keeps are reused — their IDs, lattice values, and
-// use lists survive. Every edit works by ID: a rewritten instruction
-// keeps its dense InstrID (ir.TransferID) and takes its predecessor's
-// slot in the instruction table; grafts and deletions renumber the
-// function and remap the ID-indexed tables, the definitions'
-// instruction IDs and blocks, and the instruction use records
-// (RenumberInstrs). A use an edit removes is unlinked from its list in
-// place, and one it adds goes at the end, so every list keeps the order
-// a fresh build would give the uses it shares with it. Only a pass that
-// changes the CFG itself (branch folding) must rebuild.
+// Build would make of the edited function, up to definition and
+// instruction IDs, and the definitions it keeps are reused — their IDs,
+// lattice values, and use lists survive. An instruction ID is a stable
+// handle, as a value ID is in Go's own SSA backend: no edit renumbers.
+// A rewritten instruction keeps its ID (ir.SetInstrID) and takes its
+// predecessor's slot in the instruction table; a grafted one takes the
+// next ID past the end, with its rows at the tail of the instruction
+// tables; a deleted one leaves a tombstone; a hoisted const keeps its
+// ID and only its definition's block changes. The function is
+// renumbered once, after the last pass, when the overlay is dropped.
+// A use an edit removes is unlinked from its list in place, and one it
+// adds goes at the end, so every list keeps the order a fresh build
+// would give the uses it shares with it. Only a pass that changes the
+// CFG itself (branch folding) must rebuild.
 //
-// The two edits that add or remove definitions are exact by SSA's path
-// property: every use sees the last definition on every path to it.
+// The two edits that change which definitions exist are exact by
+// SSA's path property: every use sees the last definition on every
+// path to it.
 //
 //   - A const at the head of the entry block is the last definition of
 //     its variable on every path from entry, so it reaches exactly what
@@ -35,6 +39,8 @@ import (
 //   - A store with no uses, φ arguments included, is never the last
 //     definition on a path to any use or φ, so deleting it moves no φ
 //     and no reaching definition (DeleteStore).
+//
+// HoistConst is exact only up to φs; see there.
 
 // link appends u to d's use list.
 func (s *SSA) link(d int32, u Use) {
@@ -60,6 +66,9 @@ func (s *SSA) unlink(d int32, kind UseKind, site int32) {
 // detach unlinks every operand use of the instruction numbered id and
 // empties its operand row.
 func (s *SSA) detach(id int) {
+	if id+1 >= len(s.useDefs.off) {
+		return // a graft: no operands
+	}
 	row := s.useDefs.row(id)
 	for k, d := range row {
 		if d != None {
@@ -77,7 +86,7 @@ func (s *SSA) RewriteToConst(b *ir.Block, idx int, nc *ir.ConstInstr) {
 	old := b.Instrs[idx]
 	id := old.InstrID()
 	s.detach(id)
-	ir.TransferID(old, nc)
+	ir.SetInstrID(nc, id)
 	s.instrs[id] = nc
 	b.Instrs[idx] = nc
 }
@@ -93,7 +102,7 @@ func (s *SSA) RewriteToCopy(b *ir.Block, idx int, nc *ir.CopyInstr, src int32) {
 		panic("ssa: RewriteToCopy of an instruction without operands")
 	}
 	s.detach(id)
-	ir.TransferID(old, nc)
+	ir.SetInstrID(nc, id)
 	s.instrs[id] = nc
 	row[0] = src
 	s.link(src, Use{Kind: UseInstr, Block: int32(b.Index), Site: int32(id)})
@@ -126,36 +135,56 @@ func (s *SSA) ReplaceTermOperand(b *ir.Block, k int, nd int32) {
 // block, each assigning a distinct tracked variable. Each takes over its
 // variable's entry definition: that Definition becomes the const's, with
 // its ID and uses — every operand, φ argument and call or return
-// snapshot it reached — kept, and a fresh entry definition with no uses
-// replaces it in EntryDefs. The entry block must have no predecessors
-// (the IR builder never branches back to it), so no φ there could
-// shadow a graft.
+// snapshot it reached — kept. Nothing can read the variable's entry
+// value any more, so its EntryDefs slot becomes None; a fresh build
+// would give it an entry definition with no uses. The consts take the
+// instruction IDs past the end, and their rows go at the tail of the
+// instruction tables: the definition taken over, and the empty rows of
+// their operands and call snapshot, which are not stored. The
+// entry block must have no predecessors (the IR builder never branches
+// back to it), so no φ there could shadow a graft.
 func (s *SSA) GraftEntryConsts(consts []*ir.ConstInstr) {
-	if len(consts) == 0 {
+	n := len(consts)
+	if n == 0 {
 		return
 	}
 	eb := s.Fn.Entry()
 	if len(eb.Preds) > 0 {
 		panic("ssa: graft into an entry block with predecessors")
 	}
-	taken := make([]int32, len(consts))
-	instrs := make([]ir.Instr, 0, len(consts)+len(eb.Instrs))
-	s.Defs = slices.Grow(s.Defs, len(consts))
+	s.instrs = grow(s.instrs, n)
+	s.instrDefs.ids = grow(s.instrDefs.ids, n)
+	s.instrDefs.off = grow(s.instrDefs.off, n)
+	eb.Instrs = grow(eb.Instrs, n)[:len(eb.Instrs)+n]
+	copy(eb.Instrs[n:], eb.Instrs)
 	for k, c := range consts {
 		vi := s.ord(c.Dst)
-		taken[k] = s.EntryDefs[vi]
-		s.Defs[taken[k]].Kind = DefInstr
-		s.EntryDefs[vi] = s.newDef(Definition{Var: int32(vi), Block: int32(eb.Index), Site: None, FirstUse: None, Kind: DefEntry})
-		instrs = append(instrs, c)
+		d := s.EntryDefs[vi]
+		s.EntryDefs[vi] = None
+		id := len(s.instrs)
+		ir.SetInstrID(c, id)
+		s.instrs = append(s.instrs, c)
+		s.instrDefs.ids = append(s.instrDefs.ids, d)
+		s.instrDefs.off = append(s.instrDefs.off, int32(len(s.instrDefs.ids)))
+		s.Defs[d].Kind, s.Defs[d].Site = DefInstr, int32(id)
+		eb.Instrs[k] = c
 	}
-	eb.Instrs = append(instrs, eb.Instrs...)
-	s.renumber(taken)
+}
+
+// grow returns s with room for n more elements, moved into an array of
+// exactly that size when it has no room.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // DeleteStore deletes in, a single-definition instruction whose
-// definition has no uses: it unlinks in's operand uses and marks the
-// definition DefDeleted. The instruction leaves its block at the next
-// RenumberInstrs, so a pass deleting many stores renumbers once.
+// definition has no uses: it unlinks in's operand uses and leaves a
+// tombstone, the definition marked DefDeleted with no instruction. The
+// instruction stays in its block until Compact, so a pass deleting
+// many stores compacts each block once; its ID is never reused.
 func (s *SSA) DeleteStore(in ir.Instr) {
 	id := in.InstrID()
 	ds := s.instrDefs.row(id)
@@ -163,78 +192,34 @@ func (s *SSA) DeleteStore(in ir.Instr) {
 		panic("ssa: DeleteStore of an instruction that is not a dead store")
 	}
 	s.detach(id)
-	s.Defs[ds[0]].Kind = DefDeleted
+	s.Defs[ds[0]].Kind, s.Defs[ds[0]].Site = DefDeleted, None
 }
 
-// RenumberInstrs renumbers the function after instructions moved
-// between blocks (LICM) or were deleted (DeleteStore), and remaps the
-// ID-indexed tables from the old IDs in one pass: a deleted instruction
-// leaves its block, and every definition and use record of a kept one
-// takes its new ID and block. The CFG must be unchanged.
-func (s *SSA) RenumberInstrs() { s.renumber(nil) }
-
-// renumber is RenumberInstrs for a function whose entry block may also
-// start with grafted, unnumbered instructions: the k-th of them defines
-// grafted[k].
-func (s *SSA) renumber(grafted []int32) {
-	most := len(s.instrs) + len(grafted)
-	instrs := make([]ir.Instr, 0, most)
-	blockOf := make([]int32, 0, most)
-	moved := make([]int32, len(s.instrs)) // old ID → new ID
-	useDefs := table{make([]int32, 0, len(s.useDefs.ids)), make([]int32, 1, most+1)}
-	instrDefs := table{make([]int32, 0, len(s.instrDefs.ids)+len(grafted)), make([]int32, 1, most+1)}
-	globals := table{make([]int32, 0, len(s.globalsAtCall.ids)), make([]int32, 1, most+1)}
-	for _, b := range s.Fn.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			n := len(instrs)
-			if id, ok := s.numbered(in); !ok {
-				instrDefs.ids = append(instrDefs.ids, grafted[0])
-				grafted = grafted[1:]
-			} else if s.deleted(id) {
-				s.Defs[s.instrDefs.row(id)[0]].Site = None
-				continue
-			} else {
-				moved[id] = int32(n)
-				useDefs.ids = append(useDefs.ids, s.UsesOf(in)...)
-				instrDefs.ids = append(instrDefs.ids, s.instrDefs.row(id)...)
-				globals.ids = append(globals.ids, s.globalsAtCall.row(id)...)
-			}
-			for _, d := range instrDefs.ids[instrDefs.off[n]:] {
-				s.Defs[d].Site, s.Defs[d].Block = int32(n), int32(b.Index)
-			}
-			instrs, blockOf = append(instrs, in), append(blockOf, int32(b.Index))
-			useDefs.off = append(useDefs.off, int32(len(useDefs.ids)))
-			instrDefs.off = append(instrDefs.off, int32(len(instrDefs.ids)))
-			globals.off = append(globals.off, int32(len(globals.ids)))
-			kept = append(kept, in)
-		}
-		clear(b.Instrs[len(kept):])
-		b.Instrs = kept
+// Compact removes the stores DeleteStore deleted from their blocks, in
+// one pass over the reachable blocks.
+func (s *SSA) Compact() {
+	deleted := func(in ir.Instr) bool {
+		ds := s.instrDefs.row(in.InstrID())
+		return len(ds) == 1 && s.Defs[ds[0]].Kind == DefDeleted
 	}
-	// Every instruction use record is linked from some definition.
-	for d := range s.Defs {
-		for u := s.Defs[d].FirstUse; u != None; u = s.Uses[u].Next {
-			if r := &s.Uses[u]; r.Kind == UseInstr {
-				r.Site = moved[r.Site]
-				r.Block = blockOf[r.Site]
-			}
-		}
+	for _, b := range s.Dom.RPO {
+		b.Instrs = slices.DeleteFunc(b.Instrs, deleted)
 	}
-	s.instrs, s.useDefs, s.instrDefs, s.globalsAtCall = instrs, useDefs, instrDefs, globals
-	s.Fn.NumberInstrs()
 }
 
-// numbered returns in's ID when the overlay numbered in, and false for
-// an instruction grafted since.
-func (s *SSA) numbered(in ir.Instr) (int, bool) {
-	id := in.InstrID()
-	return id, id >= 0 && id < len(s.instrs) && s.instrs[id] == in
-}
-
-// deleted reports whether DeleteStore removed the instruction
-// numbered id.
-func (s *SSA) deleted(id int) bool {
-	ds := s.instrDefs.row(id)
-	return len(ds) == 1 && s.Defs[ds[0]].Kind == DefDeleted
+// HoistConst moves c, a const of block from, to the end of block to,
+// which must dominate from. The const keeps its ID; only its
+// definition's block changes, since a const has no operand uses.
+//
+// It is exact only up to the variable's φs, which stay where the old
+// block put them: for LICM's hoists, the last edit of the pipeline.
+// Their variable has no other real definition and its entry value
+// reaches no instruction or terminator use, even through φs, so no φ of
+// it reaches one, here or in a fresh build, and every other use reads
+// the const in both.
+func (s *SSA) HoistConst(c *ir.ConstInstr, from, to *ir.Block) {
+	i := slices.Index(from.Instrs, ir.Instr(c))
+	from.Instrs = slices.Delete(from.Instrs, i, i+1)
+	to.Instrs = append(to.Instrs, c)
+	s.Defs[s.instrDefs.row(c.InstrID())[0]].Block = int32(to.Index)
 }

@@ -163,67 +163,131 @@ func defOfIn(s *ssa.SSA, b *ir.Block, v *sem.Var) int32 {
 	return src
 }
 
-func TestRenumberInstrs(t *testing.T) {
-	p := testutil.MustBuild(t, `program p
+// loopSrc has a while loop whose header and body hold literal temps,
+// consts LICM may hoist, and a local x whose one definition, a const,
+// it must not hoist: x's entry value is printed on the first trip.
+const loopSrc = `program p
 proc main() {
   var i int
   var s int
+  var x int
   i = 0
   s = 0
   while (i < 4) {
+    print x
     s = s + 2
     i = i + 1
+    x = 5
   }
   print s
-}`)
+}`
+
+func TestHoistConst(t *testing.T) {
+	p := testutil.MustBuild(t, loopSrc)
 	f := testutil.FuncByName(t, p, "main")
 	s := ssa.Build(f)
 	mustVerify(t, s, "before")
 
-	// Move the first loop-body instruction into the entry block (an
-	// LICM-shaped motion), then renumber.
-	var from *ir.Block
-	for _, b := range f.Blocks {
-		if b != f.Entry() && len(b.Instrs) > 0 {
-			if _, ok := b.Instrs[0].(*ir.ConstInstr); ok {
-				from = b
-				break
-			}
+	hoists := hoistLoopConsts(s)
+	if len(hoists) == 0 {
+		t.Fatalf("no const to hoist:\n%s", f.Dump())
+	}
+	for _, h := range hoists {
+		d := s.DefsOf(h.c)
+		if h.c.InstrID() != h.id || s.Instr(int32(h.id)) != ir.Instr(h.c) {
+			t.Errorf("%s: ID %d, want %d kept", h.c, h.c.InstrID(), h.id)
+		}
+		if len(d) != 1 || s.Defs[d[0]].Site != int32(h.id) || int(s.Defs[d[0]].Block) != h.to.Index {
+			t.Errorf("%s: definition not moved to %s", h.c, h.to)
+		}
+		if slices.Index(h.to.Instrs, ir.Instr(h.c)) < 0 || slices.Index(h.from.Instrs, ir.Instr(h.c)) >= 0 {
+			t.Errorf("%s: not moved from %s to %s", h.c, h.from, h.to)
 		}
 	}
-	if from == nil {
-		t.Skipf("no const to move:\n%s", f.Dump())
-	}
-	moved := from.Instrs[0]
-	from.Instrs = from.Instrs[1:]
-	f.Entry().Instrs = append(f.Entry().Instrs, moved)
-
-	s.RenumberInstrs()
-	mustVerify(t, s, "after RenumberInstrs")
-
-	// IDs must be dense and block-ordered again.
-	want := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.InstrID() != want {
-				t.Fatalf("instruction %v has id %d, want %d", in, in.InstrID(), want)
-			}
-			want++
-		}
-	}
-	// Dense tables must still resolve the moved instruction, and its
-	// definition must live in its new block.
-	if d := s.DefsOf(moved); len(d) != 1 || s.Instr(s.Defs[d[0]].Site) != moved || int(s.Defs[d[0]].Block) != f.Entry().Index {
-		t.Error("moved instruction lost its definition mapping")
-	}
+	matchBuild(t, "after the hoists", s, hoistedVars(hoists))
 }
 
-// TestInPlaceEditsMatchBuild grafts entry constants and deletes every
-// dead store in place, on every procedure of TestVerifyRandomPrograms's
-// generated programs and of every testdata program, and compares the
-// edited overlay with a fresh Build of the edited function after each
-// step. Definitions are matched by kind, variable, and defining
-// instruction or φ block, since their IDs differ.
+// hoist records one HoistConst move.
+type hoist struct {
+	c        *ir.ConstInstr
+	id       int
+	from, to *ir.Block
+}
+
+// hoistLoopConsts hoists, as LICM does, every const of a loop header or
+// latch that meets LICM's conditions into the header's immediate
+// dominator: its variable is a local or temporary with exactly one real
+// definition, and its entry definition reaches no instruction or
+// terminator use, even through φs.
+func hoistLoopConsts(s *ssa.SSA) []hoist {
+	var out []hoist
+	for _, b := range s.Dom.RPO {
+		for _, h := range b.Succs {
+			pre := s.Dom.Idom(h)
+			if !s.Dom.Dominates(h, b) || pre == nil {
+				continue
+			}
+			for _, from := range []*ir.Block{h, b} {
+				for _, in := range slices.Clone(from.Instrs) {
+					c, ok := in.(*ir.ConstInstr)
+					if !ok || (c.Dst.Kind != sem.KindLocal && c.Dst.Kind != sem.KindTemp) {
+						continue
+					}
+					vi := s.Defs[s.DefsOf(c)[0]].Var
+					if realDefs(s, vi) != 1 || reachesRealUse(s, s.EntryDefs[vi], map[int32]bool{}) {
+						continue
+					}
+					out = append(out, hoist{c, c.InstrID(), from, pre})
+					s.HoistConst(c, from, pre)
+				}
+			}
+		}
+	}
+	return out
+}
+
+func hoistedVars(hs []hoist) map[*sem.Var]bool {
+	vs := make(map[*sem.Var]bool)
+	for _, h := range hs {
+		vs[h.c.Dst] = true
+	}
+	return vs
+}
+
+// realDefs counts the instruction definitions of AllVars[vi].
+func realDefs(s *ssa.SSA, vi int32) int {
+	n := 0
+	for _, d := range s.Defs {
+		if d.Kind == ssa.DefInstr && d.Var == vi {
+			n++
+		}
+	}
+	return n
+}
+
+// reachesRealUse reports whether d flows to an instruction or
+// terminator use, following φ chains.
+func reachesRealUse(s *ssa.SSA, d int32, seen map[int32]bool) bool {
+	if d == ssa.None || seen[d] {
+		return false
+	}
+	seen[d] = true
+	for _, u := range usesOf(s, d) {
+		if u.Kind != ssa.UsePhi || reachesRealUse(s, s.Phis[u.Block][u.Site].Def, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestInPlaceEditsMatchBuild makes every edit the optimizer's passes
+// make, on every procedure of TestVerifyRandomPrograms's generated
+// programs and of every testdata program, with no renumbering between
+// edits, and compares the edited overlay with a fresh Build of the
+// edited function after each step: the graft of entry constants;
+// rewrites to constants and copies and operand replacements; the
+// deletion of every dead store, then compaction; and the hoist of every
+// loop const that meets LICM's conditions.
 func TestInPlaceEditsMatchBuild(t *testing.T) {
 	var names, srcs []string
 	for seed := int64(700); seed < 740; seed++ {
@@ -242,7 +306,9 @@ func TestInPlaceEditsMatchBuild(t *testing.T) {
 		names = append(names, filepath.Base(file))
 		srcs = append(srcs, string(src))
 	}
-	total := 0
+	names = append(names, "loop")
+	srcs = append(srcs, loopSrc)
+	var rewrites, deleted, hoisted int
 	for i, src := range srcs {
 		for _, fn := range testutil.MustPrepare(t, src).Funcs {
 			where := names[i] + ", " + fn.Proc.Name
@@ -257,29 +323,80 @@ func TestInPlaceEditsMatchBuild(t *testing.T) {
 				}
 			}
 			s.GraftEntryConsts(consts)
-			matchBuild(t, where+", after the graft", s)
+			matchBuild(t, where+", after the graft", s, nil)
 
-			deleted := 0
+			n := rewriteAll(s)
+			matchBuild(t, fmt.Sprintf("%s, after %d rewrites", where, n), s, nil)
+			rewrites += n
+
+			n = 0
 			for again := true; again; {
 				again = false
 				for _, b := range s.Dom.RPO {
 					for _, in := range b.Instrs {
 						if isDeadStore(s, in) {
 							s.DeleteStore(in)
-							deleted++
+							n++
 							again = true
 						}
 					}
 				}
 			}
-			s.RenumberInstrs()
-			matchBuild(t, fmt.Sprintf("%s, after %d deletions", where, deleted), s)
-			total += deleted
+			s.Compact()
+			matchBuild(t, fmt.Sprintf("%s, after %d deletions", where, n), s, nil)
+			deleted += n
+
+			hs := hoistLoopConsts(s)
+			matchBuild(t, fmt.Sprintf("%s, after %d hoists", where, len(hs)), s, hoistedVars(hs))
+			hoisted += len(hs)
 		}
 	}
-	if total == 0 {
-		t.Fatal("no dead store was deleted")
+	if rewrites == 0 || deleted == 0 || hoisted == 0 {
+		t.Fatalf("%d rewrites, %d deletions, %d hoists: every edit must run", rewrites, deleted, hoisted)
 	}
+}
+
+// rewriteAll makes the passes' rewrites across s's reachable code, in
+// turn on each copy, unary and binary instruction: a rewrite to a
+// constant, to a copy of its first operand, and, for a binary one, the
+// replacement of its second operand by its first. The operand of each
+// branch or return is replaced by the definition of the block's last
+// defining instruction, which reaches the terminator. It returns the
+// number of edits.
+func rewriteAll(s *ssa.SSA) int {
+	n := 0
+	for _, b := range s.Dom.RPO {
+		for idx, in := range b.Instrs {
+			switch in.(type) {
+			case *ir.CopyInstr, *ir.UnaryInstr, *ir.BinaryInstr:
+			default:
+				continue
+			}
+			uds := s.UsesOf(in)
+			switch n % 4 {
+			case 0:
+				s.RewriteToConst(b, idx, &ir.ConstInstr{Dst: in.Defs()[0], Val: val.Int(1)})
+			case 1:
+				s.RewriteToCopy(b, idx, &ir.CopyInstr{Dst: in.Defs()[0], Src: in.Uses()[0]}, uds[0])
+			case 2:
+				if len(uds) == 2 {
+					s.ReplaceUseOperand(b, in, 1, uds[0])
+				}
+			}
+			n++
+		}
+		if len(s.TermUsesOf(b)) == 0 {
+			continue
+		}
+		for k := len(b.Instrs) - 1; k >= 0; k-- {
+			if ds := s.DefsOf(b.Instrs[k]); len(ds) > 0 {
+				s.ReplaceTermOperand(b, 0, ds[0])
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // isDeadStore reports a pure single-definition instruction whose local
@@ -322,79 +439,164 @@ func keyOf(s *ssa.SSA, d int32) defKey {
 	return k
 }
 
-// matchBuild fails unless s, an edited overlay, equals a fresh Build of
-// its function: the same live definitions with the same use counts,
-// entry definitions, reaching definitions of every operand, terminator
-// operand and φ argument, call snapshots, and every slot of the return
-// snapshots, each row exactly FrameLen long, and a clean Verify.
-func matchBuild(t *testing.T, where string, s *ssa.SSA) {
-	t.Helper()
-	mustVerify(t, s, where)
-	fresh := ssa.Build(s.Fn)
-	fn := s.Fn
-	same := func(what string, got, want int32) {
-		t.Helper()
-		if keyOf(s, got) != keyOf(fresh, want) {
-			t.Fatalf("%s: %s reached by %v, a fresh build by %v", where, what, s.Name(got), fresh.Name(want))
-		}
+func keysOf(s *ssa.SSA, ds []int32) []defKey {
+	out := make([]defKey, len(ds))
+	for i, d := range ds {
+		out[i] = keyOf(s, d)
 	}
+	return out
+}
 
-	uses := make(map[defKey]int)
+// answers is what an overlay says of its function, keyed by
+// instruction, block and variable instead of by ID: a fresh Build
+// renumbers the function's instructions.
+type answers struct {
+	// uses counts each live definition's uses; φ arguments do not
+	// count for a loose variable, and its φs are left out.
+	uses  map[defKey]int
+	dead  []string // the loose variables' φs that reach a real use
+	entry []defKey // per AllVars position; kind 255 for None
+	phis  map[int][]defKey
+	args  map[defKey][]defKey
+	ops   map[ir.Instr][]defKey
+	calls map[ir.Instr][]defKey
+	terms map[int][]defKey
+	rets  map[int][]defKey
+}
+
+// answersOf takes s's answers. The variables of loose may have φs a
+// fresh build would not place, so their φs are not compared, only
+// checked to reach no instruction or terminator use.
+func answersOf(s *ssa.SSA, loose map[*sem.Var]bool) answers {
+	a := answers{
+		uses: make(map[defKey]int), phis: make(map[int][]defKey), args: make(map[defKey][]defKey),
+		ops: make(map[ir.Instr][]defKey), calls: make(map[ir.Instr][]defKey),
+		terms: make(map[int][]defKey), rets: make(map[int][]defKey),
+	}
 	for d := range s.Defs {
-		if s.Defs[d].Kind != ssa.DefDeleted {
-			uses[keyOf(s, int32(d))] = len(usesOf(s, int32(d)))
-		}
-	}
-	for d := range fresh.Defs {
 		d := int32(d)
-		n, ok := uses[keyOf(fresh, d)]
-		if !ok {
-			t.Fatalf("%s: a fresh build defines %v, the edited overlay does not", where, fresh.Name(d))
+		def := s.Defs[d]
+		switch {
+		case def.Kind == ssa.DefDeleted:
+		case loose[s.Var(d)] && def.Kind == ssa.DefPhi:
+			if reachesRealUse(s, d, map[int32]bool{}) {
+				a.dead = append(a.dead, s.Name(d))
+			}
+		case loose[s.Var(d)]:
+			k := keyOf(s, d)
+			a.uses[k] = 0
+			for _, u := range usesOf(s, d) {
+				if u.Kind != ssa.UsePhi {
+					a.uses[k]++
+				}
+			}
+		default:
+			a.uses[keyOf(s, d)] = len(usesOf(s, d))
 		}
-		if want := len(usesOf(fresh, d)); n != want {
-			t.Fatalf("%s: %v has %d uses, %d in a fresh build", where, fresh.Name(d), n, want)
-		}
-		delete(uses, keyOf(fresh, d))
 	}
-	if len(uses) != 0 {
-		t.Fatalf("%s: the edited overlay has %d definitions a fresh build lacks", where, len(uses))
+	for _, d := range s.EntryDefs {
+		a.entry = append(a.entry, keyOf(s, d))
 	}
-	for vi := range fn.AllVars {
-		same("entry of "+fn.AllVars[vi].Name, s.EntryDefs[vi], fresh.EntryDefs[vi])
-	}
-
-	for _, b := range fresh.Dom.RPO {
-		if len(s.Phis[b.Index]) != len(fresh.Phis[b.Index]) {
-			t.Fatalf("%s: %s has %d φs, %d in a fresh build", where, b, len(s.Phis[b.Index]), len(fresh.Phis[b.Index]))
-		}
-		for k := range fresh.Phis[b.Index] {
-			phi, got := &fresh.Phis[b.Index][k], &s.Phis[b.Index][k]
-			same(fmt.Sprintf("φ %d of %s", k, b), got.Def, phi.Def)
-			for a, arg := range fresh.PhiArgs(phi) {
-				same(fmt.Sprintf("argument %d of %v", a, fresh.Name(phi.Def)), s.PhiArgs(got)[a], arg)
+	for _, b := range s.Dom.RPO {
+		for k := range s.Phis[b.Index] {
+			phi := &s.Phis[b.Index][k]
+			if !loose[s.Var(phi.Def)] {
+				a.phis[b.Index] = append(a.phis[b.Index], keyOf(s, phi.Def))
+				a.args[keyOf(s, phi.Def)] = keysOf(s, s.PhiArgs(phi))
 			}
 		}
 		for _, in := range b.Instrs {
-			for k, d := range fresh.UsesOf(in) {
-				same(fmt.Sprintf("operand %d of %s", k, in), s.UsesOf(in)[k], d)
-			}
+			a.ops[in] = keysOf(s, s.UsesOf(in))
 			if call, ok := in.(*ir.CallInstr); ok {
-				for gi, g := range fn.Globals() {
-					same(g.Name+" at "+call.String(), s.GlobalsAtCall(call)[gi], fresh.GlobalsAtCall(call)[gi])
-				}
+				a.calls[in] = keysOf(s, s.GlobalsAtCall(call))
 			}
 		}
-		for k, d := range fresh.TermUsesOf(b) {
-			same(fmt.Sprintf("terminator operand %d of %s", k, b), s.TermUsesOf(b)[k], d)
-		}
+		a.terms[b.Index] = keysOf(s, s.TermUsesOf(b))
 		if _, ok := b.Term.(*ir.Ret); ok {
-			snap := fresh.RetSnapshot(b)
-			if got := len(s.RetSnapshot(b)); got != fn.FrameLen() || len(snap) != fn.FrameLen() {
-				t.Fatalf("%s: the return snapshot of %s has %d slots, a fresh build's %d, the frame %d", where, b, got, len(snap), fn.FrameLen())
+			a.rets[b.Index] = keysOf(s, s.RetSnapshot(b))
+		}
+	}
+	return a
+}
+
+// matchBuild fails unless s, an edited overlay, equals a fresh Build of
+// its function up to definition and instruction IDs: the same live
+// definitions with the same use counts, entry definitions, reaching
+// definitions of every operand, terminator operand and φ argument,
+// call snapshots, and every slot of the return snapshots, each row
+// exactly FrameLen long, and a clean Verify. An entry slot a graft
+// took over must be one a fresh build gives no uses. The variables of
+// loose are compared as answersOf says. The fresh build renumbers the
+// function; matchBuild restores the edited overlay's IDs, so editing
+// can go on.
+func matchBuild(t *testing.T, where string, s *ssa.SSA, loose map[*sem.Var]bool) {
+	t.Helper()
+	mustVerify(t, s, where)
+	got := answersOf(s, loose)
+	fn := s.Fn
+	var instrs []ir.Instr
+	for _, b := range fn.Blocks {
+		instrs = append(instrs, b.Instrs...)
+	}
+	ids := make([]int, len(instrs))
+	for i, in := range instrs {
+		ids[i] = in.InstrID()
+	}
+	numbered := fn.NumInstrs
+	fresh := ssa.Build(fn)
+	want := answersOf(fresh, loose)
+	for i, in := range instrs {
+		ir.SetInstrID(in, ids[i])
+	}
+	fn.NumInstrs = numbered
+
+	for vi, k := range got.entry {
+		if k.kind == 255 {
+			if n := want.uses[want.entry[vi]]; n != 0 {
+				t.Fatalf("%s: the graft took over the entry of %s, which has %d uses in a fresh build", where, fn.AllVars[vi].Name, n)
 			}
-			for k, d := range snap {
-				same(fn.FrameVar(k).Name+" at the return of "+b.String(), s.RetSnapshot(b)[k], d)
+			delete(want.uses, want.entry[vi])
+		} else if k != want.entry[vi] {
+			t.Fatalf("%s: the entry slot of %s holds %+v, a fresh build's %+v", where, fn.AllVars[vi].Name, k, want.entry[vi])
+		}
+	}
+	if len(got.dead)+len(want.dead) > 0 {
+		t.Fatalf("%s: φs of hoisted variables reach real uses: %v in the edited overlay, %v in a fresh build", where, got.dead, want.dead)
+	}
+	for k, n := range want.uses {
+		m, ok := got.uses[k]
+		if !ok {
+			t.Fatalf("%s: a fresh build defines %+v, the edited overlay does not", where, k)
+		}
+		if m != n {
+			t.Fatalf("%s: %+v has %d uses, %d in a fresh build", where, k, m, n)
+		}
+		delete(got.uses, k)
+	}
+	if len(got.uses) != 0 {
+		t.Fatalf("%s: the edited overlay has %d definitions a fresh build lacks", where, len(got.uses))
+	}
+	same := func(what string, g, w []defKey) {
+		t.Helper()
+		if !slices.Equal(g, w) {
+			t.Fatalf("%s: %s reached by %+v, in a fresh build by %+v", where, what, g, w)
+		}
+	}
+	for _, b := range fresh.Dom.RPO {
+		same("the φs of "+b.String(), got.phis[b.Index], want.phis[b.Index])
+		for _, k := range want.phis[b.Index] {
+			same(fmt.Sprintf("the arguments of φ %+v", k), got.args[k], want.args[k])
+		}
+		for _, in := range b.Instrs {
+			same("the operands of "+in.String(), got.ops[in], want.ops[in])
+			same("the call snapshot of "+in.String(), got.calls[in], want.calls[in])
+		}
+		same("the terminator of "+b.String(), got.terms[b.Index], want.terms[b.Index])
+		if _, ok := b.Term.(*ir.Ret); ok {
+			if len(want.rets[b.Index]) != fn.FrameLen() {
+				t.Fatalf("%s: the return snapshot of %s has %d slots, the frame %d", where, b, len(want.rets[b.Index]), fn.FrameLen())
 			}
+			same("the return snapshot of "+b.String(), got.rets[b.Index], want.rets[b.Index])
 		}
 	}
 }

@@ -52,7 +52,8 @@ const (
 	// DefPhi is a φ-function.
 	DefPhi
 	// DefDeleted is the definition of a store DeleteStore removed. It
-	// keeps its ID but defines nothing and has no uses.
+	// keeps its ID but defines nothing, has no uses and names no
+	// instruction.
 	DefDeleted
 )
 
@@ -61,8 +62,7 @@ const (
 const None = -1
 
 // Definition is one SSA definition of a variable. Its ID is its index
-// in SSA.Defs. An edit that adds definitions may move Defs, so hold
-// IDs, not *Definition, across edits.
+// in SSA.Defs. Edits change definitions in place and never add one.
 type Definition struct {
 	// Var is the variable's position in Fn.AllVars.
 	Var int32
@@ -148,7 +148,8 @@ type SSA struct {
 	// behind unreferenced.
 	Uses []Use
 
-	// EntryDefs[i] is the entry definition of Fn.AllVars[i].
+	// EntryDefs[i] is the entry definition of Fn.AllVars[i], or None
+	// once a grafted const took it over (GraftEntryConsts).
 	EntryDefs []int32
 
 	// Phis[b.Index] lists the φ-functions at the head of block b, in
@@ -156,7 +157,8 @@ type SSA struct {
 	Phis    [][]Phi
 	phiArgs []int32
 
-	// instrs[id] is the instruction numbered id.
+	// instrs[id] is the instruction with ID id: Build's block-order
+	// numbering, then the grafts. No edit renumbers or frees an ID.
 	instrs []ir.Instr
 
 	// Rows per instruction ID: useDefs holds the reaching definition of
@@ -164,7 +166,8 @@ type SSA struct {
 	// instruction creates (DefsOf), and globalsAtCall, for a call, the
 	// reaching definition of each global of the segment just before it
 	// (GlobalsAtCall). An edit that drops operands fills their slots
-	// with None, which UsesOf trims.
+	// with None, which UsesOf trims. The rows of grafted consts past
+	// the end of useDefs and globalsAtCall are empty and not stored.
 	useDefs, instrDefs, globalsAtCall table
 	// Rows per block index: termUses holds the reaching definitions of
 	// the terminator's operands (TermUsesOf), and retSnaps, for a block
@@ -178,8 +181,9 @@ type SSA struct {
 // Build only reads the function: the IR builder and every mutation
 // pass (via ir.RebuildCallLists) keep instruction numbering current,
 // so concurrent builds over a shared program are safe. The renumbering
-// fallback below fires only for hand-assembled functions that never
-// went through those paths.
+// fallback below fires for hand-assembled functions, and for a function
+// the optimizer (which owns the program) grafted and then rebuilt the
+// CFG of.
 func Build(fn *ir.Func) *SSA {
 	n := fn.NumInstrs
 	if !fn.Numbered() {
@@ -496,7 +500,7 @@ func predIndex(b *ir.Block, pred *ir.Block) int {
 // to in.Uses()), or nil for an instruction outside this overlay.
 func (s *SSA) UsesOf(in ir.Instr) []int32 {
 	id := in.InstrID()
-	if id < 0 || id >= len(s.instrs) {
+	if id < 0 || id+1 >= len(s.useDefs.off) {
 		return nil
 	}
 	row := s.useDefs.row(id)
@@ -538,14 +542,11 @@ func (s *SSA) PhiArgs(p *Phi) []int32 {
 	return s.phiArgs[p.args : int(p.args)+n : int(p.args)+n]
 }
 
-// Instr returns the instruction numbered id.
+// Instr returns the instruction with ID id.
 func (s *SSA) Instr(id int32) ir.Instr { return s.instrs[id] }
 
 // Var returns definition d's variable.
 func (s *SSA) Var(d int32) *sem.Var { return s.Fn.AllVars[s.Defs[d].Var] }
-
-// EntryDef returns the entry definition of v.
-func (s *SSA) EntryDef(v *sem.Var) int32 { return s.EntryDefs[s.Fn.VarOrd(v)] }
 
 // Name renders definition d as variable@ID.
 func (s *SSA) Name(d int32) string {

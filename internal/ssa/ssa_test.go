@@ -72,7 +72,7 @@ proc main() { call f(1, 2.0) }`)
 	f := testutil.FuncByName(t, p, "f")
 	s := ssa.Build(f)
 	for _, v := range f.AllVars {
-		d := s.EntryDef(v)
+		d := s.EntryDefs[f.VarOrd(v)]
 		if s.Defs[d].Kind != ssa.DefEntry || s.Var(d) != v {
 			t.Errorf("bad entry def for %s: %+v", v, s.Defs[d])
 		}
@@ -87,7 +87,7 @@ proc main() { call f(1, 2.0) }`)
 			}
 		}
 	}
-	if got := s.UsesOf(print)[0]; got != s.EntryDef(a) {
+	if got := s.UsesOf(print)[0]; got != s.EntryDefs[f.VarOrd(a)] {
 		t.Errorf("print uses %v, want entry def of a", got)
 	}
 }

@@ -15,8 +15,10 @@ import (
 //     instruction's block (or is in the same block, defined earlier);
 //   - every φ argument's definition dominates the corresponding
 //     predecessor block;
-//   - every definition registered for an instruction matches the
-//     instruction's Defs() list;
+//   - every instruction is the one the overlay holds at its ID, and
+//     every definition registered for it matches its Defs() list;
+//   - every entry slot holds its variable's entry definition, or None
+//     after a graft took it over;
 //   - def-use back edges are consistent (every recorded use points
 //     back to a definition that lists it).
 //
@@ -84,6 +86,10 @@ func (s *SSA) Verify() []string {
 
 	for _, b := range s.Dom.RPO {
 		for _, in := range b.Instrs {
+			if id := in.InstrID(); id < 0 || id >= len(s.instrs) || s.instrs[id] != in {
+				report("%s: ID %d names another instruction", in, id)
+				continue
+			}
 			ids := s.DefsOf(in)
 			defs := in.Defs()
 			if len(defs) != len(ids) {
@@ -142,6 +148,12 @@ func (s *SSA) Verify() []string {
 					}
 				}
 			}
+		}
+	}
+
+	for vi, d := range s.EntryDefs {
+		if d != None && (s.Defs[d].Kind != DefEntry || int(s.Defs[d].Var) != vi) {
+			report("entry slot of %s holds %s", s.Fn.AllVars[vi], s.Name(d))
 		}
 	}
 

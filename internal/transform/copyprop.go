@@ -27,14 +27,15 @@ func (st *optState) copyPropFunc(i int) PassReport {
 	pr := PassReport{Pass: PassCopyProp}
 	s := st.overlay(i)
 	fn := s.Fn
-	nd := defCounts(s)
+	nd := st.defCounts(i)
+	// walked[d] is set once the walk below passes d's instruction: a
+	// definition in the use's own block precedes the use exactly when
+	// set. IDs are handles, not positions (fold grafts past the end).
+	walked := make([]bool, len(s.Defs))
 
-	// step follows one copy link for a use in block b; pos is the use's
-	// instruction ID for same-block ordering (block-order numbering is
-	// current: ssa.Build numbers, fold's rewrites keep IDs and its graft
-	// renumbers), or -1 for a terminator use (which follows every
-	// instruction). It returns ssa.None when there is no link to follow.
-	step := func(d int32, b *ir.Block, pos int) int32 {
+	// step follows one copy link for a use in block b. It returns
+	// ssa.None when there is no link to follow.
+	step := func(d int32, b *ir.Block) int32 {
 		def := s.Defs[d]
 		if def.Kind != ssa.DefInstr {
 			return ssa.None
@@ -55,7 +56,7 @@ func (st *optState) copyPropFunc(i int) PassReport {
 				return ssa.None
 			}
 			if int(sd.Block) == b.Index {
-				if pos >= 0 && int(sd.Site) >= pos {
+				if !walked[src] {
 					return ssa.None
 				}
 				return src
@@ -67,10 +68,10 @@ func (st *optState) copyPropFunc(i int) PassReport {
 		}
 		return ssa.None
 	}
-	follow := func(d int32, b *ir.Block, pos int) (int32, bool) {
+	follow := func(d int32, b *ir.Block) (int32, bool) {
 		moved := false
 		for {
-			next := step(d, b, pos)
+			next := step(d, b)
 			if next == ssa.None {
 				return d, moved
 			}
@@ -81,20 +82,22 @@ func (st *optState) copyPropFunc(i int) PassReport {
 
 	for _, b := range s.Dom.RPO {
 		for _, in := range b.Instrs {
-			if _, isCall := in.(*ir.CallInstr); isCall {
-				continue
-			}
-			uds := s.UsesOf(in)
-			for k := range uds {
-				if nd2, moved := follow(uds[k], b, in.InstrID()); moved {
-					s.ReplaceUseOperand(b, in, k, nd2)
-					pr.CopiesPropagated++
+			if _, isCall := in.(*ir.CallInstr); !isCall {
+				uds := s.UsesOf(in)
+				for k := range uds {
+					if nd2, moved := follow(uds[k], b); moved {
+						s.ReplaceUseOperand(b, in, k, nd2)
+						pr.CopiesPropagated++
+					}
 				}
+			}
+			for _, d := range s.DefsOf(in) {
+				walked[d] = true
 			}
 		}
 		tds := s.TermUsesOf(b)
 		for k := range tds {
-			if nd2, moved := follow(tds[k], b, -1); moved {
+			if nd2, moved := follow(tds[k], b); moved {
 				s.ReplaceTermOperand(b, k, nd2)
 				pr.CopiesPropagated++
 			}

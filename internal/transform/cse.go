@@ -1,8 +1,10 @@
 package transform
 
 import (
-	"strconv"
+	"cmp"
+	"strings"
 
+	"fsicp/internal/ast"
 	"fsicp/internal/ir"
 	"fsicp/internal/ssa"
 	"fsicp/internal/token"
@@ -24,15 +26,15 @@ import (
 func (st *optState) cseFunc(i int) PassReport {
 	pr := PassReport{Pass: PassCSE}
 	s := st.overlay(i)
-	nd := defCounts(s)
+	nd := st.defCounts(i)
 
-	table := make(map[string]int32)
+	table := make(map[exprKey]int32)
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		var added []string
+		var added []exprKey
 		for idx, in := range b.Instrs {
-			key := exprKey(s, in)
-			if key == "" {
+			key, ok := keyOf(s, in)
+			if !ok {
 				continue
 			}
 			if prev, ok := table[key]; ok {
@@ -68,34 +70,52 @@ func commutative(op token.Kind) bool {
 	return false
 }
 
-// exprKey value-numbers a pure expression instruction, or returns ""
-// for instructions CSE does not handle.
-func exprKey(s *ssa.SSA, in ir.Instr) string {
-	switch in := in.(type) {
-	case *ir.UnaryInstr:
-		return "u" + in.Op.String() + ":" + opKey(s, s.UsesOf(in)[0])
-	case *ir.BinaryInstr:
-		uds := s.UsesOf(in)
-		x, y := opKey(s, uds[0]), opKey(s, uds[1])
-		if commutative(in.Op) && y < x {
-			x, y = y, x
-		}
-		return "b" + in.Op.String() + ":" + x + ":" + y
-	}
-	return ""
+// exprKey value-numbers a pure expression: the operator and its
+// operands, a commutative operator's in operand order.
+type exprKey struct {
+	op    token.Kind
+	unary bool
+	x, y  operand
 }
 
-// opKey names one operand definition for value numbering. Definitions
-// produced by a ConstInstr are keyed by the constant's type and value
-// rather than the definition ID: the front end materialises every
-// literal into its own temp, so `b + 1` twice yields two distinct
-// `const 1` temps whose IDs would never match, while their runtime
-// values provably do.
-func opKey(s *ssa.SSA, d int32) string {
+// operand names one operand definition: its ID, or, with def None, the
+// type and printed value of the constant a ConstInstr defines it as.
+// The front end materialises every literal into its own temp, so
+// `b + 1` twice yields two distinct `const 1` temps whose IDs would
+// never match, while their runtime values provably do. -0.0 and 0.0
+// print differently.
+type operand struct {
+	def int32
+	typ ast.Type
+	val string
+}
+
+func (o operand) less(p operand) bool {
+	return cmp.Or(cmp.Compare(o.def, p.def), cmp.Compare(o.typ, p.typ), strings.Compare(o.val, p.val)) < 0
+}
+
+// keyOf value-numbers a pure expression instruction, and reports false
+// for instructions CSE does not handle.
+func keyOf(s *ssa.SSA, in ir.Instr) (exprKey, bool) {
+	switch in := in.(type) {
+	case *ir.UnaryInstr:
+		return exprKey{op: in.Op, unary: true, x: operandOf(s, s.UsesOf(in)[0])}, true
+	case *ir.BinaryInstr:
+		uds := s.UsesOf(in)
+		x, y := operandOf(s, uds[0]), operandOf(s, uds[1])
+		if commutative(in.Op) && y.less(x) {
+			x, y = y, x
+		}
+		return exprKey{op: in.Op, x: x, y: y}, true
+	}
+	return exprKey{}, false
+}
+
+func operandOf(s *ssa.SSA, d int32) operand {
 	if def := s.Defs[d]; def.Kind == ssa.DefInstr {
 		if c, ok := s.Instr(def.Site).(*ir.ConstInstr); ok {
-			return "c" + strconv.Itoa(int(c.Val.Type)) + ":" + c.Val.String()
+			return operand{def: ssa.None, typ: c.Val.Type, val: c.Val.String()}
 		}
 	}
-	return "#" + strconv.Itoa(int(d))
+	return operand{def: d}
 }

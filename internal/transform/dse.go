@@ -19,10 +19,13 @@ import (
 // last use goes. A dead store is never the last definition on a path to
 // a use or φ, so deleting it moves no φ and no reaching definition:
 // the worklist reaches the fixed point of deleting and rebuilding until
-// nothing is dead. The overlay is renumbered once at the end.
+// nothing is dead. Each deletion leaves a tombstone and decrements its
+// variable's definition count; the blocks are compacted once at the
+// end.
 func (st *optState) dseFunc(i int) PassReport {
 	pr := PassReport{Pass: PassDSE}
 	s := st.overlay(i)
+	nd := st.defCounts(i)
 	var work []ir.Instr
 	for _, b := range s.Dom.RPO {
 		for _, in := range b.Instrs {
@@ -39,6 +42,7 @@ func (st *optState) dseFunc(i int) PassReport {
 			continue // queued again by an instruction that read it twice
 		}
 		operands = append(operands[:0], s.UsesOf(in)...)
+		nd[s.Defs[s.DefsOf(in)[0]].Var]--
 		s.DeleteStore(in)
 		pr.DeadStores++
 		for _, d := range operands {
@@ -48,7 +52,7 @@ func (st *optState) dseFunc(i int) PassReport {
 		}
 	}
 	if pr.DeadStores > 0 {
-		s.RenumberInstrs()
+		s.Compact()
 	}
 	return pr
 }
@@ -77,10 +81,10 @@ func deadStore(s *ssa.SSA, in ir.Instr) bool {
 	default:
 		return false
 	}
-	dst := in.Defs()[0]
-	if dst.Kind != sem.KindLocal && dst.Kind != sem.KindTemp {
+	defs := s.DefsOf(in)
+	if len(defs) != 1 || s.Defs[defs[0]].Kind != ssa.DefInstr || s.Defs[defs[0]].FirstUse != ssa.None {
 		return false
 	}
-	defs := s.DefsOf(in)
-	return len(defs) == 1 && s.Defs[defs[0]].Kind == ssa.DefInstr && s.Defs[defs[0]].FirstUse == ssa.None
+	dst := s.Var(defs[0])
+	return dst.Kind == sem.KindLocal || dst.Kind == sem.KindTemp
 }

@@ -26,16 +26,18 @@ import (
 //     on loop-skipping paths) is then unobservable: every actual read
 //     still sees c.
 //
-// Moves preserve the CFG, so the overlay stays valid; only the
-// instruction numbering is redone (ssa.RenumberInstrs, which also moves
-// each hoisted definition to its new block).
+// Moves preserve the CFG, and a hoisted const keeps its ID: the
+// overlay edit (ssa.HoistConst) only moves its definition to the new
+// block.
 func (st *optState) licmFunc(i int) PassReport {
 	pr := PassReport{Pass: PassLICM}
 	s := st.overlay(i)
 	fn := s.Fn
-	nd := defCounts(s)
+	nd := st.defCounts(i)
 
 	inLoop := make([]bool, len(fn.Blocks))
+	var seen []int32 // entryReachesRealUse's stamps, made on first use
+	gen := int32(0)
 	type hoist struct {
 		block *ir.Block
 		instr *ir.ConstInstr
@@ -65,24 +67,24 @@ func (st *optState) licmFunc(i int) PassReport {
 					if nd[vi] != 1 {
 						continue
 					}
-					if entryReachesRealUse(s, s.EntryDefs[vi]) {
+					if seen == nil {
+						seen = make([]int32, len(s.Defs))
+					}
+					gen++
+					if entryReachesRealUse(s, s.EntryDefs[vi], seen, gen) {
 						continue
 					}
 					moves = append(moves, hoist{lb, c})
 				}
 			}
 			for _, m := range moves {
-				removeInstr(m.block, m.instr)
-				pre.Instrs = append(pre.Instrs, m.instr)
+				s.HoistConst(m.instr, m.block, pre)
 				pr.HoistedConsts++
 			}
 			for _, lb := range loop {
 				inLoop[lb.Index] = false
 			}
 		}
-	}
-	if pr.HoistedConsts > 0 {
-		s.RenumberInstrs()
 	}
 	return pr
 }
@@ -120,15 +122,19 @@ func isLocalish(v *sem.Var) bool {
 }
 
 // entryReachesRealUse reports whether d (an entry definition) flows to
-// any instruction or terminator use, following φ chains.
-func entryReachesRealUse(s *ssa.SSA, d int32) bool {
-	seen := make(map[int32]bool)
+// any instruction or terminator use, following φ chains. It stamps the
+// definitions it visits with gen, which is unique to the query. None,
+// the entry slot of a variable the graft took over, reaches nothing.
+func entryReachesRealUse(s *ssa.SSA, d int32, seen []int32, gen int32) bool {
+	if d == ssa.None {
+		return false
+	}
 	var walk func(d int32) bool
 	walk = func(d int32) bool {
-		if seen[d] {
+		if seen[d] == gen {
 			return false
 		}
-		seen[d] = true
+		seen[d] = gen
 		for u := s.Defs[d].FirstUse; u != ssa.None; u = s.Uses[u].Next {
 			switch r := s.Uses[u]; r.Kind {
 			case ssa.UseInstr, ssa.UseTerm:
@@ -142,15 +148,4 @@ func entryReachesRealUse(s *ssa.SSA, d int32) bool {
 		return false
 	}
 	return walk(d)
-}
-
-// removeInstr deletes one instruction from a block by identity.
-func removeInstr(b *ir.Block, in ir.Instr) {
-	for i, x := range b.Instrs {
-		if x == in {
-			b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
-			return
-		}
-	}
-	panic("transform: instruction not in block")
 }

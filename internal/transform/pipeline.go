@@ -69,12 +69,14 @@ func selectPasses(names []string) ([]string, error) {
 // ssas[i] is nil when function i's overlay must be (re)built — when the
 // analysis built none, and again after fold changed its CFG. built[i]
 // counts the overlays function i's shard built in the current pass.
+// counts[i] is nil until a pass reads function i's defCounts.
 type optState struct {
-	ctx   *icp.Context
-	fns   []*ir.Func
-	envs  []lattice.Env[*sem.Var]
-	ssas  []*ssa.SSA
-	built []int
+	ctx    *icp.Context
+	fns    []*ir.Func
+	envs   []lattice.Env[*sem.Var]
+	ssas   []*ssa.SSA
+	built  []int
+	counts [][]int
 }
 
 // overlay returns function i's current SSA overlay, building it on
@@ -104,11 +106,12 @@ func Optimize(ctx *icp.Context, env EnvFn, opts Options) (Report, error) {
 	}
 
 	st := &optState{
-		ctx:   ctx,
-		fns:   make([]*ir.Func, len(ctx.CG.Reachable)),
-		envs:  make([]lattice.Env[*sem.Var], len(ctx.CG.Reachable)),
-		ssas:  make([]*ssa.SSA, len(ctx.CG.Reachable)),
-		built: make([]int, len(ctx.CG.Reachable)),
+		ctx:    ctx,
+		fns:    make([]*ir.Func, len(ctx.CG.Reachable)),
+		envs:   make([]lattice.Env[*sem.Var], len(ctx.CG.Reachable)),
+		ssas:   make([]*ssa.SSA, len(ctx.CG.Reachable)),
+		built:  make([]int, len(ctx.CG.Reachable)),
+		counts: make([][]int, len(ctx.CG.Reachable)),
 	}
 	for i, p := range ctx.CG.Reachable {
 		st.fns[i] = ctx.Prog.FuncOf[p]
@@ -205,7 +208,18 @@ func (st *optState) shardFn(name string) func(i int) PassReport {
 	panic("transform: unknown pass " + name)
 }
 
-// defCounts returns, per AllVars position, the number of real
+// defCounts returns function i's countDefs, counted by the first pass
+// that reads them. Fold, the one pass that adds real definitions (the
+// graft) or rebuilds an overlay, runs before any such pass; DSE keeps
+// the counts current, and CSE and LICM change none.
+func (st *optState) defCounts(i int) []int {
+	if st.counts[i] == nil {
+		st.counts[i] = countDefs(st.overlay(i))
+	}
+	return st.counts[i]
+}
+
+// countDefs returns, per AllVars position, the number of real
 // definitions (instructions, call may-defs, clobbers) of that variable.
 // Stores dead-store elimination deleted are gone and not counted. φ
 // definitions are construction artifacts, not runtime writes, and are
@@ -215,7 +229,7 @@ func (st *optState) shardFn(name string) func(i int) PassReport {
 // copy-propagation, CSE, and LICM validity conditions all key on
 // "exactly one real definition" — a single-store variable holds that
 // store's value at every program point the store dominates, φs or not.
-func defCounts(s *ssa.SSA) []int {
+func countDefs(s *ssa.SSA) []int {
 	nd := make([]int, len(s.Fn.AllVars))
 	for _, d := range s.Defs {
 		if d.Kind == ssa.DefInstr {

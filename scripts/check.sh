@@ -18,6 +18,12 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "== code size (informational) =="
+# Non-test Go lines outside perfbench (scripts/loc.sh has the per-package
+# rows) against the 22,580-line baseline. This is a record, not a gate.
+total=$(scripts/loc.sh | awk '$2 == "total" { print $1 }')
+printf 'non-test Go lines: %d (%+d against 22580)\n' "$total" "$((total - 22580))"
+
 echo "== go test -race =="
 # -short skips the corpus-scale tests (10k procedures; 2k at four
 # worker counts) — they run without the race detector in the
@@ -140,8 +146,10 @@ echo "== optimizer on one SSA per procedure (race) =="
 # The optimizer edits the overlays the analysis built in place and
 # rebuilds one only where fold changed a CFG: the pipeline must stay
 # schedule-independent, each pass row must count the overlays it built,
-# and a graft of entry constants plus every dead-store deletion must
-# leave an overlay equal to a fresh build.
+# and every edit the passes make (graft, rewrites, dead-store deletion
+# and compaction, LICM hoists), with no renumbering between them, must
+# leave an overlay equal to a fresh build up to instruction IDs and the
+# hoisted variables' dead φs.
 go test -race -count=1 \
     -run 'TestOptimizeDeterministicAcrossWorkers|TestOptimizeRebuildsOnlyChangedCFGs' \
     ./internal/transform
